@@ -312,30 +312,6 @@ def _cmd_adversary(args) -> tuple[dict, int]:
     return payload, OK if report.status == "certified" else DIAGNOSTIC_ONLY
 
 
-def _certificate_values(matrix, x, limit: int) -> list[Fraction]:
-    """Transform values for certificate verification, using the 0/1 fast
-    path when the sequence really is 0/1 on the needed prefix."""
-    bits = []
-    zero_one = True
-    for n in range(1, limit + 1):
-        v = x.value(n)
-        if v == 0:
-            bits.append(0)
-        elif v == 1:
-            bits.append(1)
-        else:
-            zero_one = False
-            break
-    if zero_one and matrix.row_finite:
-        return summability._bits_transform_values(matrix, bits, limit)
-    if limit > 4096:
-        raise TailToleranceError(
-            "certificate verification beyond 4096 rows needs a 0/1 sequence "
-            "and a row-finite matrix"
-        )
-    return [p.value for p in summability.transform_prefix(matrix, x, limit)]
-
-
 def _cmd_verify(args) -> tuple[dict, int]:
     with open(args.certificate, "r", encoding="ascii") as handle:
         data = json.load(handle)
@@ -345,7 +321,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise ValueError(f"malformed certificate: {exc}") from exc
     matrix = parse_matrix(cert.matrix_spec)
     x = parse_sequence(cert.x_spec)
-    values = _certificate_values(matrix, x, cert.scales[-1])
+    if not matrix.row_finite:
+        # Certificates are only ever written for row-finite matrices; any
+        # other row would need an unbounded certified-tail summation.
+        raise DomainRiskError(
+            f"certificates are audited against row-finite matrices, not {cert.matrix_spec}"
+        )
+    limit = cert.scales[-1]
+    values = matrix.transform_rows(x.values(matrix.columns(limit)), limit)
     ok = cert.audit_values(values)
     payload = {
         "command": "verify",

@@ -31,8 +31,6 @@ from .summability import (
     RowSeq,
     SequenceSpec,
     SummabilityMatrix,
-    _averaging_core,
-    _bits_transform_values,
     _blocks01_bit,
     render_rle,
 )
@@ -745,14 +743,14 @@ def steinhaus_adversary(
         if isinstance(matrix, IdentityMatrix):
             bits = [1 if n % 2 == 1 else 0 for n in range(1, scale + 1)]
             x_spec = "alt10"
-        elif _averaging_core(matrix):
+        elif matrix.averaging_core:
             bits = [_blocks01_bit(n) for n in range(1, scale + 1)]
             x_spec = "blocks01"
         else:
             raise PreconditionError(
                 "the blocks adversary plays against averaging matrices or the identity"
             )
-        values = _bits_transform_values(matrix, bits, scale)
+        values = matrix.transform_rows(bits, scale)
         cert, status = _certify(
             values, scale, thresholds, x_spec, matrix.spec_string()
         )
@@ -773,7 +771,7 @@ def steinhaus_adversary(
             },
         )
     if mode == "greedy":
-        if not _averaging_core(matrix):
+        if not matrix.averaging_core:
             raise PreconditionError("the greedy adversary needs an averaging matrix")
         bits: list[int] = []
         ones = 0
@@ -808,7 +806,7 @@ def steinhaus_adversary(
                 break
             push_up = not push_up
         final = len(bits)
-        values = _bits_transform_values(matrix, bits, final)
+        values = matrix.transform_rows(bits, final)
         x_spec = "rle:" + render_rle(bits)
         cert, status = _certify(
             values, final, thresholds, x_spec, matrix.spec_string()

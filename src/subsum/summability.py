@@ -22,7 +22,6 @@ from .setlang import (
     SetDescription,
     Tri,
     Union,
-    exact_density,
     is_cofinite,
     is_finite,
     member,
@@ -314,9 +313,16 @@ def parse_row(spec: str) -> RowSeq:
 
 
 class SummabilityMatrix:
-    """Common interface: exact entries, structural row support, spec string."""
+    """Common interface: exact entries, structural row support, spec string.
 
-    kind: str = "abstract"
+    Each kind states its structural facts by overriding the defaults here.
+    A default either answers "unknown" (None / False) or, for the
+    regularity conditions and the transform kernel, does the generic
+    sampled or direct computation.
+    """
+
+    nonneg: bool = False  # every entry is structurally >= 0
+    averaging_core: bool = False  # the transform of 1_S tracks prefix density
 
     def entry(self, n: int, k: int) -> Fraction:
         raise NotImplementedError
@@ -329,9 +335,6 @@ class SummabilityMatrix:
     def row_finite(self) -> bool:
         """Structurally known to have finitely supported rows."""
         return False
-
-    def row(self, n: int, width: int) -> list[Fraction]:
-        return [self.entry(n, k) for k in range(1, width + 1)]
 
     def row_l1(self, n: int) -> Fraction:
         support = self.row_support(n)
@@ -362,16 +365,81 @@ class SummabilityMatrix:
     def spec_string(self) -> str:
         raise NotImplementedError
 
+    # -- transform kernel (row-finite matrices)
 
-class CesaroMatrix(SummabilityMatrix):
-    """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
+    def columns(self, n_max: int) -> int:
+        """Number of columns that rows 1..n_max can reach."""
+        return max((self.row_support(n) for n in range(1, n_max + 1)), default=0)
 
-    kind = "cesaro"
+    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
+        """Exact values of rows 1..n_max of the transform of x.
 
-    def entry(self, n: int, k: int) -> Fraction:
-        if n < 1 or k < 1:
-            raise ValueError("indices start at 1")
-        return Fraction(1, n) if k <= n else ZERO
+        ``xs[k-1]`` is x_k (an int or a Fraction) for every column up to
+        ``columns(n_max)``.  The default sums each row directly.
+        """
+        return [
+            sum(
+                (self.entry(n, k) * xs[k - 1] for k in range(1, self.row_support(n) + 1)),
+                ZERO,
+            )
+            for n in range(1, n_max + 1)
+        ]
+
+    # -- structural facts
+
+    def vanish_rows(self, w: int) -> SetDescription | None:
+        """Rows whose support lies below column w, when the kind says so."""
+        return None
+
+    def row_sum_exception(self) -> SetDescription | None:
+        """Rows whose sum is not 1, when the kind says so."""
+        return None
+
+    def null_ideal(self) -> IdealPresentation | None:
+        """The ideal {S : transform of 1_S tends to 0}, when the kind alone
+        decides it."""
+        return None
+
+    def r1_bound(self, n_rows: int) -> ConditionReport:
+        """Uniform row l1 bound; sampled only, so never a certificate."""
+        samples = sorted(
+            set(list(range(1, 65)) + [1 << j for j in range(7, 20) if 1 << j <= n_rows])
+        )
+        best = ZERO
+        for n in samples:
+            if self.row_support(n) is None:
+                tail = self.l1_tail(n, 0)
+                if tail is None:
+                    return ConditionReport("undecided", False, "no l1 information", {})
+                best = max(best, tail)
+            else:
+                best = max(best, self.row_l1(n))
+        return ConditionReport(
+            "at_scale", False, f"sampled rows up to {samples[-1]}", {"bound": str(best)}
+        )
+
+    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+        """Columns vanish; a finite-scale estimate via the shared limit
+        estimator, so never a certificate."""
+        from .constructions import ideal_limit
+
+        scale = min(n_rows, 2048)
+        details = {}
+        for k in range(1, k_cols + 1):
+            column = [self.entry(n, k) for n in range(1, scale + 1)]
+            verdict = ideal_limit(column, IdealPresentation.z())
+            details[k] = verdict.status
+            if verdict.status != "limit" or verdict.eta != 0:
+                return ConditionReport(
+                    "undecided", False, f"column {k} shows no vanishing trend", details
+                )
+        return ConditionReport("at_scale", False, f"columns vanish at scale {scale}", details)
+
+
+class _StochasticTriangle(SummabilityMatrix):
+    """Nonnegative lower-triangular rows that sum to 1 and end on the diagonal."""
+
+    nonneg = True
 
     def row_support(self, n: int) -> int:
         return n
@@ -379,6 +447,48 @@ class CesaroMatrix(SummabilityMatrix):
     @property
     def row_finite(self) -> bool:
         return True
+
+    def columns(self, n_max: int) -> int:
+        return n_max
+
+    def vanish_rows(self, w: int) -> SetDescription:
+        return Finite(tuple(range(1, w)))
+
+    def row_sum_exception(self) -> SetDescription:
+        return Finite(())
+
+    def r1_bound(self, n_rows: int) -> ConditionReport:
+        return ConditionReport("yes", True, "every row has l1 norm exactly 1", {"bound": "1"})
+
+
+class CesaroMatrix(_StochasticTriangle):
+    """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
+
+    averaging_core = True
+
+    def entry(self, n: int, k: int) -> Fraction:
+        if n < 1 or k < 1:
+            raise ValueError("indices start at 1")
+        return Fraction(1, n) if k <= n else ZERO
+
+    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
+        # The running sum stays an int while the inputs are integral, which
+        # keeps 0/1 prefixes as cheap as counting ones.
+        out = []
+        total = 0
+        for n in range(1, n_max + 1):
+            v = xs[n - 1]
+            total += v.numerator if v.denominator == 1 else v
+            out.append(Fraction(total, n))
+        return out
+
+    def null_ideal(self) -> IdealPresentation:
+        return IdealPresentation.z()
+
+    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+        return ConditionReport(
+            "yes", True, "column entries are 0 or 1/n, dominated by 1/n", {}
+        )
 
     def spec_string(self) -> str:
         return "cesaro"
@@ -390,20 +500,22 @@ class CesaroMatrix(SummabilityMatrix):
         return hash("cesaro")
 
 
-class IdentityMatrix(SummabilityMatrix):
-    kind = "identity"
+class IdentityMatrix(_StochasticTriangle):
+    """a_{n,k} = 1 for k = n, else 0."""
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
         return ONE if n == k else ZERO
 
-    def row_support(self, n: int) -> int:
-        return n
+    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
+        return [Fraction(v) for v in xs[:n_max]]
 
-    @property
-    def row_finite(self) -> bool:
-        return True
+    def null_ideal(self) -> IdealPresentation:
+        return IdealPresentation.fin()
+
+    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+        return ConditionReport("yes", True, "column k vanishes for rows past k", {})
 
     def spec_string(self) -> str:
         return "identity"
@@ -417,8 +529,6 @@ class IdentityMatrix(SummabilityMatrix):
 
 class RowDropMatrix(SummabilityMatrix):
     """Base matrix with the rows in ``drop`` replaced by zero rows."""
-
-    kind = "rowdrop"
 
     def __init__(self, base: SummabilityMatrix, drop: SetDescription):
         self.base = base
@@ -440,6 +550,45 @@ class RowDropMatrix(SummabilityMatrix):
     def row_finite(self) -> bool:
         return self.base.row_finite
 
+    @property
+    def nonneg(self) -> bool:
+        return self.base.nonneg
+
+    @property
+    def averaging_core(self) -> bool:
+        return self.base.averaging_core
+
+    def columns(self, n_max: int) -> int:
+        return self.base.columns(n_max)
+
+    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
+        base = self.base.transform_rows(xs, n_max)
+        return [ZERO if member(self.drop, n) else v for n, v in enumerate(base, start=1)]
+
+    def vanish_rows(self, w: int) -> SetDescription | None:
+        base = self.base.vanish_rows(w)
+        return None if base is None else Union(base, self.drop)
+
+    def row_sum_exception(self) -> SetDescription | None:
+        base = self.base.row_sum_exception()
+        return None if base is None else Union(base, self.drop)
+
+    def null_ideal(self) -> IdealPresentation | None:
+        # Finitely many zero rows do not change where a transform tends.
+        return self.base.null_ideal() if is_finite(self.drop) is Tri.YES else None
+
+    def r1_bound(self, n_rows: int) -> ConditionReport:
+        base = self.base.r1_bound(n_rows)
+        if base.certified and base.holds == "yes":
+            return ConditionReport("yes", True, "zero rows only lower the base bound", base.data)
+        return base
+
+    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+        base = self.base.r2_columns(n_rows, k_cols)
+        if base.certified and base.holds == "yes":
+            return ConditionReport("yes", True, "entrywise dominated by the base matrix", {})
+        return base
+
     def spec_string(self) -> str:
         return f"rowdrop:{self.base.spec_string()}:{render(self.drop)}"
 
@@ -457,10 +606,9 @@ class RowDropMatrix(SummabilityMatrix):
 class ExplicitMatrix(SummabilityMatrix):
     """Finitely many stored rows; all later rows are zero rows."""
 
-    kind = "explicit"
-
     def __init__(self, rows: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]):
         self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        self.nonneg = all(v >= 0 for row in self.rows for v in row)
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
@@ -483,6 +631,25 @@ class ExplicitMatrix(SummabilityMatrix):
     def row_finite(self) -> bool:
         return True
 
+    def _stored_and_beyond(self, keep: Callable[[int], bool]) -> SetDescription:
+        stored = tuple(n for n in range(1, len(self.rows) + 1) if keep(n))
+        return Union(Finite(stored), AP(len(self.rows) + 1, 1))
+
+    def vanish_rows(self, w: int) -> SetDescription:
+        return self._stored_and_beyond(lambda n: self.row_support(n) < w)
+
+    def row_sum_exception(self) -> SetDescription:
+        return self._stored_and_beyond(lambda n: self.row_sum(n) != 1)
+
+    def r1_bound(self, n_rows: int) -> ConditionReport:
+        bound = max((self.row_l1(n) for n in range(1, len(self.rows) + 1)), default=ZERO)
+        return ConditionReport(
+            "yes", True, "max over stored rows; later rows are zero", {"bound": str(bound)}
+        )
+
+    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+        return ConditionReport("yes", True, "columns vanish beyond the stored rows", {})
+
     def spec_string(self) -> str:
         body = ";".join(",".join(str(v) for v in row) for row in self.rows)
         return f"explicit:{body}"
@@ -502,8 +669,6 @@ class GeneratorMatrix(SummabilityMatrix):
     produce values, since no certified tail is available.  ``support_exact``
     asserts the support bound is attained (the last column is nonzero).
     """
-
-    kind = "gen"
 
     def __init__(
         self,
@@ -561,6 +726,9 @@ class GeneratorMatrix(SummabilityMatrix):
 
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return self.ratio
+
+    def vanish_rows(self, w: int) -> SetDescription | None:
+        return None if self.vanish_fn is None else self.vanish_fn(w)
 
     def spec_string(self) -> str:
         return f"gen:{self.name}"
@@ -741,32 +909,14 @@ def transform_prefix(
     tail_tol: Fraction = ZERO,
     column_cap: int = DEFAULT_COLUMN_CAP,
 ) -> list[TransformPoint]:
-    """Transform rows 1..n_max; see transform_value for tail semantics."""
+    """Transform rows 1..n_max: row-finite matrices through their exact
+    kernel, other rows with transform_value's tail semantics."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if matrix.row_finite:
+        values = matrix.transform_rows(x.values(matrix.columns(n_max)), n_max)
+        return [TransformPoint(n, v, ZERO) for n, v in enumerate(values, start=1)]
     return [transform_value(matrix, x, n, tail_tol, column_cap) for n in range(1, n_max + 1)]
-
-
-def _bits_transform_values(
-    matrix: SummabilityMatrix, bits: list[int], limit: int
-) -> list[Fraction]:
-    """Transform of a 0/1 prefix for row-finite matrices, with fast paths."""
-    if isinstance(matrix, IdentityMatrix):
-        return [Fraction(bits[n - 1]) for n in range(1, limit + 1)]
-    if isinstance(matrix, CesaroMatrix):
-        out = []
-        ones = 0
-        for n in range(1, limit + 1):
-            ones += bits[n - 1]
-            out.append(Fraction(ones, n))
-        return out
-    if isinstance(matrix, RowDropMatrix):
-        base = _bits_transform_values(matrix.base, bits, limit)
-        return [
-            ZERO if member(matrix.drop, n) else base[n - 1] for n in range(1, limit + 1)
-        ]
-    x = sequence_from_values(tuple(Fraction(b) for b in bits), name="bits")
-    return [p.value for p in transform_prefix(matrix, x, limit)]
 
 
 # ---------------------------------------------------------------- domain check
@@ -796,9 +946,8 @@ def domain_check(
     bound, or a single term larger than 2*tol after the partials had settled
     within tol over a window.  Anything else is ``inconclusive``.
     """
-    support = matrix.row_support(n)
-    if support is not None:
-        value = sum((matrix.entry(n, k) * x.value(k) for k in range(1, support + 1)), ZERO)
+    if matrix.row_support(n) is not None:
+        value = transform_value(matrix, x, n).value
         return DomainCheck("converged", n, value, ZERO, {"row_finite": True})
     window: list[Fraction] = []
     window_size = 16
@@ -861,34 +1010,22 @@ class RowProfile:
             raise DomainRiskError("row profiles require a row-finite matrix")
         self.matrix = matrix
         self.n_max = n_max
-        self._cache: dict[int, int] = {}
 
     def last_nonzero(self, n: int) -> int:
-        got = self._cache.get(n)
-        if got is None:
-            got = self.matrix.row_support(n)
-            support = got
-            # The structural support may be a bound; tighten to the true last
-            # nonzero entry for kinds that do not promise exactness.
-            if support and not _support_is_exact(self.matrix):
-                while support > 0 and self.matrix.entry(n, support) == 0:
-                    support -= 1
-                got = support
-            self._cache[n] = got
-        return got
+        return self.matrix.row_support(n)
 
     def vanish_set(self, w: int) -> SetDescription:
         """Rows n with last_nonzero(n) < w, as a set description."""
         if w < 1:
             raise ValueError("column thresholds start at 1")
-        structural = _structural_vanish(self.matrix, w)
+        structural = self.matrix.vanish_rows(w)
         if structural is not None:
             return structural
         rows = tuple(n for n in range(1, self.n_max + 1) if self.last_nonzero(n) < w)
         return Finite(rows)
 
     def vanish_is_structural(self, w: int) -> bool:
-        return _structural_vanish(self.matrix, w) is not None
+        return self.matrix.vanish_rows(w) is not None
 
     def audit(self, w: int, n_max: int | None = None) -> bool:
         """Enumerate rows <= n_max checking vanish_set(w) matches supports."""
@@ -898,35 +1035,6 @@ class RowProfile:
             if member(desc, n) != (self.last_nonzero(n) < w):
                 return False
         return True
-
-
-def _support_is_exact(matrix: SummabilityMatrix) -> bool:
-    if isinstance(matrix, (CesaroMatrix, IdentityMatrix, ExplicitMatrix)):
-        return True
-    if isinstance(matrix, RowDropMatrix):
-        return _support_is_exact(matrix.base)
-    if isinstance(matrix, GeneratorMatrix):
-        return True  # row_support already scans when not declared exact
-    return False
-
-
-def _structural_vanish(matrix: SummabilityMatrix, w: int) -> SetDescription | None:
-    if isinstance(matrix, (CesaroMatrix, IdentityMatrix)):
-        return Finite(tuple(range(1, w)))
-    if isinstance(matrix, RowDropMatrix):
-        base = _structural_vanish(matrix.base, w)
-        if base is None:
-            return None
-        return Union(base, matrix.drop)
-    if isinstance(matrix, ExplicitMatrix):
-        stored = tuple(
-            n for n in range(1, len(matrix.rows) + 1) if matrix.row_support(n) < w
-        )
-        beyond = AP(len(matrix.rows) + 1, 1)
-        return Union(Finite(stored), beyond)
-    if isinstance(matrix, GeneratorMatrix) and matrix.vanish_fn is not None:
-        return matrix.vanish_fn(w)
-    return None
 
 
 def row_profile(matrix: SummabilityMatrix, n_max: int = 10**3) -> RowProfile:
@@ -955,92 +1063,10 @@ class RegularityVerdict:
     witness: dict = field(default_factory=dict, compare=False)
 
 
-def _r1_bound(matrix: SummabilityMatrix, n_rows: int) -> ConditionReport:
-    if isinstance(matrix, (CesaroMatrix, IdentityMatrix)):
-        return ConditionReport("yes", True, "every row has l1 norm exactly 1", {"bound": "1"})
-    if isinstance(matrix, RowDropMatrix):
-        base = _r1_bound(matrix.base, n_rows)
-        if base.certified and base.holds == "yes":
-            return ConditionReport(
-                "yes", True, "zero rows only lower the base bound", base.data
-            )
-        return base
-    if isinstance(matrix, ExplicitMatrix):
-        bound = max((matrix.row_l1(n) for n in range(1, len(matrix.rows) + 1)), default=ZERO)
-        return ConditionReport(
-            "yes", True, "max over stored rows; later rows are zero", {"bound": str(bound)}
-        )
-    # Sampled bound only: no certificate for generator matrices.
-    samples = sorted(set(list(range(1, 65)) + [1 << j for j in range(7, 20) if 1 << j <= n_rows]))
-    best = ZERO
-    for n in samples:
-        if matrix.row_support(n) is None:
-            tail = matrix.l1_tail(n, 0)
-            if tail is None:
-                return ConditionReport("undecided", False, "no l1 information", {})
-            best = max(best, tail)
-        else:
-            best = max(best, matrix.row_l1(n))
-    return ConditionReport(
-        "at_scale", False, f"sampled rows up to {samples[-1]}", {"bound": str(best)}
-    )
-
-
-def _r2_columns(matrix: SummabilityMatrix, n_rows: int, k_cols: int) -> ConditionReport:
-    if isinstance(matrix, CesaroMatrix):
-        return ConditionReport(
-            "yes", True, "column entries are 0 or 1/n, dominated by 1/n", {}
-        )
-    if isinstance(matrix, IdentityMatrix):
-        return ConditionReport("yes", True, "column k vanishes for rows past k", {})
-    if isinstance(matrix, RowDropMatrix):
-        base = _r2_columns(matrix.base, n_rows, k_cols)
-        if base.certified and base.holds == "yes":
-            return ConditionReport(
-                "yes", True, "entrywise dominated by the base matrix", {}
-            )
-        return base
-    if isinstance(matrix, ExplicitMatrix):
-        return ConditionReport(
-            "yes", True, "columns vanish beyond the stored rows", {}
-        )
-    # Finite-scale estimate via the shared limit estimator.
-    from .constructions import ideal_limit
-
-    scale = min(n_rows, 2048)
-    details = {}
-    for k in range(1, k_cols + 1):
-        column = [matrix.entry(n, k) for n in range(1, scale + 1)]
-        verdict = ideal_limit(column, IdealPresentation.z())
-        details[k] = verdict.status
-        if verdict.status != "limit" or verdict.eta != 0:
-            return ConditionReport(
-                "undecided", False, f"column {k} shows no vanishing trend", details
-            )
-    return ConditionReport("at_scale", False, f"columns vanish at scale {scale}", details)
-
-
-def _row_sum_exception(matrix: SummabilityMatrix) -> SetDescription | None:
-    """Rows with row sum != 1, structurally; None when unknown."""
-    if isinstance(matrix, (CesaroMatrix, IdentityMatrix)):
-        return Finite(())
-    if isinstance(matrix, RowDropMatrix):
-        base = _row_sum_exception(matrix.base)
-        if base is None:
-            return None
-        return Union(base, matrix.drop)
-    if isinstance(matrix, ExplicitMatrix):
-        stored = tuple(
-            n for n in range(1, len(matrix.rows) + 1) if matrix.row_sum(n) != 1
-        )
-        return Union(Finite(stored), AP(len(matrix.rows) + 1, 1))
-    return None
-
-
 def _r3_rowsums(
     matrix: SummabilityMatrix, ideal: IdealPresentation, n_rows: int, scale: int
 ) -> ConditionReport:
-    exception = _row_sum_exception(matrix)
+    exception = matrix.row_sum_exception()
     if exception is not None:
         verdict = ideal.verdict(exception, scale)
         data = {"exception_set": render(exception), "verdict": verdict.status}
@@ -1080,8 +1106,8 @@ def regularity_verdict(
     ``regular`` / ``not_regular`` only when every part is closed-form
     certified; sampled evidence alone yields ``undecided``.
     """
-    r1 = _r1_bound(matrix, n_rows)
-    r2 = _r2_columns(matrix, n_rows, k_cols)
+    r1 = matrix.r1_bound(n_rows)
+    r2 = matrix.r2_columns(n_rows, k_cols)
     r3 = _r3_rowsums(matrix, ideal, n_rows, n_rows)
     witness: dict = {}
     if "no" in (r1.holds, r2.holds, r3.holds):
@@ -1164,7 +1190,7 @@ def matrix_ideal_limit_defect(
 def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
     """Matrix-generated ideals need nonnegative entries and a certified
     regularity verdict; reject anything weaker at construction time."""
-    if not _entries_nonneg(matrix):
+    if not matrix.nonneg:
         raise ValueError("matrix ideals require nonnegative entries")
     verdict = regularity_verdict(matrix, IdealPresentation.fin(), n_rows=256, k_cols=4)
     if verdict.overall != "regular":
@@ -1173,40 +1199,25 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
         )
 
 
-def _entries_nonneg(matrix: SummabilityMatrix) -> bool:
-    if isinstance(matrix, (CesaroMatrix, IdentityMatrix)):
-        return True
-    if isinstance(matrix, RowDropMatrix):
-        return _entries_nonneg(matrix.base)
-    if isinstance(matrix, ExplicitMatrix):
-        return all(v >= 0 for row in matrix.rows for v in row)
-    if isinstance(matrix, GeneratorMatrix):
-        return matrix.nonneg
-    return False
-
-
-def _averaging_core(matrix: SummabilityMatrix) -> bool:
-    """Matrices whose transform of an indicator tracks prefix density."""
-    if isinstance(matrix, CesaroMatrix):
-        return True
-    if isinstance(matrix, RowDropMatrix):
-        return _averaging_core(matrix.base)
-    return False
-
-
 def matrix_ideal_verdict(
     matrix: SummabilityMatrix, s: SetDescription, scale: int
 ) -> MembershipVerdict:
-    """Membership of S in the ideal {S : transform of 1_S tends to 0}."""
+    """Membership of S in the ideal {S : transform of 1_S tends to 0}.
+
+    Where the matrix kind alone decides that ideal, its certified verdict is
+    the answer; an undecided set gets the transform probe as evidence.
+    """
     if is_finite(s) is Tri.YES:
         return MembershipVerdict(IN, "finite union of vanishing columns")
-    d = exact_density(s)
-    if _averaging_core(matrix):
-        if d == 0:
-            return MembershipVerdict(IN, "running averages of a density-0 indicator vanish")
-        if d is not None and d > 0:
+    zero_rows = matrix.vanish_rows(1)
+    if zero_rows is not None and is_cofinite(zero_rows) is Tri.YES:
+        return MembershipVerdict(IN, "all but finitely many rows are zero rows")
+    reduced = matrix.null_ideal()
+    if reduced is not None:
+        verdict = reduced.verdict(s, scale)
+        if verdict.decided:
             return MembershipVerdict(
-                NOT_IN, f"running averages track the exact density {d} > 0"
+                verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
             )
     if is_cofinite(s) is Tri.YES:
         return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")

@@ -7,6 +7,7 @@ codes are checked against the documented table (0 ok, 2 parse, 3 budget,
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -251,7 +252,7 @@ class TestAdversaryAndVerify:
         assert code == 2
         assert "malformed certificate" in err
 
-    def test_oversized_audits_need_a_bit_sequence(self, capsys, tmp_path):
+    def test_oversized_audits_of_other_sequences_are_recomputed(self, capsys, tmp_path):
         cert = {
             "kind": "oscillation", "x": "sqperturb", "matrix": "cesaro",
             "lower": "0", "upper": "1", "scales": [4097],
@@ -259,9 +260,25 @@ class TestAdversaryAndVerify:
         }
         path = tmp_path / "big.json"
         path.write_text(json.dumps(cert))
+        code, d = run_json(capsys, ["verify", str(path)])
+        assert code == 6
+        assert d["verified"] is False
+
+    def test_certificates_for_non_row_finite_matrices_exit_with_code_7(
+        self, capsys, tmp_path
+    ):
+        cert = {
+            "kind": "oscillation", "x": "alt", "matrix": "gen:geometric",
+            "lower": "0", "upper": "1", "scales": [8],
+            "lower_counts": [1], "upper_counts": [1],
+        }
+        path = tmp_path / "geometric.json"
+        path.write_text(json.dumps(cert))
+        started = time.perf_counter()
         code, out, err = run(capsys, ["verify", str(path)])
-        assert code == 3
-        assert "TailToleranceError" in err
+        assert time.perf_counter() - started < 5
+        assert code == 7
+        assert "DomainRiskError" in err
 
 
 class TestGame:

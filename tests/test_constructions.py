@@ -432,10 +432,10 @@ class TestBlocksAdversary:
         assert again == blocks_report
 
     def test_certificate_audits_against_recomputed_means(self, blocks_report):
-        from subsum.summability import _bits_transform_values, _blocks01_bit
+        from subsum.summability import _blocks01_bit
 
         bits = [_blocks01_bit(n) for n in range(1, 65537)]
-        values = _bits_transform_values(CesaroMatrix(), bits, 65536)
+        values = CesaroMatrix().transform_rows(bits, 65536)
         assert blocks_report.certificate.audit_values(values)
 
     def test_identity_gets_the_alternating_pattern(self):
@@ -481,9 +481,7 @@ class TestGreedyAdversary:
         assert report.x_spec.startswith("rle:")
         replay = parse_sequence(report.x_spec)
         bits = [int(replay.value(n)) for n in range(1, report.scale + 1)]
-        from subsum.summability import _bits_transform_values
-
-        values = _bits_transform_values(CesaroMatrix(), bits, report.scale)
+        values = CesaroMatrix().transform_rows(bits, report.scale)
         assert report.certificate.audit_values(values)
 
     def test_greedy_needs_an_averaging_matrix(self):

@@ -532,11 +532,22 @@ class TestMatrixGeneratedIdeal:
 
     def test_undecided_attaches_transform_ladder(self):
         ideal = parse_ideal("matrix:identity")
-        v = ideal.verdict(Squares())
+        v = ideal.verdict(Intersection(Squares(), Powers2()))
         assert v.status == "undecided"
         assert "transform_values" in v.evidence
         n, value = v.evidence["transform_values"][0]
         assert isinstance(n, int) and isinstance(value, str)
+
+    def test_identity_and_averaging_reduce_to_fin_and_z(self):
+        assert parse_ideal("matrix:identity").verdict(Squares()).status == "not_in"
+        cesaro = parse_ideal("matrix:cesaro")
+        assert cesaro.verdict(DyadicBlocks(AP(1, 2))).status == "not_in"
+
+    def test_all_rows_dropped_leaves_every_set_null(self):
+        from subsum import matrix_ideal_verdict, parse_matrix
+
+        matrix = parse_matrix("rowdrop:cesaro:ap:1,1")
+        assert matrix_ideal_verdict(matrix, AP(1, 1), 256).status == "in"
 
     def test_row_dropped_averaging_still_counts_as_averaging(self):
         ideal = parse_ideal("matrix:rowdrop:cesaro:finite:{2,3}")

@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import (
+    CesaroMatrix,
+    ExplicitMatrix,
     IdealPresentation,
+    IdentityMatrix,
     OscillationCertificate,
+    RowDropMatrix,
     ideal_limit,
     metric,
     parse_rle,
@@ -195,6 +199,37 @@ def test_random_matrices_transform_by_direct_summation(seed, n):
     assert point.tail_bound == 0
     assert matrix.entry(n, n) != 0
     assert matrix.entry(n, n + 1) == 0
+
+
+def _rowfinite_matrices():
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    base = st.one_of(
+        st.just(CesaroMatrix()),
+        st.just(IdentityMatrix()),
+        st.lists(st.lists(small, max_size=12), min_size=1, max_size=6).map(ExplicitMatrix),
+        st.integers(0, 40).map(random_rowfinite_matrix),
+    )
+    drops = st.one_of(
+        st.lists(st.integers(1, 12), max_size=6).map(lambda v: Finite(tuple(v))),
+        st.builds(AP, st.integers(1, 6), st.integers(1, 4)),
+    )
+    return st.one_of(base, st.builds(RowDropMatrix, base, drops))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_rowfinite_matrices(), n=st.integers(1, 10), data=st.data())
+def test_transform_kernels_match_direct_summation(matrix, n, data):
+    width = matrix.columns(n)
+    assert all(matrix.row_support(r) <= width for r in range(1, n + 1))
+    value = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=8))
+    xs = data.draw(st.lists(value, min_size=width, max_size=width))
+    got = matrix.transform_rows(xs, n)
+    direct = [
+        sum((matrix.entry(r, k) * xs[k - 1] for k in range(1, width + 1)), F(0))
+        for r in range(1, n + 1)
+    ]
+    assert got == direct
+    assert all(type(v) is F for v in got)
 
 
 # ----------------------------------------------------------------- selectors

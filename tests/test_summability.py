@@ -42,7 +42,7 @@ from subsum import (
     transform_value,
     validate_matrix_ideal,
 )
-from subsum.summability import _bits_transform_values, domain_check
+from subsum.summability import domain_check
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -323,18 +323,6 @@ class TestTransforms:
         assert [p.n for p in pts] == list(range(1, 11))
         with pytest.raises(ValueError):
             transform_prefix(CesaroMatrix(), parse_sequence("alt"), 0)
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["cesaro", "identity", "rowdrop:cesaro:builtin:squares"],
-    )
-    def test_bit_fast_paths_match_generic_transform(self, spec):
-        m = parse_matrix(spec)
-        bits = [1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0, 1]
-        fast = _bits_transform_values(m, bits, len(bits))
-        x = parse_sequence("list:" + ",".join(str(b) for b in bits))
-        slow = [p.value for p in transform_prefix(m, x, len(bits))]
-        assert fast == slow
 
 
 # ---------------------------------------------------------------- domain
