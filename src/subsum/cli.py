@@ -279,9 +279,7 @@ def _cmd_oscillate(args) -> tuple[dict, int]:
 
 def _cmd_adversary(args) -> tuple[dict, int]:
     matrix = parse_matrix(args.matrix)
-    report = constructions.steinhaus_adversary(
-        matrix, mode=args.mode, scale=args.scale, seed=args.seed
-    )
+    report = constructions.steinhaus_adversary(matrix, mode=args.mode, scale=args.scale)
     cert_dict = report.certificate.to_json_dict() if report.certificate else None
     payload = {
         "command": "adversary",
@@ -412,7 +410,6 @@ def _cmd_demo(args) -> tuple[dict, int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--scale", type=int, default=10**4, help="working scale")
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed (mt19937)")
     common.add_argument("--out", help="also write the JSON output to this path")
     common.add_argument("--runlog", help="append a run record to this JSONL file")
     common.add_argument(
@@ -572,7 +569,6 @@ def main(argv: list[str] | None = None) -> int:
             "ts": started,
             "argv": list(argv) if argv is not None else sys.argv[1:],
             "command": args.cmd,
-            "seed": args.seed,
             "version": __version__,
             "exit": code,
             "digest": digest,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .ideals import (
     IN,
@@ -520,6 +521,14 @@ def escape_unbounded(
     )
 
 
+def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
+    """num/den + p/q with the denominator kept a running common multiple."""
+    if den % q:
+        common = den // gcd(den, q) * q
+        return num * (common // den) + p * (common // q), common
+    return num + p * (den // q), den
+
+
 def escape_rowfinite(
     stem: tuple[int, ...],
     matrix: SummabilityMatrix,
@@ -584,39 +593,92 @@ def escape_rowfinite(
                 "structural vanishing description disagrees with the row supports"
             )
         supports[n] = r
-    alpha = None
+    # Entry pass over every entry of every block row, on integer numerators
+    # and denominators.  It finds alpha, the least nonzero |entry|, and splits
+    # the rows into those constant on their support (every Cesaro row is 1/n
+    # on 1..n) and the rest, whose nonzero entries it keeps by column.
+    alpha = None  # (|numerator|, denominator)
+    flat = {}  # row -> its one entry
+    terms: dict[int, list[tuple[int, int, int]]] = {}  # column -> [(row, p, q)]
+    entry = matrix.entry
     for n in block:
-        for k in range(1, supports[n] + 1):
-            entry = matrix.entry(n, k)
-            if entry != 0:
-                mag = abs(entry)
-                if alpha is None or mag < alpha:
-                    alpha = mag
+        first = entry(n, 1)
+        p1, q1 = first.numerator, first.denominator
+        row = None  # (k, p, q) for each nonzero entry, once the row varies
+        for k in range(2, supports[n] + 1):
+            e = entry(n, k)
+            p, q = e.numerator, e.denominator
+            if row is None:
+                if p == p1 and q == q1:
+                    continue
+                row = [(i, p1, q1) for i in range(1, k)] if p1 else []
+            if p:
+                row.append((k, p, q))
+        if row is None:
+            flat[n] = first
+            row = [(1, p1, q1)] if p1 else []
+        else:
+            for k, p, q in row:
+                terms.setdefault(k, []).append((n, p, q))
+        for _, p, q in row:
+            if alpha is None or abs(p) * alpha[1] < alpha[0] * q:
+                alpha = (abs(p), q)
+    alpha = Fraction(*alpha)
+    # Column loop.  With S the sum of x over the picks so far, a constant row
+    # n has partial c_n * S until its support ends, so one shared sum serves
+    # them all and the worst open one has the largest |c_n|.  The other rows
+    # keep their own partials as (numerator, common denominator).  A row
+    # whose support has ended joins the running max ``done``.
     k_top = max(supports.values())
-    partials = {n: ZERO for n in block}
+    reach = [ZERO] * (k_top + 1)  # largest |c_n| over constant rows open at s
+    closing: dict[int, list[int]] = {}
+    for n in block:
+        closing.setdefault(supports[n], []).append(n)
+        if n in flat:
+            reach[supports[n]] = max(reach[supports[n]], abs(flat[n]))
+    for s in range(k_top - 1, 0, -1):
+        reach[s] = max(reach[s], reach[s + 1])
+    open_rows = {n: (0, 1) for n in block if n not in flat}
+    partials = {}
+    total = ZERO
+    done = ZERO
     values = list(stem)
     prev = stem[-1] if stem else 0
-    for k in range(1, j0 + 1):
-        xv = x.value(stem[k - 1])
-        for n in block:
-            partials[n] += matrix.entry(n, k) * xv
-    for s in range(j0 + 1, k_top + 1):
-        worst = max(abs(p) for p in partials.values())
-        target = (m0 + worst) / alpha
-        h = _least_index_with_magnitude(x, prev + 1, target, search_cap)
-        values.append(h)
-        prev = h
-        xv = x.value(h)
-        for n in block:
-            partials[n] += matrix.entry(n, s) * xv
+    for s in range(1, k_top + 1):
+        if s > j0:
+            worst = max(done, abs(total) * reach[s])
+            bn, bd = worst.numerator, worst.denominator
+            for num, den in open_rows.values():
+                if abs(num) * bd > bn * den:
+                    bn, bd = abs(num), den
+            target = (m0 + Fraction(bn, bd)) / alpha
+            prev = _least_index_with_magnitude(x, prev + 1, target, search_cap)
+            values.append(prev)
+        xv = x.value(values[s - 1])
+        total += xv
+        for n, p, q in terms.get(s, ()):
+            open_rows[n] = _add_ratio(*open_rows[n], p * xv.numerator, q * xv.denominator)
+        for n in closing.get(s, ()):
+            partials[n] = flat[n] * total if n in flat else Fraction(*open_rows.pop(n))
+            done = max(done, abs(partials[n]))
     selector = Selector(tuple(values), Consecutive(prev + 1))
+    # Exact re-check by direct summation: every entry of every block row is
+    # read again from the matrix, against x at the selector's picks.
+    picks = [x.value(selector.value(k)) for k in range(1, k_top + 1)]
+    x_num = [v.numerator for v in picks]
+    x_den = [v.denominator for v in picks]
     row_values = []
     holds = True
     for n in block:
-        exact = sum(
-            (matrix.entry(n, k) * x.value(selector.value(k)) for k in range(1, supports[n] + 1)),
-            ZERO,
-        )
+        num, den = 0, 1
+        for k, xp, xq in zip(range(1, supports[n] + 1), x_num, x_den):
+            e = entry(n, k)
+            q = e.denominator * xq
+            if den % q:
+                num, den = _add_ratio(num, den, e.numerator * xp, q)
+            else:
+                num += e.numerator * xp * (den // q)
+        exact = Fraction(num, den)
         if exact != partials[n]:
             raise ConstructionError("incremental and direct row sums disagree")
         row_values.append((n, exact))
@@ -723,7 +785,6 @@ def steinhaus_adversary(
     mode: str = "blocks",
     scale: int = 1 << 16,
     thresholds: tuple[Fraction, Fraction] = (Fraction(2, 5), Fraction(3, 5)),
-    seed: int = 0,
 ) -> AdversaryReport:
     """A 0/1 sequence whose transform visits both threshold levels densely.
 

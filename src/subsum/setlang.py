@@ -307,9 +307,11 @@ def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
             return a
         return min(a, b)
     if isinstance(s, Shift):
-        base = first_member(s.inner, cap)
-        while base is not None and base + s.offset < 1:
-            base = next_member(s.inner, base, cap)
+        if s.offset >= 0:
+            base = first_member(s.inner, cap)
+        else:
+            # The least inner member that lands on 1 or later.
+            base = next_member(s.inner, -s.offset, cap)
         return None if base is None else base + s.offset
     for n in range(1, cap + 1):
         if member(s, n):

@@ -791,11 +791,18 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
     if spec == "identity":
         return IdentityMatrix()
     if spec.startswith("rowdrop:"):
+        # Base and set may both contain ':'; the leftmost split where both
+        # sides parse is the one spec_string wrote.
         rest = spec[len("rowdrop:"):]
-        base_text, sep, drop_text = rest.partition(":")
-        if not sep:
-            raise MatrixSpecError("rowdrop needs rowdrop:<base>:<set>")
-        return RowDropMatrix(parse_matrix(base_text), setlang.parse_set(drop_text))
+        cut = rest.find(":")
+        while cut != -1:
+            try:
+                return RowDropMatrix(
+                    parse_matrix(rest[:cut]), setlang.parse_set(rest[cut + 1:])
+                )
+            except ValueError:
+                cut = rest.find(":", cut + 1)
+        raise MatrixSpecError(f"rowdrop needs rowdrop:<base>:<set>, got {spec!r}")
     if spec.startswith("explicit:@"):
         path = spec[len("explicit:@"):]
         with open(path, "r", encoding="ascii") as handle:
@@ -869,28 +876,28 @@ def transform_value(
 ) -> TransformPoint:
     """Row n of the transform with a certified tail bound.
 
-    Row-finite rows are summed exactly (tail 0).  Otherwise the partial sum
-    is extended until the certified tail bound drops to ``tail_tol``; if no
-    tail machinery applies the call refuses with DomainRiskError.
+    Row-finite rows are summed exactly (tail 0).  Otherwise the row is summed
+    up to the first doubling width whose certified tail bound is at most
+    ``tail_tol``.  The bound does not depend on the partial sum, so when no
+    width up to ``column_cap`` meets the tolerance the call fails before
+    summing any column.  If no tail machinery applies the call refuses with
+    DomainRiskError.
     """
     support = matrix.row_support(n)
     if support is not None:
         value = sum((matrix.entry(n, k) * x.value(k) for k in range(1, support + 1)), ZERO)
         return TransformPoint(n, value, ZERO)
     width = 32
-    partial = ZERO
-    covered = 0
     saw_tail = False
     while width <= column_cap:
-        partial += sum(
-            (matrix.entry(n, k) * x.value(k) for k in range(covered + 1, width + 1)), ZERO
-        )
-        covered = width
-        tail = _certified_tail(matrix, x, n, covered)
+        tail = _certified_tail(matrix, x, n, width)
         if tail is not None:
             saw_tail = True
             if tail <= tail_tol:
-                return TransformPoint(n, partial, tail)
+                value = sum(
+                    (matrix.entry(n, k) * x.value(k) for k in range(1, width + 1)), ZERO
+                )
+                return TransformPoint(n, value, tail)
         width *= 2
     if not saw_tail:
         raise DomainRiskError(

@@ -9,6 +9,8 @@ recount path and through independent tallies computed here.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subsum import (
     CesaroMatrix,
@@ -34,6 +36,7 @@ from subsum import (
     random_rowfinite_matrix,
     steinhaus_adversary,
 )
+from subsum.constructions import _least_index_with_magnitude
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -373,6 +376,101 @@ class TestRowFiniteEscape:
             escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, -1)
         with pytest.raises(ValueError):
             escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 1, p0=0)
+
+
+def _per_row_escape(stem, matrix, x, m0, block):
+    """The escape's column loop as first written, on a given block: every
+    row's partial is updated at every column and the worst is a max over the
+    whole block.  The reference for the shared-prefix loop."""
+    supports = {n: matrix.row_support(n) for n in block}
+    alpha = min(
+        abs(matrix.entry(n, k))
+        for n in block
+        for k in range(1, supports[n] + 1)
+        if matrix.entry(n, k) != 0
+    )
+    k_top = max(supports.values())
+    partials = {
+        n: sum((matrix.entry(n, k) * x.value(v) for k, v in enumerate(stem, 1)), F(0))
+        for n in block
+    }
+    values = list(stem)
+    prev = stem[-1] if stem else 0
+    for s in range(len(stem) + 1, k_top + 1):
+        worst = max(abs(p) for p in partials.values())
+        prev = _least_index_with_magnitude(x, prev + 1, (m0 + worst) / alpha, 10**6)
+        values.append(prev)
+        for n in block:
+            partials[n] += matrix.entry(n, s) * x.value(prev)
+    row_values = tuple((n, partials[n]) for n in block)
+    return {
+        "selector": Selector(tuple(values), Consecutive(prev + 1)),
+        "row_values": row_values,
+        "holds": all(abs(v) >= m0 for _, v in row_values),
+        "min_coefficient": str(alpha),
+        "last_column": k_top,
+    }
+
+
+ESCAPE_MATRICES = (
+    "cesaro",
+    "rowdrop:cesaro:finite:{2,5,6}",
+    "rowdrop:cesaro:ap:3,4",
+    "rowdrop:cesaro:builtin:squares",
+    "identity",
+    "explicit:1;1/2,1/2;0,1/3,2/3",
+    "gen:rand_rowfinite_4",
+    "gen:rand_rowfinite_17",
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(ESCAPE_MATRICES),
+    ideal=st.sampled_from((Z, FIN)),
+    x=st.sampled_from(("n", "nalt", "sqperturb")),
+    stem=st.sets(st.integers(1, 9), max_size=3).map(lambda v: tuple(sorted(v))),
+    m0=st.fractions(min_value=0, max_value=6, max_denominator=4),
+    p0=st.integers(1, 4),
+)
+def test_row_finite_escape_matches_the_per_row_loop(spec, ideal, x, stem, m0, p0):
+    matrix, seq = parse_matrix(spec), parse_sequence(x)
+    try:
+        result = escape_rowfinite(stem, matrix, seq, ideal, m0, p0=p0)
+    except PreconditionError:
+        return  # refused before any column: ap drops, explicit tables, ...
+    want = _per_row_escape(stem, matrix, seq, m0, result.block)
+    assert result.selector == want["selector"]
+    assert result.row_values == want["row_values"]
+    assert result.holds == want["holds"]
+    assert result.detail["min_coefficient"] == want["min_coefficient"]
+    assert result.detail["last_column"] == want["last_column"]
+    assert result.detail["stem_columns"] == len(stem)
+
+
+class _LateTamperCesaro(CesaroMatrix):
+    """The running average, except that one entry changes once it has been
+    read: the entry pass sees 1/n there, every later read 2/n."""
+
+    def __init__(self, spot):
+        self.spot = spot
+        self.reads = 0
+
+    def entry(self, n, k):
+        if (n, k) == self.spot:
+            self.reads += 1
+            if self.reads > 1:
+                return F(2, n)
+        return super().entry(n, k)
+
+
+def test_the_escape_recheck_reads_every_entry_again():
+    # Block (4, 5, 6, 7); only a direct re-read of entry (5, 2) sees the
+    # change, so a re-check through the entry pass or a kernel would pass.
+    matrix = _LateTamperCesaro((5, 2))
+    with pytest.raises(ConstructionError, match="disagree"):
+        escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
+    assert matrix.reads == 2
 
 
 class TestMeagernessDemo:

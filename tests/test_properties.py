@@ -20,6 +20,7 @@ from subsum import (
     RowDropMatrix,
     ideal_limit,
     metric,
+    parse_matrix,
     parse_rle,
     quantile_candidates,
     random_rowfinite_matrix,
@@ -230,6 +231,27 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
     ]
     assert got == direct
     assert all(type(v) is F for v in got)
+
+
+def _matrices():
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    kinds = st.one_of(
+        st.just(CesaroMatrix()),
+        st.just(IdentityMatrix()),
+        st.lists(st.lists(small, min_size=1, max_size=4), max_size=3).map(ExplicitMatrix),
+        st.just(parse_matrix("gen:geometric")),
+        st.integers(0, 40).map(random_rowfinite_matrix),
+    )
+    return st.recursive(
+        kinds, lambda inner: st.builds(RowDropMatrix, inner, _set_descriptions()), max_leaves=3
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=_matrices())
+def test_matrix_specs_round_trip(matrix):
+    # Row drops nest bases and sets that both contain ':'.
+    assert parse_matrix(matrix.spec_string()) == matrix
 
 
 # ----------------------------------------------------------------- selectors

@@ -182,6 +182,12 @@ def test_enumeration_cap_raises():
 def test_first_and_next_member():
     assert setlang.first_member(Complement(Finite((1, 2, 3)))) == 4
     assert setlang.first_member(DyadicBlocks(AP(2, 1))) == 4
+    # a negative shift starts at the inner set's first member past the offset,
+    # without walking the members it shifts out of N
+    assert setlang.first_member(Shift(AP(1, 1), -(10**12))) == 1
+    assert setlang.first_member(Shift(AP(3, 7), -(10**12))) == 2
+    assert setlang.first_member(Shift(Finite((2, 9)), -5)) == 4
+    assert setlang.first_member(Shift(Finite((2, 5)), -5)) is None
     assert setlang.next_member(Squares(), 10) == 16
     assert setlang.next_member(AP(3, 4), 3) == 7
 
