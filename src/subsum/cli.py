@@ -4,13 +4,15 @@ Every command prints one deterministic JSON document (rationals rendered as
 "p/q" strings) and exits with a code that states what happened:
 
     0  success
-    1  unexpected failure
-    2  could not parse an input (set DSL, matrix, sequence, selector, args)
-    3  a scan or tail-bound budget ran out before a certified answer
+    1  unexpected failure (any other exception)
+    2  could not parse an input (set DSL, matrix, sequence, selector,
+       certificate, args)
+    3  a scan, tail-bound or audit budget ran out before a certified answer
     4  the matrix was certified not regular
     5  the result is diagnostic-only (no certificate at this scale)
     6  a certificate failed verification
-    7  a precondition or move legality check failed
+    7  a precondition or move legality check failed, or the ideal is
+       unsupported
 
 The optional run log (--runlog) appends one JSON line per invocation with a
 timestamp, the argument vector, and the sha256 digest of the printed
@@ -44,6 +46,7 @@ from .ideals import (
 from .setlang import EnumerationCapError, SetSyntaxError, fraction_decimal, parse_set
 from .sigma import ImageUndecidableError, SelectorSpecError, parse_selector
 from .summability import (
+    DEFAULT_COLUMN_CAP,
     DomainRiskError,
     MatrixSpecError,
     SequenceSpecError,
@@ -61,6 +64,10 @@ NOT_REGULAR = 4
 DIAGNOSTIC_ONLY = 5
 VERIFY_FAILED = 6
 PRECONDITION_FAILED = 7
+
+
+class AuditBudgetError(RuntimeError):
+    """A certificate names more rows than an audit recomputes."""
 
 
 def _frac(value: Fraction | None) -> str | None:
@@ -315,7 +322,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         data = json.load(handle)
     try:
         cert = OscillationCertificate.from_json_dict(data)
-    except (KeyError, ConstructionError) as exc:
+    except (KeyError, TypeError, ConstructionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
     matrix = parse_matrix(cert.matrix_spec)
     x = parse_sequence(cert.x_spec)
@@ -326,6 +333,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
             f"certificates are audited against row-finite matrices, not {cert.matrix_spec}"
         )
     limit = cert.scales[-1]
+    if limit > DEFAULT_COLUMN_CAP:
+        raise AuditBudgetError(
+            f"certificate scale {limit} is over the audit budget of {DEFAULT_COLUMN_CAP} rows"
+        )
     values = matrix.transform_rows(x.values(matrix.columns(limit)), limit)
     ok = cert.audit_values(values)
     payload = {
@@ -409,7 +420,6 @@ def _cmd_demo(args) -> tuple[dict, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scale", type=int, default=10**4, help="working scale")
     common.add_argument("--out", help="also write the JSON output to this path")
     common.add_argument("--runlog", help="append a run record to this JSONL file")
     common.add_argument(
@@ -418,6 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="extra knobs, recorded in the run log",
     )
+    scaled = argparse.ArgumentParser(add_help=False, parents=[common])
+    scaled.add_argument("--scale", type=int, default=10**4, help="working scale")
 
     parser = argparse.ArgumentParser(
         prog="subsum",
@@ -426,18 +438,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("density", parents=[common], help="prefix densities of a set")
+    p = sub.add_parser("density", parents=[scaled], help="prefix densities of a set")
     p.add_argument("set", help="set DSL expression")
     p.add_argument("--window", type=int, default=None, help="sliding window length")
     p.add_argument("--csv", action="store_true", help="emit n,count,ratio CSV")
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("verdict", parents=[common], help="ideal membership verdict")
+    p = sub.add_parser("verdict", parents=[scaled], help="ideal membership verdict")
     p.add_argument("set")
     p.add_argument("--ideal", required=True, help="fin | z | bd | finxfin | matrix:<spec>")
     p.set_defaults(handler=_cmd_verdict)
 
-    p = sub.add_parser("regularity", parents=[common], help="regularity relative to an ideal")
+    p = sub.add_parser("regularity", parents=[scaled], help="regularity relative to an ideal")
     p.add_argument("--matrix", required=True)
     p.add_argument("--ideal", default="fin")
     p.set_defaults(handler=_cmd_regularity)
@@ -473,14 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block-floor", type=int, default=1, help="least block index")
     p.set_defaults(handler=_cmd_escape)
 
-    p = sub.add_parser("oscillate", parents=[common], help="two separating stem extensions")
+    p = sub.add_parser("oscillate", parents=[scaled], help="two separating stem extensions")
     p.add_argument("--matrix", default="cesaro")
     p.add_argument("--x", required=True)
     p.add_argument("--stem", default="")
     p.add_argument("--tol", default="1/16")
     p.set_defaults(handler=_cmd_oscillate)
 
-    p = sub.add_parser("adversary", parents=[common], help="0/1 sequence defeating averaging")
+    p = sub.add_parser("adversary", parents=[scaled], help="0/1 sequence defeating averaging")
     p.add_argument("--matrix", default="cesaro")
     p.add_argument("--mode", choices=("blocks", "greedy"), default="blocks")
     p.add_argument("--certificate-out", help="write the certificate JSON here")
@@ -490,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="path to a certificate JSON file")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("game", parents=[common], help="play a filter game")
+    p = sub.add_parser("game", parents=[scaled], help="play a filter game")
     p.add_argument("--ideal", default="z")
     p.add_argument("--moves", default="nu2tower", help="semicolon-joined set DSL, or nu2tower")
     p.add_argument("--strategy", default="prefix_density")
@@ -515,7 +527,7 @@ _PARSE_ERRORS = (
     SelectorSpecError,
     ValueError,
 )
-_BUDGET_ERRORS = (EnumerationCapError, TailToleranceError, StrategySearchError)
+_BUDGET_ERRORS = (EnumerationCapError, TailToleranceError, StrategySearchError, AuditBudgetError)
 _PRECONDITION_ERRORS = (
     PreconditionError,
     IllegalMoveError,
@@ -552,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         error, code = f"{type(exc).__name__}: {exc}", DIAGNOSTIC_ONLY
     except _PARSE_ERRORS as exc:
         error, code = f"{type(exc).__name__}: {exc}", PARSE_ERROR
-    except OSError as exc:
+    except Exception as exc:  # anything else is an unexpected failure, still logged
         error, code = f"{type(exc).__name__}: {exc}", FAIL
     digest = None
     if payload is not None:

@@ -28,11 +28,11 @@ from .summability import (
     ZERO,
     CesaroMatrix,
     IdentityMatrix,
-    RowProfile,
     RowSeq,
     SequenceSpec,
     SummabilityMatrix,
     _blocks01_bit,
+    exception_profile,
     render_rle,
 )
 
@@ -90,10 +90,10 @@ class OscillationCertificate:
     def __post_init__(self):
         if self.lower >= self.upper:
             raise ConstructionError("oscillation needs lower < upper")
-        if len(self.scales) != len(self.lower_counts) or len(self.scales) != len(
-            self.upper_counts
-        ):
+        if not len(self.scales) == len(self.lower_counts) == len(self.upper_counts):
             raise ConstructionError("certificate arrays must align")
+        if not self.scales:
+            raise ConstructionError("certificates need at least one scale")
         if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
             raise ConstructionError("certificate scales must increase")
 
@@ -119,7 +119,7 @@ class OscillationCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OscillationCertificate":
-        if data.get("kind") != "oscillation":
+        if not isinstance(data, dict) or data.get("kind") != "oscillation":
             raise ConstructionError("not an oscillation certificate")
         return cls(
             x_spec=data["x"],
@@ -135,14 +135,10 @@ class OscillationCertificate:
         """Recount the hits against a value stream; True iff all match."""
         if len(values) < self.scales[-1]:
             return False
-        for scale, lo_count, up_count in zip(
-            self.scales, self.lower_counts, self.upper_counts
-        ):
-            lo = sum(1 for v in values[:scale] if v <= self.lower)
-            up = sum(1 for v in values[:scale] if v >= self.upper)
-            if lo != lo_count or up != up_count:
-                return False
-        return True
+        recount = certificate_from_values(
+            values, self.lower, self.upper, self.scales, self.x_spec, self.matrix_spec
+        )
+        return recount == self
 
 
 def certificate_from_values(
@@ -153,19 +149,14 @@ def certificate_from_values(
     x_spec: str,
     matrix_spec: str,
 ) -> OscillationCertificate:
-    lower_counts = []
-    upper_counts = []
-    for scale in scales:
-        lower_counts.append(sum(1 for v in values[:scale] if v <= lower))
-        upper_counts.append(sum(1 for v in values[:scale] if v >= upper))
     return OscillationCertificate(
         x_spec=x_spec,
         matrix_spec=matrix_spec,
         lower=lower,
         upper=upper,
         scales=scales,
-        lower_counts=tuple(lower_counts),
-        upper_counts=tuple(upper_counts),
+        lower_counts=tuple(sum(1 for v in values[:s] if v <= lower) for s in scales),
+        upper_counts=tuple(sum(1 for v in values[:s] if v >= upper) for s in scales),
     )
 
 
@@ -195,30 +186,6 @@ def _exception_flags(values: list[Fraction], eta: Fraction, eps: Fraction) -> li
     return [1 if abs(v - eta) > eps else 0 for v in values]
 
 
-def _vanishing_ok(
-    flags: list[int], kind: str, n: int
-) -> bool:
-    half = n // 2
-    total = sum(flags)
-    late = sum(flags[half:])
-    if kind == "fin":
-        return late == 0
-    if kind == "z":
-        if 8 * total > n:
-            return False
-        return Fraction(total, n) <= Fraction(total - late, half) + Fraction(1, 32)
-    if kind == "bd":
-        window = max(8, n // 8)
-        prefix = [0]
-        for f in flags:
-            prefix.append(prefix[-1] + f)
-        worst = 0
-        for start in range(half, n - window + 1):
-            worst = max(worst, prefix[start + window] - prefix[start])
-        return 8 * worst <= window
-    raise UnsupportedIdealError(f"no vanishing rule for ideal kind {kind!r}")
-
-
 def ideal_limit(
     values: list[Fraction],
     ideal: IdealPresentation,
@@ -232,7 +199,8 @@ def ideal_limit(
     of order-statistic levels hit with the density floors above yields a
     no-limit verdict with a recountable certificate.
     """
-    if ideal.kind not in ("fin", "z", "bd"):
+    small = ideal.limit_rule
+    if small is None:
         raise UnsupportedIdealError(
             f"limit search along {ideal.kind!r} ideals is not implemented"
         )
@@ -248,7 +216,7 @@ def ideal_limit(
         chain_eps = None
         for eps in EPS_GRID:
             flags = _exception_flags(values, eta, eps)
-            if _vanishing_ok(flags, ideal.kind, n):
+            if small(flags, n):
                 chain_eps = eps
             else:
                 break
@@ -260,15 +228,7 @@ def ideal_limit(
             best = (key, eta, chain_eps)
     if best is not None:
         _, eta, eps = best
-        flags = _exception_flags(values, eta, eps)
-        checkpoints = default_checkpoints(n)
-        counts = []
-        bad = 0
-        targets = set(checkpoints)
-        for i, f in enumerate(flags, start=1):
-            bad += f
-            if i in targets:
-                counts.append((i, bad))
+        counts = list(exception_profile(values, eta, eps, default_checkpoints(n)))
         return IdealLimitVerdict(
             "limit",
             ideal.name,
@@ -536,7 +496,6 @@ def escape_rowfinite(
     ideal: IdealPresentation,
     m0: Fraction | int,
     p0: int = 1,
-    profile_scale: int = 2048,
     search_cap: int = 10**6,
 ) -> EscapeResult:
     """Extend a stem so a whole partition block of transform rows exceeds m0.
@@ -561,13 +520,12 @@ def escape_rowfinite(
         raise PreconditionError("the row-finite escape needs a row-finite matrix")
     j0 = len(stem)
     w0 = j0 + 1
-    profile = RowProfile(matrix, profile_scale)
-    if not profile.vanish_is_structural(w0):
+    vanishing = matrix.vanish_rows(w0)
+    if vanishing is None:
         raise PreconditionError(
             "no structural description of the rows vanishing below the stem"
         )
-    vanishing = profile.vanish_set(w0)
-    verdict = ideal.verdict(vanishing)
+    verdict = ideal.decide(vanishing)
     if verdict.status != IN:
         raise PreconditionError(
             f"vanishing-row set not certified inside the ideal: {verdict.reason}"
@@ -587,7 +545,7 @@ def escape_rowfinite(
     block = restricted.block(q0)
     supports = {}
     for n in block:
-        r = profile.last_nonzero(n)
+        r = matrix.row_support(n)
         if r < w0:
             raise ConstructionError(
                 "structural vanishing description disagrees with the row supports"
@@ -732,6 +690,7 @@ class AdversaryReport:
 
 
 DELTA_FLOOR = Fraction(1, 10)
+ONE_THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 
 
 def _certify(
@@ -753,29 +712,13 @@ def _boundary_means(values: list[Fraction], scale: int) -> tuple[BoundaryMean, .
     out = []
     level = 1
     while (1 << (2 * level + 2)) <= scale:
-        up_edge = 1 << (2 * level + 1)
-        down_edge = 1 << (2 * level + 2)
         allowance = Fraction(4, 1 << (2 * level))
-        out.append(
-            BoundaryMean(
-                level,
-                up_edge,
-                values[up_edge - 1],
-                Fraction(2, 3),
-                abs(values[up_edge - 1] - Fraction(2, 3)),
-                allowance,
-            )
-        )
-        out.append(
-            BoundaryMean(
-                level,
-                down_edge,
-                values[down_edge - 1],
-                Fraction(1, 3),
-                abs(values[down_edge - 1] - Fraction(1, 3)),
-                allowance,
-            )
-        )
+        # The mean peaks near 2/3 at the end of a block of ones and falls
+        # back near 1/3 at the end of the following block of zeros.
+        ends = ((1 << (2 * level + 1), TWO_THIRDS), (1 << (2 * level + 2), ONE_THIRD))
+        for edge, target in ends:
+            mean = values[edge - 1]
+            out.append(BoundaryMean(level, edge, mean, target, abs(mean - target), allowance))
         level += 1
     return tuple(out)
 

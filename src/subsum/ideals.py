@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .setlang import (
     AP,
     Complement,
     DyadicBlocks,
-    Finite,
     Intersection,
     Nu2Ge,
     Powers2,
@@ -33,7 +33,6 @@ from .setlang import (
     exact_density,
     is_cofinite,
     is_finite,
-    iter_members,
     max_window_density,
     member,
     nu2,
@@ -94,18 +93,16 @@ def _density_evidence(s: SetDescription, scale: int) -> dict:
 # ---------------------------------------------------------------- verdicts
 
 
-def _verdict_fin(s: SetDescription, scale: int) -> MembershipVerdict:
+def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
     fin = is_finite(s)
     if fin is Tri.YES:
         return _in("structurally finite")
     if fin is Tri.NO:
         return _not_in("structurally infinite")
-    return _undecided(
-        "finiteness not structurally decidable", scale, _density_evidence(s, scale)
-    )
+    return None
 
 
-def _verdict_z(s: SetDescription, scale: int) -> MembershipVerdict:
+def _z_closed_form(s: SetDescription) -> MembershipVerdict | None:
     if is_finite(s) is Tri.YES:
         return _in("finite sets have density 0")
     d = exact_density(s)
@@ -115,23 +112,7 @@ def _verdict_z(s: SetDescription, scale: int) -> MembershipVerdict:
         return _not_in(f"exact density {d} > 0")
     if _z_positive_limsup(s):
         return _not_in("contains infinitely many full dyadic blocks")
-    if isinstance(s, Union):
-        a = _verdict_z(s.left, scale)
-        b = _verdict_z(s.right, scale)
-        if a.status == IN and b.status == IN:
-            return _in("union of two certified density-0 sets")
-        if NOT_IN in (a.status, b.status):
-            return _not_in("contains a certified positive-density subset")
-    if isinstance(s, Intersection):
-        for side in (s.left, s.right):
-            v = _verdict_z(side, scale)
-            if v.status == IN:
-                return _in("subset of a certified density-0 set")
-    if isinstance(s, Shift):
-        v = _verdict_z(s.inner, scale)
-        if v.decided:
-            return MembershipVerdict(v.status, "density is shift invariant; " + v.reason)
-    return _undecided("no closed-form density argument", scale, _density_evidence(s, scale))
+    return None
 
 
 def _z_positive_limsup(s: SetDescription) -> bool:
@@ -158,28 +139,13 @@ def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
     return {"max_window_density": windows}
 
 
-def _verdict_bd(s: SetDescription, scale: int) -> MembershipVerdict:
+def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
     b = banach_exact(s)
     if b == 0:
         return _in("exact Banach density 0")
     if b is not None:
         return _not_in(f"exact Banach density {b} > 0")
-    if isinstance(s, Union):
-        a = _verdict_bd(s.left, scale)
-        c = _verdict_bd(s.right, scale)
-        if a.status == IN and c.status == IN:
-            return _in("union of two certified Banach-null sets")
-        if NOT_IN in (a.status, c.status):
-            return _not_in("contains a certified positive-Banach-density subset")
-    if isinstance(s, Intersection):
-        for side in (s.left, s.right):
-            if _verdict_bd(side, scale).status == IN:
-                return _in("subset of a certified Banach-null set")
-    if isinstance(s, Shift):
-        v = _verdict_bd(s.inner, scale)
-        if v.decided:
-            return MembershipVerdict(v.status, "Banach density is shift invariant; " + v.reason)
-    return _undecided("no closed-form Banach argument", scale, _bd_window_evidence(s, scale))
+    return None
 
 
 def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dict:
@@ -193,7 +159,7 @@ def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dic
     return {"column_counts": counts, "scale": scale}
 
 
-def _verdict_finxfin(s: SetDescription, scale: int) -> MembershipVerdict:
+def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
     if is_finite(s) is Tri.YES:
         return _in("finite set")
     if is_cofinite(s) is Tri.YES:
@@ -215,20 +181,111 @@ def _verdict_finxfin(s: SetDescription, scale: int) -> MembershipVerdict:
             return _not_in("infinitely many whole dyadic blocks meet every nu2 fiber")
     if isinstance(s, Complement) and isinstance(s.inner, Nu2Ge):
         return _in(f"nu2 fibers from {s.inner.threshold} on are empty")
-    if isinstance(s, Union):
-        a = _verdict_finxfin(s.left, scale)
-        b = _verdict_finxfin(s.right, scale)
-        if a.status == IN and b.status == IN:
-            return _in("union of two certified members")
-        if NOT_IN in (a.status, b.status):
-            return _not_in("contains a certified non-member subset")
-    if isinstance(s, Intersection):
-        for side in (s.left, s.right):
-            if _verdict_finxfin(side, scale).status == IN:
-                return _in("subset of a certified member")
-    return _undecided(
-        "no closed-form nu2 fiber argument", scale, nu2_column_audit(s, min(scale, 10**5))
+    return None
+
+
+# ---------------------------------------------------------------- smallness
+# Limit search asks whether an exception set, one 0/1 flag per index 1..n,
+# is small in the ideal's sense at scale n.
+
+
+def _fin_small(flags: list[int], n: int) -> bool:
+    return sum(flags[n // 2:]) == 0
+
+
+def _z_small(flags: list[int], n: int) -> bool:
+    total = sum(flags)
+    late = sum(flags[n // 2:])
+    return 8 * total <= n and (
+        Fraction(total, n) <= Fraction(total - late, n // 2) + Fraction(1, 32)
     )
+
+
+def _bd_small(flags: list[int], n: int) -> bool:
+    window = max(8, n // 8)
+    prefix = [0]
+    for f in flags:
+        prefix.append(prefix[-1] + f)
+    worst = max((prefix[i + window] - prefix[i] for i in range(n // 2, n - window + 1)), default=0)
+    return 8 * worst <= window
+
+
+# ---------------------------------------------------------------- kinds
+
+
+@dataclass(frozen=True)
+class IdealKind:
+    """What one kind of ideal states about itself.
+
+    ``closed_form`` decides a set from its structure alone, or returns None.
+    ``reasons`` word the rules every ideal obeys: a union of two members is
+    a member, a superset of a non-member is not, a subset of a member is.
+    ``shift_reason`` prefixes a shift's inner verdict when membership is
+    shift invariant.  ``partition`` names the Talagrand interval partition
+    and ``small_at_scale`` is the smallness rule of limit search.
+    """
+
+    closed_form: Callable[[SetDescription], MembershipVerdict | None]
+    undecided_reason: str
+    evidence: Callable[[SetDescription, int], dict]
+    reasons: tuple[str, str, str]
+    shift_reason: str | None = None
+    partition: str | None = None
+    small_at_scale: Callable[[list[int], int], bool] | None = None
+
+
+IDEAL_KINDS = {
+    # is_finite already composes through unions, intersections and shifts,
+    # so fin's closed form answers every set that its rules could.
+    "fin": IdealKind(
+        _fin_closed_form, "finiteness not structurally decidable", _density_evidence,
+        ("union of two finite sets", "contains an infinite subset", "subset of a finite set"),
+        "finiteness is shift invariant; ", "singletons", _fin_small,
+    ),
+    "z": IdealKind(
+        _z_closed_form, "no closed-form density argument", _density_evidence,
+        ("union of two certified density-0 sets", "contains a certified positive-density subset",
+         "subset of a certified density-0 set"),
+        "density is shift invariant; ", "dyadic", _z_small,
+    ),
+    "bd": IdealKind(
+        _bd_closed_form, "no closed-form Banach argument", _bd_window_evidence,
+        ("union of two certified Banach-null sets",
+         "contains a certified positive-Banach-density subset",
+         "subset of a certified Banach-null set"),
+        "Banach density is shift invariant; ", "dyadic", _bd_small,
+    ),
+    "finxfin": IdealKind(
+        _finxfin_closed_form, "no closed-form nu2 fiber argument",
+        lambda s, scale: nu2_column_audit(s, min(scale, 10**5)),
+        ("union of two certified members", "contains a certified non-member subset",
+         "subset of a certified member"),
+    ),
+}
+
+
+def _decide(kind: IdealKind, s: SetDescription) -> MembershipVerdict:
+    """The verdict ladder of every ideal kind, computing no evidence: the
+    kind's closed form, then its union and subset rules, then shifts for
+    shift-invariant kinds, each applied to the parts by the same ladder."""
+    verdict = kind.closed_form(s)
+    if verdict is not None:
+        return verdict
+    if isinstance(s, Union):
+        left = _decide(kind, s.left).status
+        right = NOT_IN if left == NOT_IN else _decide(kind, s.right).status
+        if NOT_IN in (left, right):
+            return _not_in(kind.reasons[1])
+        if left == right == IN:
+            return _in(kind.reasons[0])
+    elif isinstance(s, Intersection):
+        if any(_decide(kind, side).status == IN for side in (s.left, s.right)):
+            return _in(kind.reasons[2])
+    elif isinstance(s, Shift) and kind.shift_reason is not None:
+        inner = _decide(kind, s.inner)
+        if inner.decided:
+            return MembershipVerdict(inner.status, kind.shift_reason + inner.reason)
+    return MembershipVerdict(UNDECIDED, kind.undecided_reason)
 
 
 # ---------------------------------------------------------------- partitions
@@ -323,7 +380,7 @@ def nonideal_from_partition(
 class IdealPresentation:
     """A named ideal on N with certified verdicts and partition machinery."""
 
-    KINDS = ("fin", "z", "bd", "finxfin", "matrix")
+    KINDS = (*IDEAL_KINDS, "matrix")
 
     def __init__(self, kind: str, matrix=None):
         if kind not in self.KINDS:
@@ -336,6 +393,7 @@ class IdealPresentation:
             validate_matrix_ideal(matrix)
         self.kind = kind
         self.matrix = matrix
+        self.rules = IDEAL_KINDS.get(kind)  # None for matrix ideals
 
     # -- constructors
 
@@ -370,20 +428,31 @@ class IdealPresentation:
 
     # -- verdicts
 
+    def decide(self, s: SetDescription) -> MembershipVerdict:
+        """The verdict without evidence: an undecided one has no scale."""
+        if self.rules is None:
+            from .summability import matrix_ideal_decision
+
+            return matrix_ideal_decision(self.matrix, s)
+        return _decide(self.rules, s)
+
     def verdict(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
+        """The decision, with evidence at ``scale`` when it is undecided."""
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        if self.kind == "fin":
-            return _verdict_fin(s, scale)
-        if self.kind == "z":
-            return _verdict_z(s, scale)
-        if self.kind == "bd":
-            return _verdict_bd(s, scale)
-        if self.kind == "finxfin":
-            return _verdict_finxfin(s, scale)
-        from .summability import matrix_ideal_verdict
+        if self.rules is None:
+            from .summability import matrix_ideal_verdict
 
-        return matrix_ideal_verdict(self.matrix, s, scale)
+            return matrix_ideal_verdict(self.matrix, s, scale)
+        verdict = _decide(self.rules, s)
+        if verdict.decided:
+            return verdict
+        return _undecided(verdict.reason, scale, self.rules.evidence(s, scale))
+
+    @property
+    def limit_rule(self) -> Callable[[list[int], int], bool] | None:
+        """The finite-scale smallness rule of limit search, if any."""
+        return None if self.rules is None else self.rules.small_at_scale
 
     def dual_member(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         """Verdict for membership of S in the dual filter (complement in ideal)."""
@@ -392,13 +461,11 @@ class IdealPresentation:
     # -- partitions and restriction
 
     def talagrand_partition(self) -> IntervalPartition:
-        if self.kind == "fin":
-            return IntervalPartition("singletons")
-        if self.kind in ("z", "bd"):
-            return IntervalPartition("dyadic")
-        raise UnsupportedIdealError(
-            f"no interval-partition witness implemented for ideal {self.name}"
-        )
+        if self.rules is None or self.rules.partition is None:
+            raise UnsupportedIdealError(
+                f"no interval-partition witness implemented for ideal {self.name}"
+            )
+        return IntervalPartition(self.rules.partition)
 
     def restrict(self, domain: SetDescription, scale: int = DEFAULT_SCALE) -> "RestrictedIdeal":
         v = self.verdict(Complement(domain), scale)
@@ -431,7 +498,7 @@ class RestrictedIdeal:
 def parse_ideal(spec: str) -> IdealPresentation:
     """Resolve an ideal name: fin | z | bd | finxfin | matrix:<matrix-spec>."""
     spec = spec.strip()
-    if spec in ("fin", "z", "bd", "finxfin"):
+    if spec in IDEAL_KINDS:
         return IdealPresentation(spec)
     if spec.startswith("matrix:"):
         from .summability import parse_matrix

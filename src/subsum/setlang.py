@@ -18,6 +18,10 @@ from math import gcd, isqrt
 
 ENUMERATION_CAP = 10**7
 
+# Deepest DSL nesting the parser accepts.  The structural analyses recurse
+# once per level, so this stays well under Python's recursion limit.
+MAX_NESTING = 256
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -617,15 +621,13 @@ def density_csv(report: DensityReport) -> str:
 # ---------------------------------------------------------------- DSL
 
 
-_BUILTIN_SIMPLE = {"squares": Squares, "powers2": Powers2}
-
-
 class _Cursor:
-    __slots__ = ("text", "pos")
+    __slots__ = ("text", "pos", "depth")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def take(self, literal: str) -> bool:
         if self.text.startswith(literal, self.pos):
@@ -652,6 +654,10 @@ class _Cursor:
 
 
 def _parse(cur: _Cursor) -> SetDescription:
+    # One frame per nesting level, so MAX_NESTING bounds the recursion.
+    if cur.depth == MAX_NESTING:
+        raise SetSyntaxError(f"nesting deeper than {MAX_NESTING} levels", cur.pos)
+    cur.depth += 1
     if cur.take("finite:{"):
         members: list[int] = []
         if not cur.take("}"):
@@ -660,48 +666,48 @@ def _parse(cur: _Cursor) -> SetDescription:
                 members.append(cur.read_int())
             cur.expect("}")
         try:
-            return Finite(tuple(members))
+            node = Finite(tuple(members))
         except ValueError as exc:
             raise SetSyntaxError(str(exc), cur.pos) from exc
-    if cur.take("ap:"):
+    elif cur.take("ap:"):
         first = cur.read_int()
         cur.expect(",")
         step = cur.read_int()
         try:
-            return AP(first, step)
+            node = AP(first, step)
         except ValueError as exc:
             raise SetSyntaxError(str(exc), cur.pos) from exc
-    if cur.take("builtin:"):
-        for name, cls in _BUILTIN_SIMPLE.items():
-            if cur.take(name):
-                return cls()
-        if cur.take("nu2_ge("):
-            threshold = cur.read_int()
+    elif cur.take("builtin:"):
+        if cur.take("squares"):
+            node = Squares()
+        elif cur.take("powers2"):
+            node = Powers2()
+        elif cur.take("nu2_ge("):
+            node = Nu2Ge(cur.read_int())
             cur.expect(")")
-            return Nu2Ge(threshold)
-        if cur.take("dyadic_blocks("):
-            selector = _parse(cur)
+        elif cur.take("dyadic_blocks("):
+            node = DyadicBlocks(_parse(cur))
             cur.expect(")")
-            return DyadicBlocks(selector)
-        raise SetSyntaxError("unknown builtin name", cur.pos)
-    if cur.take("complement:"):
-        return Complement(_parse(cur))
-    if cur.take("union:"):
+        else:
+            raise SetSyntaxError("unknown builtin name", cur.pos)
+    elif cur.take("complement:"):
+        node = Complement(_parse(cur))
+    elif cur.take("union:"):
         left = _parse(cur)
         cur.expect("|")
-        right = _parse(cur)
-        return Union(left, right)
-    if cur.take("intersect:"):
+        node = Union(left, _parse(cur))
+    elif cur.take("intersect:"):
         left = _parse(cur)
         cur.expect("|")
-        right = _parse(cur)
-        return Intersection(left, right)
-    if cur.take("shift:"):
+        node = Intersection(left, _parse(cur))
+    elif cur.take("shift:"):
         inner = _parse(cur)
         cur.expect(",")
-        offset = cur.read_int(allow_sign=True)
-        return Shift(inner, offset)
-    raise SetSyntaxError("expected set expression", cur.pos)
+        node = Shift(inner, cur.read_int(allow_sign=True))
+    else:
+        raise SetSyntaxError("expected set expression", cur.pos)
+    cur.depth -= 1
+    return node
 
 
 def parse_set(text: str) -> SetDescription:

@@ -134,16 +134,16 @@ class Selector:
         return Selector(self.stem, Consecutive(start))
 
     def spec_string(self) -> str:
+        body = "stem:{" + ",".join(str(v) for v in self.stem) + "}"
         if self.tail is None:
-            return "stem:{" + ",".join(str(v) for v in self.stem) + "}"
+            return body
         if isinstance(self.tail, Consecutive):
             implied = (self.stem[-1] + 1) if self.stem else 1
-            body = "stem:{" + ",".join(str(v) for v in self.stem) + "}"
             if self.tail.start == implied:
                 return body + "+consec"
             return body + f"+consec@{self.tail.start}"
         if self.stem:
-            return f"gen:{self.tail.name}+stem"
+            return body + "+gen:" + self.tail.name
         return f"gen:{self.tail.name}"
 
 
@@ -184,20 +184,23 @@ def sample_selector(seed: int, p: float, limit: int = 64) -> Selector:
     return Selector(stem, Consecutive(limit + 1))
 
 
+def _rule_tail(name: str) -> RuleTail:
+    maker = _NAMED_RULES.get(name)
+    if maker is None:
+        raise SelectorSpecError(f"unknown selector rule {name!r}")
+    return maker().tail
+
+
 def parse_selector(spec: str) -> Selector:
-    """id | even | stem:{v1,v2,...} [+consec | +consec@<k>] | gen:<name> |
-    random:<seed>:<p>[:<limit>]"""
+    """id | even | stem:{v1,v2,...} [+consec | +consec@<k> | +gen:<name>] |
+    gen:<name> | random:<seed>:<p>[:<limit>]"""
     spec = spec.strip()
     if spec == "id":
         return IDENTITY_SELECTOR
     if spec in _NAMED_RULES:
         return _NAMED_RULES[spec]()
     if spec.startswith("gen:"):
-        name = spec[len("gen:"):]
-        maker = _NAMED_RULES.get(name)
-        if maker is None:
-            raise SelectorSpecError(f"unknown selector rule {name!r}")
-        return maker()
+        return Selector((), _rule_tail(spec[len("gen:"):]))
     if spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) not in (3, 4):
@@ -219,6 +222,8 @@ def parse_selector(spec: str) -> Selector:
             return Selector(stem, Consecutive(start))
         if tail_text.startswith("consec@"):
             return Selector(stem, Consecutive(int(tail_text[len("consec@"):])))
+        if tail_text.startswith("gen:"):
+            return Selector(stem, _rule_tail(tail_text[len("gen:"):]))
         raise SelectorSpecError(f"unknown selector tail {tail_text!r}")
     raise SelectorSpecError(f"unknown selector spec {spec!r}")
 
@@ -315,18 +320,16 @@ def selector_transform(
             "selector functionals need a finitely supported row or an l1 tail "
             "bound with a bounded sequence"
         )
+    # The tail bound does not depend on the partial sum: find the first
+    # doubling width that meets the tolerance, then sum once up to it.
     width = 16
-    partial = ZERO
-    covered = 0
     while width <= _TAIL_SEARCH_CAP:
-        partial += sum(
-            (row.entry(k) * x.value(sel.value(k)) for k in range(covered + 1, width + 1)),
-            ZERO,
-        )
-        covered = width
-        tail = row.l1_tail(covered) * x.sup_bound
+        tail = row.l1_tail(width) * x.sup_bound
         if tail <= tail_tol:
-            return FunctionalValue(partial, tail)
+            value = sum(
+                (row.entry(k) * x.value(sel.value(k)) for k in range(1, width + 1)), ZERO
+            )
+            return FunctionalValue(value, tail)
         width *= 2
     raise TailToleranceError(
         f"row tail bound did not reach {tail_tol} within {_TAIL_SEARCH_CAP} columns"

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Callable
 
 from . import setlang
-from .ideals import IN, NOT_IN, DEFAULT_SCALE, IdealPresentation, MembershipVerdict, _undecided
+from .ideals import DEFAULT_SCALE, IN, NOT_IN, UNDECIDED, IdealPresentation, MembershipVerdict
+from .ideals import UnsupportedIdealError, _undecided
 from .setlang import (
     AP,
     Finite,
@@ -159,10 +160,6 @@ def _seq_sqperturb() -> SequenceSpec:
     )
 
 
-def _parse_rational(text: str) -> Fraction:
-    return Fraction(text)
-
-
 _NAMED_SEQUENCES = {
     "n": _seq_naturals,
     "nalt": _seq_signed_naturals,
@@ -181,12 +178,12 @@ def parse_sequence(spec: str) -> SequenceSpec:
     if maker is not None:
         return maker()
     if spec.startswith("const:"):
-        v = _parse_rational(spec[len("const:"):])
+        v = Fraction(spec[len("const:"):])
         return SequenceSpec(
             name=spec, fn=lambda n: v, sup_bound=abs(v), ratio_bound=lambda k: ONE
         )
     if spec.startswith("list:"):
-        vals = tuple(_parse_rational(t) for t in spec[len("list:"):].split(","))
+        vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
         return sequence_from_values(vals, name=spec)
     if spec.startswith("rle:"):
         return sequence_from_rle(parse_rle(spec[len("rle:"):]))
@@ -300,7 +297,7 @@ def parse_row(spec: str) -> RowSeq:
     if maker is not None:
         return maker()
     if spec.startswith("list:"):
-        vals = tuple(_parse_rational(t) for t in spec[len("list:"):].split(","))
+        vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
         return RowSeq(
             name=spec,
             fn=lambda k: vals[k - 1] if k <= len(vals) else ZERO,
@@ -815,12 +812,12 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
         return ExplicitMatrix(rows)
     if spec.startswith("explicit:"):
         body = spec[len("explicit:"):]
+        # An empty row text is a stored zero row; an empty body, no rows.
         rows = [
-            [Fraction(cell) for cell in row_text.split(",")]
+            [Fraction(cell) for cell in row_text.split(",")] if row_text else []
             for row_text in body.split(";")
-            if row_text
         ]
-        return ExplicitMatrix(rows)
+        return ExplicitMatrix(rows if body else [])
     if spec.startswith("gen:"):
         name = spec[len("gen:"):]
         maker = _NAMED_GENERATORS.get(name)
@@ -1071,11 +1068,11 @@ class RegularityVerdict:
 
 
 def _r3_rowsums(
-    matrix: SummabilityMatrix, ideal: IdealPresentation, n_rows: int, scale: int
+    matrix: SummabilityMatrix, ideal: IdealPresentation, n_rows: int
 ) -> ConditionReport:
     exception = matrix.row_sum_exception()
     if exception is not None:
-        verdict = ideal.verdict(exception, scale)
+        verdict = ideal.decide(exception)
         data = {"exception_set": render(exception), "verdict": verdict.status}
         if verdict.status == IN:
             return ConditionReport("yes", True, "row-sum exception set is in the ideal", data)
@@ -1092,7 +1089,7 @@ def _r3_rowsums(
 
     scale_eff = min(n_rows, 2048)
     sums = [matrix.row_sum(n) for n in range(1, scale_eff + 1)]
-    verdict = ideal_limit(sums, ideal if ideal.kind in ("fin", "z", "bd") else IdealPresentation.z())
+    verdict = ideal_limit(sums, ideal if ideal.limit_rule is not None else IdealPresentation.z())
     if verdict.status == "limit" and verdict.eta == 1:
         return ConditionReport(
             "at_scale", False, f"row sums near 1 at scale {scale_eff}", {"eps": str(verdict.eps)}
@@ -1115,7 +1112,7 @@ def regularity_verdict(
     """
     r1 = matrix.r1_bound(n_rows)
     r2 = matrix.r2_columns(n_rows, k_cols)
-    r3 = _r3_rowsums(matrix, ideal, n_rows, n_rows)
+    r3 = _r3_rowsums(matrix, ideal, n_rows)
     witness: dict = {}
     if "no" in (r1.holds, r2.holds, r3.holds):
         overall = "not_regular"
@@ -1175,12 +1172,12 @@ def matrix_ideal_limit_defect(
     """Exception-set profile of the transform against candidate limits."""
     points = transform_prefix(matrix, x, scale)
     values = [p.value for p in points]
-    if etas is None:
-        from .constructions import quantile_candidates
+    from .constructions import EPS_GRID, quantile_candidates
 
+    if etas is None:
         etas = tuple(quantile_candidates(values))
     if epses is None:
-        epses = tuple(Fraction(1, 1 << j) for j in range(1, 7))
+        epses = EPS_GRID
     checkpoints = setlang.default_checkpoints(scale)
     table = []
     for eta in etas:
@@ -1198,22 +1195,18 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
     """Matrix-generated ideals need nonnegative entries and a certified
     regularity verdict; reject anything weaker at construction time."""
     if not matrix.nonneg:
-        raise ValueError("matrix ideals require nonnegative entries")
+        raise UnsupportedIdealError("matrix ideals require nonnegative entries")
     verdict = regularity_verdict(matrix, IdealPresentation.fin(), n_rows=256, k_cols=4)
     if verdict.overall != "regular":
-        raise ValueError(
+        raise UnsupportedIdealError(
             f"matrix ideals require a certified regular matrix, got {verdict.overall}"
         )
 
 
-def matrix_ideal_verdict(
-    matrix: SummabilityMatrix, s: SetDescription, scale: int
-) -> MembershipVerdict:
-    """Membership of S in the ideal {S : transform of 1_S tends to 0}.
-
-    Where the matrix kind alone decides that ideal, its certified verdict is
-    the answer; an undecided set gets the transform probe as evidence.
-    """
+def matrix_ideal_decision(matrix: SummabilityMatrix, s: SetDescription) -> MembershipVerdict:
+    """Membership of S in the ideal {S : transform of 1_S tends to 0},
+    computing no evidence; where the matrix kind alone decides that ideal,
+    its decision is the answer."""
     if is_finite(s) is Tri.YES:
         return MembershipVerdict(IN, "finite union of vanishing columns")
     zero_rows = matrix.vanish_rows(1)
@@ -1221,17 +1214,27 @@ def matrix_ideal_verdict(
         return MembershipVerdict(IN, "all but finitely many rows are zero rows")
     reduced = matrix.null_ideal()
     if reduced is not None:
-        verdict = reduced.verdict(s, scale)
+        verdict = reduced.decide(s)
         if verdict.decided:
             return MembershipVerdict(
                 verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
             )
     if is_cofinite(s) is Tri.YES:
         return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")
+    return MembershipVerdict(UNDECIDED, "no certified argument for this matrix ideal")
+
+
+def matrix_ideal_verdict(
+    matrix: SummabilityMatrix, s: SetDescription, scale: int
+) -> MembershipVerdict:
+    """The decision, with the transform probe as evidence when undecided."""
+    verdict = matrix_ideal_decision(matrix, s)
+    if verdict.decided:
+        return verdict
     probe = min(scale, 2048)
     points = transform_prefix(matrix, indicator_sequence(s), probe)
     ladder = setlang.default_checkpoints(probe)
     evidence = {
         "transform_values": [(n, str(points[n - 1].value)) for n in ladder]
     }
-    return _undecided("no certified argument for this matrix ideal", scale, evidence)
+    return _undecided(verdict.reason, scale, evidence)

@@ -13,6 +13,8 @@ import pytest
 
 from subsum import cli
 from subsum._version import __version__
+from subsum.setlang import MAX_NESTING
+from subsum.summability import DEFAULT_COLUMN_CAP
 
 
 def run(capsys, argv):
@@ -442,8 +444,102 @@ class TestPlumbing:
         assert code == 7
         assert "UnsupportedIdealError" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transform", "--matrix", "cesaro", "--x", "alt"],
+            ["domain", "--matrix", "cesaro", "--x", "alt"],
+            ["metric", "--s1", "even", "--s2", "odd"],
+            ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n"],
+            ["verify", "cert.json"],
+            ["demo", "--schedule", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_scale_is_only_taken_where_it_is_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--scale", "64"])
+        assert exc.value.code == 2
+        assert "--scale" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ error contract
+
+
+class TestErrorContract:
+    """Each input ends in a documented exit code and one run-log record."""
+
+    def run_logged(self, capsys, tmp_path, argv):
+        log = tmp_path / "runs.jsonl"
+        code, out, err = run(capsys, argv + ["--runlog", str(log)])
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 1
+        assert records[0]["exit"] == code
+        return code, err, records[0]
+
+    def write_cert(self, tmp_path, data):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_a_certificate_that_is_a_list_exits_with_code_2(self, capsys, tmp_path):
+        path = self.write_cert(tmp_path, [1, 2, 3])
+        code, err, _ = self.run_logged(capsys, tmp_path, ["verify", path])
+        assert code == 2
+        assert "malformed certificate" in err
+
+    def test_a_certificate_without_scales_exits_with_code_2(self, capsys, tmp_path):
+        path = self.write_cert(tmp_path, {
+            "kind": "oscillation", "x": "alt", "matrix": "cesaro", "lower": "1/4",
+            "upper": "3/4", "scales": [], "lower_counts": [], "upper_counts": [],
+        })
+        code, err, _ = self.run_logged(capsys, tmp_path, ["verify", path])
+        assert code == 2
+        assert "at least one scale" in err
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING, 5000])
+    def test_nesting_past_the_parser_limit_exits_with_code_2(self, capsys, tmp_path, depth):
+        text = "complement:" * depth + "builtin:squares"
+        code, err, record = self.run_logged(capsys, tmp_path, ["density", text, "--scale", "64"])
+        assert code == 2
+        assert "SetSyntaxError" in record["error"]
+
+    def test_nesting_at_the_parser_limit_is_answered(self, capsys, tmp_path):
+        text = "complement:" * (MAX_NESTING - 1) + "builtin:squares"
+        argv = ["verdict", text, "--ideal", "bd", "--scale", "64"]
+        code, _, _ = self.run_logged(capsys, tmp_path, argv)
+        assert code == 0
+
+    def test_certificates_over_the_row_budget_exit_with_code_3(self, capsys, tmp_path):
+        scale = DEFAULT_COLUMN_CAP + 1
+        path = self.write_cert(tmp_path, {
+            "kind": "oscillation", "x": "alt", "matrix": "cesaro", "lower": "1/4",
+            "upper": "3/4", "scales": [scale], "lower_counts": [0], "upper_counts": [0],
+        })
+        started = time.perf_counter()
+        code, err, record = self.run_logged(capsys, tmp_path, ["verify", path])
+        assert time.perf_counter() - started < 5
+        assert code == 3
+        assert "AuditBudgetError" in record["error"]
+
+    def test_matrix_ideals_that_are_not_regular_exit_with_code_7(self, capsys, tmp_path):
+        argv = ["verdict", "ap:1,2", "--ideal", "matrix:rowdrop:cesaro:builtin:squares"]
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 7
+        assert "UnsupportedIdealError" in record["error"]
+
+    def test_unexpected_exceptions_exit_with_code_1(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("broken on purpose")
+
+        monkeypatch.setattr(cli.setlang, "density_report", broken)
+        code, err, record = self.run_logged(capsys, tmp_path, ["density", "ap:1,2"])
+        assert code == 1
+        assert record["digest"] is None
+        assert record["error"] == "ZeroDivisionError: broken on purpose"

@@ -572,5 +572,62 @@ class TestMatrixGeneratedIdeal:
 
         # finitely many rows, all zero beyond: row sums do not tend to 1
         bad = parse_matrix("explicit:1;1/2,1/2")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedIdealError):
             IdealPresentation.from_matrix(bad)
+
+
+# ---------------------------------------------------------------- evidence
+
+
+NESTED_UNION = "union:builtin:dyadic_blocks(intersect:builtin:squares|ap:1,2)|ap:1,2"
+
+
+def _no_evidence(monkeypatch):
+    """Make every finite-scale evidence scan raise."""
+    import subsum.ideals as ideals_mod
+    import subsum.summability as summability_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a decided verdict computed evidence")
+
+    for module, name in (
+        (ideals_mod, "count_prefix"),
+        (ideals_mod, "max_window_density"),
+        (ideals_mod, "member"),
+        (summability_mod, "transform_prefix"),
+    ):
+        monkeypatch.setattr(module, name, boom)
+
+
+@pytest.mark.parametrize(
+    "ideal, text, status",
+    [
+        ("finxfin", "intersect:complement:builtin:powers2|ap:3,4", "in"),
+        ("z", NESTED_UNION, "not_in"),
+        ("bd", NESTED_UNION, "not_in"),
+        ("matrix:cesaro", NESTED_UNION, "not_in"),
+    ],
+)
+def test_decided_verdicts_compute_no_evidence(monkeypatch, ideal, text, status):
+    # Each set has a part that stays undecided on its own; only the whole
+    # is decided, so evidence for the part would be thrown away.
+    ideal_obj = parse_ideal(ideal)
+    _no_evidence(monkeypatch)
+    verdict = ideal_obj.verdict(parse_set(text), 1024)
+    assert verdict.status == status
+    assert verdict.evidence == {}
+
+
+def test_decide_leaves_undecided_sets_without_evidence(monkeypatch):
+    ideals = (FIN, Z, BD, FXF, parse_ideal("matrix:identity"))
+    _no_evidence(monkeypatch)
+    for ideal in ideals:
+        verdict = ideal.decide(DyadicBlocks(Intersection(Squares(), AP(1, 2))))
+        assert verdict.status == "undecided" and verdict.reason
+        assert verdict.scale is None and verdict.evidence == {}
+
+
+def test_kinds_without_limit_search_say_so():
+    assert FXF.limit_rule is None
+    assert parse_ideal("matrix:cesaro").limit_rule is None
+    assert all(ideal.limit_rule is not None for ideal in (FIN, Z, BD))

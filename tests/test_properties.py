@@ -13,15 +13,18 @@ from hypothesis import strategies as st
 
 from subsum import (
     CesaroMatrix,
+    Consecutive,
     ExplicitMatrix,
     IdealPresentation,
     IdentityMatrix,
     OscillationCertificate,
     RowDropMatrix,
+    Selector,
     ideal_limit,
     metric,
     parse_matrix,
     parse_rle,
+    parse_selector,
     quantile_candidates,
     random_rowfinite_matrix,
     render_rle,
@@ -238,7 +241,11 @@ def _matrices():
     kinds = st.one_of(
         st.just(CesaroMatrix()),
         st.just(IdentityMatrix()),
-        st.lists(st.lists(small, min_size=1, max_size=4), max_size=3).map(ExplicitMatrix),
+        # Stored rows may be empty; a single empty row prints as `explicit:`,
+        # which is the matrix with no stored rows.
+        st.lists(st.lists(small, max_size=4), max_size=3)
+        .filter(lambda rows: rows != [[]])
+        .map(ExplicitMatrix),
         st.just(parse_matrix("gen:geometric")),
         st.integers(0, 40).map(random_rowfinite_matrix),
     )
@@ -255,6 +262,25 @@ def test_matrix_specs_round_trip(matrix):
 
 
 # ----------------------------------------------------------------- selectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stem=st.lists(st.integers(1, 60), max_size=5, unique=True).map(lambda v: tuple(sorted(v))),
+    tail=st.sampled_from(("none", "consec", "rule", "random")),
+    gap=st.integers(0, 5),
+    rule=st.sampled_from(("even", "odd", "evenshift", "squares")),
+    seed=st.integers(0, 10**6),
+)
+def test_selector_specs_round_trip(stem, tail, gap, rule, seed):
+    floor = stem[-1] if stem else 0
+    sel = {
+        "none": Selector(stem),
+        "consec": Selector(stem, Consecutive(floor + 1 + gap)),
+        "rule": Selector(stem, parse_selector(rule).tail),
+        "random": sample_selector(seed, 0.5, 8 + gap),
+    }[tail]
+    assert parse_selector(sel.spec_string()) == sel
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ image symmetric difference; functional values against independent series
 sums; the modulus radius against the tail inequality that defines it.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,17 @@ class TestSelectorFunctionals:
             selector_transform(
                 parse_row("geometric"), parse_sequence("n"), parse_selector("id")
             )
+
+    def test_unreachable_tolerances_fail_before_summing(self):
+        # The tail bound alone shows that no width meets a zero tolerance, so
+        # the call must not sum a million columns first.
+        started = time.perf_counter()
+        with pytest.raises(TailToleranceError):
+            selector_transform(
+                parse_row("geometric"), parse_sequence("alt"), parse_selector("id"),
+                tail_tol=F(0),
+            )
+        assert time.perf_counter() - started < 5
 
     def test_exact_tolerance_is_unreachable_for_infinite_rows(self, monkeypatch):
         import subsum.sigma as sigma_mod
