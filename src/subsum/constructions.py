@@ -92,8 +92,8 @@ class OscillationCertificate:
             raise ConstructionError("oscillation needs lower < upper")
         if not len(self.scales) == len(self.lower_counts) == len(self.upper_counts):
             raise ConstructionError("certificate arrays must align")
-        if not self.scales:
-            raise ConstructionError("certificates need at least one scale")
+        if not self.scales or self.scales[0] < 1:
+            raise ConstructionError("certificates need at least one scale, each at least 1")
         if any(a >= b for a, b in zip(self.scales, self.scales[1:])):
             raise ConstructionError("certificate scales must increase")
 

@@ -494,10 +494,13 @@ class TestErrorContract:
         assert code == 2
         assert "malformed certificate" in err
 
-    def test_a_certificate_without_scales_exits_with_code_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("scales", [[], [0], [-3]])
+    def test_certificates_need_positive_scales(self, capsys, tmp_path, scales):
+        # [-3] used to verify as true and [0] to divide by zero.
+        counts = [0] * len(scales)
         path = self.write_cert(tmp_path, {
             "kind": "oscillation", "x": "alt", "matrix": "cesaro", "lower": "1/4",
-            "upper": "3/4", "scales": [], "lower_counts": [], "upper_counts": [],
+            "upper": "3/4", "scales": scales, "lower_counts": counts, "upper_counts": counts,
         })
         code, err, _ = self.run_logged(capsys, tmp_path, ["verify", path])
         assert code == 2
