@@ -258,7 +258,7 @@ def _cmd_escape(args) -> tuple[dict, int]:
             "holds": result.holds,
             "detail": result.detail,
         }
-    return payload, OK if result.holds else FAIL
+    return payload, OK if result.holds else DIAGNOSTIC_ONLY
 
 
 def _cmd_oscillate(args) -> tuple[dict, int]:
@@ -412,7 +412,7 @@ def _cmd_demo(args) -> tuple[dict, int]:
         ],
         "all_hold": demo.all_hold,
     }
-    return payload, OK if demo.all_hold else FAIL
+    return payload, OK if demo.all_hold else DIAGNOSTIC_ONLY
 
 
 # ------------------------------------------------------------------- plumbing

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .ideals import (
     IN,
@@ -31,7 +30,9 @@ from .summability import (
     RowSeq,
     SequenceSpec,
     SummabilityMatrix,
+    _add_ratio,
     _blocks01_bit,
+    _dot,
     exception_profile,
     render_rle,
 )
@@ -363,10 +364,8 @@ def oscillation_pair(
         raise PreconditionError("decision row reaches past the chosen picks")
 
     def transform_at(sel: Selector) -> Fraction:
-        return sum(
-            (matrix.entry(row, k) * x.value(sel.value(k)) for k in range(1, support + 1)),
-            ZERO,
-        )
+        cols = range(1, support + 1)
+        return _dot((matrix.entry(row, k) for k in cols), (x.value(sel.value(k)) for k in cols))
 
     lo_value = transform_at(sel_lo)
     hi_value = transform_at(sel_hi)
@@ -452,18 +451,15 @@ def escape_unbounded(
             break
     if pivot is None:
         raise PreconditionError("row has no nonzero coefficient past the stem")
-    committed = sum(
-        (row.entry(k) * x.value(stem[k - 1]) for k in range(1, j + 1)), ZERO
-    )
+    committed = _dot(map(row.entry, range(1, j + 1)), map(x.value, stem))
     target = (m0 + 1 + abs(committed)) / abs(row.entry(pivot))
     floor = t_j + pivot
     t0 = _least_index_with_magnitude(x, floor, target, search_cap)
     fill = tuple(t_j + s for s in range(1, pivot - j))
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
-    partial = sum(
-        (row.entry(k) * x.value(selector.value(k)) for k in range(1, pivot + 1)), ZERO
-    )
+    cols = range(1, pivot + 1)
+    partial = _dot(map(row.entry, cols), (x.value(selector.value(k)) for k in cols))
     holds = abs(partial) >= m0 + 1
     return EscapeResult(
         mode="unbounded",
@@ -479,14 +475,6 @@ def escape_unbounded(
             "fill": list(fill),
         },
     )
-
-
-def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
-    """num/den + p/q with the denominator kept a running common multiple."""
-    if den % q:
-        common = den // gcd(den, q) * q
-        return num * (common // den) + p * (common // q), common
-    return num + p * (den // q), den
 
 
 def escape_rowfinite(
@@ -623,20 +611,10 @@ def escape_rowfinite(
     # Exact re-check by direct summation: every entry of every block row is
     # read again from the matrix, against x at the selector's picks.
     picks = [x.value(selector.value(k)) for k in range(1, k_top + 1)]
-    x_num = [v.numerator for v in picks]
-    x_den = [v.denominator for v in picks]
     row_values = []
     holds = True
     for n in block:
-        num, den = 0, 1
-        for k, xp, xq in zip(range(1, supports[n] + 1), x_num, x_den):
-            e = entry(n, k)
-            q = e.denominator * xq
-            if den % q:
-                num, den = _add_ratio(num, den, e.numerator * xp, q)
-            else:
-                num += e.numerator * xp * (den // q)
-        exact = Fraction(num, den)
+        exact = _dot((entry(n, k) for k in range(1, supports[n] + 1)), picks)
         if exact != partials[n]:
             raise ConstructionError("incremental and direct row sums disagree")
         row_values.append((n, exact))

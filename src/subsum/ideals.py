@@ -27,13 +27,13 @@ from .setlang import (
     Squares,
     Tri,
     Union,
+    _window_maxima,
     banach_exact,
     count_prefix,
     default_checkpoints,
     exact_density,
     is_cofinite,
     is_finite,
-    max_window_density,
     member,
     nu2,
     render,
@@ -131,12 +131,13 @@ def _z_positive_limsup(s: SetDescription) -> bool:
 
 
 def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
-    windows = []
+    lengths = []
     length = 8
     while length * 4 <= scale and length <= 4096:
-        windows.append((length, str(max_window_density(s, scale, length))))
+        lengths.append(length)
         length *= 4
-    return {"max_window_density": windows}
+    maxima = _window_maxima(s, scale, lengths)
+    return {"max_window_density": [(w, str(d)) for w, d in zip(lengths, maxima)]}
 
 
 def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:

@@ -533,18 +533,26 @@ def banach_exact(s: SetDescription) -> Fraction | None:
 
 def max_window_density(s: SetDescription, limit: int, window: int) -> Fraction:
     """Max of |S ∩ (t, t+window]| / window over windows inside [1, limit]."""
-    if not 1 <= window <= limit:
+    return _window_maxima(s, limit, [window])[0]
+
+
+def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fraction]:
+    """max_window_density at each window length, from one membership scan."""
+    if not all(1 <= window <= limit for window in windows):
         raise ValueError("need 1 <= window <= limit")
     if limit > ENUMERATION_CAP:
         raise EnumerationCapError("window scan past cap")
     flags = [member(s, n) for n in range(1, limit + 1)]
-    current = sum(flags[:window])
-    best = current
-    for t in range(window, limit):
-        current += flags[t] - flags[t - window]
-        if current > best:
-            best = current
-    return Fraction(best, window)
+    maxima = []
+    for window in windows:
+        current = sum(flags[:window])
+        best = current
+        for t in range(window, limit):
+            current += flags[t] - flags[t - window]
+            if current > best:
+                best = current
+        maxima.append(Fraction(best, window))
+    return maxima
 
 
 @dataclass(frozen=True)

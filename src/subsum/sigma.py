@@ -22,6 +22,7 @@ from .summability import (
     TailToleranceError,
     ZERO,
     ONE,
+    _dot,
 )
 
 PRNG_NAME = "mt19937"
@@ -310,10 +311,8 @@ def selector_transform(
     if not sel.total:
         raise ImageUndecidableError("functionals need total selectors")
     if row.support is not None:
-        value = sum(
-            (row.entry(k) * x.value(sel.value(k)) for k in range(1, row.support + 1)),
-            ZERO,
-        )
+        cols = range(1, row.support + 1)
+        value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
         return FunctionalValue(value, ZERO)
     if row.l1_tail is None or x.sup_bound is None:
         raise DomainRiskError(
@@ -326,9 +325,8 @@ def selector_transform(
     while width <= _TAIL_SEARCH_CAP:
         tail = row.l1_tail(width) * x.sup_bound
         if tail <= tail_tol:
-            value = sum(
-                (row.entry(k) * x.value(sel.value(k)) for k in range(1, width + 1)), ZERO
-            )
+            cols = range(1, width + 1)
+            value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
             return FunctionalValue(value, tail)
         width *= 2
     raise TailToleranceError(

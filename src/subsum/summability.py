@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import gcd
 from typing import Callable
 
 from . import setlang
@@ -33,6 +35,33 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_COLUMN_CAP = 1 << 20
+
+
+def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
+    """num/den + p/q with the denominator kept a running common multiple."""
+    if den % q:
+        common = den // gcd(den, q) * q
+        return num * (common // den) + p * (common // q), common
+    return num + p * (den // q), den
+
+
+def _dot(coeffs, values) -> Fraction:
+    """Exact sum of a_k * v_k over paired ints and Fractions.
+
+    Exact finite row sums go through here: one integer numerator over a
+    running common denominator, zero terms skipped, and a single Fraction
+    built at the end.
+    """
+    num, den = 0, 1
+    for a, v in zip(coeffs, values):
+        p = a.numerator * v.numerator
+        if p:
+            q = a.denominator * v.denominator
+            if den % q:
+                num, den = _add_ratio(num, den, p, q)
+            else:  # the common case, inlined: q already divides den
+                num += p * (den // q)
+    return Fraction(num, den)
 
 
 class DomainRiskError(RuntimeError):
@@ -333,28 +362,19 @@ class SummabilityMatrix:
         """Structurally known to have finitely supported rows."""
         return False
 
-    def row_l1(self, n: int) -> Fraction:
-        support = self.row_support(n)
-        if support is None:
-            raise DomainRiskError("row l1 norm needs a row-finite matrix")
-        return sum((abs(self.entry(n, k)) for k in range(1, support + 1)), ZERO)
-
     def row_sum(self, n: int) -> Fraction:
         support = self.row_support(n)
         if support is None:
             raise DomainRiskError("row sum needs a row-finite matrix")
-        return sum((self.entry(n, k) for k in range(1, support + 1)), ZERO)
+        return _dot((self.entry(n, k) for k in range(1, support + 1)), repeat(1))
 
     def l1_tail(self, n: int, after: int) -> Fraction | None:
-        """Certified bound on sum_{k>after} |a_{n,k}|, when available."""
+        """Certified bound on sum_{k>after} |a_{n,k}|, when available; the
+        row's l1 norm at after = 0."""
         support = self.row_support(n)
-        if support is not None:
-            if after >= support:
-                return ZERO
-            return sum(
-                (abs(self.entry(n, k)) for k in range(after + 1, support + 1)), ZERO
-            )
-        return None
+        if support is None:
+            return None
+        return _dot((abs(self.entry(n, k)) for k in range(after + 1, support + 1)), repeat(1))
 
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return None
@@ -375,10 +395,7 @@ class SummabilityMatrix:
         ``columns(n_max)``.  The default sums each row directly.
         """
         return [
-            sum(
-                (self.entry(n, k) * xs[k - 1] for k in range(1, self.row_support(n) + 1)),
-                ZERO,
-            )
+            _dot((self.entry(n, k) for k in range(1, self.row_support(n) + 1)), xs)
             for n in range(1, n_max + 1)
         ]
 
@@ -404,13 +421,10 @@ class SummabilityMatrix:
         )
         best = ZERO
         for n in samples:
-            if self.row_support(n) is None:
-                tail = self.l1_tail(n, 0)
-                if tail is None:
-                    return ConditionReport("undecided", False, "no l1 information", {})
-                best = max(best, tail)
-            else:
-                best = max(best, self.row_l1(n))
+            tail = self.l1_tail(n, 0)
+            if tail is None:
+                return ConditionReport("undecided", False, "no l1 information", {})
+            best = max(best, tail)
         return ConditionReport(
             "at_scale", False, f"sampled rows up to {samples[-1]}", {"bound": str(best)}
         )
@@ -604,7 +618,12 @@ class ExplicitMatrix(SummabilityMatrix):
     """Finitely many stored rows; all later rows are zero rows."""
 
     def __init__(self, rows: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]):
-        self.rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        stored = [tuple(Fraction(v) for v in row) for row in rows]
+        # Trailing zero rows equal the implicit zero rows after them; dropping
+        # them gives each matrix one form, so its spec string parses back.
+        while stored and not any(stored[-1]):
+            stored.pop()
+        self.rows = tuple(stored)
         self.nonneg = all(v >= 0 for row in self.rows for v in row)
 
     def entry(self, n: int, k: int) -> Fraction:
@@ -639,7 +658,7 @@ class ExplicitMatrix(SummabilityMatrix):
         return self._stored_and_beyond(lambda n: self.row_sum(n) != 1)
 
     def r1_bound(self, n_rows: int) -> ConditionReport:
-        bound = max((self.row_l1(n) for n in range(1, len(self.rows) + 1)), default=ZERO)
+        bound = max((self.l1_tail(n, 0) for n in range(1, len(self.rows) + 1)), default=ZERO)
         return ConditionReport(
             "yes", True, "max over stored rows; later rows are zero", {"bound": str(bound)}
         )
@@ -812,12 +831,12 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
         return ExplicitMatrix(rows)
     if spec.startswith("explicit:"):
         body = spec[len("explicit:"):]
-        # An empty row text is a stored zero row; an empty body, no rows.
+        # An empty row text is a zero row.
         rows = [
             [Fraction(cell) for cell in row_text.split(",")] if row_text else []
             for row_text in body.split(";")
         ]
-        return ExplicitMatrix(rows if body else [])
+        return ExplicitMatrix(rows)
     if spec.startswith("gen:"):
         name = spec[len("gen:"):]
         maker = _NAMED_GENERATORS.get(name)
@@ -882,7 +901,8 @@ def transform_value(
     """
     support = matrix.row_support(n)
     if support is not None:
-        value = sum((matrix.entry(n, k) * x.value(k) for k in range(1, support + 1)), ZERO)
+        cols = range(1, support + 1)
+        value = _dot((matrix.entry(n, k) for k in cols), map(x.value, cols))
         return TransformPoint(n, value, ZERO)
     width = 32
     saw_tail = False
@@ -891,9 +911,8 @@ def transform_value(
         if tail is not None:
             saw_tail = True
             if tail <= tail_tol:
-                value = sum(
-                    (matrix.entry(n, k) * x.value(k) for k in range(1, width + 1)), ZERO
-                )
+                cols = range(1, width + 1)
+                value = _dot((matrix.entry(n, k) for k in cols), map(x.value, cols))
                 return TransformPoint(n, value, tail)
         width *= 2
     if not saw_tail:
@@ -996,53 +1015,6 @@ def domain_check(
         None,
         {"columns_used": column_cap, "last_partial": str(partial)},
     )
-
-
-# ---------------------------------------------------------------- row profile
-
-
-class RowProfile:
-    """Support profile of a row-finite matrix.
-
-    ``last_nonzero(n)`` is the final nonzero column of row n (0 for zero
-    rows).  ``vanish_set(w)`` describes the rows whose support lies entirely
-    below column w, structurally when the matrix kind allows it.
-    """
-
-    def __init__(self, matrix: SummabilityMatrix, n_max: int):
-        if not matrix.row_finite:
-            raise DomainRiskError("row profiles require a row-finite matrix")
-        self.matrix = matrix
-        self.n_max = n_max
-
-    def last_nonzero(self, n: int) -> int:
-        return self.matrix.row_support(n)
-
-    def vanish_set(self, w: int) -> SetDescription:
-        """Rows n with last_nonzero(n) < w, as a set description."""
-        if w < 1:
-            raise ValueError("column thresholds start at 1")
-        structural = self.matrix.vanish_rows(w)
-        if structural is not None:
-            return structural
-        rows = tuple(n for n in range(1, self.n_max + 1) if self.last_nonzero(n) < w)
-        return Finite(rows)
-
-    def vanish_is_structural(self, w: int) -> bool:
-        return self.matrix.vanish_rows(w) is not None
-
-    def audit(self, w: int, n_max: int | None = None) -> bool:
-        """Enumerate rows <= n_max checking vanish_set(w) matches supports."""
-        limit = self.n_max if n_max is None else n_max
-        desc = self.vanish_set(w)
-        for n in range(1, limit + 1):
-            if member(desc, n) != (self.last_nonzero(n) < w):
-                return False
-        return True
-
-
-def row_profile(matrix: SummabilityMatrix, n_max: int = 10**3) -> RowProfile:
-    return RowProfile(matrix, n_max)
 
 
 # ---------------------------------------------------------------- regularity

@@ -5,6 +5,7 @@ codes are checked against the documented table (0 ok, 2 parse, 3 budget,
 4 not regular, 5 diagnostic-only, 6 verify failed, 7 precondition).
 """
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -536,6 +537,22 @@ class TestErrorContract:
         code, err, record = self.run_logged(capsys, tmp_path, argv)
         assert code == 7
         assert "UnsupportedIdealError" in record["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n", "--m0", "1"],
+        ["demo", "--schedule", "1,2"],
+    ])
+    def test_unmet_escape_bounds_exit_with_code_5(self, capsys, tmp_path, monkeypatch, argv):
+        real = cli.constructions.escape_rowfinite
+
+        def unmet(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), holds=False)
+
+        monkeypatch.setattr(cli.constructions, "escape_rowfinite", unmet)
+        code, _, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 5
+        assert record["error"] is None
+        assert record["digest"] is not None
 
     def test_unexpected_exceptions_exit_with_code_1(self, capsys, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

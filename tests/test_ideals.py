@@ -33,6 +33,7 @@ from subsum import (
     nu2_column_audit,
     parse_ideal,
     parse_set,
+    setlang,
 )
 
 FIN = IdealPresentation.fin()
@@ -180,6 +181,26 @@ class TestBanachDensityZeroIdeal:
         v = BD.verdict(Intersection(AP(1, 2), Complement(AP(1, 3))))
         assert v.status == "undecided"
         assert "max_window_density" in v.evidence
+
+    def test_window_evidence_scans_the_set_once(self, monkeypatch):
+        real = setlang.member
+        calls = {"top": 0, "depth": 0}
+
+        def counting(s, n):
+            if calls["depth"]:
+                return real(s, n)
+            calls["top"] += 1
+            calls["depth"] = 1
+            try:
+                return real(s, n)
+            finally:
+                calls["depth"] = 0
+
+        monkeypatch.setattr(setlang, "member", counting)
+        v = BD.verdict(DyadicBlocks(Intersection(Squares(), AP(1, 2))), 10**4)
+        assert v.status == "undecided"
+        assert [w for w, _ in v.evidence["max_window_density"]] == [8, 32, 128, 512, 2048]
+        assert calls["top"] == 10**4
 
     def test_banach_null_never_contradicts_density_null(self):
         # Banach-null implies density-null, so a bd "in" forbids a z "not_in".
@@ -592,7 +613,7 @@ def _no_evidence(monkeypatch):
 
     for module, name in (
         (ideals_mod, "count_prefix"),
-        (ideals_mod, "max_window_density"),
+        (ideals_mod, "_window_maxima"),
         (ideals_mod, "member"),
         (summability_mod, "transform_prefix"),
     ):

@@ -8,7 +8,7 @@ postconditions they advertise, recounted here from the raw data.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsum import (
@@ -45,6 +45,7 @@ from subsum.setlang import (
     Squares,
     Union,
 )
+from subsum.summability import _dot
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -190,6 +191,20 @@ def test_quantile_candidates_are_snapped_order_statistics(values):
 # ------------------------------------------------------------ exact transforms
 
 
+_exact = st.one_of(
+    st.just(0), st.just(F(0)), st.integers(-20, 20), st.fractions(-20, 20, max_denominator=30)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_exact, _exact), max_size=12))
+@example(pairs=[])
+def test_exact_dot_matches_fraction_sums(pairs):
+    got = _dot((a for a, _ in pairs), (v for _, v in pairs))
+    assert got == sum((F(a) * v for a, v in pairs), F(0))
+    assert type(got) is F
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 40), n=st.integers(1, 12))
 def test_random_matrices_transform_by_direct_summation(seed, n):
@@ -241,11 +256,7 @@ def _matrices():
     kinds = st.one_of(
         st.just(CesaroMatrix()),
         st.just(IdentityMatrix()),
-        # Stored rows may be empty; a single empty row prints as `explicit:`,
-        # which is the matrix with no stored rows.
-        st.lists(st.lists(small, max_size=4), max_size=3)
-        .filter(lambda rows: rows != [[]])
-        .map(ExplicitMatrix),
+        st.lists(st.lists(small, max_size=4), max_size=3).map(ExplicitMatrix),
         st.just(parse_matrix("gen:geometric")),
         st.integers(0, 40).map(random_rowfinite_matrix),
     )
@@ -256,6 +267,7 @@ def _matrices():
 
 @settings(max_examples=100, deadline=None)
 @given(matrix=_matrices())
+@example(matrix=ExplicitMatrix([[]]))
 def test_matrix_specs_round_trip(matrix):
     # Row drops nest bases and sets that both contain ':'.
     assert parse_matrix(matrix.spec_string()) == matrix

@@ -36,7 +36,6 @@ from subsum import (
     random_rowfinite_matrix,
     regularity_verdict,
     render_rle,
-    row_profile,
     sequence_from_rle,
     transform_prefix,
     transform_value,
@@ -160,7 +159,7 @@ class TestMatrixEntries:
         assert m.entry(4, 5) == 0
         assert m.row_support(7) == 7
         assert m.row_sum(7) == 1
-        assert m.row_l1(7) == 1
+        assert m.l1_tail(7, 0) == 1
 
     def test_identity_entries(self):
         m = IdentityMatrix()
@@ -402,27 +401,22 @@ class TestDomainCheck:
 
 class TestRowProfiles:
     def test_running_average_profile(self):
-        prof = row_profile(CesaroMatrix(), n_max=64)
-        assert prof.last_nonzero(17) == 17
-        assert prof.vanish_set(5) == Finite((1, 2, 3, 4))
-        assert prof.vanish_is_structural(5)
-        assert prof.audit(5)
+        m = CesaroMatrix()
+        assert m.row_support(17) == 17
+        assert m.vanish_rows(5) == Finite((1, 2, 3, 4))
 
     def test_row_drop_profile_includes_dropped_rows(self):
         m = RowDropMatrix(CesaroMatrix(), Squares())
-        prof = row_profile(m, n_max=64)
-        assert prof.last_nonzero(4) == 0
-        assert prof.last_nonzero(5) == 5
-        assert prof.vanish_set(3) == Union(Finite((1, 2)), Squares())
-        assert prof.audit(3)
+        assert m.row_support(4) == 0
+        assert m.row_support(5) == 5
+        assert m.vanish_rows(3) == Union(Finite((1, 2)), Squares())
 
     def test_explicit_profile_covers_the_zero_tail(self):
+        # The trailing stored zero row is dropped: it equals the zero tail.
         m = ExplicitMatrix([[F(1)], [F(0), F(1, 2)], [F(0)]])
-        prof = row_profile(m, n_max=32)
-        assert prof.last_nonzero(2) == 2
-        assert prof.last_nonzero(3) == 0
-        assert prof.vanish_set(2) == Union(Finite((1, 3)), AP(4, 1))
-        assert prof.audit(2)
+        assert m.row_support(2) == 2
+        assert m.row_support(3) == 0
+        assert m.vanish_rows(2) == Union(Finite((1,)), AP(3, 1))
 
     def test_loose_support_bounds_are_tightened(self):
         m = GeneratorMatrix(
@@ -430,8 +424,7 @@ class TestRowProfiles:
             entry_fn=lambda n, k: F(1) if k <= n else F(0),
             support_bound=lambda n: n + 2,
         )
-        prof = row_profile(m, n_max=16)
-        assert prof.last_nonzero(5) == 5
+        assert m.row_support(5) == 5
 
     def test_enumerated_vanish_sets_are_flagged_non_structural(self):
         m = GeneratorMatrix(
@@ -439,27 +432,15 @@ class TestRowProfiles:
             entry_fn=lambda n, k: F(1) if k <= n else F(0),
             support_bound=lambda n: n,
         )
-        prof = row_profile(m, n_max=16)
-        assert not prof.vanish_is_structural(4)
-        assert prof.vanish_set(4) == Finite((1, 2, 3))
-        assert prof.audit(4)
+        assert m.vanish_rows(4) is None
 
     def test_vanish_sets_grow_with_the_threshold(self):
         m = RowDropMatrix(CesaroMatrix(), Squares())
-        prof = row_profile(m, n_max=128)
-        small = prof.vanish_set(3)
-        big = prof.vanish_set(7)
+        small = m.vanish_rows(3)
+        big = m.vanish_rows(7)
         for n in range(1, 129):
             if member(small, n):
                 assert member(big, n)
-
-    def test_profiles_require_row_finiteness(self):
-        with pytest.raises(DomainRiskError):
-            row_profile(parse_matrix("gen:geometric"))
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            row_profile(CesaroMatrix(), n_max=8).vanish_set(0)
 
 
 # ---------------------------------------------------------------- regularity
