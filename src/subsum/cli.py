@@ -198,7 +198,8 @@ def _cmd_domain(args) -> tuple[dict, int]:
         "tail_bound": _frac(check.tail_bound),
         "evidence": check.evidence,
     }
-    return payload, OK if check.status == "converged" else DIAGNOSTIC_ONLY
+    codes = {"converged": OK, "diverging": DIAGNOSTIC_ONLY, "inconclusive": BUDGET_EXCEEDED}
+    return payload, codes[check.status]
 
 
 def _cmd_metric(args) -> tuple[dict, int]:

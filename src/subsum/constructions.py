@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice, repeat
 
 from .ideals import (
     IN,
@@ -142,6 +143,31 @@ class OscillationCertificate:
         return recount == self
 
 
+def _threshold_counts(
+    values: list[Fraction], lower: Fraction, upper: Fraction, scales: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per scale s, |{i <= s : v_i <= lower}| and |{i <= s : v_i >= upper}|.
+
+    One pass over the values in ascending scale order, comparing integer
+    cross products; each scale reads the running tallies as it is passed.
+    """
+    lp, lq = lower.numerator, lower.denominator
+    up, uq = upper.numerator, upper.denominator
+    tallies = {}
+    lo = hi = start = 0
+    for s in sorted(set(scales)):
+        stop = max(start, min(s, len(values)))
+        for v in islice(values, start, stop):
+            p, q = v.numerator, v.denominator
+            if p * lq <= lp * q:
+                lo += 1
+            if p * uq >= up * q:
+                hi += 1
+        start = stop
+        tallies[s] = (lo, hi)
+    return tuple(tallies[s][0] for s in scales), tuple(tallies[s][1] for s in scales)
+
+
 def certificate_from_values(
     values: list[Fraction],
     lower: Fraction,
@@ -150,14 +176,15 @@ def certificate_from_values(
     x_spec: str,
     matrix_spec: str,
 ) -> OscillationCertificate:
+    lower_counts, upper_counts = _threshold_counts(values, lower, upper, scales)
     return OscillationCertificate(
         x_spec=x_spec,
         matrix_spec=matrix_spec,
         lower=lower,
         upper=upper,
         scales=scales,
-        lower_counts=tuple(sum(1 for v in values[:s] if v <= lower) for s in scales),
-        upper_counts=tuple(sum(1 for v in values[:s] if v >= upper) for s in scales),
+        lower_counts=lower_counts,
+        upper_counts=upper_counts,
     )
 
 
@@ -485,15 +512,18 @@ def escape_rowfinite(
     m0: Fraction | int,
     p0: int = 1,
     search_cap: int = 10**6,
+    after_row: int = 0,
 ) -> EscapeResult:
     """Extend a stem so a whole partition block of transform rows exceeds m0.
 
     Needs: a row-finite matrix whose rows supported below the stem's next
     column form a certified member of the ideal, an interval-partition
-    witness for the ideal, and an unbounded sequence.  Picks are chosen one
-    column at a time so that whichever row of the chosen block ends its
-    support at that column is already pushed past m0; every row of the
-    block is then recomputed exactly.
+    witness for the ideal, and an unbounded sequence.  The block is the
+    first one of the partition restricted to the surviving rows whose index
+    is at least ``p0`` and whose first row lies after ``after_row``.  Picks
+    are chosen one column at a time so that whichever row of the chosen
+    block ends its support at that column is already pushed past m0; every
+    row of the block is then recomputed exactly.
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -530,6 +560,8 @@ def escape_rowfinite(
         raise ConstructionError("no surviving rows inside the partition range")
     p1 = restricted.block_index_of(probe)
     q0 = max(p0, p1 + 1)
+    while restricted.block(q0)[0] <= after_row:
+        q0 += 1
     block = restricted.block(q0)
     supports = {}
     for n in block:
@@ -762,21 +794,18 @@ def steinhaus_adversary(
         stalled = False
         while True:
             cap = 8 * max(len(bits), 8) + 64
-            steps = 0
             if push_up:
-                # Push the running average past 3/4 (at least one step).
-                while steps < cap:
-                    if steps > 0 and 4 * ones >= 3 * len(bits):
-                        break
-                    bits.append(1)
-                    ones += 1
-                    steps += 1
+                # Push the running average past 3/4 (at least one step): s
+                # more ones get there once 4(ones + s) >= 3(len + s).
+                steps = min(cap, max(1, 3 * len(bits) - 4 * ones))
+                bits.extend(repeat(1, steps))
+                ones += steps
                 reached = 4 * ones >= 3 * len(bits)
             else:
-                # Pull the running average below 1/4.
-                while steps < cap and 4 * ones > len(bits):
-                    bits.append(0)
-                    steps += 1
+                # Pull the running average below 1/4: s zeros get there once
+                # 4 ones <= len + s.
+                steps = min(cap, max(0, 4 * ones - len(bits)))
+                bits.extend(repeat(0, steps))
                 reached = 4 * ones <= len(bits)
             phases.append(
                 {"direction": "up" if push_up else "down", "steps": steps, "at": len(bits)}
@@ -818,7 +847,11 @@ def steinhaus_adversary(
 @dataclass(frozen=True)
 class MeagernessDemo:
     """Transcript of repeated escapes: one selector family defeats every
-    bound in the schedule on fresh partition blocks."""
+    bound in the schedule on fresh partition blocks.
+
+    Each result's ``block_index`` counts blocks of that round's restricted
+    partition, which the next round renumbers; ``block`` holds the rows.
+    """
 
     results: tuple[EscapeResult, ...]
     all_hold: bool
@@ -832,13 +865,14 @@ def meagerness_demo(
     schedule: tuple[int, ...] = (1, 2, 4, 8),
 ) -> MeagernessDemo:
     stem: tuple[int, ...] = ()
-    floor = 1
+    last_row = 0
     results = []
     for m0 in schedule:
-        result = escape_rowfinite(stem, matrix, x, ideal, m0, p0=floor)
+        # Fresh by row: a block index belongs to one round's partition.
+        result = escape_rowfinite(stem, matrix, x, ideal, m0, after_row=last_row)
         results.append(result)
         stem = result.selector.stem
-        floor = result.block_index + 1
+        last_row = result.block[-1]
     return MeagernessDemo(
         results=tuple(results),
         all_hold=all(r.holds for r in results),

@@ -10,6 +10,7 @@ together with a certified tail bound, never silently truncated.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -35,6 +36,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 DEFAULT_COLUMN_CAP = 1 << 20
+# Columns a domain check sums when no certified tail width is in reach.
+DOMAIN_SCAN_COLUMNS = 4096
+# Rationals larger than this many bits print in a bounded form.
+RENDER_BITS = 4096
 
 
 def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
@@ -476,11 +481,17 @@ class CesaroMatrix(_StochasticTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
     averaging_core = True
+    _last_entry = ONE  # 1/n for the last row read; Fractions are immutable
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
-        return Fraction(1, n) if k <= n else ZERO
+        if k > n:
+            return ZERO
+        last = self._last_entry
+        if last.denominator != n:
+            last = self._last_entry = Fraction(1, n)
+        return last
 
     def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
         # The running sum stays an int while the inputs are integral, which
@@ -954,6 +965,18 @@ class DomainCheck:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
+def _bounded_str(value: Fraction) -> str:
+    """``str(value)`` for short rationals; a truncated decimal plus the sizes
+    otherwise, since Python refuses to print ints over 4300 digits."""
+    p, q = value.numerator, value.denominator
+    if max(abs(p).bit_length(), q.bit_length()) <= RENDER_BITS:
+        return str(value)
+    size = f"{abs(p).bit_length()}-bit numerator over {q.bit_length()}-bit denominator"
+    if abs(p) // q >= 1 << RENDER_BITS:
+        return f"({size})"
+    return f"{setlang.fraction_decimal(value)}... ({size})"
+
+
 def domain_check(
     matrix: SummabilityMatrix,
     x: SequenceSpec,
@@ -964,56 +987,76 @@ def domain_check(
 ) -> DomainCheck:
     """Does row n of the transform make sense for x?
 
-    ``converged`` needs a certified tail (row-finite rows give tail 0).
-    ``diverging`` needs finite-scale evidence: partial sums past the growth
-    bound, or a single term larger than 2*tol after the partials had settled
-    within tol over a window.  Anything else is ``inconclusive``.
+    ``converged`` needs a certified tail (row-finite rows give tail 0): the
+    first doubling width up to ``column_cap`` whose tail bound is at most
+    tol, found before any column is summed.  ``diverging`` needs
+    finite-scale evidence: partial sums past the growth bound, or a single
+    term larger than 2*tol after the partials had settled within tol over a
+    window.  Anything else is ``inconclusive``; without a certified width
+    the scan for evidence stops after ``DOMAIN_SCAN_COLUMNS`` columns.
     """
     if matrix.row_support(n) is not None:
         value = transform_value(matrix, x, n).value
         return DomainCheck("converged", n, value, ZERO, {"row_finite": True})
-    window: list[Fraction] = []
-    window_size = 16
+    certified = None
+    width = 32
+    while width <= column_cap:
+        tail = _certified_tail(matrix, x, n, width)
+        if tail is not None and tail <= tol:
+            certified = (width, tail)
+            break
+        width *= 2
+    if certified is not None:
+        last, budget = certified[0], None
+    elif column_cap > DOMAIN_SCAN_COLUMNS:
+        last, budget = DOMAIN_SCAN_COLUMNS, "DOMAIN_SCAN_COLUMNS"
+    else:
+        last, budget = column_cap, "column_cap"
+    # The partial sum is num/den over a running common denominator; the
+    # window holds the last partials' numerators over that same den.
+    window: deque[int] = deque(maxlen=16)
+    tp, tq = tol.numerator, tol.denominator
+    gp, gq = growth_bound.numerator, growth_bound.denominator
     stable_seen = False
-    partial = ZERO
-    next_tail_check = 32
-    for k in range(1, column_cap + 1):
-        term = matrix.entry(n, k) * x.value(k)
-        partial += term
-        if abs(partial) > growth_bound:
+    num, den = 0, 1
+    for k in range(1, last + 1):
+        a, v = matrix.entry(n, k), x.value(k)
+        p, q = a.numerator * v.numerator, a.denominator * v.denominator
+        if p:
+            if den % q:
+                num, grown = _add_ratio(num, den, p, q)
+                factor, den = grown // den, grown
+                for i in range(len(window)):
+                    window[i] *= factor
+            else:
+                num += p * (den // q)
+        if abs(num) * gq > gp * den:
+            partial = _bounded_str(Fraction(num, den))
             return DomainCheck(
-                "diverging",
-                n,
-                None,
-                None,
-                {"kind": "growth", "column": k, "partial": str(partial)},
+                "diverging", n, None, None, {"kind": "growth", "column": k, "partial": partial}
             )
-        if stable_seen and tol > 0 and abs(term) > 2 * tol:
+        if stable_seen and tol > 0 and abs(p) * tq > 2 * tp * q:
             return DomainCheck(
-                "diverging",
-                n,
-                None,
-                None,
-                {"kind": "late_term", "column": k, "term": str(term)},
+                "diverging", n, None, None,
+                {"kind": "late_term", "column": k, "term": str(Fraction(p, q))},
             )
-        window.append(partial)
-        if len(window) > window_size:
-            window.pop(0)
-            if tol > 0 and max(window) - min(window) <= tol:
-                stable_seen = True
-        if k == next_tail_check:
-            tail = _certified_tail(matrix, x, n, k)
-            if tail is not None and tail <= tol:
-                return DomainCheck(
-                    "converged", n, partial, tail, {"columns_used": k}
-                )
-            next_tail_check *= 2
+        window.append(num)
+        if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= tp * den:
+            stable_seen = True
+    if certified is not None:
+        return DomainCheck(
+            "converged", n, Fraction(num, den), certified[1], {"columns_used": last}
+        )
     return DomainCheck(
         "inconclusive",
         n,
         None,
         None,
-        {"columns_used": column_cap, "last_partial": str(partial)},
+        {
+            "budget": budget,
+            "columns_used": last,
+            "last_partial": _bounded_str(Fraction(num, den)),
+        },
     )
 
 

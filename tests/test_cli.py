@@ -15,7 +15,7 @@ import pytest
 from subsum import cli
 from subsum._version import __version__
 from subsum.setlang import MAX_NESTING
-from subsum.summability import DEFAULT_COLUMN_CAP
+from subsum.summability import DEFAULT_COLUMN_CAP, DOMAIN_SCAN_COLUMNS
 
 
 def run(capsys, argv):
@@ -134,6 +134,20 @@ class TestDomain:
         assert code == 0
         assert d["status"] == "converged"
         assert d["value"] == "2/5"
+
+    def test_rows_without_a_certified_tail_stop_at_the_scan_budget(self, capsys):
+        # sqperturb declares no bound, so only the scan could show divergence;
+        # it stops after DOMAIN_SCAN_COLUMNS columns, partial in bounded form.
+        started = time.perf_counter()
+        code, d = run_json(
+            capsys, ["domain", "--matrix", "gen:geometric", "--x", "sqperturb", "--row", "3"]
+        )
+        assert time.perf_counter() - started < 2
+        assert code == 3
+        assert d["status"] == "inconclusive"
+        assert d["evidence"]["budget"] == "DOMAIN_SCAN_COLUMNS"
+        assert d["evidence"]["columns_used"] == DOMAIN_SCAN_COLUMNS
+        assert d["evidence"]["last_partial"].startswith("1.380658809405... (")
 
 
 class TestMetric:
@@ -360,8 +374,24 @@ class TestDemo:
         code, d = run_json(capsys, ["demo", "--schedule", "1,2"])
         assert code == 0
         assert d["all_hold"] is True
-        assert [r["block_index"] for r in d["rounds"]] == [2, 3]
+        blocks = [r["block"] for r in d["rounds"]]
+        assert blocks == [list(range(4, 8)), list(range(16, 32))]
+        assert blocks[1][0] > blocks[0][-1]
         assert [r["bound"] for r in d["rounds"]] == ["1", "2"]
+
+    def test_the_default_schedule_exits_0_with_one_runlog_line(self, capsys, tmp_path):
+        log = tmp_path / "runs.jsonl"
+        started = time.perf_counter()
+        code, out, _ = run(capsys, ["demo", "--runlog", str(log)])
+        assert time.perf_counter() - started < 5
+        assert code == 0
+        d = json.loads(out)
+        assert d["all_hold"] is True
+        assert [(r["block"][0], r["block"][-1]) for r in d["rounds"]] == [
+            (4, 7), (16, 31), (64, 127), (256, 511)
+        ]
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 1 and records[0]["exit"] == 0
 
 
 # ------------------------------------------------------------------- plumbing

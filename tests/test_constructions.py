@@ -6,6 +6,7 @@ closed-form block counts; every certificate is re-audited through its own
 recount path and through independent tallies computed here.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -479,12 +480,40 @@ class TestMeagernessDemo:
         assert demo.all_hold
         assert len(demo.results) == 3
         indices = [r.block_index for r in demo.results]
-        assert indices == sorted(indices) and len(set(indices)) == 3
+        assert indices == sorted(indices)
+        # fresh blocks: each one starts after the previous one ends
+        for prev, cur in zip(demo.results, demo.results[1:]):
+            assert cur.block[0] > prev.block[-1]
         # each round extends the previous round's stem
         for prev, cur in zip(demo.results, demo.results[1:]):
             stem_prev = prev.selector.stem
             assert cur.selector.stem[: len(stem_prev)] == stem_prev
         assert demo.final_selector.total
+
+    def test_the_default_schedule_finishes_on_rows_by_powers_of_four(self):
+        started = time.perf_counter()
+        demo = meagerness_demo(CesaroMatrix(), parse_sequence("n"), Z)
+        assert time.perf_counter() - started < 5
+        assert demo.all_hold
+        assert [(r.block[0], r.block[-1]) for r in demo.results] == [
+            (4, 7), (16, 31), (64, 127), (256, 511)
+        ]
+        assert [r.bound for r in demo.results] == [1, 2, 4, 8]
+
+    def test_blocks_after_a_row_on_the_fin_ideal(self):
+        demo = meagerness_demo(CesaroMatrix(), parse_sequence("n"), FIN)
+        assert demo.all_hold
+        assert [r.block for r in demo.results] == [(2,), (4,), (6,), (8,)]
+
+    def test_after_row_skips_blocks_that_start_too_early(self):
+        x = parse_sequence("n")
+        first = escape_rowfinite((), CesaroMatrix(), x, FIN, 1)
+        assert first.block == (2,)
+        later = escape_rowfinite((), CesaroMatrix(), x, FIN, 1, after_row=6)
+        assert later.block == (7,)
+        # p0 keeps its meaning: the larger of the two floors wins
+        floor = escape_rowfinite((), CesaroMatrix(), x, FIN, 1, p0=9, after_row=6)
+        assert floor.block == (9,) and floor.block_index == 9
 
 
 # ---------------------------------------------------------------- adversary

@@ -8,18 +8,21 @@ postconditions they advertise, recounted here from the raw data.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsum import (
     CesaroMatrix,
     Consecutive,
+    ConstructionError,
     ExplicitMatrix,
     IdealPresentation,
     IdentityMatrix,
     OscillationCertificate,
     RowDropMatrix,
     Selector,
+    certificate_from_values,
     ideal_limit,
     metric,
     parse_matrix,
@@ -33,6 +36,7 @@ from subsum import (
     sequence_from_values,
     transform_value,
 )
+from subsum.constructions import _threshold_counts
 from subsum.setlang import (
     AP,
     Complement,
@@ -147,6 +151,38 @@ def test_certificates_round_trip_through_json(lower, gap, scales, data):
         upper_counts=tuple(data.draw(counts)),
     )
     assert OscillationCertificate.from_json_dict(cert.to_json_dict()) == cert
+
+
+def _reference_counts(values, lower, upper, scales):
+    """The certificate counts as first written: one Fraction slice per scale."""
+    return (
+        tuple(sum(1 for v in values[:s] if v <= lower) for s in scales),
+        tuple(sum(1 for v in values[:s] if v >= upper) for s in scales),
+    )
+
+
+_stream_value = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(_stream_value, max_size=40),
+    lower=st.fractions(-4, 4, max_denominator=8),
+    gap=st.fractions("1/16", 4, max_denominator=16),
+    scales=st.lists(st.integers(1, 50), min_size=1, max_size=5),
+)
+def test_certificate_counts_match_fraction_comparisons(values, lower, gap, scales):
+    # Unsorted, repeated and past-the-end scales; ints and Fractions alike.
+    upper = lower + gap
+    want = _reference_counts(values, lower, upper, scales)
+    assert _threshold_counts(values, lower, upper, tuple(scales)) == want
+    ordered = tuple(sorted(set(scales)))
+    cert = certificate_from_values(values, lower, upper, ordered, "x", "m")
+    lower_counts, upper_counts = _reference_counts(values, lower, upper, ordered)
+    assert (cert.lower_counts, cert.upper_counts) == (lower_counts, upper_counts)
+    if tuple(scales) != ordered:
+        with pytest.raises(ConstructionError):
+            certificate_from_values(values, lower, upper, tuple(scales), "x", "m")
 
 
 # ------------------------------------------------------ decision postconditions

@@ -6,6 +6,7 @@ oracle; tail certificates are checked against hand-derived closed forms
 structural facts that make them true or false.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -41,7 +42,7 @@ from subsum import (
     transform_value,
     validate_matrix_ideal,
 )
-from subsum.summability import domain_check
+from subsum.summability import DOMAIN_SCAN_COLUMNS, _bounded_str, domain_check
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -394,6 +395,24 @@ class TestDomainCheck:
         )
         assert report.status == "inconclusive"
         assert report.evidence["columns_used"] == 64
+        assert report.evidence["budget"] == "column_cap"
+
+    def test_scans_without_a_certified_tail_stop_at_the_budget(self):
+        # At column_cap=8000 the last partial used to overflow str().
+        started = time.perf_counter()
+        report = domain_check(
+            parse_matrix("gen:geometric"), parse_sequence("sqperturb"), 3, F(0), column_cap=8000
+        )
+        assert time.perf_counter() - started < 2
+        assert report.status == "inconclusive"
+        assert report.evidence["budget"] == "DOMAIN_SCAN_COLUMNS"
+        assert report.evidence["columns_used"] == DOMAIN_SCAN_COLUMNS
+
+    def test_oversized_rationals_render_in_bounded_form(self):
+        assert _bounded_str(F(-7, 3)) == "-7/3"
+        near_one = _bounded_str(F((1 << 20000) + 1, 1 << 20000))
+        assert near_one == "1.000000000000... (20001-bit numerator over 20001-bit denominator)"
+        assert _bounded_str(F(3**30000, 7)) == "(47549-bit numerator over 3-bit denominator)"
 
 
 # ---------------------------------------------------------------- profiles
