@@ -51,6 +51,7 @@ from .summability import (
     MatrixSpecError,
     SequenceSpecError,
     TailToleranceError,
+    _bounded_str,
     parse_matrix,
     parse_row,
     parse_sequence,
@@ -71,7 +72,7 @@ class AuditBudgetError(RuntimeError):
 
 
 def _frac(value: Fraction | None) -> str | None:
-    return None if value is None else str(Fraction(value))
+    return None if value is None else _bounded_str(Fraction(value))
 
 
 def _parse_stem(text: str) -> tuple[int, ...]:

@@ -27,15 +27,16 @@ from .setlang import (
     Squares,
     Tri,
     Union,
+    _chunks,
+    _finiteness,
     _window_maxima,
     banach_exact,
-    count_prefix,
     default_checkpoints,
     exact_density,
-    is_cofinite,
     is_finite,
     member,
     nu2,
+    prefix_counts,
     render,
 )
 
@@ -83,7 +84,7 @@ def _undecided(reason: str, scale: int, evidence: dict) -> MembershipVerdict:
 
 
 def _density_evidence(s: SetDescription, scale: int) -> dict:
-    counts = [(n, count_prefix(s, n)) for n in default_checkpoints(scale)]
+    counts = prefix_counts(s, default_checkpoints(scale))
     return {
         "prefix_counts": counts,
         "ratios": [str(Fraction(c, n)) for n, c in counts],
@@ -152,18 +153,18 @@ def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
 def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dict:
     """Counts of {n <= scale : n in S, nu2(n) = k} for k <= max_column."""
     counts = {k: 0 for k in range(max_column + 1)}
-    for n in range(1, scale + 1):
-        if member(s, n):
-            k = nu2(n)
-            if k <= max_column:
-                counts[k] += 1
+    for start, flags in _chunks(s, 1, scale):
+        for k in counts:
+            # n = start + i has nu2(n) == k exactly when n == 2**k mod 2**(k+1).
+            counts[k] += flags[((1 << k) - start) % (2 << k)::2 << k].count(1)
     return {"column_counts": counts, "scale": scale}
 
 
 def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    if is_finite(s) is Tri.YES:
+    fin, cofin = _finiteness(s)
+    if fin is Tri.YES:
         return _in("finite set")
-    if is_cofinite(s) is Tri.YES:
+    if cofin is Tri.YES:
         return _not_in("cofinite set meets every nu2 fiber infinitely often")
     if isinstance(s, AP):
         e = nu2(s.step)

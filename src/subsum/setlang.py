@@ -14,7 +14,9 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import sub
 
 ENUMERATION_CAP = 10**7
 
@@ -190,6 +192,70 @@ def member(s: SetDescription, n: int) -> bool:
     raise TypeError(f"not a set description: {s!r}")
 
 
+# ---------------------------------------------------------------- range scans
+# Counts without a closed form, window densities and member searches read
+# one 0/1 byte per integer, SCAN_CHUNK integers at a time, from _scan: one
+# slice or byte operation per node instead of one tree walk per integer.
+
+SCAN_CHUNK = 1 << 16
+_STRETCH = 1 << 10  # window evidence compares added and dropped flags this many at a time
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _scan(s: SetDescription, lo: int, hi: int) -> bytearray:
+    """Byte i is 1 exactly when lo + i is in S, for lo >= 1 or an empty range."""
+    size = hi - lo + 1
+    if size <= 0:
+        return bytearray()
+    flags = bytearray(size)
+    if isinstance(s, (AP, Nu2Ge)):
+        first, step = (s.first, s.step) if isinstance(s, AP) else (1 << s.threshold,) * 2
+        start = max(first, first - (first - lo) // step * step)
+        if start <= hi:
+            flags[start - lo::step] = b"\x01" * ((hi - start) // step + 1)
+    elif isinstance(s, Finite):
+        for m in s.members[bisect_left(s.members, lo):bisect_right(s.members, hi)]:
+            flags[m - lo] = 1
+    elif isinstance(s, Squares):
+        for i in range(isqrt(lo - 1) + 1, isqrt(hi) + 1):
+            flags[i * i - lo] = 1
+    elif isinstance(s, Powers2):
+        for j in range((lo - 1).bit_length(), hi.bit_length()):
+            flags[(1 << j) - lo] = 1
+    elif isinstance(s, DyadicBlocks):
+        first_q = max(1, lo.bit_length() - 1)
+        selected = _scan(s.selector, first_q, hi.bit_length() - 1)
+        for q, chosen in enumerate(selected, first_q):
+            if chosen:
+                a, b = max(lo, 1 << q), min(hi, (2 << q) - 1)
+                flags[a - lo:b - lo + 1] = b"\x01" * (b - a + 1)
+    elif isinstance(s, Complement):
+        return _scan(s.inner, lo, hi).translate(_FLIP)
+    elif isinstance(s, (Union, Intersection)):
+        a = int.from_bytes(_scan(s.left, lo, hi), "little")
+        b = int.from_bytes(_scan(s.right, lo, hi), "little")
+        both = a | b if isinstance(s, Union) else a & b
+        flags[:] = both.to_bytes(size, "little")
+    elif isinstance(s, Shift):
+        # m = n - offset; integers whose preimage falls below 1 stay out.
+        pad = max(0, 1 + s.offset - lo)
+        flags[pad:] = _scan(s.inner, lo + pad - s.offset, hi - s.offset)
+    else:
+        raise TypeError(f"not a set description: {s!r}")
+    return flags
+
+
+def _chunks(s: SetDescription, lo: int, hi: int, size: int = SCAN_CHUNK):
+    """Yield (start, _scan(s, start, end)) over [lo, hi], in chunks whose
+    length doubles from ``size`` up to SCAN_CHUNK (searches start small)."""
+    if lo < 1 <= hi:
+        raise ValueError("membership is defined on n >= 1")
+    while lo <= hi:
+        end = min(hi, lo + min(size, SCAN_CHUNK) - 1)
+        yield lo, _scan(s, lo, end)
+        lo, size = end + 1, 2 * size
+
+
 # ---------------------------------------------------------------- counting
 
 
@@ -277,16 +343,31 @@ def count_prefix(s: SetDescription, limit: int) -> int:
     Uses closed forms for the structured shapes; unions/intersections that
     do not reduce fall back to enumeration, capped at ENUMERATION_CAP.
     """
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    closed = _count_closed(s, limit)
-    if closed is not None:
-        return closed
-    if limit > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"counting to {limit} needs enumeration past cap {ENUMERATION_CAP}"
-        )
-    return sum(1 for n in range(1, limit + 1) if member(s, n))
+    return prefix_counts(s, [limit])[0][1]
+
+
+def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
+    """[(n, count_prefix(s, n)) for n in checkpoints], checkpoints increasing.
+
+    Closed forms first; the checkpoints left over share one range scan.
+    """
+    checkpoints = list(checkpoints)
+    counts = []
+    for limit in checkpoints:
+        if limit < 0:
+            raise ValueError("limit must be >= 0")
+        counts.append(_count_closed(s, limit))
+        if counts[-1] is None and limit > ENUMERATION_CAP:
+            raise EnumerationCapError(f"counting to {limit} needs enumeration past cap "
+                                      f"{ENUMERATION_CAP}")
+    todo = [i for i, c in enumerate(counts) if c is None]
+    total = 0
+    for start, flags in _chunks(s, 1, checkpoints[todo[-1]] if todo else 0):
+        while todo and checkpoints[todo[0]] < start + len(flags):
+            i = todo.pop(0)
+            counts[i] = total + flags.count(1, 0, checkpoints[i] - start + 1)
+        total += flags.count(1)
+    return list(zip(checkpoints, counts))
 
 
 def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
@@ -317,10 +398,7 @@ def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
             # The least inner member that lands on 1 or later.
             base = next_member(s.inner, -s.offset, cap)
         return None if base is None else base + s.offset
-    for n in range(1, cap + 1):
-        if member(s, n):
-            return n
-    return None
+    return next_member(s, 0, cap)
 
 
 def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> int | None:
@@ -335,9 +413,10 @@ def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> in
     if isinstance(s, Finite):
         i = bisect_right(s.members, after)
         return s.members[i] if i < len(s.members) else None
-    for n in range(after + 1, cap + 1):
-        if member(s, n):
-            return n
+    for start, flags in _chunks(s, after + 1, cap, 16):
+        i = flags.find(1)
+        if i >= 0:
+            return start + i
     return None
 
 
@@ -356,70 +435,57 @@ def iter_members(s: SetDescription, limit: int):
 
 def is_finite(s: SetDescription) -> Tri:
     """Is S finite?  Sound three-valued structural analysis."""
-    if isinstance(s, Finite):
-        return Tri.YES
-    if isinstance(s, (AP, Squares, Powers2, Nu2Ge)):
-        return Tri.NO
-    if isinstance(s, DyadicBlocks):
-        # Every block with index q >= 1 is nonempty.
-        return is_finite(s.selector)
-    if isinstance(s, Complement):
-        return is_cofinite(s.inner)
-    if isinstance(s, Shift):
-        # Shifting drops at most finitely many elements below 1.
-        return is_finite(s.inner)
-    if isinstance(s, Union):
-        a, b = is_finite(s.left), is_finite(s.right)
-        if a is Tri.YES and b is Tri.YES:
-            return Tri.YES
-        if Tri.NO in (a, b):
-            return Tri.NO
-        return Tri.UNKNOWN
-    if isinstance(s, Intersection):
-        a, b = is_finite(s.left), is_finite(s.right)
-        if Tri.YES in (a, b):
-            return Tri.YES
-        if isinstance(s.left, AP) and isinstance(s.right, AP):
-            merged = _merge_aps(s.left, s.right)
-            return Tri.YES if isinstance(merged, Finite) else Tri.NO
-        return Tri.UNKNOWN
-    raise TypeError(f"not a set description: {s!r}")
+    return _finiteness(s)[0]
 
 
 def is_cofinite(s: SetDescription) -> Tri:
     """Is the complement of S finite?  Sound three-valued analysis."""
-    if isinstance(s, Finite):
-        return Tri.NO
-    if isinstance(s, AP):
-        return Tri.YES if s.step == 1 else Tri.NO
-    if isinstance(s, (Squares, Powers2)):
-        return Tri.NO
-    if isinstance(s, Nu2Ge):
-        return Tri.YES if s.threshold == 0 else Tri.NO
-    if isinstance(s, DyadicBlocks):
-        # Complement is {1} plus the unselected blocks.
-        return is_cofinite(s.selector)
-    if isinstance(s, Complement):
-        return is_finite(s.inner)
-    if isinstance(s, Shift):
-        if s.offset <= 0:
-            return is_cofinite(s.inner)
-        # A positive shift leaves [1, offset] uncovered but that is finite.
-        return is_cofinite(s.inner)
+    return _finiteness(s)[1]
+
+
+def _both(a: Tri, b: Tri) -> Tri:
+    """Does a property hold for both parts, given three-valued answers?"""
+    if a is Tri.YES and b is Tri.YES:
+        return Tri.YES
+    return Tri.NO if Tri.NO in (a, b) else Tri.UNKNOWN
+
+
+def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
+    """(is_finite(s), is_cofinite(s)) from one recursion over the tree."""
+    # Composite nodes first: deep trees are mostly unions and intersections.
     if isinstance(s, Union):
-        a, b = is_cofinite(s.left), is_cofinite(s.right)
-        if Tri.YES in (a, b):
-            return Tri.YES
-        if is_finite(s) is Tri.YES:
-            return Tri.NO
-        return Tri.UNKNOWN
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(s.left), _finiteness(s.right)
+        fin = _both(fin_a, fin_b)
+        if Tri.YES in (cofin_a, cofin_b):
+            return fin, Tri.YES
+        return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
     if isinstance(s, Intersection):
-        a, b = is_cofinite(s.left), is_cofinite(s.right)
-        if a is Tri.YES and b is Tri.YES:
-            return Tri.YES
-        if Tri.NO in (a, b):
-            return Tri.NO
-        return Tri.UNKNOWN
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(s.left), _finiteness(s.right)
+        cofin = _both(cofin_a, cofin_b)
+        if Tri.YES in (fin_a, fin_b):
+            return Tri.YES, cofin
+        if isinstance(s.left, AP) and isinstance(s.right, AP):
+            merged = _merge_aps(s.left, s.right)
+            return Tri.YES if isinstance(merged, Finite) else Tri.NO, cofin
+        return Tri.UNKNOWN, cofin
+    if isinstance(s, DyadicBlocks):
+        # Every block with index q >= 1 is nonempty, and the complement is
+        # {1} plus the unselected blocks.
+        return _finiteness(s.selector)
+    if isinstance(s, Complement):
+        fin, cofin = _finiteness(s.inner)
+        return cofin, fin
+    if isinstance(s, Shift):
+        # A shift moves every member and drops at most finitely many below 1.
+        return _finiteness(s.inner)
+    if isinstance(s, Finite):
+        return Tri.YES, Tri.NO
+    if isinstance(s, AP):
+        return Tri.NO, Tri.YES if s.step == 1 else Tri.NO
+    if isinstance(s, (Squares, Powers2)):
+        return Tri.NO, Tri.NO
+    if isinstance(s, Nu2Ge):
+        return Tri.NO, Tri.YES if s.threshold == 0 else Tri.NO
     raise TypeError(f"not a set description: {s!r}")
 
 
@@ -484,7 +550,8 @@ def exact_density(s: SetDescription) -> Fraction | None:
 
 def banach_exact(s: SetDescription) -> Fraction | None:
     """Exact Banach (uniform upper) density when certified, else None."""
-    if is_finite(s) is Tri.YES:
+    # A union or shift is finite only through its parts, which answer ZERO.
+    if not isinstance(s, (Union, Shift)) and is_finite(s) is Tri.YES:
         return ZERO
     if isinstance(s, AP):
         return Fraction(1, s.step)
@@ -537,22 +604,33 @@ def max_window_density(s: SetDescription, limit: int, window: int) -> Fraction:
 
 
 def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fraction]:
-    """max_window_density at each window length, from one membership scan."""
+    """max_window_density at each window length, from one range scan.
+
+    A window's count is a running sum of added minus dropped flags; stretches
+    where they agree change nothing, and a full window is done.  The scan
+    keeps the last longest window's flags; zeros stand for integers below 1.
+    """
     if not all(1 <= window <= limit for window in windows):
         raise ValueError("need 1 <= window <= limit")
     if limit > ENUMERATION_CAP:
         raise EnumerationCapError("window scan past cap")
-    flags = [member(s, n) for n in range(1, limit + 1)]
-    maxima = []
-    for window in windows:
-        current = sum(flags[:window])
-        best = current
-        for t in range(window, limit):
-            current += flags[t] - flags[t - window]
-            if current > best:
-                best = current
-        maxima.append(Fraction(best, window))
-    return maxima
+    longest = max(windows, default=0)
+    best, current = dict.fromkeys(windows, 0), dict.fromkeys(windows, 0)
+    kept = bytearray(longest)
+    for _, flags in _chunks(s, 1, limit):
+        buf = kept + flags
+        for w in [w for w in best if best[w] < w]:
+            for a in range(longest, len(buf), _STRETCH):
+                b = min(a + _STRETCH, len(buf))
+                added, dropped = buf[a:b], buf[a - w:b - w]
+                if added != dropped and best[w] < current[w] + added.count(1):
+                    steps = accumulate(map(sub, added, dropped), initial=current[w])
+                    best[w] = max(best[w], max(steps))
+                current[w] += added.count(1) - dropped.count(1)
+        if all(best[w] == w for w in best):
+            break
+        kept = buf[len(buf) - longest:]
+    return [Fraction(best[w], w) for w in windows]
 
 
 @dataclass(frozen=True)
@@ -591,7 +669,7 @@ def density_report(
         raise ValueError("checkpoints must be nonempty and strictly increasing")
     if checkpoints[0] < 1 or checkpoints[-1] > limit:
         raise ValueError("checkpoints must lie in [1, limit]")
-    counts = tuple((n, count_prefix(s, n)) for n in checkpoints)
+    counts = tuple(prefix_counts(s, checkpoints))
     ratios = [Fraction(c, n) for n, c in counts]
     exact = exact_density(s)
     if exact is not None:

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,27 @@ class TestTransform:
         assert time.monotonic() - started < 5.0
         assert code == 3
         assert "TailToleranceError" in err
+
+
+    def test_values_past_the_int_to_str_limit_print_in_bounded_form(self, capsys):
+        # A tolerance of 2^-14000 makes the row value's denominator over
+        # 4300 digits, which str() refuses; it prints truncated instead.
+        tol = f"1/{2**14000}"
+        code, d = run_json(capsys, ["transform", "--matrix", "gen:geometric", "--x", "alt",
+                                    "--rows", "1", "--tail-tol", tol])
+        assert code == 0
+        assert d["rows"][0]["value"] == (
+            "0.333333333333... (16383-bit numerator over 16385-bit denominator)"
+        )
+
+    def test_values_up_to_4096_bits_print_exactly(self, capsys):
+        tol = f"1/{2**2000}"
+        code, d = run_json(capsys, ["transform", "--matrix", "gen:geometric", "--x", "alt",
+                                    "--rows", "1", "--tail-tol", tol])
+        assert code == 0
+        value = Fraction(d["rows"][0]["value"])
+        assert str(value) == d["rows"][0]["value"]
+        assert 2000 < value.denominator.bit_length() <= 4096
 
 
 class TestDomain:

@@ -6,6 +6,7 @@ never *prove* a verdict, but a decided verdict that disagrees with what the
 first ten thousand integers show is wrong, and that is what we detect here.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -183,24 +184,34 @@ class TestBanachDensityZeroIdeal:
         assert "max_window_density" in v.evidence
 
     def test_window_evidence_scans_the_set_once(self, monkeypatch):
-        real = setlang.member
-        calls = {"top": 0, "depth": 0}
+        real_member, real_chunks = setlang.member, setlang._chunks
+        calls = {"top": 0, "depth": 0, "scans": 0}
 
         def counting(s, n):
             if calls["depth"]:
-                return real(s, n)
+                return real_member(s, n)
             calls["top"] += 1
             calls["depth"] = 1
             try:
-                return real(s, n)
+                return real_member(s, n)
             finally:
                 calls["depth"] = 0
 
+        def counting_chunks(s, lo, hi):
+            calls["scans"] += 1
+            return real_chunks(s, lo, hi)
+
         monkeypatch.setattr(setlang, "member", counting)
-        v = BD.verdict(DyadicBlocks(Intersection(Squares(), AP(1, 2))), 10**4)
+        monkeypatch.setattr(setlang, "_chunks", counting_chunks)
+        monkeypatch.setattr(setlang, "SCAN_CHUNK", 1000)
+        scale = 10**4
+        v = BD.verdict(DyadicBlocks(Intersection(Squares(), AP(1, 2))), scale)
         assert v.status == "undecided"
         assert [w for w, _ in v.evidence["max_window_density"]] == [8, 32, 128, 512, 2048]
-        assert calls["top"] == 10**4
+        # One range scan serves all five window lengths; at most the dyadic
+        # selector is asked about single block indices.
+        assert calls["scans"] == 1
+        assert calls["top"] <= scale.bit_length()
 
     def test_banach_null_never_contradicts_density_null(self):
         # Banach-null implies density-null, so a bd "in" forbids a z "not_in".
@@ -612,8 +623,9 @@ def _no_evidence(monkeypatch):
         raise AssertionError("a decided verdict computed evidence")
 
     for module, name in (
-        (ideals_mod, "count_prefix"),
+        (ideals_mod, "prefix_counts"),
         (ideals_mod, "_window_maxima"),
+        (ideals_mod, "_chunks"),
         (ideals_mod, "member"),
         (summability_mod, "transform_prefix"),
     ):
@@ -652,3 +664,29 @@ def test_kinds_without_limit_search_say_so():
     assert FXF.limit_rule is None
     assert parse_ideal("matrix:cesaro").limit_rule is None
     assert all(ideal.limit_rule is not None for ideal in (FIN, Z, BD))
+
+
+def test_deep_union_chains_decide_in_linear_passes():
+    # 255 left-nested unions, just under MAX_NESTING: finiteness and
+    # cofiniteness come from one recursion, so no level rescans its subtree
+    # once per question.
+    chain = parse_set("union:" * 255 + "ap:1,2" + "|builtin:squares" * 255)
+    started = time.perf_counter()
+    verdicts = [ideal.verdict(chain) for ideal in (FIN, Z, BD, FXF)]
+    assert time.perf_counter() - started < 0.2
+    assert [(v.status, v.reason) for v in verdicts] == [
+        ("not_in", "structurally infinite"),
+        ("not_in", "exact density 1/2 > 0"),
+        ("not_in", "exact Banach density 1/2 > 0"),
+        ("not_in", "contains a certified non-member subset"),
+    ]
+
+
+def test_density_evidence_without_closed_forms_stays_fast():
+    # No square is 3 mod 4, but only a scan shows it: one pass serves all
+    # four checkpoints.
+    started = time.perf_counter()
+    v = FIN.verdict(Intersection(Squares(), AP(3, 4)), 10**6)
+    assert time.perf_counter() - started < 1.0
+    assert v.status == "undecided"
+    assert v.evidence["prefix_counts"] == [(125000, 0), (250000, 0), (500000, 0), (10**6, 0)]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subsum import setlang
+from subsum.ideals import nu2_column_audit
 from subsum.setlang import (
     AP,
     Complement,
@@ -331,3 +333,88 @@ def test_render_parse_identity(s, limit):
     again = parse_set(render(s))
     for n in range(1, limit + 1):
         assert member(again, n) == member(s, n)
+
+
+# ---------------------------------------------------------------- range scans
+
+
+def _scan_trees():
+    """Every node kind, shifts of both signs and nested dyadic blocks."""
+    return st.recursive(
+        _base_sets(),
+        lambda inner: st.one_of(
+            st.builds(Complement, inner),
+            st.builds(Union, inner, inner),
+            st.builds(Intersection, inner, inner),
+            st.builds(Shift, inner, st.integers(-200, 200)),
+            st.builds(DyadicBlocks, inner),
+            st.builds(DyadicBlocks, st.builds(DyadicBlocks, inner)),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    s=_scan_trees(),
+    chunk=st.integers(0, 3),
+    offset=st.integers(-40, 40),
+    size=st.integers(0, 200),
+)
+def test_scan_matches_membership(s, chunk, offset, size):
+    # Ranges start near multiples of SCAN_CHUNK and often straddle one.
+    lo = max(1, chunk * setlang.SCAN_CHUNK + offset)
+    expected = bytearray(member(s, n) for n in range(lo, lo + size))
+    assert setlang._scan(s, lo, lo + size - 1) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    s=_scan_trees(),
+    limit=st.integers(1, 300),
+    chunk=st.sampled_from([7, 64, setlang.SCAN_CHUNK]),
+    data=st.data(),
+)
+def test_chunked_scans_match_member_loops(s, limit, chunk, data):
+    flags = [member(s, n) for n in range(1, limit + 1)]
+    checkpoints = sorted(data.draw(st.sets(st.integers(0, limit), min_size=1)))
+    windows = data.draw(st.lists(st.integers(1, limit), max_size=4))
+    after = data.draw(st.integers(0, limit))
+    columns = {k: 0 for k in range(21)}
+    for n in range(1, limit + 1):
+        columns[nu2(n)] += flags[n - 1] if nu2(n) <= 20 else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(setlang, "SCAN_CHUNK", chunk)
+        assert count_prefix(s, limit) == sum(flags)
+        assert setlang.prefix_counts(s, checkpoints) == [(n, sum(flags[:n])) for n in checkpoints]
+        assert setlang._window_maxima(s, limit, windows) == [
+            Fraction(max(sum(flags[t:t + w]) for t in range(limit - w + 1)), w) for w in windows
+        ]
+        assert nu2_column_audit(s, limit)["column_counts"] == columns
+        # Complements and intersections have no structural shortcut (one
+        # that may answer past the cap), so these searches scan.
+        scanned = Intersection(s, setlang.NATURALS)
+        assert setlang.next_member(scanned, after, limit) == next(
+            (n for n in range(after + 1, limit + 1) if flags[n - 1]), None
+        )
+        assert setlang.first_member(scanned, limit) == next(
+            (n for n, f in enumerate(flags, 1) if f), None
+        )
+        assert setlang.first_member(Complement(s), limit) == next(
+            (n for n, f in enumerate(flags, 1) if not f), None
+        )
+
+
+def test_counts_without_closed_forms_stay_fast():
+    # Squares and powers of 2 meet in the powers of 4: no closed form.
+    started = time.perf_counter()
+    report = density_report(Union(Squares(), Powers2()), 10**6)
+    assert time.perf_counter() - started < 1.0
+    assert report.prefix_counts[-1] == (10**6, 1000 + 20 - 10)
+
+
+def test_member_search_to_the_cap_stays_fast():
+    # No square is 3 mod 4, so the search runs to ENUMERATION_CAP.
+    started = time.perf_counter()
+    assert setlang.first_member(Intersection(Squares(), AP(3, 4))) is None
+    assert time.perf_counter() - started < 1.0
