@@ -382,14 +382,15 @@ def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
         return 1 << s.threshold if s.threshold else 1
     if isinstance(s, DyadicBlocks):
         q = first_member(s.selector, cap)
-        return None if q is None else 1 << q
+        return None if q is None or q >= cap.bit_length() else 1 << q
     if isinstance(s, Union):
         a = first_member(s.left, cap)
         b = first_member(s.right, cap)
-        if a is None:
-            return b
-        if b is None:
-            return a
+        if a is None or b is None:
+            # The side with no member up to cap may still have one between
+            # cap and the other side's least.
+            least = b if a is None else a
+            return None if least is None or least > cap else least
         return min(a, b)
     if isinstance(s, Shift):
         if s.offset >= 0:

@@ -194,6 +194,18 @@ def test_first_and_next_member():
     assert setlang.next_member(AP(3, 4), 3) == 7
 
 
+def test_first_member_never_builds_a_block_past_the_cap():
+    s = parse_set("union:ap:1,1|builtin:dyadic_blocks(builtin:dyadic_blocks(finite:{60}))")
+    assert setlang.first_member(s) == 1
+    assert setlang.first_member(DyadicBlocks(Finite((60,)))) is None
+    assert setlang.first_member(DyadicBlocks(Finite((60,))), 1 << 60) == 1 << 60
+    # past the cap a union answers only when both sides name their least
+    late = parse_set("union:ap:2000000000,1|builtin:dyadic_blocks(finite:{30})")
+    assert setlang.first_member(late) is None
+    assert setlang.first_member(late, 1 << 31) == 1 << 30
+    assert setlang.first_member(Union(AP(1 << 40, 1), AP(1 << 41, 1))) == 1 << 40
+
+
 def test_is_finite_and_cofinite():
     assert is_finite(Finite((1, 2))) is Tri.YES
     assert is_finite(AP(5, 7)) is Tri.NO

@@ -6,6 +6,7 @@ oracle; tail certificates are checked against hand-derived closed forms
 structural facts that make them true or false.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -270,6 +271,25 @@ class TestRandomRowFinite:
                 v = m.entry(n, k)
                 assert abs(v.numerator) <= 9 * 9 and v.denominator <= 9
 
+    @pytest.mark.parametrize("seed", [3, 17, 52])
+    def test_entries_follow_the_documented_recipe(self, seed):
+        # One mt19937 stream per (seed, n, k), recomputed here on its own.
+        m = random_rowfinite_matrix(seed)
+        forced = 0
+        for n in range(1, 151):
+            for k in range(1, n + 2):
+                want = F(0)
+                if k <= n:
+                    rng = random.Random(f"rowfinite:{seed}:{n}:{k}")
+                    num = rng.randrange(-9, 10)
+                    if k == n and num == 0:
+                        num = rng.choice([-3, -2, -1, 1, 2, 3])
+                        forced += 1
+                    want = F(num, rng.randrange(1, 10))
+                got = m.entry(n, k)
+                assert type(got) is F and got == want, (n, k)
+        assert forced > 0
+
 
 # ---------------------------------------------------------------- transforms
 
@@ -506,6 +526,18 @@ class TestRegularity:
     def test_random_rowfinite_is_undecided_not_misjudged(self):
         v = regularity_verdict(random_rowfinite_matrix(3), FIN, n_rows=128)
         assert v.overall == "undecided"
+
+    def test_random_rowfinite_at_the_default_scale_is_bounded(self):
+        m = random_rowfinite_matrix(3)
+        started = time.perf_counter()
+        v = regularity_verdict(m, FIN)
+        assert time.perf_counter() - started < 2
+        assert v.overall == "undecided"
+        head = max(sum(abs(m.entry(n, k)) for k in range(1, n + 1)) for n in range(1, 65))
+        assert v.r1.holds == "at_scale" and F(v.r1.data["bound"]) >= head
+        # r3 can only be evidence here, so it reads the 64 head rows r1 samples.
+        assert v.r3.holds == "undecided" and not v.r3.certified
+        assert v.r3.data["rows"] == 64
 
 
 class TestMatrixIdealValidation:
