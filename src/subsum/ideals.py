@@ -28,7 +28,6 @@ from .setlang import (
     Tri,
     Union,
     _chunks,
-    _finiteness,
     _window_maxima,
     banach_exact,
     default_checkpoints,
@@ -161,7 +160,7 @@ def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dic
 
 
 def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    fin, cofin = _finiteness(s)
+    fin, cofin = s.finiteness()
     if fin is Tri.YES:
         return _in("finite set")
     if cofin is Tri.YES:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt
-from operator import sub
+from operator import and_, or_, sub
 
 ENUMERATION_CAP = 10**7
 
@@ -56,10 +56,59 @@ def nu2(n: int) -> int:
 
 
 # ---------------------------------------------------------------- AST nodes
+# Each node kind states its structural facts once, as methods; the module
+# functions below check their arguments and ask the node.  Range scans read
+# one 0/1 byte per integer, SCAN_CHUNK integers at a time: one slice or byte
+# operation per node instead of one tree walk per integer.
+
+SCAN_CHUNK = 1 << 16
+_STRETCH = 1 << 10  # window evidence compares added and dropped flags this many at a time
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+class SetDescription:
+    """A subset of N given by its structure.
+
+    Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
+    flags of ``_scan`` for 1 <= lo <= hi), ``finiteness()`` (is_finite,
+    is_cofinite) and ``render()``.  The defaults below mean "no structural
+    shortcut": no closed-form count, no certified density, and member
+    searches scan.
+    """
+
+    def count(self, limit: int) -> int | None:
+        """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
+        return None
+
+    def density(self) -> Fraction | None:
+        """Certified asymptotic density, or None."""
+        return None
+
+    def banach(self) -> Fraction | None:
+        """Certified Banach (uniform upper) density, or None."""
+        return None
+
+    def first_member(self, cap: int) -> int | None:
+        return self.next_member(0, cap)
+
+    def next_member(self, after: int, cap: int) -> int | None:
+        for start, flags in _chunks(self, after + 1, cap, 16):
+            i = flags.find(1)
+            if i >= 0:
+                return start + i
+        return None
+
+
+def _marked(lo: int, hi: int, members) -> bytearray:
+    """Flags over [lo, hi] with a 1 at each of ``members`` (all inside it)."""
+    flags = bytearray(hi - lo + 1)
+    for m in members:
+        flags[m - lo] = 1
+    return flags
 
 
 @dataclass(frozen=True)
-class Finite:
+class Finite(SetDescription):
     members: tuple[int, ...]
 
     def __post_init__(self):
@@ -68,9 +117,66 @@ class Finite:
             raise ValueError("finite set members must be >= 1")
         object.__setattr__(self, "members", normalized)
 
+    def member(self, n):
+        i = bisect_left(self.members, n)
+        return i < len(self.members) and self.members[i] == n
+
+    def scan(self, lo, hi):
+        return _marked(lo, hi, self.members[bisect_left(self.members, lo):
+                                            bisect_right(self.members, hi)])
+
+    def count(self, limit):
+        return bisect_right(self.members, limit)
+
+    def next_member(self, after, cap):
+        i = bisect_right(self.members, after)
+        return self.members[i] if i < len(self.members) else None
+
+    def finiteness(self):
+        return Tri.YES, Tri.NO
+
+    def density(self):
+        return ZERO
+
+    def banach(self):
+        return ZERO
+
+    def render(self):
+        return "finite:{" + ",".join(map(str, self.members)) + "}"
+
+
+class _Progression(SetDescription):
+    """{first, first + step, first + 2*step, ...}; subclasses supply both."""
+
+    def member(self, n):
+        return n >= self.first and (n - self.first) % self.step == 0
+
+    def scan(self, lo, hi):
+        flags = bytearray(hi - lo + 1)
+        first, step = self.first, self.step
+        start = max(first, first - (first - lo) // step * step)
+        if start <= hi:
+            flags[start - lo::step] = b"\x01" * ((hi - start) // step + 1)
+        return flags
+
+    def count(self, limit):
+        return max(0, (limit - self.first) // self.step + 1)
+
+    def next_member(self, after, cap):
+        return self.first + max(0, (after - self.first) // self.step + 1) * self.step
+
+    def finiteness(self):
+        return Tri.NO, Tri.YES if self.step == 1 else Tri.NO
+
+    def density(self):
+        return Fraction(1, self.step)
+
+    def banach(self):
+        return Fraction(1, self.step)
+
 
 @dataclass(frozen=True)
-class AP:
+class AP(_Progression):
     """Arithmetic progression {first, first+step, first+2*step, ...}."""
 
     first: int
@@ -82,19 +188,12 @@ class AP:
         if self.step < 1:
             raise ValueError("AP step must be >= 1")
 
-
-@dataclass(frozen=True)
-class Squares:
-    pass
+    def render(self):
+        return f"ap:{self.first},{self.step}"
 
 
 @dataclass(frozen=True)
-class Powers2:
-    pass
-
-
-@dataclass(frozen=True)
-class Nu2Ge:
+class Nu2Ge(_Progression):
     """All n with nu2(n) >= threshold, i.e. multiples of 2**threshold."""
 
     threshold: int
@@ -103,164 +202,163 @@ class Nu2Ge:
         if self.threshold < 0:
             raise ValueError("nu2_ge threshold must be >= 0")
 
+    @property
+    def step(self):
+        return 1 << self.threshold
+
+    first = step
+
+    def render(self):
+        return f"builtin:nu2_ge({self.threshold})"
+
+
+class _Sparse(SetDescription):
+    """An infinite set from 1 on whose gaps grow without bound, so any fixed
+    window length eventually holds at most one member: density and Banach
+    density 0."""
+
+    def first_member(self, cap):
+        return 1
+
+    def finiteness(self):
+        return Tri.NO, Tri.NO
+
+    def density(self):
+        return ZERO
+
+    def banach(self):
+        return ZERO
+
 
 @dataclass(frozen=True)
-class DyadicBlocks:
+class Squares(_Sparse):
+    def member(self, n):
+        r = isqrt(n)
+        return r * r == n
+
+    def scan(self, lo, hi):
+        return _marked(lo, hi, (i * i for i in range(isqrt(lo - 1) + 1, isqrt(hi) + 1)))
+
+    def count(self, limit):
+        return isqrt(limit)
+
+    def render(self):
+        return "builtin:squares"
+
+
+@dataclass(frozen=True)
+class Powers2(_Sparse):
+    def member(self, n):
+        return n & (n - 1) == 0
+
+    def scan(self, lo, hi):
+        return _marked(lo, hi, (1 << j for j in range((lo - 1).bit_length(), hi.bit_length())))
+
+    def count(self, limit):
+        return limit.bit_length()
+
+    def render(self):
+        return "builtin:powers2"
+
+
+@dataclass(frozen=True)
+class DyadicBlocks(SetDescription):
     """Union of dyadic blocks [2**q, 2**(q+1)) over q in the selector.
 
     Block indices q are naturals (q >= 1), so the described set lives in
     [2, infinity) and never contains 1.
     """
 
-    selector: "SetDescription"
+    selector: SetDescription
 
+    def member(self, n):
+        return n > 1 and self.selector.member(n.bit_length() - 1)
 
-@dataclass(frozen=True)
-class Complement:
-    inner: "SetDescription"
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "SetDescription"
-    right: "SetDescription"
-
-
-@dataclass(frozen=True)
-class Intersection:
-    left: "SetDescription"
-    right: "SetDescription"
-
-
-@dataclass(frozen=True)
-class Shift:
-    """{m + offset : m in inner} intersected with N; offset may be negative."""
-
-    inner: "SetDescription"
-    offset: int
-
-
-SetDescription = (
-    Finite
-    | AP
-    | Squares
-    | Powers2
-    | Nu2Ge
-    | DyadicBlocks
-    | Complement
-    | Union
-    | Intersection
-    | Shift
-)
-
-NATURALS = AP(1, 1)
-EMPTY = Finite(())
-
-
-# ---------------------------------------------------------------- membership
-
-
-def member(s: SetDescription, n: int) -> bool:
-    """Decide n in S.  n must be >= 1."""
-    if n < 1:
-        raise ValueError("membership is defined on n >= 1")
-    if isinstance(s, Finite):
-        i = bisect_left(s.members, n)
-        return i < len(s.members) and s.members[i] == n
-    if isinstance(s, AP):
-        return n >= s.first and (n - s.first) % s.step == 0
-    if isinstance(s, Squares):
-        r = isqrt(n)
-        return r * r == n
-    if isinstance(s, Powers2):
-        return n & (n - 1) == 0
-    if isinstance(s, Nu2Ge):
-        return n % (1 << s.threshold) == 0
-    if isinstance(s, DyadicBlocks):
-        if n == 1:
-            return False
-        return member(s.selector, n.bit_length() - 1)
-    if isinstance(s, Complement):
-        return not member(s.inner, n)
-    if isinstance(s, Union):
-        return member(s.left, n) or member(s.right, n)
-    if isinstance(s, Intersection):
-        return member(s.left, n) and member(s.right, n)
-    if isinstance(s, Shift):
-        m = n - s.offset
-        return m >= 1 and member(s.inner, m)
-    raise TypeError(f"not a set description: {s!r}")
-
-
-# ---------------------------------------------------------------- range scans
-# Counts without a closed form, window densities and member searches read
-# one 0/1 byte per integer, SCAN_CHUNK integers at a time, from _scan: one
-# slice or byte operation per node instead of one tree walk per integer.
-
-SCAN_CHUNK = 1 << 16
-_STRETCH = 1 << 10  # window evidence compares added and dropped flags this many at a time
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _scan(s: SetDescription, lo: int, hi: int) -> bytearray:
-    """Byte i is 1 exactly when lo + i is in S, for lo >= 1 or an empty range."""
-    size = hi - lo + 1
-    if size <= 0:
-        return bytearray()
-    flags = bytearray(size)
-    if isinstance(s, (AP, Nu2Ge)):
-        first, step = (s.first, s.step) if isinstance(s, AP) else (1 << s.threshold,) * 2
-        start = max(first, first - (first - lo) // step * step)
-        if start <= hi:
-            flags[start - lo::step] = b"\x01" * ((hi - start) // step + 1)
-    elif isinstance(s, Finite):
-        for m in s.members[bisect_left(s.members, lo):bisect_right(s.members, hi)]:
-            flags[m - lo] = 1
-    elif isinstance(s, Squares):
-        for i in range(isqrt(lo - 1) + 1, isqrt(hi) + 1):
-            flags[i * i - lo] = 1
-    elif isinstance(s, Powers2):
-        for j in range((lo - 1).bit_length(), hi.bit_length()):
-            flags[(1 << j) - lo] = 1
-    elif isinstance(s, DyadicBlocks):
+    def scan(self, lo, hi):
+        flags = bytearray(hi - lo + 1)
         first_q = max(1, lo.bit_length() - 1)
-        selected = _scan(s.selector, first_q, hi.bit_length() - 1)
-        for q, chosen in enumerate(selected, first_q):
+        for q, chosen in enumerate(_scan(self.selector, first_q, hi.bit_length() - 1), first_q):
             if chosen:
                 a, b = max(lo, 1 << q), min(hi, (2 << q) - 1)
                 flags[a - lo:b - lo + 1] = b"\x01" * (b - a + 1)
-    elif isinstance(s, Complement):
-        return _scan(s.inner, lo, hi).translate(_FLIP)
-    elif isinstance(s, (Union, Intersection)):
-        a = int.from_bytes(_scan(s.left, lo, hi), "little")
-        b = int.from_bytes(_scan(s.right, lo, hi), "little")
-        both = a | b if isinstance(s, Union) else a & b
-        flags[:] = both.to_bytes(size, "little")
-    elif isinstance(s, Shift):
-        # m = n - offset; integers whose preimage falls below 1 stay out.
-        pad = max(0, 1 + s.offset - lo)
-        flags[pad:] = _scan(s.inner, lo + pad - s.offset, hi - s.offset)
-    else:
-        raise TypeError(f"not a set description: {s!r}")
-    return flags
+        return flags
+
+    def count(self, limit):
+        return sum(min((2 << q) - 1, limit) - (1 << q) + 1
+                   for q in range(1, limit.bit_length()) if self.selector.member(q))
+
+    def first_member(self, cap):
+        q = self.selector.first_member(cap)
+        return None if q is None or q >= cap.bit_length() else 1 << q
+
+    def finiteness(self):
+        # Every block with index q >= 1 is nonempty, and the complement is
+        # {1} plus the unselected blocks.
+        return self.selector.finiteness()
+
+    def density(self):
+        fin, cofin = self.selector.finiteness()
+        return ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
+
+    def banach(self):
+        # An infinite selector gives arbitrarily long intervals.
+        return {Tri.YES: ZERO, Tri.NO: ONE}.get(self.selector.finiteness()[0])
+
+    def render(self):
+        return f"builtin:dyadic_blocks({self.selector.render()})"
 
 
-def _chunks(s: SetDescription, lo: int, hi: int, size: int = SCAN_CHUNK):
-    """Yield (start, _scan(s, start, end)) over [lo, hi], in chunks whose
-    length doubles from ``size`` up to SCAN_CHUNK (searches start small)."""
-    if lo < 1 <= hi:
-        raise ValueError("membership is defined on n >= 1")
-    while lo <= hi:
-        end = min(hi, lo + min(size, SCAN_CHUNK) - 1)
-        yield lo, _scan(s, lo, end)
-        lo, size = end + 1, 2 * size
+@dataclass(frozen=True)
+class Complement(SetDescription):
+    inner: SetDescription
+
+    def member(self, n):
+        return not self.inner.member(n)
+
+    def scan(self, lo, hi):
+        return self.inner.scan(lo, hi).translate(_FLIP)
+
+    def count(self, limit):
+        inner = self.inner.count(limit)
+        return None if inner is None else limit - inner
+
+    def finiteness(self):
+        fin, cofin = self.inner.finiteness()
+        return cofin, fin
+
+    def density(self):
+        d = self.inner.density()
+        return None if d is None else ONE - d
+
+    def banach(self):
+        # A cofinite inner set leaves a finite complement; a Banach-null one
+        # leaves every long enough window of the complement nearly full.
+        if self.inner.finiteness()[1] is Tri.YES:
+            return ZERO
+        return ONE if self.inner.banach() == ZERO else None
+
+    def render(self):
+        return "complement:" + self.inner.render()
 
 
-# ---------------------------------------------------------------- counting
+def _both(a: Tri, b: Tri) -> Tri:
+    """Does a property hold for both parts, given three-valued answers?"""
+    if a is Tri.YES and b is Tri.YES:
+        return Tri.YES
+    return Tri.NO if Tri.NO in (a, b) else Tri.UNKNOWN
 
 
-def _merge_aps(a: AP, b: AP) -> AP | Finite:
-    """Intersection of two APs: another AP (via CRT) or the empty set."""
+def _combine(op, a: bytearray, b: bytearray) -> bytearray:
+    """Flags of ``op`` applied bytewise to two flag arrays, as one big-integer op."""
+    both = op(int.from_bytes(a, "little"), int.from_bytes(b, "little"))
+    return bytearray(both.to_bytes(len(a), "little"))
+
+
+def _merged(a: SetDescription, b: SetDescription) -> SetDescription | None:
+    """a ∩ b when both are progressions: another progression (by CRT) or
+    EMPTY.  None for any other pair."""
+    if not (isinstance(a, _Progression) and isinstance(b, _Progression)):
+        return None
     g = gcd(a.step, b.step)
     if (b.first - a.first) % g != 0:
         return EMPTY
@@ -275,66 +373,200 @@ def _merge_aps(a: AP, b: AP) -> AP | Finite:
     return AP(n0, lcm)
 
 
-def _count_finite_vs(f: Finite, other: SetDescription, limit: int) -> int:
-    return sum(1 for m in f.members if m <= limit and member(other, m))
+def _count_both(a: SetDescription, b: SetDescription, limit: int) -> int | None:
+    """|a ∩ b ∩ [1, limit]| when a side is finite or both are progressions."""
+    for finite, other in ((a, b), (b, a)):
+        if isinstance(finite, Finite):
+            return sum(map(other.member, finite.members[:bisect_right(finite.members, limit)]))
+    merged = _merged(a, b)
+    return None if merged is None else merged.count(limit)
+
+
+@dataclass(frozen=True)
+class Union(SetDescription):
+    left: SetDescription
+    right: SetDescription
+
+    def member(self, n):
+        return self.left.member(n) or self.right.member(n)
+
+    def scan(self, lo, hi):
+        return _combine(or_, self.left.scan(lo, hi), self.right.scan(lo, hi))
+
+    def count(self, limit):
+        a, b = self.left.count(limit), self.right.count(limit)
+        both = None if a is None or b is None else _count_both(self.left, self.right, limit)
+        return None if both is None else a + b - both
+
+    def first_member(self, cap):
+        a, b = self.left.first_member(cap), self.right.first_member(cap)
+        if a is None or b is None:
+            # The side with no member up to cap may still have one between
+            # cap and the other side's least.
+            least = b if a is None else a
+            return None if least is None or least > cap else least
+        return min(a, b)
+
+    def finiteness(self):
+        (fin_a, cofin_a), (fin_b, cofin_b) = self.left.finiteness(), self.right.finiteness()
+        fin = _both(fin_a, fin_b)
+        if Tri.YES in (cofin_a, cofin_b):
+            return fin, Tri.YES
+        return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
+
+    def density(self):
+        a, b = self.left.density(), self.right.density()
+        if a is None or b is None:
+            return None
+        if a == ZERO or b == ZERO:
+            return a + b
+        if ONE in (a, b):
+            return ONE
+        merged = _merged(self.left, self.right)
+        return None if merged is None else a + b - merged.density()
+
+    def banach(self):
+        a, b = self.left.banach(), self.right.banach()
+        if a == ZERO:
+            return b
+        if b == ZERO:
+            return a
+        return ONE if ONE in (a, b) else None
+
+    def render(self):
+        return f"union:{self.left.render()}|{self.right.render()}"
+
+
+@dataclass(frozen=True)
+class Intersection(SetDescription):
+    left: SetDescription
+    right: SetDescription
+
+    def member(self, n):
+        return self.left.member(n) and self.right.member(n)
+
+    def scan(self, lo, hi):
+        return _combine(and_, self.left.scan(lo, hi), self.right.scan(lo, hi))
+
+    def count(self, limit):
+        return _count_both(self.left, self.right, limit)
+
+    def finiteness(self):
+        (fin_a, cofin_a), (fin_b, cofin_b) = self.left.finiteness(), self.right.finiteness()
+        cofin = _both(cofin_a, cofin_b)
+        if Tri.YES in (fin_a, fin_b):
+            return Tri.YES, cofin
+        merged = _merged(self.left, self.right)
+        return Tri.UNKNOWN if merged is None else merged.finiteness()[0], cofin
+
+    def density(self):
+        a, b = self.left.density(), self.right.density()
+        if ZERO in (a, b):
+            return ZERO
+        if a == ONE:
+            return b
+        if b == ONE:
+            return a
+        merged = _merged(self.left, self.right)
+        return None if merged is None else merged.density()
+
+    def banach(self):
+        merged = _merged(self.left, self.right)
+        if merged is not None:
+            return merged.banach()
+        a, b = self.left.banach(), self.right.banach()
+        if ZERO in (a, b):
+            return ZERO
+        if self.left.finiteness()[1] is Tri.YES:
+            return b
+        if self.right.finiteness()[1] is Tri.YES:
+            return a
+        return None
+
+    def render(self):
+        return f"intersect:{self.left.render()}|{self.right.render()}"
+
+
+@dataclass(frozen=True)
+class Shift(SetDescription):
+    """{m + offset : m in inner} intersected with N; offset may be negative."""
+
+    inner: SetDescription
+    offset: int
+
+    def member(self, n):
+        m = n - self.offset
+        return m >= 1 and self.inner.member(m)
+
+    def scan(self, lo, hi):
+        # m = n - offset; integers whose preimage falls below 1 stay out.
+        flags = bytearray(hi - lo + 1)
+        pad = max(0, 1 + self.offset - lo)
+        flags[pad:] = _scan(self.inner, lo + pad - self.offset, hi - self.offset)
+        return flags
+
+    def count(self, limit):
+        upper = _count_closed(self.inner, limit - self.offset)
+        if upper is None or self.offset >= 0:
+            return upper
+        dropped = _count_closed(self.inner, -self.offset)
+        return None if dropped is None else upper - dropped
+
+    def first_member(self, cap):
+        if self.offset >= 0:
+            base = self.inner.first_member(cap)
+        else:
+            # The least inner member that lands on 1 or later.
+            base = self.inner.next_member(-self.offset, cap)
+        return None if base is None else base + self.offset
+
+    def finiteness(self):
+        # A shift moves every member and drops at most finitely many below 1.
+        return self.inner.finiteness()
+
+    def density(self):
+        return self.inner.density()
+
+    def banach(self):
+        return self.inner.banach()
+
+    def render(self):
+        return f"shift:{self.inner.render()},{self.offset}"
+
+
+NATURALS = AP(1, 1)
+EMPTY = Finite(())
+
+
+# ---------------------------------------------------------------- queries
+
+
+def member(s: SetDescription, n: int) -> bool:
+    """Decide n in S.  n must be >= 1."""
+    if n < 1:
+        raise ValueError("membership is defined on n >= 1")
+    return s.member(n)
+
+
+def _scan(s: SetDescription, lo: int, hi: int) -> bytearray:
+    """Byte i is 1 exactly when lo + i is in S, for lo >= 1 or an empty range."""
+    return s.scan(lo, hi) if lo <= hi else bytearray()
+
+
+def _chunks(s: SetDescription, lo: int, hi: int, size: int = SCAN_CHUNK):
+    """Yield (start, _scan(s, start, end)) over [lo, hi], in chunks whose
+    length doubles from ``size`` up to SCAN_CHUNK (searches start small)."""
+    if lo < 1 <= hi:
+        raise ValueError("membership is defined on n >= 1")
+    while lo <= hi:
+        end = min(hi, lo + min(size, SCAN_CHUNK) - 1)
+        yield lo, _scan(s, lo, end)
+        lo, size = end + 1, 2 * size
 
 
 def _count_closed(s: SetDescription, limit: int) -> int | None:
     """Exact |S ∩ [1, limit]| via structure, or None if no closed form."""
-    if limit < 1:
-        return 0
-    if isinstance(s, Finite):
-        return bisect_right(s.members, limit)
-    if isinstance(s, AP):
-        if limit < s.first:
-            return 0
-        return (limit - s.first) // s.step + 1
-    if isinstance(s, Squares):
-        return isqrt(limit)
-    if isinstance(s, Powers2):
-        return limit.bit_length()
-    if isinstance(s, Nu2Ge):
-        return limit >> s.threshold
-    if isinstance(s, DyadicBlocks):
-        total = 0
-        q = 1
-        while (1 << q) <= limit:
-            if member(s.selector, q):
-                hi = min((1 << (q + 1)) - 1, limit)
-                total += hi - (1 << q) + 1
-            q += 1
-        return total
-    if isinstance(s, Complement):
-        inner = _count_closed(s.inner, limit)
-        return None if inner is None else limit - inner
-    if isinstance(s, Shift):
-        upper = _count_closed(s.inner, limit - s.offset)
-        if upper is None:
-            return None
-        if s.offset >= 0:
-            return upper
-        dropped = _count_closed(s.inner, -s.offset)
-        return None if dropped is None else upper - dropped
-    if isinstance(s, Union):
-        a = _count_closed(s.left, limit)
-        b = _count_closed(s.right, limit)
-        if a is None or b is None:
-            return None
-        both = _count_intersection_closed(s.left, s.right, limit)
-        return None if both is None else a + b - both
-    if isinstance(s, Intersection):
-        return _count_intersection_closed(s.left, s.right, limit)
-    raise TypeError(f"not a set description: {s!r}")
-
-
-def _count_intersection_closed(a, b, limit: int) -> int | None:
-    if isinstance(a, Finite):
-        return _count_finite_vs(a, b, limit)
-    if isinstance(b, Finite):
-        return _count_finite_vs(b, a, limit)
-    if isinstance(a, AP) and isinstance(b, AP):
-        return _count_closed(_merge_aps(a, b), limit)
-    return None
+    return 0 if limit < 1 else s.count(limit)
 
 
 def count_prefix(s: SetDescription, limit: int) -> int:
@@ -372,53 +604,12 @@ def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
 
 def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
     """Least element of S, or None if none exists <= cap."""
-    if isinstance(s, Finite):
-        return s.members[0] if s.members else None
-    if isinstance(s, AP):
-        return s.first
-    if isinstance(s, (Squares, Powers2)):
-        return 1
-    if isinstance(s, Nu2Ge):
-        return 1 << s.threshold if s.threshold else 1
-    if isinstance(s, DyadicBlocks):
-        q = first_member(s.selector, cap)
-        return None if q is None or q >= cap.bit_length() else 1 << q
-    if isinstance(s, Union):
-        a = first_member(s.left, cap)
-        b = first_member(s.right, cap)
-        if a is None or b is None:
-            # The side with no member up to cap may still have one between
-            # cap and the other side's least.
-            least = b if a is None else a
-            return None if least is None or least > cap else least
-        return min(a, b)
-    if isinstance(s, Shift):
-        if s.offset >= 0:
-            base = first_member(s.inner, cap)
-        else:
-            # The least inner member that lands on 1 or later.
-            base = next_member(s.inner, -s.offset, cap)
-        return None if base is None else base + s.offset
-    return next_member(s, 0, cap)
+    return s.first_member(cap)
 
 
 def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> int | None:
     """Least element of S strictly greater than ``after`` (<= cap), or None."""
-    if isinstance(s, AP):
-        if after < s.first:
-            return s.first
-        return s.first + ((after - s.first) // s.step + 1) * s.step
-    if isinstance(s, Nu2Ge):
-        step = 1 << s.threshold
-        return (after // step + 1) * step
-    if isinstance(s, Finite):
-        i = bisect_right(s.members, after)
-        return s.members[i] if i < len(s.members) else None
-    for start, flags in _chunks(s, after + 1, cap, 16):
-        i = flags.find(1)
-        if i >= 0:
-            return start + i
-    return None
+    return s.next_member(after, cap)
 
 
 def iter_members(s: SetDescription, limit: int):
@@ -431,66 +622,14 @@ def iter_members(s: SetDescription, limit: int):
         n = next_member(s, n, limit)
 
 
-# ---------------------------------------------------------------- structure
-
-
 def is_finite(s: SetDescription) -> Tri:
     """Is S finite?  Sound three-valued structural analysis."""
-    return _finiteness(s)[0]
+    return s.finiteness()[0]
 
 
 def is_cofinite(s: SetDescription) -> Tri:
     """Is the complement of S finite?  Sound three-valued analysis."""
-    return _finiteness(s)[1]
-
-
-def _both(a: Tri, b: Tri) -> Tri:
-    """Does a property hold for both parts, given three-valued answers?"""
-    if a is Tri.YES and b is Tri.YES:
-        return Tri.YES
-    return Tri.NO if Tri.NO in (a, b) else Tri.UNKNOWN
-
-
-def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
-    """(is_finite(s), is_cofinite(s)) from one recursion over the tree."""
-    # Composite nodes first: deep trees are mostly unions and intersections.
-    if isinstance(s, Union):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(s.left), _finiteness(s.right)
-        fin = _both(fin_a, fin_b)
-        if Tri.YES in (cofin_a, cofin_b):
-            return fin, Tri.YES
-        return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
-    if isinstance(s, Intersection):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(s.left), _finiteness(s.right)
-        cofin = _both(cofin_a, cofin_b)
-        if Tri.YES in (fin_a, fin_b):
-            return Tri.YES, cofin
-        if isinstance(s.left, AP) and isinstance(s.right, AP):
-            merged = _merge_aps(s.left, s.right)
-            return Tri.YES if isinstance(merged, Finite) else Tri.NO, cofin
-        return Tri.UNKNOWN, cofin
-    if isinstance(s, DyadicBlocks):
-        # Every block with index q >= 1 is nonempty, and the complement is
-        # {1} plus the unselected blocks.
-        return _finiteness(s.selector)
-    if isinstance(s, Complement):
-        fin, cofin = _finiteness(s.inner)
-        return cofin, fin
-    if isinstance(s, Shift):
-        # A shift moves every member and drops at most finitely many below 1.
-        return _finiteness(s.inner)
-    if isinstance(s, Finite):
-        return Tri.YES, Tri.NO
-    if isinstance(s, AP):
-        return Tri.NO, Tri.YES if s.step == 1 else Tri.NO
-    if isinstance(s, (Squares, Powers2)):
-        return Tri.NO, Tri.NO
-    if isinstance(s, Nu2Ge):
-        return Tri.NO, Tri.YES if s.threshold == 0 else Tri.NO
-    raise TypeError(f"not a set description: {s!r}")
-
-
-# ---------------------------------------------------------------- densities
+    return s.finiteness()[1]
 
 
 def exact_density(s: SetDescription) -> Fraction | None:
@@ -499,104 +638,15 @@ def exact_density(s: SetDescription) -> Fraction | None:
     Every returned value is a certified fact about S, not an estimate: the
     limit of |S ∩ [1, n]| / n exists and equals the returned fraction.
     """
-    if isinstance(s, Finite):
-        return ZERO
-    if isinstance(s, AP):
-        return Fraction(1, s.step)
-    if isinstance(s, (Squares, Powers2)):
-        return ZERO
-    if isinstance(s, Nu2Ge):
-        return Fraction(1, 1 << s.threshold)
-    if isinstance(s, DyadicBlocks):
-        fin = is_finite(s.selector)
-        if fin is Tri.YES:
-            return ZERO
-        if is_cofinite(s.selector) is Tri.YES:
-            return ONE
-        return None
-    if isinstance(s, Complement):
-        d = exact_density(s.inner)
-        return None if d is None else ONE - d
-    if isinstance(s, Shift):
-        return exact_density(s.inner)
-    if isinstance(s, Union):
-        a = exact_density(s.left)
-        b = exact_density(s.right)
-        if a is None or b is None:
-            return None
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
-        if a == ONE or b == ONE:
-            return ONE
-        if isinstance(s.left, AP) and isinstance(s.right, AP):
-            both = exact_density(_merge_aps(s.left, s.right))
-            return a + b - both
-        return None
-    if isinstance(s, Intersection):
-        a = exact_density(s.left)
-        b = exact_density(s.right)
-        if a == ZERO or b == ZERO:
-            return ZERO
-        if a == ONE:
-            return b
-        if b == ONE:
-            return a
-        if isinstance(s.left, AP) and isinstance(s.right, AP):
-            return exact_density(_merge_aps(s.left, s.right))
-        return None
-    raise TypeError(f"not a set description: {s!r}")
+    return s.density()
 
 
 def banach_exact(s: SetDescription) -> Fraction | None:
     """Exact Banach (uniform upper) density when certified, else None."""
-    # A union or shift is finite only through its parts, which answer ZERO.
-    if not isinstance(s, (Union, Shift)) and is_finite(s) is Tri.YES:
-        return ZERO
-    if isinstance(s, AP):
-        return Fraction(1, s.step)
-    if isinstance(s, (Squares, Powers2)):
-        # Gaps between consecutive members grow without bound, so any fixed
-        # window length eventually holds at most one member.
-        return ZERO
-    if isinstance(s, Nu2Ge):
-        return Fraction(1, 1 << s.threshold)
-    if isinstance(s, DyadicBlocks):
-        fin = is_finite(s.selector)
-        if fin is Tri.YES:
-            return ZERO
-        if fin is Tri.NO:
-            # Contains arbitrarily long intervals.
-            return ONE
-        return None
-    if isinstance(s, Complement):
-        if is_finite(s.inner) is Tri.YES:
-            return ONE
-        return None
-    if isinstance(s, Shift):
-        return banach_exact(s.inner)
-    if isinstance(s, Union):
-        a = banach_exact(s.left)
-        b = banach_exact(s.right)
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
-        if a == ONE or b == ONE:
-            return ONE
-        return None
-    if isinstance(s, Intersection):
-        a = banach_exact(s.left)
-        b = banach_exact(s.right)
-        if a == ZERO or b == ZERO:
-            return ZERO
-        if is_cofinite(s.left) is Tri.YES:
-            return b
-        if is_cofinite(s.right) is Tri.YES:
-            return a
-        return None
-    return None
+    return s.banach()
+
+
+# ---------------------------------------------------------------- densities
 
 
 def max_window_density(s: SetDescription, limit: int, window: int) -> Fraction:
@@ -808,24 +858,4 @@ def parse_set(text: str) -> SetDescription:
 
 def render(s: SetDescription) -> str:
     """Canonical DSL text for a description; parse_set(render(s)) == s."""
-    if isinstance(s, Finite):
-        return "finite:{" + ",".join(str(m) for m in s.members) + "}"
-    if isinstance(s, AP):
-        return f"ap:{s.first},{s.step}"
-    if isinstance(s, Squares):
-        return "builtin:squares"
-    if isinstance(s, Powers2):
-        return "builtin:powers2"
-    if isinstance(s, Nu2Ge):
-        return f"builtin:nu2_ge({s.threshold})"
-    if isinstance(s, DyadicBlocks):
-        return f"builtin:dyadic_blocks({render(s.selector)})"
-    if isinstance(s, Complement):
-        return "complement:" + render(s.inner)
-    if isinstance(s, Union):
-        return "union:" + render(s.left) + "|" + render(s.right)
-    if isinstance(s, Intersection):
-        return "intersect:" + render(s.left) + "|" + render(s.right)
-    if isinstance(s, Shift):
-        return "shift:" + render(s.inner) + f",{s.offset}"
-    raise TypeError(f"not a set description: {s!r}")
+    return s.render()

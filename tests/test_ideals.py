@@ -178,6 +178,16 @@ class TestBanachDensityZeroIdeal:
     def test_union_of_null_sets_is_in(self):
         assert BD.verdict(Union(Squares(), Powers2())).status == "in"
 
+    def test_complement_of_a_null_set_is_not_in(self):
+        # every long window of the complement of the squares is nearly full
+        v = BD.verdict(parse_set("complement:builtin:squares"))
+        assert (v.status, v.reason) == ("not_in", "exact Banach density 1 > 0")
+
+    def test_intersecting_progressions_have_the_merged_density(self):
+        # 1 mod 2 intersected with 1 mod 3 is 1 mod 6
+        v = BD.verdict(Intersection(AP(1, 2), AP(1, 3)))
+        assert (v.status, v.reason) == ("not_in", "exact Banach density 1/6 > 0")
+
     def test_undecided_comes_with_window_evidence(self):
         v = BD.verdict(Intersection(AP(1, 2), Complement(AP(1, 3))))
         assert v.status == "undecided"
@@ -359,6 +369,14 @@ def test_ideal_hierarchy_is_respected(s):
         assert fin_v != "in"  # positive density forces an infinite set
     if fxf_v == "not_in":
         assert fin_v != "in"  # meeting fibers infinitely forces an infinite set
+
+
+@pytest.mark.parametrize("ideal", [FIN, Z, BD], ids=["fin", "z", "bd"])
+def test_progression_meets_a_dyadic_class_exactly(ideal):
+    # multiples of 4 against 1 mod 12 (so 1 mod 4): no member at all
+    v = ideal.verdict(parse_set("intersect:builtin:nu2_ge(2)|ap:13,12"))
+    assert v.status == "in"
+    assert v.evidence == {}
 
 
 def test_every_decided_verdict_has_a_reason():

@@ -175,6 +175,16 @@ def test_count_large_closed_forms_stay_fast():
     assert count_prefix(Nu2Ge(10), 10**12) == 10**12 // 1024
 
 
+def test_progressions_merge_past_the_cap():
+    # A progression meets a dyadic class in a progression: closed form, no scan.
+    assert count_prefix(parse_set("intersect:ap:3,4|builtin:nu2_ge(1)"), 10**12) == 0
+    # 2 mod 6 and 0 mod 4 meet in 8 mod 12
+    both = Union(Finite((1,)), Intersection(AP(2, 6), Nu2Ge(2)))
+    assert count_prefix(both, 10**12) == 1 + (10**12 - 8) // 12 + 1
+    assert is_finite(Intersection(Nu2Ge(2), AP(13, 12))) is Tri.YES
+    assert exact_density(Union(AP(2, 6), Nu2Ge(2))) == Fraction(1, 6) + Fraction(1, 4) - Fraction(1, 12)
+
+
 def test_enumeration_cap_raises():
     awkward = Union(Squares(), Shift(Squares(), 1))
     with pytest.raises(EnumerationCapError):
