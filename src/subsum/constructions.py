@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 
 from .ideals import (
     IN,
@@ -34,7 +34,6 @@ from .summability import (
     _add_ratio,
     _blocks01_bit,
     _dot,
-    exception_profile,
     render_rle,
 )
 
@@ -210,10 +209,6 @@ class IdealLimitVerdict:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
-def _exception_flags(values: list[Fraction], eta: Fraction, eps: Fraction) -> list[int]:
-    return [1 if abs(v - eta) > eps else 0 for v in values]
-
-
 def ideal_limit(
     values: list[Fraction],
     ideal: IdealPresentation,
@@ -241,22 +236,23 @@ def ideal_limit(
     best: tuple | None = None
     attempts = {}
     for eta in candidates:
+        deviations = [abs(v - eta) for v in values]
         chain_eps = None
         for eps in EPS_GRID:
-            flags = _exception_flags(values, eta, eps)
-            if small(flags, n):
-                chain_eps = eps
-            else:
+            flags = [1 if d > eps else 0 for d in deviations]
+            if not small(flags, n):
                 break
+            chain_eps, chain_flags = eps, flags
         attempts[str(eta)] = str(chain_eps) if chain_eps is not None else "none"
         if chain_eps is None:
             continue
         key = (chain_eps, eta.denominator, eta)
         if best is None or key < best[0]:
-            best = (key, eta, chain_eps)
+            best = (key, eta, chain_eps, chain_flags)
     if best is not None:
-        _, eta, eps = best
-        counts = list(exception_profile(values, eta, eps, default_checkpoints(n)))
+        _, eta, eps, flags = best
+        running = list(accumulate(flags))
+        counts = [(c, running[c - 1]) for c in default_checkpoints(n)]
         return IdealLimitVerdict(
             "limit",
             ideal.name,
@@ -265,17 +261,13 @@ def ideal_limit(
             eps=eps,
             evidence={"exception_counts": counts, "attempts": attempts},
         )
-    half = n // 2
     pair_best: tuple | None = None
     for i, lower in enumerate(candidates):
         for upper in candidates[i + 1:]:
-            up_full = sum(1 for v in values if v >= upper)
-            lo_full = sum(1 for v in values if v <= lower)
-            if 8 * up_full < n or 8 * lo_full < n:
-                continue
-            up_half = sum(1 for v in values[:half] if v >= upper)
-            lo_half = sum(1 for v in values[:half] if v <= lower)
-            if 16 * up_half < half or 16 * lo_half < half:
+            (lo_half, lo_full), (up_half, up_full) = _threshold_counts(
+                values, lower, upper, (n // 2, n)
+            )
+            if 8 * min(lo_full, up_full) < n or 16 * min(lo_half, up_half) < n // 2:
                 continue
             score = (
                 upper - lower,

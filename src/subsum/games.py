@@ -114,12 +114,13 @@ class PrefixDensityStrategy(ReplyStrategy):
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
         count = 0
         members: list[int] = []
-        for m in range(1, self.cap + 1):
-            if member(move, m):
-                count += 1
-                members.append(m)
-            if m >= round_index and 2 * count >= m and count > 0:
-                return tuple(members), {"scale": m, "count": count}
+        for start, flags in setlang._chunks(move, 1, self.cap, 16):
+            for m, flag in enumerate(flags, start):
+                if flag:
+                    count += 1
+                    members.append(m)
+                if m >= round_index and 2 * count >= m and count > 0:
+                    return tuple(members), {"scale": m, "count": count}
         raise StrategySearchError(
             f"move never filled half a prefix within {self.cap}"
         )

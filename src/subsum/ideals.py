@@ -28,6 +28,7 @@ from .setlang import (
     Tri,
     Union,
     _chunks,
+    _merged,
     _window_maxima,
     banach_exact,
     default_checkpoints,
@@ -160,6 +161,8 @@ def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dic
 
 
 def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
+    if isinstance(s, Intersection) and (merged := _merged(s.left, s.right)) is not None:
+        s = merged
     fin, cofin = s.finiteness()
     if fin is Tri.YES:
         return _in("finite set")

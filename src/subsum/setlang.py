@@ -331,8 +331,11 @@ class Complement(SetDescription):
         return None if d is None else ONE - d
 
     def banach(self):
-        # A cofinite inner set leaves a finite complement; a Banach-null one
-        # leaves every long enough window of the complement nearly full.
+        # A complement of a complement is the innermost set.  A cofinite inner
+        # set leaves a finite complement; a Banach-null one leaves every long
+        # enough window of the complement nearly full.
+        if isinstance(self.inner, Complement):
+            return self.inner.inner.banach()
         if self.inner.finiteness()[1] is Tri.YES:
             return ZERO
         return ONE if self.inner.banach() == ZERO else None

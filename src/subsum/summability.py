@@ -13,7 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
 from typing import Callable
 
@@ -1102,7 +1102,7 @@ def _r3_rowsums(
         if verdict.status == IN:
             return ConditionReport("yes", True, "row-sum exception set is in the ideal", data)
         if verdict.status == NOT_IN:
-            witness_rows = list(setlang.iter_members(exception, 10**4))[:5]
+            witness_rows = list(islice(setlang.iter_members(exception, 10**4), 5))
             data["witness_rows"] = witness_rows
             return ConditionReport(
                 "no", True, "row-sum exception set escapes the ideal", data
@@ -1155,65 +1155,6 @@ def regularity_verdict(
         overall = "undecided"
     return RegularityVerdict(
         matrix.spec_string(), ideal.name, overall, r1, r2, r3, witness
-    )
-
-
-# ---------------------------------------------------------------- defects
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    matrix_spec: str
-    sequence_name: str
-    ideal_name: str
-    scale: int
-    table: tuple  # ((eta, eps, ((checkpoint, count), ...)), ...)
-
-
-def exception_profile(
-    values: list[Fraction], eta: Fraction, eps: Fraction, checkpoints: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
-    """Counts of {n <= c : |values_n - eta| > eps} at each checkpoint."""
-    counts = []
-    bad = 0
-    it = iter(sorted(checkpoints))
-    target = next(it)
-    for i, v in enumerate(values, start=1):
-        if abs(v - eta) > eps:
-            bad += 1
-        while i == target:
-            counts.append((i, bad))
-            try:
-                target = next(it)
-            except StopIteration:
-                return tuple(counts)
-    raise ValueError("checkpoints exceed the available prefix")
-
-
-def matrix_ideal_limit_defect(
-    matrix: SummabilityMatrix,
-    x: SequenceSpec,
-    ideal: IdealPresentation,
-    scale: int,
-    etas: tuple[Fraction, ...] | None = None,
-    epses: tuple[Fraction, ...] | None = None,
-) -> DefectReport:
-    """Exception-set profile of the transform against candidate limits."""
-    points = transform_prefix(matrix, x, scale)
-    values = [p.value for p in points]
-    from .constructions import EPS_GRID, quantile_candidates
-
-    if etas is None:
-        etas = tuple(quantile_candidates(values))
-    if epses is None:
-        epses = EPS_GRID
-    checkpoints = setlang.default_checkpoints(scale)
-    table = []
-    for eta in etas:
-        for eps in epses:
-            table.append((eta, eps, exception_profile(values, eta, eps, checkpoints)))
-    return DefectReport(
-        matrix.spec_string(), x.name, ideal.name, scale, tuple(table)
     )
 
 

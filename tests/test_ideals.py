@@ -183,6 +183,17 @@ class TestBanachDensityZeroIdeal:
         v = BD.verdict(parse_set("complement:builtin:squares"))
         assert (v.status, v.reason) == ("not_in", "exact Banach density 1 > 0")
 
+    def test_double_complement_keeps_the_inner_banach_density(self):
+        v = BD.verdict(parse_set("complement:complement:builtin:squares"))
+        assert (v.status, v.reason) == ("in", "exact Banach density 0")
+
+    def test_deep_complements_of_a_null_set_are_decided(self):
+        s = Squares()
+        for _ in range(255):
+            s = Complement(s)
+        v = BD.verdict(s, 1024)
+        assert (v.status, v.reason) == ("not_in", "exact Banach density 1 > 0")
+
     def test_intersecting_progressions_have_the_merged_density(self):
         # 1 mod 2 intersected with 1 mod 3 is 1 mod 6
         v = BD.verdict(Intersection(AP(1, 2), AP(1, 3)))
@@ -307,6 +318,12 @@ class TestNu2FiberIdeal:
         assert FXF.verdict(Union(Powers2(), good)).status == "in"
         assert FXF.verdict(Union(Powers2(), Squares())).status == "not_in"
         assert FXF.verdict(Intersection(Squares(), Powers2())).status == "in"
+
+    def test_intersected_progressions_merge_before_the_progression_rule(self):
+        # 2 mod 6 meets the multiples of 4 in 8 mod 12
+        v = FXF.verdict(parse_set("intersect:ap:2,6|builtin:nu2_ge(2)"))
+        assert v.status == "not_in"
+        assert v.reason == FXF.verdict(AP(8, 12)).reason
 
     def test_undecided_attaches_fiber_census(self):
         s = Intersection(Squares(), AP(1, 3))

@@ -188,25 +188,41 @@ def test_certificate_counts_match_fraction_comparisons(values, lower, gap, scale
 # ------------------------------------------------------ decision postconditions
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    bits=st.lists(st.integers(0, 1), min_size=64, max_size=256),
+_limit_stream = st.one_of(
+    st.lists(st.integers(0, 1), min_size=64, max_size=256).map(lambda bits: [F(b) for b in bits]),
+    st.lists(st.integers(-16, 16).map(lambda k: F(k, 8)), min_size=16, max_size=96),
+    # a level plus perturbations that shrink like 1/k: exceptions in the head only
+    st.tuples(
+        st.integers(-16, 16).map(lambda k: F(k, 8)),
+        st.lists(st.integers(-32, 32).map(lambda k: F(k, 8)), min_size=16, max_size=96),
+    ).map(lambda t: [t[0] + d / k for k, d in enumerate(t[1], 1)]),
 )
-def test_ideal_limit_postconditions_recounted(bits):
-    values = [F(b) for b in bits]
-    n = len(values)
-    verdict = ideal_limit(values, Z)
-    if verdict.status == "limit":
-        exceptions = sum(1 for v in values if abs(v - verdict.eta) > verdict.eps)
-        assert 8 * exceptions <= n  # the density rule it claims to have checked
-    elif verdict.status == "no_limit":
-        low_hits = sum(1 for v in values if v <= verdict.lower)
-        up_hits = sum(1 for v in values if v >= verdict.upper)
-        assert verdict.lower < verdict.upper
-        assert F(low_hits, n) >= F(1, 8)
-        assert F(up_hits, n) >= F(1, 8)
-        assert verdict.delta_lower == F(low_hits, n)
-        assert verdict.delta_upper == F(up_hits, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=_limit_stream)
+def test_ideal_limit_postconditions_recounted(values):
+    n, half = len(values), len(values) // 2
+    for ideal in (FIN, Z, BD):
+        verdict = ideal_limit(values, ideal)
+        if verdict.status == "limit":
+            flags = [abs(v - verdict.eta) > verdict.eps for v in values]
+            checkpoints = sorted({n // 8, n // 4, half, n})
+            assert verdict.evidence["exception_counts"] == [
+                (c, sum(flags[:c])) for c in checkpoints
+            ]
+            if ideal is FIN:
+                assert not any(flags[half:])
+            if ideal is Z:
+                assert 8 * sum(flags) <= n  # the density rule it claims to have checked
+        elif verdict.status == "no_limit":
+            low_hits = [v <= verdict.lower for v in values]
+            up_hits = [v >= verdict.upper for v in values]
+            assert verdict.lower < verdict.upper
+            assert verdict.delta_lower == F(sum(low_hits), n) >= F(1, 8)
+            assert verdict.delta_upper == F(sum(up_hits), n) >= F(1, 8)
+            assert 16 * sum(low_hits[:half]) >= half
+            assert 16 * sum(up_hits[:half]) >= half
 
 
 @settings(max_examples=80, deadline=None)

@@ -27,9 +27,7 @@ from subsum import (
     Squares,
     TailToleranceError,
     Union,
-    exception_profile,
     indicator_sequence,
-    matrix_ideal_limit_defect,
     member,
     parse_matrix,
     parse_rle,
@@ -551,32 +549,3 @@ class TestMatrixIdealValidation:
     def test_signed_matrices_are_rejected(self):
         with pytest.raises(ValueError):
             validate_matrix_ideal(parse_matrix("explicit:-1,2"))
-
-
-# ---------------------------------------------------------------- defects
-
-
-class TestExceptionProfiles:
-    def test_counts_against_hand_tally(self):
-        values = [F(v) for v in (1, 0, 1, 0, 1, 0, 1, 0)]
-        profile = exception_profile(values, F(0), F(1, 2), (2, 4, 8))
-        assert profile == ((2, 1), (4, 2), (8, 4))
-
-    def test_checkpoints_past_the_prefix_are_rejected(self):
-        with pytest.raises(ValueError):
-            exception_profile([F(0)] * 4, F(0), F(1, 2), (2, 8))
-
-    def test_running_average_defect_table(self):
-        report = matrix_ideal_limit_defect(
-            CesaroMatrix(),
-            parse_sequence("alt"),
-            Z,
-            scale=64,
-            etas=(F(1, 2),),
-            epses=(F(1, 4),),
-        )
-        assert report.matrix_spec == "cesaro"
-        ((eta, eps, counts),) = report.table
-        assert (eta, eps) == (F(1, 2), F(1, 4))
-        # |mean - 1/2| exceeds 1/4 only at n = 1
-        assert counts[-1] == (64, 1)
