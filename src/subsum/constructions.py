@@ -261,12 +261,12 @@ def ideal_limit(
             eps=eps,
             evidence={"exception_counts": counts, "attempts": attempts},
         )
+    # Per candidate, its "<= c" and its ">= c" hits at half and full scale.
+    tallies = [_threshold_counts(values, c, c, (n // 2, n)) for c in candidates]
     pair_best: tuple | None = None
     for i, lower in enumerate(candidates):
-        for upper in candidates[i + 1:]:
-            (lo_half, lo_full), (up_half, up_full) = _threshold_counts(
-                values, lower, upper, (n // 2, n)
-            )
+        lo_half, lo_full = tallies[i][0]
+        for upper, (_, (up_half, up_full)) in zip(candidates[i + 1:], tallies[i + 1:]):
             if 8 * min(lo_full, up_full) < n or 16 * min(lo_half, up_half) < n // 2:
                 continue
             score = (
@@ -695,21 +695,6 @@ DELTA_FLOOR = Fraction(1, 10)
 ONE_THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 
 
-def _certify(
-    values: list[Fraction],
-    scale: int,
-    thresholds: tuple[Fraction, Fraction],
-    x_spec: str,
-    matrix_spec: str,
-) -> tuple[OscillationCertificate, str]:
-    lower_t, upper_t = thresholds
-    cert = certificate_from_values(
-        values, lower_t, upper_t, (scale // 2, scale), x_spec, matrix_spec
-    )
-    ok = cert.delta_lower >= DELTA_FLOOR and cert.delta_upper >= DELTA_FLOOR
-    return cert, ("certified" if ok else "diagnostic")
-
-
 def _boundary_means(values: list[Fraction], scale: int) -> tuple[BoundaryMean, ...]:
     out = []
     level = 1
@@ -745,6 +730,7 @@ def steinhaus_adversary(
         raise ValueError("thresholds must satisfy 0 <= lower < upper")
     if scale < 64:
         raise ValueError("adversary scales start at 64")
+    stalled = False
     if mode == "blocks":
         if isinstance(matrix, IdentityMatrix):
             bits = [1 if n % 2 == 1 else 0 for n in range(1, scale + 1)]
@@ -756,34 +742,14 @@ def steinhaus_adversary(
             raise PreconditionError(
                 "the blocks adversary plays against averaging matrices or the identity"
             )
-        values = matrix.transform_rows(bits, scale)
-        cert, status = _certify(
-            values, scale, thresholds, x_spec, matrix.spec_string()
-        )
-        boundary = (
-            _boundary_means(values, scale) if isinstance(matrix, CesaroMatrix) else ()
-        )
-        return AdversaryReport(
-            mode="blocks",
-            matrix_spec=matrix.spec_string(),
-            x_spec=x_spec,
-            scale=scale,
-            status=status,
-            certificate=cert,
-            boundary_means=boundary,
-            evidence={
-                "delta_lower": str(cert.delta_lower),
-                "delta_upper": str(cert.delta_upper),
-            },
-        )
-    if mode == "greedy":
+        evidence = {}
+    elif mode == "greedy":
         if not matrix.averaging_core:
             raise PreconditionError("the greedy adversary needs an averaging matrix")
-        bits: list[int] = []
+        bits = []
         ones = 0
         phases = []
         push_up = True
-        stalled = False
         while True:
             cap = 8 * max(len(bits), 8) + 64
             if push_up:
@@ -808,29 +774,33 @@ def steinhaus_adversary(
             if not push_up and len(bits) >= scale:
                 break
             push_up = not push_up
-        final = len(bits)
-        values = matrix.transform_rows(bits, final)
         x_spec = "rle:" + render_rle(bits)
-        cert, status = _certify(
-            values, final, thresholds, x_spec, matrix.spec_string()
-        )
-        if stalled:
-            status = "diagnostic"
-        return AdversaryReport(
-            mode="greedy",
-            matrix_spec=matrix.spec_string(),
-            x_spec=x_spec,
-            scale=final,
-            status=status,
-            certificate=cert,
-            evidence={
-                "phases": phases,
-                "delta_lower": str(cert.delta_lower),
-                "delta_upper": str(cert.delta_upper),
-                "stalled": stalled,
-            },
-        )
-    raise ValueError(f"unknown adversary mode {mode!r}")
+        evidence = {"phases": phases, "stalled": stalled}
+    else:
+        raise ValueError(f"unknown adversary mode {mode!r}")
+    scale = len(bits)
+    values = matrix.transform_rows(bits, scale)
+    cert = certificate_from_values(
+        values, lower_t, upper_t, (scale // 2, scale), x_spec, matrix.spec_string()
+    )
+    certified = not stalled and min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
+    return AdversaryReport(
+        mode=mode,
+        matrix_spec=matrix.spec_string(),
+        x_spec=x_spec,
+        scale=scale,
+        status="certified" if certified else "diagnostic",
+        certificate=cert,
+        boundary_means=(
+            _boundary_means(values, scale)
+            if mode == "blocks" and isinstance(matrix, CesaroMatrix) else ()
+        ),
+        evidence={
+            **evidence,
+            "delta_lower": str(cert.delta_lower),
+            "delta_upper": str(cert.delta_upper),
+        },
+    )
 
 
 # ---------------------------------------------------------------- meagerness

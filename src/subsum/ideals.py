@@ -221,7 +221,9 @@ def _bd_small(flags: list[int], n: int) -> bool:
 class IdealKind:
     """What one kind of ideal states about itself.
 
-    ``closed_form`` decides a set from its structure alone, or returns None.
+    ``closed_form`` decides a set from its structure alone, or returns None
+    to leave the set to the ladder's rules; an undecided verdict from it
+    ends the ladder.
     ``reasons`` word the rules every ideal obeys: a union of two members is
     a member, a superset of a non-member is not, a subset of a member is.
     ``shift_reason`` prefixes a shift's inner verdict when membership is
@@ -237,6 +239,12 @@ class IdealKind:
     partition: str | None = None
     small_at_scale: Callable[[list[int], int], bool] | None = None
 
+
+# The ideal rules in words, for kinds with no more specific wording.
+MEMBER_REASONS = (
+    "union of two certified members", "contains a certified non-member subset",
+    "subset of a certified member",
+)
 
 IDEAL_KINDS = {
     # is_finite already composes through unions, intersections and shifts,
@@ -261,20 +269,21 @@ IDEAL_KINDS = {
     ),
     "finxfin": IdealKind(
         _finxfin_closed_form, "no closed-form nu2 fiber argument",
-        lambda s, scale: nu2_column_audit(s, min(scale, 10**5)),
-        ("union of two certified members", "contains a certified non-member subset",
-         "subset of a certified member"),
+        lambda s, scale: nu2_column_audit(s, min(scale, 10**5)), MEMBER_REASONS,
     ),
 }
 
 
 def _decide(kind: IdealKind, s: SetDescription) -> MembershipVerdict:
     """The verdict ladder of every ideal kind, computing no evidence: the
-    kind's closed form, then its union and subset rules, then shifts for
-    shift-invariant kinds, each applied to the parts by the same ladder."""
+    kind's closed form, then double complements, its union and subset rules,
+    and shifts for shift-invariant kinds, each applied to the parts by the
+    same ladder."""
     verdict = kind.closed_form(s)
     if verdict is not None:
         return verdict
+    if isinstance(s, Complement) and isinstance(s.inner, Complement):
+        return _decide(kind, s.inner.inner)
     if isinstance(s, Union):
         left = _decide(kind, s.left).status
         right = NOT_IN if left == NOT_IN else _decide(kind, s.right).status
@@ -384,20 +393,19 @@ def nonideal_from_partition(
 class IdealPresentation:
     """A named ideal on N with certified verdicts and partition machinery."""
 
-    KINDS = (*IDEAL_KINDS, "matrix")
-
     def __init__(self, kind: str, matrix=None):
-        if kind not in self.KINDS:
-            raise UnsupportedIdealError(f"unknown ideal kind {kind!r}")
         if kind == "matrix":
             if matrix is None:
                 raise UnsupportedIdealError("matrix ideals need a matrix")
-            from .summability import validate_matrix_ideal
+            from .summability import matrix_ideal_kind
 
-            validate_matrix_ideal(matrix)
+            self.rules = matrix_ideal_kind(matrix)
+        elif kind in IDEAL_KINDS:
+            self.rules = IDEAL_KINDS[kind]
+        else:
+            raise UnsupportedIdealError(f"unknown ideal kind {kind!r}")
         self.kind = kind
         self.matrix = matrix
-        self.rules = IDEAL_KINDS.get(kind)  # None for matrix ideals
 
     # -- constructors
 
@@ -434,20 +442,12 @@ class IdealPresentation:
 
     def decide(self, s: SetDescription) -> MembershipVerdict:
         """The verdict without evidence: an undecided one has no scale."""
-        if self.rules is None:
-            from .summability import matrix_ideal_decision
-
-            return matrix_ideal_decision(self.matrix, s)
         return _decide(self.rules, s)
 
     def verdict(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         """The decision, with evidence at ``scale`` when it is undecided."""
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        if self.rules is None:
-            from .summability import matrix_ideal_verdict
-
-            return matrix_ideal_verdict(self.matrix, s, scale)
         verdict = _decide(self.rules, s)
         if verdict.decided:
             return verdict
@@ -456,7 +456,7 @@ class IdealPresentation:
     @property
     def limit_rule(self) -> Callable[[list[int], int], bool] | None:
         """The finite-scale smallness rule of limit search, if any."""
-        return None if self.rules is None else self.rules.small_at_scale
+        return self.rules.small_at_scale
 
     def dual_member(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         """Verdict for membership of S in the dual filter (complement in ideal)."""
@@ -465,7 +465,7 @@ class IdealPresentation:
     # -- partitions and restriction
 
     def talagrand_partition(self) -> IntervalPartition:
-        if self.rules is None or self.rules.partition is None:
+        if self.rules.partition is None:
             raise UnsupportedIdealError(
                 f"no interval-partition witness implemented for ideal {self.name}"
             )

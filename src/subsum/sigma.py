@@ -25,7 +25,6 @@ from .summability import (
     _dot,
 )
 
-PRNG_NAME = "mt19937"
 
 _TAIL_SEARCH_CAP = 10**6
 

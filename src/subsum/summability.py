@@ -18,8 +18,8 @@ from math import gcd
 from typing import Callable
 
 from . import setlang
-from .ideals import DEFAULT_SCALE, IN, NOT_IN, UNDECIDED, IdealPresentation, MembershipVerdict
-from .ideals import UnsupportedIdealError, _undecided
+from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, IdealKind
+from .ideals import IdealPresentation, MembershipVerdict, UnsupportedIdealError
 from .setlang import (
     AP,
     Finite,
@@ -285,14 +285,12 @@ class RowSeq:
 
     ``support``: last index that can be nonzero (row-finite rows).
     ``l1_tail(K)``: certified bound on sum_{k>K} |a_k|.
-    ``ratio``: (rho, k0) with |a_{k+1}| <= rho * |a_k| for k >= k0, rho < 1.
     """
 
     name: str
     fn: Callable[[int], Fraction] = field(compare=False)
     support: int | None = None
     l1_tail: Callable[[int], Fraction] | None = field(default=None, compare=False)
-    ratio: tuple[Fraction, int] | None = None
 
     def entry(self, k: int) -> Fraction:
         if k < 1:
@@ -307,7 +305,6 @@ def _row_geometric() -> RowSeq:
         name="geometric",
         fn=lambda k: Fraction(1, 1 << k),
         l1_tail=lambda k: Fraction(1, 1 << k),
-        ratio=(Fraction(1, 2), 1),
     )
 
 
@@ -1173,38 +1170,37 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
         )
 
 
-def matrix_ideal_decision(matrix: SummabilityMatrix, s: SetDescription) -> MembershipVerdict:
-    """Membership of S in the ideal {S : transform of 1_S tends to 0},
-    computing no evidence; where the matrix kind alone decides that ideal,
-    its decision is the answer."""
-    if is_finite(s) is Tri.YES:
-        return MembershipVerdict(IN, "finite union of vanishing columns")
-    zero_rows = matrix.vanish_rows(1)
-    if zero_rows is not None and is_cofinite(zero_rows) is Tri.YES:
-        return MembershipVerdict(IN, "all but finitely many rows are zero rows")
+def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealKind:
+    """The rules of the ideal {S : transform of 1_S tends to 0} of a
+    validated matrix.  Where the matrix kind alone decides that ideal, its
+    decision is the closed form; the transform probe is the evidence.
+
+    The closed form is complete, so its undecided answer ends the ladder:
+    finiteness and cofiniteness compose through every set operation, and
+    the null ideal's own ladder has applied the rules every ideal obeys.
+    Rerunning them here would rerun that ladder on every subtree.
+    """
+    validate_matrix_ideal(matrix)
     reduced = matrix.null_ideal()
-    if reduced is not None:
-        verdict = reduced.decide(s)
-        if verdict.decided:
-            return MembershipVerdict(
-                verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
-            )
-    if is_cofinite(s) is Tri.YES:
-        return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")
-    return MembershipVerdict(UNDECIDED, "no certified argument for this matrix ideal")
+    undecided_reason = "no certified argument for this matrix ideal"
 
+    def closed_form(s: SetDescription) -> MembershipVerdict:
+        if is_finite(s) is Tri.YES:
+            return MembershipVerdict(IN, "finite union of vanishing columns")
+        if reduced is not None:
+            verdict = reduced.decide(s)
+            if verdict.decided:
+                return MembershipVerdict(
+                    verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
+                )
+        if is_cofinite(s) is Tri.YES:
+            return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")
+        return MembershipVerdict(UNDECIDED, undecided_reason)
 
-def matrix_ideal_verdict(
-    matrix: SummabilityMatrix, s: SetDescription, scale: int
-) -> MembershipVerdict:
-    """The decision, with the transform probe as evidence when undecided."""
-    verdict = matrix_ideal_decision(matrix, s)
-    if verdict.decided:
-        return verdict
-    probe = min(scale, 2048)
-    points = transform_prefix(matrix, indicator_sequence(s), probe)
-    ladder = setlang.default_checkpoints(probe)
-    evidence = {
-        "transform_values": [(n, str(points[n - 1].value)) for n in ladder]
-    }
-    return _undecided(verdict.reason, scale, evidence)
+    def evidence(s: SetDescription, scale: int) -> dict:
+        probe = min(scale, 2048)
+        points = transform_prefix(matrix, indicator_sequence(s), probe)
+        ladder = setlang.default_checkpoints(probe)
+        return {"transform_values": [(n, str(points[n - 1].value)) for n in ladder]}
+
+    return IdealKind(closed_form, undecided_reason, evidence, MEMBER_REASONS)

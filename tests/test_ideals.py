@@ -610,12 +610,6 @@ class TestMatrixGeneratedIdeal:
         cesaro = parse_ideal("matrix:cesaro")
         assert cesaro.verdict(DyadicBlocks(AP(1, 2))).status == "not_in"
 
-    def test_all_rows_dropped_leaves_every_set_null(self):
-        from subsum import matrix_ideal_verdict, parse_matrix
-
-        matrix = parse_matrix("rowdrop:cesaro:ap:1,1")
-        assert matrix_ideal_verdict(matrix, AP(1, 1), 256).status == "in"
-
     def test_row_dropped_averaging_still_counts_as_averaging(self):
         ideal = parse_ideal("matrix:rowdrop:cesaro:finite:{2,3}")
         assert ideal.verdict(Squares()).status == "in"
@@ -715,6 +709,30 @@ def test_deep_union_chains_decide_in_linear_passes():
         ("not_in", "exact Banach density 1/2 > 0"),
         ("not_in", "contains a certified non-member subset"),
     ]
+
+
+def test_deep_undecided_trees_under_a_matrix_ideal_take_one_ladder_pass():
+    # The null ideal's ladder already tries every part; the matrix ideal does
+    # not rerun it on each of the 151 parts.
+    part = "|builtin:dyadic_blocks(intersect:builtin:squares|ap:1,2)"
+    chain = parse_set("union:" * 150 + part[1:] + part * 150)
+    started = time.perf_counter()
+    verdict = parse_ideal("matrix:cesaro").decide(chain)
+    assert time.perf_counter() - started < 1.0
+    assert (verdict.status, verdict.reason) == (
+        "undecided", "no certified argument for this matrix ideal"
+    )
+
+
+@pytest.mark.parametrize("ideal", (FIN, Z, BD, FXF), ids=lambda ideal: ideal.name)
+@pytest.mark.parametrize("depth", (2, 254))
+def test_double_complements_are_decided_as_their_inner_set(ideal, depth):
+    s = Squares()
+    for _ in range(depth):
+        s = Complement(s)
+    inner = ideal.verdict(Squares())
+    v = ideal.verdict(s)
+    assert v.decided and (v.status, v.reason) == (inner.status, inner.reason)
 
 
 def test_density_evidence_without_closed_forms_stays_fast():

@@ -135,8 +135,6 @@ class TestRows:
         row = parse_row("geometric")
         assert row.fn(3) == F(1, 8)
         assert row.l1_tail(5) == F(1, 32)
-        rho, k0 = row.ratio
-        assert rho == F(1, 2) and k0 == 1
 
     def test_list_row_is_finitely_supported(self):
         row = parse_row("list:1/2,0,1/3")
