@@ -84,16 +84,6 @@ def _parse_stem(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
-def _config_dict(pairs: list[str] | None) -> dict[str, str]:
-    out = {}
-    for pair in pairs or []:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"config entries look like key=value, got {pair!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
 # ------------------------------------------------------------------ commands
 
 
@@ -372,15 +362,7 @@ def _cmd_game(args) -> tuple[dict, int]:
         "command": "game",
         "ideal": ideal.name,
         "strategy": strategy.name,
-        "rounds": [
-            {
-                "round": r.index,
-                "move": r.move_spec,
-                "reply": list(r.reply),
-                "witness": r.witness,
-            }
-            for r in transcript.rounds
-        ],
+        "rounds": [r.to_json_dict() for r in transcript.rounds],
         "adjudication": {
             "label": ruling.label,
             "favored": ruling.favored,
@@ -424,12 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="also write the JSON output to this path")
     common.add_argument("--runlog", help="append a run record to this JSONL file")
-    common.add_argument(
-        "--config",
-        action="append",
-        metavar="KEY=VALUE",
-        help="extra knobs, recorded in the run log",
-    )
     scaled = argparse.ArgumentParser(add_help=False, parents=[common])
     scaled.add_argument("--scale", type=int, default=10**4, help="working scale")
 
@@ -554,10 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     payload: dict | None = None
     error: str | None = None
     try:
-        config = _config_dict(args.config)
         payload, code = args.handler(args)
-        if config:
-            payload.setdefault("config", config)
     except _BUDGET_ERRORS as exc:
         error, code = f"{type(exc).__name__}: {exc}", BUDGET_EXCEEDED
     except _PRECONDITION_ERRORS as exc:

@@ -294,22 +294,10 @@ def ideal_limit(
     )
 
 
-def ideal_limit_certificate(
-    values: list[Fraction],
-    verdict: IdealLimitVerdict,
-    x_spec: str,
-    matrix_spec: str,
-) -> OscillationCertificate:
-    """Portable certificate for a no-limit verdict over the same values."""
-    if verdict.status != "no_limit":
-        raise ConstructionError("only no-limit verdicts carry certificates")
-    n = verdict.scale
-    return certificate_from_values(
-        values, verdict.lower, verdict.upper, (n // 2, n), x_spec, matrix_spec
-    )
-
-
 # --------------------------------------------------------- oscillation pairs
+
+# Indices each extension of a pair takes near its target level.
+PAIR_PICKS = 64
 
 
 @dataclass(frozen=True)
@@ -335,7 +323,6 @@ def oscillation_pair(
     matrix: SummabilityMatrix,
     scan: int = 4096,
     tol: Fraction = Fraction(1, 16),
-    picks: int = 64,
 ) -> OscillationPair:
     """Extend a stem two ways so the transforms separate at a visible row.
 
@@ -364,13 +351,13 @@ def oscillation_pair(
         for i in range(floor + 1, scan + 1):
             if abs(xs[i - 1] - target) <= tol:
                 got.append(i)
-                if len(got) == picks:
+                if len(got) == PAIR_PICKS:
                     break
         return tuple(got)
 
     low_picks = collect(low_target)
     high_picks = collect(high_target)
-    want = min(picks, min(len(low_picks), len(high_picks)))
+    want = min(PAIR_PICKS, len(low_picks), len(high_picks))
     if want < 16:
         raise ConstructionError("not enough indices near the target levels")
     low_picks = low_picks[:want]
@@ -417,9 +404,11 @@ class EscapeResult:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def _least_index_with_magnitude(
-    x: SequenceSpec, floor: int, target: Fraction, search_cap: int
-) -> int:
+# Indices a magnitude search scans when the sequence gives no search hint.
+SEARCH_CAP = 10**6
+
+
+def _least_index_with_magnitude(x: SequenceSpec, floor: int, target: Fraction) -> int:
     """Least h >= floor with |x_h| >= target (scans; uses the declared
     magnitude-search hint to jump when available)."""
     start = floor
@@ -429,7 +418,7 @@ def _least_index_with_magnitude(
             start = hinted
         cap = start + 10**4
     else:
-        cap = floor + search_cap
+        cap = floor + SEARCH_CAP
     h = start
     while h <= cap:
         if abs(x.value(h)) >= target:
@@ -445,7 +434,6 @@ def escape_unbounded(
     row: RowSeq,
     x: SequenceSpec,
     m0: Fraction | int,
-    search_cap: int = 10**6,
 ) -> EscapeResult:
     """Extend a stem so one partial sum of row * x(selected) exceeds m0 + 1.
 
@@ -473,7 +461,7 @@ def escape_unbounded(
     committed = _dot(map(row.entry, range(1, j + 1)), map(x.value, stem))
     target = (m0 + 1 + abs(committed)) / abs(row.entry(pivot))
     floor = t_j + pivot
-    t0 = _least_index_with_magnitude(x, floor, target, search_cap)
+    t0 = _least_index_with_magnitude(x, floor, target)
     fill = tuple(t_j + s for s in range(1, pivot - j))
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
@@ -503,7 +491,6 @@ def escape_rowfinite(
     ideal: IdealPresentation,
     m0: Fraction | int,
     p0: int = 1,
-    search_cap: int = 10**6,
     after_row: int = 0,
 ) -> EscapeResult:
     """Extend a stem so a whole partition block of transform rows exceeds m0.
@@ -622,7 +609,7 @@ def escape_rowfinite(
                 if abs(num) * bd > bn * den:
                     bn, bd = abs(num), den
             target = (m0 + Fraction(bn, bd)) / alpha
-            prev = _least_index_with_magnitude(x, prev + 1, target, search_cap)
+            prev = _least_index_with_magnitude(x, prev + 1, target)
             values.append(prev)
         xv = x.value(values[s - 1])
         total += xv
@@ -692,6 +679,7 @@ class AdversaryReport:
 
 
 DELTA_FLOOR = Fraction(1, 10)
+LOWER_THRESHOLD, UPPER_THRESHOLD = Fraction(2, 5), Fraction(3, 5)
 ONE_THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 
 
@@ -714,7 +702,6 @@ def steinhaus_adversary(
     matrix: SummabilityMatrix,
     mode: str = "blocks",
     scale: int = 1 << 16,
-    thresholds: tuple[Fraction, Fraction] = (Fraction(2, 5), Fraction(3, 5)),
 ) -> AdversaryReport:
     """A 0/1 sequence whose transform visits both threshold levels densely.
 
@@ -725,9 +712,6 @@ def steinhaus_adversary(
     exact transform values; if either density lands under 1/10 the report
     is downgraded to diagnostic.
     """
-    lower_t, upper_t = thresholds
-    if not 0 <= lower_t < upper_t:
-        raise ValueError("thresholds must satisfy 0 <= lower < upper")
     if scale < 64:
         raise ValueError("adversary scales start at 64")
     stalled = False
@@ -781,7 +765,8 @@ def steinhaus_adversary(
     scale = len(bits)
     values = matrix.transform_rows(bits, scale)
     cert = certificate_from_values(
-        values, lower_t, upper_t, (scale // 2, scale), x_spec, matrix.spec_string()
+        values, LOWER_THRESHOLD, UPPER_THRESHOLD, (scale // 2, scale), x_spec,
+        matrix.spec_string(),
     )
     certified = not stalled and min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
     return AdversaryReport(

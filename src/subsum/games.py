@@ -38,6 +38,14 @@ class GameRound:
     reply: tuple[int, ...]
     witness: dict = field(default_factory=dict, compare=False)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "round": self.index,
+            "move": self.move_spec,
+            "reply": list(self.reply),
+            "witness": self.witness,
+        }
+
 
 @dataclass(frozen=True)
 class GameTranscript:
@@ -59,17 +67,7 @@ class GameTranscript:
             )
         ]
         for r in self.rounds:
-            lines.append(
-                json.dumps(
-                    {
-                        "round": r.index,
-                        "move": r.move_spec,
-                        "reply": list(r.reply),
-                        "witness": r.witness,
-                    },
-                    sort_keys=True,
-                )
-            )
+            lines.append(json.dumps(r.to_json_dict(), sort_keys=True))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -108,13 +106,10 @@ class PrefixDensityStrategy(ReplyStrategy):
 
     name = "prefix_density"
 
-    def __init__(self, cap: int = STRATEGY_SCAN_CAP):
-        self.cap = cap
-
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
         count = 0
         members: list[int] = []
-        for start, flags in setlang._chunks(move, 1, self.cap, 16):
+        for start, flags in setlang._chunks(move, 1, STRATEGY_SCAN_CAP, 16):
             for m, flag in enumerate(flags, start):
                 if flag:
                     count += 1
@@ -122,7 +117,7 @@ class PrefixDensityStrategy(ReplyStrategy):
                 if m >= round_index and 2 * count >= m and count > 0:
                     return tuple(members), {"scale": m, "count": count}
         raise StrategySearchError(
-            f"move never filled half a prefix within {self.cap}"
+            f"move never filled half a prefix within {STRATEGY_SCAN_CAP}"
         )
 
 
@@ -159,10 +154,9 @@ class SeededRandomStrategy(ReplyStrategy):
     """Random nonempty subset of an early pool; fully determined by the
     seed and the round number."""
 
-    name = "seeded_random"
-
     def __init__(self, seed: int):
         self.seed = seed
+        self.name = f"seeded_random:{seed}"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
         pool: list[int] = []
@@ -318,48 +312,3 @@ def adjudicate(transcript: GameTranscript, ideal: IdealPresentation) -> Adjudica
     return Adjudication(
         label="finite-scale evidence", favored="open", evidence={"union_size": len(union)}
     )
-
-
-# ----------------------------------------------------------- diagonal families
-
-
-@dataclass(frozen=True)
-class DiagonalizationFamily:
-    """Doubly indexed finite sets F(n, k), used to probe universal rows."""
-
-    name: str
-    kind: str  # "singletons" | "intervals"
-
-    def set_at(self, n: int, k: int) -> tuple[int, ...]:
-        if n < 1 or k < 1:
-            raise ValueError("family indices start at 1")
-        if self.kind == "singletons":
-            return (k,)
-        return tuple(range(k, k + n))
-
-
-SINGLETON_FAMILY = DiagonalizationFamily("singletons", "singletons")
-INTERVAL_FAMILY = DiagonalizationFamily("intervals", "intervals")
-
-
-@dataclass(frozen=True)
-class UniversalRowReport:
-    family: str
-    row: int
-    found: bool
-    column: int | None
-    checked: int
-
-
-def check_universal_row(
-    family: DiagonalizationFamily,
-    n: int,
-    corpus: list[SetDescription],
-    k_cap: int = 10**4,
-) -> UniversalRowReport:
-    """Least k <= k_cap with F(n, k) inside every corpus set, if any."""
-    for k in range(1, k_cap + 1):
-        cell = family.set_at(n, k)
-        if all(member(s, v) for s in corpus for v in cell):
-            return UniversalRowReport(family.name, n, True, k, k)
-    return UniversalRowReport(family.name, n, False, None, k_cap)

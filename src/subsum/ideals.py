@@ -150,9 +150,9 @@ def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
     return None
 
 
-def nu2_column_audit(s: SetDescription, scale: int, max_column: int = 20) -> dict:
-    """Counts of {n <= scale : n in S, nu2(n) = k} for k <= max_column."""
-    counts = {k: 0 for k in range(max_column + 1)}
+def nu2_column_audit(s: SetDescription, scale: int) -> dict:
+    """Counts of {n <= scale : n in S, nu2(n) = k} for k <= 20."""
+    counts = {k: 0 for k in range(21)}
     for start, flags in _chunks(s, 1, scale):
         for k in counts:
             # n = start + i has nu2(n) == k exactly when n == 2**k mod 2**(k+1).

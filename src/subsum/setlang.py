@@ -689,7 +689,7 @@ def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fr
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Prefix-density evidence for a set at chosen checkpoints.
+    """Prefix-density evidence for a set at the default checkpoints.
 
     ``lower_estimate``/``upper_estimate`` are the min/max observed prefix
     ratios; when ``exact`` is present both collapse to it.  ``banach_upper``
@@ -710,20 +710,12 @@ class DensityReport:
 def density_report(
     s: SetDescription,
     limit: int,
-    checkpoints: tuple[int, ...] | list[int] | None = None,
     window: int | None = None,
 ) -> DensityReport:
     """Tabulate prefix counts and density estimates for S up to ``limit``."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(limit)
-    checkpoints = tuple(checkpoints)
-    if not checkpoints or list(checkpoints) != sorted(set(checkpoints)):
-        raise ValueError("checkpoints must be nonempty and strictly increasing")
-    if checkpoints[0] < 1 or checkpoints[-1] > limit:
-        raise ValueError("checkpoints must lie in [1, limit]")
-    counts = tuple(prefix_counts(s, checkpoints))
+    counts = tuple(prefix_counts(s, default_checkpoints(limit)))
     ratios = [Fraction(c, n) for n, c in counts]
     exact = exact_density(s)
     if exact is not None:
@@ -741,13 +733,12 @@ def default_checkpoints(limit: int) -> tuple[int, ...]:
     return tuple(ladder)
 
 
-def fraction_decimal(value: Fraction, places: int = 12) -> str:
-    """Exact decimal rendering of a nonnegative rational, truncated."""
+def fraction_decimal(value: Fraction) -> str:
+    """Exact decimal rendering of a rational, truncated to 12 places."""
     if value < 0:
-        return "-" + fraction_decimal(-value, places)
-    scaled = value.numerator * 10**places // value.denominator
-    whole, frac = divmod(scaled, 10**places)
-    return f"{whole}.{frac:0{places}d}"
+        return "-" + fraction_decimal(-value)
+    whole, frac = divmod(value.numerator * 10**12 // value.denominator, 10**12)
+    return f"{whole}.{frac:012d}"
 
 
 def density_csv(report: DensityReport) -> str:

@@ -126,13 +126,6 @@ class Selector:
             prev = v
             n += 1
 
-    def extended_consecutively(self) -> "Selector":
-        """Total extension of a partial selector by consecutive values."""
-        if self.tail is not None:
-            return self
-        start = (self.stem[-1] + 1) if self.stem else 1
-        return Selector(self.stem, Consecutive(start))
-
     def spec_string(self) -> str:
         body = "stem:{" + ",".join(str(v) for v in self.stem) + "}"
         if self.tail is None:

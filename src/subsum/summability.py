@@ -38,6 +38,10 @@ ONE = Fraction(1)
 DEFAULT_COLUMN_CAP = 1 << 20
 # Columns a domain check sums when no certified tail width is in reach.
 DOMAIN_SCAN_COLUMNS = 4096
+# A domain check calls a row diverging once a partial sum exceeds this.
+DOMAIN_GROWTH_BOUND = 10**6
+# The widest tail width a domain check certifies.
+DOMAIN_WIDTH_CAP = 10**6
 # Rationals larger than this many bits print in a bounded form.
 RENDER_BITS = 4096
 # Consecutive head rows that the sampled r1 bound and the generic r3 probe read.
@@ -906,14 +910,13 @@ def transform_value(
     x: SequenceSpec,
     n: int,
     tail_tol: Fraction = ZERO,
-    column_cap: int = DEFAULT_COLUMN_CAP,
 ) -> TransformPoint:
     """Row n of the transform with a certified tail bound.
 
     Row-finite rows are summed exactly (tail 0).  Otherwise the row is summed
     up to the first doubling width whose certified tail bound is at most
     ``tail_tol``.  The bound does not depend on the partial sum, so when no
-    width up to ``column_cap`` meets the tolerance the call fails before
+    width up to ``DEFAULT_COLUMN_CAP`` meets the tolerance the call fails before
     summing any column.  If no tail machinery applies the call refuses with
     DomainRiskError.
     """
@@ -924,7 +927,7 @@ def transform_value(
         return TransformPoint(n, value, ZERO)
     width = 32
     saw_tail = False
-    while width <= column_cap:
+    while width <= DEFAULT_COLUMN_CAP:
         tail = _certified_tail(matrix, x, n, width)
         if tail is not None:
             saw_tail = True
@@ -939,7 +942,7 @@ def transform_value(
             f"sequence {x.name}"
         )
     raise TailToleranceError(
-        f"tail bound did not reach {tail_tol} within {column_cap} columns"
+        f"tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
     )
 
 
@@ -948,7 +951,6 @@ def transform_prefix(
     x: SequenceSpec,
     n_max: int,
     tail_tol: Fraction = ZERO,
-    column_cap: int = DEFAULT_COLUMN_CAP,
 ) -> list[TransformPoint]:
     """Transform rows 1..n_max: row-finite matrices through their exact
     kernel, other rows with transform_value's tail semantics."""
@@ -957,7 +959,7 @@ def transform_prefix(
     if matrix.row_finite:
         values = matrix.transform_rows(x.values(matrix.columns(n_max)), n_max)
         return [TransformPoint(n, v, ZERO) for n, v in enumerate(values, start=1)]
-    return [transform_value(matrix, x, n, tail_tol, column_cap) for n in range(1, n_max + 1)]
+    return [transform_value(matrix, x, n, tail_tol) for n in range(1, n_max + 1)]
 
 
 # ---------------------------------------------------------------- domain check
@@ -989,41 +991,33 @@ def domain_check(
     x: SequenceSpec,
     n: int,
     tol: Fraction,
-    column_cap: int = 10**6,
-    growth_bound: Fraction = Fraction(10**6),
 ) -> DomainCheck:
     """Does row n of the transform make sense for x?
 
     ``converged`` needs a certified tail (row-finite rows give tail 0): the
-    first doubling width up to ``column_cap`` whose tail bound is at most
-    tol, found before any column is summed.  ``diverging`` needs
-    finite-scale evidence: partial sums past the growth bound, or a single
-    term larger than 2*tol after the partials had settled within tol over a
-    window.  Anything else is ``inconclusive``; without a certified width
-    the scan for evidence stops after ``DOMAIN_SCAN_COLUMNS`` columns.
+    first doubling width up to ``DOMAIN_WIDTH_CAP`` whose tail bound is at
+    most tol, found before any column is summed.  ``diverging`` needs
+    finite-scale evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a
+    single term larger than 2*tol after the partials had settled within tol
+    over a window.  Anything else is ``inconclusive``; without a certified
+    width the scan for evidence stops after ``DOMAIN_SCAN_COLUMNS`` columns.
     """
     if matrix.row_support(n) is not None:
         value = transform_value(matrix, x, n).value
         return DomainCheck("converged", n, value, ZERO, {"row_finite": True})
     certified = None
     width = 32
-    while width <= column_cap:
+    while width <= DOMAIN_WIDTH_CAP:
         tail = _certified_tail(matrix, x, n, width)
         if tail is not None and tail <= tol:
             certified = (width, tail)
             break
         width *= 2
-    if certified is not None:
-        last, budget = certified[0], None
-    elif column_cap > DOMAIN_SCAN_COLUMNS:
-        last, budget = DOMAIN_SCAN_COLUMNS, "DOMAIN_SCAN_COLUMNS"
-    else:
-        last, budget = column_cap, "column_cap"
+    last = certified[0] if certified is not None else DOMAIN_SCAN_COLUMNS
     # The partial sum is num/den over a running common denominator; the
     # window holds the last partials' numerators over that same den.
     window: deque[int] = deque(maxlen=16)
     tp, tq = tol.numerator, tol.denominator
-    gp, gq = growth_bound.numerator, growth_bound.denominator
     stable_seen = False
     num, den = 0, 1
     for k in range(1, last + 1):
@@ -1037,7 +1031,7 @@ def domain_check(
                     window[i] *= factor
             else:
                 num += p * (den // q)
-        if abs(num) * gq > gp * den:
+        if abs(num) > DOMAIN_GROWTH_BOUND * den:
             partial = _bounded_str(Fraction(num, den))
             return DomainCheck(
                 "diverging", n, None, None, {"kind": "growth", "column": k, "partial": partial}
@@ -1060,7 +1054,7 @@ def domain_check(
         None,
         None,
         {
-            "budget": budget,
+            "budget": "DOMAIN_SCAN_COLUMNS",
             "columns_used": last,
             "last_partial": _bounded_str(Fraction(num, den)),
         },

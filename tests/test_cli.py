@@ -469,19 +469,6 @@ class TestPlumbing:
         assert record["digest"] is None
         assert "SetSyntaxError" in record["error"]
 
-    def test_config_pairs_are_echoed(self, capsys):
-        code, d = run_json(
-            capsys,
-            ["density", "ap:1,2", "--scale", "64", "--config", "run=alpha", "--config", "lab=x"],
-        )
-        assert code == 0
-        assert d["config"] == {"run": "alpha", "lab": "x"}
-
-    def test_bad_config_pairs_exit_with_code_2(self, capsys):
-        code, out, err = run(capsys, ["density", "ap:1,2", "--config", "nonsense"])
-        assert code == 2
-        assert "key=value" in err
-
     def test_parse_errors_exit_with_code_2(self, capsys):
         for argv in (
             ["density", "wat:nope"],

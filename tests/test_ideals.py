@@ -336,9 +336,9 @@ class TestNu2FiberIdeal:
             assert c == oracle.get(k, 0)
 
     def test_column_audit_matches_raw_scan(self):
-        audit = nu2_column_audit(AP(2, 2), 2000, max_column=6)
-        oracle = fiber_counts(AP(2, 2), 2000, max_column=6)
-        assert audit["column_counts"] == {k: oracle.get(k, 0) for k in range(7)}
+        audit = nu2_column_audit(AP(2, 2), 2000)
+        oracle = fiber_counts(AP(2, 2), 2000, max_column=20)
+        assert audit["column_counts"] == {k: oracle.get(k, 0) for k in range(21)}
         assert audit["scale"] == 2000
 
 

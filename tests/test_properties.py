@@ -28,6 +28,9 @@ from subsum import (
     parse_matrix,
     parse_rle,
     parse_selector,
+    parse_sequence,
+    parse_set,
+    parse_strategy,
     quantile_candidates,
     random_rowfinite_matrix,
     render_rle,
@@ -49,7 +52,7 @@ from subsum.setlang import (
     Squares,
     Union,
 )
-from subsum.summability import _dot
+from subsum.summability import _NAMED_SEQUENCES, _dot
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -323,6 +326,49 @@ def _matrices():
 def test_matrix_specs_round_trip(matrix):
     # Row drops nest bases and sets that both contain ':'.
     assert parse_matrix(matrix.spec_string()) == matrix
+
+
+# ------------------------------------------------------ sequences, strategies
+
+_small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+_sequence_specs = st.one_of(
+    st.sampled_from(sorted(_NAMED_SEQUENCES)),
+    _small_fractions.map(lambda v: f"const:{v}"),
+    st.lists(_small_fractions, min_size=1, max_size=6).map(
+        lambda vs: "list:" + ",".join(map(str, vs))
+    ),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 9)), min_size=1, max_size=5).map(
+        lambda runs: "rle:" + ",".join(f"{b}x{n}" for b, n in runs)
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_sequence_specs)
+def test_sequence_names_parse_back_to_the_same_sequence(spec):
+    x = parse_sequence(spec)
+    again = parse_sequence(x.name)
+    assert again == x
+    assert again.values(64) == x.values(64)
+
+
+_STRATEGY_MOVES = (parse_set("ap:1,2"), parse_set("complement:builtin:squares"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.one_of(
+        st.sampled_from(("prefix_density", "greedy_min", "prefix_take")),
+        st.integers(0, 10**6).map(lambda seed: f"seeded_random:{seed}"),
+    ),
+    round_index=st.integers(1, 4),
+)
+def test_strategy_names_parse_back_to_the_same_strategy(spec, round_index):
+    strategy = parse_strategy(spec)
+    again = parse_strategy(strategy.name)
+    assert again.name == strategy.name
+    for move in _STRATEGY_MOVES:
+        assert again.reply(move, round_index) == strategy.reply(move, round_index)
 
 
 # ----------------------------------------------------------------- selectors

@@ -96,16 +96,6 @@ class TestPartialSelectors:
         with pytest.raises(ImageUndecidableError):
             s.image_contains(27)
 
-    def test_consecutive_extension_is_total(self):
-        s = parse_selector("stem:{1,26}").extended_consecutively()
-        assert s.total
-        assert s.values(4) == [1, 26, 27, 28]
-        assert s.spec_string() == "stem:{1,26}+consec"
-
-    def test_extending_a_total_selector_is_a_no_op(self):
-        s = parse_selector("even")
-        assert s.extended_consecutively() is s
-
 
 class TestImageMembership:
     def test_rule_images_are_scanned(self):
