@@ -37,7 +37,6 @@ from .constructions import (
 )
 from .games import IllegalMoveError, StrategySearchError
 from .ideals import (
-    IdealPresentation,
     RestrictionError,
     SelectorNotCertifiedError,
     UnsupportedIdealError,
@@ -47,6 +46,7 @@ from .setlang import EnumerationCapError, SetSyntaxError, fraction_decimal, pars
 from .sigma import ImageUndecidableError, SelectorSpecError, parse_selector
 from .summability import (
     DEFAULT_COLUMN_CAP,
+    RENDER_BITS,
     DomainRiskError,
     MatrixSpecError,
     SequenceSpecError,
@@ -73,6 +73,17 @@ class AuditBudgetError(RuntimeError):
 
 def _frac(value: Fraction | None) -> str | None:
     return None if value is None else _bounded_str(Fraction(value))
+
+
+def _tolerance(text: str) -> Fraction:
+    """A tolerance with numerator and denominator of at most RENDER_BITS bits:
+    exact tail sums to finer ones run for minutes.  A far exponent is refused
+    before its power of 10 is built."""
+    _, _, exponent = text.lower().partition("e")
+    value = None if exponent and abs(int(exponent)) > 2 * RENDER_BITS else Fraction(text)
+    if value is None or max(abs(value.numerator), value.denominator).bit_length() > RENDER_BITS:
+        raise ValueError(f"tolerances are limited to {RENDER_BITS}-bit numerators and denominators")
+    return value
 
 
 def _parse_stem(text: str) -> tuple[int, ...]:
@@ -161,8 +172,7 @@ def _cmd_regularity(args) -> tuple[dict, int]:
 def _cmd_transform(args) -> tuple[dict, int]:
     matrix = parse_matrix(args.matrix)
     x = parse_sequence(args.x)
-    tol = Fraction(args.tail_tol)
-    points = summability.transform_prefix(matrix, x, args.rows, tail_tol=tol)
+    points = summability.transform_prefix(matrix, x, args.rows, tail_tol=_tolerance(args.tail_tol))
     payload = {
         "command": "transform",
         "matrix": matrix.spec_string(),
@@ -178,7 +188,7 @@ def _cmd_transform(args) -> tuple[dict, int]:
 def _cmd_domain(args) -> tuple[dict, int]:
     matrix = parse_matrix(args.matrix)
     x = parse_sequence(args.x)
-    check = summability.domain_check(matrix, x, args.row, Fraction(args.tol))
+    check = summability.domain_check(matrix, x, args.row, _tolerance(args.tol))
     payload = {
         "command": "domain",
         "matrix": matrix.spec_string(),
@@ -258,7 +268,7 @@ def _cmd_oscillate(args) -> tuple[dict, int]:
     x = parse_sequence(args.x)
     matrix = parse_matrix(args.matrix)
     pair = constructions.oscillation_pair(
-        stem, x, matrix, scan=args.scale, tol=Fraction(args.tol)
+        stem, x, matrix, scan=args.scale, tol=_tolerance(args.tol)
     )
     payload = {
         "command": "oscillate",

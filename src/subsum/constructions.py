@@ -134,35 +134,32 @@ class OscillationCertificate:
 
     def audit_values(self, values: list[Fraction]) -> bool:
         """Recount the hits against a value stream; True iff all match."""
-        if len(values) < self.scales[-1]:
-            return False
-        recount = certificate_from_values(
+        return len(values) >= self.scales[-1] and self == certificate_from_values(
             values, self.lower, self.upper, self.scales, self.x_spec, self.matrix_spec
         )
-        return recount == self
 
 
 def _threshold_counts(
-    values: list[Fraction], lower: Fraction, upper: Fraction, scales: tuple[int, ...]
+    pairs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per scale s, |{i <= s : v_i <= lower}| and |{i <= s : v_i >= upper}|.
+    """Per scale s, |{i <= s : v_i <= lower}| and |{i <= s : v_i >= upper}|,
+    for values v_i = p_i / q_i streamed as integer pairs with q_i > 0.
 
-    One pass over the values in ascending scale order, comparing integer
-    cross products; each scale reads the running tallies as it is passed.
+    One pass in ascending scale order, reading no pair past the largest scale
+    and comparing integer cross products; each scale reads the running tallies.
     """
     lp, lq = lower.numerator, lower.denominator
     up, uq = upper.numerator, upper.denominator
+    stream = iter(pairs)
     tallies = {}
     lo = hi = start = 0
     for s in sorted(set(scales)):
-        stop = max(start, min(s, len(values)))
-        for v in islice(values, start, stop):
-            p, q = v.numerator, v.denominator
+        for p, q in islice(stream, max(0, s - start)):
             if p * lq <= lp * q:
                 lo += 1
             if p * uq >= up * q:
                 hi += 1
-        start = stop
+        start = max(start, s)
         tallies[s] = (lo, hi)
     return tuple(tallies[s][0] for s in scales), tuple(tallies[s][1] for s in scales)
 
@@ -175,16 +172,13 @@ def certificate_from_values(
     x_spec: str,
     matrix_spec: str,
 ) -> OscillationCertificate:
-    lower_counts, upper_counts = _threshold_counts(values, lower, upper, scales)
-    return OscillationCertificate(
-        x_spec=x_spec,
-        matrix_spec=matrix_spec,
-        lower=lower,
-        upper=upper,
-        scales=scales,
-        lower_counts=lower_counts,
-        upper_counts=upper_counts,
-    )
+    pairs = (v.as_integer_ratio() for v in values)
+    return _certificate(pairs, lower, upper, scales, x_spec, matrix_spec)
+
+
+def _certificate(pairs, lower, upper, scales, x_spec, matrix_spec) -> OscillationCertificate:
+    counts = _threshold_counts(pairs, lower, upper, scales)
+    return OscillationCertificate(x_spec, matrix_spec, lower, upper, scales, *counts)
 
 
 @dataclass(frozen=True)
@@ -232,14 +226,18 @@ def ideal_limit(
         return IdealLimitVerdict(
             "undecided", ideal.name, n, evidence={"reason": "scale too small"}
         )
+    pairs = [v.as_integer_ratio() for v in values]
     candidates = quantile_candidates(values)
     best: tuple | None = None
     attempts = {}
     for eta in candidates:
-        deviations = [abs(v - eta) for v in values]
+        # |p/q - a/b| > 1/2^j exactly when 64|pb - aq| > 2^(6-j) qb, that is
+        # when the value's level below is at least 2^(6-j) = 64 * eps.
+        a, b = eta.numerator, eta.denominator
+        levels = [(64 * abs(p * b - a * q) - 1) // (q * b) for p, q in pairs]
         chain_eps = None
-        for eps in EPS_GRID:
-            flags = [1 if d > eps else 0 for d in deviations]
+        for eps, floor in zip(EPS_GRID, (32, 16, 8, 4, 2, 1)):
+            flags = [1 if level >= floor else 0 for level in levels]
             if not small(flags, n):
                 break
             chain_eps, chain_flags = eps, flags
@@ -262,7 +260,7 @@ def ideal_limit(
             evidence={"exception_counts": counts, "attempts": attempts},
         )
     # Per candidate, its "<= c" and its ">= c" hits at half and full scale.
-    tallies = [_threshold_counts(values, c, c, (n // 2, n)) for c in candidates]
+    tallies = [_threshold_counts(pairs, c, c, (n // 2, n)) for c in candidates]
     pair_best: tuple | None = None
     for i, lower in enumerate(candidates):
         lo_half, lo_full = tallies[i][0]
@@ -683,7 +681,7 @@ LOWER_THRESHOLD, UPPER_THRESHOLD = Fraction(2, 5), Fraction(3, 5)
 ONE_THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 
 
-def _boundary_means(values: list[Fraction], scale: int) -> tuple[BoundaryMean, ...]:
+def _boundary_means(bits: list[int], scale: int) -> tuple[BoundaryMean, ...]:
     out = []
     level = 1
     while (1 << (2 * level + 2)) <= scale:
@@ -692,7 +690,7 @@ def _boundary_means(values: list[Fraction], scale: int) -> tuple[BoundaryMean, .
         # back near 1/3 at the end of the following block of zeros.
         ends = ((1 << (2 * level + 1), TWO_THIRDS), (1 << (2 * level + 2), ONE_THIRD))
         for edge, target in ends:
-            mean = values[edge - 1]
+            mean = Fraction(sum(bits[:edge]), edge)
             out.append(BoundaryMean(level, edge, mean, target, abs(mean - target), allowance))
         level += 1
     return tuple(out)
@@ -763,10 +761,9 @@ def steinhaus_adversary(
     else:
         raise ValueError(f"unknown adversary mode {mode!r}")
     scale = len(bits)
-    values = matrix.transform_rows(bits, scale)
-    cert = certificate_from_values(
-        values, LOWER_THRESHOLD, UPPER_THRESHOLD, (scale // 2, scale), x_spec,
-        matrix.spec_string(),
+    cert = _certificate(
+        matrix._transform_pairs(bits, scale), LOWER_THRESHOLD, UPPER_THRESHOLD,
+        (scale // 2, scale), x_spec, matrix.spec_string(),
     )
     certified = not stalled and min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
     return AdversaryReport(
@@ -777,7 +774,7 @@ def steinhaus_adversary(
         status="certified" if certified else "diagnostic",
         certificate=cert,
         boundary_means=(
-            _boundary_means(values, scale)
+            _boundary_means(bits, scale)
             if mode == "blocks" and isinstance(matrix, CesaroMatrix) else ()
         ),
         evidence={

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import Callable
 
 from .setlang import (
@@ -198,19 +200,18 @@ def _fin_small(flags: list[int], n: int) -> bool:
 
 
 def _z_small(flags: list[int], n: int) -> bool:
-    total = sum(flags)
-    late = sum(flags[n // 2:])
-    return 8 * total <= n and (
-        Fraction(total, n) <= Fraction(total - late, n // 2) + Fraction(1, 32)
-    )
+    # total/n <= (total - late)/half + 1/32, times 32 * n * half.
+    half = n // 2
+    total, late = sum(flags), sum(flags[half:])
+    return 8 * total <= n and 32 * total * half <= 32 * (total - late) * n + n * half
 
 
 def _bd_small(flags: list[int], n: int) -> bool:
+    # The worst count over the windows [i, i + window) with n/2 <= i <= n - window.
     window = max(8, n // 8)
-    prefix = [0]
-    for f in flags:
-        prefix.append(prefix[-1] + f)
-    worst = max((prefix[i + window] - prefix[i] for i in range(n // 2, n - window + 1)), default=0)
+    prefix = [0, *accumulate(flags)]
+    late = n // 2
+    worst = max(map(sub, prefix[late + window:n + 1], prefix[late:n - window + 1]), default=0)
     return 8 * worst <= window
 
 

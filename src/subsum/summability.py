@@ -13,9 +13,9 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import setlang
 from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, IdealKind
@@ -56,12 +56,12 @@ def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
     return num + p * (den // q), den
 
 
-def _dot(coeffs, values) -> Fraction:
-    """Exact sum of a_k * v_k over paired ints and Fractions.
+def _dot_pair(coeffs, values) -> tuple[int, int]:
+    """Exact sum of a_k * v_k over paired ints and Fractions, as an integer
+    numerator over a positive denominator (not reduced).
 
     Exact finite row sums go through here: one integer numerator over a
-    running common denominator, zero terms skipped, and a single Fraction
-    built at the end.
+    running common denominator, zero terms skipped, and no Fraction built.
     """
     num, den = 0, 1
     for a, v in zip(coeffs, values):
@@ -72,7 +72,12 @@ def _dot(coeffs, values) -> Fraction:
                 num, den = _add_ratio(num, den, p, q)
             else:  # the common case, inlined: q already divides den
                 num += p * (den // q)
-    return Fraction(num, den)
+    return num, den
+
+
+def _dot(coeffs, values) -> Fraction:
+    """``_dot_pair`` as one Fraction."""
+    return Fraction(*_dot_pair(coeffs, values))
 
 
 class DomainRiskError(RuntimeError):
@@ -240,26 +245,12 @@ def sequence_from_values(vals: tuple[Fraction, ...], name: str) -> SequenceSpec:
 
 
 def parse_rle(text: str) -> list[tuple[int, int]]:
-    runs = []
-    for chunk in text.split(","):
-        bit_text, _, len_text = chunk.partition("x")
-        runs.append((int(bit_text), int(len_text)))
-    return runs
+    runs = (chunk.partition("x") for chunk in text.split(","))
+    return [(int(bit), int(length)) for bit, _, length in runs]
 
 
 def render_rle(bits: list[int]) -> str:
-    if not bits:
-        return ""
-    runs = []
-    current, length = bits[0], 1
-    for b in bits[1:]:
-        if b == current:
-            length += 1
-        else:
-            runs.append(f"{current}x{length}")
-            current, length = b, 1
-    runs.append(f"{current}x{length}")
-    return ",".join(runs)
+    return ",".join(f"{bit}x{len(list(run))}" for bit, run in groupby(bits))
 
 
 def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
@@ -400,12 +391,15 @@ class SummabilityMatrix:
         """Exact values of rows 1..n_max of the transform of x.
 
         ``xs[k-1]`` is x_k (an int or a Fraction) for every column up to
-        ``columns(n_max)``.  The default sums each row directly.
+        ``columns(n_max)``.
         """
-        return [
-            _dot((self.entry(n, k) for k in range(1, self.row_support(n) + 1)), xs)
-            for n in range(1, n_max + 1)
-        ]
+        return [Fraction(p, q) for p, q in self._transform_pairs(xs, n_max)]
+
+    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
+        """The rows of ``transform_rows`` as integer (numerator, positive
+        denominator) pairs, streamed; the default sums each row directly."""
+        for n in range(1, n_max + 1):
+            yield _dot_pair((self.entry(n, k) for k in range(1, self.row_support(n) + 1)), xs)
 
     # -- structural facts
 
@@ -496,16 +490,13 @@ class CesaroMatrix(_StochasticTriangle):
             last = self._last_entry = Fraction(1, n)
         return last
 
-    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
+    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
         # The running sum stays an int while the inputs are integral, which
         # keeps 0/1 prefixes as cheap as counting ones.
-        out = []
         total = 0
-        for n in range(1, n_max + 1):
-            v = xs[n - 1]
+        for n, v in enumerate(xs[:n_max], start=1):
             total += v.numerator if v.denominator == 1 else v
-            out.append(Fraction(total, n))
-        return out
+            yield total.numerator, total.denominator * n
 
     def null_ideal(self) -> IdealPresentation:
         return IdealPresentation.z()
@@ -533,8 +524,8 @@ class IdentityMatrix(_StochasticTriangle):
             raise ValueError("indices start at 1")
         return ONE if n == k else ZERO
 
-    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
-        return [Fraction(v) for v in xs[:n_max]]
+    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
+        return (v.as_integer_ratio() for v in xs[:n_max])
 
     def null_ideal(self) -> IdealPresentation:
         return IdealPresentation.fin()
@@ -586,9 +577,10 @@ class RowDropMatrix(SummabilityMatrix):
     def columns(self, n_max: int) -> int:
         return self.base.columns(n_max)
 
-    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
-        base = self.base.transform_rows(xs, n_max)
-        return [ZERO if member(self.drop, n) else v for n, v in enumerate(base, start=1)]
+    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
+        dropped = setlang._scan(self.drop, 1, n_max)
+        for gone, pair in zip(dropped, self.base._transform_pairs(xs, n_max)):
+            yield (0, 1) if gone else pair
 
     def vanish_rows(self, w: int) -> SetDescription | None:
         base = self.base.vanish_rows(w)

@@ -128,14 +128,13 @@ class TestTransform:
 
 
     def test_values_past_the_int_to_str_limit_print_in_bounded_form(self, capsys):
-        # A tolerance of 2^-14000 makes the row value's denominator over
-        # 4300 digits, which str() refuses; it prints truncated instead.
-        tol = f"1/{2**14000}"
-        code, d = run_json(capsys, ["transform", "--matrix", "gen:geometric", "--x", "alt",
-                                    "--rows", "1", "--tail-tol", tol])
+        # x_n = 10^-4400 makes the row value's denominator over 4300 digits,
+        # which str() refuses; it prints truncated instead.
+        code, d = run_json(capsys, ["transform", "--matrix", "gen:geometric", "--x",
+                                    "const:1e-4400", "--rows", "1", "--tail-tol", "1/1000"])
         assert code == 0
         assert d["rows"][0]["value"] == (
-            "0.333333333333... (16383-bit numerator over 16385-bit denominator)"
+            "0.000000000000... (30-bit numerator over 14647-bit denominator)"
         )
 
     def test_values_up_to_4096_bits_print_exactly(self, capsys):
@@ -570,6 +569,30 @@ class TestErrorContract:
         assert time.perf_counter() - started < 5
         assert code == 3
         assert "AuditBudgetError" in record["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["domain", "--matrix", "gen:geometric", "--x", "const:1", "--row", "1",
+         "--tol", "1e-100000"],
+        ["transform", "--matrix", "gen:geometric", "--x", "const:1", "--rows", "1",
+         "--tail-tol", "1e-158000"],
+        ["transform", "--matrix", "gen:geometric", "--x", "alt", "--rows", "1",
+         "--tail-tol", f"1/{2**14000}"],
+        ["oscillate", "--x", "alt", "--tol", "1e-1234"],
+    ])
+    def test_tolerances_over_4096_bits_exit_with_code_2(self, capsys, tmp_path, argv):
+        # Exact tail sums to such tolerances ran for minutes.
+        started = time.perf_counter()
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert record["digest"] is None
+
+    def test_tolerances_are_exact_up_to_4096_bits(self):
+        assert cli._tolerance("1e-1233") == Fraction(1, 10**1233)
+        assert cli._tolerance(f"-{2**4096 - 1}") == -(2**4096 - 1)
+        for text in (f"1/{2**4096}", "1e1234", "1e-99999"):
+            with pytest.raises(ValueError):
+                cli._tolerance(text)
 
     def test_matrix_ideals_that_are_not_regular_exit_with_code_7(self, capsys, tmp_path):
         argv = ["verdict", "ap:1,2", "--ideal", "matrix:rowdrop:cesaro:builtin:squares"]

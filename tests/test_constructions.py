@@ -36,7 +36,7 @@ from subsum import (
     random_rowfinite_matrix,
     steinhaus_adversary,
 )
-from subsum.constructions import _least_index_with_magnitude
+from subsum.constructions import EPS_GRID, _least_index_with_magnitude
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -124,6 +124,19 @@ class TestIdealLimit:
         for pos in range(520, 1024, 21):
             values[pos - 1] = F(1)
         assert ideal_limit(values, BD).status == "limit"
+
+    @pytest.mark.parametrize("eta", [F(0), F(1, 3), F(123456789, 2**61 - 1)])
+    @pytest.mark.parametrize("ideal", [FIN, Z, BD], ids=["fin", "z", "bd"])
+    def test_values_exactly_eps_away_are_not_exceptions(self, eta, ideal):
+        # Half the values sit at eta, a quarter at each of eta -/+ eps.  The
+        # exception test |v - eta| > eps is strict, so eta's chain ends at
+        # exactly eps; moved 2^-80 further out, the upper quarter are
+        # exceptions at eps and no level gets that far.
+        for eps in EPS_GRID:
+            v = ideal_limit([eta, eta + eps, eta, eta - eps] * 64, ideal)
+            assert (v.status, v.eta, v.eps) == ("limit", eta, eps)
+            v = ideal_limit([eta, eta + eps + F(1, 2**80), eta, eta - eps] * 64, ideal)
+            assert v.status != "limit" or v.eps > eps
 
     def test_short_streams_are_undecided(self):
         v = ideal_limit([F(1)] * 8, Z)

@@ -4,12 +4,9 @@ Replies and adjudications are frozen from hand-checkable instances and
 cross-checked against independent recounts of the same transcripts.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from subsum import (
-    Adjudication,
     GameTranscript,
     GreedyMinStrategy,
     IdealPresentation,

@@ -173,12 +173,15 @@ _stream_value = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominato
     lower=st.fractions(-4, 4, max_denominator=8),
     gap=st.fractions("1/16", 4, max_denominator=16),
     scales=st.lists(st.integers(1, 50), min_size=1, max_size=5),
+    spread=st.integers(1, 4),
 )
-def test_certificate_counts_match_fraction_comparisons(values, lower, gap, scales):
-    # Unsorted, repeated and past-the-end scales; ints and Fractions alike.
+def test_certificate_counts_match_fraction_comparisons(values, lower, gap, scales, spread):
+    # Unsorted, repeated and past-the-end scales; ints and Fractions alike,
+    # counted from (numerator, denominator) pairs that need not be reduced.
     upper = lower + gap
     want = _reference_counts(values, lower, upper, scales)
-    assert _threshold_counts(values, lower, upper, tuple(scales)) == want
+    pairs = [(v.numerator * spread, v.denominator * spread) for v in values]
+    assert _threshold_counts(pairs, lower, upper, tuple(scales)) == want
     ordered = tuple(sorted(set(scales)))
     cert = certificate_from_values(values, lower, upper, ordered, "x", "m")
     lower_counts, upper_counts = _reference_counts(values, lower, upper, ordered)
@@ -304,6 +307,9 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
     ]
     assert got == direct
     assert all(type(v) is F for v in got)
+    pairs = list(matrix._transform_pairs(xs, n))
+    assert [F(p, q) for p, q in pairs] == got
+    assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
 
 
 def _matrices():
