@@ -61,13 +61,17 @@ def quantile_candidates(values: list[Fraction]) -> list[Fraction]:
     """Candidate levels: five order statistics and their 1/64-grid snaps."""
     if not values:
         return []
-    ordered = sorted(values)
+    # An exact integer sort key: two values p/q < p'/q' differ by at least
+    # 1/(q q') >= 1/Q**2, so floor(v * (Q**2 + 1)) keeps them apart, and equal
+    # values get equal keys.
+    scale = max(v.denominator for v in values) ** 2 + 1
+    keys = [v.numerator * scale // v.denominator for v in values]
+    ordered = sorted(range(len(values)), key=keys.__getitem__)
     n = len(ordered)
-    ranks = sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})
     out = set()
-    for r in ranks:
-        out.add(ordered[r])
-        out.add(_snap64(ordered[r]))
+    for r in {0, n // 4, n // 2, (3 * n) // 4, n - 1}:
+        value = values[ordered[r]]
+        out.update((value, _snap64(value)))
     return sorted(out)
 
 

@@ -29,12 +29,15 @@ from .setlang import (
     Squares,
     Tri,
     Union,
+    _banach,
     _chunks,
+    _density,
+    _finiteness,
+    _form,
     _merged,
+    _pushed,
     _window_maxima,
-    banach_exact,
     default_checkpoints,
-    exact_density,
     is_finite,
     member,
     nu2,
@@ -96,8 +99,8 @@ def _density_evidence(s: SetDescription, scale: int) -> dict:
 # ---------------------------------------------------------------- verdicts
 
 
-def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    fin = is_finite(s)
+def _fin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
+    fin = _finiteness(s, memo)[0]
     if fin is Tri.YES:
         return _in("structurally finite")
     if fin is Tri.NO:
@@ -105,32 +108,35 @@ def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
     return None
 
 
-def _z_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    if is_finite(s) is Tri.YES:
+def _z_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
+    if _finiteness(s, memo)[0] is Tri.YES:
         return _in("finite sets have density 0")
-    d = exact_density(s)
+    d = _density(s, memo)
     if d == 0:
         return _in("exact density 0")
     if d is not None:
         return _not_in(f"exact density {d} > 0")
-    if _z_positive_limsup(s):
+    if _z_positive_limsup(s, memo):
         return _not_in("contains infinitely many full dyadic blocks")
     return None
 
 
-def _z_positive_limsup(s: SetDescription) -> bool:
+def _z_positive_limsup(s: SetDescription, memo: dict) -> bool:
     """Certified positive upper density via dyadic-block structure.
 
     A set containing infinitely many whole blocks [2**q, 2**(q+1)) has
     prefix density > 1/2 at the right edge of each, hence limsup >= 1/2.
+    Kept in the memo, whose facts of s hold s, so a deep union asks once.
     """
-    if isinstance(s, DyadicBlocks):
-        return is_finite(s.selector) is Tri.NO
-    if isinstance(s, Union):
-        return _z_positive_limsup(s.left) or _z_positive_limsup(s.right)
-    if isinstance(s, Shift):
-        return s.offset == 0 and _z_positive_limsup(s.inner)
-    return False
+    key = ("limsup", id(s))
+    if key not in memo:
+        if isinstance(s, DyadicBlocks):
+            memo[key] = _finiteness(s.selector, memo)[0] is Tri.NO
+        elif isinstance(s, Union):
+            memo[key] = _z_positive_limsup(s.left, memo) or _z_positive_limsup(s.right, memo)
+        else:
+            memo[key] = isinstance(s, Shift) and s.offset == 0 and _z_positive_limsup(s.inner, memo)
+    return memo[key]
 
 
 def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
@@ -143,8 +149,8 @@ def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
     return {"max_window_density": [(w, str(d)) for w, d in zip(lengths, maxima)]}
 
 
-def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    b = banach_exact(s)
+def _bd_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
+    b = _banach(s, memo)
     if b == 0:
         return _in("exact Banach density 0")
     if b is not None:
@@ -162,10 +168,10 @@ def nu2_column_audit(s: SetDescription, scale: int) -> dict:
     return {"column_counts": counts, "scale": scale}
 
 
-def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
+def _finxfin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
     if isinstance(s, Intersection) and (merged := _merged(s.left, s.right)) is not None:
         s = merged
-    fin, cofin = s.finiteness()
+    fin, cofin = _finiteness(s, memo)
     if fin is Tri.YES:
         return _in("finite set")
     if cofin is Tri.YES:
@@ -182,12 +188,24 @@ def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
     if isinstance(s, Nu2Ge):
         return _not_in(f"every nu2 fiber from {s.threshold} on is full")
     if isinstance(s, DyadicBlocks):
-        fin = is_finite(s.selector)
-        if fin is Tri.NO:
+        if _finiteness(s.selector, memo)[0] is Tri.NO:
             return _not_in("infinitely many whole dyadic blocks meet every nu2 fiber")
     if isinstance(s, Complement) and isinstance(s.inner, Nu2Ge):
         return _in(f"nu2 fibers from {s.inner.threshold} on are empty")
-    return None
+    form = _form(s, memo)
+    if form is None:
+        return None
+    # With p = 2**a * m, m odd, a residue r = 0 mod 2**a meets every fiber
+    # from a on infinitely often; any other residue stays below fiber a.
+    p, mask, atoms, _ = form
+    a = nu2(p)
+    if mask & ((1 << p) - 1) // ((1 << (1 << a)) - 1):
+        return _not_in(f"every nu2 fiber from {a} on is met infinitely often")
+    if not all(atom is Powers2 for atom, _ in atoms):
+        return None
+    # 2**j + o has nu2(o) for large j when o != 0; o = 0 is one per fiber.
+    a = max([a] + [nu2(abs(o)) + 1 for _, o in atoms if o])
+    return _in(f"every nu2 fiber from {a} on is finite")
 
 
 # ---------------------------------------------------------------- smallness
@@ -222,9 +240,10 @@ def _bd_small(flags: list[int], n: int) -> bool:
 class IdealKind:
     """What one kind of ideal states about itself.
 
-    ``closed_form`` decides a set from its structure alone, or returns None
-    to leave the set to the ladder's rules; an undecided verdict from it
-    ends the ladder.
+    ``closed_form(s, memo)`` decides a set from its structure alone, reading
+    its facts through the memo of one decide call, or returns None to leave
+    the set to the ladder's rules; an undecided verdict from it ends the
+    ladder.
     ``reasons`` word the rules every ideal obeys: a union of two members is
     a member, a superset of a non-member is not, a subset of a member is.
     ``shift_reason`` prefixes a shift's inner verdict when membership is
@@ -232,7 +251,7 @@ class IdealKind:
     and ``small_at_scale`` is the smallness rule of limit search.
     """
 
-    closed_form: Callable[[SetDescription], MembershipVerdict | None]
+    closed_form: Callable[[SetDescription, dict], MembershipVerdict | None]
     undecided_reason: str
     evidence: Callable[[SetDescription, int], dict]
     reasons: tuple[str, str, str]
@@ -275,30 +294,33 @@ IDEAL_KINDS = {
 }
 
 
-def _decide(kind: IdealKind, s: SetDescription) -> MembershipVerdict:
-    """The verdict ladder of every ideal kind, computing no evidence: the
-    kind's closed form, then double complements, its union and subset rules,
-    and shifts for shift-invariant kinds, each applied to the parts by the
-    same ladder."""
-    verdict = kind.closed_form(s)
+def _decide(kind: IdealKind, s: SetDescription, memo: dict) -> MembershipVerdict:
+    """The verdict ladder of every ideal kind, computing no evidence: double
+    complements cancel, then the kind's closed form, its union and subset
+    rules, shifts for shift-invariant kinds, and complements and other shifts
+    pushed one level toward the atoms, each applied to the parts by the same
+    ladder.  ``memo`` holds the facts of one call."""
+    if isinstance(s, Complement) and isinstance(s.inner, Complement):
+        return _decide(kind, s.inner.inner, memo)
+    verdict = kind.closed_form(s, memo)
     if verdict is not None:
         return verdict
-    if isinstance(s, Complement) and isinstance(s.inner, Complement):
-        return _decide(kind, s.inner.inner)
     if isinstance(s, Union):
-        left = _decide(kind, s.left).status
-        right = NOT_IN if left == NOT_IN else _decide(kind, s.right).status
+        left = _decide(kind, s.left, memo).status
+        right = NOT_IN if left == NOT_IN else _decide(kind, s.right, memo).status
         if NOT_IN in (left, right):
             return _not_in(kind.reasons[1])
         if left == right == IN:
             return _in(kind.reasons[0])
     elif isinstance(s, Intersection):
-        if any(_decide(kind, side).status == IN for side in (s.left, s.right)):
+        if any(_decide(kind, side, memo).status == IN for side in (s.left, s.right)):
             return _in(kind.reasons[2])
     elif isinstance(s, Shift) and kind.shift_reason is not None:
-        inner = _decide(kind, s.inner)
+        inner = _decide(kind, s.inner, memo)
         if inner.decided:
             return MembershipVerdict(inner.status, kind.shift_reason + inner.reason)
+    elif (pushed := _pushed(s)) is not None:
+        return _decide(kind, pushed, memo)
     return MembershipVerdict(UNDECIDED, kind.undecided_reason)
 
 
@@ -443,13 +465,13 @@ class IdealPresentation:
 
     def decide(self, s: SetDescription) -> MembershipVerdict:
         """The verdict without evidence: an undecided one has no scale."""
-        return _decide(self.rules, s)
+        return _decide(self.rules, s, {})
 
     def verdict(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         """The decision, with evidence at ``scale`` when it is undecided."""
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        verdict = _decide(self.rules, s)
+        verdict = _decide(self.rules, s, {})
         if verdict.decided:
             return verdict
         return _undecided(verdict.reason, scale, self.rules.evidence(s, scale))

@@ -4,6 +4,8 @@ A set description is a small immutable AST written in a colon/pipe DSL,
 e.g. ``ap:2,2``, ``complement:builtin:squares``, ``union:finite:{1,5}|ap:3,4``.
 Every description has decidable membership.  Prefix counts use closed forms
 where the shape allows them and fall back to bounded enumeration otherwise.
+Finiteness, density and Banach density are read off one eventually periodic
+form per node (see ``_form``) wherever the structure gives one.
 All quantities on verdict paths are exact ``fractions.Fraction`` values;
 floats appear only in rendered reports.
 """
@@ -64,28 +66,31 @@ def nu2(n: int) -> int:
 SCAN_CHUNK = 1 << 16
 _STRETCH = 1 << 10  # window evidence compares added and dropped flags this many at a time
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+# Largest period of an eventually periodic form; above it a node has no form.
+PERIOD_CAP = 1 << 16
 
 
 class SetDescription:
     """A subset of N given by its structure.
 
     Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
-    flags of ``_scan`` for 1 <= lo <= hi), ``finiteness()`` (is_finite,
-    is_cofinite) and ``render()``.  The defaults below mean "no structural
-    shortcut": no closed-form count, no certified density, and member
-    searches scan.
+    flags of ``_scan`` for 1 <= lo <= hi), ``form(memo)`` (its eventually
+    periodic form, see ``_form``) and ``render()``.  Kinds that can lack a
+    form also define ``finiteness(memo)`` (is_finite, is_cofinite), and the
+    defaults below mean "no structural shortcut": no closed-form count, no
+    certified density, and member searches scan.
     """
 
     def count(self, limit: int) -> int | None:
         """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
         return None
 
-    def density(self) -> Fraction | None:
-        """Certified asymptotic density, or None."""
+    def density(self, memo: dict) -> Fraction | None:
+        """Certified asymptotic density of a node without a form, or None."""
         return None
 
-    def banach(self) -> Fraction | None:
-        """Certified Banach (uniform upper) density, or None."""
+    def banach(self, memo: dict) -> Fraction | None:
+        """Certified Banach (uniform upper) density of a node without a form, or None."""
         return None
 
     def first_member(self, cap: int) -> int | None:
@@ -132,14 +137,8 @@ class Finite(SetDescription):
         i = bisect_right(self.members, after)
         return self.members[i] if i < len(self.members) else None
 
-    def finiteness(self):
-        return Tri.YES, Tri.NO
-
-    def density(self):
-        return ZERO
-
-    def banach(self):
-        return ZERO
+    def form(self, memo):
+        return _FINITE
 
     def render(self):
         return "finite:{" + ",".join(map(str, self.members)) + "}"
@@ -165,14 +164,20 @@ class _Progression(SetDescription):
     def next_member(self, after, cap):
         return self.first + max(0, (after - self.first) // self.step + 1) * self.step
 
-    def finiteness(self):
-        return Tri.NO, Tri.YES if self.step == 1 else Tri.NO
+    def form(self, memo):
+        step = self.step
+        if step == 1:
+            return _COFINITE
+        return (step, 1 << self.first % step, _NO_ATOMS, False) if step <= PERIOD_CAP else None
 
-    def density(self):
+    # Progressions with steps above PERIOD_CAP have no form.
+    def finiteness(self, memo):
+        return Tri.NO, Tri.NO
+
+    def density(self, memo):
         return Fraction(1, self.step)
 
-    def banach(self):
-        return Fraction(1, self.step)
+    banach = density
 
 
 @dataclass(frozen=True)
@@ -220,14 +225,8 @@ class _Sparse(SetDescription):
     def first_member(self, cap):
         return 1
 
-    def finiteness(self):
-        return Tri.NO, Tri.NO
-
-    def density(self):
-        return ZERO
-
-    def banach(self):
-        return ZERO
+    def form(self, memo):
+        return _SPARSE_FORMS[type(self)]
 
 
 @dataclass(frozen=True)
@@ -291,18 +290,18 @@ class DyadicBlocks(SetDescription):
         q = self.selector.first_member(cap)
         return None if q is None or q >= cap.bit_length() else 1 << q
 
-    def finiteness(self):
+    def form(self, memo):
+        fin, cofin = self.finiteness(memo)
+        return _FINITE if fin is Tri.YES else _COFINITE if cofin is Tri.YES else None
+
+    def finiteness(self, memo):
         # Every block with index q >= 1 is nonempty, and the complement is
         # {1} plus the unselected blocks.
-        return self.selector.finiteness()
+        return _finiteness(self.selector, memo)
 
-    def density(self):
-        fin, cofin = self.selector.finiteness()
-        return ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
-
-    def banach(self):
+    def banach(self, memo):
         # An infinite selector gives arbitrarily long intervals.
-        return {Tri.YES: ZERO, Tri.NO: ONE}.get(self.selector.finiteness()[0])
+        return ONE if self.finiteness(memo)[0] is Tri.NO else None
 
     def render(self):
         return f"builtin:dyadic_blocks({self.selector.render()})"
@@ -322,23 +321,24 @@ class Complement(SetDescription):
         inner = self.inner.count(limit)
         return None if inner is None else limit - inner
 
-    def finiteness(self):
-        fin, cofin = self.inner.finiteness()
+    def form(self, memo):
+        f = _form(self.inner, memo)
+        return f and (f[0], f[1] ^ (1 << f[0]) - 1, f[2], f[3])
+
+    def finiteness(self, memo):
+        fin, cofin = _finiteness(self.inner, memo)
         return cofin, fin
 
-    def density(self):
-        d = self.inner.density()
+    def density(self, memo):
+        d = _density(self.inner, memo)
         return None if d is None else ONE - d
 
-    def banach(self):
-        # A complement of a complement is the innermost set.  A cofinite inner
-        # set leaves a finite complement; a Banach-null one leaves every long
-        # enough window of the complement nearly full.
+    def banach(self, memo):
+        # A Banach-null inner set leaves every long enough window of the
+        # complement nearly full.
         if isinstance(self.inner, Complement):
-            return self.inner.inner.banach()
-        if self.inner.finiteness()[1] is Tri.YES:
-            return ZERO
-        return ONE if self.inner.banach() == ZERO else None
+            return _banach(self.inner.inner, memo)
+        return ONE if _banach(self.inner, memo) == ZERO else None
 
     def render(self):
         return "complement:" + self.inner.render()
@@ -410,26 +410,30 @@ class Union(SetDescription):
             return None if least is None or least > cap else least
         return min(a, b)
 
-    def finiteness(self):
-        (fin_a, cofin_a), (fin_b, cofin_b) = self.left.finiteness(), self.right.finiteness()
+    def form(self, memo):
+        return _join(_form(self.left, memo), _form(self.right, memo), True)
+
+    def finiteness(self, memo):
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left, memo), _finiteness(self.right, memo)
         fin = _both(fin_a, fin_b)
         if Tri.YES in (cofin_a, cofin_b):
             return fin, Tri.YES
         return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
 
-    def density(self):
-        a, b = self.left.density(), self.right.density()
+    def density(self, memo):
+        a, b = _density(self.left, memo), _density(self.right, memo)
         if a is None or b is None:
             return None
         if a == ZERO or b == ZERO:
             return a + b
         if ONE in (a, b):
             return ONE
+        # Two progressions merge by CRT at any step, also above PERIOD_CAP.
         merged = _merged(self.left, self.right)
-        return None if merged is None else a + b - merged.density()
+        return None if merged is None else a + b - _density(merged, memo)
 
-    def banach(self):
-        a, b = self.left.banach(), self.right.banach()
+    def banach(self, memo):
+        a, b = _banach(self.left, memo), _banach(self.right, memo)
         if a == ZERO:
             return b
         if b == ZERO:
@@ -454,16 +458,19 @@ class Intersection(SetDescription):
     def count(self, limit):
         return _count_both(self.left, self.right, limit)
 
-    def finiteness(self):
-        (fin_a, cofin_a), (fin_b, cofin_b) = self.left.finiteness(), self.right.finiteness()
+    def form(self, memo):
+        return _join(_form(self.left, memo), _form(self.right, memo), False)
+
+    def finiteness(self, memo):
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left, memo), _finiteness(self.right, memo)
         cofin = _both(cofin_a, cofin_b)
         if Tri.YES in (fin_a, fin_b):
             return Tri.YES, cofin
         merged = _merged(self.left, self.right)
-        return Tri.UNKNOWN if merged is None else merged.finiteness()[0], cofin
+        return Tri.UNKNOWN if merged is None else _finiteness(merged, memo)[0], cofin
 
-    def density(self):
-        a, b = self.left.density(), self.right.density()
+    def density(self, memo):
+        a, b = _density(self.left, memo), _density(self.right, memo)
         if ZERO in (a, b):
             return ZERO
         if a == ONE:
@@ -471,18 +478,18 @@ class Intersection(SetDescription):
         if b == ONE:
             return a
         merged = _merged(self.left, self.right)
-        return None if merged is None else merged.density()
+        return None if merged is None else _density(merged, memo)
 
-    def banach(self):
+    def banach(self, memo):
         merged = _merged(self.left, self.right)
         if merged is not None:
-            return merged.banach()
-        a, b = self.left.banach(), self.right.banach()
+            return _banach(merged, memo)
+        a, b = _banach(self.left, memo), _banach(self.right, memo)
         if ZERO in (a, b):
             return ZERO
-        if self.left.finiteness()[1] is Tri.YES:
+        if _finiteness(self.left, memo)[1] is Tri.YES:
             return b
-        if self.right.finiteness()[1] is Tri.YES:
+        if _finiteness(self.right, memo)[1] is Tri.YES:
             return a
         return None
 
@@ -523,15 +530,27 @@ class Shift(SetDescription):
             base = self.inner.next_member(-self.offset, cap)
         return None if base is None else base + self.offset
 
-    def finiteness(self):
-        # A shift moves every member and drops at most finitely many below 1.
-        return self.inner.finiteness()
+    def form(self, memo):
+        # A shift changes S only finitely beyond moving it, for either sign.
+        f = _form(self.inner, memo)
+        if f is None:
+            return None
+        p, mask, atoms, rest = f
+        o = self.offset % p
+        mask = (mask << o | mask >> p - o) & (1 << p) - 1
+        if atoms:
+            atoms = frozenset((atom, at + self.offset) for atom, at in atoms)
+        return p, mask, atoms, rest
 
-    def density(self):
-        return self.inner.density()
+    # A shift moves every member and drops at most finitely many below 1.
+    def finiteness(self, memo):
+        return _finiteness(self.inner, memo)
 
-    def banach(self):
-        return self.inner.banach()
+    def density(self, memo):
+        return _density(self.inner, memo)
+
+    def banach(self, memo):
+        return _banach(self.inner, memo)
 
     def render(self):
         return f"shift:{self.inner.render()},{self.offset}"
@@ -539,6 +558,129 @@ class Shift(SetDescription):
 
 NATURALS = AP(1, 1)
 EMPTY = Finite(())
+
+
+# ---------------------------------------------------------------- periodic forms
+# Every ideal here is closed under finite changes, so its verdicts depend on
+# S only modulo finite sets.  The form of S is a tuple (p, mask, atoms, rest):
+# for all large n, n is in the periodic part P exactly when bit n mod p of
+# the int ``mask`` is set, and S Δ P lies, up to a finite set, inside the
+# shifted sparse atoms in ``atoms`` (pairs (Squares or Powers2, offset)).
+# Those have Banach density 0, so |mask|/p is both the density and the Banach
+# density of S.  ``rest`` says that S Δ P is known to be infinite; it is read
+# only when the mask is empty or full, where S Δ P is S or its complement.
+# An empty or full mask has period 1.
+
+_NO_ATOMS = frozenset()
+_FINITE = (1, 0, _NO_ATOMS, False)
+_COFINITE = (1, 1, _NO_ATOMS, False)
+_SPARSE_FORMS = {kind: (1, 0, frozenset({(kind, 0)}), True) for kind in (Squares, Powers2)}
+_NEITHER = (Tri.NO, Tri.NO)
+_UNSET = object()
+
+
+def _facts(s: SetDescription, memo: dict) -> list:
+    """[s, form, (is_finite, is_cofinite), density, Banach density] of s,
+    built once per memo.  A node with a form reads its facts off the form;
+    one without asks its own rules, for its densities on first use.
+    Holding s keeps its id from being reused while it is a key."""
+    facts = memo.get(id(s))
+    if facts is None:
+        form = s.form(memo)
+        fin = s.finiteness(memo) if form is None else None
+        facts = memo[id(s)] = [s, form, fin, _UNSET, _UNSET]
+    return facts
+
+
+def _form(s: SetDescription, memo: dict) -> tuple | None:
+    """The eventually periodic form of s, or None."""
+    return _facts(s, memo)[1]
+
+
+def _finiteness(s: SetDescription, memo: dict) -> tuple[Tri, Tri]:
+    """(is_finite, is_cofinite), three-valued."""
+    facts = _facts(s, memo)
+    form = facts[1]
+    if form is None:
+        return facts[2]
+    if form[0] > 1:
+        return _NEITHER
+    known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
+    return (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
+
+
+def _density(s: SetDescription, memo: dict, banach: bool = False) -> Fraction | None:
+    """Exact density (or Banach density), or None."""
+    facts = _facts(s, memo)
+    form = facts[1]
+    if form is not None:
+        return Fraction(form[1].bit_count(), form[0]) if form[0] > 1 else ONE if form[1] else ZERO
+    i = 4 if banach else 3
+    if facts[i] is _UNSET:
+        d = s.banach(memo) if banach else s.density(memo)
+        if d is None:
+            # A finite or cofinite set needs no rule of its own.
+            fin, cofin = _finiteness(s, memo)
+            d = ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
+        facts[i] = d
+    return facts[i]
+
+
+def _banach(s: SetDescription, memo: dict) -> Fraction | None:
+    return _density(s, memo, True)
+
+
+def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
+    """The form of the union (or the intersection) of two sets from theirs:
+    both masks lifted to the lcm of the periods, then OR (or AND)."""
+    if a is None or b is None:
+        return None
+    for x, y in ((a, b), (b, a)):
+        if x[0] == 1 and not x[2]:
+            # A finite set changes no union and empties an intersection; a
+            # cofinite set fills a union and changes no intersection.
+            return y if (x[1] == 0) == union else x
+    pa, pb = a[0], b[0]
+    p = pa * pb // gcd(pa, pb)
+    if p > PERIOD_CAP:
+        return None
+    ones = (1 << p) - 1
+    la, lb = a[1] * (ones // ((1 << pa) - 1)), b[1] * (ones // ((1 << pb) - 1))
+    mask, top = (la | lb, ones) if union else (la & lb, 0)
+    # Where one side's periodic part is full (for a union) or empty (for an
+    # intersection), S Δ P lies in that side's atoms alone; where it settles
+    # every residue, the other side's atoms do not matter.  Where both sides
+    # settle every residue, either side's atoms will do: keep powers of 2,
+    # which the finxfin rule reads.
+    keep_a, keep_b = lb != top, la != top
+    if not (keep_a or keep_b):
+        keep_a = all(kind is Powers2 for kind, _ in a[2])
+        keep_b = not keep_a
+    atoms = (a[2] if keep_a else _NO_ATOMS) | (b[2] if keep_b else _NO_ATOMS)
+    # An empty union mask leaves S = S Δ P, infinite when a side says so; a
+    # full intersection mask does the same for the complement.
+    rest = mask == ones - top and (a[3] or b[3])
+    if mask in (0, ones):
+        return 1, int(mask != 0), atoms, rest
+    return p, mask, atoms, rest
+
+
+def _pushed(s: SetDescription) -> SetDescription | None:
+    """s with its outer complement or shift moved one level toward the atoms,
+    equal to s up to a finite set (De Morgan; a shift distributes over
+    unions and intersections and commutes with a complement), or None when
+    there is nothing to move."""
+    inner = getattr(s, "inner", None)
+    if isinstance(s, Complement):
+        if isinstance(inner, (Union, Intersection)):
+            dual = Intersection if isinstance(inner, Union) else Union
+            return dual(Complement(inner.left), Complement(inner.right))
+    elif isinstance(s, Shift):
+        if isinstance(inner, (Union, Intersection)):
+            return type(inner)(Shift(inner.left, s.offset), Shift(inner.right, s.offset))
+        if isinstance(inner, Complement):
+            return Complement(Shift(inner.inner, s.offset))
+    return None
 
 
 # ---------------------------------------------------------------- queries
@@ -627,12 +769,12 @@ def iter_members(s: SetDescription, limit: int):
 
 def is_finite(s: SetDescription) -> Tri:
     """Is S finite?  Sound three-valued structural analysis."""
-    return s.finiteness()[0]
+    return _finiteness(s, {})[0]
 
 
 def is_cofinite(s: SetDescription) -> Tri:
     """Is the complement of S finite?  Sound three-valued analysis."""
-    return s.finiteness()[1]
+    return _finiteness(s, {})[1]
 
 
 def exact_density(s: SetDescription) -> Fraction | None:
@@ -641,12 +783,12 @@ def exact_density(s: SetDescription) -> Fraction | None:
     Every returned value is a certified fact about S, not an estimate: the
     limit of |S ∩ [1, n]| / n exists and equals the returned fraction.
     """
-    return s.density()
+    return _density(s, {})
 
 
 def banach_exact(s: SetDescription) -> Fraction | None:
     """Exact Banach (uniform upper) density when certified, else None."""
-    return s.banach()
+    return _banach(s, {})
 
 
 # ---------------------------------------------------------------- densities

@@ -18,7 +18,7 @@ from math import gcd
 from typing import Callable, Iterator
 
 from . import setlang
-from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, IdealKind
+from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, IdealKind, _decide
 from .ideals import IdealPresentation, MembershipVerdict, UnsupportedIdealError
 from .setlang import (
     AP,
@@ -26,7 +26,6 @@ from .setlang import (
     SetDescription,
     Tri,
     Union,
-    is_cofinite,
     is_finite,
     member,
     render,
@@ -1170,16 +1169,17 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealKind:
     reduced = matrix.null_ideal()
     undecided_reason = "no certified argument for this matrix ideal"
 
-    def closed_form(s: SetDescription) -> MembershipVerdict:
-        if is_finite(s) is Tri.YES:
+    def closed_form(s: SetDescription, memo: dict) -> MembershipVerdict:
+        fin, cofin = setlang._finiteness(s, memo)
+        if fin is Tri.YES:
             return MembershipVerdict(IN, "finite union of vanishing columns")
         if reduced is not None:
-            verdict = reduced.decide(s)
+            verdict = _decide(reduced.rules, s, memo)
             if verdict.decided:
                 return MembershipVerdict(
                     verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
                 )
-        if is_cofinite(s) is Tri.YES:
+        if cofin is Tri.YES:
             return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")
         return MembershipVerdict(UNDECIDED, undecided_reason)
 

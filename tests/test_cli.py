@@ -68,10 +68,22 @@ class TestVerdict:
     def test_undecided_sets_still_exit_cleanly(self, capsys):
         code, d = run_json(
             capsys,
-            ["verdict", "intersect:ap:1,2|complement:ap:1,3", "--ideal", "z"],
+            ["verdict", "builtin:dyadic_blocks(intersect:builtin:squares|builtin:powers2)",
+             "--ideal", "z"],
         )
         assert code == 0
         assert d["status"] == "undecided"
+
+    def test_periodic_parts_decide_banach_density_at_any_scale(self, capsys):
+        # Every third integer minus the squares: no window scan at 10^7, the
+        # eventually periodic form gives the Banach density.
+        started = time.perf_counter()
+        code, d = run_json(capsys, ["verdict", "intersect:complement:builtin:squares|ap:1,3",
+                                    "--ideal", "bd", "--scale", "10000000"])
+        assert time.perf_counter() - started < 0.3
+        assert code == 0
+        assert (d["status"], d["reason"]) == ("not_in", "exact Banach density 1/3 > 0")
+        assert d["evidence"] == {}
 
 
 class TestRegularity:

@@ -49,7 +49,7 @@ class TestLegality:
             play_round(Z, parse_set("builtin:squares"), GreedyMinStrategy(), 1)
 
     def test_undecided_moves_are_illegal(self):
-        move = parse_set("complement:intersect:ap:1,2|complement:ap:1,3")
+        move = parse_set("complement:builtin:dyadic_blocks(intersect:builtin:squares|builtin:powers2)")
         with pytest.raises(IllegalMoveError) as err:
             play_round(Z, move, GreedyMinStrategy(), 1)
         assert "undecided" in str(err.value)

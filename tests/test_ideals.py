@@ -150,7 +150,7 @@ class TestDensityZeroIdeal:
         assert "1/6" in v.reason
 
     def test_no_closed_form_gives_undecided_with_ratio_evidence(self):
-        v = Z.verdict(Intersection(AP(1, 2), Complement(AP(1, 3))))
+        v = Z.verdict(DyadicBlocks(Intersection(Squares(), Powers2())))
         assert v.status == "undecided"
         assert "ratios" in v.evidence
 
@@ -200,7 +200,7 @@ class TestBanachDensityZeroIdeal:
         assert (v.status, v.reason) == ("not_in", "exact Banach density 1/6 > 0")
 
     def test_undecided_comes_with_window_evidence(self):
-        v = BD.verdict(Intersection(AP(1, 2), Complement(AP(1, 3))))
+        v = BD.verdict(DyadicBlocks(Intersection(Squares(), Powers2())))
         assert v.status == "undecided"
         assert "max_window_density" in v.evidence
 
@@ -743,3 +743,88 @@ def test_density_evidence_without_closed_forms_stays_fast():
     assert time.perf_counter() - started < 1.0
     assert v.status == "undecided"
     assert v.evidence["prefix_counts"] == [(125000, 0), (250000, 0), (500000, 0), (10**6, 0)]
+
+
+# ---------------------------------------------------------------- periodic forms
+
+# One instance of each bench tree shape that the eventually periodic form
+# settles (seed-0 parameters of the verdict workload), with its reason.
+PERIODIC_CASES = [
+    # complement of the squares: every residue, so every fiber, is met
+    ("complement:builtin:squares", "finxfin", "not_in",
+     "every nu2 fiber from 0 on is met infinitely often"),
+    # the complement of 7 mod 10 and a finite set
+    ("complement:union:ap:7,10|finite:{2,9,10,13,33,46}", "fin", "not_in", "structurally infinite"),
+    ("complement:union:ap:7,10|finite:{2,9,10,13,33,46}", "bd", "not_in",
+     "exact Banach density 9/10 > 0"),
+    ("complement:union:ap:7,10|finite:{2,9,10,13,33,46}", "finxfin", "not_in",
+     "every nu2 fiber from 1 on is met infinitely often"),
+    # 5 mod 10 minus the powers of 2, a Banach-null part
+    ("intersect:complement:builtin:powers2|ap:15,10", "fin", "not_in", "structurally infinite"),
+    ("intersect:complement:builtin:powers2|ap:15,10", "bd", "not_in",
+     "exact Banach density 1/10 > 0"),
+    # 3 mod 8 and 2**j + 3, all odd from j = 1 on
+    ("shift:union:builtin:powers2|builtin:nu2_ge(3),3", "finxfin", "in",
+     "every nu2 fiber from 3 on is finite"),
+    # De Morgan: the complement of 3 mod 2 is part of the set
+    ("complement:intersect:builtin:dyadic_blocks(builtin:powers2)|ap:3,2", "z", "not_in",
+     "contains a certified positive-density subset"),
+    ("complement:intersect:builtin:dyadic_blocks(builtin:powers2)|ap:3,2", "bd", "not_in",
+     "contains a certified positive-Banach-density subset"),
+    ("complement:intersect:builtin:dyadic_blocks(builtin:powers2)|ap:3,2", "finxfin", "not_in",
+     "contains a certified non-member subset"),
+    # 4**j - 12 lies in fiber 2 from j = 2 on; whether it is finite stays open
+    ("shift:intersect:builtin:squares|builtin:powers2,-12", "finxfin", "in",
+     "every nu2 fiber from 3 on is finite"),
+    ("shift:intersect:builtin:squares|builtin:powers2,-12", "fin", "undecided",
+     "finiteness not structurally decidable"),
+]
+
+
+@pytest.mark.parametrize("text, ideal, status, reason", PERIODIC_CASES)
+def test_periodic_forms_settle_the_bench_shapes(monkeypatch, text, ideal, status, reason):
+    ideal_obj = parse_ideal(ideal)
+    _no_evidence(monkeypatch)
+    verdict = ideal_obj.decide(parse_set(text))
+    assert (verdict.status, verdict.reason) == (status, reason)
+
+
+@pytest.mark.parametrize(
+    "text, statuses",
+    [
+        # CRT above the period cap: 1 mod 1000003 and 2 mod 999983
+        ("intersect:ap:1,1000003|ap:2,999983", ("not_in",) * 4),
+        ("complement:shift:ap:1,1,1000000000000", ("in",) * 4),
+        ("shift:ap:1,1,-1000000000000", ("not_in",) * 4),
+        ("complement:" * 255 + "finite:{5}", ("not_in",) * 4),
+        ("complement:" * 254 + "ap:3,4", ("not_in", "not_in", "not_in", "in")),
+        # bd and finxfin read this one off the periodic form.
+        ("complement:" * 255 + "ap:3,4", ("not_in",) * 4),
+    ],
+    ids=["crt", "huge-shift-out", "huge-shift-in", "255-complements", "254-complements",
+         "255-complements-ap"],
+)
+def test_hostile_sets_keep_their_verdicts_and_answer_fast(text, statuses):
+    s = parse_set(text)
+    started = time.perf_counter()
+    got = tuple(ideal.decide(s).status for ideal in (FIN, Z, BD, FXF))
+    assert time.perf_counter() - started < 0.1
+    assert got == statuses
+
+
+def test_deep_undecided_unions_build_each_form_once(monkeypatch):
+    # 200 left-nested unions of a set whose finiteness stays open: every
+    # node's form is built once per decide call, however deep the ladder goes.
+    part = "|shift:intersect:builtin:squares|builtin:powers2,-12"
+    chain = parse_set("union:" * 200 + part[1:] + part * 200)
+    nodes = 200 + 201 * 4
+    visits = []
+    for cls in (Union, Shift, Intersection, Squares, Powers2):
+        real = cls.form
+        monkeypatch.setattr(
+            cls, "form", lambda self, memo, real=real: visits.append(id(self)) or real(self, memo)
+        )
+    for ideal, status in ((FIN, "undecided"), (Z, "in"), (FXF, "in")):
+        visits.clear()
+        assert ideal.decide(chain).status == status
+        assert len(visits) == len(set(visits)) == nodes

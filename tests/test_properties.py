@@ -39,6 +39,7 @@ from subsum import (
     sequence_from_values,
     transform_value,
 )
+from subsum import setlang
 from subsum.constructions import _threshold_counts
 from subsum.setlang import (
     AP,
@@ -51,6 +52,7 @@ from subsum.setlang import (
     Shift,
     Squares,
     Union,
+    nu2,
 )
 from subsum.summability import _NAMED_SEQUENCES, _dot
 
@@ -120,6 +122,58 @@ def test_union_and_intersection_verdicts_never_contradict(a, b):
             assert vu != "in"  # the union contains the escaping side
         if "in" in (va, vb):
             assert vi != "not_in"  # a subset of a null set never escapes
+
+
+# ------------------------------------------------------ eventually periodic forms
+
+
+def _periodic_sets():
+    base = st.one_of(
+        st.builds(Finite, st.lists(st.integers(1, 60), max_size=5).map(tuple)),
+        st.builds(AP, st.integers(1, 30), st.integers(1, 12)),
+        st.builds(Nu2Ge, st.integers(0, 4)),
+    )
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.builds(Complement, inner),
+            st.builds(Union, inner, inner),
+            st.builds(Intersection, inner, inner),
+            st.builds(Shift, inner, st.integers(-40, 40)),
+        ),
+        max_leaves=4,
+    )
+
+
+def _periodic_from(s) -> int:
+    """A point past every finite member, first term and offset of s."""
+    if isinstance(s, Finite):
+        return max(s.members, default=0) + 1
+    if isinstance(s, (AP, Nu2Ge)):
+        return s.first
+    if isinstance(s, Shift):
+        return _periodic_from(s.inner) + abs(s.offset) + 1
+    if isinstance(s, Complement):
+        return _periodic_from(s.inner)
+    return max(_periodic_from(s.left), _periodic_from(s.right))
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=_periodic_sets())
+def test_periodic_form_matches_a_scan_and_decides_every_kind(s):
+    p, mask, atoms, _ = setlang._form(s, {})
+    assert not atoms
+    start = _periodic_from(s)
+    flags = setlang._scan(s, start, start + 2 * p - 1)
+    assert all(flag == mask >> (start + i) % p & 1 for i, flag in enumerate(flags))
+    # The reference: fin, z and bd hold exactly when no residue is met; with
+    # p = 2**a * m (m odd), a met residue r = 0 mod 2**a meets every nu2
+    # fiber from a on infinitely often, and the others stay below fiber a.
+    met = {(start + i) % p for i, flag in enumerate(flags[:p]) if flag}
+    low = 1 << nu2(p)
+    expected = [not met] * 3 + [all(r % low for r in met)]
+    got = [ideal.decide(s).status for ideal in IDEALS]
+    assert got == ["in" if small else "not_in" for small in expected]
 
 
 # ----------------------------------------------------------- artifact formats
