@@ -339,8 +339,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise AuditBudgetError(
             f"certificate scale {limit} is over the audit budget of {DEFAULT_COLUMN_CAP} rows"
         )
-    values = matrix.transform_rows(x.values(matrix.columns(limit)), limit)
-    ok = cert.audit_values(values)
+    ok = cert.audit_pairs(matrix._transform_pairs(x.values(matrix.columns(limit)), limit))
     payload = {
         "command": "verify",
         "certificate": args.certificate,

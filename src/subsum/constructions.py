@@ -34,6 +34,7 @@ from .summability import (
     _add_ratio,
     _blocks01_bit,
     _dot,
+    _dot_pair,
     render_rle,
 )
 
@@ -57,15 +58,20 @@ def _snap64(value: Fraction) -> Fraction:
     return Fraction(round(value * 64), 64)
 
 
+def _exact_keys(pairs: list[tuple[int, int]]) -> list[int]:
+    """Integer sort keys, in order and exact, for the values p/q of ``pairs``
+    (q > 0).  Two values p/q < p'/q' differ by at least 1/(q q') >= 1/Q**2,
+    Q the largest denominator, so floor(v * (Q**2 + 1)) keeps them apart, and
+    equal values get equal keys."""
+    scale = max(q for _, q in pairs) ** 2 + 1
+    return [p * scale // q for p, q in pairs]
+
+
 def quantile_candidates(values: list[Fraction]) -> list[Fraction]:
     """Candidate levels: five order statistics and their 1/64-grid snaps."""
     if not values:
         return []
-    # An exact integer sort key: two values p/q < p'/q' differ by at least
-    # 1/(q q') >= 1/Q**2, so floor(v * (Q**2 + 1)) keeps them apart, and equal
-    # values get equal keys.
-    scale = max(v.denominator for v in values) ** 2 + 1
-    keys = [v.numerator * scale // v.denominator for v in values]
+    keys = _exact_keys([v.as_integer_ratio() for v in values])
     ordered = sorted(range(len(values)), key=keys.__getitem__)
     n = len(ordered)
     out = set()
@@ -138,8 +144,15 @@ class OscillationCertificate:
 
     def audit_values(self, values: list[Fraction]) -> bool:
         """Recount the hits against a value stream; True iff all match."""
-        return len(values) >= self.scales[-1] and self == certificate_from_values(
-            values, self.lower, self.upper, self.scales, self.x_spec, self.matrix_spec
+        return len(values) >= self.scales[-1] and self.audit_pairs(
+            v.as_integer_ratio() for v in values
+        )
+
+    def audit_pairs(self, pairs) -> bool:
+        """``audit_values`` for a stream of at least ``scales[-1]`` values
+        read as integer (numerator, positive denominator) pairs."""
+        return self == _certificate(
+            pairs, self.lower, self.upper, self.scales, self.x_spec, self.matrix_spec
         )
 
 
@@ -339,19 +352,24 @@ def oscillation_pair(
     floor = stem[-1] if stem else 0
     if floor >= scan // 2:
         raise ConstructionError("stem already exhausts the scan range")
-    xs = [x.value(i) for i in range(1, scan + 1)]
-    late = sorted(xs[scan // 2:])
-    low_target = late[len(late) // 4]
-    high_target = late[(3 * len(late)) // 4]
+    xs = [x.value(i).as_integer_ratio() for i in range(1, scan + 1)]
+    late = xs[scan // 2:]
+    ordered = sorted(range(len(late)), key=_exact_keys(late).__getitem__)
+    low_target = Fraction(*late[ordered[len(late) // 4]])
+    high_target = Fraction(*late[ordered[(3 * len(late)) // 4]])
     if high_target - low_target <= 2 * tol:
         raise ConstructionError(
             "late values show no separation wider than the tolerance"
         )
+    tp, tq = tol.as_integer_ratio()
 
     def collect(target: Fraction) -> tuple[int, ...]:
+        # |p/q - a/b| <= tp/tq exactly when |pb - aq| tq <= tp qb.
+        a, b = target.numerator, target.denominator
         got = []
         for i in range(floor + 1, scan + 1):
-            if abs(xs[i - 1] - target) <= tol:
+            p, q = xs[i - 1]
+            if abs(p * b - a * q) * tq <= tp * q * b:
                 got.append(i)
                 if len(got) == PAIR_PICKS:
                     break
@@ -372,8 +390,10 @@ def oscillation_pair(
         raise PreconditionError("decision row reaches past the chosen picks")
 
     def transform_at(sel: Selector) -> Fraction:
+        # The row's columns pick stem and pick indices, all within the scan.
         cols = range(1, support + 1)
-        return _dot((matrix.entry(row, k) for k in cols), (x.value(sel.value(k)) for k in cols))
+        entries = map(matrix.entry, repeat(row), cols)
+        return Fraction(*_dot_pair(entries, (xs[sel.value(k) - 1] for k in cols)))
 
     lo_value = transform_at(sel_lo)
     hi_value = transform_at(sel_hi)
@@ -552,36 +572,30 @@ def escape_rowfinite(
                 "structural vanishing description disagrees with the row supports"
             )
         supports[n] = r
-    # Entry pass over every entry of every block row, on integer numerators
-    # and denominators.  It finds alpha, the least nonzero |entry|, and splits
-    # the rows into those constant on their support (every Cesaro row is 1/n
-    # on 1..n) and the rest, whose nonzero entries it keeps by column.
+    # Entry pass over every entry of every block row.  It finds alpha, the
+    # least nonzero |entry|, and splits the rows into those constant on their
+    # support (every Cesaro row is 1/n on 1..n) and the rest, whose nonzero
+    # entries it keeps by column as integer numerators and denominators.
     alpha = None  # (|numerator|, denominator)
     flat = {}  # row -> its one entry
     terms: dict[int, list[tuple[int, int, int]]] = {}  # column -> [(row, p, q)]
     entry = matrix.entry
     for n in block:
-        first = entry(n, 1)
-        p1, q1 = first.numerator, first.denominator
-        row = None  # (k, p, q) for each nonzero entry, once the row varies
-        for k in range(2, supports[n] + 1):
-            e = entry(n, k)
-            p, q = e.numerator, e.denominator
-            if row is None:
-                if p == p1 and q == q1:
-                    continue
-                row = [(i, p1, q1) for i in range(1, k)] if p1 else []
-            if p:
-                row.append((k, p, q))
-        if row is None:
+        row = list(map(entry, repeat(n, supports[n]), range(1, supports[n] + 1)))
+        first = row[0]
+        if row.count(first) == len(row):
             flat[n] = first
-            row = [(1, p1, q1)] if p1 else []
+            nonzero = [first] if first else []
         else:
-            for k, p, q in row:
-                terms.setdefault(k, []).append((n, p, q))
-        for _, p, q in row:
-            if alpha is None or abs(p) * alpha[1] < alpha[0] * q:
-                alpha = (abs(p), q)
+            nonzero = []
+            for k, e in enumerate(row, 1):
+                if e:
+                    terms.setdefault(k, []).append((n, e.numerator, e.denominator))
+                    nonzero.append(e)
+        for e in nonzero:
+            p, q = abs(e.numerator), e.denominator
+            if alpha is None or p * alpha[1] < alpha[0] * q:
+                alpha = (p, q)
     alpha = Fraction(*alpha)
     # Column loop.  With S the sum of x over the picks so far, a constant row
     # n has partial c_n * S until its support ends, so one shared sum serves
@@ -623,11 +637,12 @@ def escape_rowfinite(
     selector = Selector(tuple(values), Consecutive(prev + 1))
     # Exact re-check by direct summation: every entry of every block row is
     # read again from the matrix, against x at the selector's picks.
-    picks = [x.value(selector.value(k)) for k in range(1, k_top + 1)]
+    picks = [x.value(selector.value(k)).as_integer_ratio() for k in range(1, k_top + 1)]
     row_values = []
     holds = True
     for n in block:
-        exact = _dot((entry(n, k) for k in range(1, supports[n] + 1)), picks)
+        s = supports[n]
+        exact = Fraction(*_dot_pair(map(entry, repeat(n, s), range(1, s + 1)), picks))
         if exact != partials[n]:
             raise ConstructionError("incremental and direct row sums disagree")
         row_values.append((n, exact))

@@ -16,6 +16,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import gcd, isqrt
 from operator import and_, or_, sub
@@ -519,8 +520,14 @@ class Shift(SetDescription):
         upper = _count_closed(self.inner, limit - self.offset)
         if upper is None or self.offset >= 0:
             return upper
-        dropped = _count_closed(self.inner, -self.offset)
+        dropped = self._dropped
         return None if dropped is None else upper - dropped
+
+    @cached_property
+    def _dropped(self):
+        # The inner members that a negative offset moves below 1: a fact of
+        # the node, counted once, so nested shifts stay linear in depth.
+        return _count_closed(self.inner, -self.offset)
 
     def first_member(self, cap):
         if self.offset >= 0:

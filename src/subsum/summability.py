@@ -55,18 +55,19 @@ def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
     return num + p * (den // q), den
 
 
-def _dot_pair(coeffs, values) -> tuple[int, int]:
-    """Exact sum of a_k * v_k over paired ints and Fractions, as an integer
-    numerator over a positive denominator (not reduced).
+def _dot_pair(coeffs, pairs) -> tuple[int, int]:
+    """Exact sum of a_k * v_k, for coefficients a_k (ints or Fractions) and
+    values v_k read as integer (numerator, positive denominator) pairs, as an
+    integer numerator over a positive denominator (not reduced).
 
     Exact finite row sums go through here: one integer numerator over a
     running common denominator, zero terms skipped, and no Fraction built.
     """
     num, den = 0, 1
-    for a, v in zip(coeffs, values):
-        p = a.numerator * v.numerator
+    for a, (vp, vq) in zip(coeffs, pairs):
+        p = a.numerator * vp
         if p:
-            q = a.denominator * v.denominator
+            q = a.denominator * vq
             if den % q:
                 num, den = _add_ratio(num, den, p, q)
             else:  # the common case, inlined: q already divides den
@@ -75,8 +76,8 @@ def _dot_pair(coeffs, values) -> tuple[int, int]:
 
 
 def _dot(coeffs, values) -> Fraction:
-    """``_dot_pair`` as one Fraction."""
-    return Fraction(*_dot_pair(coeffs, values))
+    """``_dot_pair`` over ints and Fractions, as one Fraction."""
+    return Fraction(*_dot_pair(coeffs, (v.as_integer_ratio() for v in values)))
 
 
 class DomainRiskError(RuntimeError):
@@ -119,10 +120,13 @@ class SequenceSpec:
     def value(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("sequences are indexed from 1")
-        return Fraction(self.fn(n))
+        v = self.fn(n)
+        return v if type(v) is Fraction else Fraction(v)
 
     def values(self, limit: int) -> list[Fraction]:
-        return [self.value(n) for n in range(1, limit + 1)]
+        # A Fraction that ``fn`` returns is kept, not copied: they are immutable.
+        values = map(self.fn, range(1, limit + 1))
+        return [v if type(v) is Fraction else Fraction(v) for v in values]
 
 
 def _ceil_fraction(value: Fraction) -> int:
@@ -234,8 +238,11 @@ def parse_sequence(spec: str) -> SequenceSpec:
     raise SequenceSpecError(f"unknown sequence spec {spec!r}")
 
 
-def sequence_from_values(vals: tuple[Fraction, ...], name: str) -> SequenceSpec:
-    sup = max((abs(v) for v in vals), default=ZERO)
+def sequence_from_values(
+    vals: tuple[Fraction, ...], name: str, sup: Fraction | None = None
+) -> SequenceSpec:
+    if sup is None:
+        sup = max((abs(v) for v in vals), default=ZERO)
     return SequenceSpec(
         name=name,
         fn=lambda n: vals[n - 1] if n <= len(vals) else ZERO,
@@ -253,13 +260,15 @@ def render_rle(bits: list[int]) -> str:
 
 
 def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
+    # One Fraction per run, shared by its values, and the bound read off the runs.
     bits: list[Fraction] = []
     for bit, length in runs:
         if length < 0:
             raise SequenceSpecError("run lengths must be >= 0")
-        bits.extend([Fraction(bit)] * length)
+        bits.extend(repeat(Fraction(bit), length))
+    sup = Fraction(max((abs(bit) for bit, length in runs if length), default=0))
     name = "rle:" + ",".join(f"{b}x{l}" for b, l in runs)
-    return sequence_from_values(tuple(bits), name=name)
+    return sequence_from_values(tuple(bits), name=name, sup=sup)
 
 
 def indicator_sequence(s: SetDescription) -> SequenceSpec:
@@ -364,7 +373,8 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             raise DomainRiskError("row sum needs a row-finite matrix")
-        return _dot((self.entry(n, k) for k in range(1, support + 1)), repeat(1))
+        entries = map(self.entry, repeat(n), range(1, support + 1))
+        return Fraction(*_dot_pair(entries, repeat((1, 1))))
 
     def l1_tail(self, n: int, after: int) -> Fraction | None:
         """Certified bound on sum_{k>after} |a_{n,k}|, when available; the
@@ -372,7 +382,8 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             return None
-        return _dot((abs(self.entry(n, k)) for k in range(after + 1, support + 1)), repeat(1))
+        entries = map(self.entry, repeat(n), range(after + 1, support + 1))
+        return Fraction(*_dot_pair(map(abs, entries), repeat((1, 1))))
 
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return None
@@ -396,9 +407,12 @@ class SummabilityMatrix:
 
     def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
         """The rows of ``transform_rows`` as integer (numerator, positive
-        denominator) pairs, streamed; the default sums each row directly."""
+        denominator) pairs, streamed; the default sums each row directly,
+        reading ``xs`` once as pairs."""
+        pairs = [v.as_integer_ratio() for v in xs]
         for n in range(1, n_max + 1):
-            yield _dot_pair((self.entry(n, k) for k in range(1, self.row_support(n) + 1)), xs)
+            support = self.row_support(n)
+            yield _dot_pair(map(self.entry, repeat(n, support), range(1, support + 1)), pairs)
 
     # -- structural facts
 
@@ -477,17 +491,17 @@ class CesaroMatrix(_StochasticTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
     averaging_core = True
-    _last_entry = ONE  # 1/n for the last row read; Fractions are immutable
+    # The last row read and its entry 1/n; Fractions are immutable.
+    _last_row, _last_entry = 1, ONE
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
         if k > n:
             return ZERO
-        last = self._last_entry
-        if last.denominator != n:
-            last = self._last_entry = Fraction(1, n)
-        return last
+        if n != self._last_row:
+            self._last_row, self._last_entry = n, Fraction(1, n)
+        return self._last_entry
 
     def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
         # The running sum stays an int while the inputs are integral, which

@@ -828,3 +828,17 @@ def test_deep_undecided_unions_build_each_form_once(monkeypatch):
         visits.clear()
         assert ideal.decide(chain).status == status
         assert len(visits) == len(set(visits)) == nodes
+
+
+@pytest.mark.parametrize("depth", [16, 127])
+def test_nested_negative_shifts_count_their_evidence_in_linear_time(depth):
+    # Each shift by -1 counts the inner members it drops below 1 once per
+    # node; counting them per call made k nested shifts cost 2^k.
+    text = "shift:complement:" * depth + "builtin:dyadic_blocks(builtin:squares)" + ",-1" * depth
+    s = parse_set(text)
+    started = time.perf_counter()
+    v = Z.verdict(s, scale=1024)
+    assert time.perf_counter() - started < 1.0
+    assert v.status == "undecided"
+    flags = setlang._scan(s, 1, 1024)
+    assert v.evidence["prefix_counts"] == [(n, sum(flags[:n])) for n in (128, 256, 512, 1024)]

@@ -9,7 +9,7 @@ postconditions they advertise, recounted here from the raw data.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subsum import (
@@ -17,6 +17,7 @@ from subsum import (
     Consecutive,
     ConstructionError,
     ExplicitMatrix,
+    GameTranscript,
     IdealPresentation,
     IdentityMatrix,
     OscillationCertificate,
@@ -25,22 +26,28 @@ from subsum import (
     certificate_from_values,
     ideal_limit,
     metric,
+    oscillation_pair,
+    parse_ideal,
     parse_matrix,
     parse_rle,
     parse_selector,
     parse_sequence,
     parse_set,
     parse_strategy,
+    play_game,
     quantile_candidates,
     random_rowfinite_matrix,
     render_rle,
+    replay_matches,
     sample_selector,
     sequence_from_rle,
     sequence_from_values,
     transform_value,
 )
 from subsum import setlang
-from subsum.constructions import _threshold_counts
+from subsum.constructions import PAIR_PICKS, _threshold_counts
+from subsum.games import nu2_tower_move
+from subsum.sigma import RuleTail
 from subsum.setlang import (
     AP,
     Complement,
@@ -470,3 +477,158 @@ def test_metric_is_symmetric_and_reflexive(seed_a, seed_b):
     self_distance = metric(a, a, 30)
     assert self_distance.lo == 0
     assert self_distance.hi <= F(1, 1 << 30)
+
+
+def _outcome(call):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # every failure is part of the compared outcome
+        return type(exc), str(exc)
+
+
+def _metric_by_columns(s1, s2, resolution):
+    # The definition: one image query per column and selector, s1 first.
+    lo = F(0)
+    for i in range(1, resolution + 1):
+        if s1.image_contains(i) != s2.image_contains(i):
+            lo += F(1, 1 << i)
+    return lo, lo + F(1, 1 << resolution)
+
+
+def _linear(a, b):
+    return RuleTail(f"{a}n{b:+d}", lambda n: a * n + b)  # a = 0 never increases
+
+
+def _dips_at(m):
+    return RuleTail(f"dip{m}", lambda n: 3 * n if n < m else n)
+
+
+def _fails_at(m):
+    return RuleTail(f"fail{m}", lambda n: 2 * n if n < m else 1 // 0)
+
+
+_rule_tails = st.one_of(
+    st.builds(_linear, st.integers(0, 3), st.integers(-6, 6)),
+    st.just(RuleTail("squares", lambda n: n * n)),
+    st.builds(_dips_at, st.integers(1, 12)),
+    st.builds(_fails_at, st.integers(1, 12)),
+)
+
+
+@st.composite
+def _any_selectors(draw):
+    stem = tuple(sorted(draw(st.lists(st.integers(1, 40), max_size=6, unique=True))))
+    floor = stem[-1] if stem else 0
+    tail = draw(st.one_of(
+        st.none(),
+        st.integers(1, 6).map(lambda gap: Consecutive(floor + gap)),
+        _rule_tails,
+    ))
+    return Selector(stem, tail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s1=_any_selectors(), s2=_any_selectors(), resolution=st.integers(1, 80))
+def test_metric_matches_the_per_column_definition(s1, s2, resolution):
+    # Partial selectors and rule tails that stop increasing or raise must
+    # fail with the same exception, from the selector the column loop meets first.
+    got = _outcome(lambda: (lambda mi: (mi.lo, mi.hi))(metric(s1, s2, resolution)))
+    assert got == _outcome(lambda: _metric_by_columns(s1, s2, resolution))
+
+
+# ---------------------------------------------------------- oscillation pairs
+
+
+def _pair_by_fractions(stem, x, matrix, scan, tol):
+    # The construction on Fractions: sorted late values, |x_i - target| <= tol
+    # per index, and the decision row summed term by term.
+    floor = stem[-1] if stem else 0
+    if floor >= scan // 2:
+        raise ConstructionError("stem already exhausts the scan range")
+    xs = [x.value(i) for i in range(1, scan + 1)]
+    late = sorted(xs[scan // 2:])
+    low, high = late[len(late) // 4], late[(3 * len(late)) // 4]
+    if high - low <= 2 * tol:
+        raise ConstructionError("late values show no separation wider than the tolerance")
+    near = {t: [i for i in range(floor + 1, scan + 1) if abs(xs[i - 1] - t) <= tol]
+            for t in (low, high)}
+    want = min(PAIR_PICKS, len(near[low]), len(near[high]))
+    if want < 16:
+        raise ConstructionError("not enough indices near the target levels")
+    row = len(stem) + want
+    values = [
+        sum((matrix.entry(row, k) * xs[c - 1] for k, c in enumerate(stem + tuple(near[t][:want]), 1)),
+            F(0))
+        for t in (low, high)
+    ]
+    if values[1] - values[0] < (high - low) / 2:
+        raise ConstructionError("transforms did not separate at the decision row")
+    return row, tuple(near[low][:want]), tuple(near[high][:want]), values[0], values[1], low, high
+
+
+def _pair_fields(stem, x, matrix, scan, tol):
+    pair = oscillation_pair(stem, x, matrix, scan, tol)
+    picks = [sel.stem[len(stem):] for sel in (pair.lower_selector, pair.upper_selector)]
+    return (pair.row, *picks, pair.lower_value, pair.upper_value,
+            pair.lower_target, pair.upper_target)
+
+
+_small_values = st.sampled_from((F(0), F(1), F(-1), F(1, 2), F(1, 3), F(-2, 3), F(5, 7)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    x=st.one_of(
+        st.sampled_from(("alt", "alt10")).map(parse_sequence),
+        st.lists(_small_values, min_size=1, max_size=300).map(
+            lambda vals: parse_sequence("list:" + ",".join(map(str, vals)))),
+    ),
+    stem=st.lists(st.integers(1, 40), max_size=4, unique=True).map(lambda v: tuple(sorted(v))),
+    matrix=st.sampled_from((CesaroMatrix(), IdentityMatrix())),
+    scan=st.integers(2, 600),
+    tol=st.sampled_from((F(0), F(1, 16), F(1, 5), F(1, 3))),
+)
+def test_oscillation_pairs_match_fraction_arithmetic(x, stem, matrix, scan, tol):
+    got = _outcome(lambda: _pair_fields(stem, x, matrix, scan, tol))
+    assert got == _outcome(lambda: _pair_by_fractions(stem, x, matrix, scan, tol))
+
+
+# ---------------------------------------------------------------- games
+
+
+_DENSE_MOVES = ("ap:1,1", "complement:finite:{1,2,3}", "complement:builtin:squares",
+                "complement:builtin:powers2", "complement:ap:2,3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ideal=st.sampled_from(("fin", "z", "bd", "finxfin")).map(parse_ideal),
+    strategy=st.one_of(
+        st.sampled_from(("prefix_density", "greedy_min", "prefix_take")),
+        st.integers(0, 10**6).map(lambda seed: f"seeded_random:{seed}"),
+    ),
+    data=st.data(),
+)
+def test_game_transcripts_round_trip_through_jsonl(ideal, strategy, data):
+    # Tower moves 2^r | x are too sparse for prefix_density past r = 1.
+    tower = (1,) if strategy == "prefix_density" else (1, 2, 3, 4)
+    moves = data.draw(st.lists(st.one_of(
+        st.sampled_from(_DENSE_MOVES).map(parse_set),
+        st.sampled_from(tower).map(nu2_tower_move),
+    ), min_size=1, max_size=3))
+    moves = [m for m in moves if ideal.dual_member(m).status == "in"]
+    assume(moves)
+    rounds = data.draw(st.integers(1, 4))
+    t = play_game(ideal, moves, parse_strategy(strategy), rounds=rounds)
+    again = GameTranscript.from_jsonl(t.to_jsonl())
+    assert again == t
+    assert [r.witness for r in again.rounds] == [r.witness for r in t.rounds]
+    assert again.to_jsonl() == t.to_jsonl()
+    # The names and move specs parse back to objects that replay the game.
+    assert [setlang.render(parse_set(r.move_spec)) for r in again.rounds] == [
+        r.move_spec for r in t.rounds
+    ]
+    replayed = parse_ideal(again.ideal_name)
+    assert (replayed.kind, replayed.name) == (ideal.kind, ideal.name)
+    assert replay_matches(replayed, again, parse_strategy(again.strategy_name))
