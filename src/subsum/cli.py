@@ -45,13 +45,14 @@ from .ideals import (
 from .setlang import EnumerationCapError, SetSyntaxError, fraction_decimal, parse_set
 from .sigma import ImageUndecidableError, SelectorSpecError, parse_selector
 from .summability import (
-    DEFAULT_COLUMN_CAP,
     RENDER_BITS,
+    AuditBudgetError,
     DomainRiskError,
     MatrixSpecError,
     SequenceSpecError,
     TailToleranceError,
     _bounded_str,
+    _row_budget,
     parse_matrix,
     parse_row,
     parse_sequence,
@@ -65,10 +66,6 @@ NOT_REGULAR = 4
 DIAGNOSTIC_ONLY = 5
 VERIFY_FAILED = 6
 PRECONDITION_FAILED = 7
-
-
-class AuditBudgetError(RuntimeError):
-    """A certificate names more rows than an audit recomputes."""
 
 
 def _frac(value: Fraction | None) -> str | None:
@@ -335,10 +332,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             f"certificates are audited against row-finite matrices, not {cert.matrix_spec}"
         )
     limit = cert.scales[-1]
-    if limit > DEFAULT_COLUMN_CAP:
-        raise AuditBudgetError(
-            f"certificate scale {limit} is over the audit budget of {DEFAULT_COLUMN_CAP} rows"
-        )
+    _row_budget(limit, "certificate scale")
     ok = cert.audit_pairs(matrix._transform_pairs(x.values(matrix.columns(limit)), limit))
     payload = {
         "command": "verify",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, cycle, groupby, islice, repeat
 
 from .ideals import (
     IN,
@@ -32,10 +32,9 @@ from .summability import (
     SequenceSpec,
     SummabilityMatrix,
     _add_ratio,
-    _blocks01_bit,
     _dot,
     _dot_pair,
-    render_rle,
+    _threshold_counts,
 )
 
 
@@ -151,34 +150,8 @@ class OscillationCertificate:
     def audit_pairs(self, pairs) -> bool:
         """``audit_values`` for a stream of at least ``scales[-1]`` values
         read as integer (numerator, positive denominator) pairs."""
-        return self == _certificate(
-            pairs, self.lower, self.upper, self.scales, self.x_spec, self.matrix_spec
-        )
-
-
-def _threshold_counts(
-    pairs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per scale s, |{i <= s : v_i <= lower}| and |{i <= s : v_i >= upper}|,
-    for values v_i = p_i / q_i streamed as integer pairs with q_i > 0.
-
-    One pass in ascending scale order, reading no pair past the largest scale
-    and comparing integer cross products; each scale reads the running tallies.
-    """
-    lp, lq = lower.numerator, lower.denominator
-    up, uq = upper.numerator, upper.denominator
-    stream = iter(pairs)
-    tallies = {}
-    lo = hi = start = 0
-    for s in sorted(set(scales)):
-        for p, q in islice(stream, max(0, s - start)):
-            if p * lq <= lp * q:
-                lo += 1
-            if p * uq >= up * q:
-                hi += 1
-        start = max(start, s)
-        tallies[s] = (lo, hi)
-    return tuple(tallies[s][0] for s in scales), tuple(tallies[s][1] for s in scales)
+        counts = _threshold_counts(pairs, self.lower, self.upper, self.scales)
+        return counts == (self.lower_counts, self.upper_counts)
 
 
 def certificate_from_values(
@@ -190,10 +163,6 @@ def certificate_from_values(
     matrix_spec: str,
 ) -> OscillationCertificate:
     pairs = (v.as_integer_ratio() for v in values)
-    return _certificate(pairs, lower, upper, scales, x_spec, matrix_spec)
-
-
-def _certificate(pairs, lower, upper, scales, x_spec, matrix_spec) -> OscillationCertificate:
     counts = _threshold_counts(pairs, lower, upper, scales)
     return OscillationCertificate(x_spec, matrix_spec, lower, upper, scales, *counts)
 
@@ -700,17 +669,18 @@ LOWER_THRESHOLD, UPPER_THRESHOLD = Fraction(2, 5), Fraction(3, 5)
 ONE_THIRD, TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
 
 
-def _boundary_means(bits: list[int], scale: int) -> tuple[BoundaryMean, ...]:
+def _boundary_means(runs: list[tuple[int, int]], scale: int) -> tuple[BoundaryMean, ...]:
+    # Row 2^k opens run k: the ones up to it are the earlier runs' and its bit.
+    before = list(accumulate((bit * length for bit, length in runs), initial=0))
     out = []
     level = 1
     while (1 << (2 * level + 2)) <= scale:
         allowance = Fraction(4, 1 << (2 * level))
         # The mean peaks near 2/3 at the end of a block of ones and falls
         # back near 1/3 at the end of the following block of zeros.
-        ends = ((1 << (2 * level + 1), TWO_THIRDS), (1 << (2 * level + 2), ONE_THIRD))
-        for edge, target in ends:
-            mean = Fraction(sum(bits[:edge]), edge)
-            out.append(BoundaryMean(level, edge, mean, target, abs(mean - target), allowance))
+        for k, target in ((2 * level + 1, TWO_THIRDS), (2 * level + 2, ONE_THIRD)):
+            mean = Fraction(before[k] + runs[k][0], 1 << k)
+            out.append(BoundaryMean(level, 1 << k, mean, target, abs(mean - target), allowance))
         level += 1
     return tuple(out)
 
@@ -725,19 +695,22 @@ def steinhaus_adversary(
     ``blocks`` plays the fixed dyadic-block pattern against averaging
     matrices (the alternating pattern against the identity); ``greedy``
     builds the pattern adaptively, pushing the running average past 3/4 and
-    back below 1/4.  The certificate's hit counts are recomputed from the
-    exact transform values; if either density lands under 1/10 the report
-    is downgraded to diagnostic.
+    back below 1/4.  The bits are played as (bit, length) runs, and the
+    certificate's exact hit counts come from ``matrix._threshold_runs``: per
+    run where the kind has a run form, else from streamed rows.  If either
+    density lands under 1/10 the report is downgraded to diagnostic.
     """
     if scale < 64:
         raise ValueError("adversary scales start at 64")
     stalled = False
     if mode == "blocks":
         if isinstance(matrix, IdentityMatrix):
-            bits = [1 if n % 2 == 1 else 0 for n in range(1, scale + 1)]
+            runs = islice(cycle(((1, 1), (0, 1))), scale)
             x_spec = "alt10"
         elif matrix.averaging_core:
-            bits = [_blocks01_bit(n) for n in range(1, scale + 1)]
+            # Block j is [2^j, 2^(j+1)), all ones for even j.
+            ends = [min(2 << j, scale + 1) for j in range(scale.bit_length())]
+            runs = [(1 - j % 2, end - (1 << j)) for j, end in enumerate(ends)]
             x_spec = "blocks01"
         else:
             raise PreconditionError(
@@ -747,42 +720,43 @@ def steinhaus_adversary(
     elif mode == "greedy":
         if not matrix.averaging_core:
             raise PreconditionError("the greedy adversary needs an averaging matrix")
-        bits = []
-        ones = 0
-        phases = []
+        runs, phases = [], []
+        n = ones = 0
         push_up = True
         while True:
-            cap = 8 * max(len(bits), 8) + 64
+            cap = 8 * max(n, 8) + 64
             if push_up:
                 # Push the running average past 3/4 (at least one step): s
-                # more ones get there once 4(ones + s) >= 3(len + s).
-                steps = min(cap, max(1, 3 * len(bits) - 4 * ones))
-                bits.extend(repeat(1, steps))
+                # more ones get there once 4(ones + s) >= 3(n + s).
+                steps = min(cap, max(1, 3 * n - 4 * ones))
                 ones += steps
-                reached = 4 * ones >= 3 * len(bits)
+                n += steps
+                reached = 4 * ones >= 3 * n
             else:
                 # Pull the running average below 1/4: s zeros get there once
-                # 4 ones <= len + s.
-                steps = min(cap, max(0, 4 * ones - len(bits)))
-                bits.extend(repeat(0, steps))
-                reached = 4 * ones <= len(bits)
-            phases.append(
-                {"direction": "up" if push_up else "down", "steps": steps, "at": len(bits)}
-            )
+                # 4 ones <= n + s.
+                steps = min(cap, max(0, 4 * ones - n))
+                n += steps
+                reached = 4 * ones <= n
+            runs.append((int(push_up), steps))
+            phases.append({"direction": "up" if push_up else "down", "steps": steps, "at": n})
             if not reached:
                 stalled = True
                 break
-            if not push_up and len(bits) >= scale:
+            if not push_up and n >= scale:
                 break
             push_up = not push_up
-        x_spec = "rle:" + render_rle(bits)
+        scale = n
+        # render_rle of the played bits: equal bits merged, empty runs dropped.
+        played = groupby((run for run in runs if run[1]), key=lambda run: run[0])
+        x_spec = "rle:" + ",".join(f"{bit}x{sum(l for _, l in group)}" for bit, group in played)
         evidence = {"phases": phases, "stalled": stalled}
     else:
         raise ValueError(f"unknown adversary mode {mode!r}")
-    scale = len(bits)
-    cert = _certificate(
-        matrix._transform_pairs(bits, scale), LOWER_THRESHOLD, UPPER_THRESHOLD,
-        (scale // 2, scale), x_spec, matrix.spec_string(),
+    scales = (scale // 2, scale)
+    counts = matrix._threshold_runs(runs, LOWER_THRESHOLD, UPPER_THRESHOLD, scales)
+    cert = OscillationCertificate(
+        x_spec, matrix.spec_string(), LOWER_THRESHOLD, UPPER_THRESHOLD, scales, *counts
     )
     certified = not stalled and min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
     return AdversaryReport(
@@ -793,7 +767,7 @@ def steinhaus_adversary(
         status="certified" if certified else "diagnostic",
         certificate=cert,
         boundary_means=(
-            _boundary_means(bits, scale)
+            _boundary_means(runs, scale)
             if mode == "blocks" and isinstance(matrix, CesaroMatrix) else ()
         ),
         evidence={

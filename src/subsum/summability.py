@@ -10,10 +10,11 @@ together with a certified tail bound, never silently truncated.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat, starmap
 from math import gcd
 from typing import Callable, Iterator
 
@@ -80,12 +81,63 @@ def _dot(coeffs, values) -> Fraction:
     return Fraction(*_dot_pair(coeffs, (v.as_integer_ratio() for v in values)))
 
 
+def _threshold_counts(
+    pairs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per scale s, |{i <= s : v_i <= lower}| and |{i <= s : v_i >= upper}|,
+    for values v_i = p_i / q_i streamed as integer pairs with q_i > 0.
+
+    One pass in ascending scale order, reading no pair past the largest scale
+    and comparing integer cross products; each scale reads the running tallies.
+    """
+    lp, lq = lower.numerator, lower.denominator
+    up, uq = upper.numerator, upper.denominator
+    stream = iter(pairs)
+    tallies = {}
+    lo = hi = start = 0
+    for s in sorted(set(scales)):
+        for p, q in islice(stream, max(0, s - start)):
+            if p * lq <= lp * q:
+                lo += 1
+            if p * uq >= up * q:
+                hi += 1
+        start = max(start, s)
+        tallies[s] = (lo, hi)
+    return tuple(tallies[s][0] for s in scales), tuple(tallies[s][1] for s in scales)
+
+
+def _span_counts(spans, scales, drop=Finite(()), zero_hits=(False, False)):
+    """Per side of ``spans`` (lists of row intervals (lo, hi)) and per scale s,
+    the rows of the side's intervals up to s that are not in the set ``drop``,
+    plus the rows of ``drop`` up to s on a side whose ``zero_hits`` is set."""
+    cuts = {0, *scales}
+    for lo, hi in chain(*spans):
+        cuts.update(min(e, s) for s in scales for e in (lo - 1, hi))
+    dropped = dict(setlang.prefix_counts(drop, sorted(cuts)))
+
+    def hits(side, zero, s):
+        clipped = ((lo, min(hi, s)) for lo, hi in side if lo <= s)
+        kept = sum(hi - lo + 1 - dropped[hi] + dropped[lo - 1] for lo, hi in clipped)
+        return kept + (dropped[s] if zero else 0)
+
+    return tuple(tuple(hits(side, zero, s) for s in scales) for side, zero in zip(spans, zero_hits))
+
+
 class DomainRiskError(RuntimeError):
     """No certified tail machinery covers this matrix/sequence pair."""
 
 
 class TailToleranceError(RuntimeError):
     """The certified tail bound did not reach the requested tolerance."""
+
+
+class AuditBudgetError(RuntimeError):
+    """An exact recount would stream more rows than ``DEFAULT_COLUMN_CAP``."""
+
+
+def _row_budget(n: int, what: str) -> None:
+    if n > DEFAULT_COLUMN_CAP:
+        raise AuditBudgetError(f"{what} {n} is over the audit budget of {DEFAULT_COLUMN_CAP} rows")
 
 
 class MatrixSpecError(ValueError):
@@ -171,15 +223,11 @@ def _seq_alt10() -> SequenceSpec:
     )
 
 
-def _blocks01_bit(n: int) -> int:
-    # 1 exactly on blocks [2**(2j), 2**(2j+1)).
-    return 1 if (n.bit_length() - 1) % 2 == 0 else 0
-
-
 def _seq_blocks01() -> SequenceSpec:
+    # 1 exactly on blocks [2**(2j), 2**(2j+1)), where n has an odd bit length.
     return SequenceSpec(
         name="blocks01",
-        fn=lambda n: Fraction(_blocks01_bit(n)),
+        fn=lambda n: ONE if n.bit_length() % 2 else ZERO,
         sup_bound=ONE,
     )
 
@@ -238,15 +286,11 @@ def parse_sequence(spec: str) -> SequenceSpec:
     raise SequenceSpecError(f"unknown sequence spec {spec!r}")
 
 
-def sequence_from_values(
-    vals: tuple[Fraction, ...], name: str, sup: Fraction | None = None
-) -> SequenceSpec:
-    if sup is None:
-        sup = max((abs(v) for v in vals), default=ZERO)
+def sequence_from_values(vals: tuple[Fraction, ...], name: str) -> SequenceSpec:
     return SequenceSpec(
         name=name,
         fn=lambda n: vals[n - 1] if n <= len(vals) else ZERO,
-        sup_bound=sup,
+        sup_bound=max((abs(v) for v in vals), default=ZERO),
     )
 
 
@@ -260,15 +304,15 @@ def render_rle(bits: list[int]) -> str:
 
 
 def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
-    # One Fraction per run, shared by its values, and the bound read off the runs.
-    bits: list[Fraction] = []
-    for bit, length in runs:
-        if length < 0:
-            raise SequenceSpecError("run lengths must be >= 0")
-        bits.extend(repeat(Fraction(bit), length))
+    # One Fraction per run, found by bisecting the run ends, so a spec of
+    # any total length reads back at once; the bound is read off the runs.
+    if any(length < 0 for _, length in runs):
+        raise SequenceSpecError("run lengths must be >= 0")
+    ends = list(accumulate(length for _, length in runs))
+    bits = [Fraction(bit) for bit, _ in runs] + [ZERO]
     sup = Fraction(max((abs(bit) for bit, length in runs if length), default=0))
     name = "rle:" + ",".join(f"{b}x{l}" for b, l in runs)
-    return sequence_from_values(tuple(bits), name=name, sup=sup)
+    return SequenceSpec(name=name, fn=lambda n: bits[bisect_left(ends, n)], sup_bound=sup)
 
 
 def indicator_sequence(s: SetDescription) -> SequenceSpec:
@@ -414,6 +458,23 @@ class SummabilityMatrix:
             support = self.row_support(n)
             yield _dot_pair(map(self.entry, repeat(n, support), range(1, support + 1)), pairs)
 
+    def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
+        """For the 0/1 sequence given as (bit, length) runs, the row intervals
+        (lo, hi) whose transform values are <= lower, and those whose values
+        are >= upper, when the kind states them in closed form; else None."""
+        return None
+
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        """``_threshold_counts`` of the transform of the 0/1 sequence given as
+        (bit, length) runs reaching max(scales): from ``_hit_spans`` where the
+        kind states them, else streamed within ``DEFAULT_COLUMN_CAP`` rows."""
+        spans = self._hit_spans(runs, lower, upper)
+        if spans is not None:
+            return _span_counts(spans, scales)
+        _row_budget(max(scales), "a streamed sequence of length")
+        bits = list(chain.from_iterable(starmap(repeat, runs)))
+        return _threshold_counts(self._transform_pairs(bits, max(scales)), lower, upper, scales)
+
     # -- structural facts
 
     def vanish_rows(self, w: int) -> SetDescription | None:
@@ -511,6 +572,29 @@ class CesaroMatrix(_StochasticTriangle):
             total += v.numerator if v.denominator == 1 else v
             yield total.numerator, total.denominator * n
 
+    def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
+        # On a run of bit b from row a, with S ones before it, row n holds
+        # (c + b n) / n, c = S - b (a - 1); against a level p/q, q (c + b n)
+        # <= p n is linear in n, so each level holds on an interval of the run.
+        spans = ([], [])
+        a, ones = 1, 0
+        for bit, length in runs:
+            c = ones - bit * (a - 1)
+            for side, level, sign in zip(spans, (lower, upper), (1, -1)):
+                p, q = level.numerator, level.denominator
+                slope, rhs = sign * (q * bit - p), -sign * q * c  # slope n <= rhs
+                lo, hi = a, a + length - 1
+                if slope > 0:
+                    hi = min(hi, rhs // slope)
+                elif slope < 0:
+                    lo = max(lo, -(rhs // -slope))
+                elif rhs < 0:
+                    continue
+                if lo <= hi:
+                    side.append((lo, hi))
+            a, ones = a + length, ones + bit * length
+        return spans
+
     def null_ideal(self) -> IdealPresentation:
         return IdealPresentation.z()
 
@@ -594,6 +678,13 @@ class RowDropMatrix(SummabilityMatrix):
         dropped = setlang._scan(self.drop, 1, n_max)
         for gone, pair in zip(dropped, self.base._transform_pairs(xs, n_max)):
             yield (0, 1) if gone else pair
+
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        spans = self.base._hit_spans(runs, lower, upper)
+        if spans is None:
+            return super()._threshold_runs(runs, lower, upper, scales)
+        # A dropped row leaves the base's spans and counts where the value 0 does.
+        return _span_counts(spans, scales, self.drop, (lower >= 0, upper <= 0))
 
     def vanish_rows(self, w: int) -> SetDescription | None:
         base = self.base.vanish_rows(w)

@@ -582,6 +582,32 @@ class TestErrorContract:
         assert code == 3
         assert "AuditBudgetError" in record["error"]
 
+    def test_streamed_adversaries_over_the_row_budget_exit_with_code_3(self, capsys, tmp_path):
+        # The identity has no run form, so its rows stream; 10^9 of them are
+        # refused before any bit is built.
+        argv = ["adversary", "--matrix", "identity", "--scale", str(10**9)]
+        started = time.perf_counter()
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert "AuditBudgetError" in record["error"]
+        assert str(DEFAULT_COLUMN_CAP) in record["error"]
+
+    def test_run_form_certificates_past_the_row_budget_are_written_not_audited(
+        self, capsys, tmp_path
+    ):
+        cert = tmp_path / "big.json"
+        argv = ["adversary", "--mode", "greedy", "--scale", str(10**9),
+                "--certificate-out", str(cert)]
+        started = time.perf_counter()
+        code, _, _ = self.run_logged(capsys, tmp_path, argv)
+        assert code == 0
+        (tmp_path / "runs.jsonl").unlink()
+        code, err, record = self.run_logged(capsys, tmp_path, ["verify", str(cert)])
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert "AuditBudgetError" in record["error"]
+
     @pytest.mark.parametrize("argv", [
         ["domain", "--matrix", "gen:geometric", "--x", "const:1", "--row", "1",
          "--tol", "1e-100000"],

@@ -530,6 +530,21 @@ class TestMeagernessDemo:
 # ---------------------------------------------------------------- adversary
 
 
+def _assert_boundary_closed_forms(means):
+    for bm in means:
+        # closed forms: up edges hold (4**(j+1) - 1) / 3 ones, down edges
+        # (4**(j+1) + 2) / 3, against targets 2/3 and 1/3
+        j = bm.level
+        if bm.target == F(2, 3):
+            assert bm.at == 1 << (2 * j + 1)
+            assert bm.mean == F((4 ** (j + 1) - 1) // 3, bm.at)
+        else:
+            assert bm.at == 1 << (2 * j + 2)
+            assert bm.mean == F((4 ** (j + 1) + 2) // 3, bm.at)
+        assert bm.allowance == F(4, 1 << (2 * j))
+        assert bm.within
+
+
 @pytest.fixture(scope="module")
 def blocks_report():
     return steinhaus_adversary(CesaroMatrix(), mode="blocks")
@@ -552,27 +567,14 @@ class TestBlocksAdversary:
         assert by_at[16].mean == F(3, 8) and by_at[16].error == F(1, 24)
         assert by_at[32].mean == F(21, 32) and by_at[32].error == F(1, 96)
         assert by_at[64].mean == F(11, 32)
-        for bm in means:
-            # closed forms: up edges hold (4**(j+1) - 1) / 3 ones, down edges
-            # (4**(j+1) + 2) / 3, against targets 2/3 and 1/3
-            j = bm.level
-            if bm.target == F(2, 3):
-                assert bm.at == 1 << (2 * j + 1)
-                assert bm.mean == F((4 ** (j + 1) - 1) // 3, bm.at)
-            else:
-                assert bm.at == 1 << (2 * j + 2)
-                assert bm.mean == F((4 ** (j + 1) + 2) // 3, bm.at)
-            assert bm.allowance == F(4, 1 << (2 * j))
-            assert bm.within
+        _assert_boundary_closed_forms(means)
 
     def test_report_is_deterministic(self, blocks_report):
         again = steinhaus_adversary(CesaroMatrix(), mode="blocks")
         assert again == blocks_report
 
     def test_certificate_audits_against_recomputed_means(self, blocks_report):
-        from subsum.summability import _blocks01_bit
-
-        bits = [_blocks01_bit(n) for n in range(1, 65537)]
+        bits = parse_sequence("blocks01").values(65536)
         values = CesaroMatrix().transform_rows(bits, 65536)
         assert blocks_report.certificate.audit_values(values)
 
@@ -623,3 +625,16 @@ class TestGreedyAdversary:
     def test_greedy_needs_an_averaging_matrix(self):
         with pytest.raises(PreconditionError):
             steinhaus_adversary(parse_matrix("identity"), mode="greedy", scale=256)
+
+
+@pytest.mark.parametrize("mode", ["blocks", "greedy"])
+def test_run_form_certifies_at_scale_2_to_the_40(mode):
+    # Cesaro hit counts come per run, so no row is streamed.
+    started = time.perf_counter()
+    report = steinhaus_adversary(CesaroMatrix(), mode=mode, scale=1 << 40)
+    assert time.perf_counter() - started < 0.5
+    assert report.status == "certified" and report.scale >= 1 << 40
+    assert parse_sequence(report.x_spec).name == report.x_spec
+    if mode == "blocks":
+        assert len(report.boundary_means) == 38  # levels 1..19
+        _assert_boundary_closed_forms(report.boundary_means)

@@ -7,6 +7,7 @@ postconditions they advertise, recounted here from the raw data.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -371,6 +372,54 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
     pairs = list(matrix._transform_pairs(xs, n))
     assert [F(p, q) for p, q in pairs] == got
     assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
+
+
+# Cesaro and row drops over it: finite, periodic and sparse drop sets, and
+# one (squares or powers of 2) whose count has no closed form.
+_RUN_FORM_MATRICES = [CesaroMatrix()] + [
+    RowDropMatrix(CesaroMatrix(), parse_set(text))
+    for text in ("finite:{1,2,5,9,10,40}", "ap:1,3", "builtin:squares",
+                 "union:builtin:squares|builtin:powers2")
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    matrix=st.sampled_from(_RUN_FORM_MATRICES),
+    runs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 40)), min_size=1, max_size=10),
+    lower=st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(-2, 2, max_denominator=12),
+        st.fractions(-2, 2, max_denominator=10**6),
+    ),
+    gap=st.fractions(0, 3, max_denominator=12),
+    data=st.data(),
+)
+def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data):
+    # Zero-length runs, adjacent equal bits, levels below 0 and above 1, and
+    # scales on run edges and inside runs.
+    n = sum(length for _, length in runs)
+    assume(n >= 1)
+    edges = [e for e in accumulate(length for _, length in runs) if e]
+    scale = st.one_of(st.sampled_from(edges), st.integers(1, n))
+    scales = tuple(data.draw(st.lists(scale, min_size=1, max_size=4)))
+    upper = lower + gap
+    base = getattr(matrix, "base", matrix)
+    assert base._hit_spans(runs, lower, upper) is not None
+    bits = [bit for bit, length in runs for _ in range(length)]
+    want = _threshold_counts(matrix._transform_pairs(bits, n), lower, upper, scales)
+    assert matrix._threshold_runs(runs, lower, upper, scales) == want
+
+
+@pytest.mark.parametrize("runs, lower, upper", [
+    ([(1, 3), (0, 10)], Fraction(2, 7), Fraction(1)),  # 3/n <= 2/7 from n = 11
+    ([(0, 3), (1, 10)], Fraction(-1), Fraction(3, 7)),  # (n-3)/n >= 3/7 from n = 6
+])
+@pytest.mark.parametrize("matrix", _RUN_FORM_MATRICES[:2])
+def test_run_form_levels_cross_inside_a_run(matrix, runs, lower, upper):
+    bits = [bit for bit, length in runs for _ in range(length)]
+    want = _threshold_counts(matrix._transform_pairs(bits, 13), lower, upper, (6, 10, 13))
+    assert matrix._threshold_runs(runs, lower, upper, (6, 10, 13)) == want
 
 
 def _matrices():
