@@ -2,7 +2,8 @@
 # Runs every `subsum ...` line of README.md's Commands block from an empty
 # temporary directory and fails when one ends in another exit code than its
 # comment names ("exits 3", "exits 4", ...; 0 when it names none) or is
-# stopped after 10 s.  Run it from the repository root:
+# stopped after 10 s.  Each command's wall time, cold start included, is
+# printed in ms next to its exit code.  Run it from the repository root:
 #   bash .github/scripts/readme_commands.sh
 set -e
 root=$PWD
@@ -15,8 +16,10 @@ while read -r full; do
   eval "set -- $line"
   shift
   code=0
+  started=$(date +%s%N)
   PYTHONPATH="$root/src" timeout 10 python -m subsum.cli "$@" > /dev/null < /dev/null || code=$?
-  echo "exit $code (want $want): $line"
+  ms=$(( ($(date +%s%N) - started) / 1000000 ))
+  echo "exit $code (want $want) ${ms} ms: $line"
   [ "$code" -eq "$want" ] || exit 1
 done < commands.txt
 [ -s commands.txt ]

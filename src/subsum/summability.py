@@ -14,8 +14,10 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, groupby, islice, repeat, starmap
 from math import gcd
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from . import setlang
@@ -404,6 +406,10 @@ class SummabilityMatrix:
     def entry(self, n: int, k: int) -> Fraction:
         raise NotImplementedError
 
+    def _row(self, n: int, width: int) -> tuple:
+        """The entries a_{n,1..width}; every row reader goes through here."""
+        return tuple(map(self.entry, repeat(n), range(1, width + 1)))
+
     def row_support(self, n: int) -> int | None:
         """Last nonzero column of row n (0 for a zero row), None if unknown."""
         raise NotImplementedError
@@ -417,8 +423,7 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             raise DomainRiskError("row sum needs a row-finite matrix")
-        entries = map(self.entry, repeat(n), range(1, support + 1))
-        return Fraction(*_dot_pair(entries, repeat((1, 1))))
+        return Fraction(*_dot_pair(self._row(n, support), repeat((1, 1))))
 
     def l1_tail(self, n: int, after: int) -> Fraction | None:
         """Certified bound on sum_{k>after} |a_{n,k}|, when available; the
@@ -426,8 +431,7 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             return None
-        entries = map(self.entry, repeat(n), range(after + 1, support + 1))
-        return Fraction(*_dot_pair(map(abs, entries), repeat((1, 1))))
+        return Fraction(*_dot_pair(map(abs, self._row(n, support)[after:]), repeat((1, 1))))
 
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return None
@@ -455,8 +459,7 @@ class SummabilityMatrix:
         reading ``xs`` once as pairs."""
         pairs = [v.as_integer_ratio() for v in xs]
         for n in range(1, n_max + 1):
-            support = self.row_support(n)
-            yield _dot_pair(map(self.entry, repeat(n, support), range(1, support + 1)), pairs)
+            yield _dot_pair(self._row(n, self.row_support(n)), pairs)
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
         """For the 0/1 sequence given as (bit, length) runs, the row intervals
@@ -513,7 +516,7 @@ class SummabilityMatrix:
         scale = min(n_rows, 2048)
         details = {}
         for k in range(1, k_cols + 1):
-            column = [self.entry(n, k) for n in range(1, scale + 1)]
+            column = [self._row(n, k)[-1] for n in range(1, scale + 1)]
             verdict = ideal_limit(column, IdealPresentation.z())
             details[k] = verdict.status
             if verdict.status != "limit" or verdict.eta != 0:
@@ -624,6 +627,20 @@ class IdentityMatrix(_StochasticTriangle):
     def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
         return (v.as_integer_ratio() for v in xs[:n_max])
 
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        # Row n of the transform is the bit x_n: each count follows from the
+        # ones up to the scale, summed per run, and no bit is built.
+        _row_budget(max(scales), "a streamed sequence of length")
+        runs = list(runs)
+        ends = list(accumulate(map(itemgetter(1), runs), initial=0))
+        lows, highs = [], []
+        for s in (min(s, ends[-1]) for s in scales):
+            i = bisect_left(ends, s)  # run i - 1 holds row s
+            ones = sum(starmap(mul, runs[:i - 1])) + runs[i - 1][0] * (s - ends[i - 1]) if i else 0
+            lows.append((s - ones) * (0 <= lower) + ones * (1 <= lower))
+            highs.append((s - ones) * (0 >= upper) + ones * (1 >= upper))
+        return tuple(lows), tuple(highs)
+
     def null_ideal(self) -> IdealPresentation:
         return IdealPresentation.fin()
 
@@ -654,6 +671,9 @@ class RowDropMatrix(SummabilityMatrix):
             return ZERO
         return self.base.entry(n, k)
 
+    def _row(self, n: int, width: int) -> tuple:
+        return (ZERO,) * width if member(self.drop, n) else self.base._row(n, width)
+
     def row_support(self, n: int) -> int | None:
         if member(self.drop, n):
             return 0
@@ -680,11 +700,15 @@ class RowDropMatrix(SummabilityMatrix):
             yield (0, 1) if gone else pair
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        spans = self.base._hit_spans(runs, lower, upper)
+        # Nested drops are one drop of their union from the innermost base.
+        base, drop = self.base, self.drop
+        while isinstance(base, RowDropMatrix):
+            base, drop = base.base, Union(base.drop, drop)
+        spans = base._hit_spans(runs, lower, upper)
         if spans is None:
             return super()._threshold_runs(runs, lower, upper, scales)
         # A dropped row leaves the base's spans and counts where the value 0 does.
-        return _span_counts(spans, scales, self.drop, (lower >= 0, upper <= 0))
+        return _span_counts(spans, scales, drop, (lower >= 0, upper <= 0))
 
     def vanish_rows(self, w: int) -> SetDescription | None:
         base = self.base.vanish_rows(w)
@@ -794,6 +818,8 @@ class GeneratorMatrix(SummabilityMatrix):
     or an l1 tail bound / term-ratio bound; otherwise transforms refuse to
     produce values, since no certified tail is available.  ``support_exact``
     asserts the support bound is attained (the last column is nonzero).
+    Rows read are kept up to ``DEFAULT_COLUMN_CAP`` entries in all, an entry
+    counting once per 64 bits; later rows are computed afresh.
     """
 
     def __init__(
@@ -819,14 +845,32 @@ class GeneratorMatrix(SummabilityMatrix):
         self.ratio = ratio
         self.nonneg = nonneg
         self.vanish_fn = vanish_fn
+        self._rows, self._stored = {}, 0  # row prefixes read, and their size
 
     def entry(self, n: int, k: int) -> Fraction:
+        row = self._rows.get(n, ())
+        return row[k - 1] if 0 < k <= len(row) else self._fresh(n, k)
+
+    def _fresh(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
         if self.support_bound is not None and k > self.support_bound(n):
             return ZERO
         value = self.entry_fn(n, k)
         return value if isinstance(value, Fraction) else Fraction(value)
+
+    def _row(self, n: int, width: int) -> tuple:
+        row = self._rows.get(n, ())
+        if len(row) < width:
+            new = tuple(map(self._fresh, repeat(n), range(len(row) + 1, width + 1)))
+            # An entry counts once per 64 bits of its numerator and denominator.
+            size = self._stored + sum(
+                1 + (v.numerator.bit_length() + v.denominator.bit_length()) // 64 for v in new
+            )
+            row += new
+            if size <= DEFAULT_COLUMN_CAP:
+                self._rows[n], self._stored = row, size
+        return row[:width]
 
     def row_support(self, n: int) -> int | None:
         if self.support_bound is None:
@@ -835,7 +879,7 @@ class GeneratorMatrix(SummabilityMatrix):
         if self.support_exact:
             return bound
         for k in range(bound, 0, -1):
-            if self.entry_fn(n, k) != 0:
+            if self.entry(n, k) != 0:
                 return k
         return 0
 
@@ -867,11 +911,17 @@ class GeneratorMatrix(SummabilityMatrix):
         return hash(("gen", self.name))
 
 
+@lru_cache(maxsize=1 << 12)
+def _half_power(k: int) -> Fraction:
+    # Rows share their entries, so the rows a matrix keeps hold no copies.
+    return Fraction(1, 1 << k)
+
+
 def _gen_geometric() -> GeneratorMatrix:
     # Every row is (1/2, 1/4, 1/8, ...); not row-finite, fully declared tails.
     return GeneratorMatrix(
         name="geometric",
-        entry_fn=lambda n, k: Fraction(1, 1 << k),
+        entry_fn=lambda n, k: _half_power(k),
         l1_tail_fn=lambda n, after: Fraction(1, 1 << after),
         ratio=(Fraction(1, 2), 1),
         nonneg=True,
@@ -888,8 +938,10 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     Entries are small rationals keyed by (seed, n, k): one mt19937 stream
     seeded with ``f"rowfinite:{seed}:{n}:{k}"`` per entry; the diagonal entry
     is forced nonzero so the declared support is attained.  The matrix keeps
-    one ``Random`` and reseeds it for every entry, so it is not meant to be
-    read from two threads at once.
+    one ``Random`` and reseeds it for every entry it computes, and it keeps
+    the rows it has read, up to 2^20 entries (``DEFAULT_COLUMN_CAP``), so
+    that no entry is computed twice; it is not meant to be read from two
+    threads at once.
     """
     rng = random.Random()
 
@@ -1016,11 +1068,16 @@ def transform_value(
     summing any column.  If no tail machinery applies the call refuses with
     DomainRiskError.
     """
+    return next(_points(matrix, x, (n,), tail_tol))
+
+
+def _summed_width(
+    matrix: SummabilityMatrix, x: SequenceSpec, n: int, tail_tol: Fraction
+) -> tuple[int, Fraction]:
+    """The columns ``transform_value`` sums for row n, and its tail bound."""
     support = matrix.row_support(n)
     if support is not None:
-        cols = range(1, support + 1)
-        value = _dot((matrix.entry(n, k) for k in cols), map(x.value, cols))
-        return TransformPoint(n, value, ZERO)
+        return support, ZERO
     width = 32
     saw_tail = False
     while width <= DEFAULT_COLUMN_CAP:
@@ -1028,9 +1085,7 @@ def transform_value(
         if tail is not None:
             saw_tail = True
             if tail <= tail_tol:
-                cols = range(1, width + 1)
-                value = _dot((matrix.entry(n, k) for k in cols), map(x.value, cols))
-                return TransformPoint(n, value, tail)
+                return width, tail
         width *= 2
     if not saw_tail:
         raise DomainRiskError(
@@ -1040,6 +1095,17 @@ def transform_value(
     raise TailToleranceError(
         f"tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
     )
+
+
+def _points(
+    matrix: SummabilityMatrix, x: SequenceSpec, rows, tail_tol: Fraction
+) -> Iterator[TransformPoint]:
+    # x is read once, as integer pairs up to the widest width summed so far.
+    pairs: list[tuple[int, int]] = []
+    for n in rows:
+        width, tail = _summed_width(matrix, x, n, tail_tol)
+        pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
+        yield TransformPoint(n, Fraction(*_dot_pair(matrix._row(n, width), pairs)), tail)
 
 
 def transform_prefix(
@@ -1055,7 +1121,7 @@ def transform_prefix(
     if matrix.row_finite:
         values = matrix.transform_rows(x.values(matrix.columns(n_max)), n_max)
         return [TransformPoint(n, v, ZERO) for n, v in enumerate(values, start=1)]
-    return [transform_value(matrix, x, n, tail_tol) for n in range(1, n_max + 1)]
+    return list(_points(matrix, x, range(1, n_max + 1), tail_tol))
 
 
 # ---------------------------------------------------------------- domain check

@@ -583,8 +583,8 @@ class TestErrorContract:
         assert "AuditBudgetError" in record["error"]
 
     def test_streamed_adversaries_over_the_row_budget_exit_with_code_3(self, capsys, tmp_path):
-        # The identity has no run form, so its rows stream; 10^9 of them are
-        # refused before any bit is built.
+        # The identity counts one run per row, so 10^9 rows are refused
+        # before any run is read.
         argv = ["adversary", "--matrix", "identity", "--scale", str(10**9)]
         started = time.perf_counter()
         code, err, record = self.run_logged(capsys, tmp_path, argv)
@@ -592,6 +592,24 @@ class TestErrorContract:
         assert code == 3
         assert "AuditBudgetError" in record["error"]
         assert str(DEFAULT_COLUMN_CAP) in record["error"]
+
+    def test_nested_row_drops_count_like_one_union_drop(self, capsys, tmp_path):
+        # rowdrop:rowdrop:cesaro:A:B is rowdrop:cesaro:union:A|B, so it has
+        # the same run form and answers at 10^9 rows.
+        reports = []
+        for spec in ("rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3", "rowdrop:cesaro:union:ap:1,2|ap:1,3"):
+            log = tmp_path / f"runs{len(reports)}.jsonl"
+            argv = ["adversary", "--matrix", spec, "--mode", "greedy", "--scale", str(10**9)]
+            started = time.perf_counter()
+            code, out, _ = run(capsys, argv + ["--runlog", str(log)])
+            assert time.perf_counter() - started < 1
+            records = [json.loads(line) for line in log.read_text().splitlines()]
+            assert code == 5 and [r["exit"] for r in records] == [5]
+            reports.append(json.loads(out))
+        nested, union = reports
+        assert nested["matrix"] == "rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3"
+        for key in ("scales", "lower_counts", "upper_counts"):
+            assert nested["certificate"][key] == union["certificate"][key]
 
     def test_run_form_certificates_past_the_row_budget_are_written_not_audited(
         self, capsys, tmp_path

@@ -8,9 +8,13 @@ structural facts that make them true or false.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subsum import (
     AP,
@@ -41,6 +45,7 @@ from subsum import (
     transform_value,
     validate_matrix_ideal,
 )
+from subsum import summability
 from subsum.summability import DOMAIN_SCAN_COLUMNS, _bounded_str, domain_check
 
 F = Fraction
@@ -285,6 +290,125 @@ class TestRandomRowFinite:
                 got = m.entry(n, k)
                 assert type(got) is F and got == want, (n, k)
         assert forced > 0
+
+
+def counted(m):
+    """Wrap the entry_fn of the generator matrix m; the counter it returns
+    holds the calls per (n, k)."""
+    calls = Counter()
+    fn = m.entry_fn
+
+    def entry_fn(n, k):
+        calls[n, k] += 1
+        return fn(n, k)
+
+    m.entry_fn = entry_fn
+    return calls
+
+
+def sparse_generator():
+    """A cheap row-finite generator with zero entries, so its support bound
+    is loose for some rows."""
+    return GeneratorMatrix(
+        name="sparse",
+        entry_fn=lambda n, k: F((3 * n + 5 * k) % 7 - 3, 1 + (n + k) % 4),
+        support_bound=lambda n: n + 1,
+    )
+
+
+def stored_entries(m):
+    return sum(map(len, m._rows.values()))
+
+
+class TestGeneratorRowCache:
+    @pytest.mark.parametrize("spec, x, tol", [
+        ("gen:rand_rowfinite_52", "const:-1/6", F(0)),
+        ("gen:geometric", "alt", F(1, 10**6)),
+    ])
+    def test_repeated_calls_read_no_entry_again(self, spec, x, tol):
+        m, x = parse_matrix(spec), parse_sequence(x)
+        calls = counted(m)
+        first = transform_prefix(m, x, 128, tail_tol=tol)
+        verdict = regularity_verdict(m, FIN, n_rows=256)
+        read = sum(calls.values())
+        assert transform_prefix(m, x, 128, tail_tol=tol) == first
+        assert regularity_verdict(m, FIN, n_rows=256) == verdict
+        assert sum(calls.values()) == read
+
+    def test_one_regularity_verdict_reads_each_entry_once(self):
+        m = random_rowfinite_matrix(52)
+        calls = counted(m)
+        regularity_verdict(m, FIN, n_rows=256)
+        # r1 reads rows 1..64, 128 and 256; r3 sums the same head rows.
+        assert calls[64, 64] == calls[256, 1] == 1
+        assert max(calls.values()) == 1
+
+    def test_rows_past_the_cap_are_computed_not_stored(self):
+        m = random_rowfinite_matrix(3)
+        calls = counted(m)
+        with mock.patch.object(summability, "DEFAULT_COLUMN_CAP", 10):
+            assert m.row_sum(4) == m.row_sum(4)  # 4 entries, stored
+            assert m.row_sum(7) == m.row_sum(7)  # 7 more would pass 10
+        assert m._stored == stored_entries(m) == 4  # small entries count once
+        assert calls[4, 1] == 1 and calls[7, 1] == 2
+
+    def test_long_entries_count_once_per_64_bits(self):
+        m = GeneratorMatrix("long", lambda n, k: F(1, 1 << 200), support_bound=lambda n: n)
+        m.row_sum(3)
+        assert stored_entries(m) == 3 and m._stored == 3 * (1 + 202 // 64)
+
+
+# Cheap entries keep the property fast; rand_rowfinite's repeated calls are
+# checked in TestGeneratorRowCache.
+_CACHED_MATRICES = {
+    "sparse": sparse_generator,
+    "geometric": lambda: parse_matrix("gen:geometric"),
+    "rowdrop": lambda: RowDropMatrix(sparse_generator(), AP(1, 3)),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@example(kind="sparse", x="nalt", rows=40, warm=[(40, 45), (39, 2), (5, 0)], cap=40)
+@example(kind="rowdrop", x="n", rows=12, warm=[(2, 3)], cap=0)
+@given(
+    kind=st.sampled_from(sorted(_CACHED_MATRICES)),
+    x=st.sampled_from(["alt", "n", "nalt", "const:-2/3"]),
+    rows=st.integers(1, 40),
+    warm=st.lists(st.tuples(st.integers(1, 40), st.integers(0, 45)), max_size=8),
+    cap=st.sampled_from([None, 0, 1, 40, 300]),
+)
+def test_a_warmed_matrix_answers_like_a_fresh_one(kind, x, rows, warm, cap):
+    x = parse_sequence(x)
+    tol = F(1, 10**6)
+    cap = summability.DEFAULT_COLUMN_CAP if cap is None else cap
+
+    def outcome(call, *args, **kwargs):
+        # A small cap also bounds the tail widths, so errors are answers too.
+        try:
+            return call(*args, **kwargs)
+        except (DomainRiskError, TailToleranceError) as error:
+            return type(error), str(error)
+
+    def answers(m):
+        return (
+            outcome(transform_prefix, m, x, rows, tail_tol=tol),
+            [m.row_sum(n) for n in range(1, rows + 1)] if m.row_finite else None,
+            [m.l1_tail(n, n // 2) for n in range(1, rows + 1)],
+            outcome(domain_check, m, x, rows, tol),
+            regularity_verdict(m, FIN, n_rows=rows),
+        )
+
+    with mock.patch.object(summability, "DEFAULT_COLUMN_CAP", cap):
+        fresh, warmed = _CACHED_MATRICES[kind](), _CACHED_MATRICES[kind]()
+        for n, width in warm:
+            warmed._row(n, width)
+            warmed.entry(n, width + 1)
+        want = answers(fresh)
+        assert answers(warmed) == want
+        assert answers(warmed) == want  # now warmed by its own answers too
+        for m in (fresh, warmed):
+            m = getattr(m, "base", m)  # the generator under a row drop
+            assert stored_entries(m) <= m._stored <= cap
 
 
 # ---------------------------------------------------------------- transforms
