@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Runs every `subsum ...` line of README.md's Commands block from an empty
-# temporary directory and fails when one ends in another exit code than its
-# comment names ("exits 3", "exits 4", ...; 0 when it names none) or is
-# stopped after 10 s.  Each command's wall time, cold start included, is
-# printed in ms next to its exit code.  Run it from the repository root:
+# Runs every `subsum ...` line of README.md's Commands block twice from an
+# empty temporary directory and fails when one ends in another exit code than
+# its comment names ("exits 3", "exits 4", ...; 0 when it names none), is
+# stopped after 10 s, or prints other stdout the second time than the first
+# (identical inputs print byte-identical output).  Each run's wall time, cold
+# start included, is printed in ms next to its exit code and stdout digest.
+# Run it from the repository root:
 #   bash .github/scripts/readme_commands.sh
 set -e
 root=$PWD
@@ -15,11 +17,17 @@ while read -r full; do
   want=${want:-0}
   eval "set -- $line"
   shift
-  code=0
-  started=$(date +%s%N)
-  PYTHONPATH="$root/src" timeout 10 python -m subsum.cli "$@" > /dev/null < /dev/null || code=$?
-  ms=$(( ($(date +%s%N) - started) / 1000000 ))
-  echo "exit $code (want $want) ${ms} ms: $line"
-  [ "$code" -eq "$want" ] || exit 1
+  digests=()
+  for run in 1 2; do
+    code=0
+    started=$(date +%s%N)
+    PYTHONPATH="$root/src" timeout 10 python -m subsum.cli "$@" > stdout.txt < /dev/null || code=$?
+    ms=$(( ($(date +%s%N) - started) / 1000000 ))
+    digest=$(sha256sum stdout.txt | cut -c1-16)
+    echo "exit $code (want $want) ${ms} ms stdout ${digest}: $line"
+    [ "$code" -eq "$want" ] || exit 1
+    digests+=("$digest")
+  done
+  [ "${digests[0]}" = "${digests[1]}" ] || { echo "stdout differs between runs: $line"; exit 1; }
 done < commands.txt
 [ -s commands.txt ]

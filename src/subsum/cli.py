@@ -72,14 +72,15 @@ def _frac(value: Fraction | None) -> str | None:
     return None if value is None else _bounded_str(Fraction(value))
 
 
-def _tolerance(text: str) -> Fraction:
-    """A tolerance with numerator and denominator of at most RENDER_BITS bits:
-    exact tail sums to finer ones run for minutes.  A far exponent is refused
-    before its power of 10 is built."""
+def _bounded_rational(text: str, what: str) -> Fraction:
+    """A tolerance or bound with numerator and denominator of at most
+    RENDER_BITS bits: exact tail sums to finer tolerances run for minutes,
+    and escapes past larger bounds pick indices that no spec string prints.
+    A far exponent is refused before its power of 10 is built."""
     _, _, exponent = text.lower().partition("e")
     value = None if exponent and abs(int(exponent)) > 2 * RENDER_BITS else Fraction(text)
     if value is None or max(abs(value.numerator), value.denominator).bit_length() > RENDER_BITS:
-        raise ValueError(f"tolerances are limited to {RENDER_BITS}-bit numerators and denominators")
+        raise ValueError(f"{what} are limited to {RENDER_BITS}-bit numerators and denominators")
     return value
 
 
@@ -169,7 +170,8 @@ def _cmd_regularity(args) -> tuple[dict, int]:
 def _cmd_transform(args) -> tuple[dict, int]:
     matrix = parse_matrix(args.matrix)
     x = parse_sequence(args.x)
-    points = summability.transform_prefix(matrix, x, args.rows, tail_tol=_tolerance(args.tail_tol))
+    tail_tol = _bounded_rational(args.tail_tol, "tolerances")
+    points = summability.transform_prefix(matrix, x, args.rows, tail_tol=tail_tol)
     payload = {
         "command": "transform",
         "matrix": matrix.spec_string(),
@@ -185,7 +187,7 @@ def _cmd_transform(args) -> tuple[dict, int]:
 def _cmd_domain(args) -> tuple[dict, int]:
     matrix = parse_matrix(args.matrix)
     x = parse_sequence(args.x)
-    check = summability.domain_check(matrix, x, args.row, _tolerance(args.tol))
+    check = summability.domain_check(matrix, x, args.row, _bounded_rational(args.tol, "tolerances"))
     payload = {
         "command": "domain",
         "matrix": matrix.spec_string(),
@@ -221,7 +223,7 @@ def _cmd_escape(args) -> tuple[dict, int]:
     x = parse_sequence(args.x)
     if args.mode == "unbounded":
         row = parse_row(args.row)
-        result = constructions.escape_unbounded(stem, row, x, Fraction(args.m0))
+        result = constructions.escape_unbounded(stem, row, x, _bounded_rational(args.m0, "bounds"))
         payload = {
             "command": "escape",
             "mode": "unbounded",
@@ -240,7 +242,7 @@ def _cmd_escape(args) -> tuple[dict, int]:
         matrix = parse_matrix(args.matrix)
         ideal = parse_ideal(args.ideal)
         result = constructions.escape_rowfinite(
-            stem, matrix, x, ideal, Fraction(args.m0), p0=args.block_floor
+            stem, matrix, x, ideal, _bounded_rational(args.m0, "bounds"), p0=args.block_floor
         )
         payload = {
             "command": "escape",
@@ -265,7 +267,7 @@ def _cmd_oscillate(args) -> tuple[dict, int]:
     x = parse_sequence(args.x)
     matrix = parse_matrix(args.matrix)
     pair = constructions.oscillation_pair(
-        stem, x, matrix, scan=args.scale, tol=_tolerance(args.tol)
+        stem, x, matrix, scan=args.scale, tol=_bounded_rational(args.tol, "tolerances")
     )
     payload = {
         "command": "oscillate",

@@ -25,7 +25,6 @@ from .ideals import (
 from .setlang import Complement, default_checkpoints, first_member, next_member, render
 from .sigma import Consecutive, Selector
 from .summability import (
-    ZERO,
     CesaroMatrix,
     IdentityMatrix,
     RowSeq,
@@ -475,6 +474,12 @@ def escape_unbounded(
     )
 
 
+def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The larger of two nonnegative ratios given as (numerator, positive
+    denominator) pairs."""
+    return b if b[0] * a[1] > a[0] * b[1] else a
+
+
 def escape_rowfinite(
     stem: tuple[int, ...],
     matrix: SummabilityMatrix,
@@ -492,8 +497,13 @@ def escape_rowfinite(
     first one of the partition restricted to the surviving rows whose index
     is at least ``p0`` and whose first row lies after ``after_row``.  Picks
     are chosen one column at a time so that whichever row of the chosen
-    block ends its support at that column is already pushed past m0; every
-    row of the block is then recomputed exactly.
+    block ends its support at that column is already pushed past m0.
+
+    Every entry of the block is read twice, each time a whole row through
+    ``matrix._row``: once to plan the picks, once in the exact re-check,
+    which sums every row again against the picks read again from the
+    selector (a constant row as its entry times a prefix sum of the picks).
+    A generator matrix serves the second read from its row cache.
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -541,19 +551,19 @@ def escape_rowfinite(
                 "structural vanishing description disagrees with the row supports"
             )
         supports[n] = r
-    # Entry pass over every entry of every block row.  It finds alpha, the
-    # least nonzero |entry|, and splits the rows into those constant on their
-    # support (every Cesaro row is 1/n on 1..n) and the rest, whose nonzero
-    # entries it keeps by column as integer numerators and denominators.
+    # Entry pass: each block row read once through ``matrix._row``.  It finds
+    # alpha, the least nonzero |entry|, and splits the rows into those
+    # constant on their support (every Cesaro row is 1/n on 1..n) and the
+    # rest, whose nonzero entries it keeps by column.  Entries are kept as
+    # integer (numerator, denominator) pairs.
     alpha = None  # (|numerator|, denominator)
     flat = {}  # row -> its one entry
     terms: dict[int, list[tuple[int, int, int]]] = {}  # column -> [(row, p, q)]
-    entry = matrix.entry
     for n in block:
-        row = list(map(entry, repeat(n, supports[n]), range(1, supports[n] + 1)))
+        row = matrix._row(n, supports[n])
         first = row[0]
         if row.count(first) == len(row):
-            flat[n] = first
+            flat[n] = (first.numerator, first.denominator)
             nonzero = [first] if first else []
         else:
             nonzero = []
@@ -565,53 +575,71 @@ def escape_rowfinite(
             p, q = abs(e.numerator), e.denominator
             if alpha is None or p * alpha[1] < alpha[0] * q:
                 alpha = (p, q)
-    alpha = Fraction(*alpha)
-    # Column loop.  With S the sum of x over the picks so far, a constant row
-    # n has partial c_n * S until its support ends, so one shared sum serves
-    # them all and the worst open one has the largest |c_n|.  The other rows
-    # keep their own partials as (numerator, common denominator).  A row
-    # whose support has ended joins the running max ``done``.
+    # Column loop, on integer pairs compared by cross products.  With S the
+    # sum of x over the picks so far, a constant row n has partial c_n * S
+    # until its support ends, so one shared sum serves them all and the
+    # worst open one has the largest |c_n|.  The other rows keep their own
+    # partials over a running common denominator.  A row whose support has
+    # ended joins the running max ``done``.  Each column builds one Fraction,
+    # its magnitude target (m0 + worst) / alpha, and each row one, its
+    # partial when it closes.
     k_top = max(supports.values())
-    reach = [ZERO] * (k_top + 1)  # largest |c_n| over constant rows open at s
+    reach = [(0, 1)] * (k_top + 1)  # largest |c_n| over constant rows open at s
     closing: dict[int, list[int]] = {}
     for n in block:
         closing.setdefault(supports[n], []).append(n)
         if n in flat:
-            reach[supports[n]] = max(reach[supports[n]], abs(flat[n]))
+            r = supports[n]
+            reach[r] = _larger(reach[r], (abs(flat[n][0]), flat[n][1]))
     for s in range(k_top - 1, 0, -1):
-        reach[s] = max(reach[s], reach[s + 1])
+        reach[s] = _larger(reach[s], reach[s + 1])
     open_rows = {n: (0, 1) for n in block if n not in flat}
     partials = {}
-    total = ZERO
-    done = ZERO
+    total = done = (0, 1)
+    mp, mq = m0.numerator, m0.denominator
+    ap, aq = alpha
     values = list(stem)
     prev = stem[-1] if stem else 0
     for s in range(1, k_top + 1):
         if s > j0:
-            worst = max(done, abs(total) * reach[s])
-            bn, bd = worst.numerator, worst.denominator
+            (rp, rq), (tp, tq) = reach[s], total
+            bn, bd = _larger(done, (abs(tp) * rp, tq * rq))
             for num, den in open_rows.values():
                 if abs(num) * bd > bn * den:
                     bn, bd = abs(num), den
-            target = (m0 + Fraction(bn, bd)) / alpha
+            target = Fraction((mp * bd + bn * mq) * aq, mq * bd * ap)
             prev = _least_index_with_magnitude(x, prev + 1, target)
             values.append(prev)
-        xv = x.value(values[s - 1])
-        total += xv
+        xp, xq = x.value(values[s - 1]).as_integer_ratio()
+        total = _add_ratio(*total, xp, xq)
         for n, p, q in terms.get(s, ()):
-            open_rows[n] = _add_ratio(*open_rows[n], p * xv.numerator, q * xv.denominator)
+            open_rows[n] = _add_ratio(*open_rows[n], p * xp, q * xq)
         for n in closing.get(s, ()):
-            partials[n] = flat[n] * total if n in flat else Fraction(*open_rows.pop(n))
-            done = max(done, abs(partials[n]))
+            if n in flat:
+                partial = Fraction(flat[n][0] * total[0], flat[n][1] * total[1])
+            else:
+                partial = Fraction(*open_rows.pop(n))
+            partials[n] = partial
+            done = _larger(done, (abs(partial.numerator), partial.denominator))
     selector = Selector(tuple(values), Consecutive(prev + 1))
-    # Exact re-check by direct summation: every entry of every block row is
-    # read again from the matrix, against x at the selector's picks.
+    # Exact re-check, sharing nothing with the column loop: every entry of
+    # every block row is read again through ``matrix._row``, and x again at
+    # the selector's picks.  A re-read row whose entries all equal c sums to
+    # c * P_s, P_s the sum of its s picks; any other row is summed term by
+    # term.
     picks = [x.value(selector.value(k)).as_integer_ratio() for k in range(1, k_top + 1)]
+    prefix = list(accumulate(picks, lambda a, b: _add_ratio(*a, *b)))
     row_values = []
     holds = True
     for n in block:
         s = supports[n]
-        exact = Fraction(*_dot_pair(map(entry, repeat(n, s), range(1, s + 1)), picks))
+        row = matrix._row(n, s)
+        c = row[0]
+        if row.count(c) == len(row):
+            p, q = prefix[s - 1]
+            exact = Fraction(c.numerator * p, c.denominator * q)
+        else:
+            exact = Fraction(*_dot_pair(row, picks))
         if exact != partials[n]:
             raise ConstructionError("incremental and direct row sums disagree")
         row_values.append((n, exact))
@@ -629,7 +657,7 @@ def escape_rowfinite(
             "stem_columns": j0,
             "vanishing_set": render(vanishing),
             "vanishing_reason": verdict.reason,
-            "min_coefficient": str(alpha),
+            "min_coefficient": str(Fraction(ap, aq)),
             "last_column": k_top,
         },
     )

@@ -523,6 +523,12 @@ class TestPlumbing:
 # ------------------------------------------------------------ error contract
 
 
+ESCAPE_MODES = [
+    ["--mode", "unbounded", "--stem", "{1}", "--row", "geometric"],
+    ["--mode", "rowfinite", "--matrix", "cesaro", "--ideal", "z"],
+]
+
+
 class TestErrorContract:
     """Each input ends in a documented exit code and one run-log record."""
 
@@ -644,11 +650,31 @@ class TestErrorContract:
         assert record["digest"] is None
 
     def test_tolerances_are_exact_up_to_4096_bits(self):
-        assert cli._tolerance("1e-1233") == Fraction(1, 10**1233)
-        assert cli._tolerance(f"-{2**4096 - 1}") == -(2**4096 - 1)
+        assert cli._bounded_rational("1e-1233", "tolerances") == Fraction(1, 10**1233)
+        assert cli._bounded_rational(f"-{2**4096 - 1}", "tolerances") == -(2**4096 - 1)
         for text in (f"1/{2**4096}", "1e1234", "1e-99999"):
             with pytest.raises(ValueError):
-                cli._tolerance(text)
+                cli._bounded_rational(text, "tolerances")
+
+    @pytest.mark.parametrize("mode", ESCAPE_MODES)
+    @pytest.mark.parametrize("m0", ["1e5000000", "1e50000000", "1e5000", f"1/{2**4100}"])
+    def test_bounds_over_4096_bits_exit_with_code_2(self, capsys, tmp_path, mode, m0):
+        # Escapes past such bounds ran for seconds or without end, and then
+        # failed to print their picks.
+        started = time.perf_counter()
+        argv = ["escape", *mode, "--x", "n", "--m0", m0]
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert time.perf_counter() - started < 1
+        assert code == 2
+        assert "4096-bit" in err and "4096-bit" in record["error"]
+        assert record["digest"] is None
+
+    @pytest.mark.parametrize("mode", ESCAPE_MODES)
+    def test_bounds_are_exact_up_to_4096_bits(self, capsys, mode):
+        code, d = run_json(capsys, ["escape", *mode, "--x", "n", "--m0", str(2**4000 - 1)])
+        assert code == 0 and d["holds"]
+        # The unbounded escape's bound is m0 + 1.
+        assert Fraction(d["bound"]) == 2**4000 - (mode[1] == "rowfinite")
 
     def test_matrix_ideals_that_are_not_regular_exit_with_code_7(self, capsys, tmp_path):
         argv = ["verdict", "ap:1,2", "--ideal", "matrix:rowdrop:cesaro:builtin:squares"]
@@ -681,3 +707,43 @@ class TestErrorContract:
         assert code == 1
         assert record["digest"] is None
         assert record["error"] == "ZeroDivisionError: broken on purpose"
+
+
+# sha256 of the printed JSON of escapes and a demo, recorded before the
+# escape's column loop moved to integer pairs and its re-check to prefix
+# sums of the picks: identical inputs print byte-identical output.
+PRINTED_DIGESTS = {
+    "escape --mode rowfinite --matrix cesaro --x n --ideal z --m0 1":
+        "a05d6688818bea34e06df24d6f0fe3619d905689aa89b667c241d23f3cf9a6ef",
+    "escape --mode rowfinite --matrix cesaro --x n --ideal z --m0 4":
+        "6277781c114143574aa7879f4545fecbf1903bd05ae27c4da82fa18b55fc1671",
+    "escape --mode rowfinite --matrix cesaro --x nalt --ideal z --m0 1":
+        "6e6c3cd78928d22c72771676c5efe1c104f094eea998d17c851d2b4ebc088f6c",
+    "escape --mode rowfinite --matrix cesaro --x nalt --ideal z --m0 4":
+        "a5d5f9b6bd1d4b6541f830f195f0d80a2c6cf8d0b62fbaf66d3d3a497583fdfc",
+    "escape --mode rowfinite --matrix cesaro --x sqperturb --ideal z --m0 1":
+        "835ca28a69942311adf942db98300130962c3862fecbb187fdcefd05095af48e",
+    "escape --mode rowfinite --matrix cesaro --x sqperturb --ideal z --m0 4":
+        "cbdc3a68bf14941a10b18314959a10a4cf2e4444e0c08f777d74fc0c00397893",
+    "escape --mode rowfinite --matrix cesaro --x n --ideal fin --m0 1 --block-floor 5":
+        "1269a4ffb320cea93cf8ae88462caefe7ca71a2364a343386c419eac0eb1310a",
+    "escape --mode rowfinite --matrix cesaro --x n --ideal fin --m0 4 --block-floor 5":
+        "7b7abcb726e1d7d03a49e99122f22d45ca883f1ba0949a11d4b5338c66613a79",
+    "escape --mode rowfinite --matrix cesaro --x nalt --ideal fin --m0 1 --block-floor 5":
+        "34b1f5f08bdcbcaf684dfe87cbff3d7e0b1031ef2eb1997a77b7eb004dd5a559",
+    "escape --mode rowfinite --matrix cesaro --x nalt --ideal fin --m0 4 --block-floor 5":
+        "c68ec4a080b62edb42805465766d122656e0d9e74e595321e132c92b5d9e865b",
+    "escape --mode rowfinite --matrix cesaro --x sqperturb --ideal fin --m0 1 --block-floor 5":
+        "73d4e3c4674f8f55adefc7d1ab9205209fadc0925860d1217cda4b44b9494c81",
+    "escape --mode rowfinite --matrix cesaro --x sqperturb --ideal fin --m0 4 --block-floor 5":
+        "33beb44bb184a554770661afaf0280206834f28f019782d8ff9a83149bacef12",
+    "demo --schedule 1,2,4,8":
+        "400478d48b1b37fd897a508b1f4fa3c5fdfc1e433a9202c3c85a74505d00794d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED_DIGESTS))
+def test_escape_and_demo_output_is_pinned(capsys, command):
+    code, out, _ = run(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRINTED_DIGESTS[command]

@@ -7,6 +7,7 @@ recount path and through independent tallies computed here.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,8 @@ from subsum import (
     CesaroMatrix,
     Consecutive,
     ConstructionError,
+    Finite,
+    GeneratorMatrix,
     IdealPresentation,
     OscillationCertificate,
     PreconditionError,
@@ -36,6 +39,7 @@ from subsum import (
     random_rowfinite_matrix,
     steinhaus_adversary,
 )
+from subsum import constructions
 from subsum.constructions import EPS_GRID, _least_index_with_magnitude
 
 F = Fraction
@@ -483,6 +487,92 @@ def test_the_escape_recheck_reads_every_entry_again():
     with pytest.raises(ConstructionError, match="disagree"):
         escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
     assert matrix.reads == 2
+
+
+class _LateTamperCesaroRow(CesaroMatrix):
+    """The running average, except that row ``row`` reads 2/row on every
+    column from its second read on: the re-read row is still constant."""
+
+    def __init__(self, row):
+        self.row = row
+        self.reads = 0
+
+    def entry(self, n, k):
+        if n == self.row:
+            self.reads += 1
+            if self.reads > n:
+                return F(2, n)
+        return super().entry(n, k)
+
+
+class _CountedCesaro(CesaroMatrix):
+    reads = 0
+
+    def entry(self, n, k):
+        self.reads += 1
+        return super().entry(n, k)
+
+
+@pytest.fixture
+def dot_rows(monkeypatch):
+    """The rows that escapes sum term by term through ``_dot_pair``."""
+    rows = []
+    real = constructions._dot_pair
+
+    def counted(coeffs, pairs):
+        rows.append(coeffs)
+        return real(coeffs, pairs)
+
+    monkeypatch.setattr(constructions, "_dot_pair", counted)
+    return rows
+
+
+def test_the_escape_recheck_sums_a_tampered_constant_row_again(dot_rows):
+    # Row 5 of block (4, 5, 6, 7) re-reads as 2/5 throughout, so only the
+    # prefix-sum branch of the re-check sees the change.
+    matrix = _LateTamperCesaroRow(5)
+    with pytest.raises(ConstructionError, match="disagree"):
+        escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
+    assert matrix.reads == 10
+    assert dot_rows == []
+
+
+def test_an_escape_reads_each_entry_twice_and_sums_constant_rows_by_prefix(dot_rows):
+    matrix = _CountedCesaro()
+    result = escape_rowfinite((), matrix, parse_sequence("n"), Z, 4, p0=7)
+    assert result.block == tuple(range(128, 256)) and result.holds
+    assert matrix.reads == 2 * sum(result.block)  # row n is supported on 1..n
+    assert dot_rows == []
+
+
+def test_only_rows_that_are_not_constant_are_summed_term_by_term(dot_rows):
+    # Odd rows average, even rows weigh column k by k / n^2.
+    matrix = GeneratorMatrix(
+        "mixed",
+        entry_fn=lambda n, k: F(1, n) if n % 2 else F(k, n * n),
+        support_bound=lambda n: n,
+        support_exact=True,
+        vanish_fn=lambda w: Finite(tuple(range(1, w))),
+    )
+    result = escape_rowfinite((), matrix, parse_sequence("nalt"), Z, 3)
+    assert result.block == (4, 5, 6, 7) and result.holds
+    assert [len(row) for row in dot_rows] == [4, 6]
+
+
+def test_an_escape_computes_each_generator_entry_once():
+    # The re-check reads the block again through the generator's row cache.
+    matrix = random_rowfinite_matrix(4)
+    calls = Counter()
+    fn = matrix.entry_fn
+
+    def entry_fn(n, k):
+        calls[n, k] += 1
+        return fn(n, k)
+
+    matrix.entry_fn = entry_fn
+    result = escape_rowfinite((), matrix, parse_sequence("n"), Z, 2, p0=3)
+    assert set(calls) == {(n, k) for n in result.block for k in range(1, n + 1)}
+    assert max(calls.values()) == 1
 
 
 class TestMeagernessDemo:
