@@ -335,7 +335,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         )
     limit = cert.scales[-1]
     _row_budget(limit, "certificate scale")
-    ok = cert.audit_pairs(matrix._transform_pairs(x.values(matrix.columns(limit)), limit))
+    ok = cert.audit_pairs(matrix._transform_pairs(x, limit))
     payload = {
         "command": "verify",
         "certificate": args.certificate,

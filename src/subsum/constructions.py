@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, cycle, groupby, islice, repeat
+from itertools import accumulate, cycle, groupby, islice
 
 from .ideals import (
     IN,
@@ -33,6 +33,7 @@ from .summability import (
     _add_ratio,
     _dot,
     _dot_pair,
+    _row_budget,
     _threshold_counts,
 )
 
@@ -356,11 +357,11 @@ def oscillation_pair(
     support = matrix.row_support(row)
     if support is None or support > row:
         raise PreconditionError("decision row reaches past the chosen picks")
+    entries = matrix._row(row, support)
 
     def transform_at(sel: Selector) -> Fraction:
         # The row's columns pick stem and pick indices, all within the scan.
         cols = range(1, support + 1)
-        entries = map(matrix.entry, repeat(row), cols)
         return Fraction(*_dot_pair(entries, (xs[sel.value(k) - 1] for k in cols)))
 
     lo_value = transform_at(sel_lo)
@@ -503,7 +504,9 @@ def escape_rowfinite(
     ``matrix._row``: once to plan the picks, once in the exact re-check,
     which sums every row again against the picks read again from the
     selector (a constant row as its entry times a prefix sum of the picks).
-    A generator matrix serves the second read from its row cache.
+    A generator matrix serves the second read from its row cache.  A block
+    whose partition scan or entry pass would read over ``DEFAULT_COLUMN_CAP``
+    integers or entries is refused (AuditBudgetError) before either runs.
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -540,9 +543,14 @@ def escape_rowfinite(
         raise ConstructionError("no surviving rows inside the partition range")
     p1 = restricted.block_index_of(probe)
     q0 = max(p0, p1 + 1)
-    while restricted.block(q0)[0] <= after_row:
+    while True:
+        # Restricted block q0 traces an ambient block of index at least q0.
+        scan = partition.boundary(q0 + 1) - partition.boundary(1)
+        _row_budget(scan, f"escape block {q0} scan length", "integers")
+        block = restricted.block(q0)
+        if block[0] > after_row:
+            break
         q0 += 1
-    block = restricted.block(q0)
     supports = {}
     for n in block:
         r = matrix.row_support(n)
@@ -551,6 +559,7 @@ def escape_rowfinite(
                 "structural vanishing description disagrees with the row supports"
             )
         supports[n] = r
+    _row_budget(sum(supports.values()), f"escape block {q0} entry count", "entries")
     # Entry pass: each block row read once through ``matrix._row``.  It finds
     # alpha, the least nonzero |entry|, and splits the rows into those
     # constant on their support (every Cesaro row is 1/n on 1..n) and the
@@ -724,13 +733,12 @@ def steinhaus_adversary(
     matrices (the alternating pattern against the identity); ``greedy``
     builds the pattern adaptively, pushing the running average past 3/4 and
     back below 1/4.  The bits are played as (bit, length) runs, and the
-    certificate's exact hit counts come from ``matrix._threshold_runs``: per
-    run where the kind has a run form, else from streamed rows.  If either
-    density lands under 1/10 the report is downgraded to diagnostic.
+    certificate's exact hit counts come from ``matrix._threshold_runs``, per
+    run.  If either density lands under 1/10 the report is downgraded to
+    diagnostic.
     """
     if scale < 64:
         raise ValueError("adversary scales start at 64")
-    stalled = False
     if mode == "blocks":
         if isinstance(matrix, IdentityMatrix):
             runs = islice(cycle(((1, 1), (0, 1))), scale)
@@ -752,25 +760,18 @@ def steinhaus_adversary(
         n = ones = 0
         push_up = True
         while True:
-            cap = 8 * max(n, 8) + 64
             if push_up:
                 # Push the running average past 3/4 (at least one step): s
                 # more ones get there once 4(ones + s) >= 3(n + s).
-                steps = min(cap, max(1, 3 * n - 4 * ones))
+                steps = max(1, 3 * n - 4 * ones)
                 ones += steps
-                n += steps
-                reached = 4 * ones >= 3 * n
             else:
                 # Pull the running average below 1/4: s zeros get there once
                 # 4 ones <= n + s.
-                steps = min(cap, max(0, 4 * ones - n))
-                n += steps
-                reached = 4 * ones <= n
+                steps = max(0, 4 * ones - n)
+            n += steps
             runs.append((int(push_up), steps))
             phases.append({"direction": "up" if push_up else "down", "steps": steps, "at": n})
-            if not reached:
-                stalled = True
-                break
             if not push_up and n >= scale:
                 break
             push_up = not push_up
@@ -778,7 +779,8 @@ def steinhaus_adversary(
         # render_rle of the played bits: equal bits merged, empty runs dropped.
         played = groupby((run for run in runs if run[1]), key=lambda run: run[0])
         x_spec = "rle:" + ",".join(f"{bit}x{sum(l for _, l in group)}" for bit, group in played)
-        evidence = {"phases": phases, "stalled": stalled}
+        # Every phase reaches its level in one step count, so none stalls.
+        evidence = {"phases": phases, "stalled": False}
     else:
         raise ValueError(f"unknown adversary mode {mode!r}")
     scales = (scale // 2, scale)
@@ -786,7 +788,7 @@ def steinhaus_adversary(
     cert = OscillationCertificate(
         x_spec, matrix.spec_string(), LOWER_THRESHOLD, UPPER_THRESHOLD, scales, *counts
     )
-    certified = not stalled and min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
+    certified = min(cert.delta_lower, cert.delta_upper) >= DELTA_FLOOR
     return AdversaryReport(
         mode=mode,
         matrix_spec=matrix.spec_string(),

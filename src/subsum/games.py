@@ -133,20 +133,26 @@ class GreedyMinStrategy(ReplyStrategy):
         return (least,), {}
 
 
+def _least_members(move: SetDescription, count: int) -> list[int]:
+    """Up to ``count`` least members, by uncapped ``next_member`` jumps."""
+    got: list[int] = []
+    while len(got) < count:
+        nxt = setlang.next_member(move, got[-1] if got else 0)
+        if nxt is None:
+            break
+        got.append(nxt)
+    return got
+
+
 class PrefixTakeStrategy(ReplyStrategy):
     """Take the first r elements at round r."""
 
     name = "prefix_take"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
-        got: list[int] = []
-        cursor = 0
-        while len(got) < round_index:
-            nxt = setlang.next_member(move, cursor)
-            if nxt is None:
-                raise StrategySearchError("move ran out of visible elements")
-            got.append(nxt)
-            cursor = nxt
+        got = _least_members(move, round_index)
+        if len(got) < round_index:
+            raise StrategySearchError("move ran out of visible elements")
         return tuple(got), {"take": round_index}
 
 
@@ -159,15 +165,7 @@ class SeededRandomStrategy(ReplyStrategy):
         self.name = f"seeded_random:{seed}"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
-        pool: list[int] = []
-        cursor = 0
-        want = 8 + round_index
-        while len(pool) < want:
-            nxt = setlang.next_member(move, cursor)
-            if nxt is None:
-                break
-            pool.append(nxt)
-            cursor = nxt
+        pool = _least_members(move, 8 + round_index)
         if not pool:
             raise StrategySearchError("move has no visible elements")
         rng = random.Random(f"{self.seed}:{round_index}")

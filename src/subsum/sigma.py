@@ -23,6 +23,7 @@ from .summability import (
     ZERO,
     ONE,
     _dot,
+    _tail_width,
 )
 
 
@@ -338,27 +339,25 @@ def selector_transform(
     if not sel.total:
         raise ImageUndecidableError("functionals need total selectors")
     if row.support is not None:
-        cols = range(1, row.support + 1)
-        value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
-        return FunctionalValue(value, ZERO)
-    if row.l1_tail is None or x.sup_bound is None:
+        width, tail = row.support, ZERO
+    elif row.l1_tail is None or x.sup_bound is None:
         raise DomainRiskError(
             "selector functionals need a finitely supported row or an l1 tail "
             "bound with a bounded sequence"
         )
-    # The tail bound does not depend on the partial sum: find the first
-    # doubling width that meets the tolerance, then sum once up to it.
-    width = 16
-    while width <= _TAIL_SEARCH_CAP:
-        tail = row.l1_tail(width) * x.sup_bound
-        if tail <= tail_tol:
-            cols = range(1, width + 1)
-            value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
-            return FunctionalValue(value, tail)
-        width *= 2
-    raise TailToleranceError(
-        f"row tail bound did not reach {tail_tol} within {_TAIL_SEARCH_CAP} columns"
-    )
+    else:
+        # The tail bound does not depend on the partial sum: find the first
+        # doubling width that meets the tolerance, then sum once up to it.
+        width, tail = _tail_width(
+            lambda w: row.l1_tail(w) * x.sup_bound, tail_tol, 16, _TAIL_SEARCH_CAP
+        )
+        if width is None:
+            raise TailToleranceError(
+                f"row tail bound did not reach {tail_tol} within {_TAIL_SEARCH_CAP} columns"
+            )
+    cols = range(1, width + 1)
+    value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
+    return FunctionalValue(value, tail)
 
 
 def modulus_of_continuity(x: SequenceSpec, row: RowSeq, eps: Fraction) -> Fraction:

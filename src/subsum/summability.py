@@ -134,12 +134,14 @@ class TailToleranceError(RuntimeError):
 
 
 class AuditBudgetError(RuntimeError):
-    """An exact recount would stream more rows than ``DEFAULT_COLUMN_CAP``."""
+    """A recount or an escape would read more than ``DEFAULT_COLUMN_CAP`` items."""
 
 
-def _row_budget(n: int, what: str) -> None:
+def _row_budget(n: int, what: str, unit: str = "rows") -> None:
     if n > DEFAULT_COLUMN_CAP:
-        raise AuditBudgetError(f"{what} {n} is over the audit budget of {DEFAULT_COLUMN_CAP} rows")
+        raise AuditBudgetError(
+            f"{what} {n} is over the audit budget of {DEFAULT_COLUMN_CAP} {unit}"
+        )
 
 
 class MatrixSpecError(ValueError):
@@ -407,7 +409,7 @@ class SummabilityMatrix:
         raise NotImplementedError
 
     def _row(self, n: int, width: int) -> tuple:
-        """The entries a_{n,1..width}; every row reader goes through here."""
+        """The entries a_{n,1..width}; every whole-row reader goes through here."""
         return tuple(map(self.entry, repeat(n), range(1, width + 1)))
 
     def row_support(self, n: int) -> int | None:
@@ -441,42 +443,11 @@ class SummabilityMatrix:
 
     # -- transform kernel (row-finite matrices)
 
-    def columns(self, n_max: int) -> int:
-        """Number of columns that rows 1..n_max can reach."""
-        return max((self.row_support(n) for n in range(1, n_max + 1)), default=0)
-
-    def transform_rows(self, xs: list, n_max: int) -> list[Fraction]:
-        """Exact values of rows 1..n_max of the transform of x.
-
-        ``xs[k-1]`` is x_k (an int or a Fraction) for every column up to
-        ``columns(n_max)``.
-        """
-        return [Fraction(p, q) for p, q in self._transform_pairs(xs, n_max)]
-
-    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
-        """The rows of ``transform_rows`` as integer (numerator, positive
-        denominator) pairs, streamed; the default sums each row directly,
-        reading ``xs`` once as pairs."""
-        pairs = [v.as_integer_ratio() for v in xs]
-        for n in range(1, n_max + 1):
-            yield _dot_pair(self._row(n, self.row_support(n)), pairs)
-
-    def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
-        """For the 0/1 sequence given as (bit, length) runs, the row intervals
-        (lo, hi) whose transform values are <= lower, and those whose values
-        are >= upper, when the kind states them in closed form; else None."""
-        return None
-
-    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        """``_threshold_counts`` of the transform of the 0/1 sequence given as
-        (bit, length) runs reaching max(scales): from ``_hit_spans`` where the
-        kind states them, else streamed within ``DEFAULT_COLUMN_CAP`` rows."""
-        spans = self._hit_spans(runs, lower, upper)
-        if spans is not None:
-            return _span_counts(spans, scales)
-        _row_budget(max(scales), "a streamed sequence of length")
-        bits = list(chain.from_iterable(starmap(repeat, runs)))
-        return _threshold_counts(self._transform_pairs(bits, max(scales)), lower, upper, scales)
+    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
+        """Exact rows 1..n_max of the transform of x as integer (numerator,
+        positive denominator) pairs, streamed.  The default sums each row
+        directly (``_points``), reading x once."""
+        return (pair for pair, _ in _points(self, x, range(1, n_max + 1), ZERO))
 
     # -- structural facts
 
@@ -538,9 +509,6 @@ class _StochasticTriangle(SummabilityMatrix):
     def row_finite(self) -> bool:
         return True
 
-    def columns(self, n_max: int) -> int:
-        return n_max
-
     def vanish_rows(self, w: int) -> SetDescription:
         return Finite(tuple(range(1, w)))
 
@@ -567,15 +535,16 @@ class CesaroMatrix(_StochasticTriangle):
             self._last_row, self._last_entry = n, Fraction(1, n)
         return self._last_entry
 
-    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
+    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
         # The running sum stays an int while the inputs are integral, which
         # keeps 0/1 prefixes as cheap as counting ones.
         total = 0
-        for n, v in enumerate(xs[:n_max], start=1):
+        for n, v in enumerate(x.values(n_max), start=1):
             total += v.numerator if v.denominator == 1 else v
             yield total.numerator, total.denominator * n
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
+        """Row intervals (lo, hi) of values <= lower, and of values >= upper."""
         # On a run of bit b from row a, with S ones before it, row n holds
         # (c + b n) / n, c = S - b (a - 1); against a level p/q, q (c + b n)
         # <= p n is linear in n, so each level holds on an interval of the run.
@@ -597,6 +566,10 @@ class CesaroMatrix(_StochasticTriangle):
                     side.append((lo, hi))
             a, ones = a + length, ones + bit * length
         return spans
+
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        # The adversary's hit counts of the 0/1 runs, read off the spans.
+        return _span_counts(self._hit_spans(runs, lower, upper), scales)
 
     def null_ideal(self) -> IdealPresentation:
         return IdealPresentation.z()
@@ -624,8 +597,8 @@ class IdentityMatrix(_StochasticTriangle):
             raise ValueError("indices start at 1")
         return ONE if n == k else ZERO
 
-    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
-        return (v.as_integer_ratio() for v in xs[:n_max])
+    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
+        return (v.as_integer_ratio() for v in x.values(n_max))
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         # Row n of the transform is the bit x_n: each count follows from the
@@ -691,12 +664,9 @@ class RowDropMatrix(SummabilityMatrix):
     def averaging_core(self) -> bool:
         return self.base.averaging_core
 
-    def columns(self, n_max: int) -> int:
-        return self.base.columns(n_max)
-
-    def _transform_pairs(self, xs: list, n_max: int) -> Iterator[tuple[int, int]]:
+    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
         dropped = setlang._scan(self.drop, 1, n_max)
-        for gone, pair in zip(dropped, self.base._transform_pairs(xs, n_max)):
+        for gone, pair in zip(dropped, self.base._transform_pairs(x, n_max)):
             yield (0, 1) if gone else pair
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
@@ -704,10 +674,8 @@ class RowDropMatrix(SummabilityMatrix):
         base, drop = self.base, self.drop
         while isinstance(base, RowDropMatrix):
             base, drop = base.base, Union(base.drop, drop)
-        spans = base._hit_spans(runs, lower, upper)
-        if spans is None:
-            return super()._threshold_runs(runs, lower, upper, scales)
         # A dropped row leaves the base's spans and counts where the value 0 does.
+        spans = base._hit_spans(runs, lower, upper)
         return _span_counts(spans, scales, drop, (lower >= 0, upper <= 0))
 
     def vanish_rows(self, w: int) -> SetDescription | None:
@@ -1068,7 +1036,22 @@ def transform_value(
     summing any column.  If no tail machinery applies the call refuses with
     DomainRiskError.
     """
-    return next(_points(matrix, x, (n,), tail_tol))
+    pair, tail = next(_points(matrix, x, (n,), tail_tol))
+    return TransformPoint(n, Fraction(*pair), tail)
+
+
+def _tail_width(tail_at: Callable, tol: Fraction, start: int, cap: int) -> tuple:
+    """The first doubling width from ``start`` to ``cap`` with ``tail_at(width)`` (None:
+    no bound) at most ``tol``, and that bound; past the cap None, and the last bound seen."""
+    width, seen = start, None
+    while width <= cap:
+        tail = tail_at(width)
+        if tail is not None:
+            if tail <= tol:
+                return width, tail
+            seen = tail
+        width *= 2
+    return None, seen
 
 
 def _summed_width(
@@ -1078,16 +1061,12 @@ def _summed_width(
     support = matrix.row_support(n)
     if support is not None:
         return support, ZERO
-    width = 32
-    saw_tail = False
-    while width <= DEFAULT_COLUMN_CAP:
-        tail = _certified_tail(matrix, x, n, width)
-        if tail is not None:
-            saw_tail = True
-            if tail <= tail_tol:
-                return width, tail
-        width *= 2
-    if not saw_tail:
+    width, tail = _tail_width(
+        lambda w: _certified_tail(matrix, x, n, w), tail_tol, 32, DEFAULT_COLUMN_CAP
+    )
+    if width is not None:
+        return width, tail
+    if tail is None:
         raise DomainRiskError(
             f"no certified tail bound for matrix {matrix.spec_string()} against "
             f"sequence {x.name}"
@@ -1099,13 +1078,14 @@ def _summed_width(
 
 def _points(
     matrix: SummabilityMatrix, x: SequenceSpec, rows, tail_tol: Fraction
-) -> Iterator[TransformPoint]:
+) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    """Per row, its transform value as an integer pair and its tail bound."""
     # x is read once, as integer pairs up to the widest width summed so far.
     pairs: list[tuple[int, int]] = []
     for n in rows:
         width, tail = _summed_width(matrix, x, n, tail_tol)
         pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
-        yield TransformPoint(n, Fraction(*_dot_pair(matrix._row(n, width), pairs)), tail)
+        yield _dot_pair(matrix._row(n, width), pairs), tail
 
 
 def transform_prefix(
@@ -1118,10 +1098,10 @@ def transform_prefix(
     kernel, other rows with transform_value's tail semantics."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if matrix.row_finite:
-        values = matrix.transform_rows(x.values(matrix.columns(n_max)), n_max)
-        return [TransformPoint(n, v, ZERO) for n, v in enumerate(values, start=1)]
-    return list(_points(matrix, x, range(1, n_max + 1), tail_tol))
+    rows = range(1, n_max + 1)
+    points = (zip(matrix._transform_pairs(x, n_max), repeat(ZERO)) if matrix.row_finite
+              else _points(matrix, x, rows, tail_tol))
+    return [TransformPoint(n, Fraction(*pair), tail) for n, (pair, tail) in zip(rows, points)]
 
 
 # ---------------------------------------------------------------- domain check
@@ -1167,15 +1147,8 @@ def domain_check(
     if matrix.row_support(n) is not None:
         value = transform_value(matrix, x, n).value
         return DomainCheck("converged", n, value, ZERO, {"row_finite": True})
-    certified = None
-    width = 32
-    while width <= DOMAIN_WIDTH_CAP:
-        tail = _certified_tail(matrix, x, n, width)
-        if tail is not None and tail <= tol:
-            certified = (width, tail)
-            break
-        width *= 2
-    last = certified[0] if certified is not None else DOMAIN_SCAN_COLUMNS
+    width, tail = _tail_width(lambda w: _certified_tail(matrix, x, n, w), tol, 32, DOMAIN_WIDTH_CAP)
+    last = DOMAIN_SCAN_COLUMNS if width is None else width
     # The partial sum is num/den over a running common denominator; the
     # window holds the last partials' numerators over that same den.
     window: deque[int] = deque(maxlen=16)
@@ -1206,10 +1179,8 @@ def domain_check(
         window.append(num)
         if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= tp * den:
             stable_seen = True
-    if certified is not None:
-        return DomainCheck(
-            "converged", n, Fraction(num, den), certified[1], {"columns_used": last}
-        )
+    if width is not None:
+        return DomainCheck("converged", n, Fraction(num, den), tail, {"columns_used": last})
     return DomainCheck(
         "inconclusive",
         n,

@@ -8,8 +8,12 @@ codes are checked against the documented table (0 ok, 2 parse, 3 budget,
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -599,6 +603,33 @@ class TestErrorContract:
         assert "AuditBudgetError" in record["error"]
         assert str(DEFAULT_COLUMN_CAP) in record["error"]
 
+    def test_block_floors_past_the_escape_budget_exit_with_code_3(self, tmp_path):
+        # Dyadic block 30 starts at 2^30: the escape refuses before the
+        # partition scan reaches it, in a fresh interpreter.
+        log = tmp_path / "runs.jsonl"
+        argv = ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n",
+                "--ideal", "z", "--block-floor", "30", "--runlog", str(log)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        started = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "subsum.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=10)
+        assert time.perf_counter() - started < 2
+        assert done.returncode == 3
+        assert f"over the audit budget of {DEFAULT_COLUMN_CAP} integers" in done.stderr
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [r["exit"] for r in records] == [3]
+
+    def test_block_floors_whose_entries_pass_the_budget_exit_with_code_3(self, capsys, tmp_path):
+        # Block 10 of cesaro rows holds 1572352 entries, over 2^20; block 9
+        # (392960 entries) is still answered.
+        argv = ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n",
+                "--ideal", "z", "--block-floor", "10"]
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 3
+        assert "AuditBudgetError" in record["error"]
+        assert "entry count 1572352 is over the audit budget" in err
+
     def test_nested_row_drops_count_like_one_union_drop(self, capsys, tmp_path):
         # rowdrop:rowdrop:cesaro:A:B is rowdrop:cesaro:union:A|B, so it has
         # the same run form and answers at 10^9 rows.
@@ -711,7 +742,11 @@ class TestErrorContract:
 
 # sha256 of the printed JSON of escapes and a demo, recorded before the
 # escape's column loop moved to integer pairs and its re-check to prefix
-# sums of the picks: identical inputs print byte-identical output.
+# sums of the picks, and of transforms, domain checks, adversaries with
+# their verified certificates and an oscillation, recorded before every
+# kernel read x itself: identical inputs print byte-identical output.  A
+# command chained with " && " runs after the one before it in the same
+# directory, and the digest covers everything the chain prints.
 PRINTED_DIGESTS = {
     "escape --mode rowfinite --matrix cesaro --x n --ideal z --m0 1":
         "a05d6688818bea34e06df24d6f0fe3619d905689aa89b667c241d23f3cf9a6ef",
@@ -739,11 +774,57 @@ PRINTED_DIGESTS = {
         "33beb44bb184a554770661afaf0280206834f28f019782d8ff9a83149bacef12",
     "demo --schedule 1,2,4,8":
         "400478d48b1b37fd897a508b1f4fa3c5fdfc1e433a9202c3c85a74505d00794d",
+    "transform --matrix cesaro --x alt --rows 8":
+        "b63300549b18930b6efade87b84f7035a97993f88a776c88165f9935df2937da",
+    "transform --matrix rowdrop:cesaro:builtin:squares --x nalt --rows 12":
+        "4986af846dd04c38eeb1eb4ddf16fff0f5e0fc21c32c96be76f0e612fae454ab",
+    "transform --matrix gen:rand_rowfinite_3 --x sqperturb --rows 10":
+        "1dc12c8ccfa6cbcc818a0e87b4e693f211f9c11a7f6fdae2b2fd96325e2ea561",
+    "transform --matrix explicit:1;1/2,1/2;0,1/3,2/3 --x n --rows 5":
+        "2e61a00a2c0e74e353703ba87c6c72520b5fc0582fffb447dfa64ade2d9333fb",
+    "transform --matrix identity --x rle:1x3,0x2,1x4 --rows 12":
+        "65b9c382017ed7faa60137ca1d7fd128a3a8f588bf501d85be09c2a9b5c64bb3",
+    "transform --matrix gen:geometric --x alt --rows 4 --tail-tol 1/1000000":
+        "257bbe69a079282debe357ff614133c8db51cce4f5cd0ffb6860d9835f1f65d9",
+    "transform --matrix gen:geometric --x n --rows 2 --tail-tol 1/100":
+        "b7179824fed1989bc562f9ceccac3a77027f6ab92270abc526dff84f72780394",
+    "domain --matrix cesaro --x alt --row 5":
+        "95a97b0fd2d11abe19e749309bafc99658b00ee07211608e75caea0c9f05f286",
+    "domain --matrix gen:geometric --x alt --row 2":
+        "d595807ece5e0c975014dfa84757a9473fcf0d77e0980311a6ca9930e0c786d8",
+    "domain --matrix gen:geometric --x n --row 1 --tol 1/1000":
+        "1e637f67da5b4537d2667e26a554acf76e97946ae890f9d509d63bef332c8e7e",
+    "domain --matrix gen:geometric --x sqperturb --row 3":
+        "5336a6f38b5b15a9050f7239d4cfdf1db3c710fa733c539f4a61364d89d43854",
+    "adversary --matrix cesaro --scale 4096 --certificate-out c.json && verify c.json":
+        "b0c2454a48424693db97544db6ca5480620a94c2db1743a91e51d316e8fde865",
+    "adversary --matrix rowdrop:cesaro:builtin:squares --mode greedy --scale 4096"
+    " --certificate-out c.json && verify c.json":
+        "14cd1f9f517d8019979d1a6300723025ec5e2169345641b94ad7df19447abaa2",
+    "adversary --matrix identity --scale 2048 --certificate-out c.json && verify c.json":
+        "1242e3bc1a92d032ca966ee1ebd21f69792ef746f872c46f7e5180f37a005536",
+    "adversary --matrix rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3 --mode greedy --scale 1000000000":
+        "f4bc33d8c24595f222bac91128315b7d46c82463a03e1e5f76ef000aff0ab87d",
+    "oscillate --x alt":
+        "ebe7e4115b9db46c2ee6ed439fe61c6da663c3e6874e6e62377972aa91447328",
+}
+# The pinned commands that end with an exit code other than 0.
+PINNED_EXITS = {
+    "domain --matrix gen:geometric --x sqperturb --row 3": 3,
+    "adversary --matrix rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3 --mode greedy --scale 1000000000": 5,
 }
 
 
 @pytest.mark.parametrize("command", sorted(PRINTED_DIGESTS))
-def test_escape_and_demo_output_is_pinned(capsys, command):
-    code, out, _ = run(capsys, command.split())
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PRINTED_DIGESTS[command]
+def test_escape_and_demo_output_is_pinned(capsys, monkeypatch, tmp_path, command):
+    # A certificate is written and verified under a relative name, so the
+    # path that verify prints is the same in every run.
+    monkeypatch.chdir(tmp_path)
+    codes, printed = [], []
+    for part in command.split(" && "):
+        code, out, _ = run(capsys, part.split())
+        codes.append(code)
+        printed.append(out)
+    assert codes == [0] * (len(codes) - 1) + [PINNED_EXITS.get(command, 0)]
+    digest = hashlib.sha256("".join(printed).encode("utf-8")).hexdigest()
+    assert digest == PRINTED_DIGESTS[command]

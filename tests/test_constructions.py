@@ -664,8 +664,8 @@ class TestBlocksAdversary:
         assert again == blocks_report
 
     def test_certificate_audits_against_recomputed_means(self, blocks_report):
-        bits = parse_sequence("blocks01").values(65536)
-        values = CesaroMatrix().transform_rows(bits, 65536)
+        pairs = CesaroMatrix()._transform_pairs(parse_sequence("blocks01"), 65536)
+        values = [F(p, q) for p, q in pairs]
         assert blocks_report.certificate.audit_values(values)
 
     def test_identity_gets_the_alternating_pattern(self):
@@ -708,8 +708,7 @@ class TestGreedyAdversary:
         report = steinhaus_adversary(CesaroMatrix(), mode="greedy", scale=512)
         assert report.x_spec.startswith("rle:")
         replay = parse_sequence(report.x_spec)
-        bits = [int(replay.value(n)) for n in range(1, report.scale + 1)]
-        values = CesaroMatrix().transform_rows(bits, report.scale)
+        values = [F(p, q) for p, q in CesaroMatrix()._transform_pairs(replay, report.scale)]
         assert report.certificate.audit_values(values)
 
     def test_greedy_needs_an_averaging_matrix(self):

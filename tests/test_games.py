@@ -116,6 +116,27 @@ class TestStrategies:
         sr = SeededRandomStrategy(7)
         assert sr.reply(parse_set(NON_SQUARES), 2)[0] == (2, 5, 7, 11, 12)
 
+    def test_strategies_refuse_moves_with_too_few_elements(self):
+        empty = parse_set("finite:{}")
+        with pytest.raises(StrategySearchError, match="no visible element"):
+            GreedyMinStrategy().reply(empty, 1)
+        with pytest.raises(StrategySearchError, match="ran out of visible elements"):
+            PrefixTakeStrategy().reply(parse_set("finite:{2,5}"), 3)
+        with pytest.raises(StrategySearchError, match="no visible elements"):
+            SeededRandomStrategy(7).reply(empty, 1)
+
+    def test_seeded_random_pools_a_short_move_whole(self):
+        reply, witness = SeededRandomStrategy(7).reply(parse_set("finite:{3,7}"), 1)
+        assert witness == {"pool": 2, "seed": 7}
+        assert reply and set(reply) <= {3, 7}
+
+    def test_member_walks_jump_past_the_enumeration_cap(self):
+        # The tower's members are multiples of 2^30; no scan would reach them.
+        reply, _ = PrefixTakeStrategy().reply(nu2_tower_move(30), 2)
+        assert reply == (1 << 30, 2 << 30)
+        _, witness = SeededRandomStrategy(7).reply(nu2_tower_move(30), 1)
+        assert witness["pool"] == 9
+
     def test_parse_strategy_round_trips(self):
         for spec in ("prefix_density", "greedy_min", "prefix_take", "seeded_random:17"):
             assert parse_strategy(spec).name == spec

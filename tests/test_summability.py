@@ -36,10 +36,12 @@ from subsum import (
     parse_matrix,
     parse_rle,
     parse_row,
+    parse_selector,
     parse_sequence,
     random_rowfinite_matrix,
     regularity_verdict,
     render_rle,
+    selector_transform,
     sequence_from_rle,
     transform_prefix,
     transform_value,
@@ -457,6 +459,19 @@ class TestTransforms:
         m = parse_matrix("gen:geometric")
         with pytest.raises(TailToleranceError):
             transform_value(m, parse_sequence("const:1"), 1, tail_tol=F(0))
+
+    def test_a_tail_bound_equal_to_the_tolerance_is_met_at_its_width(self):
+        # The geometric row's tail past column w is 2^-w, times sup |x| = 1:
+        # the transform, the domain check and a selector functional each
+        # stop at the first width whose bound is at most the tolerance.
+        m, ones = parse_matrix("gen:geometric"), parse_sequence("const:1")
+        assert transform_value(m, ones, 1, F(1, 1 << 32)).tail_bound == F(1, 1 << 32)
+        check = domain_check(m, ones, 1, F(1, 1 << 64))
+        assert (check.tail_bound, check.evidence) == (F(1, 1 << 64), {"columns_used": 64})
+        functional = selector_transform(parse_row("geometric"), ones, parse_selector("id"),
+                                        F(1, 1 << 16))
+        assert functional.tail_bound == F(1, 1 << 16)
+        assert functional.value == 1 - F(1, 1 << 16)
 
     def test_prefix_shape(self):
         pts = transform_prefix(CesaroMatrix(), parse_sequence("alt"), 10)
