@@ -22,7 +22,7 @@ from .ideals import (
     RestrictedPartition,
     UnsupportedIdealError,
 )
-from .setlang import Complement, default_checkpoints, first_member, next_member, render
+from .setlang import Complement, default_checkpoints, render
 from .sigma import Consecutive, Selector
 from .summability import (
     CesaroMatrix,
@@ -496,17 +496,20 @@ def escape_rowfinite(
     column form a certified member of the ideal, an interval-partition
     witness for the ideal, and an unbounded sequence.  The block is the
     first one of the partition restricted to the surviving rows whose index
-    is at least ``p0`` and whose first row lies after ``after_row``.  Picks
-    are chosen one column at a time so that whichever row of the chosen
-    block ends its support at that column is already pushed past m0.
+    is at least ``max(p0, 2)`` and whose first row lies after
+    ``after_row``.  Picks are chosen one column at a time so that whichever
+    row of the chosen block ends its support at that column is already
+    pushed past m0.
 
     Every entry of the block is read twice, each time a whole row through
     ``matrix._row``: once to plan the picks, once in the exact re-check,
     which sums every row again against the picks read again from the
     selector (a constant row as its entry times a prefix sum of the picks).
     A generator matrix serves the second read from its row cache.  A block
-    whose partition scan or entry pass would read over ``DEFAULT_COLUMN_CAP``
-    integers or entries is refused (AuditBudgetError) before either runs.
+    whose ambient span or entry pass would read over ``DEFAULT_COLUMN_CAP``
+    integers or entries is refused (AuditBudgetError) before either runs, and
+    the restricted partition traces no block past ``ENUMERATION_CAP``
+    (EnumerationCapError).
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -534,15 +537,8 @@ def escape_rowfinite(
     surviving = Complement(vanishing)
     partition = ideal.talagrand_partition()
     restricted = RestrictedPartition(partition, surviving)
-    n0 = first_member(surviving)
-    if n0 is None:
-        raise ConstructionError("no surviving rows found below the cap")
-    first_covered = partition.boundary(1)
-    probe = n0 if n0 >= first_covered else next_member(surviving, first_covered - 1)
-    if probe is None:
-        raise ConstructionError("no surviving rows inside the partition range")
-    p1 = restricted.block_index_of(probe)
-    q0 = max(p0, p1 + 1)
+    # Block 1 holds the least surviving row the partition covers; start past it.
+    q0 = max(p0, 2)
     while True:
         # Restricted block q0 traces an ambient block of index at least q0.
         scan = partition.boundary(q0 + 1) - partition.boundary(1)

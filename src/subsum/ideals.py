@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from operator import sub
 from typing import Callable
 
 from .setlang import (
     AP,
+    ENUMERATION_CAP,
     Complement,
     DyadicBlocks,
+    EnumerationCapError,
     Intersection,
     Nu2Ge,
     Powers2,
@@ -36,10 +38,11 @@ from .setlang import (
     _form,
     _merged,
     _pushed,
+    _scan,
     _window_maxima,
     default_checkpoints,
     is_finite,
-    member,
+    next_member,
     nu2,
     prefix_counts,
     render,
@@ -360,39 +363,34 @@ class IntervalPartition:
 
 
 class RestrictedPartition:
-    """An interval partition traced on a subdomain, empties dropped, reindexed."""
+    """An interval partition traced on a subdomain, empties dropped, reindexed.
 
-    _SCAN_CAP = 10**4
+    Each trace jumps to the domain's least member past the ambient blocks
+    already traced and reads the ambient block holding it in one range scan,
+    so a run of empty blocks costs one member search.  A trace that would
+    read past ENUMERATION_CAP raises EnumerationCapError.
+    """
 
     def __init__(self, ambient: IntervalPartition, domain: SetDescription):
         self.ambient = ambient
         self.domain = domain
         self._blocks: list[tuple[int, ...]] = []
-        self._next_ambient = 1
+        self._traced = ambient.boundary(1) - 1  # the last integer the traces read
 
     def block(self, q: int) -> tuple[int, ...]:
         if q < 1:
             raise ValueError("block indices start at 1")
         while len(self._blocks) < q:
-            if self._next_ambient > self._SCAN_CAP:
-                raise UnsupportedIdealError("restricted block scan exceeded cap")
-            trace = tuple(
-                n for n in self.ambient.block(self._next_ambient) if member(self.domain, n)
-            )
-            self._next_ambient += 1
-            if trace:
-                self._blocks.append(trace)
+            n = next_member(self.domain, self._traced)
+            ambient = None if n is None else self.ambient.block(self.ambient.block_index(n))
+            if ambient is None or ambient[-1] > ENUMERATION_CAP:
+                raise EnumerationCapError(
+                    f"restricted block {len(self._blocks) + 1} is not traced within "
+                    f"{ENUMERATION_CAP} integers"
+                )
+            lo, self._traced = ambient[0], ambient[-1]
+            self._blocks.append(tuple(compress(ambient, _scan(self.domain, lo, self._traced))))
         return self._blocks[q - 1]
-
-    def block_index_of(self, n: int) -> int:
-        q = 1
-        while True:
-            blk = self.block(q)
-            if n in blk:
-                return q
-            if blk[0] > n:
-                raise ValueError(f"{n} is not in the restricted domain")
-            q += 1
 
 
 def nonideal_from_partition(

@@ -380,10 +380,9 @@ def modulus_of_continuity(x: SequenceSpec, row: RowSeq, eps: Fraction) -> Fracti
             "a bounded sequence"
         )
     threshold = eps / (2 * x.sup_bound)
-    for k0 in range(1, 64):
-        if row.l1_tail(k0) < threshold:
-            return Fraction(1, 1 << k0)
-    k0 = 64
+    # Tails are nonincreasing: doubling finds a column under the threshold,
+    # bisection back to the doubling before it finds the least one.
+    k0 = 1
     while k0 <= _TAIL_SEARCH_CAP:
         if row.l1_tail(k0) < threshold:
             lo, hi = k0 // 2, k0

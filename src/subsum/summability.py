@@ -1036,6 +1036,8 @@ def transform_value(
     summing any column.  If no tail machinery applies the call refuses with
     DomainRiskError.
     """
+    if n < 1:
+        raise ValueError("transform rows start at 1")
     pair, tail = next(_points(matrix, x, (n,), tail_tol))
     return TransformPoint(n, Fraction(*pair), tail)
 
@@ -1138,24 +1140,33 @@ def domain_check(
 
     ``converged`` needs a certified tail (row-finite rows give tail 0): the
     first doubling width up to ``DOMAIN_WIDTH_CAP`` whose tail bound is at
-    most tol, found before any column is summed.  ``diverging`` needs
-    finite-scale evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a
-    single term larger than 2*tol after the partials had settled within tol
-    over a window.  Anything else is ``inconclusive``; without a certified
-    width the scan for evidence stops after ``DOMAIN_SCAN_COLUMNS`` columns.
+    most tol, found before any column is summed; the row is then summed to
+    that width.  With no such width, ``diverging`` needs finite-scale
+    evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a single term
+    larger than 2*tol after the partials had settled within tol over a
+    window.  Anything else is ``inconclusive``; the scan for evidence stops
+    after ``DOMAIN_SCAN_COLUMNS`` columns.
     """
-    if matrix.row_support(n) is not None:
-        value = transform_value(matrix, x, n).value
-        return DomainCheck("converged", n, value, ZERO, {"row_finite": True})
-    width, tail = _tail_width(lambda w: _certified_tail(matrix, x, n, w), tol, 32, DOMAIN_WIDTH_CAP)
-    last = DOMAIN_SCAN_COLUMNS if width is None else width
+    if n < 1:
+        raise ValueError("transform rows start at 1")
+    width, tail = matrix.row_support(n), ZERO
+    evidence = {"row_finite": True}
+    if width is None:
+        width, tail = _tail_width(
+            lambda w: _certified_tail(matrix, x, n, w), tol, 32, DOMAIN_WIDTH_CAP
+        )
+        evidence = {"columns_used": width}
+    if width is not None:
+        pairs = (x.value(k).as_integer_ratio() for k in range(1, width + 1))
+        value = Fraction(*_dot_pair(matrix._row(n, width), pairs))
+        return DomainCheck("converged", n, value, tail, evidence)
     # The partial sum is num/den over a running common denominator; the
     # window holds the last partials' numerators over that same den.
     window: deque[int] = deque(maxlen=16)
     tp, tq = tol.numerator, tol.denominator
     stable_seen = False
     num, den = 0, 1
-    for k in range(1, last + 1):
+    for k in range(1, DOMAIN_SCAN_COLUMNS + 1):
         a, v = matrix.entry(n, k), x.value(k)
         p, q = a.numerator * v.numerator, a.denominator * v.denominator
         if p:
@@ -1179,19 +1190,9 @@ def domain_check(
         window.append(num)
         if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= tp * den:
             stable_seen = True
-    if width is not None:
-        return DomainCheck("converged", n, Fraction(num, den), tail, {"columns_used": last})
-    return DomainCheck(
-        "inconclusive",
-        n,
-        None,
-        None,
-        {
-            "budget": "DOMAIN_SCAN_COLUMNS",
-            "columns_used": last,
-            "last_partial": _bounded_str(Fraction(num, den)),
-        },
-    )
+    evidence = {"budget": "DOMAIN_SCAN_COLUMNS", "columns_used": DOMAIN_SCAN_COLUMNS,
+                "last_partial": _bounded_str(Fraction(num, den))}
+    return DomainCheck("inconclusive", n, None, None, evidence)
 
 
 # ---------------------------------------------------------------- regularity

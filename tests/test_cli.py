@@ -172,6 +172,23 @@ class TestDomain:
         assert d["status"] == "converged"
         assert d["value"] == "2/5"
 
+    # Partials pass DOMAIN_GROWTH_BOUND at column 1, or a late term follows
+    # settled partials, but a certified width decides first.
+    @pytest.mark.parametrize("x, value", [
+        ("const:10000000", "1441151880758558719921875/144115188075855872"),
+        ("list:" + "0," * 19 + "1000", "125/131072"),
+    ])
+    def test_certified_widths_converge_before_any_evidence_scan(self, capsys, x, value):
+        code, d = run_json(capsys, ["domain", "--matrix", "gen:geometric", "--x", x])
+        assert code == 0
+        assert (d["status"], d["value"]) == ("converged", value)
+
+    @pytest.mark.parametrize("row", ["0", "-3"])
+    def test_rows_below_one_exit_with_code_2(self, capsys, row):
+        code, out, err = run(capsys, ["domain", "--matrix", "cesaro", "--x", "n", "--row", row])
+        assert code == 2
+        assert "ValueError: transform rows start at 1" in err
+
     def test_rows_without_a_certified_tail_stop_at_the_scan_budget(self, capsys):
         # sqperturb declares no bound, so only the scan could show divergence;
         # it stops after DOMAIN_SCAN_COLUMNS columns, partial in bounded form.
@@ -619,6 +636,18 @@ class TestErrorContract:
         assert f"over the audit budget of {DEFAULT_COLUMN_CAP} integers" in done.stderr
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["exit"] for r in records] == [3]
+
+    def test_sparse_surviving_rows_along_fin_exit_with_code_3(self, capsys, tmp_path):
+        # Rows 1..2^21 are dropped: the singleton partition's restricted
+        # block 1 is row 2^21 + 1, found by one member search, and block 2
+        # holds more entries than the budget.
+        argv = ["escape", "--mode", "rowfinite", "--matrix",
+                "rowdrop:cesaro:complement:ap:2097153,1", "--x", "n", "--ideal", "fin"]
+        started = time.perf_counter()
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert time.perf_counter() - started < 2
+        assert code == 3
+        assert "AuditBudgetError: escape block 2 entry count 2097154" in record["error"]
 
     def test_block_floors_whose_entries_pass_the_budget_exit_with_code_3(self, capsys, tmp_path):
         # Block 10 of cesaro rows holds 1572352 entries, over 2^20; block 9

@@ -482,23 +482,26 @@ class TestRestrictedPartition:
         rp = RestrictedPartition(IntervalPartition("singletons"), AP(2, 2))
         assert rp.block(1) == (2,)
         assert rp.block(5) == (10,)
-        assert rp.block_index_of(10) == 5
-
-    def test_block_index_of_locates_members(self):
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Complement(Squares()))
-        assert rp.block_index_of(5) == 2
-        assert rp.block_index_of(2) == 1
-
-    def test_block_index_of_rejects_non_members(self):
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Complement(Squares()))
-        with pytest.raises(ValueError):
-            rp.block_index_of(4)  # a square, removed from the domain
 
     def test_scan_cap_is_enforced(self):
         rp = RestrictedPartition(IntervalPartition("singletons"), Finite((1,)))
         assert rp.block(1) == (1,)
-        with pytest.raises(UnsupportedIdealError):
+        with pytest.raises(setlang.EnumerationCapError):
             rp.block(2)  # no further nonempty trace ever appears
+
+    def test_empty_ambient_blocks_cost_one_member_search(self):
+        # 21 empty dyadic blocks, then 2**22 alone in its block: one jump to
+        # it and one range scan of [2**22, 2**23), no walk over the integers.
+        started = time.perf_counter()
+        rp = RestrictedPartition(IntervalPartition("dyadic"), Nu2Ge(22))
+        assert rp.block(1) == (4194304,)
+        assert time.perf_counter() - started < 1
+
+    def test_traces_past_the_enumeration_cap_are_refused(self):
+        # The dyadic block holding 2**23 ends past ENUMERATION_CAP.
+        rp = RestrictedPartition(IntervalPartition("dyadic"), Nu2Ge(23))
+        with pytest.raises(setlang.EnumerationCapError):
+            rp.block(1)
 
 
 class TestEscapeSets:
@@ -655,7 +658,8 @@ def _no_evidence(monkeypatch):
         (ideals_mod, "prefix_counts"),
         (ideals_mod, "_window_maxima"),
         (ideals_mod, "_chunks"),
-        (ideals_mod, "member"),
+        (ideals_mod, "_scan"),
+        (ideals_mod, "next_member"),
         (summability_mod, "transform_prefix"),
     ):
         monkeypatch.setattr(module, name, boom)

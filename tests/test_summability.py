@@ -528,12 +528,39 @@ class TestDomainCheck:
         assert report.evidence["column"] == 1414
 
     def test_late_spike_after_stability_is_flagged(self):
+        # n declares no sup bound, so no width is certified and the scan runs.
         report = domain_check(
-            spiked_tail_matrix(), parse_sequence("alt"), 1, tol=F(1, 256)
+            spiked_tail_matrix(), parse_sequence("n"), 1, tol=F(1, 256)
         )
         assert report.status == "diverging"
         assert report.evidence["kind"] == "late_term"
         assert report.evidence["column"] == 40
+
+    def test_a_certified_width_wins_over_a_late_spike(self):
+        # The declared tail bound covers the spike, so width 64 is certified
+        # and the spike is summed, not read as evidence.
+        report = domain_check(
+            spiked_tail_matrix(), parse_sequence("alt"), 1, tol=F(1, 256)
+        )
+        assert report.status == "converged"
+        assert report.evidence == {"columns_used": 64}
+        assert report.tail_bound == F(1, 1 << 64)
+
+    def test_a_certified_width_wins_over_a_late_term(self):
+        x = parse_sequence("list:" + "0," * 19 + "1000")
+        matrix = parse_matrix("gen:geometric")
+        report = domain_check(matrix, x, 1, tol=F(1, 10**6))
+        point = transform_value(matrix, x, 1, F(1, 10**6))
+        assert report.status == "converged"
+        assert (report.value, report.tail_bound) == (F(125, 131072), F(125, 536870912))
+        assert (point.value, point.tail_bound) == (report.value, report.tail_bound)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rows_start_at_one(self, n):
+        with pytest.raises(ValueError, match="rows start at 1"):
+            domain_check(CesaroMatrix(), parse_sequence("n"), n, tol=F(1, 100))
+        with pytest.raises(ValueError, match="rows start at 1"):
+            transform_value(CesaroMatrix(), parse_sequence("n"), n)
 
     def test_scans_without_a_certified_tail_stop_at_the_budget(self):
         # The last partial is too long for str(); it prints in bounded form.
