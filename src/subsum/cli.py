@@ -38,7 +38,6 @@ from .constructions import (
 from .games import IllegalMoveError, StrategySearchError
 from .ideals import (
     RestrictionError,
-    SelectorNotCertifiedError,
     UnsupportedIdealError,
     parse_ideal,
 )
@@ -517,7 +516,6 @@ _PRECONDITION_ERRORS = (
     DomainRiskError,
     RestrictionError,
     UnsupportedIdealError,
-    SelectorNotCertifiedError,
     ImageUndecidableError,
 )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, cycle, groupby, islice
+from itertools import accumulate, cycle, islice
 
 from .ideals import (
     IN,
@@ -35,6 +35,7 @@ from .summability import (
     _dot_pair,
     _row_budget,
     _threshold_counts,
+    render_rle,
 )
 
 
@@ -152,19 +153,6 @@ class OscillationCertificate:
         read as integer (numerator, positive denominator) pairs."""
         counts = _threshold_counts(pairs, self.lower, self.upper, self.scales)
         return counts == (self.lower_counts, self.upper_counts)
-
-
-def certificate_from_values(
-    values: list[Fraction],
-    lower: Fraction,
-    upper: Fraction,
-    scales: tuple[int, ...],
-    x_spec: str,
-    matrix_spec: str,
-) -> OscillationCertificate:
-    pairs = (v.as_integer_ratio() for v in values)
-    counts = _threshold_counts(pairs, lower, upper, scales)
-    return OscillationCertificate(x_spec, matrix_spec, lower, upper, scales, *counts)
 
 
 @dataclass(frozen=True)
@@ -506,10 +494,10 @@ def escape_rowfinite(
     which sums every row again against the picks read again from the
     selector (a constant row as its entry times a prefix sum of the picks).
     A generator matrix serves the second read from its row cache.  A block
-    whose ambient span or entry pass would read over ``DEFAULT_COLUMN_CAP``
-    integers or entries is refused (AuditBudgetError) before either runs, and
-    the restricted partition traces no block past ``ENUMERATION_CAP``
-    (EnumerationCapError).
+    whose ambient span, row count or entry pass would read over
+    ``DEFAULT_COLUMN_CAP`` integers, rows or entries is refused
+    (AuditBudgetError) before any entry is read, and the restricted
+    partition traces no block past ``ENUMERATION_CAP`` (EnumerationCapError).
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -547,6 +535,9 @@ def escape_rowfinite(
         if block[0] > after_row:
             break
         q0 += 1
+    # Every surviving row has support at least w0 >= 1, so a block of more
+    # rows than the budget also holds more entries: refuse it unread.
+    _row_budget(len(block), f"escape block {q0} row count")
     supports = {}
     for n in block:
         r = matrix.row_support(n)
@@ -772,9 +763,7 @@ def steinhaus_adversary(
                 break
             push_up = not push_up
         scale = n
-        # render_rle of the played bits: equal bits merged, empty runs dropped.
-        played = groupby((run for run in runs if run[1]), key=lambda run: run[0])
-        x_spec = "rle:" + ",".join(f"{bit}x{sum(l for _, l in group)}" for bit, group in played)
+        x_spec = "rle:" + render_rle(runs)
         # Every phase reaches its level in one step count, so none stalls.
         evidence = {"phases": phases, "stalled": False}
     else:

@@ -41,11 +41,9 @@ from .setlang import (
     _scan,
     _window_maxima,
     default_checkpoints,
-    is_finite,
     next_member,
     nu2,
     prefix_counts,
-    render,
 )
 
 DEFAULT_SCALE = 10**4
@@ -61,10 +59,6 @@ class UnsupportedIdealError(ValueError):
 
 class RestrictionError(ValueError):
     """The proposed domain's complement is not certified inside the ideal."""
-
-
-class SelectorNotCertifiedError(ValueError):
-    """The block selector could not be structurally certified infinite."""
 
 
 @dataclass(frozen=True)
@@ -356,11 +350,6 @@ class IntervalPartition:
             raise ValueError("dyadic blocks start at 2")
         return n.bit_length() - 1
 
-    def as_set_description(self, selector: SetDescription) -> SetDescription:
-        if self.kind == "singletons":
-            return selector
-        return DyadicBlocks(selector)
-
 
 class RestrictedPartition:
     """An interval partition traced on a subdomain, empties dropped, reindexed.
@@ -391,21 +380,6 @@ class RestrictedPartition:
             lo, self._traced = ambient[0], ambient[-1]
             self._blocks.append(tuple(compress(ambient, _scan(self.domain, lo, self._traced))))
         return self._blocks[q - 1]
-
-
-def nonideal_from_partition(
-    partition: IntervalPartition, selector: SetDescription
-) -> SetDescription:
-    """Union of the selected blocks; escapes the partition's ideal.
-
-    Requires the selector to be structurally certified infinite, otherwise
-    the union could be finite and the escape claim unsound.
-    """
-    if is_finite(selector) is not Tri.NO:
-        raise SelectorNotCertifiedError(
-            f"selector {render(selector)} is not certified infinite"
-        )
-    return partition.as_set_description(selector)
 
 
 # ---------------------------------------------------------------- presentation

@@ -77,9 +77,9 @@ class SetDescription:
     Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
     flags of ``_scan`` for 1 <= lo <= hi), ``form(memo)`` (its eventually
     periodic form, see ``_form``) and ``render()``.  Kinds that can lack a
-    form also define ``finiteness(memo)`` (is_finite, is_cofinite), and the
-    defaults below mean "no structural shortcut": no closed-form count, no
-    certified density, and member searches scan.
+    form also define ``finiteness(memo)`` (is S finite, is its complement
+    finite), and the defaults below mean "no structural shortcut": no
+    closed-form count, no certified density, and member searches scan.
     """
 
     def count(self, limit: int) -> int | None:
@@ -587,7 +587,7 @@ _UNSET = object()
 
 
 def _facts(s: SetDescription, memo: dict) -> list:
-    """[s, form, (is_finite, is_cofinite), density, Banach density] of s,
+    """[s, form, (finite?, cofinite?), density, Banach density] of s,
     built once per memo.  A node with a form reads its facts off the form;
     one without asks its own rules, for its densities on first use.
     Holding s keeps its id from being reused while it is a key."""
@@ -605,7 +605,7 @@ def _form(s: SetDescription, memo: dict) -> tuple | None:
 
 
 def _finiteness(s: SetDescription, memo: dict) -> tuple[Tri, Tri]:
-    """(is_finite, is_cofinite), three-valued."""
+    """(is S finite?, is its complement finite?), three-valued."""
     facts = _facts(s, memo)
     form = facts[1]
     if form is None:
@@ -721,19 +721,11 @@ def _count_closed(s: SetDescription, limit: int) -> int | None:
     return 0 if limit < 1 else s.count(limit)
 
 
-def count_prefix(s: SetDescription, limit: int) -> int:
-    """Exact |S ∩ [1, limit]|.
-
-    Uses closed forms for the structured shapes; unions/intersections that
-    do not reduce fall back to enumeration, capped at ENUMERATION_CAP.
-    """
-    return prefix_counts(s, [limit])[0][1]
-
-
 def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
-    """[(n, count_prefix(s, n)) for n in checkpoints], checkpoints increasing.
+    """[(n, |S ∩ [1, n]|) for n in checkpoints], checkpoints increasing, exact.
 
-    Closed forms first; the checkpoints left over share one range scan.
+    Closed forms first; the checkpoints left over (unions and intersections
+    that do not reduce) share one range scan, capped at ENUMERATION_CAP.
     """
     checkpoints = list(checkpoints)
     counts = []
@@ -779,11 +771,6 @@ def is_finite(s: SetDescription) -> Tri:
     return _finiteness(s, {})[0]
 
 
-def is_cofinite(s: SetDescription) -> Tri:
-    """Is the complement of S finite?  Sound three-valued analysis."""
-    return _finiteness(s, {})[1]
-
-
 def exact_density(s: SetDescription) -> Fraction | None:
     """Exact asymptotic density when the structure certifies one, else None.
 
@@ -791,11 +778,6 @@ def exact_density(s: SetDescription) -> Fraction | None:
     limit of |S ∩ [1, n]| / n exists and equals the returned fraction.
     """
     return _density(s, {})
-
-
-def banach_exact(s: SetDescription) -> Fraction | None:
-    """Exact Banach (uniform upper) density when certified, else None."""
-    return _banach(s, {})
 
 
 # ---------------------------------------------------------------- densities

@@ -241,13 +241,6 @@ class MetricInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def separated_from(self, other: "MetricInterval") -> bool:
-        return self.lo > other.hi or other.lo > self.hi
-
-    def below(self, bound: Fraction) -> bool:
-        """Certified d < bound."""
-        return self.hi < bound
-
 
 def _image_flags(sel: Selector, limit: int) -> Iterator[bool]:
     """``sel.image_contains(i)`` for i = 1, ..., limit from one walk of the
@@ -294,22 +287,6 @@ def metric(s1: Selector, s2: Selector, resolution: int = 40) -> MetricInterval:
             diff[i] = 49  # "1"
     lo = Fraction(int(diff, 2), 1 << resolution)
     return MetricInterval(lo, lo + Fraction(1, 1 << resolution), resolution)
-
-
-def ball_contains(center_stem: tuple[int, ...], sel: Selector) -> bool:
-    """Does ``sel`` extend the given stem position by position?"""
-    try:
-        return tuple(sel.values(len(center_stem))) == tuple(center_stem)
-    except ImageUndecidableError:
-        return False
-
-
-def shared_stem_bound(stem: tuple[int, ...]) -> Fraction:
-    """Distance bound for two selectors extending the same nonempty stem:
-    images agree up to the stem's last value, so d <= 2^-stem[-1]."""
-    if not stem:
-        return ONE
-    return Fraction(1, 1 << stem[-1])
 
 
 # ---------------------------------------------------------------- functionals

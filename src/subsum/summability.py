@@ -303,8 +303,11 @@ def parse_rle(text: str) -> list[tuple[int, int]]:
     return [(int(bit), int(length)) for bit, _, length in runs]
 
 
-def render_rle(bits: list[int]) -> str:
-    return ",".join(f"{bit}x{len(list(run))}" for bit, run in groupby(bits))
+def render_rle(runs) -> str:
+    """``parse_rle`` text for (bit, length) runs: empty runs dropped, then
+    equal neighbours merged."""
+    merged = groupby((run for run in runs if run[1]), key=itemgetter(0))
+    return ",".join(f"{bit}x{sum(map(itemgetter(1), group))}" for bit, group in merged)
 
 
 def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
@@ -1021,27 +1024,6 @@ def _certified_tail(
     return min(bounds)
 
 
-def transform_value(
-    matrix: SummabilityMatrix,
-    x: SequenceSpec,
-    n: int,
-    tail_tol: Fraction = ZERO,
-) -> TransformPoint:
-    """Row n of the transform with a certified tail bound.
-
-    Row-finite rows are summed exactly (tail 0).  Otherwise the row is summed
-    up to the first doubling width whose certified tail bound is at most
-    ``tail_tol``.  The bound does not depend on the partial sum, so when no
-    width up to ``DEFAULT_COLUMN_CAP`` meets the tolerance the call fails before
-    summing any column.  If no tail machinery applies the call refuses with
-    DomainRiskError.
-    """
-    if n < 1:
-        raise ValueError("transform rows start at 1")
-    pair, tail = next(_points(matrix, x, (n,), tail_tol))
-    return TransformPoint(n, Fraction(*pair), tail)
-
-
 def _tail_width(tail_at: Callable, tol: Fraction, start: int, cap: int) -> tuple:
     """The first doubling width from ``start`` to ``cap`` with ``tail_at(width)`` (None:
     no bound) at most ``tol``, and that bound; past the cap None, and the last bound seen."""
@@ -1059,7 +1041,12 @@ def _tail_width(tail_at: Callable, tol: Fraction, start: int, cap: int) -> tuple
 def _summed_width(
     matrix: SummabilityMatrix, x: SequenceSpec, n: int, tail_tol: Fraction
 ) -> tuple[int, Fraction]:
-    """The columns ``transform_value`` sums for row n, and its tail bound."""
+    """The columns summed for row n, and its tail bound: the row's support
+    (tail 0), else the first doubling width whose certified tail bound is at
+    most ``tail_tol``.  The bound does not depend on the partial sum, so when
+    no width up to ``DEFAULT_COLUMN_CAP`` meets the tolerance this fails
+    (TailToleranceError) before any column is summed; with no tail machinery
+    at all it refuses with DomainRiskError."""
     support = matrix.row_support(n)
     if support is not None:
         return support, ZERO
@@ -1096,8 +1083,9 @@ def transform_prefix(
     n_max: int,
     tail_tol: Fraction = ZERO,
 ) -> list[TransformPoint]:
-    """Transform rows 1..n_max: row-finite matrices through their exact
-    kernel, other rows with transform_value's tail semantics."""
+    """Transform rows 1..n_max with certified tail bounds: row-finite
+    matrices through their exact kernel (tail 0), other rows summed to the
+    width ``_summed_width`` picks for ``tail_tol``."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows = range(1, n_max + 1)

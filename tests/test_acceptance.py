@@ -18,13 +18,13 @@ from subsum import (
     PrefixDensityStrategy,
     Selector,
     Consecutive,
+    DyadicBlocks,
     adjudicate,
     escape_rowfinite,
     escape_unbounded,
     ideal_limit,
     metric,
     modulus_of_continuity,
-    nonideal_from_partition,
     nu2_tower_move,
     parse_matrix,
     parse_row,
@@ -38,7 +38,7 @@ from subsum import (
     selector_transform,
     steinhaus_adversary,
 )
-from subsum.setlang import AP, count_prefix, member, nu2
+from subsum.setlang import AP, member, nu2, prefix_counts
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -302,7 +302,7 @@ def test_criterion_7_partition_escapes_are_sound():
         ][:50]
         assert len(selectors) == 50
         for sel in selectors:
-            escape = nonideal_from_partition(partition, sel)
+            escape = DyadicBlocks(sel)
             verdict = Z.verdict(escape)
             assert verdict.status == "not_in"
             for k in range(1, 10):
@@ -310,7 +310,7 @@ def test_criterion_7_partition_escapes_are_sound():
                     continue
                 block = partition.block(k)
                 edge = block[-1]
-                count = count_prefix(escape, edge)
+                count = prefix_counts(escape, [edge])[0][1]
                 assert 2 * count >= edge, (sel, k, count, edge)
 
 

@@ -23,10 +23,10 @@ from subsum import (
     IdealPresentation,
     OscillationCertificate,
     PreconditionError,
+    RowDropMatrix,
     Selector,
     SequenceSpec,
     UnsupportedIdealError,
-    certificate_from_values,
     escape_rowfinite,
     escape_unbounded,
     ideal_limit,
@@ -41,6 +41,7 @@ from subsum import (
 )
 from subsum import constructions
 from subsum.constructions import EPS_GRID, _least_index_with_magnitude
+from subsum.summability import DEFAULT_COLUMN_CAP, AuditBudgetError, _threshold_counts
 
 F = Fraction
 FIN = IdealPresentation.fin()
@@ -167,9 +168,9 @@ def alt_values(n):
 
 class TestOscillationCertificates:
     def make(self):
-        return certificate_from_values(
-            alt_values(256), F(0), F(1), (128, 256), "alt", "identity"
-        )
+        pairs = (v.as_integer_ratio() for v in alt_values(256))
+        counts = _threshold_counts(pairs, F(0), F(1), (128, 256))
+        return OscillationCertificate("alt", "identity", F(0), F(1), (128, 256), *counts)
 
     def test_counts_match_independent_tally(self):
         cert = self.make()
@@ -223,8 +224,10 @@ class TestOscillationCertificates:
         values = alt_values(512)
         verdict = ideal_limit(values, Z)
         assert verdict.status == "no_limit"
-        cert = certificate_from_values(
-            values, verdict.lower, verdict.upper, (256, 512), "alt", "identity"
+        pairs = (v.as_integer_ratio() for v in values)
+        counts = _threshold_counts(pairs, verdict.lower, verdict.upper, (256, 512))
+        cert = OscillationCertificate(
+            "alt", "identity", verdict.lower, verdict.upper, (256, 512), *counts
         )
         assert cert.audit_values(values)
 
@@ -358,6 +361,22 @@ class TestRowFiniteEscape:
         high = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 1, p0=5)
         assert high.block_index == 5
         assert min(high.block) > max(low.block)
+
+    def test_blocks_of_more_rows_than_the_budget_are_refused_unread(self, monkeypatch):
+        # Rows 1..2^20 are dropped, so restricted dyadic block 2 is the 2^21
+        # rows [2^21, 2^22); every row has support >= 1, so the row count
+        # alone refuses it, before any row support is asked for.
+        matrix = parse_matrix("rowdrop:cesaro:complement:ap:1048577,1")
+        calls = []
+        for cls in (RowDropMatrix, CesaroMatrix):
+            real = cls.row_support
+            monkeypatch.setattr(cls, "row_support",
+                                lambda self, n, real=real: calls.append(n) or real(self, n))
+        with pytest.raises(AuditBudgetError,
+                           match="escape block 2 row count 2097152 is over the audit "
+                                 f"budget of {DEFAULT_COLUMN_CAP} rows"):
+            escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
+        assert calls == []
 
     def test_bounded_sequences_are_refused(self):
         with pytest.raises(PreconditionError):

@@ -23,13 +23,11 @@ from subsum import (
     Powers2,
     RestrictedPartition,
     RestrictionError,
-    SelectorNotCertifiedError,
     Shift,
     Squares,
     Union,
     UnsupportedIdealError,
     member,
-    nonideal_from_partition,
     nu2,
     nu2_column_audit,
     parse_ideal,
@@ -506,25 +504,19 @@ class TestRestrictedPartition:
 
 class TestEscapeSets:
     def test_union_of_selected_dyadic_blocks(self):
-        s = nonideal_from_partition(IntervalPartition("dyadic"), AP(1, 2))
-        assert s == DyadicBlocks(AP(1, 2))
+        partition = IntervalPartition("dyadic")
+        s = DyadicBlocks(AP(1, 2))
+        # the odd-indexed blocks lie wholly inside, the even-indexed outside
+        for q in range(1, 8):
+            assert {member(s, n) for n in partition.block(q)} == {q % 2 == 1}
         # it indeed escapes the density ideal
         assert Z.verdict(s).status == "not_in"
 
     def test_singleton_partition_returns_the_selector(self):
-        s = nonideal_from_partition(IntervalPartition("singletons"), Squares())
-        assert s == Squares()
-        assert FIN.verdict(s).status == "not_in"
-
-    def test_finite_selector_is_rejected(self):
-        with pytest.raises(SelectorNotCertifiedError):
-            nonideal_from_partition(IntervalPartition("dyadic"), Finite((1, 2)))
-
-    def test_uncertified_selector_is_rejected(self):
-        with pytest.raises(SelectorNotCertifiedError):
-            nonideal_from_partition(
-                IntervalPartition("dyadic"), Intersection(Squares(), AP(1, 3))
-            )
+        # Singleton blocks are {q}: the selected blocks' union is the selector.
+        partition = IntervalPartition("singletons")
+        assert [partition.block(q) for q in (1, 4, 9)] == [range(1, 2), range(4, 5), range(9, 10)]
+        assert FIN.verdict(Squares()).status == "not_in"
 
 
 # ---------------------------------------------------------------- restriction

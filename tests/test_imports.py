@@ -1,6 +1,7 @@
-"""Every imported name is read somewhere in its module.
+"""Every imported name is read somewhere in its module, and every name the
+package defines is read by the package or the benchmark.
 
-An AST scan of each module in the package and the test suite; package
+AST scans of each module in the package and the test suite; package
 ``__init__.py`` files are exempt, since their imports are re-exports.
 """
 
@@ -10,12 +11,21 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    path
-    for folder in (ROOT / "src" / "subsum", ROOT / "tests")
-    for path in folder.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted(path for path in (ROOT / "src" / "subsum").glob("*.py")
+                 if path.name != "__init__.py")
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+READERS = [*PACKAGE, *sorted((ROOT / "bench").glob("*.py"))]
+
+# Package names that neither the package nor the benchmark reads, and why
+# they stay.  ``bench/tracing.py`` binds its ``METHODS`` by string.
+UNREAD_KEPT = {
+    "image_contains": "traced by name in bench/tracing.py; the tests' reference "
+                      "for sigma._image_flags",
+    "audit_values": "traced by name in bench/tracing.py",
+    "restrict": "traced by name in bench/tracing.py",
+    "from_jsonl": "reads back the transcript that `subsum game --transcript` writes",
+    "finxfin": "one of IdealPresentation's named constructors, beside fin, z and bd",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,6 +42,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
+def unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """Function, class and method names (dunders excepted) defined in the
+    ``defining`` sources, by file name, that no ``reading`` source reads."""
+    read = set()
+    for source in reading:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for name, source in defining.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and node.name not in read):
+                unread.append(f"{node.name} ({name} line {node.lineno})")
+    return unread
+
+
 def test_the_scan_sees_every_module():
     names = {path.name for path in MODULES}
     assert {"cli.py", "summability.py", "test_imports.py"} <= names
@@ -45,3 +75,26 @@ def test_no_unused_imports(path):
 def test_the_scan_flags_a_name_that_is_never_read():
     source = "import os\nfrom math import gcd, lcm\nfrom . import a as b\nprint(gcd, b)\n"
     assert unused_imports(source) == ["os (line 1)", "lcm (line 2)"]
+
+
+def test_every_definition_is_read_by_the_package_or_the_benchmark():
+    defining = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    reading = [path.read_text(encoding="utf-8") for path in READERS]
+    unread = unread_definitions(defining, reading)
+    assert sorted(entry.partition(" ")[0] for entry in unread) == sorted(UNREAD_KEPT), unread
+
+
+def test_the_scan_flags_a_definition_that_is_never_read():
+    defining = {"m.py": (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class Kept:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def orphan(self): pass\n"
+        "orphan = None\n"
+    )}
+    reading = ["from m import Kept, used\nused()\nKept().method()\n"]
+    assert unread_definitions(defining, reading) == [
+        "unused (m.py line 2)", "orphan (m.py line 6)"
+    ]

@@ -24,7 +24,6 @@ from subsum import (
     OscillationCertificate,
     RowDropMatrix,
     Selector,
-    certificate_from_values,
     ideal_limit,
     metric,
     oscillation_pair,
@@ -44,7 +43,6 @@ from subsum import (
     sequence_from_rle,
     sequence_from_values,
     transform_prefix,
-    transform_value,
 )
 from subsum import setlang
 from subsum.constructions import PAIR_PICKS, _threshold_counts
@@ -191,7 +189,7 @@ def test_periodic_form_matches_a_scan_and_decides_every_kind(s):
 @settings(max_examples=100, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=80))
 def test_rle_expansion_restores_the_bits(bits):
-    seq = sequence_from_rle(parse_rle(render_rle(bits)))
+    seq = sequence_from_rle(parse_rle(render_rle((b, 1) for b in bits)))
     assert [seq.value(n) for n in range(1, len(bits) + 1)] == [F(b) for b in bits]
 
 
@@ -246,12 +244,16 @@ def test_certificate_counts_match_fraction_comparisons(values, lower, gap, scale
     pairs = [(v.numerator * spread, v.denominator * spread) for v in values]
     assert _threshold_counts(pairs, lower, upper, tuple(scales)) == want
     ordered = tuple(sorted(set(scales)))
-    cert = certificate_from_values(values, lower, upper, ordered, "x", "m")
+    exact = [v.as_integer_ratio() for v in values]
+    cert = OscillationCertificate(
+        "x", "m", lower, upper, ordered, *_threshold_counts(exact, lower, upper, ordered)
+    )
     lower_counts, upper_counts = _reference_counts(values, lower, upper, ordered)
     assert (cert.lower_counts, cert.upper_counts) == (lower_counts, upper_counts)
     if tuple(scales) != ordered:
         with pytest.raises(ConstructionError):
-            certificate_from_values(values, lower, upper, tuple(scales), "x", "m")
+            OscillationCertificate("x", "m", lower, upper, tuple(scales),
+                                   *_threshold_counts(exact, lower, upper, tuple(scales)))
 
 
 # ------------------------------------------------------ decision postconditions
@@ -336,7 +338,7 @@ def test_exact_dot_matches_fraction_sums(pairs):
 def test_random_matrices_transform_by_direct_summation(seed, n):
     matrix = random_rowfinite_matrix(seed)
     x = sequence_from_values(tuple(F(k, 3) for k in range(1, 14)), "thirds")
-    point = transform_value(matrix, x, n)
+    point = transform_prefix(matrix, x, n)[-1]
     direct = sum(
         (matrix.entry(n, k) * x.value(k) for k in range(1, n + 1)), F(0)
     )

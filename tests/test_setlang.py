@@ -24,17 +24,15 @@ from subsum.setlang import (
     Squares,
     Tri,
     Union,
-    banach_exact,
-    count_prefix,
     density_csv,
     density_report,
     exact_density,
-    is_cofinite,
     is_finite,
     max_window_density,
     member,
     nu2,
     parse_set,
+    prefix_counts,
     render,
 )
 
@@ -157,30 +155,30 @@ def test_count_matches_membership(s):
     running = 0
     for n in range(1, 300):
         running += member(s, n)
-        assert count_prefix(s, n) == running, (render(s), n)
+        assert prefix_counts(s, [n])[0][1] == running, (render(s), n)
 
 
 def test_count_examples():
-    assert count_prefix(Squares(), 10**4) == 100
-    assert count_prefix(Powers2(), 1024) == 11  # 1, 2, 4, ..., 1024
-    assert count_prefix(AP(3, 4), 1000) == 250
-    assert count_prefix(Nu2Ge(3), 100) == 12
-    assert count_prefix(DyadicBlocks(AP(1, 1)), 2**13 - 1) == 2**13 - 2
+    assert prefix_counts(Squares(), [10**4])[0][1] == 100
+    assert prefix_counts(Powers2(), [1024])[0][1] == 11  # 1, 2, 4, ..., 1024
+    assert prefix_counts(AP(3, 4), [1000])[0][1] == 250
+    assert prefix_counts(Nu2Ge(3), [100])[0][1] == 12
+    assert prefix_counts(DyadicBlocks(AP(1, 1)), [2**13 - 1])[0][1] == 2**13 - 2
 
 
 def test_count_large_closed_forms_stay_fast():
     # These shapes count in closed form well past the enumeration cap.
-    assert count_prefix(Squares(), 10**14) == 10**7
-    assert count_prefix(Complement(Squares()), 10**14) == 10**14 - 10**7
-    assert count_prefix(Nu2Ge(10), 10**12) == 10**12 // 1024
+    assert prefix_counts(Squares(), [10**14])[0][1] == 10**7
+    assert prefix_counts(Complement(Squares()), [10**14])[0][1] == 10**14 - 10**7
+    assert prefix_counts(Nu2Ge(10), [10**12])[0][1] == 10**12 // 1024
 
 
 def test_progressions_merge_past_the_cap():
     # A progression meets a dyadic class in a progression: closed form, no scan.
-    assert count_prefix(parse_set("intersect:ap:3,4|builtin:nu2_ge(1)"), 10**12) == 0
+    assert prefix_counts(parse_set("intersect:ap:3,4|builtin:nu2_ge(1)"), [10**12])[0][1] == 0
     # 2 mod 6 and 0 mod 4 meet in 8 mod 12
     both = Union(Finite((1,)), Intersection(AP(2, 6), Nu2Ge(2)))
-    assert count_prefix(both, 10**12) == 1 + (10**12 - 8) // 12 + 1
+    assert prefix_counts(both, [10**12])[0][1] == 1 + (10**12 - 8) // 12 + 1
     assert is_finite(Intersection(Nu2Ge(2), AP(13, 12))) is Tri.YES
     assert exact_density(Union(AP(2, 6), Nu2Ge(2))) == Fraction(1, 6) + Fraction(1, 4) - Fraction(1, 12)
 
@@ -188,7 +186,7 @@ def test_progressions_merge_past_the_cap():
 def test_enumeration_cap_raises():
     awkward = Union(Squares(), Shift(Squares(), 1))
     with pytest.raises(EnumerationCapError):
-        count_prefix(awkward, 2 * 10**7)
+        prefix_counts(awkward, [2 * 10**7])[0][1]
 
 
 def test_first_and_next_member():
@@ -221,9 +219,9 @@ def test_is_finite_and_cofinite():
     assert is_finite(AP(5, 7)) is Tri.NO
     assert is_finite(DyadicBlocks(Finite((2, 4)))) is Tri.YES
     assert is_finite(DyadicBlocks(AP(1, 2))) is Tri.NO
-    assert is_cofinite(AP(1, 1)) is Tri.YES
-    assert is_cofinite(AP(2, 2)) is Tri.NO
-    assert is_cofinite(Complement(Squares())) is not Tri.YES  # not claimed
+    assert is_finite(Complement(AP(1, 1))) is Tri.YES
+    assert is_finite(Complement(AP(2, 2))) is Tri.NO
+    assert is_finite(Complement(Complement(Squares()))) is not Tri.YES  # not claimed
     assert is_finite(Complement(AP(1, 1))) is Tri.YES  # empty complement
 
 
@@ -246,14 +244,14 @@ def test_exact_density_union_inclusion_exclusion():
 def test_exact_density_tracks_prefix_ratio():
     for s in (AP(3, 4), Union(AP(2, 2), AP(3, 3)), Nu2Ge(2)):
         d = exact_density(s)
-        ratio = Fraction(count_prefix(s, 10**4), 10**4)
+        ratio = Fraction(prefix_counts(s, [10**4])[0][1], 10**4)
         assert abs(ratio - d) < Fraction(1, 100)
 
 
 def test_banach_density():
-    assert banach_exact(AP(2, 2)) == Fraction(1, 2)
-    assert banach_exact(Finite((5, 6))) == 0
-    assert banach_exact(DyadicBlocks(AP(1, 2))) == 1
+    assert setlang._banach(AP(2, 2), {}) == Fraction(1, 2)
+    assert setlang._banach(Finite((5, 6)), {}) == 0
+    assert setlang._banach(DyadicBlocks(AP(1, 2)), {}) == 1
     assert max_window_density(AP(2, 2), 1000, 10) == Fraction(1, 2)
     assert max_window_density(DyadicBlocks(AP(1, 2)), 2**12, 64) == 1
 
@@ -322,13 +320,13 @@ def _set_descriptions():
 @settings(max_examples=120, deadline=None)
 @given(s=_set_descriptions(), limit=st.integers(1, 400))
 def test_complement_count_identity(s, limit):
-    assert count_prefix(Complement(s), limit) == limit - count_prefix(s, limit)
+    assert prefix_counts(Complement(s), [limit])[0][1] == limit - prefix_counts(s, [limit])[0][1]
 
 
 @settings(max_examples=120, deadline=None)
 @given(s=_set_descriptions(), limit=st.integers(1, 250))
 def test_count_is_membership_sum(s, limit):
-    assert count_prefix(s, limit) == sum(
+    assert prefix_counts(s, [limit])[0][1] == sum(
         1 for n in range(1, limit + 1) if member(s, n)
     )
 
@@ -337,7 +335,7 @@ def test_count_is_membership_sum(s, limit):
 @given(first=st.integers(1, 50), step=st.integers(1, 50), limit=st.integers(1, 5000))
 def test_ap_count_closed_form(first, step, limit):
     expected = 0 if limit < first else (limit - first) // step + 1
-    assert count_prefix(AP(first, step), limit) == expected
+    assert prefix_counts(AP(first, step), [limit])[0][1] == expected
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,7 +396,7 @@ def test_chunked_scans_match_member_loops(s, limit, chunk, data):
         columns[nu2(n)] += flags[n - 1] if nu2(n) <= 20 else 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(setlang, "SCAN_CHUNK", chunk)
-        assert count_prefix(s, limit) == sum(flags)
+        assert prefix_counts(s, [limit])[0][1] == sum(flags)
         assert setlang.prefix_counts(s, checkpoints) == [(n, sum(flags[:n])) for n in checkpoints]
         assert setlang._window_maxima(s, limit, windows) == [
             Fraction(max(sum(flags[t:t + w]) for t in range(limit - w + 1)), w) for w in windows

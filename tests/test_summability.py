@@ -44,7 +44,6 @@ from subsum import (
     selector_transform,
     sequence_from_rle,
     transform_prefix,
-    transform_value,
     validate_matrix_ideal,
 )
 from subsum import summability
@@ -111,7 +110,7 @@ class TestSequences:
         assert runs == [(1, 3), (0, 2), (1, 1)]
         seq = sequence_from_rle(runs)
         assert seq.values(8) == [1, 1, 1, 0, 0, 1, 0, 0]
-        assert render_rle([1, 1, 1, 0, 0, 1]) == "1x3,0x2,1x1"
+        assert render_rle([(1, 2), (1, 1), (0, 2), (1, 0), (0, 0), (1, 1)]) == "1x3,0x2,1x1"
         assert parse_sequence("rle:1x2,0x1").values(4) == [1, 1, 0, 0]
 
     def test_negative_run_length_is_rejected(self):
@@ -420,25 +419,25 @@ class TestTransforms:
     def test_running_average_of_alternating(self):
         m, alt = CesaroMatrix(), parse_sequence("alt")
         for n in (1, 2, 5, 10, 33):
-            point = transform_value(m, alt, n)
+            point = transform_prefix(m, alt, n)[-1]
             assert point.value == F(n // 2, n)
             assert point.tail_bound == 0
             assert point.exact
 
     def test_running_average_of_naturals(self):
         m, nat = CesaroMatrix(), parse_sequence("n")
-        assert transform_value(m, nat, 9).value == F(10, 2) == 5
+        assert transform_prefix(m, nat, 9)[-1].value == F(10, 2) == 5
 
     def test_row_finite_matches_direct_oracle(self):
         m = random_rowfinite_matrix(11)
         x = parse_sequence("nalt")
         for n in (1, 3, 8, 20):
-            point = transform_value(m, x, n)
+            point = transform_prefix(m, x, n)[-1]
             assert point.value == oracle_transform(m, x, n, n)
 
     def test_geometric_row_against_constant_one(self):
         m = parse_matrix("gen:geometric")
-        point = transform_value(m, parse_sequence("const:1"), 3, tail_tol=F(1, 1 << 20))
+        point = transform_prefix(m, parse_sequence("const:1"), 3, tail_tol=F(1, 1 << 20))[-1]
         # partial sum 1 - 2**-K plus a certified tail bound that reaches 1
         assert point.tail_bound <= F(1, 1 << 20)
         assert point.value < 1 < point.value + 2 * point.tail_bound
@@ -446,26 +445,26 @@ class TestTransforms:
     def test_geometric_row_against_naturals_brackets_two(self):
         # sum k/2**k = 2; the ratio certificate must bracket it
         m = parse_matrix("gen:geometric")
-        point = transform_value(m, parse_sequence("n"), 1, tail_tol=F(1, 1 << 20))
+        point = transform_prefix(m, parse_sequence("n"), 1, tail_tol=F(1, 1 << 20))[-1]
         assert point.tail_bound == F(33, 4160749568)
         assert abs(point.value - 2) <= point.tail_bound
 
     def test_undeclared_tails_are_refused(self):
         m = parse_matrix("gen:geometric")
         with pytest.raises(DomainRiskError):
-            transform_value(m, parse_sequence("sqperturb"), 1)
+            transform_prefix(m, parse_sequence("sqperturb"), 1)
 
     def test_unreachable_tolerance_is_reported(self):
         m = parse_matrix("gen:geometric")
         with pytest.raises(TailToleranceError):
-            transform_value(m, parse_sequence("const:1"), 1, tail_tol=F(0))
+            transform_prefix(m, parse_sequence("const:1"), 1, tail_tol=F(0))
 
     def test_a_tail_bound_equal_to_the_tolerance_is_met_at_its_width(self):
         # The geometric row's tail past column w is 2^-w, times sup |x| = 1:
         # the transform, the domain check and a selector functional each
         # stop at the first width whose bound is at most the tolerance.
         m, ones = parse_matrix("gen:geometric"), parse_sequence("const:1")
-        assert transform_value(m, ones, 1, F(1, 1 << 32)).tail_bound == F(1, 1 << 32)
+        assert transform_prefix(m, ones, 1, F(1, 1 << 32))[-1].tail_bound == F(1, 1 << 32)
         check = domain_check(m, ones, 1, F(1, 1 << 64))
         assert (check.tail_bound, check.evidence) == (F(1, 1 << 64), {"columns_used": 64})
         functional = selector_transform(parse_row("geometric"), ones, parse_selector("id"),
@@ -550,7 +549,7 @@ class TestDomainCheck:
         x = parse_sequence("list:" + "0," * 19 + "1000")
         matrix = parse_matrix("gen:geometric")
         report = domain_check(matrix, x, 1, tol=F(1, 10**6))
-        point = transform_value(matrix, x, 1, F(1, 10**6))
+        point = transform_prefix(matrix, x, 1, F(1, 10**6))[-1]
         assert report.status == "converged"
         assert (report.value, report.tail_bound) == (F(125, 131072), F(125, 536870912))
         assert (point.value, point.tail_bound) == (report.value, report.tail_bound)
@@ -559,8 +558,8 @@ class TestDomainCheck:
     def test_rows_start_at_one(self, n):
         with pytest.raises(ValueError, match="rows start at 1"):
             domain_check(CesaroMatrix(), parse_sequence("n"), n, tol=F(1, 100))
-        with pytest.raises(ValueError, match="rows start at 1"):
-            transform_value(CesaroMatrix(), parse_sequence("n"), n)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            transform_prefix(CesaroMatrix(), parse_sequence("n"), n)
 
     def test_scans_without_a_certified_tail_stop_at_the_budget(self):
         # The last partial is too long for str(); it prints in bounded form.
