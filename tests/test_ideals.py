@@ -518,6 +518,19 @@ class TestEscapeSets:
         assert [partition.block(q) for q in (1, 4, 9)] == [range(1, 2), range(4, 5), range(9, 10)]
         assert FIN.verdict(Squares()).status == "not_in"
 
+    def test_finite_selector_is_rejected(self):
+        # A finite selector's block union is certified finite: no escape.
+        s = DyadicBlocks(Finite((1, 2)))
+        assert setlang.is_finite(s) is setlang.Tri.YES
+        assert Z.verdict(s).status == "in"
+
+    def test_uncertified_selector_is_rejected(self):
+        # Without a certificate that the selector is infinite, the union is
+        # not certified infinite either, and no escape verdict is claimed.
+        s = DyadicBlocks(Intersection(Squares(), AP(1, 3)))
+        assert setlang.is_finite(s) is setlang.Tri.UNKNOWN
+        assert Z.verdict(s).status == "undecided"
+
 
 # ---------------------------------------------------------------- restriction
 

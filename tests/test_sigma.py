@@ -239,6 +239,24 @@ class TestMetric:
 
 
 class TestBallsAndStems:
+    def test_ball_membership_checks_positions(self):
+        stem = (1, 26)
+        assert tuple(parse_selector("stem:{1,26}+consec").values(len(stem))) == stem
+        assert tuple(parse_selector("stem:{1,26}").values(len(stem))) == stem
+        assert tuple(parse_selector("id").values(len(stem))) != stem
+
+    def test_partial_selectors_short_of_the_stem_do_not_qualify(self):
+        with pytest.raises(ImageUndecidableError):
+            parse_selector("stem:{1,26}").values(3)
+
+    def test_shared_stem_distance_bound(self):
+        # selectors sharing the stem (1, 26) agree on [1, 26]: d <= 2**-26
+        a = parse_selector("stem:{1,26}+consec")
+        b = parse_selector("stem:{1,26,30}+consec")
+        assert metric(a, b).hi <= F(1, 1 << 26)
+        # with no shared stem the only bound is the diameter, 1
+        assert metric(a, parse_selector("id")).hi <= 1
+
     def test_bound_dominates_measured_distances(self):
         # extensions of a common stem stay within 2**-last of each other
         stem = (2, 5, 7)
