@@ -4,13 +4,15 @@
 # its comment names ("exits 3", "exits 4", ...; 0 when it names none), is
 # stopped after 10 s, or prints other stdout the second time than the first
 # (identical inputs print byte-identical output).  Each run's wall time, cold
-# start included, is printed in ms next to its exit code and stdout digest.
+# start included, is printed in ms next to its exit code and stdout digest,
+# and the last line names the slowest run (README commands aim at 1 s).
 # Run it from the repository root:
 #   bash .github/scripts/readme_commands.sh
 set -e
 root=$PWD
 cd "$(mktemp -d)"
 sed -n '/^Commands:/,/^```$/p' "$root/README.md" | grep '^subsum ' > commands.txt
+slowest=-1
 while read -r full; do
   line=$(printf '%s\n' "$full" | sed 's/ *#.*$//')
   want=$(printf '%s\n' "$full" | sed -n 's/.*#.*exits \([0-9]\).*/\1/p')
@@ -25,9 +27,11 @@ while read -r full; do
     ms=$(( ($(date +%s%N) - started) / 1000000 ))
     digest=$(sha256sum stdout.txt | cut -c1-16)
     echo "exit $code (want $want) ${ms} ms stdout ${digest}: $line"
+    [ "$ms" -le "$slowest" ] || { slowest=$ms; slowest_line=$line; }
     [ "$code" -eq "$want" ] || exit 1
     digests+=("$digest")
   done
   [ "${digests[0]}" = "${digests[1]}" ] || { echo "stdout differs between runs: $line"; exit 1; }
 done < commands.txt
 [ -s commands.txt ]
+echo "slowest: ${slowest} ms: $slowest_line"

@@ -22,40 +22,13 @@ output; the printed output itself never contains the timestamp.
 from __future__ import annotations
 
 import argparse
-import datetime
-import hashlib
 import json
 import sys
+import time
 from fractions import Fraction
 
-from . import constructions, games, setlang, sigma, summability
+from . import constructions, games, ideals, setlang, sigma, summability
 from ._version import __version__
-from .constructions import (
-    ConstructionError,
-    OscillationCertificate,
-    PreconditionError,
-)
-from .games import IllegalMoveError, StrategySearchError
-from .ideals import (
-    RestrictionError,
-    UnsupportedIdealError,
-    parse_ideal,
-)
-from .setlang import EnumerationCapError, SetSyntaxError, fraction_decimal, parse_set
-from .sigma import ImageUndecidableError, SelectorSpecError, parse_selector
-from .summability import (
-    RENDER_BITS,
-    AuditBudgetError,
-    DomainRiskError,
-    MatrixSpecError,
-    SequenceSpecError,
-    TailToleranceError,
-    _bounded_str,
-    _row_budget,
-    parse_matrix,
-    parse_row,
-    parse_sequence,
-)
 
 OK = 0
 FAIL = 1
@@ -68,7 +41,7 @@ PRECONDITION_FAILED = 7
 
 
 def _frac(value: Fraction | None) -> str | None:
-    return None if value is None else _bounded_str(Fraction(value))
+    return None if value is None else setlang._bounded_str(Fraction(value))
 
 
 def _bounded_rational(text: str, what: str) -> Fraction:
@@ -77,9 +50,10 @@ def _bounded_rational(text: str, what: str) -> Fraction:
     and escapes past larger bounds pick indices that no spec string prints.
     A far exponent is refused before its power of 10 is built."""
     _, _, exponent = text.lower().partition("e")
-    value = None if exponent and abs(int(exponent)) > 2 * RENDER_BITS else Fraction(text)
-    if value is None or max(abs(value.numerator), value.denominator).bit_length() > RENDER_BITS:
-        raise ValueError(f"{what} are limited to {RENDER_BITS}-bit numerators and denominators")
+    bits = setlang.RENDER_BITS
+    value = None if exponent and abs(int(exponent)) > 2 * bits else Fraction(text)
+    if value is None or max(abs(value.numerator), value.denominator).bit_length() > bits:
+        raise ValueError(f"{what} are limited to {bits}-bit numerators and denominators")
     return value
 
 
@@ -96,7 +70,7 @@ def _parse_stem(text: str) -> tuple[int, ...]:
 
 
 def _cmd_density(args) -> tuple[dict, int]:
-    s = parse_set(args.set)
+    s = setlang.parse_set(args.set)
     report = setlang.density_report(s, args.scale, window=args.window)
     if args.csv:
         return {"csv": setlang.density_csv(report)}, OK
@@ -106,7 +80,7 @@ def _cmd_density(args) -> tuple[dict, int]:
         "scale": args.scale,
         "prefix_counts": [[n, c] for n, c in report.prefix_counts],
         "ratios": [
-            [n, _frac(r), fraction_decimal(r)] for n, r in report.ratios()
+            [n, _frac(r), setlang.fraction_decimal(r)] for n, r in report.ratios()
         ],
         "lower_estimate": _frac(report.lower_estimate),
         "upper_estimate": _frac(report.upper_estimate),
@@ -120,8 +94,8 @@ def _cmd_density(args) -> tuple[dict, int]:
 
 
 def _cmd_verdict(args) -> tuple[dict, int]:
-    ideal = parse_ideal(args.ideal)
-    s = parse_set(args.set)
+    ideal = ideals.parse_ideal(args.ideal)
+    s = setlang.parse_set(args.set)
     verdict = ideal.verdict(s, args.scale)
     payload = {
         "command": "verdict",
@@ -136,8 +110,8 @@ def _cmd_verdict(args) -> tuple[dict, int]:
 
 
 def _cmd_regularity(args) -> tuple[dict, int]:
-    matrix = parse_matrix(args.matrix)
-    ideal = parse_ideal(args.ideal)
+    matrix = summability.parse_matrix(args.matrix)
+    ideal = ideals.parse_ideal(args.ideal)
     verdict = summability.regularity_verdict(matrix, ideal, n_rows=args.scale)
     payload = {
         "command": "regularity",
@@ -167,8 +141,8 @@ def _cmd_regularity(args) -> tuple[dict, int]:
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
-    matrix = parse_matrix(args.matrix)
-    x = parse_sequence(args.x)
+    matrix = summability.parse_matrix(args.matrix)
+    x = summability.parse_sequence(args.x)
     tail_tol = _bounded_rational(args.tail_tol, "tolerances")
     points = summability.transform_prefix(matrix, x, args.rows, tail_tol=tail_tol)
     payload = {
@@ -184,8 +158,8 @@ def _cmd_transform(args) -> tuple[dict, int]:
 
 
 def _cmd_domain(args) -> tuple[dict, int]:
-    matrix = parse_matrix(args.matrix)
-    x = parse_sequence(args.x)
+    matrix = summability.parse_matrix(args.matrix)
+    x = summability.parse_sequence(args.x)
     check = summability.domain_check(matrix, x, args.row, _bounded_rational(args.tol, "tolerances"))
     payload = {
         "command": "domain",
@@ -202,8 +176,8 @@ def _cmd_domain(args) -> tuple[dict, int]:
 
 
 def _cmd_metric(args) -> tuple[dict, int]:
-    s1 = parse_selector(args.s1)
-    s2 = parse_selector(args.s2)
+    s1 = sigma.parse_selector(args.s1)
+    s2 = sigma.parse_selector(args.s2)
     interval = sigma.metric(s1, s2, args.resolution)
     payload = {
         "command": "metric",
@@ -219,9 +193,9 @@ def _cmd_metric(args) -> tuple[dict, int]:
 
 def _cmd_escape(args) -> tuple[dict, int]:
     stem = _parse_stem(args.stem)
-    x = parse_sequence(args.x)
+    x = summability.parse_sequence(args.x)
     if args.mode == "unbounded":
-        row = parse_row(args.row)
+        row = summability.parse_row(args.row)
         result = constructions.escape_unbounded(stem, row, x, _bounded_rational(args.m0, "bounds"))
         payload = {
             "command": "escape",
@@ -238,8 +212,8 @@ def _cmd_escape(args) -> tuple[dict, int]:
             "detail": result.detail,
         }
     else:
-        matrix = parse_matrix(args.matrix)
-        ideal = parse_ideal(args.ideal)
+        matrix = summability.parse_matrix(args.matrix)
+        ideal = ideals.parse_ideal(args.ideal)
         result = constructions.escape_rowfinite(
             stem, matrix, x, ideal, _bounded_rational(args.m0, "bounds"), p0=args.block_floor
         )
@@ -263,8 +237,8 @@ def _cmd_escape(args) -> tuple[dict, int]:
 
 def _cmd_oscillate(args) -> tuple[dict, int]:
     stem = _parse_stem(args.stem)
-    x = parse_sequence(args.x)
-    matrix = parse_matrix(args.matrix)
+    x = summability.parse_sequence(args.x)
+    matrix = summability.parse_matrix(args.matrix)
     pair = constructions.oscillation_pair(
         stem, x, matrix, scan=args.scale, tol=_bounded_rational(args.tol, "tolerances")
     )
@@ -285,7 +259,7 @@ def _cmd_oscillate(args) -> tuple[dict, int]:
 
 
 def _cmd_adversary(args) -> tuple[dict, int]:
-    matrix = parse_matrix(args.matrix)
+    matrix = summability.parse_matrix(args.matrix)
     report = constructions.steinhaus_adversary(matrix, mode=args.mode, scale=args.scale)
     cert_dict = report.certificate.to_json_dict() if report.certificate else None
     payload = {
@@ -321,19 +295,19 @@ def _cmd_verify(args) -> tuple[dict, int]:
     with open(args.certificate, "r", encoding="ascii") as handle:
         data = json.load(handle)
     try:
-        cert = OscillationCertificate.from_json_dict(data)
-    except (KeyError, TypeError, ConstructionError) as exc:
+        cert = constructions.OscillationCertificate.from_json_dict(data)
+    except (KeyError, TypeError, constructions.ConstructionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-    matrix = parse_matrix(cert.matrix_spec)
-    x = parse_sequence(cert.x_spec)
+    matrix = summability.parse_matrix(cert.matrix_spec)
+    x = summability.parse_sequence(cert.x_spec)
     if not matrix.row_finite:
         # Certificates are only ever written for row-finite matrices; any
         # other row would need an unbounded certified-tail summation.
-        raise DomainRiskError(
+        raise summability.DomainRiskError(
             f"certificates are audited against row-finite matrices, not {cert.matrix_spec}"
         )
     limit = cert.scales[-1]
-    _row_budget(limit, "certificate scale")
+    summability._row_budget(limit, "certificate scale")
     ok = cert.audit_pairs(matrix._transform_pairs(x, limit))
     payload = {
         "command": "verify",
@@ -349,12 +323,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_game(args) -> tuple[dict, int]:
-    ideal = parse_ideal(args.ideal)
+    ideal = ideals.parse_ideal(args.ideal)
     strategy = games.parse_strategy(args.strategy)
     if args.moves == "nu2tower":
         moves = [games.nu2_tower_move(r) for r in range(1, args.rounds + 1)]
     else:
-        moves = [parse_set(text) for text in args.moves.split(";") if text.strip()]
+        moves = [setlang.parse_set(text) for text in args.moves.split(";") if text.strip()]
     transcript = games.play_game(
         ideal, moves, strategy, rounds=args.rounds, scale=args.scale
     )
@@ -377,9 +351,9 @@ def _cmd_game(args) -> tuple[dict, int]:
 
 
 def _cmd_demo(args) -> tuple[dict, int]:
-    matrix = parse_matrix(args.matrix)
-    x = parse_sequence(args.x)
-    ideal = parse_ideal(args.ideal)
+    matrix = summability.parse_matrix(args.matrix)
+    x = summability.parse_sequence(args.x)
+    ideal = ideals.parse_ideal(args.ideal)
     schedule = tuple(int(t) for t in args.schedule.split(","))
     demo = constructions.meagerness_demo(matrix, x, ideal, schedule)
     payload = {
@@ -502,22 +476,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSE_ERRORS = (
-    SetSyntaxError,
-    MatrixSpecError,
-    SequenceSpecError,
-    SelectorSpecError,
-    ValueError,
-)
-_BUDGET_ERRORS = (EnumerationCapError, TailToleranceError, StrategySearchError, AuditBudgetError)
-_PRECONDITION_ERRORS = (
-    PreconditionError,
-    IllegalMoveError,
-    DomainRiskError,
-    RestrictionError,
-    UnsupportedIdealError,
-    ImageUndecidableError,
-)
+# Exit code of an exception class, by name: the first class on the raised
+# type's MRO that is named here wins; anything else exits with FAIL.
+_EXIT_CODES = {
+    "EnumerationCapError": BUDGET_EXCEEDED,
+    "TailToleranceError": BUDGET_EXCEEDED,
+    "StrategySearchError": BUDGET_EXCEEDED,
+    "AuditBudgetError": BUDGET_EXCEEDED,
+    "PreconditionError": PRECONDITION_FAILED,
+    "IllegalMoveError": PRECONDITION_FAILED,
+    "DomainRiskError": PRECONDITION_FAILED,
+    "RestrictionError": PRECONDITION_FAILED,
+    "UnsupportedIdealError": PRECONDITION_FAILED,
+    "ImageUndecidableError": PRECONDITION_FAILED,
+    "ConstructionError": DIAGNOSTIC_ONLY,
+    "ValueError": PARSE_ERROR,
+}
+
+
+def _exit_code(exc_type: type) -> int:
+    names = (cls.__name__ for cls in exc_type.__mro__)
+    return next((_EXIT_CODES[name] for name in names if name in _EXIT_CODES), FAIL)
 
 
 def _render_output(payload: dict) -> str:
@@ -529,39 +508,33 @@ def _render_output(payload: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    payload: dict | None = None
+    started = time.time()
+    text: str | None = None
     error: str | None = None
     try:
         payload, code = args.handler(args)
-    except _BUDGET_ERRORS as exc:
-        error, code = f"{type(exc).__name__}: {exc}", BUDGET_EXCEEDED
-    except _PRECONDITION_ERRORS as exc:
-        error, code = f"{type(exc).__name__}: {exc}", PRECONDITION_FAILED
-    except ConstructionError as exc:
-        error, code = f"{type(exc).__name__}: {exc}", DIAGNOSTIC_ONLY
-    except _PARSE_ERRORS as exc:
-        error, code = f"{type(exc).__name__}: {exc}", PARSE_ERROR
-    except Exception as exc:  # anything else is an unexpected failure, still logged
-        error, code = f"{type(exc).__name__}: {exc}", FAIL
-    digest = None
-    if payload is not None:
+    except Exception as exc:  # each exit code is logged; anything unlisted is FAIL
+        error, code = f"{type(exc).__name__}: {exc}", _exit_code(type(exc))
+    if error is None:
         text = _render_output(payload)
         print(text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
     else:
         print(error, file=sys.stderr)
     if args.runlog:
+        # Imported here: they cost every start about 8 ms, and only the log reads them.
+        import hashlib
+        from datetime import datetime, timezone
+
         record = {
-            "ts": started,
+            "ts": datetime.fromtimestamp(started, timezone.utc).isoformat(),
             "argv": list(argv) if argv is not None else sys.argv[1:],
             "command": args.cmd,
             "version": __version__,
             "exit": code,
-            "digest": digest,
+            "digest": None if text is None else hashlib.sha256(text.encode("utf-8")).hexdigest(),
             "error": error,
         }
         with open(args.runlog, "a", encoding="utf-8") as handle:

@@ -22,6 +22,8 @@ from math import gcd, isqrt
 from operator import and_, or_, sub
 
 ENUMERATION_CAP = 10**7
+# Rationals larger than this many bits print in a bounded form.
+RENDER_BITS = 4096
 
 # Deepest DSL nesting the parser accepts.  The structural analyses recurse
 # once per level, so this stays well under Python's recursion limit.
@@ -870,6 +872,18 @@ def fraction_decimal(value: Fraction) -> str:
         return "-" + fraction_decimal(-value)
     whole, frac = divmod(value.numerator * 10**12 // value.denominator, 10**12)
     return f"{whole}.{frac:012d}"
+
+
+def _bounded_str(value: Fraction) -> str:
+    """``str(value)`` for short rationals; a truncated decimal plus the sizes
+    otherwise, since Python refuses to print ints over 4300 digits."""
+    p, q = value.numerator, value.denominator
+    if max(abs(p).bit_length(), q.bit_length()) <= RENDER_BITS:
+        return str(value)
+    size = f"{abs(p).bit_length()}-bit numerator over {q.bit_length()}-bit denominator"
+    if abs(p) // q >= 1 << RENDER_BITS:
+        return f"({size})"
+    return f"{fraction_decimal(value)}... ({size})"
 
 
 def density_csv(report: DensityReport) -> str:

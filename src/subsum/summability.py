@@ -44,8 +44,6 @@ DOMAIN_SCAN_COLUMNS = 4096
 DOMAIN_GROWTH_BOUND = 10**6
 # The widest tail width a domain check certifies.
 DOMAIN_WIDTH_CAP = 10**6
-# Rationals larger than this many bits print in a bounded form.
-RENDER_BITS = 4096
 # Consecutive head rows that the sampled r1 bound and the generic r3 probe read.
 HEAD_ROWS = 64
 
@@ -1106,18 +1104,6 @@ class DomainCheck:
     evidence: dict = field(default_factory=dict, compare=False)
 
 
-def _bounded_str(value: Fraction) -> str:
-    """``str(value)`` for short rationals; a truncated decimal plus the sizes
-    otherwise, since Python refuses to print ints over 4300 digits."""
-    p, q = value.numerator, value.denominator
-    if max(abs(p).bit_length(), q.bit_length()) <= RENDER_BITS:
-        return str(value)
-    size = f"{abs(p).bit_length()}-bit numerator over {q.bit_length()}-bit denominator"
-    if abs(p) // q >= 1 << RENDER_BITS:
-        return f"({size})"
-    return f"{setlang.fraction_decimal(value)}... ({size})"
-
-
 def domain_check(
     matrix: SummabilityMatrix,
     x: SequenceSpec,
@@ -1166,7 +1152,7 @@ def domain_check(
             else:
                 num += p * (den // q)
         if abs(num) > DOMAIN_GROWTH_BOUND * den:
-            partial = _bounded_str(Fraction(num, den))
+            partial = setlang._bounded_str(Fraction(num, den))
             return DomainCheck(
                 "diverging", n, None, None, {"kind": "growth", "column": k, "partial": partial}
             )
@@ -1179,7 +1165,7 @@ def domain_check(
         if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= tp * den:
             stable_seen = True
     evidence = {"budget": "DOMAIN_SCAN_COLUMNS", "columns_used": DOMAIN_SCAN_COLUMNS,
-                "last_partial": _bounded_str(Fraction(num, den))}
+                "last_partial": setlang._bounded_str(Fraction(num, den))}
     return DomainCheck("inconclusive", n, None, None, evidence)
 
 

@@ -7,16 +7,20 @@ codes are checked against the documented table (0 ok, 2 parse, 3 budget,
 
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import subsum
 from subsum import cli
 from subsum._version import __version__
 from subsum.setlang import MAX_NESTING
@@ -479,6 +483,7 @@ class TestPlumbing:
         assert record["version"] == __version__
         assert record["error"] is None
         assert "ts" in record and record["argv"][0] == "density"
+        assert datetime.fromisoformat(record["ts"]).utcoffset() == timedelta(0)
         expected = hashlib.sha256(out.rstrip("\n").encode("utf-8")).hexdigest()
         assert record["digest"] == expected
         # the printed document itself carries no timestamp
@@ -539,6 +544,101 @@ class TestPlumbing:
             cli.main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+# ------------------------------------------------------------ lazy layers
+
+LAYERS = ("setlang", "ideals", "summability", "sigma", "constructions", "games")
+
+# Run in a fresh interpreter: import subsum, run one command if argv names
+# one, then print the layers whose code has run (a layer not yet read is
+# still the LazyLoader's module subclass).
+LOADED_LAYERS = f"""
+import sys, types
+import subsum
+assert all(f"subsum.{{m}}" in sys.modules for m in {LAYERS!r})
+if sys.argv[1:]:
+    from subsum import cli
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(*(m for m in {LAYERS!r} if type(sys.modules[f"subsum.{{m}}"]) is types.ModuleType))
+"""
+
+
+class TestLazyLayers:
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], ""),
+        (["--version"], ""),
+        (["density", "ap:1,2", "--scale", "64"], "setlang"),
+        (["verdict", "builtin:squares", "--ideal", "z"], "setlang ideals"),
+        (["verdict", "wat:", "--ideal", "bd"], "setlang ideals"),
+        (["game", "--ideal", "finxfin", "--rounds", "2", "--strategy", "greedy_min"],
+         "setlang ideals games"),
+        (["transform", "--matrix", "cesaro", "--x", "alt", "--rows", "2"],
+         "setlang ideals summability"),
+    ], ids=lambda v: " ".join(v) or "import subsum" if isinstance(v, list) else v or "no layer")
+    def test_a_command_runs_only_the_layers_it_reads(self, tmp_path, argv, loaded):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", LOADED_LAYERS, *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == loaded
+
+    def test_every_public_name_is_its_layer_binding(self):
+        for name, layer in subsum._LAYER_OF.items():
+            assert getattr(subsum, name) is getattr(importlib.import_module(f"subsum.{layer}"), name)
+        assert set(LAYERS) | set(subsum._LAYER_OF) <= set(dir(subsum))
+        assert set(subsum.__all__) == set(LAYERS) | set(subsum._LAYER_OF)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            subsum.no_such_name
+
+
+# The exit code that main's except chain gave each package exception before
+# the exit codes became one table keyed by class name.
+PACKAGE_EXIT_CODES = {
+    "SetSyntaxError": 2, "MatrixSpecError": 2, "SequenceSpecError": 2, "SelectorSpecError": 2,
+    "EnumerationCapError": 3, "TailToleranceError": 3, "StrategySearchError": 3,
+    "AuditBudgetError": 3,
+    "ConstructionError": 5,
+    "PreconditionError": 7, "IllegalMoveError": 7, "DomainRiskError": 7, "RestrictionError": 7,
+    "UnsupportedIdealError": 7, "ImageUndecidableError": 7,
+}
+
+
+def package_exceptions() -> dict[str, type]:
+    found = {}
+    for layer in (*LAYERS, "cli"):
+        module = importlib.import_module(f"subsum.{layer}")
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[obj.__name__] = obj
+    return found
+
+
+class TestExitCodes:
+    def test_every_package_exception_keeps_its_exit_code(self):
+        found = package_exceptions()
+        # A new exception class needs its exit code written out above.
+        assert sorted(found) == sorted(PACKAGE_EXIT_CODES)
+        assert {name: cli._exit_code(cls) for name, cls in found.items()} == PACKAGE_EXIT_CODES
+
+    @pytest.mark.parametrize("exc_type, code", [
+        (ValueError, 2), (json.JSONDecodeError, 2), (UnicodeDecodeError, 2),
+        (KeyError, 1), (TypeError, 1), (OSError, 1), (RuntimeError, 1),
+        (ZeroDivisionError, 1), (RecursionError, 1),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_other_exceptions_keep_their_exit_codes(self, exc_type, code):
+        assert cli._exit_code(exc_type) == code
+
+    def test_a_subclass_takes_the_code_of_its_nearest_named_base(self):
+        class Derived(subsum.UnsupportedIdealError):
+            pass
+
+        assert cli._exit_code(Derived) == 7
 
 
 # ------------------------------------------------------------ error contract

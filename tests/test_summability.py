@@ -47,7 +47,8 @@ from subsum import (
     validate_matrix_ideal,
 )
 from subsum import summability
-from subsum.summability import DOMAIN_SCAN_COLUMNS, _bounded_str, domain_check
+from subsum.setlang import _bounded_str
+from subsum.summability import DOMAIN_SCAN_COLUMNS, domain_check
 
 F = Fraction
 FIN = IdealPresentation.fin()
