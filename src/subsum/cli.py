@@ -195,6 +195,8 @@ def _cmd_escape(args) -> tuple[dict, int]:
     stem = _parse_stem(args.stem)
     x = summability.parse_sequence(args.x)
     if args.mode == "unbounded":
+        if args.row is None:
+            raise ValueError("escape --mode unbounded needs --row")
         row = summability.parse_row(args.row)
         result = constructions.escape_unbounded(stem, row, x, _bounded_rational(args.m0, "bounds"))
         payload = {
@@ -212,6 +214,8 @@ def _cmd_escape(args) -> tuple[dict, int]:
             "detail": result.detail,
         }
     else:
+        if args.matrix is None:
+            raise ValueError("escape --mode rowfinite needs --matrix")
         matrix = summability.parse_matrix(args.matrix)
         ideal = ideals.parse_ideal(args.ideal)
         result = constructions.escape_rowfinite(
@@ -329,9 +333,7 @@ def _cmd_game(args) -> tuple[dict, int]:
         moves = [games.nu2_tower_move(r) for r in range(1, args.rounds + 1)]
     else:
         moves = [setlang.parse_set(text) for text in args.moves.split(";") if text.strip()]
-    transcript = games.play_game(
-        ideal, moves, strategy, rounds=args.rounds, scale=args.scale
-    )
+    transcript = games.play_game(ideal, moves, strategy, rounds=args.rounds)
     ruling = games.adjudicate(transcript, ideal)
     if args.transcript_out:
         with open(args.transcript_out, "w", encoding="ascii") as handle:
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("certificate", help="path to a certificate JSON file")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("game", parents=[scaled], help="play a filter game")
+    p = sub.add_parser("game", parents=[common], help="play a filter game")
     p.add_argument("--ideal", default="z")
     p.add_argument("--moves", default="nu2tower", help="semicolon-joined set DSL, or nu2tower")
     p.add_argument("--strategy", default="prefix_density")
@@ -513,14 +515,14 @@ def main(argv: list[str] | None = None) -> int:
     error: str | None = None
     try:
         payload, code = args.handler(args)
-    except Exception as exc:  # each exit code is logged; anything unlisted is FAIL
-        error, code = f"{type(exc).__name__}: {exc}", _exit_code(type(exc))
-    if error is None:
         text = _render_output(payload)
-        print(text)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
+    except Exception as exc:  # each exit code is logged; anything unlisted is FAIL
+        text, error, code = None, f"{type(exc).__name__}: {exc}", _exit_code(type(exc))
+    if error is None:
+        print(text)
     else:
         print(error, file=sys.stderr)
     if args.runlog:

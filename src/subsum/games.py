@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import setlang
-from .ideals import DEFAULT_SCALE, IN, IdealPresentation
+from .ideals import IN, IdealPresentation
 from .setlang import SetDescription, member, nu2, parse_set, render
 
 STRATEGY_SCAN_CAP = 10**6
@@ -201,9 +201,8 @@ def play_round(
     move: SetDescription,
     strategy: ReplyStrategy,
     round_index: int,
-    scale: int = DEFAULT_SCALE,
 ) -> GameRound:
-    verdict = ideal.dual_member(move, scale)
+    verdict = ideal.dual_member(move)
     if verdict.status != IN:
         raise IllegalMoveError(
             f"move {render(move)} not certified in the dual filter "
@@ -227,7 +226,6 @@ def play_game(
     moves: list[SetDescription],
     strategy: ReplyStrategy,
     rounds: int | None = None,
-    scale: int = DEFAULT_SCALE,
 ) -> GameTranscript:
     """Play ``rounds`` rounds, cycling through the move list if needed."""
     if not moves:
@@ -236,7 +234,7 @@ def play_game(
     played = []
     for r in range(1, total + 1):
         move = moves[(r - 1) % len(moves)]
-        played.append(play_round(ideal, move, strategy, r, scale))
+        played.append(play_round(ideal, move, strategy, r))
     return GameTranscript(ideal.name, strategy.name, tuple(played))
 
 

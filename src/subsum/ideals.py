@@ -39,6 +39,7 @@ from .setlang import (
     _merged,
     _pushed,
     _scan,
+    _whole_blocks,
     _window_maxima,
     default_checkpoints,
     next_member,
@@ -96,8 +97,8 @@ def _density_evidence(s: SetDescription, scale: int) -> dict:
 # ---------------------------------------------------------------- verdicts
 
 
-def _fin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
-    fin = _finiteness(s, memo)[0]
+def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
+    fin = _finiteness(s)[0]
     if fin is Tri.YES:
         return _in("structurally finite")
     if fin is Tri.NO:
@@ -105,35 +106,17 @@ def _fin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
     return None
 
 
-def _z_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
-    if _finiteness(s, memo)[0] is Tri.YES:
+def _z_closed_form(s: SetDescription) -> MembershipVerdict | None:
+    if _finiteness(s)[0] is Tri.YES:
         return _in("finite sets have density 0")
-    d = _density(s, memo)
+    d = _density(s)
     if d == 0:
         return _in("exact density 0")
     if d is not None:
         return _not_in(f"exact density {d} > 0")
-    if _z_positive_limsup(s, memo):
+    if _whole_blocks(s):
         return _not_in("contains infinitely many full dyadic blocks")
     return None
-
-
-def _z_positive_limsup(s: SetDescription, memo: dict) -> bool:
-    """Certified positive upper density via dyadic-block structure.
-
-    A set containing infinitely many whole blocks [2**q, 2**(q+1)) has
-    prefix density > 1/2 at the right edge of each, hence limsup >= 1/2.
-    Kept in the memo, whose facts of s hold s, so a deep union asks once.
-    """
-    key = ("limsup", id(s))
-    if key not in memo:
-        if isinstance(s, DyadicBlocks):
-            memo[key] = _finiteness(s.selector, memo)[0] is Tri.NO
-        elif isinstance(s, Union):
-            memo[key] = _z_positive_limsup(s.left, memo) or _z_positive_limsup(s.right, memo)
-        else:
-            memo[key] = isinstance(s, Shift) and s.offset == 0 and _z_positive_limsup(s.inner, memo)
-    return memo[key]
 
 
 def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
@@ -146,8 +129,8 @@ def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
     return {"max_window_density": [(w, str(d)) for w, d in zip(lengths, maxima)]}
 
 
-def _bd_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
-    b = _banach(s, memo)
+def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
+    b = _banach(s)
     if b == 0:
         return _in("exact Banach density 0")
     if b is not None:
@@ -165,10 +148,10 @@ def nu2_column_audit(s: SetDescription, scale: int) -> dict:
     return {"column_counts": counts, "scale": scale}
 
 
-def _finxfin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | None:
+def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
     if isinstance(s, Intersection) and (merged := _merged(s.left, s.right)) is not None:
         s = merged
-    fin, cofin = _finiteness(s, memo)
+    fin, cofin = _finiteness(s)
     if fin is Tri.YES:
         return _in("finite set")
     if cofin is Tri.YES:
@@ -185,11 +168,11 @@ def _finxfin_closed_form(s: SetDescription, memo: dict) -> MembershipVerdict | N
     if isinstance(s, Nu2Ge):
         return _not_in(f"every nu2 fiber from {s.threshold} on is full")
     if isinstance(s, DyadicBlocks):
-        if _finiteness(s.selector, memo)[0] is Tri.NO:
+        if _finiteness(s.selector)[0] is Tri.NO:
             return _not_in("infinitely many whole dyadic blocks meet every nu2 fiber")
     if isinstance(s, Complement) and isinstance(s.inner, Nu2Ge):
         return _in(f"nu2 fibers from {s.inner.threshold} on are empty")
-    form = _form(s, memo)
+    form = _form(s)
     if form is None:
         return None
     # With p = 2**a * m, m odd, a residue r = 0 mod 2**a meets every fiber
@@ -228,97 +211,6 @@ def _bd_small(flags: list[int], n: int) -> bool:
     late = n // 2
     worst = max(map(sub, prefix[late + window:n + 1], prefix[late:n - window + 1]), default=0)
     return 8 * worst <= window
-
-
-# ---------------------------------------------------------------- kinds
-
-
-@dataclass(frozen=True)
-class IdealKind:
-    """What one kind of ideal states about itself.
-
-    ``closed_form(s, memo)`` decides a set from its structure alone, reading
-    its facts through the memo of one decide call, or returns None to leave
-    the set to the ladder's rules; an undecided verdict from it ends the
-    ladder.
-    ``reasons`` word the rules every ideal obeys: a union of two members is
-    a member, a superset of a non-member is not, a subset of a member is.
-    ``shift_reason`` prefixes a shift's inner verdict when membership is
-    shift invariant.  ``partition`` names the Talagrand interval partition
-    and ``small_at_scale`` is the smallness rule of limit search.
-    """
-
-    closed_form: Callable[[SetDescription, dict], MembershipVerdict | None]
-    undecided_reason: str
-    evidence: Callable[[SetDescription, int], dict]
-    reasons: tuple[str, str, str]
-    shift_reason: str | None = None
-    partition: str | None = None
-    small_at_scale: Callable[[list[int], int], bool] | None = None
-
-
-# The ideal rules in words, for kinds with no more specific wording.
-MEMBER_REASONS = (
-    "union of two certified members", "contains a certified non-member subset",
-    "subset of a certified member",
-)
-
-IDEAL_KINDS = {
-    # is_finite already composes through unions, intersections and shifts,
-    # so fin's closed form answers every set that its rules could.
-    "fin": IdealKind(
-        _fin_closed_form, "finiteness not structurally decidable", _density_evidence,
-        ("union of two finite sets", "contains an infinite subset", "subset of a finite set"),
-        "finiteness is shift invariant; ", "singletons", _fin_small,
-    ),
-    "z": IdealKind(
-        _z_closed_form, "no closed-form density argument", _density_evidence,
-        ("union of two certified density-0 sets", "contains a certified positive-density subset",
-         "subset of a certified density-0 set"),
-        "density is shift invariant; ", "dyadic", _z_small,
-    ),
-    "bd": IdealKind(
-        _bd_closed_form, "no closed-form Banach argument", _bd_window_evidence,
-        ("union of two certified Banach-null sets",
-         "contains a certified positive-Banach-density subset",
-         "subset of a certified Banach-null set"),
-        "Banach density is shift invariant; ", "dyadic", _bd_small,
-    ),
-    "finxfin": IdealKind(
-        _finxfin_closed_form, "no closed-form nu2 fiber argument",
-        lambda s, scale: nu2_column_audit(s, min(scale, 10**5)), MEMBER_REASONS,
-    ),
-}
-
-
-def _decide(kind: IdealKind, s: SetDescription, memo: dict) -> MembershipVerdict:
-    """The verdict ladder of every ideal kind, computing no evidence: double
-    complements cancel, then the kind's closed form, its union and subset
-    rules, shifts for shift-invariant kinds, and complements and other shifts
-    pushed one level toward the atoms, each applied to the parts by the same
-    ladder.  ``memo`` holds the facts of one call."""
-    if isinstance(s, Complement) and isinstance(s.inner, Complement):
-        return _decide(kind, s.inner.inner, memo)
-    verdict = kind.closed_form(s, memo)
-    if verdict is not None:
-        return verdict
-    if isinstance(s, Union):
-        left = _decide(kind, s.left, memo).status
-        right = NOT_IN if left == NOT_IN else _decide(kind, s.right, memo).status
-        if NOT_IN in (left, right):
-            return _not_in(kind.reasons[1])
-        if left == right == IN:
-            return _in(kind.reasons[0])
-    elif isinstance(s, Intersection):
-        if any(_decide(kind, side, memo).status == IN for side in (s.left, s.right)):
-            return _in(kind.reasons[2])
-    elif isinstance(s, Shift) and kind.shift_reason is not None:
-        inner = _decide(kind, s.inner, memo)
-        if inner.decided:
-            return MembershipVerdict(inner.status, kind.shift_reason + inner.reason)
-    elif (pushed := _pushed(s)) is not None:
-        return _decide(kind, pushed, memo)
-    return MembershipVerdict(UNDECIDED, kind.undecided_reason)
 
 
 # ---------------------------------------------------------------- partitions
@@ -385,50 +277,53 @@ class RestrictedPartition:
 # ---------------------------------------------------------------- presentation
 
 
+@dataclass(frozen=True, eq=False)
 class IdealPresentation:
-    """A named ideal on N with certified verdicts and partition machinery."""
+    """A named ideal on N: one row stating what the ideal knows of itself.
 
-    def __init__(self, kind: str, matrix=None):
-        if kind == "matrix":
-            if matrix is None:
-                raise UnsupportedIdealError("matrix ideals need a matrix")
-            from .summability import matrix_ideal_kind
+    ``closed_form(s)`` decides a set from its structure alone, or returns
+    None to leave the set to the ladder's rules; an undecided verdict from
+    it ends the ladder.
+    ``reasons`` word the rules every ideal obeys: a union of two members is
+    a member, a superset of a non-member is not, a subset of a member is.
+    ``shift_reason`` prefixes a shift's inner verdict when membership is
+    shift invariant.  ``partition`` names the Talagrand interval partition
+    and ``limit_rule`` is the finite-scale smallness rule of limit search.
+    """
 
-            self.rules = matrix_ideal_kind(matrix)
-        elif kind in IDEAL_KINDS:
-            self.rules = IDEAL_KINDS[kind]
-        else:
-            raise UnsupportedIdealError(f"unknown ideal kind {kind!r}")
-        self.kind = kind
-        self.matrix = matrix
+    kind: str
+    name: str
+    closed_form: Callable[[SetDescription], MembershipVerdict | None]
+    undecided_reason: str
+    evidence: Callable[[SetDescription, int], dict]
+    reasons: tuple[str, str, str]
+    shift_reason: str | None = None
+    partition: str | None = None
+    limit_rule: Callable[[list[int], int], bool] | None = None
 
     # -- constructors
 
-    @classmethod
-    def fin(cls) -> "IdealPresentation":
-        return cls("fin")
+    @staticmethod
+    def fin() -> IdealPresentation:
+        return IDEALS["fin"]
 
-    @classmethod
-    def z(cls) -> "IdealPresentation":
-        return cls("z")
+    @staticmethod
+    def z() -> IdealPresentation:
+        return IDEALS["z"]
 
-    @classmethod
-    def bd(cls) -> "IdealPresentation":
-        return cls("bd")
+    @staticmethod
+    def bd() -> IdealPresentation:
+        return IDEALS["bd"]
 
-    @classmethod
-    def finxfin(cls) -> "IdealPresentation":
-        return cls("finxfin")
+    @staticmethod
+    def finxfin() -> IdealPresentation:
+        return IDEALS["finxfin"]
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "IdealPresentation":
-        return cls("matrix", matrix)
+    @staticmethod
+    def from_matrix(matrix) -> IdealPresentation:
+        from .summability import matrix_ideal_kind
 
-    @property
-    def name(self) -> str:
-        if self.kind == "matrix":
-            return f"matrix:{self.matrix.spec_string()}"
-        return self.kind
+        return matrix_ideal_kind(matrix)
 
     def __repr__(self) -> str:
         return f"IdealPresentation({self.name})"
@@ -437,42 +332,103 @@ class IdealPresentation:
 
     def decide(self, s: SetDescription) -> MembershipVerdict:
         """The verdict without evidence: an undecided one has no scale."""
-        return _decide(self.rules, s, {})
+        return _decide(self, s)
 
     def verdict(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         """The decision, with evidence at ``scale`` when it is undecided."""
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        verdict = _decide(self.rules, s, {})
+        verdict = _decide(self, s)
         if verdict.decided:
             return verdict
-        return _undecided(verdict.reason, scale, self.rules.evidence(s, scale))
+        return _undecided(verdict.reason, scale, self.evidence(s, scale))
 
-    @property
-    def limit_rule(self) -> Callable[[list[int], int], bool] | None:
-        """The finite-scale smallness rule of limit search, if any."""
-        return self.rules.small_at_scale
-
-    def dual_member(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
-        """Verdict for membership of S in the dual filter (complement in ideal)."""
-        return self.verdict(Complement(s), scale)
+    def dual_member(self, s: SetDescription) -> MembershipVerdict:
+        """Verdict for membership of S in the dual filter (complement in
+        ideal), without evidence."""
+        return self.decide(Complement(s))
 
     # -- partitions and restriction
 
     def talagrand_partition(self) -> IntervalPartition:
-        if self.rules.partition is None:
+        if self.partition is None:
             raise UnsupportedIdealError(
                 f"no interval-partition witness implemented for ideal {self.name}"
             )
-        return IntervalPartition(self.rules.partition)
+        return IntervalPartition(self.partition)
 
-    def restrict(self, domain: SetDescription, scale: int = DEFAULT_SCALE) -> "RestrictedIdeal":
-        v = self.verdict(Complement(domain), scale)
+    def restrict(self, domain: SetDescription) -> "RestrictedIdeal":
+        v = self.decide(Complement(domain))
         if v.status != IN:
             raise RestrictionError(
                 f"complement of domain not certified in {self.name}: {v.reason}"
             )
         return RestrictedIdeal(self, domain)
+
+
+# The ideal rules in words, for kinds with no more specific wording.
+MEMBER_REASONS = (
+    "union of two certified members", "contains a certified non-member subset",
+    "subset of a certified member",
+)
+
+IDEALS = {
+    # is_finite already composes through unions, intersections and shifts,
+    # so fin's closed form answers every set that its rules could.
+    "fin": IdealPresentation(
+        "fin", "fin", _fin_closed_form, "finiteness not structurally decidable",
+        _density_evidence,
+        ("union of two finite sets", "contains an infinite subset", "subset of a finite set"),
+        "finiteness is shift invariant; ", "singletons", _fin_small,
+    ),
+    "z": IdealPresentation(
+        "z", "z", _z_closed_form, "no closed-form density argument", _density_evidence,
+        ("union of two certified density-0 sets", "contains a certified positive-density subset",
+         "subset of a certified density-0 set"),
+        "density is shift invariant; ", "dyadic", _z_small,
+    ),
+    "bd": IdealPresentation(
+        "bd", "bd", _bd_closed_form, "no closed-form Banach argument", _bd_window_evidence,
+        ("union of two certified Banach-null sets",
+         "contains a certified positive-Banach-density subset",
+         "subset of a certified Banach-null set"),
+        "Banach density is shift invariant; ", "dyadic", _bd_small,
+    ),
+    "finxfin": IdealPresentation(
+        "finxfin", "finxfin", _finxfin_closed_form, "no closed-form nu2 fiber argument",
+        lambda s, scale: nu2_column_audit(s, min(scale, 10**5)), MEMBER_REASONS,
+    ),
+}
+
+
+def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
+    """The verdict ladder of every ideal, computing no evidence: double
+    complements cancel, then the ideal's closed form, its union and subset
+    rules, shifts for shift-invariant ideals, and complements and other
+    shifts pushed one level toward the atoms, each applied to the parts by
+    the same ladder.  The facts it reads are kept on each node."""
+    if isinstance(s, Complement) and isinstance(s.inner, Complement):
+        return _decide(ideal, s.inner.inner)
+    verdict = ideal.closed_form(s)
+    if verdict is not None:
+        return verdict
+    if isinstance(s, Union):
+        left = _decide(ideal, s.left).status
+        right = NOT_IN if left == NOT_IN else _decide(ideal, s.right).status
+        if NOT_IN in (left, right):
+            return _not_in(ideal.reasons[1])
+        if left == right == IN:
+            return _in(ideal.reasons[0])
+    elif isinstance(s, Intersection):
+        if any(_decide(ideal, side).status == IN for side in (s.left, s.right)):
+            return _in(ideal.reasons[2])
+    elif isinstance(s, Shift) and ideal.shift_reason is not None:
+        inner = _decide(ideal, s.inner)
+        if inner.decided:
+            return MembershipVerdict(inner.status, ideal.shift_reason + inner.reason)
+    elif (pushed := _pushed(s)) is not None:
+        return _decide(ideal, pushed)
+    return MembershipVerdict(UNDECIDED, ideal.undecided_reason)
 
 
 class RestrictedIdeal:
@@ -497,8 +453,8 @@ class RestrictedIdeal:
 def parse_ideal(spec: str) -> IdealPresentation:
     """Resolve an ideal name: fin | z | bd | finxfin | matrix:<matrix-spec>."""
     spec = spec.strip()
-    if spec in IDEAL_KINDS:
-        return IdealPresentation(spec)
+    if spec in IDEALS:
+        return IDEALS[spec]
     if spec.startswith("matrix:"):
         from .summability import parse_matrix
 

@@ -77,24 +77,33 @@ class SetDescription:
     """A subset of N given by its structure.
 
     Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
-    flags of ``_scan`` for 1 <= lo <= hi), ``form(memo)`` (its eventually
+    flags of ``_scan`` for 1 <= lo <= hi), ``form()`` (its eventually
     periodic form, see ``_form``) and ``render()``.  Kinds that can lack a
-    form also define ``finiteness(memo)`` (is S finite, is its complement
+    form also define ``finiteness()`` (is S finite, is its complement
     finite), and the defaults below mean "no structural shortcut": no
-    closed-form count, no certified density, and member searches scan.
+    closed-form count, no certified density, no whole dyadic blocks, and
+    member searches scan.  The module helpers ``_form``, ``_finiteness``,
+    ``_density``, ``_banach`` and ``_whole_blocks`` ask each rule once per
+    node (see ``_facts``).
     """
 
     def count(self, limit: int) -> int | None:
         """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
         return None
 
-    def density(self, memo: dict) -> Fraction | None:
+    def density(self) -> Fraction | None:
         """Certified asymptotic density of a node without a form, or None."""
         return None
 
-    def banach(self, memo: dict) -> Fraction | None:
+    def banach(self) -> Fraction | None:
         """Certified Banach (uniform upper) density of a node without a form, or None."""
         return None
+
+    def whole_blocks(self) -> bool:
+        """Certified to contain infinitely many whole dyadic blocks
+        [2**q, 2**(q+1)), so its prefix density passes 1/2 at the right edge
+        of each: a positive upper density where no density is known."""
+        return False
 
     def first_member(self, cap: int) -> int | None:
         return self.next_member(0, cap)
@@ -140,7 +149,7 @@ class Finite(SetDescription):
         i = bisect_right(self.members, after)
         return self.members[i] if i < len(self.members) else None
 
-    def form(self, memo):
+    def form(self):
         return _FINITE
 
     def render(self):
@@ -167,17 +176,17 @@ class _Progression(SetDescription):
     def next_member(self, after, cap):
         return self.first + max(0, (after - self.first) // self.step + 1) * self.step
 
-    def form(self, memo):
+    def form(self):
         step = self.step
         if step == 1:
             return _COFINITE
         return (step, 1 << self.first % step, _NO_ATOMS, False) if step <= PERIOD_CAP else None
 
     # Progressions with steps above PERIOD_CAP have no form.
-    def finiteness(self, memo):
+    def finiteness(self):
         return Tri.NO, Tri.NO
 
-    def density(self, memo):
+    def density(self):
         return Fraction(1, self.step)
 
     banach = density
@@ -228,7 +237,7 @@ class _Sparse(SetDescription):
     def first_member(self, cap):
         return 1
 
-    def form(self, memo):
+    def form(self):
         return _SPARSE_FORMS[type(self)]
 
 
@@ -293,18 +302,21 @@ class DyadicBlocks(SetDescription):
         q = self.selector.first_member(cap)
         return None if q is None or q >= cap.bit_length() else 1 << q
 
-    def form(self, memo):
-        fin, cofin = self.finiteness(memo)
+    def form(self):
+        fin, cofin = self.finiteness()
         return _FINITE if fin is Tri.YES else _COFINITE if cofin is Tri.YES else None
 
-    def finiteness(self, memo):
+    def finiteness(self):
         # Every block with index q >= 1 is nonempty, and the complement is
         # {1} plus the unselected blocks.
-        return _finiteness(self.selector, memo)
+        return _finiteness(self.selector)
 
-    def banach(self, memo):
+    def banach(self):
         # An infinite selector gives arbitrarily long intervals.
-        return ONE if self.finiteness(memo)[0] is Tri.NO else None
+        return ONE if self.whole_blocks() else None
+
+    def whole_blocks(self):
+        return self.finiteness()[0] is Tri.NO
 
     def render(self):
         return f"builtin:dyadic_blocks({self.selector.render()})"
@@ -324,24 +336,24 @@ class Complement(SetDescription):
         inner = self.inner.count(limit)
         return None if inner is None else limit - inner
 
-    def form(self, memo):
-        f = _form(self.inner, memo)
+    def form(self):
+        f = _form(self.inner)
         return f and (f[0], f[1] ^ (1 << f[0]) - 1, f[2], f[3])
 
-    def finiteness(self, memo):
-        fin, cofin = _finiteness(self.inner, memo)
+    def finiteness(self):
+        fin, cofin = _finiteness(self.inner)
         return cofin, fin
 
-    def density(self, memo):
-        d = _density(self.inner, memo)
+    def density(self):
+        d = _density(self.inner)
         return None if d is None else ONE - d
 
-    def banach(self, memo):
+    def banach(self):
         # A Banach-null inner set leaves every long enough window of the
         # complement nearly full.
         if isinstance(self.inner, Complement):
-            return _banach(self.inner.inner, memo)
-        return ONE if _banach(self.inner, memo) == ZERO else None
+            return _banach(self.inner.inner)
+        return ONE if _banach(self.inner) == ZERO else None
 
     def render(self):
         return "complement:" + self.inner.render()
@@ -413,18 +425,18 @@ class Union(SetDescription):
             return None if least is None or least > cap else least
         return min(a, b)
 
-    def form(self, memo):
-        return _join(_form(self.left, memo), _form(self.right, memo), True)
+    def form(self):
+        return _join(_form(self.left), _form(self.right), True)
 
-    def finiteness(self, memo):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left, memo), _finiteness(self.right, memo)
+    def finiteness(self):
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left), _finiteness(self.right)
         fin = _both(fin_a, fin_b)
         if Tri.YES in (cofin_a, cofin_b):
             return fin, Tri.YES
         return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
 
-    def density(self, memo):
-        a, b = _density(self.left, memo), _density(self.right, memo)
+    def density(self):
+        a, b = _density(self.left), _density(self.right)
         if a is None or b is None:
             return None
         if a == ZERO or b == ZERO:
@@ -433,15 +445,18 @@ class Union(SetDescription):
             return ONE
         # Two progressions merge by CRT at any step, also above PERIOD_CAP.
         merged = _merged(self.left, self.right)
-        return None if merged is None else a + b - _density(merged, memo)
+        return None if merged is None else a + b - _density(merged)
 
-    def banach(self, memo):
-        a, b = _banach(self.left, memo), _banach(self.right, memo)
+    def banach(self):
+        a, b = _banach(self.left), _banach(self.right)
         if a == ZERO:
             return b
         if b == ZERO:
             return a
         return ONE if ONE in (a, b) else None
+
+    def whole_blocks(self):
+        return _whole_blocks(self.left) or _whole_blocks(self.right)
 
     def render(self):
         return f"union:{self.left.render()}|{self.right.render()}"
@@ -461,19 +476,19 @@ class Intersection(SetDescription):
     def count(self, limit):
         return _count_both(self.left, self.right, limit)
 
-    def form(self, memo):
-        return _join(_form(self.left, memo), _form(self.right, memo), False)
+    def form(self):
+        return _join(_form(self.left), _form(self.right), False)
 
-    def finiteness(self, memo):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left, memo), _finiteness(self.right, memo)
+    def finiteness(self):
+        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left), _finiteness(self.right)
         cofin = _both(cofin_a, cofin_b)
         if Tri.YES in (fin_a, fin_b):
             return Tri.YES, cofin
         merged = _merged(self.left, self.right)
-        return Tri.UNKNOWN if merged is None else _finiteness(merged, memo)[0], cofin
+        return Tri.UNKNOWN if merged is None else _finiteness(merged)[0], cofin
 
-    def density(self, memo):
-        a, b = _density(self.left, memo), _density(self.right, memo)
+    def density(self):
+        a, b = _density(self.left), _density(self.right)
         if ZERO in (a, b):
             return ZERO
         if a == ONE:
@@ -481,18 +496,18 @@ class Intersection(SetDescription):
         if b == ONE:
             return a
         merged = _merged(self.left, self.right)
-        return None if merged is None else _density(merged, memo)
+        return None if merged is None else _density(merged)
 
-    def banach(self, memo):
+    def banach(self):
         merged = _merged(self.left, self.right)
         if merged is not None:
-            return _banach(merged, memo)
-        a, b = _banach(self.left, memo), _banach(self.right, memo)
+            return _banach(merged)
+        a, b = _banach(self.left), _banach(self.right)
         if ZERO in (a, b):
             return ZERO
-        if _finiteness(self.left, memo)[1] is Tri.YES:
+        if _finiteness(self.left)[1] is Tri.YES:
             return b
-        if _finiteness(self.right, memo)[1] is Tri.YES:
+        if _finiteness(self.right)[1] is Tri.YES:
             return a
         return None
 
@@ -539,9 +554,9 @@ class Shift(SetDescription):
             base = self.inner.next_member(-self.offset, cap)
         return None if base is None else base + self.offset
 
-    def form(self, memo):
+    def form(self):
         # A shift changes S only finitely beyond moving it, for either sign.
-        f = _form(self.inner, memo)
+        f = _form(self.inner)
         if f is None:
             return None
         p, mask, atoms, rest = f
@@ -552,14 +567,17 @@ class Shift(SetDescription):
         return p, mask, atoms, rest
 
     # A shift moves every member and drops at most finitely many below 1.
-    def finiteness(self, memo):
-        return _finiteness(self.inner, memo)
+    def finiteness(self):
+        return _finiteness(self.inner)
 
-    def density(self, memo):
-        return _density(self.inner, memo)
+    def density(self):
+        return _density(self.inner)
 
-    def banach(self, memo):
-        return _banach(self.inner, memo)
+    def banach(self):
+        return _banach(self.inner)
+
+    def whole_blocks(self):
+        return self.offset == 0 and _whole_blocks(self.inner)
 
     def render(self):
         return f"shift:{self.inner.render()},{self.offset}"
@@ -588,55 +606,63 @@ _NEITHER = (Tri.NO, Tri.NO)
 _UNSET = object()
 
 
-def _facts(s: SetDescription, memo: dict) -> list:
-    """[s, form, (finite?, cofinite?), density, Banach density] of s,
-    built once per memo.  A node with a form reads its facts off the form;
-    one without asks its own rules, for its densities on first use.
-    Holding s keeps its id from being reused while it is a key."""
-    facts = memo.get(id(s))
+def _facts(s: SetDescription) -> list:
+    """[form, (finite?, cofinite?), density, Banach density, whole blocks?]
+    of s, kept on the node: nodes are frozen, so their facts never change.
+    A node with a form reads its facts off the form; one without asks its
+    own rules, for the last three on first use."""
+    facts = s.__dict__.get("_facts")
     if facts is None:
-        form = s.form(memo)
-        fin = s.finiteness(memo) if form is None else None
-        facts = memo[id(s)] = [s, form, fin, _UNSET, _UNSET]
+        form = s.form()
+        fin = s.finiteness() if form is None else None
+        facts = s.__dict__["_facts"] = [form, fin, _UNSET, _UNSET, _UNSET]
     return facts
 
 
-def _form(s: SetDescription, memo: dict) -> tuple | None:
+def _form(s: SetDescription) -> tuple | None:
     """The eventually periodic form of s, or None."""
-    return _facts(s, memo)[1]
+    return _facts(s)[0]
 
 
-def _finiteness(s: SetDescription, memo: dict) -> tuple[Tri, Tri]:
+def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
     """(is S finite?, is its complement finite?), three-valued."""
-    facts = _facts(s, memo)
-    form = facts[1]
+    facts = _facts(s)
+    form = facts[0]
     if form is None:
-        return facts[2]
+        return facts[1]
     if form[0] > 1:
         return _NEITHER
     known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
     return (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
 
 
-def _density(s: SetDescription, memo: dict, banach: bool = False) -> Fraction | None:
+def _density(s: SetDescription, banach: bool = False) -> Fraction | None:
     """Exact density (or Banach density), or None."""
-    facts = _facts(s, memo)
-    form = facts[1]
+    facts = _facts(s)
+    form = facts[0]
     if form is not None:
         return Fraction(form[1].bit_count(), form[0]) if form[0] > 1 else ONE if form[1] else ZERO
-    i = 4 if banach else 3
+    i = 3 if banach else 2
     if facts[i] is _UNSET:
-        d = s.banach(memo) if banach else s.density(memo)
+        d = s.banach() if banach else s.density()
         if d is None:
             # A finite or cofinite set needs no rule of its own.
-            fin, cofin = _finiteness(s, memo)
+            fin, cofin = _finiteness(s)
             d = ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
         facts[i] = d
     return facts[i]
 
 
-def _banach(s: SetDescription, memo: dict) -> Fraction | None:
-    return _density(s, memo, True)
+def _banach(s: SetDescription) -> Fraction | None:
+    return _density(s, True)
+
+
+def _whole_blocks(s: SetDescription) -> bool:
+    """Does S certifiably contain infinitely many whole dyadic blocks?"""
+    facts = _facts(s)
+    if facts[4] is _UNSET:
+        facts[4] = s.whole_blocks()
+    return facts[4]
 
 
 def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
@@ -770,7 +796,7 @@ def iter_members(s: SetDescription, limit: int):
 
 def is_finite(s: SetDescription) -> Tri:
     """Is S finite?  Sound three-valued structural analysis."""
-    return _finiteness(s, {})[0]
+    return _finiteness(s)[0]
 
 
 def exact_density(s: SetDescription) -> Fraction | None:
@@ -779,7 +805,7 @@ def exact_density(s: SetDescription) -> Fraction | None:
     Every returned value is a certified fact about S, not an estimate: the
     limit of |S ∩ [1, n]| / n exists and equals the returned fraction.
     """
-    return _density(s, {})
+    return _density(s)
 
 
 # ---------------------------------------------------------------- densities

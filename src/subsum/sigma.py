@@ -2,7 +2,8 @@
 functionals.
 
 A selector is a finite stem plus a tail rule (consecutive continuation, a
-named rule, or nothing — a partial selector usable as a ball center).  The
+named rule, or nothing — a partial selector, whose values stop at the
+end of its stem).  The
 distance between two total selectors weighs the symmetric difference of
 their images by 2^-i; computing it through column K yields a certified
 interval of width 2^-K.

@@ -21,7 +21,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from . import setlang
-from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, IdealKind, _decide
+from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, _decide
 from .ideals import IdealPresentation, MembershipVerdict, UnsupportedIdealError
 from .setlang import (
     AP,
@@ -442,6 +442,13 @@ class SummabilityMatrix:
     def spec_string(self) -> str:
         raise NotImplementedError
 
+    # Spec strings parse back to the matrix they print, so they identify it.
+    def __eq__(self, other):
+        return isinstance(other, SummabilityMatrix) and self.spec_string() == other.spec_string()
+
+    def __hash__(self):
+        return hash(self.spec_string())
+
     # -- transform kernel (row-finite matrices)
 
     def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
@@ -583,11 +590,6 @@ class CesaroMatrix(_StochasticTriangle):
     def spec_string(self) -> str:
         return "cesaro"
 
-    def __eq__(self, other):
-        return isinstance(other, CesaroMatrix)
-
-    def __hash__(self):
-        return hash("cesaro")
 
 
 class IdentityMatrix(_StochasticTriangle):
@@ -624,11 +626,6 @@ class IdentityMatrix(_StochasticTriangle):
     def spec_string(self) -> str:
         return "identity"
 
-    def __eq__(self, other):
-        return isinstance(other, IdentityMatrix)
-
-    def __hash__(self):
-        return hash("identity")
 
 
 class RowDropMatrix(SummabilityMatrix):
@@ -706,15 +703,6 @@ class RowDropMatrix(SummabilityMatrix):
     def spec_string(self) -> str:
         return f"rowdrop:{self.base.spec_string()}:{render(self.drop)}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RowDropMatrix)
-            and self.base == other.base
-            and self.drop == other.drop
-        )
-
-    def __hash__(self):
-        return hash(("rowdrop", self.base, self.drop))
 
 
 class ExplicitMatrix(SummabilityMatrix):
@@ -773,11 +761,6 @@ class ExplicitMatrix(SummabilityMatrix):
         body = ";".join(",".join(str(v) for v in row) for row in self.rows)
         return f"explicit:{body}"
 
-    def __eq__(self, other):
-        return isinstance(other, ExplicitMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("explicit", self.rows))
 
 
 class GeneratorMatrix(SummabilityMatrix):
@@ -873,11 +856,6 @@ class GeneratorMatrix(SummabilityMatrix):
     def spec_string(self) -> str:
         return f"gen:{self.name}"
 
-    def __eq__(self, other):
-        return isinstance(other, GeneratorMatrix) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("gen", self.name))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -1260,9 +1238,10 @@ def regularity_verdict(
 # ---------------------------------------------------------------- matrix ideals
 
 
-def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
-    """Matrix-generated ideals need nonnegative entries and a certified
-    regularity verdict; reject anything weaker at construction time."""
+def validate_matrix_ideal(matrix: SummabilityMatrix) -> IdealPresentation:
+    """Matrix-generated ideals need nonnegative entries, a certified
+    regularity verdict and a null ideal that the matrix kind decides; reject
+    anything weaker at construction time.  Returns that null ideal."""
     if not matrix.nonneg:
         raise UnsupportedIdealError("matrix ideals require nonnegative entries")
     verdict = regularity_verdict(matrix, IdealPresentation.fin(), n_rows=256, k_cols=4)
@@ -1270,34 +1249,35 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> None:
         raise UnsupportedIdealError(
             f"matrix ideals require a certified regular matrix, got {verdict.overall}"
         )
+    reduced = matrix.null_ideal()
+    if reduced is None:
+        raise UnsupportedIdealError(
+            f"matrix ideals require a decided null ideal, {matrix.spec_string()} states none"
+        )
+    return reduced
 
 
-def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealKind:
-    """The rules of the ideal {S : transform of 1_S tends to 0} of a
-    validated matrix.  Where the matrix kind alone decides that ideal, its
-    decision is the closed form; the transform probe is the evidence.
+def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
+    """The ideal {S : transform of 1_S tends to 0} of a validated matrix.
+    The matrix kind decides that ideal (its null ideal), so the null
+    ideal's decision is the closed form; the transform probe is the
+    evidence.
 
     The closed form is complete, so its undecided answer ends the ladder:
-    finiteness and cofiniteness compose through every set operation, and
     the null ideal's own ladder has applied the rules every ideal obeys.
     Rerunning them here would rerun that ladder on every subtree.
     """
-    validate_matrix_ideal(matrix)
-    reduced = matrix.null_ideal()
+    reduced = validate_matrix_ideal(matrix)
     undecided_reason = "no certified argument for this matrix ideal"
 
-    def closed_form(s: SetDescription, memo: dict) -> MembershipVerdict:
-        fin, cofin = setlang._finiteness(s, memo)
-        if fin is Tri.YES:
+    def closed_form(s: SetDescription) -> MembershipVerdict:
+        if setlang._finiteness(s)[0] is Tri.YES:
             return MembershipVerdict(IN, "finite union of vanishing columns")
-        if reduced is not None:
-            verdict = _decide(reduced.rules, s, memo)
-            if verdict.decided:
-                return MembershipVerdict(
-                    verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
-                )
-        if cofin is Tri.YES:
-            return MembershipVerdict(NOT_IN, "transform of a cofinite indicator tends to 1")
+        verdict = _decide(reduced, s)
+        if verdict.decided:
+            return MembershipVerdict(
+                verdict.status, f"the null ideal is {reduced.name}; {verdict.reason}"
+            )
         return MembershipVerdict(UNDECIDED, undecided_reason)
 
     def evidence(s: SetDescription, scale: int) -> dict:
@@ -1306,4 +1286,7 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealKind:
         ladder = setlang.default_checkpoints(probe)
         return {"transform_values": [(n, str(points[n - 1].value)) for n in ladder]}
 
-    return IdealKind(closed_form, undecided_reason, evidence, MEMBER_REASONS)
+    return IdealPresentation(
+        "matrix", f"matrix:{matrix.spec_string()}", closed_form, undecided_reason, evidence,
+        MEMBER_REASONS,
+    )

@@ -530,6 +530,7 @@ class TestPlumbing:
             ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n"],
             ["verify", "cert.json"],
             ["demo", "--schedule", "1"],
+            ["game", "--rounds", "1"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -690,6 +691,25 @@ class TestErrorContract:
         code, err, record = self.run_logged(capsys, tmp_path, ["density", text, "--scale", "64"])
         assert code == 2
         assert "SetSyntaxError" in record["error"]
+
+    @pytest.mark.parametrize("mode, flag", [("unbounded", "--row"), ("rowfinite", "--matrix")])
+    def test_escape_without_its_mode_flag_exits_with_code_2(self, capsys, tmp_path, mode, flag):
+        argv = ["escape", "--mode", mode, "--x", "n"]
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 2
+        assert record["error"] == err.strip() == f"ValueError: escape --mode {mode} needs {flag}"
+
+    def test_an_unwritable_out_path_exits_with_code_1(self, capsys, tmp_path):
+        # The document is written before it is printed, so a failed write
+        # prints nothing and logs no digest.
+        log, path = tmp_path / "runs.jsonl", tmp_path / "missing" / "out.json"
+        argv = ["density", "ap:1,3", "--scale", "64", "--out", str(path), "--runlog", str(log)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        [record] = [json.loads(line) for line in log.read_text().splitlines()]
+        assert (record["exit"], record["digest"]) == (1, None)
+        assert record["error"] == err.strip() and err.count("\n") == 1
+        assert record["error"].startswith("FileNotFoundError")
 
     def test_nesting_at_the_parser_limit_is_answered(self, capsys, tmp_path):
         text = "complement:" * (MAX_NESTING - 1) + "builtin:squares"

@@ -249,9 +249,9 @@ def test_exact_density_tracks_prefix_ratio():
 
 
 def test_banach_density():
-    assert setlang._banach(AP(2, 2), {}) == Fraction(1, 2)
-    assert setlang._banach(Finite((5, 6)), {}) == 0
-    assert setlang._banach(DyadicBlocks(AP(1, 2)), {}) == 1
+    assert setlang._banach(AP(2, 2)) == Fraction(1, 2)
+    assert setlang._banach(Finite((5, 6))) == 0
+    assert setlang._banach(DyadicBlocks(AP(1, 2))) == 1
     assert max_window_density(AP(2, 2), 1000, 10) == Fraction(1, 2)
     assert max_window_density(DyadicBlocks(AP(1, 2)), 2**12, 64) == 1
 

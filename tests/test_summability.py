@@ -696,3 +696,13 @@ class TestMatrixIdealValidation:
     def test_signed_matrices_are_rejected(self):
         with pytest.raises(ValueError):
             validate_matrix_ideal(parse_matrix("explicit:-1,2"))
+
+    def test_a_matrix_without_a_decided_null_ideal_is_rejected(self):
+        # Every accepted kind states its null ideal, which the closed form asks.
+        class Opaque(CesaroMatrix):
+            def null_ideal(self):
+                return None
+
+        assert validate_matrix_ideal(CesaroMatrix()).name == "z"
+        with pytest.raises(ValueError, match="decided null ideal"):
+            validate_matrix_ideal(Opaque())
