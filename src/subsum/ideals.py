@@ -287,8 +287,9 @@ class IdealPresentation:
     ``reasons`` word the rules every ideal obeys: a union of two members is
     a member, a superset of a non-member is not, a subset of a member is.
     ``shift_reason`` prefixes a shift's inner verdict when membership is
-    shift invariant.  ``partition`` names the Talagrand interval partition
-    and ``limit_rule`` is the finite-scale smallness rule of limit search.
+    shift invariant.  ``partition`` is the Talagrand interval partition: a
+    set holding infinitely many of its whole blocks is not in the ideal.
+    ``limit_rule`` is the finite-scale smallness rule of limit search.
     """
 
     kind: str
@@ -297,33 +298,9 @@ class IdealPresentation:
     undecided_reason: str
     evidence: Callable[[SetDescription, int], dict]
     reasons: tuple[str, str, str]
+    partition: IntervalPartition
     shift_reason: str | None = None
-    partition: str | None = None
     limit_rule: Callable[[list[int], int], bool] | None = None
-
-    # -- constructors
-
-    @staticmethod
-    def fin() -> IdealPresentation:
-        return IDEALS["fin"]
-
-    @staticmethod
-    def z() -> IdealPresentation:
-        return IDEALS["z"]
-
-    @staticmethod
-    def bd() -> IdealPresentation:
-        return IDEALS["bd"]
-
-    @staticmethod
-    def finxfin() -> IdealPresentation:
-        return IDEALS["finxfin"]
-
-    @staticmethod
-    def from_matrix(matrix) -> IdealPresentation:
-        from .summability import matrix_ideal_kind
-
-        return matrix_ideal_kind(matrix)
 
     def __repr__(self) -> str:
         return f"IdealPresentation({self.name})"
@@ -351,11 +328,7 @@ class IdealPresentation:
     # -- partitions and restriction
 
     def talagrand_partition(self) -> IntervalPartition:
-        if self.partition is None:
-            raise UnsupportedIdealError(
-                f"no interval-partition witness implemented for ideal {self.name}"
-            )
-        return IntervalPartition(self.partition)
+        return self.partition
 
     def restrict(self, domain: SetDescription) -> "RestrictedIdeal":
         v = self.decide(Complement(domain))
@@ -379,24 +352,25 @@ IDEALS = {
         "fin", "fin", _fin_closed_form, "finiteness not structurally decidable",
         _density_evidence,
         ("union of two finite sets", "contains an infinite subset", "subset of a finite set"),
-        "finiteness is shift invariant; ", "singletons", _fin_small,
+        IntervalPartition("singletons"), "finiteness is shift invariant; ", _fin_small,
     ),
     "z": IdealPresentation(
         "z", "z", _z_closed_form, "no closed-form density argument", _density_evidence,
         ("union of two certified density-0 sets", "contains a certified positive-density subset",
          "subset of a certified density-0 set"),
-        "density is shift invariant; ", "dyadic", _z_small,
+        IntervalPartition("dyadic"), "density is shift invariant; ", _z_small,
     ),
     "bd": IdealPresentation(
         "bd", "bd", _bd_closed_form, "no closed-form Banach argument", _bd_window_evidence,
         ("union of two certified Banach-null sets",
          "contains a certified positive-Banach-density subset",
          "subset of a certified Banach-null set"),
-        "Banach density is shift invariant; ", "dyadic", _bd_small,
+        IntervalPartition("dyadic"), "Banach density is shift invariant; ", _bd_small,
     ),
     "finxfin": IdealPresentation(
         "finxfin", "finxfin", _finxfin_closed_form, "no closed-form nu2 fiber argument",
         lambda s, scale: nu2_column_audit(s, min(scale, 10**5)), MEMBER_REASONS,
+        IntervalPartition("dyadic"),
     ),
 }
 
@@ -456,7 +430,7 @@ def parse_ideal(spec: str) -> IdealPresentation:
     if spec in IDEALS:
         return IDEALS[spec]
     if spec.startswith("matrix:"):
-        from .summability import parse_matrix
+        from .summability import matrix_ideal_kind, parse_matrix
 
-        return IdealPresentation.from_matrix(parse_matrix(spec[len("matrix:"):]))
+        return matrix_ideal_kind(parse_matrix(spec[len("matrix:"):]))
     raise UnsupportedIdealError(f"unknown ideal spec {spec!r}")

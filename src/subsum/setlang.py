@@ -702,14 +702,17 @@ def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
 
 def _pushed(s: SetDescription) -> SetDescription | None:
     """s with its outer complement or shift moved one level toward the atoms,
-    equal to s up to a finite set (De Morgan; a shift distributes over
-    unions and intersections and commutes with a complement), or None when
-    there is nothing to move."""
+    equal to s up to a finite set (De Morgan; the complement of the dyadic
+    blocks over x is {1} and the blocks over the complement of x; a shift
+    distributes over unions and intersections and commutes with a
+    complement), or None when there is nothing to move."""
     inner = getattr(s, "inner", None)
     if isinstance(s, Complement):
         if isinstance(inner, (Union, Intersection)):
             dual = Intersection if isinstance(inner, Union) else Union
             return dual(Complement(inner.left), Complement(inner.right))
+        if isinstance(inner, DyadicBlocks):
+            return DyadicBlocks(Complement(inner.selector))
     elif isinstance(s, Shift):
         if isinstance(inner, (Union, Intersection)):
             return type(inner)(Shift(inner.left, s.offset), Shift(inner.right, s.offset))

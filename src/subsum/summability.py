@@ -21,7 +21,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 from . import setlang
-from .ideals import DEFAULT_SCALE, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, _decide
+from .ideals import DEFAULT_SCALE, IDEALS, IN, MEMBER_REASONS, NOT_IN, UNDECIDED, _decide
 from .ideals import IdealPresentation, MembershipVerdict, UnsupportedIdealError
 from .setlang import (
     AP,
@@ -405,6 +405,7 @@ class SummabilityMatrix:
 
     nonneg: bool = False  # every entry is structurally >= 0
     averaging_core: bool = False  # the transform of 1_S tracks prefix density
+    row_finite: bool = False  # every row is structurally finitely supported
 
     def entry(self, n: int, k: int) -> Fraction:
         raise NotImplementedError
@@ -416,11 +417,6 @@ class SummabilityMatrix:
     def row_support(self, n: int) -> int | None:
         """Last nonzero column of row n (0 for a zero row), None if unknown."""
         raise NotImplementedError
-
-    @property
-    def row_finite(self) -> bool:
-        """Structurally known to have finitely supported rows."""
-        return False
 
     def row_sum(self, n: int) -> Fraction:
         support = self.row_support(n)
@@ -496,7 +492,7 @@ class SummabilityMatrix:
         details = {}
         for k in range(1, k_cols + 1):
             column = [self._row(n, k)[-1] for n in range(1, scale + 1)]
-            verdict = ideal_limit(column, IdealPresentation.z())
+            verdict = ideal_limit(column, IDEALS["z"])
             details[k] = verdict.status
             if verdict.status != "limit" or verdict.eta != 0:
                 return ConditionReport(
@@ -508,14 +504,10 @@ class SummabilityMatrix:
 class _StochasticTriangle(SummabilityMatrix):
     """Nonnegative lower-triangular rows that sum to 1 and end on the diagonal."""
 
-    nonneg = True
+    nonneg = row_finite = True
 
     def row_support(self, n: int) -> int:
         return n
-
-    @property
-    def row_finite(self) -> bool:
-        return True
 
     def vanish_rows(self, w: int) -> SetDescription:
         return Finite(tuple(range(1, w)))
@@ -580,7 +572,7 @@ class CesaroMatrix(_StochasticTriangle):
         return _span_counts(self._hit_spans(runs, lower, upper), scales)
 
     def null_ideal(self) -> IdealPresentation:
-        return IdealPresentation.z()
+        return IDEALS["z"]
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
         return ConditionReport(
@@ -618,7 +610,7 @@ class IdentityMatrix(_StochasticTriangle):
         return tuple(lows), tuple(highs)
 
     def null_ideal(self) -> IdealPresentation:
-        return IdealPresentation.fin()
+        return IDEALS["fin"]
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
         return ConditionReport("yes", True, "column k vanishes for rows past k", {})
@@ -634,6 +626,8 @@ class RowDropMatrix(SummabilityMatrix):
     def __init__(self, base: SummabilityMatrix, drop: SetDescription):
         self.base = base
         self.drop = drop
+        self.nonneg, self.averaging_core = base.nonneg, base.averaging_core
+        self.row_finite = base.row_finite
 
     def entry(self, n: int, k: int) -> Fraction:
         if member(self.drop, n):
@@ -649,18 +643,6 @@ class RowDropMatrix(SummabilityMatrix):
         if member(self.drop, n):
             return 0
         return self.base.row_support(n)
-
-    @property
-    def row_finite(self) -> bool:
-        return self.base.row_finite
-
-    @property
-    def nonneg(self) -> bool:
-        return self.base.nonneg
-
-    @property
-    def averaging_core(self) -> bool:
-        return self.base.averaging_core
 
     def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
         dropped = setlang._scan(self.drop, 1, n_max)
@@ -708,6 +690,8 @@ class RowDropMatrix(SummabilityMatrix):
 class ExplicitMatrix(SummabilityMatrix):
     """Finitely many stored rows; all later rows are zero rows."""
 
+    row_finite = True
+
     def __init__(self, rows: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]):
         stored = [tuple(Fraction(v) for v in row) for row in rows]
         # Trailing zero rows equal the implicit zero rows after them; dropping
@@ -733,10 +717,6 @@ class ExplicitMatrix(SummabilityMatrix):
             if row[k - 1] != 0:
                 return k
         return 0
-
-    @property
-    def row_finite(self) -> bool:
-        return True
 
     def _stored_and_beyond(self, keep: Callable[[int], bool]) -> SetDescription:
         stored = tuple(n for n in range(1, len(self.rows) + 1) if keep(n))
@@ -792,6 +772,7 @@ class GeneratorMatrix(SummabilityMatrix):
         self.name = name
         self.entry_fn = entry_fn
         self.support_bound = support_bound
+        self.row_finite = support_bound is not None
         self.support_exact = support_exact
         self.l1_tail_fn = l1_tail_fn
         self.ratio = ratio
@@ -834,10 +815,6 @@ class GeneratorMatrix(SummabilityMatrix):
             if self.entry(n, k) != 0:
                 return k
         return 0
-
-    @property
-    def row_finite(self) -> bool:
-        return self.support_bound is not None
 
     def l1_tail(self, n: int, after: int) -> Fraction | None:
         got = super().l1_tail(n, after)
@@ -1194,7 +1171,7 @@ def _r3_rowsums(
     # samples anyway.
     rows = min(n_rows, HEAD_ROWS)
     sums = [matrix.row_sum(n) for n in range(1, rows + 1)]
-    verdict = ideal_limit(sums, ideal if ideal.limit_rule is not None else IdealPresentation.z())
+    verdict = ideal_limit(sums, ideal if ideal.limit_rule is not None else IDEALS["z"])
     if verdict.status == "limit" and verdict.eta == 1:
         return ConditionReport(
             "at_scale", False, f"row sums near 1 at scale {rows}",
@@ -1244,7 +1221,7 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> IdealPresentation:
     anything weaker at construction time.  Returns that null ideal."""
     if not matrix.nonneg:
         raise UnsupportedIdealError("matrix ideals require nonnegative entries")
-    verdict = regularity_verdict(matrix, IdealPresentation.fin(), n_rows=256, k_cols=4)
+    verdict = regularity_verdict(matrix, IDEALS["fin"], n_rows=256, k_cols=4)
     if verdict.overall != "regular":
         raise UnsupportedIdealError(
             f"matrix ideals require a certified regular matrix, got {verdict.overall}"
@@ -1260,8 +1237,8 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> IdealPresentation:
 def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
     """The ideal {S : transform of 1_S tends to 0} of a validated matrix.
     The matrix kind decides that ideal (its null ideal), so the null
-    ideal's decision is the closed form; the transform probe is the
-    evidence.
+    ideal's decision is the closed form and its partition is the Talagrand
+    partition; the transform probe is the evidence.
 
     The closed form is complete, so its undecided answer ends the ladder:
     the null ideal's own ladder has applied the rules every ideal obeys.
@@ -1288,5 +1265,5 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
 
     return IdealPresentation(
         "matrix", f"matrix:{matrix.spec_string()}", closed_form, undecided_reason, evidence,
-        MEMBER_REASONS,
+        MEMBER_REASONS, reduced.partition,
     )

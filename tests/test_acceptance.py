@@ -14,7 +14,6 @@ from math import isqrt
 
 from subsum import (
     CesaroMatrix,
-    IdealPresentation,
     PrefixDensityStrategy,
     Selector,
     Consecutive,
@@ -38,11 +37,12 @@ from subsum import (
     selector_transform,
     steinhaus_adversary,
 )
+from subsum.ideals import IDEALS
 from subsum.setlang import AP, member, nu2, prefix_counts
 
 F = Fraction
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
 
 
 @contextmanager
@@ -222,7 +222,7 @@ def test_criterion_5_game_dichotomy():
         tower = [nu2_tower_move(r) for r in range(1, 31)]
         for spec in ("greedy_min", "prefix_take", "seeded_random:11"):
             game = play_game(
-                IdealPresentation.finxfin(), tower, parse_strategy(spec), rounds=30
+                IDEALS["finxfin"], tower, parse_strategy(spec), rounds=30
             )
             # independent column audit from the raw transcript
             last_new: dict[int, int] = {}
@@ -237,7 +237,7 @@ def test_criterion_5_game_dichotomy():
             for col, last in last_new.items():
                 if col <= 20:
                     assert last <= col + 1, (spec, col, last)
-            ruling = adjudicate(game, IdealPresentation.finxfin())
+            ruling = adjudicate(game, IDEALS["finxfin"])
             assert ruling.favored == "I"
             assert ruling.evidence["fibers_frozen_by_index"]
 

@@ -390,10 +390,11 @@ class TestGame:
             ],
         )
         assert code == 0
-        from subsum import GameTranscript, IdealPresentation, PrefixDensityStrategy, replay_matches
+        from subsum import GameTranscript, PrefixDensityStrategy, replay_matches
+        from subsum.ideals import IDEALS
 
         transcript = GameTranscript.from_jsonl(path.read_text())
-        assert replay_matches(IdealPresentation.z(), transcript, PrefixDensityStrategy())
+        assert replay_matches(IDEALS["z"], transcript, PrefixDensityStrategy())
 
     def test_illegal_moves_exit_with_code_7(self, capsys):
         code, out, err = run(

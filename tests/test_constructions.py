@@ -9,6 +9,7 @@ recount path and through independent tallies computed here.
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from subsum import (
     ConstructionError,
     Finite,
     GeneratorMatrix,
-    IdealPresentation,
     OscillationCertificate,
     PreconditionError,
     RowDropMatrix,
@@ -32,6 +32,7 @@ from subsum import (
     ideal_limit,
     meagerness_demo,
     oscillation_pair,
+    parse_ideal,
     parse_matrix,
     parse_row,
     parse_sequence,
@@ -41,13 +42,14 @@ from subsum import (
 )
 from subsum import constructions
 from subsum.constructions import EPS_GRID, _least_index_with_magnitude
+from subsum.ideals import IDEALS
 from subsum.summability import DEFAULT_COLUMN_CAP, AuditBudgetError, _threshold_counts
 
 F = Fraction
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
-BD = IdealPresentation.bd()
-FXF = IdealPresentation.finxfin()
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
+BD = IDEALS["bd"]
+FXF = IDEALS["finxfin"]
 
 
 # ---------------------------------------------------------------- candidates
@@ -402,10 +404,6 @@ class TestRowFiniteEscape:
         with pytest.raises(PreconditionError):
             escape_rowfinite((1,), matrix, parse_sequence("n"), Z, 1)
 
-    def test_ideals_without_partitions_are_refused(self):
-        with pytest.raises(UnsupportedIdealError):
-            escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), FXF, 1)
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, -1)
@@ -481,6 +479,54 @@ def test_row_finite_escape_matches_the_per_row_loop(spec, ideal, x, stem, m0, p0
     assert result.detail["min_coefficient"] == want["min_coefficient"]
     assert result.detail["last_column"] == want["last_column"]
     assert result.detail["stem_columns"] == len(stem)
+
+
+# Each ideal escapes as its twin does: finxfin takes z's dyadic partition,
+# and a matrix ideal is its null ideal.
+ESCAPE_TWINS = (
+    ("finxfin", "z"),
+    ("matrix:cesaro", "z"),
+    ("matrix:rowdrop:cesaro:finite:{2,9}", "z"),
+    ("matrix:identity", "fin"),
+)
+
+
+def _escape_outcome(*args, **kwargs):
+    try:
+        return escape_rowfinite(*args, **kwargs)
+    except PreconditionError:
+        return PreconditionError
+
+
+@pytest.mark.parametrize("spec, twin", ESCAPE_TWINS)
+def test_escape_under_an_ideal_matches_its_twin(spec, twin):
+    ideal, held = parse_ideal(spec), 0
+    for matrix_spec, x, stem, m0, p0 in product(
+        ("cesaro", "identity", "rowdrop:cesaro:finite:{3,5}", "rowdrop:cesaro:builtin:squares"),
+        ("n", "nalt", "sqperturb"),
+        ((), (1,), (2, 5), (1, 3, 4)),
+        (0, 1, F(5, 2)),
+        (1, 2, 3),
+    ):
+        matrix, seq = parse_matrix(matrix_spec), parse_sequence(x)
+        got = _escape_outcome(stem, matrix, seq, ideal, m0, p0=p0)
+        want = _escape_outcome(stem, matrix, seq, IDEALS[twin], m0, p0=p0)
+        held += want is not PreconditionError and want.holds
+        if spec == "finxfin" and "squares" in matrix_spec:
+            assert got is PreconditionError and want.holds  # see the test below
+        else:
+            assert got == want
+    # Every escape under the twin holds, but fin refuses the 108 dropped-squares cases.
+    assert held == (324 if twin == "fin" else 432)
+
+
+def test_dropped_squares_are_refused_under_finxfin():
+    # The squares vanish below every stem, and every even nu2 fiber holds
+    # infinitely many of them, so they are no member of finxfin.
+    matrix = parse_matrix("rowdrop:cesaro:builtin:squares")
+    with pytest.raises(PreconditionError, match="not certified inside the ideal"):
+        escape_rowfinite((), matrix, parse_sequence("n"), FXF, 1)
+    assert escape_rowfinite((), matrix, parse_sequence("n"), Z, 1).holds
 
 
 class _LateTamperCesaro(CesaroMatrix):

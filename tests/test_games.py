@@ -9,7 +9,6 @@ import pytest
 from subsum import (
     GameTranscript,
     GreedyMinStrategy,
-    IdealPresentation,
     IllegalMoveError,
     PrefixDensityStrategy,
     PrefixTakeStrategy,
@@ -24,11 +23,12 @@ from subsum import (
     play_round,
     replay_matches,
 )
+from subsum.ideals import IDEALS
 from subsum.setlang import member, nu2, render
 
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
-FXF = IdealPresentation.finxfin()
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
+FXF = IDEALS["finxfin"]
 
 ALL_N = "complement:finite:{}"
 NON_SQUARES = "complement:builtin:squares"

@@ -16,7 +16,6 @@ from subsum import (
     Complement,
     DyadicBlocks,
     Finite,
-    IdealPresentation,
     Intersection,
     IntervalPartition,
     Nu2Ge,
@@ -34,11 +33,13 @@ from subsum import (
     parse_set,
     setlang,
 )
+from subsum.ideals import IDEALS
+from subsum.summability import matrix_ideal_kind
 
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
-BD = IdealPresentation.bd()
-FXF = IdealPresentation.finxfin()
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
+BD = IDEALS["bd"]
+FXF = IDEALS["finxfin"]
 
 
 # ---------------------------------------------------------------- oracles
@@ -450,10 +451,6 @@ class TestIntervalPartitions:
         with pytest.raises(ValueError):
             IntervalPartition("dyadic").boundary(0)
 
-    def test_no_partition_witness_for_fiber_ideal(self):
-        with pytest.raises(UnsupportedIdealError):
-            FXF.talagrand_partition()
-
     def test_blocks_tile_the_tail(self):
         p = IntervalPartition("dyadic")
         seen = []
@@ -626,7 +623,7 @@ class TestMatrixGeneratedIdeal:
 
         bad = parse_matrix("explicit:1;-1/2,1/2")
         with pytest.raises(ValueError):
-            IdealPresentation.from_matrix(bad)
+            matrix_ideal_kind(bad)
 
     def test_non_regular_matrices_are_rejected(self):
         from subsum import parse_matrix
@@ -634,7 +631,7 @@ class TestMatrixGeneratedIdeal:
         # finitely many rows, all zero beyond: row sums do not tend to 1
         bad = parse_matrix("explicit:1;1/2,1/2")
         with pytest.raises(UnsupportedIdealError):
-            IdealPresentation.from_matrix(bad)
+            matrix_ideal_kind(bad)
 
 
 # ---------------------------------------------------------------- evidence
@@ -811,6 +808,19 @@ def test_hostile_sets_keep_their_verdicts_and_answer_fast(text, statuses):
     got = tuple(ideal.decide(s).status for ideal in (FIN, Z, BD, FXF))
     assert time.perf_counter() - started < 0.1
     assert got == statuses
+
+
+@pytest.mark.parametrize("complements", [1, 253])
+@pytest.mark.parametrize("ideal", [Z, BD, FXF], ids=["z", "bd", "finxfin"])
+def test_a_complement_passes_through_dyadic_blocks(ideal, complements):
+    # Up to {1}, the blocks off the squares are the blocks over the
+    # non-squares: infinitely many whole blocks.
+    text = "complement:" * complements + "builtin:dyadic_blocks(builtin:squares)"
+    s = parse_set(text)
+    assert ideal.decide(s).status == "not_in"
+    pushed = setlang._pushed(parse_set("complement:builtin:dyadic_blocks(builtin:squares)"))
+    assert pushed == DyadicBlocks(Complement(Squares()))
+    assert setlang._scan(pushed, 2, 4096) == setlang._scan(s, 2, 4096)
 
 
 def test_deep_undecided_unions_build_each_form_once(monkeypatch):

@@ -24,7 +24,6 @@ UNREAD_KEPT = {
     "audit_values": "traced by name in bench/tracing.py",
     "restrict": "traced by name in bench/tracing.py",
     "from_jsonl": "reads back the transcript that `subsum game --transcript` writes",
-    "finxfin": "one of IdealPresentation's named constructors, beside fin, z and bd",
 }
 
 

@@ -19,7 +19,6 @@ from subsum import (
     ConstructionError,
     ExplicitMatrix,
     GameTranscript,
-    IdealPresentation,
     IdentityMatrix,
     OscillationCertificate,
     RowDropMatrix,
@@ -47,6 +46,7 @@ from subsum import (
 from subsum import setlang
 from subsum.constructions import PAIR_PICKS, _threshold_counts
 from subsum.games import nu2_tower_move
+from subsum.ideals import IDEALS
 from subsum.sigma import RuleTail
 from subsum.setlang import (
     AP,
@@ -58,17 +58,18 @@ from subsum.setlang import (
     Powers2,
     Shift,
     Squares,
+    Tri,
     Union,
+    is_finite,
     nu2,
 )
 from subsum.summability import _NAMED_SEQUENCES, _dot
 
 F = Fraction
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
-BD = IdealPresentation.bd()
-FXF = IdealPresentation.finxfin()
-IDEALS = (FIN, Z, BD, FXF)
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
+BD = IDEALS["bd"]
+FXF = IDEALS["finxfin"]
 
 
 def _base_sets():
@@ -118,7 +119,7 @@ def test_ideal_hierarchy_never_contradicts_itself(s):
 @settings(max_examples=100, deadline=None)
 @given(a=_set_descriptions(), b=_set_descriptions())
 def test_union_and_intersection_verdicts_never_contradict(a, b):
-    for ideal in IDEALS:
+    for ideal in IDEALS.values():
         va = ideal.verdict(a, 1024).status
         vb = ideal.verdict(b, 1024).status
         vu = ideal.verdict(Union(a, b), 1024).status
@@ -129,6 +130,23 @@ def test_union_and_intersection_verdicts_never_contradict(a, b):
             assert vu != "in"  # the union contains the escaping side
         if "in" in (va, vb):
             assert vi != "not_in"  # a subset of a null set never escapes
+
+
+# Every ideal row, matrix rows included, states a Talagrand partition.
+PARTITIONED = (*IDEALS.values(), *map(parse_ideal, (
+    "matrix:cesaro", "matrix:identity", "matrix:rowdrop:cesaro:finite:{2,9}",
+)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_set_descriptions())
+def test_every_partition_is_a_talagrand_witness(s):
+    # The union of the blocks indexed by an infinite S escapes the ideal: it
+    # is S itself for the singletons and DyadicBlocks(S) for the dyadic blocks.
+    assume(is_finite(s) is Tri.NO)
+    for ideal in PARTITIONED:
+        blocks = s if ideal.talagrand_partition().kind == "singletons" else DyadicBlocks(s)
+        assert ideal.decide(blocks).status == "not_in", ideal
 
 
 # ------------------------------------------------------ eventually periodic forms
@@ -179,7 +197,7 @@ def test_periodic_form_matches_a_scan_and_decides_every_kind(s):
     met = {(start + i) % p for i, flag in enumerate(flags[:p]) if flag}
     low = 1 << nu2(p)
     expected = [not met] * 3 + [all(r % low for r in met)]
-    got = [ideal.decide(s).status for ideal in IDEALS]
+    got = [ideal.decide(s).status for ideal in IDEALS.values()]
     assert got == ["in" if small else "not_in" for small in expected]
 
 

@@ -23,7 +23,6 @@ from subsum import (
     ExplicitMatrix,
     Finite,
     GeneratorMatrix,
-    IdealPresentation,
     IdentityMatrix,
     MatrixSpecError,
     RowDropMatrix,
@@ -47,12 +46,13 @@ from subsum import (
     validate_matrix_ideal,
 )
 from subsum import summability
+from subsum.ideals import IDEALS
 from subsum.setlang import _bounded_str
 from subsum.summability import DOMAIN_SCAN_COLUMNS, domain_check
 
 F = Fraction
-FIN = IdealPresentation.fin()
-Z = IdealPresentation.z()
+FIN = IDEALS["fin"]
+Z = IDEALS["z"]
 
 
 def oracle_transform(matrix, x, n, width):
