@@ -39,7 +39,6 @@ from .setlang import (
     _merged,
     _pushed,
     _scan,
-    _whole_blocks,
     _window_maxima,
     default_checkpoints,
     next_member,
@@ -114,8 +113,6 @@ def _z_closed_form(s: SetDescription) -> MembershipVerdict | None:
         return _in("exact density 0")
     if d is not None:
         return _not_in(f"exact density {d} > 0")
-    if _whole_blocks(s):
-        return _not_in("contains infinitely many full dyadic blocks")
     return None
 
 
@@ -163,13 +160,8 @@ def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
         return _not_in(f"every nu2 fiber from {e} on is met infinitely often")
     if isinstance(s, Squares):
         return _not_in("every even nu2 fiber contains infinitely many squares")
-    if isinstance(s, Powers2):
-        return _in("each nu2 fiber holds exactly one power of 2")
     if isinstance(s, Nu2Ge):
         return _not_in(f"every nu2 fiber from {s.threshold} on is full")
-    if isinstance(s, DyadicBlocks):
-        if _finiteness(s.selector)[0] is Tri.NO:
-            return _not_in("infinitely many whole dyadic blocks meet every nu2 fiber")
     if isinstance(s, Complement) and isinstance(s.inner, Nu2Ge):
         return _in(f"nu2 fibers from {s.inner.threshold} on are empty")
     form = _form(s)
@@ -378,9 +370,10 @@ IDEALS = {
 def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
     """The verdict ladder of every ideal, computing no evidence: double
     complements cancel, then the ideal's closed form, its union and subset
-    rules, shifts for shift-invariant ideals, and complements and other
-    shifts pushed one level toward the atoms, each applied to the parts by
-    the same ladder.  The facts it reads are kept on each node."""
+    rules, shifts for shift-invariant ideals, the dyadic-block test of the
+    ideal's Talagrand partition, and complements and other shifts pushed
+    one level toward the atoms, each applied to the parts by the same
+    ladder.  The facts it reads are kept on each node."""
     if isinstance(s, Complement) and isinstance(s.inner, Complement):
         return _decide(ideal, s.inner.inner)
     verdict = ideal.closed_form(s)
@@ -400,6 +393,13 @@ def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
         inner = _decide(ideal, s.inner)
         if inner.decided:
             return MembershipVerdict(inner.status, ideal.shift_reason + inner.reason)
+    elif isinstance(blocks := s.inner if isinstance(s, Shift) else s, DyadicBlocks):
+        # Talagrand's test: block [2**q, 2**(q+1)) holds a whole block of
+        # every row's partition.  Shifted, it is a run of 2**q integers,
+        # which meets every nu2 fiber j < q (only finxfin gets here).
+        if _finiteness(blocks.selector)[0] is Tri.NO:
+            return _not_in("contains infinitely many full dyadic blocks"
+                           + (f" shifted by {s.offset}" if isinstance(s, Shift) else ""))
     elif (pushed := _pushed(s)) is not None:
         return _decide(ideal, pushed)
     return MembershipVerdict(UNDECIDED, ideal.undecided_reason)

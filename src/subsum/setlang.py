@@ -81,10 +81,9 @@ class SetDescription:
     periodic form, see ``_form``) and ``render()``.  Kinds that can lack a
     form also define ``finiteness()`` (is S finite, is its complement
     finite), and the defaults below mean "no structural shortcut": no
-    closed-form count, no certified density, no whole dyadic blocks, and
-    member searches scan.  The module helpers ``_form``, ``_finiteness``,
-    ``_density``, ``_banach`` and ``_whole_blocks`` ask each rule once per
-    node (see ``_facts``).
+    closed-form count, no certified density, and member searches scan.  The
+    module helpers ``_form``, ``_finiteness``, ``_density`` and ``_banach``
+    ask each rule once per node (see ``_facts``).
     """
 
     def count(self, limit: int) -> int | None:
@@ -98,12 +97,6 @@ class SetDescription:
     def banach(self) -> Fraction | None:
         """Certified Banach (uniform upper) density of a node without a form, or None."""
         return None
-
-    def whole_blocks(self) -> bool:
-        """Certified to contain infinitely many whole dyadic blocks
-        [2**q, 2**(q+1)), so its prefix density passes 1/2 at the right edge
-        of each: a positive upper density where no density is known."""
-        return False
 
     def first_member(self, cap: int) -> int | None:
         return self.next_member(0, cap)
@@ -313,10 +306,7 @@ class DyadicBlocks(SetDescription):
 
     def banach(self):
         # An infinite selector gives arbitrarily long intervals.
-        return ONE if self.whole_blocks() else None
-
-    def whole_blocks(self):
-        return self.finiteness()[0] is Tri.NO
+        return ONE if _finiteness(self.selector)[0] is Tri.NO else None
 
     def render(self):
         return f"builtin:dyadic_blocks({self.selector.render()})"
@@ -455,9 +445,6 @@ class Union(SetDescription):
             return a
         return ONE if ONE in (a, b) else None
 
-    def whole_blocks(self):
-        return _whole_blocks(self.left) or _whole_blocks(self.right)
-
     def render(self):
         return f"union:{self.left.render()}|{self.right.render()}"
 
@@ -576,9 +563,6 @@ class Shift(SetDescription):
     def banach(self):
         return _banach(self.inner)
 
-    def whole_blocks(self):
-        return self.offset == 0 and _whole_blocks(self.inner)
-
     def render(self):
         return f"shift:{self.inner.render()},{self.offset}"
 
@@ -607,15 +591,15 @@ _UNSET = object()
 
 
 def _facts(s: SetDescription) -> list:
-    """[form, (finite?, cofinite?), density, Banach density, whole blocks?]
-    of s, kept on the node: nodes are frozen, so their facts never change.
-    A node with a form reads its facts off the form; one without asks its
-    own rules, for the last three on first use."""
+    """[form, (finite?, cofinite?), density, Banach density] of s, kept on
+    the node: nodes are frozen, so their facts never change.  A node with a
+    form reads its facts off the form; one without asks its own rules, for
+    the last two on first use."""
     facts = s.__dict__.get("_facts")
     if facts is None:
         form = s.form()
         fin = s.finiteness() if form is None else None
-        facts = s.__dict__["_facts"] = [form, fin, _UNSET, _UNSET, _UNSET]
+        facts = s.__dict__["_facts"] = [form, fin, _UNSET, _UNSET]
     return facts
 
 
@@ -655,14 +639,6 @@ def _density(s: SetDescription, banach: bool = False) -> Fraction | None:
 
 def _banach(s: SetDescription) -> Fraction | None:
     return _density(s, True)
-
-
-def _whole_blocks(s: SetDescription) -> bool:
-    """Does S certifiably contain infinitely many whole dyadic blocks?"""
-    facts = _facts(s)
-    if facts[4] is _UNSET:
-        facts[4] = s.whole_blocks()
-    return facts[4]
 
 
 def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:

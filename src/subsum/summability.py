@@ -477,10 +477,10 @@ class SummabilityMatrix:
         for n in samples:
             tail = self.l1_tail(n, 0)
             if tail is None:
-                return ConditionReport("undecided", False, "no l1 information", {})
+                return ConditionReport("undecided", "no l1 information", {})
             best = max(best, tail)
         return ConditionReport(
-            "at_scale", False, f"sampled rows up to {samples[-1]}", {"bound": str(best)}
+            "at_scale", f"sampled rows up to {samples[-1]}", {"bound": str(best)}
         )
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
@@ -496,9 +496,9 @@ class SummabilityMatrix:
             details[k] = verdict.status
             if verdict.status != "limit" or verdict.eta != 0:
                 return ConditionReport(
-                    "undecided", False, f"column {k} shows no vanishing trend", details
+                    "undecided", f"column {k} shows no vanishing trend", details
                 )
-        return ConditionReport("at_scale", False, f"columns vanish at scale {scale}", details)
+        return ConditionReport("at_scale", f"columns vanish at scale {scale}", details)
 
 
 class _StochasticTriangle(SummabilityMatrix):
@@ -516,7 +516,7 @@ class _StochasticTriangle(SummabilityMatrix):
         return Finite(())
 
     def r1_bound(self, n_rows: int) -> ConditionReport:
-        return ConditionReport("yes", True, "every row has l1 norm exactly 1", {"bound": "1"})
+        return ConditionReport("yes", "every row has l1 norm exactly 1", {"bound": "1"})
 
 
 class CesaroMatrix(_StochasticTriangle):
@@ -575,9 +575,7 @@ class CesaroMatrix(_StochasticTriangle):
         return IDEALS["z"]
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
-        return ConditionReport(
-            "yes", True, "column entries are 0 or 1/n, dominated by 1/n", {}
-        )
+        return ConditionReport("yes", "column entries are 0 or 1/n, dominated by 1/n", {})
 
     def spec_string(self) -> str:
         return "cesaro"
@@ -613,7 +611,7 @@ class IdentityMatrix(_StochasticTriangle):
         return IDEALS["fin"]
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
-        return ConditionReport("yes", True, "column k vanishes for rows past k", {})
+        return ConditionReport("yes", "column k vanishes for rows past k", {})
 
     def spec_string(self) -> str:
         return "identity"
@@ -672,14 +670,14 @@ class RowDropMatrix(SummabilityMatrix):
 
     def r1_bound(self, n_rows: int) -> ConditionReport:
         base = self.base.r1_bound(n_rows)
-        if base.certified and base.holds == "yes":
-            return ConditionReport("yes", True, "zero rows only lower the base bound", base.data)
+        if base.holds == "yes":
+            return ConditionReport("yes", "zero rows only lower the base bound", base.data)
         return base
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
         base = self.base.r2_columns(n_rows, k_cols)
-        if base.certified and base.holds == "yes":
-            return ConditionReport("yes", True, "entrywise dominated by the base matrix", {})
+        if base.holds == "yes":
+            return ConditionReport("yes", "entrywise dominated by the base matrix", {})
         return base
 
     def spec_string(self) -> str:
@@ -731,11 +729,11 @@ class ExplicitMatrix(SummabilityMatrix):
     def r1_bound(self, n_rows: int) -> ConditionReport:
         bound = max((self.l1_tail(n, 0) for n in range(1, len(self.rows) + 1)), default=ZERO)
         return ConditionReport(
-            "yes", True, "max over stored rows; later rows are zero", {"bound": str(bound)}
+            "yes", "max over stored rows; later rows are zero", {"bound": str(bound)}
         )
 
     def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
-        return ConditionReport("yes", True, "columns vanish beyond the stored rows", {})
+        return ConditionReport("yes", "columns vanish beyond the stored rows", {})
 
     def spec_string(self) -> str:
         body = ";".join(",".join(str(v) for v in row) for row in self.rows)
@@ -1130,9 +1128,13 @@ def domain_check(
 @dataclass(frozen=True)
 class ConditionReport:
     holds: str  # "yes" | "no" | "at_scale" | "undecided"
-    certified: bool
     detail: str
     data: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def certified(self) -> bool:
+        """Only a closed-form argument answers yes or no; at-scale evidence never does."""
+        return self.holds in ("yes", "no")
 
 
 @dataclass(frozen=True)
@@ -1154,16 +1156,14 @@ def _r3_rowsums(
         verdict = ideal.decide(exception)
         data = {"exception_set": render(exception), "verdict": verdict.status}
         if verdict.status == IN:
-            return ConditionReport("yes", True, "row-sum exception set is in the ideal", data)
+            return ConditionReport("yes", "row-sum exception set is in the ideal", data)
         if verdict.status == NOT_IN:
             witness_rows = list(islice(setlang.iter_members(exception, 10**4), 5))
             data["witness_rows"] = witness_rows
-            return ConditionReport(
-                "no", True, "row-sum exception set escapes the ideal", data
-            )
-        return ConditionReport("undecided", False, verdict.reason, data)
+            return ConditionReport("no", "row-sum exception set escapes the ideal", data)
+        return ConditionReport("undecided", verdict.reason, data)
     if not matrix.row_finite:
-        return ConditionReport("undecided", False, "row sums not computable", {})
+        return ConditionReport("undecided", "row sums not computable", {})
     from .constructions import ideal_limit
 
     # Evidence only, never a certificate: a consecutive prefix keeps the
@@ -1174,10 +1174,10 @@ def _r3_rowsums(
     verdict = ideal_limit(sums, ideal if ideal.limit_rule is not None else IDEALS["z"])
     if verdict.status == "limit" and verdict.eta == 1:
         return ConditionReport(
-            "at_scale", False, f"row sums near 1 at scale {rows}",
+            "at_scale", f"row sums near 1 at scale {rows}",
             {"rows": rows, "eps": str(verdict.eps)},
         )
-    return ConditionReport("undecided", False, "row sums show no trend toward 1", {"rows": rows})
+    return ConditionReport("undecided", "row sums show no trend toward 1", {"rows": rows})
 
 
 def regularity_verdict(
@@ -1203,7 +1203,7 @@ def regularity_verdict(
             if rep.holds == "no":
                 witness = {"condition": label, **rep.data}
                 break
-    elif all(rep.holds == "yes" and rep.certified for rep in (r1, r2, r3)):
+    elif all(rep.holds == "yes" for rep in (r1, r2, r3)):
         overall = "regular"
     else:
         overall = "undecided"

@@ -787,6 +787,35 @@ def test_periodic_forms_settle_the_bench_shapes(monkeypatch, text, ideal, status
     assert (verdict.status, verdict.reason) == (status, reason)
 
 
+# The ladder's one dyadic-block rung and the rules that reach it, one case
+# per kind of reason it gives; finxfin's Powers2 is read off the form.
+DYADIC_BLOCK_CASES = [
+    ("builtin:dyadic_blocks(ap:1,2)", "finxfin", "not_in",
+     "contains infinitely many full dyadic blocks"),
+    # a shifted block of length 2**q meets every nu2 fiber j < q
+    ("shift:builtin:dyadic_blocks(builtin:squares),-1", "finxfin", "not_in",
+     "contains infinitely many full dyadic blocks shifted by -1"),
+    ("builtin:powers2", "finxfin", "in", "every nu2 fiber from 0 on is finite"),
+    ("union:builtin:squares|builtin:dyadic_blocks(builtin:squares)", "z", "not_in",
+     "contains a certified positive-density subset"),
+    ("shift:builtin:dyadic_blocks(builtin:squares),0", "z", "not_in",
+     "density is shift invariant; contains infinitely many full dyadic blocks"),
+    ("union:builtin:squares|builtin:dyadic_blocks(builtin:squares)", "matrix:cesaro", "not_in",
+     "the null ideal is z; contains a certified positive-density subset"),
+    ("shift:builtin:dyadic_blocks(builtin:squares),0", "matrix:rowdrop:cesaro:finite:{2,9}",
+     "not_in", "the null ideal is z; density is shift invariant; "
+     "contains infinitely many full dyadic blocks"),
+]
+
+
+@pytest.mark.parametrize("text, ideal, status, reason", DYADIC_BLOCK_CASES)
+def test_dyadic_blocks_are_decided_by_one_ladder_rung(monkeypatch, text, ideal, status, reason):
+    ideal_obj = parse_ideal(ideal)
+    _no_evidence(monkeypatch)
+    verdict = ideal_obj.decide(parse_set(text))
+    assert (verdict.status, verdict.reason) == (status, reason)
+
+
 @pytest.mark.parametrize(
     "text, statuses",
     [

@@ -139,14 +139,28 @@ PARTITIONED = (*IDEALS.values(), *map(parse_ideal, (
 
 
 @settings(max_examples=80, deadline=None)
-@given(s=_set_descriptions())
-def test_every_partition_is_a_talagrand_witness(s):
+@given(s=_set_descriptions(), t=_set_descriptions(), o=st.integers(-40, 40))
+def test_every_partition_is_a_talagrand_witness(s, t, o):
     # The union of the blocks indexed by an infinite S escapes the ideal: it
     # is S itself for the singletons and DyadicBlocks(S) for the dyadic blocks.
+    # So does any superset of it, and the same blocks shifted.
     assume(is_finite(s) is Tri.NO)
     for ideal in PARTITIONED:
         blocks = s if ideal.talagrand_partition().kind == "singletons" else DyadicBlocks(s)
-        assert ideal.decide(blocks).status == "not_in", ideal
+        for escaping in (blocks, Union(blocks, t), Shift(blocks, o)):
+            assert ideal.decide(escaping).status == "not_in", (ideal, escaping)
+
+
+@pytest.mark.parametrize("ideal", PARTITIONED, ids=lambda ideal: ideal.name)
+def test_each_dyadic_block_holds_a_whole_partition_block(ideal):
+    # The premise of the ladder's dyadic-block rung: an infinite union of
+    # dyadic blocks holds infinitely many whole blocks of every row's partition.
+    partition = ideal.talagrand_partition()
+    for q in range(1, 21):
+        i = partition.block_index(1 << q)
+        if partition.boundary(i) < 1 << q:
+            i += 1
+        assert partition.block(i)[-1] < 2 << q
 
 
 # ------------------------------------------------------ eventually periodic forms
