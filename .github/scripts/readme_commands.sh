@@ -10,7 +10,7 @@
 #   bash .github/scripts/readme_commands.sh
 set -e
 root=$PWD
-cd "$(mktemp -d)"
+dir=$(mktemp -d); trap 'rm -rf "$dir"' EXIT; cd "$dir"
 sed -n '/^Commands:/,/^```$/p' "$root/README.md" | grep '^subsum ' > commands.txt
 slowest=-1
 while read -r full; do

@@ -523,17 +523,18 @@ class CesaroMatrix(_StochasticTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
     averaging_core = True
-    # The last row read and its entry 1/n; Fractions are immutable.
-    _last_row, _last_entry = 1, ONE
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
-        if k > n:
-            return ZERO
-        if n != self._last_row:
-            self._last_row, self._last_entry = n, Fraction(1, n)
-        return self._last_entry
+        return ZERO if k > n else Fraction(1, n)
+
+    def _row(self, n: int, width: int) -> tuple:
+        if width < 1:
+            return ()
+        if n < 1:
+            raise ValueError("indices start at 1")
+        return (Fraction(1, n),) * min(n, width) + (ZERO,) * (width - n)
 
     def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
         # The running sum stays an int while the inputs are integral, which
@@ -590,6 +591,15 @@ class IdentityMatrix(_StochasticTriangle):
             raise ValueError("indices start at 1")
         return ONE if n == k else ZERO
 
+    def _row(self, n: int, width: int) -> tuple:
+        if width < 1:
+            return ()
+        if n < 1:
+            raise ValueError("indices start at 1")
+        if width < n:
+            return (ZERO,) * width
+        return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
+
     def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
         return (v.as_integer_ratio() for v in x.values(n_max))
 
@@ -635,7 +645,9 @@ class RowDropMatrix(SummabilityMatrix):
         return self.base.entry(n, k)
 
     def _row(self, n: int, width: int) -> tuple:
-        return (ZERO,) * width if member(self.drop, n) else self.base._row(n, width)
+        if width < 1 or member(self.drop, n):
+            return (ZERO,) * width  # () at width < 1, even for n < 1
+        return self.base._row(n, width)
 
     def row_support(self, n: int) -> int | None:
         if member(self.drop, n):

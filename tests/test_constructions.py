@@ -26,6 +26,7 @@ from subsum import (
     RowDropMatrix,
     Selector,
     SequenceSpec,
+    SummabilityMatrix,
     UnsupportedIdealError,
     escape_rowfinite,
     escape_unbounded,
@@ -533,6 +534,8 @@ class _LateTamperCesaro(CesaroMatrix):
     """The running average, except that one entry changes once it has been
     read: the entry pass sees 1/n there, every later read 2/n."""
 
+    _row = SummabilityMatrix._row  # every row read goes through entry
+
     def __init__(self, spot):
         self.spot = spot
         self.reads = 0
@@ -558,6 +561,8 @@ class _LateTamperCesaroRow(CesaroMatrix):
     """The running average, except that row ``row`` reads 2/row on every
     column from its second read on: the re-read row is still constant."""
 
+    _row = SummabilityMatrix._row  # every row read goes through entry
+
     def __init__(self, row):
         self.row = row
         self.reads = 0
@@ -571,6 +576,7 @@ class _LateTamperCesaroRow(CesaroMatrix):
 
 
 class _CountedCesaro(CesaroMatrix):
+    _row = SummabilityMatrix._row  # every row read goes through entry
     reads = 0
 
     def entry(self, n, k):
@@ -608,6 +614,37 @@ def test_an_escape_reads_each_entry_twice_and_sums_constant_rows_by_prefix(dot_r
     assert result.block == tuple(range(128, 256)) and result.holds
     assert matrix.reads == 2 * sum(result.block)  # row n is supported on 1..n
     assert dot_rows == []
+
+
+class _LateTamperCesaroFastRow(CesaroMatrix):
+    """The running average through its structural row reader, except that
+    row 5 changes from its second read on."""
+
+    reads = 0
+
+    def _row(self, n, width):
+        row = super()._row(n, width)
+        if n == 5:
+            self.reads += 1
+            if self.reads > 1:
+                return row[:1] + (F(2, 5),) + row[2:]
+        return row
+
+
+def test_the_escape_recheck_reads_the_structural_row_again():
+    matrix = _LateTamperCesaroFastRow()
+    with pytest.raises(ConstructionError, match="disagree"):
+        escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
+    assert matrix.reads == 2
+
+
+def test_a_cesaro_escape_reads_no_entry_one_at_a_time(monkeypatch):
+    def refused(self, n, k):
+        raise AssertionError(f"entry ({n}, {k}) read one at a time")
+
+    monkeypatch.setattr(CesaroMatrix, "entry", refused)
+    result = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 4, p0=7)
+    assert result.block == tuple(range(128, 256)) and result.holds
 
 
 def test_only_rows_that_are_not_constant_are_summed_term_by_term(dot_rows):

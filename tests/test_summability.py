@@ -28,6 +28,7 @@ from subsum import (
     RowDropMatrix,
     SequenceSpecError,
     Squares,
+    SummabilityMatrix,
     TailToleranceError,
     Union,
     indicator_sequence,
@@ -204,6 +205,22 @@ class TestMatrixEntries:
                 m.entry(0, 1)
             with pytest.raises(ValueError):
                 m.entry(1, 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cesaro", "identity", "rowdrop:cesaro:finite:{3,5}", "rowdrop:identity:builtin:squares"],
+    )
+    def test_structural_rows_match_the_generic_reader(self, spec):
+        # Widths below, at and past the row's support, and the n = 0 edge.
+        m = parse_matrix(spec)
+        for n in range(1, 71):
+            for w in range(81):
+                assert m._row(n, w) == SummabilityMatrix._row(m, n, w), (n, w)
+        for read in (m._row, lambda n, w: SummabilityMatrix._row(m, n, w)):
+            assert read(0, 0) == ()
+            for w in (1, 5):
+                with pytest.raises(ValueError):
+                    read(0, w)
 
 
 class TestMatrixParsing:
