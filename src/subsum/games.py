@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from . import setlang
 from .ideals import IN, IdealPresentation
@@ -134,14 +135,9 @@ class GreedyMinStrategy(ReplyStrategy):
 
 
 def _least_members(move: SetDescription, count: int) -> list[int]:
-    """Up to ``count`` least members, by uncapped ``next_member`` jumps."""
-    got: list[int] = []
-    while len(got) < count:
-        nxt = setlang.next_member(move, got[-1] if got else 0)
-        if nxt is None:
-            break
-        got.append(nxt)
-    return got
+    """Up to ``count`` least members: structural jumps may pass
+    ENUMERATION_CAP, scans stop there."""
+    return list(islice(setlang._walk(move, setlang.ENUMERATION_CAP), count))
 
 
 class PrefixTakeStrategy(ReplyStrategy):

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, takewhile
 from math import gcd, isqrt
 from operator import and_, or_, sub
 
@@ -84,7 +84,16 @@ class SetDescription:
     closed-form count, no certified density, and member searches scan.  The
     module helpers ``_form``, ``_finiteness``, ``_density`` and ``_banach``
     ask each rule once per node (see ``_facts``).
+
+    ``next_member(after, cap)`` is the one member search a node states: an
+    answer is always the least member past ``after``, and None means there
+    is none up to ``cap``.  A node that ``jumps`` (finite sets,
+    progressions, dyadic blocks, and shifts and unions with a side that
+    jumps) reads its answer off its structure and may answer past the cap;
+    a node that scans never does.
     """
+
+    jumps = False
 
     def count(self, limit: int) -> int | None:
         """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
@@ -98,10 +107,8 @@ class SetDescription:
         """Certified Banach (uniform upper) density of a node without a form, or None."""
         return None
 
-    def first_member(self, cap: int) -> int | None:
-        return self.next_member(0, cap)
-
     def next_member(self, after: int, cap: int) -> int | None:
+        """Least member past ``after`` (>= 0); a scan stops at ``cap``."""
         for start, flags in _chunks(self, after + 1, cap, 16):
             i = flags.find(1)
             if i >= 0:
@@ -120,6 +127,7 @@ def _marked(lo: int, hi: int, members) -> bytearray:
 @dataclass(frozen=True)
 class Finite(SetDescription):
     members: tuple[int, ...]
+    jumps = True
 
     def __post_init__(self):
         normalized = tuple(sorted(set(self.members)))
@@ -151,6 +159,8 @@ class Finite(SetDescription):
 
 class _Progression(SetDescription):
     """{first, first + step, first + 2*step, ...}; subclasses supply both."""
+
+    jumps = True
 
     def member(self, n):
         return n >= self.first and (n - self.first) % self.step == 0
@@ -227,9 +237,6 @@ class _Sparse(SetDescription):
     window length eventually holds at most one member: density and Banach
     density 0."""
 
-    def first_member(self, cap):
-        return 1
-
     def form(self):
         return _SPARSE_FORMS[type(self)]
 
@@ -274,6 +281,7 @@ class DyadicBlocks(SetDescription):
     """
 
     selector: SetDescription
+    jumps = True
 
     def member(self, n):
         return n > 1 and self.selector.member(n.bit_length() - 1)
@@ -291,8 +299,13 @@ class DyadicBlocks(SetDescription):
         return sum(min((2 << q) - 1, limit) - (1 << q) + 1
                    for q in range(1, limit.bit_length()) if self.selector.member(q))
 
-    def first_member(self, cap):
-        q = self.selector.first_member(cap)
+    def next_member(self, after, cap):
+        n = after + 1
+        q = n.bit_length() - 1
+        if q and self.selector.member(q):
+            return n
+        # The next selected block that starts at or below the cap.
+        q = self.selector.next_member(q, cap.bit_length() - 1)
         return None if q is None or q >= cap.bit_length() else 1 << q
 
     def form(self):
@@ -406,8 +419,16 @@ class Union(SetDescription):
         both = None if a is None or b is None else _count_both(self.left, self.right, limit)
         return None if both is None else a + b - both
 
-    def first_member(self, cap):
-        a, b = self.left.first_member(cap), self.right.first_member(cap)
+    jumps = cached_property(lambda self: self.left.jumps or self.right.jumps)
+
+    def next_member(self, after, cap):
+        if not self.jumps:
+            return super().next_member(after, cap)
+        # The side that jumps goes first, so a scan stops at its answer.
+        first, second = ((self.left, self.right) if self.left.jumps
+                         else (self.right, self.left))
+        a = first.next_member(after, cap)
+        b = second.next_member(after, cap if a is None else min(cap, a - 1))
         if a is None or b is None:
             # The side with no member up to cap may still have one between
             # cap and the other side's least.
@@ -533,13 +554,14 @@ class Shift(SetDescription):
         # the node, counted once, so nested shifts stay linear in depth.
         return _count_closed(self.inner, -self.offset)
 
-    def first_member(self, cap):
-        if self.offset >= 0:
-            base = self.inner.first_member(cap)
-        else:
-            # The least inner member that lands on 1 or later.
-            base = self.inner.next_member(-self.offset, cap)
-        return None if base is None else base + self.offset
+    jumps = cached_property(lambda self: self.inner.jumps)
+
+    def next_member(self, after, cap):
+        # The inner search, cap included, in the inner set's coordinates;
+        # inner members at or below -offset land below 1.
+        o = self.offset
+        m = self.inner.next_member(max(after - o, -o, 0), cap - o)
+        return None if m is None else m + o
 
     def form(self):
         # A shift changes S only finitely beyond moving it, for either sign.
@@ -754,23 +776,38 @@ def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
 
 
 def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
-    """Least element of S, or None if none exists <= cap."""
-    return s.first_member(cap)
+    """Least element of S, or None; see ``next_member`` for the cap."""
+    return s.next_member(0, cap)
 
 
 def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> int | None:
-    """Least element of S strictly greater than ``after`` (<= cap), or None."""
+    """Least element of S strictly greater than ``after`` >= 0, or None if
+    none exists <= cap.  A set that jumps may answer past the cap, a set
+    that scans never does, and a union answers past it only when both of
+    its sides name their least member (see ``SetDescription``)."""
     return s.next_member(after, cap)
 
 
+def _walk(s: SetDescription, cap: int):
+    """Yield the members of S in increasing order: by ``next_member`` jumps,
+    which may pass ``cap``, on a set that jumps, else from one chunked scan
+    of [1, cap]."""
+    if s.jumps:
+        n = s.next_member(0, cap)
+        while n is not None:
+            yield n
+            n = s.next_member(n, cap)
+    else:
+        for start, flags in _chunks(s, 1, cap, 16):
+            yield from compress(range(start, start + len(flags)), flags)
+
+
 def iter_members(s: SetDescription, limit: int):
-    """Yield the members of S up to ``limit`` in increasing order."""
+    """Yield the members of S up to ``limit`` in increasing order; a jump
+    past ``limit`` ends the walk."""
     if limit > ENUMERATION_CAP and _count_closed(s, limit) is None:
         raise EnumerationCapError("member scan past cap")
-    n = first_member(s, limit)
-    while n is not None and n <= limit:
-        yield n
-        n = next_member(s, n, limit)
+    yield from takewhile(limit.__ge__, _walk(s, limit))
 
 
 def is_finite(s: SetDescription) -> Tri:

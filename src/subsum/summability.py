@@ -1031,11 +1031,15 @@ def _summed_width(
 def _points(
     matrix: SummabilityMatrix, x: SequenceSpec, rows, tail_tol: Fraction
 ) -> Iterator[tuple[tuple[int, int], Fraction]]:
-    """Per row, its transform value as an integer pair and its tail bound."""
+    """Per row, its transform value as an integer pair and its tail bound;
+    past ``DEFAULT_COLUMN_CAP`` entries summed in all it refuses the next row."""
     # x is read once, as integer pairs up to the widest width summed so far.
     pairs: list[tuple[int, int]] = []
+    entries = 0
     for n in rows:
         width, tail = _summed_width(matrix, x, n, tail_tol)
+        entries += width
+        _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
         pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
         yield _dot_pair(matrix._row(n, width), pairs), tail
 
@@ -1048,9 +1052,11 @@ def transform_prefix(
 ) -> list[TransformPoint]:
     """Transform rows 1..n_max with certified tail bounds: row-finite
     matrices through their exact kernel (tail 0), other rows summed to the
-    width ``_summed_width`` picks for ``tail_tol``."""
+    width ``_summed_width`` picks for ``tail_tol``.  More than
+    ``DEFAULT_COLUMN_CAP`` rows are refused (AuditBudgetError)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _row_budget(n_max, "transform row count")
     rows = range(1, n_max + 1)
     points = (zip(matrix._transform_pairs(x, n_max), repeat(ZERO)) if matrix.row_finite
               else _points(matrix, x, rows, tail_tol))
@@ -1077,8 +1083,9 @@ def domain_check(
 ) -> DomainCheck:
     """Does row n of the transform make sense for x?
 
-    ``converged`` needs a certified tail (row-finite rows give tail 0): the
-    first doubling width up to ``DOMAIN_WIDTH_CAP`` whose tail bound is at
+    ``converged`` needs a certified tail (row-finite rows give tail 0, and
+    one wider than ``DEFAULT_COLUMN_CAP`` columns is refused): the first
+    doubling width up to ``DOMAIN_WIDTH_CAP`` whose tail bound is at
     most tol, found before any column is summed; the row is then summed to
     that width.  With no such width, ``diverging`` needs finite-scale
     evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a single term
@@ -1090,7 +1097,9 @@ def domain_check(
         raise ValueError("transform rows start at 1")
     width, tail = matrix.row_support(n), ZERO
     evidence = {"row_finite": True}
-    if width is None:
+    if width is not None:
+        _row_budget(width, f"row {n} support width", "columns")
+    else:
         width, tail = _tail_width(
             lambda w: _certified_tail(matrix, x, n, w), tol, 32, DOMAIN_WIDTH_CAP
         )

@@ -114,6 +114,13 @@ class TestRegularity:
         assert d["overall"] == "not_regular"
         assert d["conditions"]["row_sums_to_one"]["data"]["witness_rows"] == [1, 4, 9, 16, 25]
 
+    def test_witness_rows_of_a_shifted_drop_start_at_its_least_member(self, capsys):
+        code, d = run_json(capsys, ["regularity", "--matrix",
+                                    "rowdrop:cesaro:shift:builtin:squares,-10001", "--ideal", "fin"])
+        assert code == 4
+        rows = d["conditions"]["row_sums_to_one"]["data"]["witness_rows"]
+        assert rows == [200, 403, 608, 815, 1024]
+
     def test_same_matrix_recovers_along_the_density_ideal(self, capsys):
         code, d = run_json(
             capsys,
@@ -186,6 +193,18 @@ class TestDomain:
         code, d = run_json(capsys, ["domain", "--matrix", "gen:geometric", "--x", x])
         assert code == 0
         assert (d["status"], d["value"]) == ("converged", value)
+
+    @pytest.mark.parametrize("argv", [
+        ["domain", "--row", "100000000000000000000"],
+        ["domain", "--row", "10000000"],
+        ["transform", "--rows", "100000000000000000000"],
+    ])
+    def test_huge_rows_are_refused_by_the_audit_budget(self, capsys, argv):
+        started = time.monotonic()
+        code, out, err = run(capsys, argv[:1] + ["--matrix", "cesaro", "--x", "n"] + argv[1:])
+        assert time.monotonic() - started < 1.0
+        assert code == 3
+        assert f"over the audit budget of {DEFAULT_COLUMN_CAP}" in err
 
     @pytest.mark.parametrize("row", ["0", "-3"])
     def test_rows_below_one_exit_with_code_2(self, capsys, row):
@@ -413,6 +432,18 @@ class TestGame:
         )
         assert code == 3
         assert "StrategySearchError" in err
+
+    # The least member of a shifted set comes from an inner member past the
+    # search cap, which the search moves by the offset.
+    @pytest.mark.parametrize("ideal, move", [
+        ("z", "shift:complement:builtin:squares,-10000000"),
+        ("fin", "union:finite:{16}|shift:complement:finite:{},-20000000"),
+    ])
+    def test_greedy_replies_are_least_members_of_shifted_moves(self, capsys, ideal, move):
+        code, d = run_json(capsys, ["game", "--ideal", ideal, "--moves", move,
+                                    "--strategy", "greedy_min", "--rounds", "1"])
+        assert code == 0
+        assert d["rounds"][0]["reply"] == [1]
 
     def test_huge_negative_shifts_are_answered_in_constant_time(self, capsys):
         started = time.monotonic()

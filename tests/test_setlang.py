@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subsum import setlang
@@ -198,6 +198,12 @@ def test_first_and_next_member():
     assert setlang.first_member(Shift(AP(3, 7), -(10**12))) == 2
     assert setlang.first_member(Shift(Finite((2, 9)), -5)) == 4
     assert setlang.first_member(Shift(Finite((2, 5)), -5)) is None
+    # a shift searches its inner set up to the cap moved by the offset
+    assert setlang.first_member(Shift(Squares(), -4), 5) == 5
+    assert setlang.next_member(Shift(Squares(), -4), 5, 12) == 12
+    assert setlang.first_member(Shift(Complement(Squares()), -10**7)) == 1
+    assert setlang.first_member(Shift(Squares(), 3), 3) is None
+    assert setlang.first_member(Shift(Squares(), 3), 4) == 4
     assert setlang.next_member(Squares(), 10) == 16
     assert setlang.next_member(AP(3, 4), 3) == 7
 
@@ -212,6 +218,14 @@ def test_first_member_never_builds_a_block_past_the_cap():
     assert setlang.first_member(late) is None
     assert setlang.first_member(late, 1 << 31) == 1 << 30
     assert setlang.first_member(Union(AP(1 << 40, 1), AP(1 << 41, 1))) == 1 << 40
+    # the same searches started past a member
+    assert setlang.next_member(DyadicBlocks(Finite((60,))), 1) is None
+    assert setlang.next_member(DyadicBlocks(Finite((60,))), 1, 1 << 60) == 1 << 60
+    assert setlang.next_member(DyadicBlocks(Finite((60,))), 1 << 60) == (1 << 60) + 1
+    assert setlang.next_member(late, 1) is None
+    assert setlang.next_member(late, 1, 1 << 31) == 1 << 30
+    assert setlang.next_member(late, 1 << 30, 1 << 31) == (1 << 30) + 1
+    assert setlang.next_member(Union(AP(1 << 40, 1), AP(1 << 41, 1)), 1 << 40) == (1 << 40) + 1
 
 
 def test_is_finite_and_cofinite():
@@ -390,7 +404,6 @@ def test_chunked_scans_match_member_loops(s, limit, chunk, data):
     flags = [member(s, n) for n in range(1, limit + 1)]
     checkpoints = sorted(data.draw(st.sets(st.integers(0, limit), min_size=1)))
     windows = data.draw(st.lists(st.integers(1, limit), max_size=4))
-    after = data.draw(st.integers(0, limit))
     columns = {k: 0 for k in range(21)}
     for n in range(1, limit + 1):
         columns[nu2(n)] += flags[n - 1] if nu2(n) <= 20 else 0
@@ -402,15 +415,37 @@ def test_chunked_scans_match_member_loops(s, limit, chunk, data):
             Fraction(max(sum(flags[t:t + w]) for t in range(limit - w + 1)), w) for w in windows
         ]
         assert nu2_column_audit(s, limit)["column_counts"] == columns
-        # Complements and intersections have no structural shortcut (one
-        # that may answer past the cap), so these searches scan.
-        scanned = Intersection(s, setlang.NATURALS)
-        assert setlang.next_member(scanned, after, limit) == next(
-            (n for n in range(after + 1, limit + 1) if flags[n - 1]), None
-        )
-        assert setlang.first_member(scanned, limit) == next(
-            (n for n, f in enumerate(flags, 1) if f), None
-        )
+
+
+def _within(n, limit):
+    return None if n is None or n > limit else n
+
+
+# A negative shift whose least member comes from an inner member past the
+# limit: the inner search must stop at the limit moved by the offset.
+@settings(max_examples=80, deadline=None)
+@example(s=Shift(Squares(), -4), limit=5, after=0, chunk=64)
+@given(
+    s=_scan_trees(),
+    limit=st.integers(1, 300),
+    after=st.integers(0, 300),
+    chunk=st.sampled_from([7, 64, setlang.SCAN_CHUNK]),
+)
+def test_member_searches_match_member_loops(s, limit, after, chunk):
+    flags = [member(s, n) for n in range(1, limit + 1)]
+    members = [n for n, f in enumerate(flags, 1) if f]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(setlang, "SCAN_CHUNK", chunk)
+        # s may jump to an answer past the limit, which reads as None; its
+        # intersection with N and its complement scan.
+        for searched in (s, Intersection(s, setlang.NATURALS)):
+            assert _within(setlang.next_member(searched, after, limit), limit) == next(
+                (n for n in members if n > after), None
+            )
+            assert _within(setlang.first_member(searched, limit), limit) == next(
+                iter(members), None
+            )
+        assert list(setlang.iter_members(s, limit)) == members
         assert setlang.first_member(Complement(s), limit) == next(
             (n for n, f in enumerate(flags, 1) if not f), None
         )

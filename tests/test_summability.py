@@ -49,7 +49,7 @@ from subsum import (
 from subsum import summability
 from subsum.ideals import IDEALS
 from subsum.setlang import _bounded_str
-from subsum.summability import DOMAIN_SCAN_COLUMNS, domain_check
+from subsum.summability import DOMAIN_SCAN_COLUMNS, AuditBudgetError, domain_check
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -402,10 +402,11 @@ def test_a_warmed_matrix_answers_like_a_fresh_one(kind, x, rows, warm, cap):
     cap = summability.DEFAULT_COLUMN_CAP if cap is None else cap
 
     def outcome(call, *args, **kwargs):
-        # A small cap also bounds the tail widths, so errors are answers too.
+        # A small cap also bounds the tail widths and the entries summed, so
+        # errors are answers too.
         try:
             return call(*args, **kwargs)
-        except (DomainRiskError, TailToleranceError) as error:
+        except (AuditBudgetError, DomainRiskError, TailToleranceError) as error:
             return type(error), str(error)
 
     def answers(m):
@@ -452,6 +453,14 @@ class TestTransforms:
         for n in (1, 3, 8, 20):
             point = transform_prefix(m, x, n)[-1]
             assert point.value == oracle_transform(m, x, n, n)
+
+    def test_generic_rows_stop_at_the_entry_budget(self):
+        # Rows 1..13 of a support-n matrix hold 91 entries; row 14 would pass 100.
+        m, x = random_rowfinite_matrix(3), parse_sequence("n")
+        with mock.patch.object(summability, "DEFAULT_COLUMN_CAP", 100):
+            assert len(transform_prefix(m, x, 13)) == 13
+            with pytest.raises(AuditBudgetError, match="entry count 105"):
+                transform_prefix(m, x, 14)
 
     def test_geometric_row_against_constant_one(self):
         m = parse_matrix("gen:geometric")
