@@ -312,7 +312,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         )
     limit = cert.scales[-1]
     summability._row_budget(limit, "certificate scale")
-    ok = cert.audit_pairs(matrix._transform_pairs(x, limit))
+    ok = cert.audit_pairs(pair for pair, _ in matrix._transform(x, limit))
     payload = {
         "command": "verify",
         "certificate": args.certificate,

@@ -493,8 +493,8 @@ def escape_rowfinite(
     ``matrix._row``: once to plan the picks, once in the exact re-check,
     which sums every row again against the picks read again from the
     selector (a constant row as its entry times a prefix sum of the picks).
-    Cesaro and identity build each row in one step, with no call per
-    entry; a generator matrix serves the second read from its row cache.
+    Each matrix kind states its rows whole, with no call per entry; a
+    generator matrix serves the second read from its row cache.
     A block whose ambient span, row count or entry pass would read over
     ``DEFAULT_COLUMN_CAP`` integers, rows or entries is refused
     (AuditBudgetError) before any entry is read, and the restricted

@@ -395,12 +395,14 @@ def parse_row(spec: str) -> RowSeq:
 
 
 class SummabilityMatrix:
-    """Common interface: exact entries, structural row support, spec string.
+    """Common interface: exact rows, structural row support, spec string.
 
-    Each kind states its structural facts by overriding the defaults here.
-    A default either answers "unknown" (None / False) or, for the
-    regularity conditions and the transform kernel, does the generic
-    sampled or direct computation.
+    Each kind states its rows once, in ``_row``, and ``entry`` reads the
+    row's prefix (generator matrices and row drops override it, see
+    ``GeneratorMatrix.entry``).  Each kind states its other facts by
+    overriding the defaults here.  A default either answers "unknown" (None /
+    False) or, for the regularity conditions and the transform kernel, does
+    the generic sampled or direct computation.
     """
 
     nonneg: bool = False  # every entry is structurally >= 0
@@ -408,11 +410,14 @@ class SummabilityMatrix:
     row_finite: bool = False  # every row is structurally finitely supported
 
     def entry(self, n: int, k: int) -> Fraction:
-        raise NotImplementedError
+        if k < 1:
+            raise ValueError("indices start at 1")
+        return self._row(n, k)[-1]
 
     def _row(self, n: int, width: int) -> tuple:
-        """The entries a_{n,1..width}; every whole-row reader goes through here."""
-        return tuple(map(self.entry, repeat(n), range(1, width + 1)))
+        """The entries a_{n,1..width}: () at width < 1, else ValueError for
+        n < 1.  Each kind states its rows here; every row reader goes through here."""
+        raise NotImplementedError
 
     def row_support(self, n: int) -> int | None:
         """Last nonzero column of row n (0 for a zero row), None if unknown."""
@@ -445,13 +450,13 @@ class SummabilityMatrix:
     def __hash__(self):
         return hash(self.spec_string())
 
-    # -- transform kernel (row-finite matrices)
+    # -- transform kernel
 
-    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
-        """Exact rows 1..n_max of the transform of x as integer (numerator,
-        positive denominator) pairs, streamed.  The default sums each row
-        directly (``_points``), reading x once."""
-        return (pair for pair, _ in _points(self, x, range(1, n_max + 1), ZERO))
+    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO) -> Iterator:
+        """Rows 1..n_max of the transform of x, streamed as ((numerator, positive
+        denominator), certified tail bound) per row.  The default sums each row
+        to the width ``_summed_width`` picks (``_points``), reading x once."""
+        return _points(self, x, range(1, n_max + 1), tail_tol)
 
     # -- structural facts
 
@@ -524,11 +529,6 @@ class CesaroMatrix(_StochasticTriangle):
 
     averaging_core = True
 
-    def entry(self, n: int, k: int) -> Fraction:
-        if n < 1 or k < 1:
-            raise ValueError("indices start at 1")
-        return ZERO if k > n else Fraction(1, n)
-
     def _row(self, n: int, width: int) -> tuple:
         if width < 1:
             return ()
@@ -536,13 +536,13 @@ class CesaroMatrix(_StochasticTriangle):
             raise ValueError("indices start at 1")
         return (Fraction(1, n),) * min(n, width) + (ZERO,) * (width - n)
 
-    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
+    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
         # The running sum stays an int while the inputs are integral, which
         # keeps 0/1 prefixes as cheap as counting ones.
         total = 0
         for n, v in enumerate(x.values(n_max), start=1):
             total += v.numerator if v.denominator == 1 else v
-            yield total.numerator, total.denominator * n
+            yield (total.numerator, total.denominator * n), ZERO
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
         """Row intervals (lo, hi) of values <= lower, and of values >= upper."""
@@ -586,11 +586,6 @@ class CesaroMatrix(_StochasticTriangle):
 class IdentityMatrix(_StochasticTriangle):
     """a_{n,k} = 1 for k = n, else 0."""
 
-    def entry(self, n: int, k: int) -> Fraction:
-        if n < 1 or k < 1:
-            raise ValueError("indices start at 1")
-        return ONE if n == k else ZERO
-
     def _row(self, n: int, width: int) -> tuple:
         if width < 1:
             return ()
@@ -600,8 +595,8 @@ class IdentityMatrix(_StochasticTriangle):
             return (ZERO,) * width
         return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
 
-    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
-        return (v.as_integer_ratio() for v in x.values(n_max))
+    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
+        return ((v.as_integer_ratio(), ZERO) for v in x.values(n_max))
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         # Row n of the transform is the bit x_n: each count follows from the
@@ -638,11 +633,8 @@ class RowDropMatrix(SummabilityMatrix):
         self.row_finite = base.row_finite
 
     def entry(self, n: int, k: int) -> Fraction:
-        if member(self.drop, n):
-            if k < 1:
-                raise ValueError("indices start at 1")
-            return ZERO
-        return self.base.entry(n, k)
+        # Not read off a row prefix, for the generator matrix's reason.
+        return ZERO if k >= 1 and member(self.drop, n) else self.base.entry(n, k)
 
     def _row(self, n: int, width: int) -> tuple:
         if width < 1 or member(self.drop, n):
@@ -650,14 +642,18 @@ class RowDropMatrix(SummabilityMatrix):
         return self.base._row(n, width)
 
     def row_support(self, n: int) -> int | None:
-        if member(self.drop, n):
-            return 0
-        return self.base.row_support(n)
+        return 0 if member(self.drop, n) else self.base.row_support(n)
 
-    def _transform_pairs(self, x: SequenceSpec, n_max: int) -> Iterator[tuple[int, int]]:
+    def l1_tail(self, n: int, after: int) -> Fraction | None:
+        return ZERO if member(self.drop, n) else self.base.l1_tail(n, after)
+
+    def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
+        return None if member(self.drop, n) else self.base.term_ratio(n)
+
+    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
         dropped = setlang._scan(self.drop, 1, n_max)
-        for gone, pair in zip(dropped, self.base._transform_pairs(x, n_max)):
-            yield (0, 1) if gone else pair
+        for gone, point in zip(dropped, self.base._transform(x, n_max, tail_tol)):
+            yield ((0, 1), ZERO) if gone else point
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         # Nested drops are one drop of their union from the innermost base.
@@ -711,13 +707,13 @@ class ExplicitMatrix(SummabilityMatrix):
         self.rows = tuple(stored)
         self.nonneg = all(v >= 0 for row in self.rows for v in row)
 
-    def entry(self, n: int, k: int) -> Fraction:
-        if n < 1 or k < 1:
+    def _row(self, n: int, width: int) -> tuple:
+        if width < 1:
+            return ()
+        if n < 1:
             raise ValueError("indices start at 1")
-        if n > len(self.rows):
-            return ZERO
-        row = self.rows[n - 1]
-        return row[k - 1] if k <= len(row) else ZERO
+        row = self.rows[n - 1][:width] if n <= len(self.rows) else ()
+        return row + (ZERO,) * (width - len(row))
 
     def row_support(self, n: int) -> int:
         if n > len(self.rows):
@@ -791,6 +787,8 @@ class GeneratorMatrix(SummabilityMatrix):
         self._rows, self._stored = {}, 0  # row prefixes read, and their size
 
     def entry(self, n: int, k: int) -> Fraction:
+        # Not read off a row prefix: ``_certified_tail`` probes far columns,
+        # up to 2^20, whose prefixes in ``gen:geometric`` would take tens of GB.
         row = self._rows.get(n, ())
         return row[k - 1] if 0 < k <= len(row) else self._fresh(n, k)
 
@@ -1031,15 +1029,19 @@ def _summed_width(
 def _points(
     matrix: SummabilityMatrix, x: SequenceSpec, rows, tail_tol: Fraction
 ) -> Iterator[tuple[tuple[int, int], Fraction]]:
-    """Per row, its transform value as an integer pair and its tail bound;
-    past ``DEFAULT_COLUMN_CAP`` entries summed in all it refuses the next row."""
-    # x is read once, as integer pairs up to the widest width summed so far.
-    pairs: list[tuple[int, int]] = []
+    """Per row, its transform value as an integer pair and its tail bound.
+    Every row's width is found before any entry is read, so rows that sum
+    over ``DEFAULT_COLUMN_CAP`` entries in all are refused unread."""
+    widths = []
     entries = 0
     for n in rows:
         width, tail = _summed_width(matrix, x, n, tail_tol)
         entries += width
         _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
+        widths.append((n, width, tail))
+    # x is read once, as integer pairs up to the widest width summed so far.
+    pairs: list[tuple[int, int]] = []
+    for n, width, tail in widths:
         pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
         yield _dot_pair(matrix._row(n, width), pairs), tail
 
@@ -1050,17 +1052,15 @@ def transform_prefix(
     n_max: int,
     tail_tol: Fraction = ZERO,
 ) -> list[TransformPoint]:
-    """Transform rows 1..n_max with certified tail bounds: row-finite
-    matrices through their exact kernel (tail 0), other rows summed to the
-    width ``_summed_width`` picks for ``tail_tol``.  More than
-    ``DEFAULT_COLUMN_CAP`` rows are refused (AuditBudgetError)."""
+    """Transform rows 1..n_max with certified tail bounds, through the
+    matrix kind's ``_transform``: a row-finite row is exact (tail 0), any
+    other is summed to the width ``_summed_width`` picks for ``tail_tol``.
+    More than ``DEFAULT_COLUMN_CAP`` rows are refused (AuditBudgetError)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _row_budget(n_max, "transform row count")
-    rows = range(1, n_max + 1)
-    points = (zip(matrix._transform_pairs(x, n_max), repeat(ZERO)) if matrix.row_finite
-              else _points(matrix, x, rows, tail_tol))
-    return [TransformPoint(n, Fraction(*pair), tail) for n, (pair, tail) in zip(rows, points)]
+    points = matrix._transform(x, n_max, tail_tol)
+    return [TransformPoint(n, Fraction(*pair), tail) for n, (pair, tail) in enumerate(points, 1)]
 
 
 # ---------------------------------------------------------------- domain check
@@ -1114,8 +1114,8 @@ def domain_check(
     tp, tq = tol.numerator, tol.denominator
     stable_seen = False
     num, den = 0, 1
-    for k in range(1, DOMAIN_SCAN_COLUMNS + 1):
-        a, v = matrix.entry(n, k), x.value(k)
+    for k, a in enumerate(matrix._row(n, DOMAIN_SCAN_COLUMNS), 1):
+        v = x.value(k)
         p, q = a.numerator * v.numerator, a.denominator * v.denominator
         if p:
             if den % q:

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ import subsum
 from subsum import cli
 from subsum._version import __version__
 from subsum.setlang import MAX_NESTING
-from subsum.summability import DEFAULT_COLUMN_CAP, DOMAIN_SCAN_COLUMNS
+from subsum.summability import DEFAULT_COLUMN_CAP, DOMAIN_SCAN_COLUMNS, parse_matrix
 
 
 def run(capsys, argv):
@@ -154,6 +155,29 @@ class TestTransform:
         assert "TailToleranceError" in err
 
 
+    @pytest.mark.parametrize("x", ["alt", "n"])
+    def test_row_drops_over_a_tailed_base_keep_its_tails(self, capsys, x):
+        # Kept rows are the base's rows, tail bounds included (``n`` takes
+        # the term-ratio bound); the dropped row 2 is 0 with tail 0.
+        argv = ["transform", "--x", x, "--rows", "3", "--tail-tol", "1/1000"]
+        code, base = run_json(capsys, argv + ["--matrix", "gen:geometric"])
+        assert code == 0
+        code, d = run_json(capsys, argv + ["--matrix", "rowdrop:gen:geometric:finite:{2}"])
+        assert code == 0
+        assert d["rows"] == [base["rows"][0], {"n": 2, "value": "0", "tail_bound": "0"},
+                             base["rows"][2]]
+        assert base["rows"][0]["tail_bound"] != "0"
+
+    def test_transforms_over_the_entry_budget_are_refused_unread(self, capsys):
+        # Every row's width is known before any entry is read: the refusal
+        # names the row that crosses the budget, and no row is summed.
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["transform", "--matrix", "gen:rand_rowfinite_3",
+                                      "--x", "n", "--rows", "100000"])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert "transform rows 1..1448 entry count 1049076 is over the audit budget" in err
+
     def test_values_past_the_int_to_str_limit_print_in_bounded_form(self, capsys):
         # x_n = 10^-4400 makes the row value's denominator over 4300 digits,
         # which str() refuses; it prints truncated instead.
@@ -205,6 +229,21 @@ class TestDomain:
         assert time.monotonic() - started < 1.0
         assert code == 3
         assert f"over the audit budget of {DEFAULT_COLUMN_CAP}" in err
+
+    @pytest.mark.parametrize("x", ["alt", "n"])
+    def test_row_drops_over_a_tailed_base_converge_like_it(self, capsys, x):
+        argv = ["domain", "--x", x]
+        for row in ("1", "2", "3"):
+            code, base = run_json(capsys, argv + ["--row", row, "--matrix", "gen:geometric"])
+            assert code == 0
+            code, d = run_json(capsys, argv + ["--row", row, "--matrix",
+                                               "rowdrop:gen:geometric:finite:{2}"])
+            assert code == 0 and d["status"] == "converged"
+            if row == "2":
+                assert (d["value"], d["tail_bound"]) == ("0", "0")
+            else:
+                assert {k: d[k] for k in ("value", "tail_bound", "evidence")} == {
+                    k: base[k] for k in ("value", "tail_bound", "evidence")}
 
     @pytest.mark.parametrize("row", ["0", "-3"])
     def test_rows_below_one_exit_with_code_2(self, capsys, row):
@@ -919,6 +958,62 @@ class TestErrorContract:
         assert code == 1
         assert record["digest"] is None
         assert record["error"] == "ZeroDivisionError: broken on purpose"
+
+
+# A seeded fuzz slice over the transform-kernel commands: every matrix kind
+# and a row drop over each, the named and literal sequences, and hostile
+# row counts, rows, tolerances and certificates.
+_FUZZ_DROPS = {
+    "cesaro": "builtin:squares",
+    "identity": "ap:1,2",
+    "explicit:1;0,1/2;1/3,1/3,1/3": "finite:{1}",
+    "gen:geometric": "finite:{2}",
+    "gen:rand_rowfinite_3": "ap:2,3",
+}
+_FUZZ_MATRICES = [*_FUZZ_DROPS, *(f"rowdrop:{m}:{drop}" for m, drop in _FUZZ_DROPS.items())]
+_FUZZ_SEQUENCES = ["n", "nalt", "alt", "sqperturb", "const:-5/3", "list:1,-2,3/4", "rle:1x3,0x2"]
+_FUZZ_HOSTILE = {
+    "--rows": ["0", "-1", str(10**20)],
+    "--row": ["0", str(10**20)],
+    "tolerance": ["0", "1e-100000", "1/1" + "0" * 5000],
+}
+_FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
+                      '{"kind": "oscillation", "matrix": "wat", "x": "n"}']
+
+
+def _fuzz_argv(rng, path):
+    """One run's argv: half the transform and domain runs take one hostile
+    value, and half the certificates are malformed."""
+    m, x = rng.choice(_FUZZ_MATRICES), rng.choice(_FUZZ_SEQUENCES)
+    command = rng.choice(["transform", "domain", "regularity", "verify"])
+    if command == "regularity":
+        return [command, "--matrix", m, "--ideal", rng.choice(["fin", "z"]), "--scale", "64"]
+    if command == "verify":
+        cert = {"kind": "oscillation", "x": x, "matrix": m, "lower": "1/4", "upper": "3/4",
+                "scales": [8], "lower_counts": [4], "upper_counts": [4]}
+        path.write_text(rng.choice([json.dumps(cert)] * 4 + _FUZZ_CERTIFICATES))
+        return [command, str(path)]
+    flags = {"--rows": "5", "--tail-tol": "1/1000"} if command == "transform" else {
+        "--row": "3", "--tol": "1/1000"}
+    if rng.random() < 0.5:
+        flag = rng.choice(list(flags))
+        flags[flag] = rng.choice(_FUZZ_HOSTILE.get(flag, _FUZZ_HOSTILE["tolerance"]))
+    return [command, "--matrix", m, "--x", x, *(t for item in flags.items() for t in item)]
+
+
+def test_a_fuzz_slice_exits_documented_and_logs_once(capsys, tmp_path):
+    rng = random.Random(2028)
+    log = tmp_path / "runs.jsonl"
+    for i in range(160):
+        argv = _fuzz_argv(rng, tmp_path / "cert.json")
+        code, out, err = run(capsys, argv + ["--runlog", str(log)])
+        assert code in (0, 2, 3, 4, 5, 6, 7), (argv, err)  # 1 is an unexpected failure
+        records = log.read_text().splitlines()
+        assert len(records) == i + 1 and json.loads(records[-1])["exit"] == code, argv
+        printed = json.loads(out)["matrix"] if out else None
+        if printed is not None:
+            assert parse_matrix(printed).spec_string() == printed, argv
+            assert argv[0] == "verify" or parse_matrix(printed) == parse_matrix(argv[2]), argv
 
 
 # sha256 of the printed JSON of escapes and a demo, recorded before the

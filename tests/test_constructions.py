@@ -26,7 +26,6 @@ from subsum import (
     RowDropMatrix,
     Selector,
     SequenceSpec,
-    SummabilityMatrix,
     UnsupportedIdealError,
     escape_rowfinite,
     escape_unbounded,
@@ -534,18 +533,18 @@ class _LateTamperCesaro(CesaroMatrix):
     """The running average, except that one entry changes once it has been
     read: the entry pass sees 1/n there, every later read 2/n."""
 
-    _row = SummabilityMatrix._row  # every row read goes through entry
-
     def __init__(self, spot):
         self.spot = spot
         self.reads = 0
 
-    def entry(self, n, k):
-        if (n, k) == self.spot:
+    def _row(self, n, width):
+        row = super()._row(n, width)
+        spot_row, k = self.spot
+        if n == spot_row and k <= width:
             self.reads += 1
             if self.reads > 1:
-                return F(2, n)
-        return super().entry(n, k)
+                return row[:k - 1] + (F(2, n),) + row[k:]
+        return row
 
 
 def test_the_escape_recheck_reads_every_entry_again():
@@ -561,27 +560,24 @@ class _LateTamperCesaroRow(CesaroMatrix):
     """The running average, except that row ``row`` reads 2/row on every
     column from its second read on: the re-read row is still constant."""
 
-    _row = SummabilityMatrix._row  # every row read goes through entry
-
     def __init__(self, row):
         self.row = row
-        self.reads = 0
+        self.reads = 0  # entries of row ``row`` read
 
-    def entry(self, n, k):
-        if n == self.row:
-            self.reads += 1
-            if self.reads > n:
-                return F(2, n)
-        return super().entry(n, k)
+    def _row(self, n, width):
+        row = super()._row(n, width)
+        if n != self.row:
+            return row
+        start, self.reads = self.reads, self.reads + width
+        return tuple(e if start + k <= n else F(2, n) for k, e in enumerate(row, 1))
 
 
 class _CountedCesaro(CesaroMatrix):
-    _row = SummabilityMatrix._row  # every row read goes through entry
-    reads = 0
+    reads = 0  # entries read
 
-    def entry(self, n, k):
-        self.reads += 1
-        return super().entry(n, k)
+    def _row(self, n, width):
+        self.reads += width
+        return super()._row(n, width)
 
 
 @pytest.fixture
@@ -616,23 +612,9 @@ def test_an_escape_reads_each_entry_twice_and_sums_constant_rows_by_prefix(dot_r
     assert dot_rows == []
 
 
-class _LateTamperCesaroFastRow(CesaroMatrix):
-    """The running average through its structural row reader, except that
-    row 5 changes from its second read on."""
-
-    reads = 0
-
-    def _row(self, n, width):
-        row = super()._row(n, width)
-        if n == 5:
-            self.reads += 1
-            if self.reads > 1:
-                return row[:1] + (F(2, 5),) + row[2:]
-        return row
-
-
 def test_the_escape_recheck_reads_the_structural_row_again():
-    matrix = _LateTamperCesaroFastRow()
+    # The diagonal entry of the block's last row: its last column.
+    matrix = _LateTamperCesaro((7, 7))
     with pytest.raises(ConstructionError, match="disagree"):
         escape_rowfinite((), matrix, parse_sequence("n"), Z, 1)
     assert matrix.reads == 2
@@ -766,7 +748,7 @@ class TestBlocksAdversary:
         assert again == blocks_report
 
     def test_certificate_audits_against_recomputed_means(self, blocks_report):
-        pairs = CesaroMatrix()._transform_pairs(parse_sequence("blocks01"), 65536)
+        pairs = (pair for pair, _ in CesaroMatrix()._transform(parse_sequence("blocks01"), 65536))
         values = [F(p, q) for p, q in pairs]
         assert blocks_report.certificate.audit_values(values)
 
@@ -810,7 +792,7 @@ class TestGreedyAdversary:
         report = steinhaus_adversary(CesaroMatrix(), mode="greedy", scale=512)
         assert report.x_spec.startswith("rle:")
         replay = parse_sequence(report.x_spec)
-        values = [F(p, q) for p, q in CesaroMatrix()._transform_pairs(replay, report.scale)]
+        values = [F(*pair) for pair, _ in CesaroMatrix()._transform(replay, report.scale)]
         assert report.certificate.audit_values(values)
 
     def test_greedy_needs_an_averaging_matrix(self):

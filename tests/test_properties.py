@@ -409,7 +409,7 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
     ]
     assert got == direct
     assert all(type(v) is F for v in got)
-    pairs = list(matrix._transform_pairs(x, n))
+    pairs = [pair for pair, _ in matrix._transform(x, n)]
     assert [F(p, q) for p, q in pairs] == got
     assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
 
@@ -452,7 +452,7 @@ def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data)
     while isinstance(base, RowDropMatrix):
         base = base.base
     assert isinstance(base, IdentityMatrix) or base._hit_spans(runs, lower, upper) is not None
-    pairs = matrix._transform_pairs(sequence_from_rle(runs), n)
+    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), n))
     want = _threshold_counts(pairs, lower, upper, scales)
     assert matrix._threshold_runs(runs, lower, upper, scales) == want
 
@@ -463,7 +463,7 @@ def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data)
 ])
 @pytest.mark.parametrize("matrix", _RUN_FORM_MATRICES[:2] + _RUN_FORM_MATRICES[-1:])
 def test_run_form_levels_cross_inside_a_run(matrix, runs, lower, upper):
-    pairs = matrix._transform_pairs(sequence_from_rle(runs), 13)
+    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), 13))
     want = _threshold_counts(pairs, lower, upper, (6, 10, 13))
     assert matrix._threshold_runs(runs, lower, upper, (6, 10, 13)) == want
 

@@ -28,7 +28,6 @@ from subsum import (
     RowDropMatrix,
     SequenceSpecError,
     Squares,
-    SummabilityMatrix,
     TailToleranceError,
     Union,
     indicator_sequence,
@@ -211,16 +210,57 @@ class TestMatrixEntries:
         ["cesaro", "identity", "rowdrop:cesaro:finite:{3,5}", "rowdrop:identity:builtin:squares"],
     )
     def test_structural_rows_match_the_generic_reader(self, spec):
-        # Widths below, at and past the row's support, and the n = 0 edge.
+        # Each row against the kind's definition, at widths below, at and
+        # past the row's support, and the n = 0 edge; ``entry`` reads the
+        # row's last column.
         m = parse_matrix(spec)
+        base = getattr(m, "base", m)
+        drop = getattr(m, "drop", Finite(()))
+
+        def defined(n, k):
+            if member(drop, n):
+                return F(0)
+            if isinstance(base, CesaroMatrix):
+                return F(1, n) if k <= n else F(0)
+            return F(int(k == n))
+
         for n in range(1, 71):
             for w in range(81):
-                assert m._row(n, w) == SummabilityMatrix._row(m, n, w), (n, w)
-        for read in (m._row, lambda n, w: SummabilityMatrix._row(m, n, w)):
-            assert read(0, 0) == ()
-            for w in (1, 5):
-                with pytest.raises(ValueError):
-                    read(0, w)
+                want = tuple(defined(n, k) for k in range(1, w + 1))
+                assert m._row(n, w) == want, (n, w)
+                assert w == 0 or m.entry(n, w) == want[-1], (n, w)
+        assert m._row(0, 0) == ()
+        for w in (1, 5):
+            with pytest.raises(ValueError):
+                m._row(0, w)
+            with pytest.raises(ValueError):
+                m.entry(0, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.sampled_from(["gen:geometric", "gen:rand_rowfinite_3", "gen:rand_rowfinite_11",
+                              "explicit:1;0,1/2;-3,0,2/7", "explicit:;5"]),
+        drop=st.sampled_from([None, "finite:{2,3}", "ap:1,2"]),
+        n=st.integers(1, 30),
+        width=st.integers(0, 40),
+    )
+    def test_overridden_entries_read_like_the_rows(self, spec, drop, n, width):
+        # Generator matrices and row drops keep their own ``entry``; it
+        # answers like the row, cached or not.
+        m = parse_matrix(spec if drop is None else f"rowdrop:{spec}:{drop}")
+        fresh = [m.entry(n, k) for k in range(1, width + 1)]
+        row = m._row(n, width)
+        assert fresh == list(row) == [m.entry(n, k) for k in range(1, width + 1)]
+
+    def test_a_far_column_is_read_without_its_row_prefix(self):
+        # Tail bounds probe single columns up to 2^20; a prefix that wide of
+        # the geometric row would hold Fractions of up to 2^20 bits each.
+        m = parse_matrix("rowdrop:gen:geometric:finite:{2}")
+        started = time.perf_counter()
+        assert m.entry(1, 1 << 20) == F(1, 1 << (1 << 20))
+        assert m.entry(2, 1 << 20) == 0
+        assert time.perf_counter() - started < 0.5
+        assert 1 not in m.base._rows and m.base._stored == 0
 
 
 class TestMatrixParsing:
