@@ -12,9 +12,11 @@ guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, cycle, islice
+from operator import itemgetter, mul, sub
 
 from .ideals import (
     IN,
@@ -58,27 +60,33 @@ def _snap64(value: Fraction) -> Fraction:
     return Fraction(round(value * 64), 64)
 
 
-def _exact_keys(pairs: list[tuple[int, int]]) -> list[int]:
-    """Integer sort keys, in order and exact, for the values p/q of ``pairs``
-    (q > 0).  Two values p/q < p'/q' differ by at least 1/(q q') >= 1/Q**2,
-    Q the largest denominator, so floor(v * (Q**2 + 1)) keeps them apart, and
-    equal values get equal keys."""
-    scale = max(q for _, q in pairs) ** 2 + 1
-    return [p * scale // q for p, q in pairs]
+# Per value, its exception code: how many of the radii 1/64, 2/64, 4/64, ..., 32/64
+# its distance from a level exceeds.  Its flag at EPS_GRID[i] is code >= 6 - i.
+_RUN_CODES = tuple(bytes((code,)) for code in (6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6))
+_FLAG_TABLES = tuple(bytes(code >= 6 - i for code in range(256)) for i in range(6))
 
 
-def quantile_candidates(values: list[Fraction]) -> list[Fraction]:
-    """Candidate levels: five order statistics and their 1/64-grid snaps."""
+def _exact_keys(pairs: list[tuple[int, int]]) -> tuple[int, list[int]]:
+    """S = 64 Q**2 + 1, Q the largest denominator q > 0 of ``pairs``, and the
+    sort keys floor(p/q * S).  A value and a rational t of denominator at most
+    64 Q (a value, or one +- 2^j/64) are equal or more than 1/S apart, so
+    floor(t * S) compares with the keys exactly as t with the values."""
+    scale = 64 * max(q for _, q in pairs) ** 2 + 1
+    return scale, [p * scale // q for p, q in pairs]
+
+
+def quantile_candidates(values: list[Fraction], order: list[int] | None = None) -> list[Fraction]:
+    """Candidate levels: five order statistics and their 1/64-grid snaps.
+    ``order`` lists the positions of ``values`` by ascending value, when the
+    caller has sorted them already."""
     if not values:
         return []
-    keys = _exact_keys([v.as_integer_ratio() for v in values])
-    ordered = sorted(range(len(values)), key=keys.__getitem__)
-    n = len(ordered)
-    out = set()
-    for r in {0, n // 4, n // 2, (3 * n) // 4, n - 1}:
-        value = values[ordered[r]]
-        out.update((value, _snap64(value)))
-    return sorted(out)
+    if order is None:
+        _, keys = _exact_keys([v.as_integer_ratio() for v in values])
+        order = sorted(range(len(values)), key=keys.__getitem__)
+    n = len(order)
+    picks = {values[order[r]] for r in {0, n // 4, n // 2, (3 * n) // 4, n - 1}}
+    return sorted(picks | set(map(_snap64, picks)))
 
 
 @dataclass(frozen=True)
@@ -189,80 +197,69 @@ def ideal_limit(
     smallest final epsilon, then the simplest level.  Failing that, a pair
     of order-statistic levels hit with the density floors above yields a
     no-limit verdict with a recountable certificate.
+
+    The stream is sorted once, by exact integer keys.  Each candidate's
+    exception flags, and its hit counts, come from bisecting that sort at
+    the candidate's thresholds; the flags reach the ideal's rule as one 0/1
+    byte per value, in stream order.
     """
     small = ideal.limit_rule
     if small is None:
-        raise UnsupportedIdealError(
-            f"limit search along {ideal.kind!r} ideals is not implemented"
-        )
+        raise UnsupportedIdealError(f"limit search along {ideal.kind!r} ideals is not implemented")
     n = len(values)
     if n < MIN_LIMIT_SCALE:
-        return IdealLimitVerdict(
-            "undecided", ideal.name, n, evidence={"reason": "scale too small"}
-        )
-    pairs = [v.as_integer_ratio() for v in values]
-    candidates = quantile_candidates(values)
-    best: tuple | None = None
-    attempts = {}
+        return IdealLimitVerdict("undecided", ideal.name, n, evidence={"reason": "scale too small"})
+    # Every threshold eta +- f/64 has a denominator of at most 64 Q: its key compares exactly.
+    scale, keys = _exact_keys([v.as_integer_ratio() for v in values])
+    order = sorted(range(n), key=keys.__getitem__)
+    unsort = itemgetter(*sorted(range(n), key=order.__getitem__))  # n >= 16: returns a tuple
+    sorted_keys = [keys[i] for i in order]
+    candidates = quantile_candidates(values, order)
+    best, attempts = None, {}
     for eta in candidates:
-        # |p/q - a/b| > 1/2^j exactly when 64|pb - aq| > 2^(6-j) qb, that is
-        # when the value's level below is at least 2^(6-j) = 64 * eps.
-        a, b = eta.numerator, eta.denominator
-        levels = [(64 * abs(p * b - a * q) - 1) // (q * b) for p, q in pairs]
+        # The values below bisect_left(eta - f/64) and above bisect_right(eta + f/64) are
+        # more than f/64 away: 12 cuts split the sort into 13 runs of one code each.
+        a, b = eta.as_integer_ratio()
+        lows = ((64 * a - f * b) * scale // (64 * b) for f in (32, 16, 8, 4, 2, 1))
+        highs = ((64 * a + f * b) * scale // (64 * b) for f in (1, 2, 4, 8, 16, 32))
+        cuts = [bisect_left(sorted_keys, t) for t in lows]
+        cuts += [bisect_right(sorted_keys, t) for t in highs]
+        codes = bytes(unsort(b"".join(map(mul, _RUN_CODES, map(sub, [*cuts, n], [0, *cuts])))))
         chain_eps = None
-        for eps, floor in zip(EPS_GRID, (32, 16, 8, 4, 2, 1)):
-            flags = [1 if level >= floor else 0 for level in levels]
+        for eps, table in zip(EPS_GRID, _FLAG_TABLES):
+            flags = codes.translate(table)
             if not small(flags, n):
                 break
             chain_eps, chain_flags = eps, flags
         attempts[str(eta)] = str(chain_eps) if chain_eps is not None else "none"
-        if chain_eps is None:
-            continue
-        key = (chain_eps, eta.denominator, eta)
-        if best is None or key < best[0]:
-            best = (key, eta, chain_eps, chain_flags)
+        if chain_eps is not None and (best is None or (chain_eps, eta.denominator, eta) < best[0]):
+            best = ((chain_eps, eta.denominator, eta), eta, chain_eps, chain_flags)
     if best is not None:
         _, eta, eps, flags = best
-        running = list(accumulate(flags))
-        counts = [(c, running[c - 1]) for c in default_checkpoints(n)]
-        return IdealLimitVerdict(
-            "limit",
-            ideal.name,
-            n,
-            eta=eta,
-            eps=eps,
-            evidence={"exception_counts": counts, "attempts": attempts},
-        )
-    # Per candidate, its "<= c" and its ">= c" hits at half and full scale.
-    tallies = [_threshold_counts(pairs, c, c, (n // 2, n)) for c in candidates]
-    pair_best: tuple | None = None
+        counts = [(c, flags.count(1, 0, c)) for c in default_checkpoints(n)]
+        evidence = {"exception_counts": counts, "attempts": attempts}
+        return IdealLimitVerdict("limit", ideal.name, n, eta=eta, eps=eps, evidence=evidence)
+    # Per candidate c, its "<= c" and its ">= c" hits at half and full scale.
+    half = sorted(keys[: n // 2])
+    at = [c.numerator * scale // c.denominator for c in candidates]
+    lo_hits = [(bisect_right(half, k), bisect_right(sorted_keys, k)) for k in at]
+    up_hits = [(len(half) - bisect_left(half, k), n - bisect_left(sorted_keys, k)) for k in at]
+    pair_best = None
     for i, lower in enumerate(candidates):
-        lo_half, lo_full = tallies[i][0]
-        for upper, (_, (up_half, up_full)) in zip(candidates[i + 1:], tallies[i + 1:]):
+        lo_half, lo_full = lo_hits[i]
+        for upper, (up_half, up_full) in zip(candidates[i + 1:], up_hits[i + 1:]):
             if 8 * min(lo_full, up_full) < n or 16 * min(lo_half, up_half) < n // 2:
                 continue
-            score = (
-                upper - lower,
-                min(Fraction(up_full, n), Fraction(lo_full, n)),
-                -lower.denominator,
-                -upper.denominator,
-            )
+            score = (upper - lower, Fraction(min(lo_full, up_full), n),
+                     -lower.denominator, -upper.denominator)
             if pair_best is None or score > pair_best[0]:
                 pair_best = (score, lower, upper, lo_full, up_full)
-    if pair_best is not None:
-        _, lower, upper, lo_full, up_full = pair_best
-        return IdealLimitVerdict(
-            "no_limit",
-            ideal.name,
-            n,
-            lower=lower,
-            upper=upper,
-            delta_lower=Fraction(lo_full, n),
-            delta_upper=Fraction(up_full, n),
-            evidence={"attempts": attempts},
-        )
+    if pair_best is None:
+        return IdealLimitVerdict("undecided", ideal.name, n, evidence={"attempts": attempts})
+    _, lower, upper, lo_full, up_full = pair_best
     return IdealLimitVerdict(
-        "undecided", ideal.name, n, evidence={"attempts": attempts}
+        "no_limit", ideal.name, n, lower=lower, upper=upper, delta_lower=Fraction(lo_full, n),
+        delta_upper=Fraction(up_full, n), evidence={"attempts": attempts},
     )
 
 
@@ -311,7 +308,8 @@ def oscillation_pair(
         raise ConstructionError("stem already exhausts the scan range")
     xs = [x.value(i).as_integer_ratio() for i in range(1, scan + 1)]
     late = xs[scan // 2:]
-    ordered = sorted(range(len(late)), key=_exact_keys(late).__getitem__)
+    _, keys = _exact_keys(late)
+    ordered = sorted(range(len(late)), key=keys.__getitem__)
     low_target = Fraction(*late[ordered[len(late) // 4]])
     high_target = Fraction(*late[ordered[(3 * len(late)) // 4]])
     if high_target - low_target <= 2 * tol:

@@ -281,7 +281,9 @@ class IdealPresentation:
     ``shift_reason`` prefixes a shift's inner verdict when membership is
     shift invariant.  ``partition`` is the Talagrand interval partition: a
     set holding infinitely many of its whole blocks is not in the ideal.
-    ``limit_rule`` is the finite-scale smallness rule of limit search.
+    ``limit_rule`` is the finite-scale smallness rule of limit search: it
+    reads an exception set at scale n as a 0/1 byte string, byte i - 1 the
+    flag of index i.
     """
 
     kind: str
@@ -292,7 +294,7 @@ class IdealPresentation:
     reasons: tuple[str, str, str]
     partition: IntervalPartition
     shift_reason: str | None = None
-    limit_rule: Callable[[list[int], int], bool] | None = None
+    limit_rule: Callable[[bytes, int], bool] | None = None
 
     def __repr__(self) -> str:
         return f"IdealPresentation({self.name})"

@@ -650,16 +650,29 @@ class RowDropMatrix(SummabilityMatrix):
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return None if member(self.drop, n) else self.base.term_ratio(n)
 
-    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
-        dropped = setlang._scan(self.drop, 1, n_max)
-        for gone, point in zip(dropped, self.base._transform(x, n_max, tail_tol)):
-            yield ((0, 1), ZERO) if gone else point
-
-    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        # Nested drops are one drop of their union from the innermost base.
+    def _innermost(self) -> tuple[SummabilityMatrix, SetDescription]:
+        """Nested drops are one drop of their union from the innermost base."""
         base, drop = self.base, self.drop
         while isinstance(base, RowDropMatrix):
             base, drop = base.base, Union(base.drop, drop)
+        return base, drop
+
+    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
+        # A base summed by ``_points`` sums its kept rows only, so a dropped row
+        # reads no entry and counts toward no budget; a running stream (Cesàro,
+        # identity) is read through.
+        base, drop = self._innermost()
+        dropped = setlang._scan(drop, 1, n_max)
+        if type(base)._transform is SummabilityMatrix._transform:
+            points = _points(base, x, (n for n, gone in enumerate(dropped, 1) if not gone), tail_tol)
+        else:
+            stream = base._transform(x, n_max, tail_tol)
+            points = (point for point, gone in zip(stream, dropped) if not gone)
+        for gone in dropped:
+            yield ((0, 1), ZERO) if gone else next(points)
+
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        base, drop = self._innermost()
         # A dropped row leaves the base's spans and counts where the value 0 does.
         spans = base._hit_spans(runs, lower, upper)
         return _span_counts(spans, scales, drop, (lower >= 0, upper <= 0))

@@ -178,6 +178,13 @@ class TestTransform:
         assert code == 3
         assert "transform rows 1..1448 entry count 1049076 is over the audit budget" in err
 
+    def test_dropped_rows_count_toward_no_entry_budget(self, capsys):
+        # Every row is dropped, so none of the base's entries is summed.
+        code, d = run_json(capsys, ["transform", "--matrix", "rowdrop:gen:rand_rowfinite_3:ap:1,1",
+                                    "--x", "n", "--rows", "1500"])
+        assert code == 0
+        assert d["rows"] == [{"n": n, "value": "0", "tail_bound": "0"} for n in range(1, 1501)]
+
     def test_values_past_the_int_to_str_limit_print_in_bounded_form(self, capsys):
         # x_n = 10^-4400 makes the row value's denominator over 4300 digits,
         # which str() refuses; it prints truncated instead.
@@ -1083,11 +1090,24 @@ PRINTED_DIGESTS = {
         "f4bc33d8c24595f222bac91128315b7d46c82463a03e1e5f76ef000aff0ab87d",
     "oscillate --x alt":
         "ebe7e4115b9db46c2ee6ed439fe61c6da663c3e6874e6e62377972aa91447328",
+    # R2 prints the limit search's status for each sampled column.
+    "regularity --matrix gen:rand_rowfinite_3 --ideal z --scale 256":
+        "a5213d0ef53ddab123a3f07d98c416f7c845263fd490c7a2ae6af8b02abdba05",
+    "regularity --matrix gen:rand_rowfinite_3 --ideal fin --scale 256":
+        "bb2cfe64eac223718f0e3e36a7d1dd03f0e491c8920938a75f85a8bb1dfaef1a",
+    "regularity --matrix gen:rand_rowfinite_3 --ideal bd --scale 256":
+        "2a0c5626a8ea6c67f1bf11598d467933839af063abdfd6777e71f28e5d6d63b0",
+    "regularity --matrix rowdrop:gen:rand_rowfinite_3:finite:{2} --ideal z --scale 256":
+        "0aa167b45a3d4f2ef1561fe3cd2c949bb69021dab1868ca4f9f13a9c948fe1a2",
 }
 # The pinned commands that end with an exit code other than 0.
 PINNED_EXITS = {
     "domain --matrix gen:geometric --x sqperturb --row 3": 3,
     "adversary --matrix rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3 --mode greedy --scale 1000000000": 5,
+    "regularity --matrix gen:rand_rowfinite_3 --ideal z --scale 256": 5,
+    "regularity --matrix gen:rand_rowfinite_3 --ideal fin --scale 256": 5,
+    "regularity --matrix gen:rand_rowfinite_3 --ideal bd --scale 256": 5,
+    "regularity --matrix rowdrop:gen:rand_rowfinite_3:finite:{2} --ideal z --scale 256": 5,
 }
 
 

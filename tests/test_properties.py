@@ -328,6 +328,80 @@ def test_ideal_limit_postconditions_recounted(values):
             assert 16 * sum(up_hits[:half]) >= half
 
 
+def _limit_search_oracle(values, ideal):
+    """The limit search level by level: each candidate's flags at each
+    epsilon by Fraction tests |v - eta| > eps, each hit count by a recount."""
+    n, half = len(values), len(values) // 2
+    ordered = sorted(values)
+    candidates = sorted({
+        c for r in {0, n // 4, half, (3 * n) // 4, n - 1}
+        for c in (ordered[r], F(round(ordered[r] * 64), 64))
+    })
+    best, attempts = None, {}
+    for eta in candidates:
+        chain = None
+        for eps in (F(1, 2**j) for j in range(1, 7)):
+            flags = [int(abs(v - eta) > eps) for v in values]
+            if not ideal.limit_rule(flags, n):
+                break
+            chain = (eps, flags)
+        attempts[str(eta)] = str(chain[0]) if chain else "none"
+        if chain and (best is None or (chain[0], eta.denominator, eta) < best[0]):
+            best = ((chain[0], eta.denominator, eta), eta, *chain)
+    if best:
+        _, eta, eps, flags = best
+        counts = [(c, sum(flags[:c])) for c in sorted({n // 8, n // 4, half, n})]
+        evidence = {"exception_counts": counts, "attempts": attempts}
+        return ("limit", eta, eps, None, None, None, None, evidence)
+    pick = None
+    for i, lower in enumerate(candidates):
+        for upper in candidates[i + 1:]:
+            low_hits = [v <= lower for v in values]
+            up_hits = [v >= upper for v in values]
+            low, up = sum(low_hits), sum(up_hits)
+            if 8 * min(low, up) < n or 16 * min(sum(low_hits[:half]), sum(up_hits[:half])) < half:
+                continue
+            score = (upper - lower, min(F(low, n), F(up, n)), -lower.denominator, -upper.denominator)
+            if pick is None or score > pick[0]:
+                pick = (score, lower, upper, F(low, n), F(up, n))
+    if pick:
+        return ("no_limit", None, None, *pick[1:], {"attempts": attempts})
+    return ("undecided", None, None, None, None, None, None, {"attempts": attempts})
+
+
+_threshold_level = st.one_of(
+    st.integers(-96, 96).map(lambda k: F(k, 64)), st.fractions(-2, 2, max_denominator=12)
+)
+_oracle_stream = st.one_of(
+    # a level and values exactly on its thresholds eta +- 2^j/64
+    st.tuples(
+        _threshold_level,
+        st.lists(st.tuples(st.sampled_from((-1, 0, 0, 1)), st.integers(0, 5)), min_size=16, max_size=96),
+    ).map(lambda t: [t[0] + F(s * 2**j, 64) for s, j in t[1]]),
+    # running averages of signed integers: denominators up to 128
+    st.lists(st.integers(-3, 3), min_size=16, max_size=128).map(
+        lambda xs: [F(s, k) for k, s in enumerate(accumulate(xs), 1)]
+    ),
+    st.lists(st.fractions(-2, 2, max_denominator=100), min_size=16, max_size=64),
+    # constant streams, and 0/1 streams whose order statistics tie
+    st.tuples(st.fractions(-2, 2, max_denominator=100), st.integers(16, 96)).map(lambda t: [t[0]] * t[1]),
+    st.lists(st.sampled_from((F(0), F(1))), min_size=16, max_size=96),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=_oracle_stream)
+@example(values=[F(0)] * 16 + [F(1)] * 16)
+@example(values=[F(1)] * 40)
+def test_ideal_limit_matches_the_level_by_level_search(values):
+    for ideal in (FIN, Z, BD):
+        verdict = ideal_limit(values, ideal)
+        assert (
+            verdict.status, verdict.eta, verdict.eps, verdict.lower, verdict.upper,
+            verdict.delta_lower, verdict.delta_upper, verdict.evidence,
+        ) == _limit_search_oracle(values, ideal)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     values=st.lists(

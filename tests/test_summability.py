@@ -178,6 +178,28 @@ class TestMatrixEntries:
         assert m.entry(5, 2) == F(1, 5)
         assert m.row_support(5) == 5
 
+    def test_a_row_drop_reads_no_entry_of_a_dropped_row(self):
+        def counted():
+            read = set()
+
+            def entry(n, k):
+                read.add(n)
+                return F(k, n)
+
+            return read, GeneratorMatrix(name="counted", entry_fn=entry, support_bound=lambda n: n)
+
+        x = parse_sequence("n")
+        plain = [p.value for p in transform_prefix(counted()[1], x, 40)]
+        for drops in ([AP(1, 3)], [AP(1, 3), Squares()]):  # one drop, and a nested one
+            read, m = counted()
+            for drop in drops:
+                m = RowDropMatrix(m, drop)
+            kept = {n for n in range(1, 41) if not any(member(d, n) for d in drops)}
+            assert [p.value for p in transform_prefix(m, x, 40)] == [
+                v if n in kept else 0 for n, v in enumerate(plain, 1)
+            ]
+            assert read == kept
+
     def test_explicit_rows_and_zero_padding(self):
         m = ExplicitMatrix([[F(1)], [F(0), F(1, 2)]])
         assert m.entry(1, 1) == 1
