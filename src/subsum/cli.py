@@ -312,7 +312,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         )
     limit = cert.scales[-1]
     summability._row_budget(limit, "certificate scale")
-    ok = cert.audit_pairs(pair for pair, _ in matrix._transform(x, limit))
+    ok = cert.audit_pairs(pair for pair, _ in matrix._transform(x, range(1, limit + 1)))
     payload = {
         "command": "verify",
         "certificate": args.certificate,

@@ -181,22 +181,22 @@ def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
 
 
 # ---------------------------------------------------------------- smallness
-# Limit search asks whether an exception set, one 0/1 flag per index 1..n,
+# Limit search asks whether an exception set, one 0/1 flag byte per index 1..n,
 # is small in the ideal's sense at scale n.
 
 
-def _fin_small(flags: list[int], n: int) -> bool:
+def _fin_small(flags: bytes, n: int) -> bool:
     return sum(flags[n // 2:]) == 0
 
 
-def _z_small(flags: list[int], n: int) -> bool:
+def _z_small(flags: bytes, n: int) -> bool:
     # total/n <= (total - late)/half + 1/32, times 32 * n * half.
     half = n // 2
     total, late = sum(flags), sum(flags[half:])
     return 8 * total <= n and 32 * total * half <= 32 * (total - late) * n + n * half
 
 
-def _bd_small(flags: list[int], n: int) -> bool:
+def _bd_small(flags: bytes, n: int) -> bool:
     # The worst count over the windows [i, i + window) with n/2 <= i <= n - window.
     window = max(8, n // 8)
     prefix = [0, *accumulate(flags)]

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .summability import (
+    DEFAULT_COLUMN_CAP,
     DomainRiskError,
     RowSeq,
     SequenceSpec,
@@ -26,9 +27,6 @@ from .summability import (
     _dot,
     _tail_width,
 )
-
-
-_TAIL_SEARCH_CAP = 10**6
 
 
 class SelectorSpecError(ValueError):
@@ -327,11 +325,11 @@ def selector_transform(
         # The tail bound does not depend on the partial sum: find the first
         # doubling width that meets the tolerance, then sum once up to it.
         width, tail = _tail_width(
-            lambda w: row.l1_tail(w) * x.sup_bound, tail_tol, 16, _TAIL_SEARCH_CAP
+            lambda w: row.l1_tail(w) * x.sup_bound, tail_tol, 16, DEFAULT_COLUMN_CAP
         )
         if width is None:
             raise TailToleranceError(
-                f"row tail bound did not reach {tail_tol} within {_TAIL_SEARCH_CAP} columns"
+                f"row tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
             )
     cols = range(1, width + 1)
     value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
@@ -361,7 +359,7 @@ def modulus_of_continuity(x: SequenceSpec, row: RowSeq, eps: Fraction) -> Fracti
     # Tails are nonincreasing: doubling finds a column under the threshold,
     # bisection back to the doubling before it finds the least one.
     k0 = 1
-    while k0 <= _TAIL_SEARCH_CAP:
+    while k0 <= DEFAULT_COLUMN_CAP:
         if row.l1_tail(k0) < threshold:
             lo, hi = k0 // 2, k0
             while lo + 1 < hi:

@@ -42,8 +42,6 @@ DEFAULT_COLUMN_CAP = 1 << 20
 DOMAIN_SCAN_COLUMNS = 4096
 # A domain check calls a row diverging once a partial sum exceeds this.
 DOMAIN_GROWTH_BOUND = 10**6
-# The widest tail width a domain check certifies.
-DOMAIN_WIDTH_CAP = 10**6
 # Consecutive head rows that the sampled r1 bound and the generic r3 probe read.
 HEAD_ROWS = 64
 
@@ -452,11 +450,26 @@ class SummabilityMatrix:
 
     # -- transform kernel
 
-    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO) -> Iterator:
-        """Rows 1..n_max of the transform of x, streamed as ((numerator, positive
-        denominator), certified tail bound) per row.  The default sums each row
-        to the width ``_summed_width`` picks (``_points``), reading x once."""
-        return _points(self, x, range(1, n_max + 1), tail_tol)
+    def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO) -> Iterator:
+        """The transform of x at ``rows``, an increasing sequence of row
+        indices >= 1, streamed in that order as ((numerator, positive
+        denominator), certified tail bound) per row; each kind yields exactly
+        those rows.  The default sums each row to the width ``_summed_width``
+        picks, reading x once.  Every row's width is found before any entry is
+        read, so rows that sum over ``DEFAULT_COLUMN_CAP`` entries in all are
+        refused unread."""
+        widths = []
+        entries = 0
+        for n in rows:
+            width, tail = _summed_width(self, x, n, tail_tol)
+            entries += width
+            _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
+            widths.append((n, width, tail))
+        # x is read once, as integer pairs up to the widest width summed so far.
+        pairs: list[tuple[int, int]] = []
+        for n, width, tail in widths:
+            pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
+            yield _dot_pair(self._row(n, width), pairs), tail
 
     # -- structural facts
 
@@ -474,10 +487,14 @@ class SummabilityMatrix:
         return None
 
     def r1_bound(self, n_rows: int) -> ConditionReport:
-        """Uniform row l1 bound; sampled only, so never a certificate."""
+        """Uniform row l1 bound; sampled only, so never a certificate.  The
+        sampled rows' supports are summed before any entry is read, and
+        samples over ``DEFAULT_COLUMN_CAP`` entries in all are refused."""
         samples = sorted(
             set(list(range(1, HEAD_ROWS + 1)) + [1 << j for j in range(7, 20) if 1 << j <= n_rows])
         )
+        entries = sum(self.row_support(n) or 0 for n in samples)
+        _row_budget(entries, f"r1 sample rows up to {samples[-1]} entry count", "entries")
         best = ZERO
         for n in samples:
             tail = self.l1_tail(n, 0)
@@ -536,13 +553,17 @@ class CesaroMatrix(_StochasticTriangle):
             raise ValueError("indices start at 1")
         return (Fraction(1, n),) * min(n, width) + (ZERO,) * (width - n)
 
-    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
+    def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         # The running sum stays an int while the inputs are integral, which
-        # keeps 0/1 prefixes as cheap as counting ones.
-        total = 0
-        for n, v in enumerate(x.values(n_max), start=1):
+        # keeps 0/1 prefixes as cheap as counting ones; it is read out at the
+        # rows asked for.
+        total, wanted = 0, iter(rows)
+        row = next(wanted, 0)
+        for n, v in enumerate(x.values(rows[-1]) if rows else (), start=1):
             total += v.numerator if v.denominator == 1 else v
-            yield (total.numerator, total.denominator * n), ZERO
+            if n == row:
+                yield (total.numerator, total.denominator * n), ZERO
+                row = next(wanted, 0)
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
         """Row intervals (lo, hi) of values <= lower, and of values >= upper."""
@@ -595,8 +616,9 @@ class IdentityMatrix(_StochasticTriangle):
             return (ZERO,) * width
         return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
 
-    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
-        return ((v.as_integer_ratio(), ZERO) for v in x.values(n_max))
+    def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
+        values = x.values(rows[-1]) if rows else ()
+        return ((values[n - 1].as_integer_ratio(), ZERO) for n in rows)
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         # Row n of the transform is the bit x_n: each count follows from the
@@ -657,19 +679,13 @@ class RowDropMatrix(SummabilityMatrix):
             base, drop = base.base, Union(base.drop, drop)
         return base, drop
 
-    def _transform(self, x: SequenceSpec, n_max: int, tail_tol: Fraction = ZERO):
-        # A base summed by ``_points`` sums its kept rows only, so a dropped row
-        # reads no entry and counts toward no budget; a running stream (Cesàro,
-        # identity) is read through.
-        base, drop = self._innermost()
-        dropped = setlang._scan(drop, 1, n_max)
-        if type(base)._transform is SummabilityMatrix._transform:
-            points = _points(base, x, (n for n, gone in enumerate(dropped, 1) if not gone), tail_tol)
-        else:
-            stream = base._transform(x, n_max, tail_tol)
-            points = (point for point, gone in zip(stream, dropped) if not gone)
-        for gone in dropped:
-            yield ((0, 1), ZERO) if gone else next(points)
+    def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
+        # The base is asked for the kept rows only, so a dropped row reads no
+        # entry and counts toward no budget; nested drops recurse here.
+        dropped = setlang._scan(self.drop, 1, rows[-1]) if rows else b""
+        points = self.base._transform(x, [n for n in rows if not dropped[n - 1]], tail_tol)
+        for n in rows:
+            yield ((0, 1), ZERO) if dropped[n - 1] else next(points)
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         base, drop = self._innermost()
@@ -1039,26 +1055,6 @@ def _summed_width(
     )
 
 
-def _points(
-    matrix: SummabilityMatrix, x: SequenceSpec, rows, tail_tol: Fraction
-) -> Iterator[tuple[tuple[int, int], Fraction]]:
-    """Per row, its transform value as an integer pair and its tail bound.
-    Every row's width is found before any entry is read, so rows that sum
-    over ``DEFAULT_COLUMN_CAP`` entries in all are refused unread."""
-    widths = []
-    entries = 0
-    for n in rows:
-        width, tail = _summed_width(matrix, x, n, tail_tol)
-        entries += width
-        _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
-        widths.append((n, width, tail))
-    # x is read once, as integer pairs up to the widest width summed so far.
-    pairs: list[tuple[int, int]] = []
-    for n, width, tail in widths:
-        pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
-        yield _dot_pair(matrix._row(n, width), pairs), tail
-
-
 def transform_prefix(
     matrix: SummabilityMatrix,
     x: SequenceSpec,
@@ -1072,7 +1068,7 @@ def transform_prefix(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _row_budget(n_max, "transform row count")
-    points = matrix._transform(x, n_max, tail_tol)
+    points = matrix._transform(x, range(1, n_max + 1), tail_tol)
     return [TransformPoint(n, Fraction(*pair), tail) for n, (pair, tail) in enumerate(points, 1)]
 
 
@@ -1098,7 +1094,7 @@ def domain_check(
 
     ``converged`` needs a certified tail (row-finite rows give tail 0, and
     one wider than ``DEFAULT_COLUMN_CAP`` columns is refused): the first
-    doubling width up to ``DOMAIN_WIDTH_CAP`` whose tail bound is at
+    doubling width up to ``DEFAULT_COLUMN_CAP`` whose tail bound is at
     most tol, found before any column is summed; the row is then summed to
     that width.  With no such width, ``diverging`` needs finite-scale
     evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a single term
@@ -1114,7 +1110,7 @@ def domain_check(
         _row_budget(width, f"row {n} support width", "columns")
     else:
         width, tail = _tail_width(
-            lambda w: _certified_tail(matrix, x, n, w), tol, 32, DOMAIN_WIDTH_CAP
+            lambda w: _certified_tail(matrix, x, n, w), tol, 32, DEFAULT_COLUMN_CAP
         )
         evidence = {"columns_used": width}
     if width is not None:
@@ -1292,10 +1288,10 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
         return MembershipVerdict(UNDECIDED, undecided_reason)
 
     def evidence(s: SetDescription, scale: int) -> dict:
-        probe = min(scale, 2048)
-        points = transform_prefix(matrix, indicator_sequence(s), probe)
-        ladder = setlang.default_checkpoints(probe)
-        return {"transform_values": [(n, str(points[n - 1].value)) for n in ladder]}
+        ladder = setlang.default_checkpoints(min(scale, 2048))
+        points = matrix._transform(indicator_sequence(s), ladder)
+        values = (str(Fraction(*pair)) for pair, _ in points)
+        return {"transform_values": list(zip(ladder, values))}
 
     return IdealPresentation(
         "matrix", f"matrix:{matrix.spec_string()}", closed_form, undecided_reason, evidence,

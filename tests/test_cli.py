@@ -990,11 +990,13 @@ _FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
 
 def _fuzz_argv(rng, path):
     """One run's argv: half the transform and domain runs take one hostile
-    value, and half the certificates are malformed."""
+    value, half the regularity runs a huge scale, and half the certificates
+    are malformed."""
     m, x = rng.choice(_FUZZ_MATRICES), rng.choice(_FUZZ_SEQUENCES)
     command = rng.choice(["transform", "domain", "regularity", "verify"])
     if command == "regularity":
-        return [command, "--matrix", m, "--ideal", rng.choice(["fin", "z"]), "--scale", "64"]
+        scale = rng.choice(["64", str(10**20)])
+        return [command, "--matrix", m, "--ideal", rng.choice(["fin", "z"]), "--scale", scale]
     if command == "verify":
         cert = {"kind": "oscillation", "x": x, "matrix": m, "lower": "1/4", "upper": "3/4",
                 "scales": [8], "lower_counts": [4], "upper_counts": [4]}

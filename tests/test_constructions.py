@@ -748,7 +748,8 @@ class TestBlocksAdversary:
         assert again == blocks_report
 
     def test_certificate_audits_against_recomputed_means(self, blocks_report):
-        pairs = (pair for pair, _ in CesaroMatrix()._transform(parse_sequence("blocks01"), 65536))
+        points = CesaroMatrix()._transform(parse_sequence("blocks01"), range(1, 65537))
+        pairs = (pair for pair, _ in points)
         values = [F(p, q) for p, q in pairs]
         assert blocks_report.certificate.audit_values(values)
 
@@ -792,7 +793,8 @@ class TestGreedyAdversary:
         report = steinhaus_adversary(CesaroMatrix(), mode="greedy", scale=512)
         assert report.x_spec.startswith("rle:")
         replay = parse_sequence(report.x_spec)
-        values = [F(*pair) for pair, _ in CesaroMatrix()._transform(replay, report.scale)]
+        points = CesaroMatrix()._transform(replay, range(1, report.scale + 1))
+        values = [F(*pair) for pair, _ in points]
         assert report.certificate.audit_values(values)
 
     def test_greedy_needs_an_averaging_matrix(self):

@@ -30,11 +30,13 @@ from subsum import (
     nu2,
     nu2_column_audit,
     parse_ideal,
+    parse_matrix,
     parse_set,
     setlang,
+    transform_prefix,
 )
 from subsum.ideals import IDEALS
-from subsum.summability import matrix_ideal_kind
+from subsum.summability import indicator_sequence, matrix_ideal_kind
 
 FIN = IDEALS["fin"]
 Z = IDEALS["z"]
@@ -611,6 +613,19 @@ class TestMatrixGeneratedIdeal:
         ideal = parse_ideal("matrix:rowdrop:cesaro:finite:{2,3}")
         assert ideal.verdict(Squares()).status == "in"
         assert ideal.verdict(AP(2, 2)).status == "not_in"
+
+    @pytest.mark.parametrize(
+        "spec", ["identity", "cesaro", "rowdrop:cesaro:finite:{2,3}",
+                 "rowdrop:rowdrop:cesaro:finite:{1}:finite:{4,8}"]
+    )
+    @pytest.mark.parametrize("scale", [1, 6, 300, 10**6])
+    def test_transform_ladder_reads_the_prefix_at_its_checkpoints(self, spec, scale):
+        matrix = parse_matrix(spec)
+        s = parse_set(NESTED_UNION)
+        probe = min(scale, 2048)
+        points = transform_prefix(matrix, indicator_sequence(s), probe)
+        want = [(n, str(points[n - 1].value)) for n in setlang.default_checkpoints(probe)]
+        assert matrix_ideal_kind(matrix).evidence(s, scale) == {"transform_values": want}
 
     def test_infinite_row_drop_breaks_the_required_regularity(self):
         # dropping the square-indexed rows is only regular along the density

@@ -63,7 +63,7 @@ from subsum.setlang import (
     is_finite,
     nu2,
 )
-from subsum.summability import _NAMED_SEQUENCES, _dot
+from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -483,7 +483,7 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
     ]
     assert got == direct
     assert all(type(v) is F for v in got)
-    pairs = [pair for pair, _ in matrix._transform(x, n)]
+    pairs = [pair for pair, _ in matrix._transform(x, range(1, n + 1))]
     assert [F(p, q) for p, q in pairs] == got
     assert all(type(p) is int and type(q) is int and q > 0 for p, q in pairs)
 
@@ -526,7 +526,7 @@ def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data)
     while isinstance(base, RowDropMatrix):
         base = base.base
     assert isinstance(base, IdentityMatrix) or base._hit_spans(runs, lower, upper) is not None
-    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), n))
+    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), range(1, n + 1)))
     want = _threshold_counts(pairs, lower, upper, scales)
     assert matrix._threshold_runs(runs, lower, upper, scales) == want
 
@@ -537,7 +537,7 @@ def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data)
 ])
 @pytest.mark.parametrize("matrix", _RUN_FORM_MATRICES[:2] + _RUN_FORM_MATRICES[-1:])
 def test_run_form_levels_cross_inside_a_run(matrix, runs, lower, upper):
-    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), 13))
+    pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), range(1, 14)))
     want = _threshold_counts(pairs, lower, upper, (6, 10, 13))
     assert matrix._threshold_runs(runs, lower, upper, (6, 10, 13)) == want
 
@@ -562,6 +562,36 @@ def _matrices():
 def test_matrix_specs_round_trip(matrix):
     # Row drops nest bases and sets that both contain ':'.
     assert parse_matrix(matrix.spec_string()) == matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=_matrices(),
+    x=st.sampled_from(sorted(_NAMED_SEQUENCES)),
+    rows=st.lists(st.integers(1, 40), max_size=12, unique=True).map(sorted),
+    extra=st.integers(0, 3),
+)
+@example(
+    matrix=parse_matrix("rowdrop:rowdrop:gen:rand_rowfinite_3:ap:1,3:finite:{2,5}"),
+    x="nalt", rows=[], extra=6,
+)
+@example(
+    matrix=parse_matrix("rowdrop:rowdrop:explicit:1;0,1/2;1/3,1/3,1/3:finite:{1}:ap:3,5"),
+    x="n", rows=[2], extra=0,
+)
+@example(
+    matrix=parse_matrix("rowdrop:rowdrop:gen:geometric:ap:2,2:builtin:squares"),
+    x="alt", rows=[1, 3, 4, 9, 11], extra=2,
+)
+def test_transforms_at_chosen_rows_read_like_the_full_prefix(matrix, x, rows, extra):
+    # Empty and single-row requests too; every kind yields the rows asked for.
+    x, tol, n = parse_sequence(x), F(1, 10**6), max(rows, default=0) + extra
+    assume(n >= 1)
+    try:
+        full = list(matrix._transform(x, range(1, n + 1), tol))
+    except DomainRiskError:  # no tail machinery for this pair
+        assume(False)
+    assert list(matrix._transform(x, rows, tol)) == [full[r - 1] for r in rows]
 
 
 # ------------------------------------------------------ sequences, strategies

@@ -326,7 +326,7 @@ class TestSelectorFunctionals:
     def test_exact_tolerance_is_unreachable_for_infinite_rows(self, monkeypatch):
         import subsum.sigma as sigma_mod
 
-        monkeypatch.setattr(sigma_mod, "_TAIL_SEARCH_CAP", 256)
+        monkeypatch.setattr(sigma_mod, "DEFAULT_COLUMN_CAP", 256)
         with pytest.raises(TailToleranceError):
             selector_transform(
                 parse_row("geometric"), parse_sequence("alt"), parse_selector("id"),

@@ -477,7 +477,7 @@ def test_a_warmed_matrix_answers_like_a_fresh_one(kind, x, rows, warm, cap):
             [m.row_sum(n) for n in range(1, rows + 1)] if m.row_finite else None,
             [m.l1_tail(n, n // 2) for n in range(1, rows + 1)],
             outcome(domain_check, m, x, rows, tol),
-            regularity_verdict(m, FIN, n_rows=rows),
+            outcome(regularity_verdict, m, FIN, n_rows=rows),
         )
 
     with mock.patch.object(summability, "DEFAULT_COLUMN_CAP", cap):
@@ -771,6 +771,15 @@ class TestRegularity:
         # r3 can only be evidence here, so it reads the 64 head rows r1 samples.
         assert v.r3.holds == "undecided" and not v.r3.certified
         assert v.r3.data["rows"] == 64
+
+    @pytest.mark.parametrize("spec", ["gen:rand_rowfinite_3", "rowdrop:gen:rand_rowfinite_3:ap:2,3"])
+    def test_r1_samples_over_the_entry_budget_are_refused_unread(self, spec):
+        # Rows 1..64 and 2^7..2^19 hold 2080 + 1048448 entries, over 2^20.
+        m = parse_matrix(spec)
+        base = getattr(m, "base", m)
+        with pytest.raises(AuditBudgetError, match="up to 524288 entry count 1050528"):
+            regularity_verdict(m, FIN, n_rows=10**20)
+        assert base._stored == 0
 
 
 class TestMatrixIdealValidation:
