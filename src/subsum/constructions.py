@@ -33,7 +33,6 @@ from .summability import (
     SequenceSpec,
     SummabilityMatrix,
     _add_ratio,
-    _dot,
     _dot_pair,
     _row_budget,
     _threshold_counts,
@@ -306,7 +305,7 @@ def oscillation_pair(
     floor = stem[-1] if stem else 0
     if floor >= scan // 2:
         raise ConstructionError("stem already exhausts the scan range")
-    xs = [x.value(i).as_integer_ratio() for i in range(1, scan + 1)]
+    xs = list(map(x.fn, range(1, scan + 1)))
     late = xs[scan // 2:]
     _, keys = _exact_keys(late)
     ordered = sorted(range(len(late)), key=keys.__getitem__)
@@ -385,24 +384,24 @@ class EscapeResult:
 SEARCH_CAP = 10**6
 
 
-def _least_index_with_magnitude(x: SequenceSpec, floor: int, target: Fraction) -> int:
-    """Least h >= floor with |x_h| >= target (scans; uses the declared
+def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> int:
+    """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0, compared as
+    |a| q >= p b on the pair a/b of x_h (scans; uses the declared
     magnitude-search hint to jump when available)."""
     start = floor
     if x.abs_search is not None:
-        hinted = x.abs_search(target)
+        hinted = x.abs_search(p, q)
         if hinted > start:
             start = hinted
         cap = start + 10**4
     else:
         cap = floor + SEARCH_CAP
-    h = start
-    while h <= cap:
-        if abs(x.value(h)) >= target:
+    for h in range(start, cap + 1):
+        a, b = x.pair(h)
+        if abs(a) * q >= p * b:
             return h
-        h += 1
     raise ConstructionError(
-        f"no index with |x| >= {target} found in [{floor}, {cap}]"
+        f"no index with |x| >= {Fraction(p, q)} found in [{floor}, {cap}]"
     )
 
 
@@ -435,15 +434,15 @@ def escape_unbounded(
             break
     if pivot is None:
         raise PreconditionError("row has no nonzero coefficient past the stem")
-    committed = _dot(map(row.entry, range(1, j + 1)), map(x.value, stem))
+    committed = Fraction(*_dot_pair(map(row.entry, range(1, j + 1)), map(x.pair, stem)))
     target = (m0 + 1 + abs(committed)) / abs(row.entry(pivot))
     floor = t_j + pivot
-    t0 = _least_index_with_magnitude(x, floor, target)
+    t0 = _least_index_with_magnitude(x, floor, *target.as_integer_ratio())
     fill = tuple(t_j + s for s in range(1, pivot - j))
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
     cols = range(1, pivot + 1)
-    partial = _dot(map(row.entry, cols), (x.value(selector.value(k)) for k in cols))
+    partial = Fraction(*_dot_pair(map(row.entry, cols), (x.pair(selector.value(k)) for k in cols)))
     holds = abs(partial) >= m0 + 1
     return EscapeResult(
         mode="unbounded",
@@ -575,9 +574,9 @@ def escape_rowfinite(
     # until its support ends, so one shared sum serves them all and the
     # worst open one has the largest |c_n|.  The other rows keep their own
     # partials over a running common denominator.  A row whose support has
-    # ended joins the running max ``done``.  Each column builds one Fraction,
-    # its magnitude target (m0 + worst) / alpha, and each row one, its
-    # partial when it closes.
+    # ended joins the running max ``done``.  Each column's magnitude target
+    # (m0 + worst) / alpha and each row's partial when it closes stay pairs,
+    # so the loop builds no Fraction.
     k_top = max(supports.values())
     reach = [(0, 1)] * (k_top + 1)  # largest |c_n| over constant rows open at s
     closing: dict[int, list[int]] = {}
@@ -602,27 +601,29 @@ def escape_rowfinite(
             for num, den in open_rows.values():
                 if abs(num) * bd > bn * den:
                     bn, bd = abs(num), den
-            target = Fraction((mp * bd + bn * mq) * aq, mq * bd * ap)
-            prev = _least_index_with_magnitude(x, prev + 1, target)
+            prev = _least_index_with_magnitude(
+                x, prev + 1, (mp * bd + bn * mq) * aq, mq * bd * ap
+            )
             values.append(prev)
-        xp, xq = x.value(values[s - 1]).as_integer_ratio()
+        xp, xq = x.pair(values[s - 1])
         total = _add_ratio(*total, xp, xq)
         for n, p, q in terms.get(s, ()):
             open_rows[n] = _add_ratio(*open_rows[n], p * xp, q * xq)
         for n in closing.get(s, ()):
             if n in flat:
-                partial = Fraction(flat[n][0] * total[0], flat[n][1] * total[1])
+                partial = (flat[n][0] * total[0], flat[n][1] * total[1])
             else:
-                partial = Fraction(*open_rows.pop(n))
+                partial = open_rows.pop(n)
             partials[n] = partial
-            done = _larger(done, (abs(partial.numerator), partial.denominator))
+            done = _larger(done, (abs(partial[0]), partial[1]))
     selector = Selector(tuple(values), Consecutive(prev + 1))
     # Exact re-check, sharing nothing with the column loop: every entry of
     # every block row is read again through ``matrix._row``, and x again at
     # the selector's picks.  A re-read row whose entries all equal c sums to
     # c * P_s, P_s the sum of its s picks; any other row is summed term by
-    # term.
-    picks = [x.value(selector.value(k)).as_integer_ratio() for k in range(1, k_top + 1)]
+    # term.  Each sum is compared with the plan's partial by cross products;
+    # only the printed row values are built as Fractions.
+    picks = [x.pair(selector.value(k)) for k in range(1, k_top + 1)]
     prefix = list(accumulate(picks, lambda a, b: _add_ratio(*a, *b)))
     row_values = []
     holds = True
@@ -632,13 +633,14 @@ def escape_rowfinite(
         c = row[0]
         if row.count(c) == len(row):
             p, q = prefix[s - 1]
-            exact = Fraction(c.numerator * p, c.denominator * q)
+            p, q = c.numerator * p, c.denominator * q
         else:
-            exact = Fraction(*_dot_pair(row, picks))
-        if exact != partials[n]:
+            p, q = _dot_pair(row, picks)
+        planned_p, planned_q = partials[n]
+        if p * planned_q != planned_p * q:
             raise ConstructionError("incremental and direct row sums disagree")
-        row_values.append((n, exact))
-        if abs(exact) < m0:
+        row_values.append((n, Fraction(p, q)))
+        if abs(p) * mq < mp * q:
             holds = False
     return EscapeResult(
         mode="row_finite",

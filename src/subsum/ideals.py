@@ -198,10 +198,14 @@ def _z_small(flags: bytes, n: int) -> bool:
 
 def _bd_small(flags: bytes, n: int) -> bool:
     # The worst count over the windows [i, i + window) with n/2 <= i <= n - window.
+    # No window holds more flags than the late half, so a late half with few
+    # flags answers from one count; only a fuller one builds prefix sums.
     window = max(8, n // 8)
-    prefix = [0, *accumulate(flags)]
-    late = n // 2
-    worst = max(map(sub, prefix[late + window:n + 1], prefix[late:n - window + 1]), default=0)
+    late = flags[n // 2:n]
+    if 8 * late.count(1) <= window:
+        return True
+    prefix = [0, *accumulate(late)]
+    worst = max(map(sub, prefix[window:], prefix[:len(prefix) - window]), default=0)
     return 8 * worst <= window
 
 

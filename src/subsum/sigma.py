@@ -24,7 +24,7 @@ from .summability import (
     TailToleranceError,
     ZERO,
     ONE,
-    _dot,
+    _dot_pair,
     _tail_width,
 )
 
@@ -332,7 +332,7 @@ def selector_transform(
                 f"row tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
             )
     cols = range(1, width + 1)
-    value = _dot(map(row.entry, cols), (x.value(sel.value(k)) for k in cols))
+    value = Fraction(*_dot_pair(map(row.entry, cols), (x.pair(sel.value(k)) for k in cols)))
     return FunctionalValue(value, tail)
 
 

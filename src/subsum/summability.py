@@ -74,11 +74,6 @@ def _dot_pair(coeffs, pairs) -> tuple[int, int]:
     return num, den
 
 
-def _dot(coeffs, values) -> Fraction:
-    """``_dot_pair`` over ints and Fractions, as one Fraction."""
-    return Fraction(*_dot_pair(coeffs, (v.as_integer_ratio() for v in values)))
-
-
 def _threshold_counts(
     pairs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -155,97 +150,88 @@ class SequenceSpecError(ValueError):
 class SequenceSpec:
     """A sequence x: N -> Q with the declarations transforms rely on.
 
+    Each sequence states its values once, in ``fn``: ``fn(n)`` is x_n as a
+    reduced (numerator, positive denominator) integer pair, which ``pair(n)``
+    reads; ``value(n)`` is the same value as a Fraction, for callers that
+    want one.  The kernels, escapes and domain checks read pairs and compare
+    them by integer cross products, so they build no Fraction per value.
     ``sup_bound`` is a certified bound on sup |x_n|; ``ratio_bound(k)`` is a
-    certified nonincreasing bound on |x_{k+1}| / |x_k|; ``abs_search(M)``
-    returns an index h with |x_h| >= M (the least such for monotone |x|).
-    Declarations are part of the sequence's definition; nothing is inferred
-    from sampled values.
+    certified nonincreasing bound on |x_{k+1}| / |x_k|; ``abs_search(p, q)``
+    returns an index h with |x_h| >= p/q, for p >= 0 and q > 0 (the least
+    such for monotone |x|).  Declarations are part of the sequence's
+    definition; nothing is inferred from sampled values.
     """
 
     name: str
-    fn: Callable[[int], Fraction] = field(compare=False)
+    fn: Callable[[int], tuple[int, int]] = field(compare=False)
     sup_bound: Fraction | None = None
     ratio_bound: Callable[[int], Fraction] | None = field(default=None, compare=False)
     unbounded: bool = False
-    abs_search: Callable[[Fraction], int] | None = field(default=None, compare=False)
+    abs_search: Callable[[int, int], int] | None = field(default=None, compare=False)
 
-    def value(self, n: int) -> Fraction:
+    def pair(self, n: int) -> tuple[int, int]:
         if n < 1:
             raise ValueError("sequences are indexed from 1")
-        v = self.fn(n)
-        return v if type(v) is Fraction else Fraction(v)
+        return self.fn(n)
 
-    def values(self, limit: int) -> list[Fraction]:
-        # A Fraction that ``fn`` returns is kept, not copied: they are immutable.
-        values = map(self.fn, range(1, limit + 1))
-        return [v if type(v) is Fraction else Fraction(v) for v in values]
+    def value(self, n: int) -> Fraction:
+        return Fraction(*self.pair(n))
 
 
-def _ceil_fraction(value: Fraction) -> int:
-    return -((-value.numerator) // value.denominator)
+# The values 0 and 1 as pairs, indexed by the bit.
+_BITS = ((0, 1), (1, 1))
 
 
 def _seq_naturals() -> SequenceSpec:
     return SequenceSpec(
         name="n",
-        fn=lambda n: Fraction(n),
+        fn=lambda n: (n, 1),
         ratio_bound=lambda k: Fraction(k + 1, k),
         unbounded=True,
-        abs_search=lambda m: max(1, _ceil_fraction(m)),
+        abs_search=lambda p, q: max(1, -(-p // q)),
     )
 
 
 def _seq_signed_naturals() -> SequenceSpec:
     return SequenceSpec(
         name="nalt",
-        fn=lambda n: Fraction(n if n % 2 == 0 else -n),
+        fn=lambda n: (n if n % 2 == 0 else -n, 1),
         ratio_bound=lambda k: Fraction(k + 1, k),
         unbounded=True,
-        abs_search=lambda m: max(1, _ceil_fraction(m)),
+        abs_search=lambda p, q: max(1, -(-p // q)),
     )
 
 
 def _seq_alternating() -> SequenceSpec:
     # (0, 1, 0, 1, ...): 1 on even indices.
-    return SequenceSpec(
-        name="alt",
-        fn=lambda n: ONE if n % 2 == 0 else ZERO,
-        sup_bound=ONE,
-    )
+    return SequenceSpec(name="alt", fn=lambda n: _BITS[1 - n % 2], sup_bound=ONE)
 
 
 def _seq_alt10() -> SequenceSpec:
     # (1, 0, 1, 0, ...): 1 on odd indices.
-    return SequenceSpec(
-        name="alt10",
-        fn=lambda n: ONE if n % 2 == 1 else ZERO,
-        sup_bound=ONE,
-    )
+    return SequenceSpec(name="alt10", fn=lambda n: _BITS[n % 2], sup_bound=ONE)
 
 
 def _seq_blocks01() -> SequenceSpec:
     # 1 exactly on blocks [2**(2j), 2**(2j+1)), where n has an odd bit length.
     return SequenceSpec(
-        name="blocks01",
-        fn=lambda n: ONE if n.bit_length() % 2 else ZERO,
-        sup_bound=ONE,
+        name="blocks01", fn=lambda n: _BITS[n.bit_length() % 2], sup_bound=ONE
     )
 
 
 def _seq_sqperturb() -> SequenceSpec:
     from math import isqrt
 
-    def fn(n: int) -> Fraction:
+    def fn(n: int) -> tuple[int, int]:
         r = isqrt(n)
-        if r * r == n:
-            return Fraction(n)
-        return 1 + Fraction(1, n)
+        return (n, 1) if r * r == n else (n + 1, n)  # 1 + 1/n, reduced
 
-    def search(m: Fraction) -> int:
+    def search(p: int, q: int) -> int:
         for n in (1, 2):
-            if abs(fn(n)) >= m:
+            a, b = fn(n)
+            if a * q >= p * b:
                 return n
-        r = max(2, _ceil_fraction(m))
+        r = max(2, -(-p // q))
         s = isqrt(r)
         if s * s < r:
             s += 1
@@ -275,8 +261,9 @@ def parse_sequence(spec: str) -> SequenceSpec:
         return maker()
     if spec.startswith("const:"):
         v = Fraction(spec[len("const:"):])
+        pair = v.as_integer_ratio()
         return SequenceSpec(
-            name=spec, fn=lambda n: v, sup_bound=abs(v), ratio_bound=lambda k: ONE
+            name=spec, fn=lambda n: pair, sup_bound=abs(v), ratio_bound=lambda k: ONE
         )
     if spec.startswith("list:"):
         vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
@@ -287,9 +274,10 @@ def parse_sequence(spec: str) -> SequenceSpec:
 
 
 def sequence_from_values(vals: tuple[Fraction, ...], name: str) -> SequenceSpec:
+    pairs = tuple(v.as_integer_ratio() for v in vals)
     return SequenceSpec(
         name=name,
-        fn=lambda n: vals[n - 1] if n <= len(vals) else ZERO,
+        fn=lambda n: pairs[n - 1] if n <= len(pairs) else _BITS[0],
         sup_bound=max((abs(v) for v in vals), default=ZERO),
     )
 
@@ -307,12 +295,12 @@ def render_rle(runs) -> str:
 
 
 def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
-    # One Fraction per run, found by bisecting the run ends, so a spec of
-    # any total length reads back at once; the bound is read off the runs.
+    # One pair per run, found by bisecting the run ends, so a spec of any
+    # total length reads back at once; the bound is read off the runs.
     if any(length < 0 for _, length in runs):
         raise SequenceSpecError("run lengths must be >= 0")
     ends = list(accumulate(length for _, length in runs))
-    bits = [Fraction(bit) for bit, _ in runs] + [ZERO]
+    bits = [(bit, 1) for bit, _ in runs] + [_BITS[0]]
     sup = Fraction(max((abs(bit) for bit, length in runs if length), default=0))
     name = "rle:" + ",".join(f"{b}x{l}" for b, l in runs)
     return SequenceSpec(name=name, fn=lambda n: bits[bisect_left(ends, n)], sup_bound=sup)
@@ -321,7 +309,7 @@ def sequence_from_rle(runs: list[tuple[int, int]]) -> SequenceSpec:
 def indicator_sequence(s: SetDescription) -> SequenceSpec:
     return SequenceSpec(
         name=f"indicator:{render(s)}",
-        fn=lambda n: ONE if member(s, n) else ZERO,
+        fn=lambda n: _BITS[1] if member(s, n) else _BITS[0],
         sup_bound=ONE,
     )
 
@@ -468,7 +456,7 @@ class SummabilityMatrix:
         # x is read once, as integer pairs up to the widest width summed so far.
         pairs: list[tuple[int, int]] = []
         for n, width, tail in widths:
-            pairs += (x.value(k).as_integer_ratio() for k in range(len(pairs) + 1, width + 1))
+            pairs += map(x.fn, range(len(pairs) + 1, width + 1))
             yield _dot_pair(self._row(n, width), pairs), tail
 
     # -- structural facts
@@ -554,15 +542,19 @@ class CesaroMatrix(_StochasticTriangle):
         return (Fraction(1, n),) * min(n, width) + (ZERO,) * (width - n)
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
-        # The running sum stays an int while the inputs are integral, which
-        # keeps 0/1 prefixes as cheap as counting ones; it is read out at the
-        # rows asked for.
-        total, wanted = 0, iter(rows)
+        # The running sum is an integer numerator over a running common
+        # denominator, which stays 1 while the inputs are integral and keeps
+        # 0/1 prefixes as cheap as counting ones; it is read out at the rows
+        # asked for.
+        num, den, wanted = 0, 1, iter(rows)
         row = next(wanted, 0)
-        for n, v in enumerate(x.values(rows[-1]) if rows else (), start=1):
-            total += v.numerator if v.denominator == 1 else v
+        for n, (p, q) in enumerate(map(x.fn, range(1, rows[-1] + 1)) if rows else (), 1):
+            if den % q:
+                num, den = _add_ratio(num, den, p, q)
+            else:
+                num += p * (den // q)
             if n == row:
-                yield (total.numerator, total.denominator * n), ZERO
+                yield (num, den * n), ZERO
                 row = next(wanted, 0)
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
@@ -617,8 +609,7 @@ class IdentityMatrix(_StochasticTriangle):
         return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
-        values = x.values(rows[-1]) if rows else ()
-        return ((values[n - 1].as_integer_ratio(), ZERO) for n in rows)
+        return ((x.fn(n), ZERO) for n in rows)
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         # Row n of the transform is the bit x_n: each count follows from the
@@ -1006,8 +997,9 @@ def _certified_tail(
         rho, _ = ratio
         r = rho * x.ratio_bound(after)
         if r < 1:
-            lead = abs(matrix.entry(n, after) * x.value(after)) if after >= 1 else None
-            if lead is not None:
+            if after >= 1:
+                a, (p, q) = matrix.entry(n, after), x.pair(after)
+                lead = Fraction(abs(a.numerator * p), a.denominator * q)
                 bounds.append(lead * r / (1 - r))
     if not bounds:
         return None
@@ -1114,8 +1106,7 @@ def domain_check(
         )
         evidence = {"columns_used": width}
     if width is not None:
-        pairs = (x.value(k).as_integer_ratio() for k in range(1, width + 1))
-        value = Fraction(*_dot_pair(matrix._row(n, width), pairs))
+        value = Fraction(*_dot_pair(matrix._row(n, width), map(x.fn, range(1, width + 1))))
         return DomainCheck("converged", n, value, tail, evidence)
     # The partial sum is num/den over a running common denominator; the
     # window holds the last partials' numerators over that same den.
@@ -1124,8 +1115,8 @@ def domain_check(
     stable_seen = False
     num, den = 0, 1
     for k, a in enumerate(matrix._row(n, DOMAIN_SCAN_COLUMNS), 1):
-        v = x.value(k)
-        p, q = a.numerator * v.numerator, a.denominator * v.denominator
+        vp, vq = x.fn(k)
+        p, q = a.numerator * vp, a.denominator * vq
         if p:
             if den % q:
                 num, grown = _add_ratio(num, den, p, q)

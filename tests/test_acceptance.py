@@ -321,12 +321,14 @@ def test_criterion_8_statistical_limit_engine():
     with criterion(8, "squares-perturbed sequence settles at 1 along density; "
                       "alternating bits yield no-limit evidence with both "
                       "densities exactly 1/2"):
-        perturbed = parse_sequence("sqperturb").values(4096)
+        x = parse_sequence("sqperturb")
+        perturbed = [x.value(k) for k in range(1, 4097)]
         settled = ideal_limit(perturbed, Z)
         assert settled.status == "limit"
         assert settled.eta == 1
 
-        bits = parse_sequence("alt").values(4096)
+        x = parse_sequence("alt")
+        bits = [x.value(k) for k in range(1, 4097)]
         split = ideal_limit(bits, Z)
         assert split.status == "no_limit"
         assert split.lower == 0 and split.upper == 1

@@ -52,6 +52,12 @@ BD = IDEALS["bd"]
 FXF = IDEALS["finxfin"]
 
 
+def _prefix(spec, n):
+    """x_1 .. x_n of a parsed sequence, as Fractions."""
+    x = parse_sequence(spec)
+    return [x.value(k) for k in range(1, n + 1)]
+
+
 # ---------------------------------------------------------------- candidates
 
 
@@ -72,7 +78,7 @@ class TestQuantileCandidates:
 
 class TestIdealLimit:
     def test_perturbed_sequence_settles_along_density(self):
-        values = parse_sequence("sqperturb").values(4096)
+        values = _prefix("sqperturb", 4096)
         v = ideal_limit(values, Z)
         assert v.status == "limit"
         assert v.eta == 1
@@ -84,11 +90,11 @@ class TestIdealLimit:
 
     def test_perturbed_sequence_has_no_plain_limit(self):
         # the squares keep spiking, so the finite-ideal rule never settles
-        values = parse_sequence("sqperturb").values(4096)
+        values = _prefix("sqperturb", 4096)
         assert ideal_limit(values, FIN).status == "undecided"
 
     def test_alternating_bits_have_no_density_limit(self):
-        values = parse_sequence("alt").values(4096)
+        values = _prefix("alt", 4096)
         v = ideal_limit(values, Z)
         assert v.status == "no_limit"
         assert (v.lower, v.upper) == (F(0), F(1))
@@ -155,7 +161,7 @@ class TestIdealLimit:
             ideal_limit([F(0)] * 64, FXF)
 
     def test_attempts_are_recorded(self):
-        values = parse_sequence("alt").values(256)
+        values = _prefix("alt", 256)
         v = ideal_limit(values, Z)
         assert "attempts" in v.evidence
         assert v.evidence["attempts"]  # every candidate level was tried
@@ -165,7 +171,7 @@ class TestIdealLimit:
 
 
 def alt_values(n):
-    return parse_sequence("alt").values(n)
+    return _prefix("alt", n)
 
 
 class TestOscillationCertificates:
@@ -322,7 +328,7 @@ class TestUnboundedEscape:
         import subsum.constructions as constructions_mod
 
         crawl = SequenceSpec(
-            name="crawl", fn=lambda n: F(n, 10**6), unbounded=True
+            name="crawl", fn=lambda n: F(n, 10**6).as_integer_ratio(), unbounded=True
         )
         monkeypatch.setattr(constructions_mod, "SEARCH_CAP", 10)
         with pytest.raises(ConstructionError):
@@ -431,7 +437,9 @@ def _per_row_escape(stem, matrix, x, m0, block):
     prev = stem[-1] if stem else 0
     for s in range(len(stem) + 1, k_top + 1):
         worst = max(abs(p) for p in partials.values())
-        prev = _least_index_with_magnitude(x, prev + 1, (m0 + worst) / alpha)
+        prev = _least_index_with_magnitude(
+            x, prev + 1, *((m0 + worst) / alpha).as_integer_ratio()
+        )
         values.append(prev)
         for n in block:
             partials[n] += matrix.entry(n, s) * x.value(prev)

@@ -6,8 +6,10 @@ another; serialized artifacts round-trip; decision procedures satisfy the
 postconditions they advertise, recounted here from the raw data.
 """
 
+import random
 from fractions import Fraction
 from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -46,7 +48,7 @@ from subsum import (
 from subsum import setlang
 from subsum.constructions import PAIR_PICKS, _threshold_counts
 from subsum.games import nu2_tower_move
-from subsum.ideals import IDEALS
+from subsum.ideals import IDEALS, _bd_small
 from subsum.sigma import RuleTail
 from subsum.setlang import (
     AP,
@@ -63,7 +65,7 @@ from subsum.setlang import (
     is_finite,
     nu2,
 )
-from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot
+from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot_pair
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -402,6 +404,39 @@ def test_ideal_limit_matches_the_level_by_level_search(values):
         ) == _limit_search_oracle(values, ideal)
 
 
+def _bd_small_oracle(flags, n):
+    """The bd smallness rule as first written: every late window's count
+    off one prefix-sum list over all n flags."""
+    window = max(8, n // 8)
+    prefix = [0, *accumulate(flags)]
+    late = n // 2
+    worst = max(map(sub, prefix[late + window:n + 1], prefix[late:n - window + 1]), default=0)
+    return 8 * worst <= window
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4096),
+    percent=st.integers(0, 100),
+    spikes=st.tuples(st.floats(0, 1), st.integers(0, 1024), st.integers(1, 64)),
+    seed=st.integers(0, 2**32),
+)
+@example(n=4096, percent=0, spikes=(0.0, 0, 1), seed=0)  # all zero
+@example(n=4096, percent=100, spikes=(0.0, 0, 1), seed=0)  # all one
+@example(n=1, percent=100, spikes=(0.0, 0, 1), seed=0)
+@example(n=4096, percent=0, spikes=(0.75, 65, 1), seed=0)  # one window just too full
+@example(n=64, percent=0, spikes=(0.5, 2, 7), seed=0)  # only the first late window holds both
+def test_bd_smallness_reads_window_counts_off_the_flags(n, percent, spikes, seed):
+    # Flags at a random density, plus evenly spaced ones that may fill one window.
+    rng = random.Random(seed)
+    flags = bytearray(rng.randrange(100) < percent for _ in range(n))
+    start, count, step = spikes
+    for i in range(int(start * n), n, step)[:count]:
+        flags[i] = 1
+    flags = bytes(flags)
+    assert _bd_small(flags, n) == _bd_small_oracle(flags, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     values=st.lists(
@@ -434,9 +469,9 @@ _exact = st.one_of(
 @given(pairs=st.lists(st.tuples(_exact, _exact), max_size=12))
 @example(pairs=[])
 def test_exact_dot_matches_fraction_sums(pairs):
-    got = _dot((a for a, _ in pairs), (v for _, v in pairs))
-    assert got == sum((F(a) * v for a, v in pairs), F(0))
-    assert type(got) is F
+    num, den = _dot_pair((a for a, _ in pairs), (F(v).as_integer_ratio() for _, v in pairs))
+    assert type(num) is int and type(den) is int and den > 0
+    assert F(num, den) == sum((F(a) * v for a, v in pairs), F(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -615,7 +650,7 @@ def test_sequence_names_parse_back_to_the_same_sequence(spec):
     x = parse_sequence(spec)
     again = parse_sequence(x.name)
     assert again == x
-    assert again.values(64) == x.values(64)
+    assert [again.pair(n) for n in range(1, 65)] == [x.pair(n) for n in range(1, 65)]
 
 
 _STRATEGY_MOVES = (parse_set("ap:1,2"), parse_set("complement:builtin:squares"))

@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd, isqrt
 from unittest import mock
 
 import pytest
@@ -55,6 +56,11 @@ FIN = IDEALS["fin"]
 Z = IDEALS["z"]
 
 
+def prefix(x, n):
+    """x_1 .. x_n as Fractions."""
+    return [x.value(k) for k in range(1, n + 1)]
+
+
 def oracle_transform(matrix, x, n, width):
     """Independent direct summation over the first ``width`` columns."""
     return sum((matrix.entry(n, k) * x.value(k) for k in range(1, width + 1)), F(0))
@@ -66,19 +72,19 @@ def oracle_transform(matrix, x, n, width):
 class TestSequences:
     def test_alternating_prefix(self):
         alt = parse_sequence("alt")
-        assert alt.values(6) == [0, 1, 0, 1, 0, 1]
+        assert prefix(alt, 6) == [0, 1, 0, 1, 0, 1]
         alt10 = parse_sequence("alt10")
-        assert alt10.values(6) == [1, 0, 1, 0, 1, 0]
+        assert prefix(alt10, 6) == [1, 0, 1, 0, 1, 0]
 
     def test_natural_numbers_are_declared_unbounded(self):
         n = parse_sequence("n")
         assert n.unbounded and n.sup_bound is None
         assert n.value(17) == 17
-        assert n.abs_search(F(17, 2)) == 9
+        assert n.abs_search(17, 2) == 9
         assert n.ratio_bound(4) == F(5, 4)
 
     def test_signed_naturals_alternate_sign(self):
-        assert parse_sequence("nalt").values(4) == [-1, 2, -3, 4]
+        assert prefix(parse_sequence("nalt"), 4) == [-1, 2, -3, 4]
 
     def test_block_indicator_follows_dyadic_levels(self):
         b = parse_sequence("blocks01")
@@ -95,24 +101,24 @@ class TestSequences:
         assert s.value(15) == 1 + F(1, 15)
         assert s.value(16) == 16
         # the search hint lands on the next square with a big enough value
-        assert s.abs_search(F(10)) == 16
-        assert s.value(s.abs_search(F(50))) >= 50
+        assert s.abs_search(10, 1) == 16
+        assert s.value(s.abs_search(50, 1)) >= 50
 
     def test_constant_and_list_sequences(self):
         c = parse_sequence("const:3/7")
         assert c.value(123) == F(3, 7)
         assert c.sup_bound == F(3, 7)
         lst = parse_sequence("list:1,1/2,-2")
-        assert lst.values(5) == [1, F(1, 2), -2, 0, 0]
+        assert prefix(lst, 5) == [1, F(1, 2), -2, 0, 0]
         assert lst.sup_bound == 2
 
     def test_rle_round_trip(self):
         runs = parse_rle("1x3,0x2,1x1")
         assert runs == [(1, 3), (0, 2), (1, 1)]
         seq = sequence_from_rle(runs)
-        assert seq.values(8) == [1, 1, 1, 0, 0, 1, 0, 0]
+        assert prefix(seq, 8) == [1, 1, 1, 0, 0, 1, 0, 0]
         assert render_rle([(1, 2), (1, 1), (0, 2), (1, 0), (0, 0), (1, 1)]) == "1x3,0x2,1x1"
-        assert parse_sequence("rle:1x2,0x1").values(4) == [1, 1, 0, 0]
+        assert prefix(parse_sequence("rle:1x2,0x1"), 4) == [1, 1, 0, 0]
 
     def test_negative_run_length_is_rejected(self):
         with pytest.raises(SequenceSpecError):
@@ -125,6 +131,40 @@ class TestSequences:
     def test_indexing_starts_at_one(self):
         with pytest.raises(ValueError):
             parse_sequence("alt").value(0)
+
+    def test_every_form_states_reduced_pairs(self):
+        # Each named sequence against its statement as Fractions, and every
+        # form's pair(n) reduced, over a positive denominator, equal to value(n).
+        oracles = {
+            "n": lambda n: F(n),
+            "nalt": lambda n: F(n if n % 2 == 0 else -n),
+            "alt": lambda n: F(n % 2 == 0),
+            "alt10": lambda n: F(n % 2 == 1),
+            "blocks01": lambda n: F(n.bit_length() % 2),
+            "sqperturb": lambda n: F(n) if isqrt(n) ** 2 == n else 1 + F(1, n),
+        }
+        forms = [parse_sequence(spec) for spec in (
+            *oracles, "const:-6/4", "const:0", "list:1,1/2,-2,4/6", "rle:1x3,0x200,1x100",
+        )] + [indicator_sequence(Squares())]
+        for x in forms:
+            oracle = oracles.get(x.name)
+            for n in range(1, 513):
+                p, q = x.pair(n)
+                assert type(p) is int and type(q) is int and q > 0 and gcd(p, q) == 1
+                assert F(p, q) == x.value(n)
+                if oracle is not None:
+                    assert x.value(n) == oracle(n)
+
+    @pytest.mark.parametrize("name", ["n", "nalt", "sqperturb"])
+    def test_magnitude_searches_read_their_target_as_a_pair(self, name):
+        x = parse_sequence(name)
+        magnitudes = [abs(x.value(n)) for n in range(1, 1024)]
+        for q in (1, 2, 3, 7):
+            for p in range(0, 513 * q, q // 2 + 1):
+                h = x.abs_search(p, q)
+                assert magnitudes[h - 1] >= F(p, q)
+                if name != "sqperturb":  # |x| is monotone: the least such h
+                    assert h == 1 or magnitudes[h - 2] < F(p, q)
 
     def test_indicator_sequence_matches_membership(self):
         seq = indicator_sequence(Squares())
@@ -642,6 +682,21 @@ class TestDomainCheck:
         assert report.status == "converged"
         assert (report.value, report.tail_bound) == (F(125, 131072), F(125, 536870912))
         assert (point.value, point.tail_bound) == (report.value, report.tail_bound)
+
+    def test_both_branches_read_x_as_integer_pairs(self, monkeypatch):
+        def refused(self, n):
+            raise AssertionError(f"x_{n} built as a Fraction")
+
+        monkeypatch.setattr(summability.SequenceSpec, "value", refused)
+        n, tol = parse_sequence("n"), F(1, 100)
+        summed = domain_check(CesaroMatrix(), n, 4096, tol)
+        assert (summed.status, summed.value) == ("converged", F(4097, 2))
+        ratio = domain_check(parse_matrix("gen:geometric"), n, 2, F(1, 1024))
+        assert (ratio.value, ratio.tail_bound) == (F(4294967279, 2147483648), F(33, 4160749568))
+        scan = domain_check(parse_matrix("gen:geometric"), parse_sequence("sqperturb"), 3, F(0))
+        assert (scan.status, scan.evidence["columns_used"]) == ("inconclusive", DOMAIN_SCAN_COLUMNS)
+        late = domain_check(spiked_tail_matrix(), n, 1, F(1, 256))
+        assert (late.status, late.evidence["column"]) == ("diverging", 40)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rows_start_at_one(self, n):
