@@ -27,6 +27,8 @@ from .ideals import (
 from .setlang import Complement, default_checkpoints, render
 from .sigma import Consecutive, Selector
 from .summability import (
+    DEFAULT_COLUMN_CAP,
+    AuditBudgetError,
     CesaroMatrix,
     IdentityMatrix,
     RowSeq,
@@ -384,10 +386,10 @@ class EscapeResult:
 SEARCH_CAP = 10**6
 
 
-def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> int:
+def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> tuple:
     """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0, compared as
-    |a| q >= p b on the pair a/b of x_h (scans; uses the declared
-    magnitude-search hint to jump when available)."""
+    |a| q >= p b on the pair a/b of x_h; returns h and that pair, so x_h is
+    read once (scans; uses the declared magnitude-search hint to jump)."""
     start = floor
     if x.abs_search is not None:
         hinted = x.abs_search(p, q)
@@ -399,7 +401,7 @@ def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> 
     for h in range(start, cap + 1):
         a, b = x.pair(h)
         if abs(a) * q >= p * b:
-            return h
+            return h, (a, b)
     raise ConstructionError(
         f"no index with |x| >= {Fraction(p, q)} found in [{floor}, {cap}]"
     )
@@ -437,12 +439,12 @@ def escape_unbounded(
     committed = Fraction(*_dot_pair(map(row.entry, range(1, j + 1)), map(x.pair, stem)))
     target = (m0 + 1 + abs(committed)) / abs(row.entry(pivot))
     floor = t_j + pivot
-    t0 = _least_index_with_magnitude(x, floor, *target.as_integer_ratio())
+    t0, t0_pair = _least_index_with_magnitude(x, floor, *target.as_integer_ratio())
     fill = tuple(t_j + s for s in range(1, pivot - j))
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
-    cols = range(1, pivot + 1)
-    partial = Fraction(*_dot_pair(map(row.entry, cols), (x.pair(selector.value(k)) for k in cols)))
+    picks = [*(x.pair(selector.value(k)) for k in range(1, pivot)), t0_pair]
+    partial = Fraction(*_dot_pair(map(row.entry, range(1, pivot + 1)), picks))
     holds = abs(partial) >= m0 + 1
     return EscapeResult(
         mode="unbounded",
@@ -525,10 +527,14 @@ def escape_rowfinite(
     restricted = RestrictedPartition(partition, surviving)
     # Block 1 holds the least surviving row the partition covers; start past it.
     q0 = max(p0, 2)
+    # Restricted block q0 traces an ambient block of index at least q0, whose
+    # scan fits the budget up to block ``last``: a floor past it is refused
+    # by index, before its boundary is built.
+    last = partition.block_index(partition.boundary(1) + DEFAULT_COLUMN_CAP) - 1
     while True:
-        # Restricted block q0 traces an ambient block of index at least q0.
-        scan = partition.boundary(q0 + 1) - partition.boundary(1)
-        _row_budget(scan, f"escape block {q0} scan length", "integers")
+        if q0 > last:
+            raise AuditBudgetError(f"escape block {q0} lies past block {last}: its scan length "
+                                   f"is over the audit budget of {DEFAULT_COLUMN_CAP} integers")
         block = restricted.block(q0)
         if block[0] > after_row:
             break
@@ -576,7 +582,8 @@ def escape_rowfinite(
     # partials over a running common denominator.  A row whose support has
     # ended joins the running max ``done``.  Each column's magnitude target
     # (m0 + worst) / alpha and each row's partial when it closes stay pairs,
-    # so the loop builds no Fraction.
+    # so the loop builds no Fraction.  A new pick's x is the pair its
+    # magnitude search tested; only stem columns read x here.
     k_top = max(supports.values())
     reach = [(0, 1)] * (k_top + 1)  # largest |c_n| over constant rows open at s
     closing: dict[int, list[int]] = {}
@@ -601,11 +608,12 @@ def escape_rowfinite(
             for num, den in open_rows.values():
                 if abs(num) * bd > bn * den:
                     bn, bd = abs(num), den
-            prev = _least_index_with_magnitude(
+            prev, (xp, xq) = _least_index_with_magnitude(
                 x, prev + 1, (mp * bd + bn * mq) * aq, mq * bd * ap
             )
             values.append(prev)
-        xp, xq = x.pair(values[s - 1])
+        else:
+            xp, xq = x.pair(values[s - 1])
         total = _add_ratio(*total, xp, xq)
         for n, p, q in terms.get(s, ()):
             open_rows[n] = _add_ratio(*open_rows[n], p * xp, q * xq)

@@ -25,7 +25,7 @@ from .summability import (
     ZERO,
     ONE,
     _dot_pair,
-    _tail_width,
+    _summed_width,
 )
 
 
@@ -310,27 +310,16 @@ def selector_transform(
     """sum_k row_k * x_{sigma(k)} with a certified tail bound.
 
     Finitely supported rows give exact values.  Otherwise the row needs a
-    declared l1 tail and x a declared sup bound.
+    declared l1 tail and x a declared sup bound, whose product bounds the
+    tail; the row is summed to the width ``_summed_width`` picks for
+    ``tail_tol``, and refused before any column is summed when none serves.
     """
     if not sel.total:
         raise ImageUndecidableError("functionals need total selectors")
-    if row.support is not None:
-        width, tail = row.support, ZERO
-    elif row.l1_tail is None or x.sup_bound is None:
-        raise DomainRiskError(
-            "selector functionals need a finitely supported row or an l1 tail "
-            "bound with a bounded sequence"
-        )
-    else:
-        # The tail bound does not depend on the partial sum: find the first
-        # doubling width that meets the tolerance, then sum once up to it.
-        width, tail = _tail_width(
-            lambda w: row.l1_tail(w) * x.sup_bound, tail_tol, 16, DEFAULT_COLUMN_CAP
-        )
-        if width is None:
-            raise TailToleranceError(
-                f"row tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
-            )
+    bounded = row.l1_tail is not None and x.sup_bound is not None
+    width, tail = _summed_width(
+        row.support, lambda w: row.l1_tail(w) * x.sup_bound if bounded else None, tail_tol, 16
+    )
     cols = range(1, width + 1)
     value = Fraction(*_dot_pair(map(row.entry, cols), (x.pair(sel.value(k)) for k in cols)))
     return FunctionalValue(value, tail)

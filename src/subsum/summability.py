@@ -449,7 +449,9 @@ class SummabilityMatrix:
         widths = []
         entries = 0
         for n in rows:
-            width, tail = _summed_width(self, x, n, tail_tol)
+            width, tail = _summed_width(
+                self.row_support(n), lambda w: _certified_tail(self, x, n, w), tail_tol, 32
+            )
             entries += width
             _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
             widths.append((n, width, tail))
@@ -671,12 +673,14 @@ class RowDropMatrix(SummabilityMatrix):
         return base, drop
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
-        # The base is asked for the kept rows only, so a dropped row reads no
-        # entry and counts toward no budget; nested drops recurse here.
-        dropped = setlang._scan(self.drop, 1, rows[-1]) if rows else b""
-        points = self.base._transform(x, [n for n in rows if not dropped[n - 1]], tail_tol)
+        # The drop is scanned over the requested span only (one far row, one
+        # flag), and the base is asked for the kept rows only, so a dropped
+        # row reads no entry and counts toward no budget; drops nest here.
+        lo, hi = (rows[0], rows[-1]) if rows else (1, 0)
+        dropped = setlang._scan(self.drop, lo, hi)
+        points = self.base._transform(x, [n for n in rows if not dropped[n - lo]], tail_tol)
         for n in rows:
-            yield ((0, 1), ZERO) if dropped[n - 1] else next(points)
+            yield ((0, 1), ZERO) if dropped[n - lo] else next(points)
 
     def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
         base, drop = self._innermost()
@@ -993,58 +997,40 @@ def _certified_tail(
     if tail is not None and x.sup_bound is not None:
         bounds.append(tail * x.sup_bound)
     ratio = matrix.term_ratio(n)
-    if ratio is not None and x.ratio_bound is not None and after >= ratio[1]:
-        rho, _ = ratio
-        r = rho * x.ratio_bound(after)
+    if ratio is not None and x.ratio_bound is not None and after >= max(ratio[1], 1):
+        r = ratio[0] * x.ratio_bound(after)
         if r < 1:
-            if after >= 1:
-                a, (p, q) = matrix.entry(n, after), x.pair(after)
-                lead = Fraction(abs(a.numerator * p), a.denominator * q)
-                bounds.append(lead * r / (1 - r))
-    if not bounds:
-        return None
-    return min(bounds)
+            a, (p, q) = matrix.entry(n, after), x.pair(after)
+            lead = Fraction(abs(a.numerator * p), a.denominator * q)
+            bounds.append(lead * r / (1 - r))
+    return min(bounds, default=None)
 
 
-def _tail_width(tail_at: Callable, tol: Fraction, start: int, cap: int) -> tuple:
-    """The first doubling width from ``start`` to ``cap`` with ``tail_at(width)`` (None:
-    no bound) at most ``tol``, and that bound; past the cap None, and the last bound seen."""
+def _summed_width(
+    support: int | None, tail_at: Callable, tol: Fraction, start: int
+) -> tuple[int, Fraction]:
+    """The columns every summed row (transform, domain check, selector
+    functional) sums, and its tail bound: ``support`` (tail 0) when known,
+    else the first doubling width from ``start`` up to ``DEFAULT_COLUMN_CAP``
+    whose bound ``tail_at(width)`` (None: none) is at most ``tol``.  Bounds do
+    not depend on the partial sum, so a row no width serves is refused before
+    any column is read: TailToleranceError if bounds were seen, else
+    DomainRiskError."""
+    if support is not None:
+        return support, ZERO
     width, seen = start, None
-    while width <= cap:
+    while width <= DEFAULT_COLUMN_CAP:
         tail = tail_at(width)
         if tail is not None:
             if tail <= tol:
                 return width, tail
             seen = tail
         width *= 2
-    return None, seen
-
-
-def _summed_width(
-    matrix: SummabilityMatrix, x: SequenceSpec, n: int, tail_tol: Fraction
-) -> tuple[int, Fraction]:
-    """The columns summed for row n, and its tail bound: the row's support
-    (tail 0), else the first doubling width whose certified tail bound is at
-    most ``tail_tol``.  The bound does not depend on the partial sum, so when
-    no width up to ``DEFAULT_COLUMN_CAP`` meets the tolerance this fails
-    (TailToleranceError) before any column is summed; with no tail machinery
-    at all it refuses with DomainRiskError."""
-    support = matrix.row_support(n)
-    if support is not None:
-        return support, ZERO
-    width, tail = _tail_width(
-        lambda w: _certified_tail(matrix, x, n, w), tail_tol, 32, DEFAULT_COLUMN_CAP
-    )
-    if width is not None:
-        return width, tail
-    if tail is None:
+    if seen is None:
         raise DomainRiskError(
-            f"no certified tail bound for matrix {matrix.spec_string()} against "
-            f"sequence {x.name}"
+            f"no certified tail bound at any width up to {DEFAULT_COLUMN_CAP} columns"
         )
-    raise TailToleranceError(
-        f"tail bound did not reach {tail_tol} within {DEFAULT_COLUMN_CAP} columns"
-    )
+    raise TailToleranceError(f"tail bound did not reach {tol} within {DEFAULT_COLUMN_CAP} columns")
 
 
 def transform_prefix(
@@ -1084,30 +1070,27 @@ def domain_check(
 ) -> DomainCheck:
     """Does row n of the transform make sense for x?
 
-    ``converged`` needs a certified tail (row-finite rows give tail 0, and
-    one wider than ``DEFAULT_COLUMN_CAP`` columns is refused): the first
-    doubling width up to ``DEFAULT_COLUMN_CAP`` whose tail bound is at
-    most tol, found before any column is summed; the row is then summed to
-    that width.  With no such width, ``diverging`` needs finite-scale
-    evidence: partial sums past ``DOMAIN_GROWTH_BOUND``, or a single term
-    larger than 2*tol after the partials had settled within tol over a
-    window.  Anything else is ``inconclusive``; the scan for evidence stops
-    after ``DOMAIN_SCAN_COLUMNS`` columns.
+    ``converged`` needs the width ``_summed_width`` picks for tol (a support
+    wider than ``DEFAULT_COLUMN_CAP`` columns is refused); the matrix kind's
+    transform kernel then sums the row, as ``transform_prefix`` does.  With
+    no such width, ``diverging`` needs finite-scale evidence: partial sums
+    past ``DOMAIN_GROWTH_BOUND``, or a single term larger than 2*tol after
+    the partials had settled within tol over a window.  Anything else is
+    ``inconclusive``; the scan for evidence stops after
+    ``DOMAIN_SCAN_COLUMNS`` columns.
     """
     if n < 1:
         raise ValueError("transform rows start at 1")
-    width, tail = matrix.row_support(n), ZERO
-    evidence = {"row_finite": True}
-    if width is not None:
-        _row_budget(width, f"row {n} support width", "columns")
+    support = matrix.row_support(n)
+    try:
+        width, _ = _summed_width(support, lambda w: _certified_tail(matrix, x, n, w), tol, 32)
+    except (TailToleranceError, DomainRiskError):
+        pass
     else:
-        width, tail = _tail_width(
-            lambda w: _certified_tail(matrix, x, n, w), tol, 32, DEFAULT_COLUMN_CAP
-        )
-        evidence = {"columns_used": width}
-    if width is not None:
-        value = Fraction(*_dot_pair(matrix._row(n, width), map(x.fn, range(1, width + 1))))
-        return DomainCheck("converged", n, value, tail, evidence)
+        _row_budget(width, f"row {n} support width", "columns")
+        [(pair, tail)] = matrix._transform(x, (n,), tol)
+        evidence = {"row_finite": True} if support is not None else {"columns_used": width}
+        return DomainCheck("converged", n, Fraction(*pair), tail, evidence)
     # The partial sum is num/den over a running common denominator; the
     # window holds the last partials' numerators over that same den.
     window: deque[int] = deque(maxlen=16)

@@ -835,6 +835,19 @@ class TestErrorContract:
         records = [json.loads(line) for line in log.read_text().splitlines()]
         assert [r["exit"] for r in records] == [3]
 
+    @pytest.mark.parametrize("ideal,floor", [("z", 10**5), ("z", 10**20), ("fin", 10**20)])
+    def test_far_block_floors_are_refused_by_index(self, capsys, tmp_path, ideal, floor):
+        # Dyadic block 10^5 starts at 2^100000, too long to print, and block
+        # 10^20 at a power of 2 too large to build: both are refused before
+        # any boundary past the budget's last block is built.
+        argv = ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n",
+                "--ideal", ideal, "--block-floor", str(floor)]
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 3
+        last = 19 if ideal == "z" else DEFAULT_COLUMN_CAP
+        assert (f"AuditBudgetError: escape block {floor} lies past block {last}: its scan "
+                f"length is over the audit budget of {DEFAULT_COLUMN_CAP} integers") in err
+
     def test_sparse_surviving_rows_along_fin_exit_with_code_3(self, capsys, tmp_path):
         # Rows 1..2^21 are dropped: the singleton partition's restricted
         # block 1 is row 2^21 + 1, found by one member search, and block 2
@@ -967,9 +980,10 @@ class TestErrorContract:
         assert record["error"] == "ZeroDivisionError: broken on purpose"
 
 
-# A seeded fuzz slice over the transform-kernel commands: every matrix kind
-# and a row drop over each, the named and literal sequences, and hostile
-# row counts, rows, tolerances and certificates.
+# A seeded fuzz slice over the transform-kernel commands and the escape:
+# every matrix kind and a row drop over each, the named and literal
+# sequences, and hostile row counts, rows, tolerances, certificates, stems,
+# bounds and block floors.
 _FUZZ_DROPS = {
     "cesaro": "builtin:squares",
     "identity": "ap:1,2",
@@ -979,21 +993,25 @@ _FUZZ_DROPS = {
 }
 _FUZZ_MATRICES = [*_FUZZ_DROPS, *(f"rowdrop:{m}:{drop}" for m, drop in _FUZZ_DROPS.items())]
 _FUZZ_SEQUENCES = ["n", "nalt", "alt", "sqperturb", "const:-5/3", "list:1,-2,3/4", "rle:1x3,0x2"]
+_FUZZ_ROWS = ["geometric", "harmonic", "ones", "list:0,0,1", "list:0"]
 _FUZZ_HOSTILE = {
     "--rows": ["0", "-1", str(10**20)],
     "--row": ["0", str(10**20)],
     "tolerance": ["0", "1e-100000", "1/1" + "0" * 5000],
+    "--stem": ["3,1", "2,2", "0", "-4", "1,x", str(10**20)],
+    "--m0": ["0", "-1", "abc", "1e-100000", "1/1" + "0" * 5000, "1" + "0" * 30],
+    "--block-floor": ["0", "-1", "20", str(10**20)],
 }
 _FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
                       '{"kind": "oscillation", "matrix": "wat", "x": "n"}']
 
 
 def _fuzz_argv(rng, path):
-    """One run's argv: half the transform and domain runs take one hostile
-    value, half the regularity runs a huge scale, and half the certificates
-    are malformed."""
+    """One run's argv: half the transform, domain and escape runs take one
+    hostile value, half the regularity runs a huge scale, and half the
+    certificates are malformed."""
     m, x = rng.choice(_FUZZ_MATRICES), rng.choice(_FUZZ_SEQUENCES)
-    command = rng.choice(["transform", "domain", "regularity", "verify"])
+    command = rng.choice(["transform", "domain", "regularity", "verify", "escape"])
     if command == "regularity":
         scale = rng.choice(["64", str(10**20)])
         return [command, "--matrix", m, "--ideal", rng.choice(["fin", "z"]), "--scale", scale]
@@ -1002,24 +1020,33 @@ def _fuzz_argv(rng, path):
                 "scales": [8], "lower_counts": [4], "upper_counts": [4]}
         path.write_text(rng.choice([json.dumps(cert)] * 4 + _FUZZ_CERTIFICATES))
         return [command, str(path)]
-    flags = {"--rows": "5", "--tail-tol": "1/1000"} if command == "transform" else {
-        "--row": "3", "--tol": "1/1000"}
+    head = [command, "--matrix", m, "--x", x]
+    if command == "escape" and rng.random() < 0.5:
+        head = [command, "--mode", "unbounded", "--row", rng.choice(_FUZZ_ROWS), "--x", x]
+        flags = {"--stem": "1,2", "--m0": "2"}
+    elif command == "escape":
+        head += ["--mode", "rowfinite", "--ideal", rng.choice(["fin", "z"])]
+        flags = {"--stem": "1,2", "--m0": "2", "--block-floor": "1"}
+    elif command == "transform":
+        flags = {"--rows": "5", "--tail-tol": "1/1000"}
+    else:
+        flags = {"--row": "3", "--tol": "1/1000"}
     if rng.random() < 0.5:
         flag = rng.choice(list(flags))
         flags[flag] = rng.choice(_FUZZ_HOSTILE.get(flag, _FUZZ_HOSTILE["tolerance"]))
-    return [command, "--matrix", m, "--x", x, *(t for item in flags.items() for t in item)]
+    return [*head, *(t for item in flags.items() for t in item)]
 
 
 def test_a_fuzz_slice_exits_documented_and_logs_once(capsys, tmp_path):
     rng = random.Random(2028)
     log = tmp_path / "runs.jsonl"
-    for i in range(160):
+    for i in range(200):
         argv = _fuzz_argv(rng, tmp_path / "cert.json")
         code, out, err = run(capsys, argv + ["--runlog", str(log)])
         assert code in (0, 2, 3, 4, 5, 6, 7), (argv, err)  # 1 is an unexpected failure
         records = log.read_text().splitlines()
         assert len(records) == i + 1 and json.loads(records[-1])["exit"] == code, argv
-        printed = json.loads(out)["matrix"] if out else None
+        printed = json.loads(out).get("matrix") if out else None
         if printed is not None:
             assert parse_matrix(printed).spec_string() == printed, argv
             assert argv[0] == "verify" or parse_matrix(printed) == parse_matrix(argv[2]), argv

@@ -437,7 +437,7 @@ def _per_row_escape(stem, matrix, x, m0, block):
     prev = stem[-1] if stem else 0
     for s in range(len(stem) + 1, k_top + 1):
         worst = max(abs(p) for p in partials.values())
-        prev = _least_index_with_magnitude(
+        prev, _ = _least_index_with_magnitude(
             x, prev + 1, *((m0 + worst) / alpha).as_integer_ratio()
         )
         values.append(prev)

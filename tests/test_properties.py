@@ -65,7 +65,7 @@ from subsum.setlang import (
     is_finite,
     nu2,
 )
-from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot_pair
+from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot_pair, domain_check
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -627,6 +627,32 @@ def test_transforms_at_chosen_rows_read_like_the_full_prefix(matrix, x, rows, ex
     except DomainRiskError:  # no tail machinery for this pair
         assume(False)
     assert list(matrix._transform(x, rows, tol)) == [full[r - 1] for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    matrix=_matrices(),
+    x=st.one_of(
+        st.sampled_from(["n", "nalt", "alt"]),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12).map(lambda v: f"const:{v}"),
+    ),
+    n=st.integers(1, 128),
+    tol=st.sampled_from([F(1, 3), F(1, 10**6), F(1, 1 << 32), F(1, 1 << 40)]),
+)
+@example(matrix=CesaroMatrix(), x="nalt", n=128, tol=F(1, 3))
+@example(matrix=parse_matrix("gen:geometric"), x="const:1", n=3, tol=F(1, 1 << 32))
+@example(matrix=parse_matrix("rowdrop:identity:ap:2,2"), x="n", n=127, tol=F(1, 3))
+@example(matrix=parse_matrix("gen:geometric"), x="n", n=5, tol=F(1, 1 << 40))
+@example(matrix=parse_matrix("rowdrop:gen:geometric:ap:1,2"), x="const:-2/3", n=4, tol=F(1, 3))
+def test_a_converged_domain_row_reads_like_the_transform(matrix, x, n, tol):
+    # One path sums every row: the domain check's converged row is the
+    # transform's row n, value and tail bound alike.
+    x = parse_sequence(x)
+    check = domain_check(matrix, x, n, tol)
+    assert check.status == "converged" or not matrix.row_finite
+    if check.status == "converged":
+        point = transform_prefix(matrix, x, n, tol)[-1]
+        assert (check.value, check.tail_bound) == (point.value, point.tail_bound)
 
 
 # ------------------------------------------------------ sequences, strategies

@@ -324,10 +324,11 @@ class TestSelectorFunctionals:
         assert time.perf_counter() - started < 5
 
     def test_exact_tolerance_is_unreachable_for_infinite_rows(self, monkeypatch):
-        import subsum.sigma as sigma_mod
+        # The width search is the summability module's, and reads its cap.
+        import subsum.summability as summability_mod
 
-        monkeypatch.setattr(sigma_mod, "DEFAULT_COLUMN_CAP", 256)
-        with pytest.raises(TailToleranceError):
+        monkeypatch.setattr(summability_mod, "DEFAULT_COLUMN_CAP", 256)
+        with pytest.raises(TailToleranceError, match="within 256 columns"):
             selector_transform(
                 parse_row("geometric"), parse_sequence("alt"), parse_selector("id"),
                 tail_tol=F(0),

@@ -683,6 +683,29 @@ class TestDomainCheck:
         assert (report.value, report.tail_bound) == (F(125, 131072), F(125, 536870912))
         assert (point.value, point.tail_bound) == (report.value, report.tail_bound)
 
+    def test_wide_rows_are_summed_by_the_kind_not_read_as_rows(self, monkeypatch):
+        # Row 2^20 through the kind's transform kernel: Cesaro reads a
+        # running sum, the identity one value, a row drop asks its base.
+        def refused(self, n, width):
+            raise AssertionError(f"row {n} read to width {width}")
+
+        for kind in (CesaroMatrix, IdentityMatrix, RowDropMatrix):
+            monkeypatch.setattr(kind, "_row", refused)
+        x, n = parse_sequence("n"), 1 << 20
+        for spec, value in (("cesaro", F(n + 1, 2)), ("identity", F(n)),
+                            ("rowdrop:cesaro:ap:1,2", F(n + 1, 2))):
+            check = domain_check(parse_matrix(spec), x, n, F(1, 100))
+            assert (check.status, check.value, check.tail_bound) == ("converged", value, 0)
+            assert check.evidence == {"row_finite": True}
+
+    def test_a_far_row_of_a_row_drop_scans_one_flag(self):
+        # A tail-bounded row 10^20 sums 32 columns; the drop is not scanned
+        # from row 1.
+        matrix = parse_matrix("rowdrop:gen:geometric:finite:{2}")
+        check = domain_check(matrix, parse_sequence("alt"), 10**20, F(1, 10**6))
+        assert (check.status, check.evidence) == ("converged", {"columns_used": 32})
+        assert check.value == F(1431655765, 1 << 32)
+
     def test_both_branches_read_x_as_integer_pairs(self, monkeypatch):
         def refused(self, n):
             raise AssertionError(f"x_{n} built as a Fraction")
