@@ -5,7 +5,8 @@
 # stopped after 10 s, or prints other stdout the second time than the first
 # (identical inputs print byte-identical output).  Each run's wall time, cold
 # start included, is printed in ms next to its exit code and stdout digest,
-# and the last line names the slowest run (README commands aim at 1 s).
+# a run over 1000 ms (README commands aim at 1 s) also prints a ::warning::
+# line without failing the job, and the last line names the slowest run.
 # Run it from the repository root:
 #   bash .github/scripts/readme_commands.sh
 set -e
@@ -27,6 +28,7 @@ while read -r full; do
     ms=$(( ($(date +%s%N) - started) / 1000000 ))
     digest=$(sha256sum stdout.txt | cut -c1-16)
     echo "exit $code (want $want) ${ms} ms stdout ${digest}: $line"
+    [ "$ms" -le 1000 ] || echo "::warning::${ms} ms, over the 1 s aim: $line"
     [ "$ms" -le "$slowest" ] || { slowest=$ms; slowest_line=$line; }
     [ "$code" -eq "$want" ] || exit 1
     digests+=("$digest")

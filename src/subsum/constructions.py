@@ -390,14 +390,11 @@ def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> 
     """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0, compared as
     |a| q >= p b on the pair a/b of x_h; returns h and that pair, so x_h is
     read once (scans; uses the declared magnitude-search hint to jump)."""
-    start = floor
     if x.abs_search is not None:
-        hinted = x.abs_search(p, q)
-        if hinted > start:
-            start = hinted
+        start = x.abs_search(p, q, floor)
         cap = start + 10**4
     else:
-        cap = floor + SEARCH_CAP
+        start, cap = floor, floor + SEARCH_CAP
     for h in range(start, cap + 1):
         a, b = x.pair(h)
         if abs(a) * q >= p * b:

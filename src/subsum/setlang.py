@@ -67,10 +67,13 @@ def nu2(n: int) -> int:
 # operation per node instead of one tree walk per integer.
 
 SCAN_CHUNK = 1 << 16
-_STRETCH = 1 << 10  # window evidence compares added and dropped flags this many at a time
+_LEAST_BLOCK, _STRETCH = 1 << 5, 1 << 11  # window evidence blocks: shortest retry, longest
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # Largest period of an eventually periodic form; above it a node has no form.
 PERIOD_CAP = 1 << 16
+# Most member steps a count spends on listed members; a scan to a limit
+# costs about as much as 16 + limit / 2**7 of them (see ``_count_both``).
+_LISTED = 1 << 16
 
 
 class SetDescription:
@@ -94,6 +97,10 @@ class SetDescription:
     """
 
     jumps = False
+    listed = None  # finite sets, squares, powers of 2: ``listed(limit)``, the members up to it
+    # Nodes in the tree: the most that one ``member`` call visits.
+    _nodes = cached_property(lambda self: 1 + sum(
+        v._nodes for v in vars(self).values() if isinstance(v, SetDescription)))
 
     def count(self, limit: int) -> int | None:
         """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
@@ -145,6 +152,8 @@ class Finite(SetDescription):
 
     def count(self, limit):
         return bisect_right(self.members, limit)
+
+    listed = lambda self, limit: self.members[:bisect_right(self.members, limit)]
 
     def next_member(self, after, cap):
         i = bisect_right(self.members, after)
@@ -253,6 +262,8 @@ class Squares(_Sparse):
     def count(self, limit):
         return isqrt(limit)
 
+    listed = lambda self, limit: (i * i for i in range(1, isqrt(limit) + 1))
+
     def render(self):
         return "builtin:squares"
 
@@ -267,6 +278,8 @@ class Powers2(_Sparse):
 
     def count(self, limit):
         return limit.bit_length()
+
+    listed = lambda self, limit: (1 << j for j in range(limit.bit_length()))
 
     def render(self):
         return "builtin:powers2"
@@ -395,12 +408,18 @@ def _merged(a: SetDescription, b: SetDescription) -> SetDescription | None:
 
 
 def _count_both(a: SetDescription, b: SetDescription, limit: int) -> int | None:
-    """|a ∩ b ∩ [1, limit]| when a side is finite or both are progressions."""
-    for finite, other in ((a, b), (b, a)):
-        if isinstance(finite, Finite):
-            return sum(map(other.member, finite.members[:bisect_right(finite.members, limit)]))
+    """|a ∩ b ∩ [1, limit]| when both are progressions, or from the other side's
+    ``member`` on the members one side lists (a finite side always; see _LISTED)."""
     merged = _merged(a, b)
-    return None if merged is None else merged.count(limit)
+    if merged is not None:
+        return merged.count(limit)
+    budget, cheapest = min(_LISTED, 16 + (limit >> 7)), None
+    for side, other in ((a, b), (b, a)):
+        if side.listed is not None:
+            cost = 0 if isinstance(side, Finite) else side.count(limit) * other._nodes
+            if cost <= budget:
+                budget, cheapest = cost, (side, other)
+    return None if cheapest is None else sum(map(cheapest[1].member, cheapest[0].listed(limit)))
 
 
 @dataclass(frozen=True)
@@ -415,9 +434,10 @@ class Union(SetDescription):
         return _combine(or_, self.left.scan(lo, hi), self.right.scan(lo, hi))
 
     def count(self, limit):
-        a, b = self.left.count(limit), self.right.count(limit)
-        both = None if a is None or b is None else _count_both(self.left, self.right, limit)
-        return None if both is None else a + b - both
+        both = _count_both(self.left, self.right, limit)
+        a = None if both is None else self.left.count(limit)
+        b = None if a is None else self.right.count(limit)
+        return None if b is None else a + b - both
 
     jumps = cached_property(lambda self: self.left.jumps or self.right.jumps)
 
@@ -802,10 +822,18 @@ def _walk(s: SetDescription, cap: int):
             yield from compress(range(start, start + len(flags)), flags)
 
 
+def _scans(s: SetDescription) -> bool:
+    """Does a walk of S scan a range: S does not jump, or has a side that scans?"""
+    if isinstance(s, Union):
+        return _scans(s.left) or _scans(s.right)
+    return _scans(s.inner) if isinstance(s, Shift) else not s.jumps
+
+
 def iter_members(s: SetDescription, limit: int):
-    """Yield the members of S up to ``limit`` in increasing order; a jump
-    past ``limit`` ends the walk."""
-    if limit > ENUMERATION_CAP and _count_closed(s, limit) is None:
+    """Yield the members of S up to ``limit`` in increasing order; a jump past
+    it ends the walk.  Past ENUMERATION_CAP a set whose walk scans, or that has
+    no closed count, refuses."""
+    if limit > ENUMERATION_CAP and (_scans(s) or _count_closed(s, limit) is None):
         raise EnumerationCapError("member scan past cap")
     yield from takewhile(limit.__ge__, _walk(s, limit))
 
@@ -835,30 +863,53 @@ def max_window_density(s: SetDescription, limit: int, window: int) -> Fraction:
 def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fraction]:
     """max_window_density at each window length, from one range scan.
 
-    A window's count is a running sum of added minus dropped flags; stretches
-    where they agree change nothing, and a full window is done.  The scan
-    keeps the last longest window's flags; zeros stand for integers below 1.
+    Each window length walks its ends in blocks, the first w + p long (those
+    windows repeat none before them).  A block is skipped when its span (the
+    block and the window before it) holds no more ones than the best window so
+    far, or equals the flags one period p earlier (p from the set's form,
+    checked on the bytes).  Else it is retried shorter, down to _LEAST_BLOCK,
+    where its density of ones says the count would pass or where the period
+    holds beside it, or a running sum of added minus dropped flags reads it.
+    The scan keeps the last longest window plus p flags; zeros stand for
+    integers below 1.
     """
     if not all(1 <= window <= limit for window in windows):
         raise ValueError("need 1 <= window <= limit")
     if limit > ENUMERATION_CAP:
         raise EnumerationCapError("window scan past cap")
-    longest = max(windows, default=0)
-    best, current = dict.fromkeys(windows, 0), dict.fromkeys(windows, 0)
-    kept = bytearray(longest)
+    p = (_form(s) or (0,))[0]
+    reach = max(windows, default=0) + p
+    best, kept = dict.fromkeys(windows, 0), bytearray(reach)
     for _, flags in _chunks(s, 1, limit):
         buf = kept + flags
-        for w in [w for w in best if best[w] < w]:
-            for a in range(longest, len(buf), _STRETCH):
-                b = min(a + _STRETCH, len(buf))
-                added, dropped = buf[a:b], buf[a - w:b - w]
-                if added != dropped and best[w] < current[w] + added.count(1):
-                    steps = accumulate(map(sub, added, dropped), initial=current[w])
+        # Without new ones no window here beats one seen; w ones in a row fill one.
+        for w in [w for w in best if best[w] < w] if 1 in flags else ():
+            if b"\x01" * w in buf:
+                best[w] = w
+            a, size = reach, w + p
+            while a < len(buf) and best[w] < w:
+                b = min(a + size, len(buf))
+                ones = buf.count(1, a - w, b)  # fit: the block whose span holds best[w] of them
+                fit = best[w] * (b - a + w) // ones - w if ones else _STRETCH
+                if ones <= best[w]:
+                    a, size = b, min(fit if best[w] else 2 * size, _STRETCH)
+                elif p and buf[a - w - p:b - p] == buf[a - w:b]:
+                    a, size = b, _STRETCH
+                elif fit >= _LEAST_BLOCK:
+                    size = fit
+                elif p and (m := (a + b) // 2) - a >= _LEAST_BLOCK and (
+                        buf[m - w - p:b - p] == buf[m - w:b]):
+                    size = m - a  # only the first half reads a change of period
+                elif p and m - a >= _LEAST_BLOCK and buf[a - w - p:m - p] == buf[a - w:m]:
+                    a, size = m, b - m  # only the second half does
+                else:
+                    steps = accumulate(map(sub, buf[a:b], buf[a - w:b - w]),
+                                       initial=buf.count(1, a - w, a))
                     best[w] = max(best[w], max(steps))
-                current[w] += added.count(1) - dropped.count(1)
+                    a, size = b, min(2 * size, _STRETCH)
         if all(best[w] == w for w in best):
             break
-        kept = buf[len(buf) - longest:]
+        kept = buf[len(buf) - reach:]
     return [Fraction(best[w], w) for w in windows]
 
 

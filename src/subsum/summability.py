@@ -156,10 +156,11 @@ class SequenceSpec:
     want one.  The kernels, escapes and domain checks read pairs and compare
     them by integer cross products, so they build no Fraction per value.
     ``sup_bound`` is a certified bound on sup |x_n|; ``ratio_bound(k)`` is a
-    certified nonincreasing bound on |x_{k+1}| / |x_k|; ``abs_search(p, q)``
-    returns an index h with |x_h| >= p/q, for p >= 0 and q > 0 (the least
-    such for monotone |x|).  Declarations are part of the sequence's
-    definition; nothing is inferred from sampled values.
+    certified nonincreasing bound on |x_{k+1}| / |x_k|; ``abs_search(p, q,
+    floor)`` returns an index h >= floor (default 1) with |x_h| >= p/q, for
+    p >= 0 and q > 0 (the least such for monotone |x|).  Declarations are
+    part of the sequence's definition; nothing is inferred from sampled
+    values.
     """
 
     name: str
@@ -167,7 +168,7 @@ class SequenceSpec:
     sup_bound: Fraction | None = None
     ratio_bound: Callable[[int], Fraction] | None = field(default=None, compare=False)
     unbounded: bool = False
-    abs_search: Callable[[int, int], int] | None = field(default=None, compare=False)
+    abs_search: Callable[..., int] | None = field(default=None, compare=False)
 
     def pair(self, n: int) -> tuple[int, int]:
         if n < 1:
@@ -188,7 +189,7 @@ def _seq_naturals() -> SequenceSpec:
         fn=lambda n: (n, 1),
         ratio_bound=lambda k: Fraction(k + 1, k),
         unbounded=True,
-        abs_search=lambda p, q: max(1, -(-p // q)),
+        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
     )
 
 
@@ -198,7 +199,7 @@ def _seq_signed_naturals() -> SequenceSpec:
         fn=lambda n: (n if n % 2 == 0 else -n, 1),
         ratio_bound=lambda k: Fraction(k + 1, k),
         unbounded=True,
-        abs_search=lambda p, q: max(1, -(-p // q)),
+        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
     )
 
 
@@ -226,16 +227,13 @@ def _seq_sqperturb() -> SequenceSpec:
         r = isqrt(n)
         return (n, 1) if r * r == n else (n + 1, n)  # 1 + 1/n, reduced
 
-    def search(p: int, q: int) -> int:
-        for n in (1, 2):
+    def search(p: int, q: int, floor: int = 1) -> int:
+        # Off the squares |x| falls, so past floor + 1 only squares can qualify.
+        for n in (floor, floor + 1):
             a, b = fn(n)
             if a * q >= p * b:
                 return n
-        r = max(2, -(-p // q))
-        s = isqrt(r)
-        if s * s < r:
-            s += 1
-        return s * s
+        return (isqrt(max(floor, -(-p // q)) - 1) + 1) ** 2
 
     return SequenceSpec(
         name="sqperturb", fn=fn, unbounded=True, abs_search=search
@@ -541,7 +539,7 @@ class CesaroMatrix(_StochasticTriangle):
             return ()
         if n < 1:
             raise ValueError("indices start at 1")
-        return (Fraction(1, n),) * min(n, width) + (ZERO,) * (width - n)
+        return (_reciprocal(n),) * min(n, width) + (ZERO,) * (width - n)
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         # The running sum is an integer numerator over a running common
@@ -868,16 +866,16 @@ class GeneratorMatrix(SummabilityMatrix):
 
 
 @lru_cache(maxsize=1 << 12)
-def _half_power(k: int) -> Fraction:
+def _reciprocal(n: int) -> Fraction:
     # Rows share their entries, so the rows a matrix keeps hold no copies.
-    return Fraction(1, 1 << k)
+    return Fraction(1, n)
 
 
 def _gen_geometric() -> GeneratorMatrix:
     # Every row is (1/2, 1/4, 1/8, ...); not row-finite, fully declared tails.
     return GeneratorMatrix(
         name="geometric",
-        entry_fn=lambda n, k: _half_power(k),
+        entry_fn=lambda n, k: _reciprocal(1 << k),
         l1_tail_fn=lambda n, after: Fraction(1, 1 << after),
         ratio=(Fraction(1, 2), 1),
         nonneg=True,

@@ -980,10 +980,12 @@ class TestErrorContract:
         assert record["error"] == "ZeroDivisionError: broken on purpose"
 
 
-# A seeded fuzz slice over the transform-kernel commands and the escape:
-# every matrix kind and a row drop over each, the named and literal
-# sequences, and hostile row counts, rows, tolerances, certificates, stems,
-# bounds and block floors.
+# A seeded fuzz slice over the transform-kernel commands, the escape, and
+# density and verdict over the set DSL: every matrix kind and a row drop over
+# each, the named and literal sequences, every ideal kind, and hostile row
+# counts, rows, tolerances, certificates, stems, bounds, block floors,
+# scales, windows and set expressions (deep nesting, huge shifts, big
+# literals, sparse atoms meeting progressions).
 _FUZZ_DROPS = {
     "cesaro": "builtin:squares",
     "identity": "ap:1,2",
@@ -1001,17 +1003,31 @@ _FUZZ_HOSTILE = {
     "--stem": ["3,1", "2,2", "0", "-4", "1,x", str(10**20)],
     "--m0": ["0", "-1", "abc", "1e-100000", "1/1" + "0" * 5000, "1" + "0" * 30],
     "--block-floor": ["0", "-1", "20", str(10**20)],
+    "--scale": ["0", "-1", str(2**32), str(10**20)],
+    "--window": ["0", "-1", "4097", str(10**20)],
 }
+_FUZZ_SETS = [
+    "ap:7,6", "builtin:squares", "union:builtin:squares|builtin:powers2",
+    "intersect:builtin:squares|ap:2,3", "union:builtin:powers2|ap:1,3",
+    "intersect:builtin:powers2|complement:ap:1,2", "union:ap:1,2|finite:{4000}",
+    "builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)",
+    "complement:" * 255 + "builtin:squares", "union:builtin:squares|" * 255 + "ap:1,2",
+    "complement:" * 256 + "ap:1,2", "shift:ap:1,2,-1" + "0" * 20,
+    "shift:builtin:squares,1" + "0" * 20, "finite:{3,1" + "0" * 30 + "}", "ap:1,1" + "0" * 20,
+]
+_FUZZ_IDEALS = ["fin", "z", "bd", "finxfin", "matrix:cesaro"]
 _FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
                       '{"kind": "oscillation", "matrix": "wat", "x": "n"}']
 
 
 def _fuzz_argv(rng, path):
-    """One run's argv: half the transform, domain and escape runs take one
-    hostile value, half the regularity runs a huge scale, and half the
-    certificates are malformed."""
+    """One run's argv: half the transform, domain, escape, density and
+    verdict runs take one hostile value, half the regularity runs a huge
+    scale, half the certificates are malformed, and a quarter of the density
+    runs print CSV."""
     m, x = rng.choice(_FUZZ_MATRICES), rng.choice(_FUZZ_SEQUENCES)
-    command = rng.choice(["transform", "domain", "regularity", "verify", "escape"])
+    command = rng.choice(["transform", "domain", "regularity", "verify", "escape",
+                          "density", "verdict"])
     if command == "regularity":
         scale = rng.choice(["64", str(10**20)])
         return [command, "--matrix", m, "--ideal", rng.choice(["fin", "z"]), "--scale", scale]
@@ -1021,7 +1037,13 @@ def _fuzz_argv(rng, path):
         path.write_text(rng.choice([json.dumps(cert)] * 4 + _FUZZ_CERTIFICATES))
         return [command, str(path)]
     head = [command, "--matrix", m, "--x", x]
-    if command == "escape" and rng.random() < 0.5:
+    if command == "density":
+        head = [command, rng.choice(_FUZZ_SETS)] + (["--csv"] if rng.random() < 0.25 else [])
+        flags = {"--scale": "4096", "--window": "64"}
+    elif command == "verdict":
+        head = [command, rng.choice(_FUZZ_SETS), "--ideal", rng.choice(_FUZZ_IDEALS)]
+        flags = {"--scale": "4096"}
+    elif command == "escape" and rng.random() < 0.5:
         head = [command, "--mode", "unbounded", "--row", rng.choice(_FUZZ_ROWS), "--x", x]
         flags = {"--stem": "1,2", "--m0": "2"}
     elif command == "escape":
@@ -1046,7 +1068,7 @@ def test_a_fuzz_slice_exits_documented_and_logs_once(capsys, tmp_path):
         assert code in (0, 2, 3, 4, 5, 6, 7), (argv, err)  # 1 is an unexpected failure
         records = log.read_text().splitlines()
         assert len(records) == i + 1 and json.loads(records[-1])["exit"] == code, argv
-        printed = json.loads(out).get("matrix") if out else None
+        printed = json.loads(out).get("matrix") if out and "--csv" not in argv else None
         if printed is not None:
             assert parse_matrix(printed).spec_string() == printed, argv
             assert argv[0] == "verify" or parse_matrix(printed) == parse_matrix(argv[2]), argv
@@ -1128,6 +1150,30 @@ PRINTED_DIGESTS = {
         "2a0c5626a8ea6c67f1bf11598d467933839af063abdfd6777e71f28e5d6d63b0",
     "regularity --matrix rowdrop:gen:rand_rowfinite_3:finite:{2} --ideal z --scale 256":
         "0aa167b45a3d4f2ef1561fe3cd2c949bb69021dab1868ca4f9f13a9c948fe1a2",
+    # Density reports and undecided verdicts, recorded before window maxima
+    # skipped blocks that repeat one period earlier and sparse sides counted
+    # by listing their members.
+    "density ap:7,6 --scale 1000000 --window 64":
+        "fff5ac5867783cebee959efc3b2066c4e88b93b3c2610ccd6da9e08f9e5bd97e",
+    "density union:ap:1,2|finite:{100000} --scale 200000 --window 64":
+        "bcbc24bd2c8e5d63233758e3e3f85ba45081b7c0620520c073ccf24effcf179f",
+    "density union:ap:7,10|builtin:squares --scale 140000 --window 64":
+        "1c18ee90c4b0210522b187f7092618d2d38c21a26c62757c03dcfdbb5a1c9b90",
+    "density union:builtin:squares|builtin:powers2 --scale 1000000":
+        "938fad4642f3cabf873b8ec72e22e66d1669bd4085e972e8a310327c4153164e",
+    "verdict intersect:builtin:squares|builtin:powers2 --ideal fin --scale 1000000":
+        "764e8528417cdc8133da2ee62d03b491192c3720aed0ec7a5cadf949b8479b6b",
+    "verdict union:builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)|builtin:squares"
+    " --ideal z --scale 1000000":
+        "0692857a388135d7b01c0c7903269a00612a93385640d21f20175071b5ca0b11",
+    "verdict builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)"
+    " --ideal bd --scale 140000":
+        "e07f55206d30d0adf799f6864150ba7b0b8fd9c1914558d0a486a1282da827d0",
+    "verdict intersect:builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)|ap:1,2"
+    " --ideal bd --scale 140000":
+        "28ebfb990084d564e14e306716b9e70984180d410f30004dd71374317d184f3a",
+    "verdict intersect:builtin:squares|ap:2,3 --ideal fin --scale 1000000":
+        "bf468d0993e251b01d46bc16d49d6b8106e3798d86424e046dacb98a80988fbe",
 }
 # The pinned commands that end with an exit code other than 0.
 PINNED_EXITS = {

@@ -364,6 +364,14 @@ class TestRowFiniteEscape:
         assert result.holds
         assert all(abs(v) >= 3 for _, v in result.row_values)
 
+    def test_a_magnitude_floor_past_the_hinted_square_still_finds_one(self):
+        # The floor passes the least square with a value >= m0 + 1, so the
+        # search must land on the next square, not scan values 1 + 1/h.
+        m0 = 10**30
+        result = escape_rowfinite((), parse_matrix("identity"), parse_sequence("sqperturb"), Z, m0)
+        assert result.holds
+        assert all(abs(v) >= m0 for _, v in result.row_values)
+
     def test_block_floor_requests_fresh_blocks(self):
         low = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 1)
         high = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 1, p0=5)

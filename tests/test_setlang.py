@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -184,7 +186,8 @@ def test_progressions_merge_past_the_cap():
 
 
 def test_enumeration_cap_raises():
-    awkward = Union(Squares(), Shift(Squares(), 1))
+    # Neither side lists its members, so the union has no closed count.
+    awkward = Union(Shift(Squares(), 2), Shift(Squares(), 1))
     with pytest.raises(EnumerationCapError):
         prefix_counts(awkward, [2 * 10**7])[0][1]
 
@@ -415,6 +418,100 @@ def test_chunked_scans_match_member_loops(s, limit, chunk, data):
             Fraction(max(sum(flags[t:t + w]) for t in range(limit - w + 1)), w) for w in windows
         ]
         assert nu2_column_audit(s, limit)["column_counts"] == columns
+
+
+# ---------------------------------------------------------------- window maxima
+
+
+def _oracle_maxima(s, limit, windows):
+    """Window maxima read off prefix sums of the scanned flags, every window."""
+    prefix = [0, *accumulate(setlang._scan(s, 1, limit))]
+    return [Fraction(max(map(sub, prefix[w:], prefix)), w) for w in windows]
+
+
+def _window_trees():
+    """Every atom and operator, a progression one step above PERIOD_CAP (it
+    has no periodic form), and finite members spread over three scan chunks."""
+    return st.recursive(
+        st.one_of(
+            st.builds(Finite, st.lists(st.integers(1, 3 * setlang.SCAN_CHUNK), max_size=4).map(tuple)),
+            st.builds(AP, st.integers(1, 12), st.integers(1, 12)),
+            st.builds(AP, st.integers(1, 12), st.just(setlang.PERIOD_CAP + 1)),
+            st.just(Squares()),
+            st.just(Powers2()),
+            st.builds(Nu2Ge, st.integers(0, 5)),
+        ),
+        lambda inner: st.one_of(
+            st.builds(Complement, inner),
+            st.builds(Union, inner, inner),
+            st.builds(Intersection, inner, inner),
+            st.builds(Shift, inner, st.integers(-200, 200)),
+            st.builds(DyadicBlocks, inner),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def _limits_and_windows(draw):
+    """Limits up to three scan chunks, so windows straddle a chunk boundary,
+    with one to five window lengths up to the limit."""
+    limit = draw(st.one_of(st.integers(1, 3000),
+                           st.integers(setlang.SCAN_CHUNK - 3000, 3 * setlang.SCAN_CHUNK)))
+    return limit, draw(st.lists(st.integers(1, limit), min_size=1, max_size=5))
+
+
+@settings(max_examples=40, deadline=None)
+# A member far past a periodic start: a scan that trusted the period after
+# the first chunk would miss the window holding it.
+@example(s=parse_set("union:ap:1,2|finite:{100000}"), case=(200000, [64]))
+@example(s=AP(7, 6), case=(10**6, [8, 32, 128, 512, 2048]))
+@given(s=_window_trees(), case=_limits_and_windows())
+def test_window_maxima_match_prefix_sums(s, case):
+    limit, windows = case
+    assert setlang._window_maxima(s, limit, windows) == _oracle_maxima(s, limit, windows)
+
+
+def test_a_member_far_past_a_periodic_start_is_in_a_window():
+    assert max_window_density(parse_set("union:ap:1,2|finite:{100000}"), 200000, 64) == Fraction(33, 64)
+
+
+# ---------------------------------------------------------------- closed counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_window_trees(), limit=st.integers(1, 40000))
+def test_closed_counts_match_scans(s, limit):
+    # Limits this large let the squares list their members (see _count_both).
+    closed = setlang._count_closed(s, limit)
+    assert closed is None or closed == setlang._scan(s, 1, limit).count(1)
+
+
+def test_sparse_sides_count_by_listing_their_members():
+    # Squares and powers of 2 meet in the powers of 4: ten of them up to 10^6.
+    assert setlang._count_closed(parse_set("union:builtin:squares|builtin:powers2"), 10**6) == 1010
+    assert setlang._count_closed(parse_set("intersect:builtin:squares|ap:1,3"), 10**6) == 667
+
+
+@pytest.mark.parametrize("text", [
+    # No square is 2 mod 3: a walk would scan all 4 * 10^9 integers.
+    "intersect:builtin:squares|ap:2,3",
+    # The progression jumps, but the powers of 2 between its members scan.
+    "union:ap:1,1000000000|builtin:powers2",
+])
+def test_a_closed_count_opens_no_scan_past_the_cap(text):
+    s = parse_set(text)
+    assert setlang._count_closed(s, 4 * 10**9) is not None
+    started = time.perf_counter()
+    with pytest.raises(EnumerationCapError):
+        next(setlang.iter_members(s, 4 * 10**9))
+    assert time.perf_counter() - started < 1
+
+
+def test_a_listing_past_its_bound_still_refuses():
+    # 10^7 squares up to 10^14: more than a count lists.
+    with pytest.raises(EnumerationCapError):
+        prefix_counts(parse_set("union:builtin:squares|ap:1,3"), [10**14])
 
 
 def _within(n, limit):

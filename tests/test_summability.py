@@ -10,6 +10,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 from unittest import mock
 
@@ -103,6 +104,15 @@ class TestSequences:
         # the search hint lands on the next square with a big enough value
         assert s.abs_search(10, 1) == 16
         assert s.value(s.abs_search(50, 1)) >= 50
+
+    @pytest.mark.parametrize("name", ["n", "nalt", "sqperturb"])
+    def test_magnitude_searches_start_at_their_floor(self, name):
+        x = parse_sequence(name)
+        for p, q, floor in product((0, 1, 3, 10, 50), (1, 2), (1, 2, 3, 5, 17, 26, 100)):
+            h = x.abs_search(p, q, floor)
+            assert h >= floor and abs(x.value(h)) >= F(p, q)
+            # the least such h at or past the floor
+            assert all(abs(x.value(k)) < F(p, q) for k in range(floor, h))
 
     def test_constant_and_list_sequences(self):
         c = parse_sequence("const:3/7")
