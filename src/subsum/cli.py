@@ -329,6 +329,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 def _cmd_game(args) -> tuple[dict, int]:
     ideal = ideals.parse_ideal(args.ideal)
     strategy = games.parse_strategy(args.strategy)
+    games.round_budget(args.rounds)
     if args.moves == "nu2tower":
         moves = [games.nu2_tower_move(r) for r in range(1, args.rounds + 1)]
     else:

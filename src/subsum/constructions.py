@@ -307,6 +307,7 @@ def oscillation_pair(
     floor = stem[-1] if stem else 0
     if floor >= scan // 2:
         raise ConstructionError("stem already exhausts the scan range")
+    _row_budget(scan, "oscillation scan length", "indices")
     xs = list(map(x.fn, range(1, scan + 1)))
     late = xs[scan // 2:]
     _, keys = _exact_keys(late)
@@ -382,19 +383,12 @@ class EscapeResult:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-# Indices a magnitude search scans when the sequence gives no search hint.
-SEARCH_CAP = 10**6
-
-
 def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> tuple:
     """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0, compared as
     |a| q >= p b on the pair a/b of x_h; returns h and that pair, so x_h is
-    read once (scans; uses the declared magnitude-search hint to jump)."""
-    if x.abs_search is not None:
-        start = x.abs_search(p, q, floor)
-        cap = start + 10**4
-    else:
-        start, cap = floor, floor + SEARCH_CAP
+    read once (jumps to the sequence's magnitude-search hint, then scans)."""
+    start = x.abs_search(p, q, floor)
+    cap = start + 10**4
     for h in range(start, cap + 1):
         a, b = x.pair(h)
         if abs(a) * q >= p * b:

@@ -207,6 +207,11 @@ def play_round(
     reply, witness = strategy.reply(move, round_index)
     if not reply:
         raise StrategySearchError("strategies must reply with a nonempty set")
+    bits = sum(v.bit_length() for v in reply)
+    if bits > setlang.RENDER_BITS:
+        raise StrategySearchError(
+            f"strategy replied {bits} bits; a reply prints at most {setlang.RENDER_BITS}"
+        )
     for v in reply:
         if not member(move, v):
             raise StrategySearchError(
@@ -215,6 +220,13 @@ def play_round(
     witness = dict(witness)
     witness["legality"] = verdict.reason
     return GameRound(round_index, render(move), reply, witness)
+
+
+def round_budget(rounds: int) -> None:
+    """Refuse a game of more than RENDER_BITS rounds: round r of the nu2
+    tower replies at least 2^r, and no reply over RENDER_BITS bits prints."""
+    if rounds > setlang.RENDER_BITS:
+        raise StrategySearchError(f"{rounds} rounds are over the budget of {setlang.RENDER_BITS}")
 
 
 def play_game(
@@ -227,6 +239,7 @@ def play_game(
     if not moves:
         raise ValueError("need at least one move")
     total = rounds if rounds is not None else len(moves)
+    round_budget(total)
     played = []
     for r in range(1, total + 1):
         move = moves[(r - 1) % len(moves)]

@@ -635,13 +635,21 @@ _UNSET = object()
 def _facts(s: SetDescription) -> list:
     """[form, (finite?, cofinite?), density, Banach density] of s, kept on
     the node: nodes are frozen, so their facts never change.  A node with a
-    form reads its facts off the form; one without asks its own rules, for
-    the last two on first use."""
+    form reads all four off the form at once; one without asks its own
+    rules, for the last two on first use."""
     facts = s.__dict__.get("_facts")
     if facts is None:
         form = s.form()
-        fin = s.finiteness() if form is None else None
-        facts = s.__dict__["_facts"] = [form, fin, _UNSET, _UNSET]
+        if form is None:
+            facts = [None, s.finiteness(), _UNSET, _UNSET]
+        elif form[0] > 1:
+            d = Fraction(form[1].bit_count(), form[0])
+            facts = [form, _NEITHER, d, d]
+        else:
+            known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
+            fin = (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
+            facts = [form, fin] + [ONE if form[1] else ZERO] * 2
+        s.__dict__["_facts"] = facts
     return facts
 
 
@@ -652,28 +660,18 @@ def _form(s: SetDescription) -> tuple | None:
 
 def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
     """(is S finite?, is its complement finite?), three-valued."""
-    facts = _facts(s)
-    form = facts[0]
-    if form is None:
-        return facts[1]
-    if form[0] > 1:
-        return _NEITHER
-    known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
-    return (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
+    return _facts(s)[1]
 
 
 def _density(s: SetDescription, banach: bool = False) -> Fraction | None:
     """Exact density (or Banach density), or None."""
     facts = _facts(s)
-    form = facts[0]
-    if form is not None:
-        return Fraction(form[1].bit_count(), form[0]) if form[0] > 1 else ONE if form[1] else ZERO
     i = 3 if banach else 2
     if facts[i] is _UNSET:
         d = s.banach() if banach else s.density()
         if d is None:
             # A finite or cofinite set needs no rule of its own.
-            fin, cofin = _finiteness(s)
+            fin, cofin = facts[1]
             d = ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
         facts[i] = d
     return facts[i]
@@ -941,6 +939,8 @@ def density_report(
     """Tabulate prefix counts and density estimates for S up to ``limit``."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    if window is not None and not 1 <= window <= limit:
+        raise ValueError("need 1 <= window <= limit")
     counts = tuple(prefix_counts(s, default_checkpoints(limit)))
     ratios = [Fraction(c, n) for n, c in counts]
     exact = exact_density(s)

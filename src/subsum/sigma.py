@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from .setlang import RENDER_BITS
 from .summability import (
+    AuditBudgetError,
     DEFAULT_COLUMN_CAP,
     DomainRiskError,
     RowSeq,
@@ -25,6 +27,7 @@ from .summability import (
     ZERO,
     ONE,
     _dot_pair,
+    _row_budget,
     _summed_width,
 )
 
@@ -143,27 +146,11 @@ class Selector:
 IDENTITY_SELECTOR = Selector((), Consecutive(1))
 
 
-def _rule_even() -> Selector:
-    return Selector((), RuleTail("even", lambda n: 2 * n))
-
-
-def _rule_odd() -> Selector:
-    return Selector((), RuleTail("odd", lambda n: 2 * n - 1))
-
-
-def _rule_evenshift() -> Selector:
-    return Selector((), RuleTail("evenshift", lambda n: 2 * n + 2))
-
-
-def _rule_squares() -> Selector:
-    return Selector((), RuleTail("squares", lambda n: n * n))
-
-
-_NAMED_RULES: dict[str, Callable[[], Selector]] = {
-    "even": _rule_even,
-    "odd": _rule_odd,
-    "evenshift": _rule_evenshift,
-    "squares": _rule_squares,
+_NAMED_RULES = {
+    "even": Selector((), RuleTail("even", lambda n: 2 * n)),
+    "odd": Selector((), RuleTail("odd", lambda n: 2 * n - 1)),
+    "evenshift": Selector((), RuleTail("evenshift", lambda n: 2 * n + 2)),
+    "squares": Selector((), RuleTail("squares", lambda n: n * n)),
 }
 
 
@@ -172,16 +159,17 @@ def sample_selector(seed: int, p: float, limit: int = 64) -> Selector:
     consecutively from limit+1.  One seed, one selector."""
     if not 0 <= p <= 1:
         raise SelectorSpecError("inclusion probability must lie in [0, 1]")
+    _row_budget(limit, "random selector stem limit", "indices")
     rng = random.Random(seed)
     stem = tuple(i for i in range(1, limit + 1) if rng.random() < p)
     return Selector(stem, Consecutive(limit + 1))
 
 
 def _rule_tail(name: str) -> RuleTail:
-    maker = _NAMED_RULES.get(name)
-    if maker is None:
+    named = _NAMED_RULES.get(name)
+    if named is None:
         raise SelectorSpecError(f"unknown selector rule {name!r}")
-    return maker().tail
+    return named.tail
 
 
 def parse_selector(spec: str) -> Selector:
@@ -191,7 +179,7 @@ def parse_selector(spec: str) -> Selector:
     if spec == "id":
         return IDENTITY_SELECTOR
     if spec in _NAMED_RULES:
-        return _NAMED_RULES[spec]()
+        return _NAMED_RULES[spec]
     if spec.startswith("gen:"):
         return Selector((), _rule_tail(spec[len("gen:"):]))
     if spec.startswith("random:"):
@@ -278,6 +266,9 @@ def metric(s1: Selector, s2: Selector, resolution: int = 40) -> MetricInterval:
     ``resolution``."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    if resolution >= RENDER_BITS:
+        # Past this the ends' denominator 2^resolution prints only in bounded form.
+        raise AuditBudgetError(f"metric resolution {resolution} is over {RENDER_BITS - 1} columns")
     # The sum of 2^-i over the symmetric difference, as one integer over
     # 2^resolution: digit i of ``diff`` (in base 2, from the left) is column i.
     diff = bytearray(b"0" * resolution)

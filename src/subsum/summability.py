@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, islice, repeat, starmap
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter, mul
 from typing import Callable, Iterator
 
@@ -167,8 +167,12 @@ class SequenceSpec:
     fn: Callable[[int], tuple[int, int]] = field(compare=False)
     sup_bound: Fraction | None = None
     ratio_bound: Callable[[int], Fraction] | None = field(default=None, compare=False)
-    unbounded: bool = False
     abs_search: Callable[..., int] | None = field(default=None, compare=False)
+
+    @property
+    def unbounded(self) -> bool:
+        # A magnitude search past every bound is the witness that x is unbounded.
+        return self.abs_search is not None
 
     def pair(self, n: int) -> tuple[int, int]:
         if n < 1:
@@ -183,70 +187,44 @@ class SequenceSpec:
 _BITS = ((0, 1), (1, 1))
 
 
-def _seq_naturals() -> SequenceSpec:
-    return SequenceSpec(
-        name="n",
-        fn=lambda n: (n, 1),
-        ratio_bound=lambda k: Fraction(k + 1, k),
-        unbounded=True,
-        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
-    )
+def _sqperturb(n: int) -> tuple[int, int]:
+    r = isqrt(n)
+    return (n, 1) if r * r == n else (n + 1, n)  # 1 + 1/n, reduced
 
 
-def _seq_signed_naturals() -> SequenceSpec:
-    return SequenceSpec(
-        name="nalt",
-        fn=lambda n: (n if n % 2 == 0 else -n, 1),
-        ratio_bound=lambda k: Fraction(k + 1, k),
-        unbounded=True,
-        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
-    )
-
-
-def _seq_alternating() -> SequenceSpec:
-    # (0, 1, 0, 1, ...): 1 on even indices.
-    return SequenceSpec(name="alt", fn=lambda n: _BITS[1 - n % 2], sup_bound=ONE)
-
-
-def _seq_alt10() -> SequenceSpec:
-    # (1, 0, 1, 0, ...): 1 on odd indices.
-    return SequenceSpec(name="alt10", fn=lambda n: _BITS[n % 2], sup_bound=ONE)
-
-
-def _seq_blocks01() -> SequenceSpec:
-    # 1 exactly on blocks [2**(2j), 2**(2j+1)), where n has an odd bit length.
-    return SequenceSpec(
-        name="blocks01", fn=lambda n: _BITS[n.bit_length() % 2], sup_bound=ONE
-    )
-
-
-def _seq_sqperturb() -> SequenceSpec:
-    from math import isqrt
-
-    def fn(n: int) -> tuple[int, int]:
-        r = isqrt(n)
-        return (n, 1) if r * r == n else (n + 1, n)  # 1 + 1/n, reduced
-
-    def search(p: int, q: int, floor: int = 1) -> int:
-        # Off the squares |x| falls, so past floor + 1 only squares can qualify.
-        for n in (floor, floor + 1):
-            a, b = fn(n)
-            if a * q >= p * b:
-                return n
-        return (isqrt(max(floor, -(-p // q)) - 1) + 1) ** 2
-
-    return SequenceSpec(
-        name="sqperturb", fn=fn, unbounded=True, abs_search=search
-    )
+def _sqperturb_search(p: int, q: int, floor: int = 1) -> int:
+    # Off the squares |x| falls, so past floor + 1 only squares can qualify.
+    for n in (floor, floor + 1):
+        a, b = _sqperturb(n)
+        if a * q >= p * b:
+            return n
+    return (isqrt(max(floor, -(-p // q)) - 1) + 1) ** 2
 
 
 _NAMED_SEQUENCES = {
-    "n": _seq_naturals,
-    "nalt": _seq_signed_naturals,
-    "alt": _seq_alternating,
-    "alt10": _seq_alt10,
-    "blocks01": _seq_blocks01,
-    "sqperturb": _seq_sqperturb,
+    "n": SequenceSpec(
+        name="n",
+        fn=lambda n: (n, 1),
+        ratio_bound=lambda k: Fraction(k + 1, k),
+        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
+    ),
+    "nalt": SequenceSpec(
+        name="nalt",
+        fn=lambda n: (n if n % 2 == 0 else -n, 1),
+        ratio_bound=lambda k: Fraction(k + 1, k),
+        abs_search=lambda p, q, floor=1: max(floor, -(-p // q)),
+    ),
+    # (0, 1, 0, 1, ...): 1 on even indices.
+    "alt": SequenceSpec(name="alt", fn=lambda n: _BITS[1 - n % 2], sup_bound=ONE),
+    # (1, 0, 1, 0, ...): 1 on odd indices.
+    "alt10": SequenceSpec(name="alt10", fn=lambda n: _BITS[n % 2], sup_bound=ONE),
+    # 1 exactly on blocks [2**(2j), 2**(2j+1)), where n has an odd bit length.
+    "blocks01": SequenceSpec(
+        name="blocks01", fn=lambda n: _BITS[n.bit_length() % 2], sup_bound=ONE
+    ),
+    "sqperturb": SequenceSpec(
+        name="sqperturb", fn=_sqperturb, abs_search=_sqperturb_search
+    ),
 }
 
 
@@ -254,9 +232,9 @@ def parse_sequence(spec: str) -> SequenceSpec:
     """Named sequences plus ``const:<p/q>``, ``list:<v1,v2,...>`` and
     ``rle:<bit>x<len>,...`` (finite prefixes extended by zero)."""
     spec = spec.strip()
-    maker = _NAMED_SEQUENCES.get(spec)
-    if maker is not None:
-        return maker()
+    named = _NAMED_SEQUENCES.get(spec)
+    if named is not None:
+        return named
     if spec.startswith("const:"):
         v = Fraction(spec[len("const:"):])
         pair = v.as_integer_ratio()
@@ -336,35 +314,23 @@ class RowSeq:
         return Fraction(self.fn(k))
 
 
-def _row_geometric() -> RowSeq:
-    return RowSeq(
+_NAMED_ROWS = {
+    "geometric": RowSeq(
         name="geometric",
         fn=lambda k: Fraction(1, 1 << k),
         l1_tail=lambda k: Fraction(1, 1 << k),
-    )
-
-
-def _row_harmonic() -> RowSeq:
-    return RowSeq(name="harmonic", fn=lambda k: Fraction(1, k))
-
-
-def _row_ones() -> RowSeq:
-    return RowSeq(name="ones", fn=lambda k: ONE)
-
-
-_NAMED_ROWS = {
-    "geometric": _row_geometric,
-    "harmonic": _row_harmonic,
-    "ones": _row_ones,
+    ),
+    "harmonic": RowSeq(name="harmonic", fn=lambda k: Fraction(1, k)),
+    "ones": RowSeq(name="ones", fn=lambda k: ONE),
 }
 
 
 def parse_row(spec: str) -> RowSeq:
     """Named rows plus ``list:<v1,v2,...>`` (finitely supported)."""
     spec = spec.strip()
-    maker = _NAMED_ROWS.get(spec)
-    if maker is not None:
-        return maker()
+    named = _NAMED_ROWS.get(spec)
+    if named is not None:
+        return named
     if spec.startswith("list:"):
         vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
         return RowSeq(

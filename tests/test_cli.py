@@ -65,6 +65,19 @@ class TestDensity:
         assert d["window"] == 32
         assert "window_max_density" in d
 
+    # Both took their prefix counts first: 65536 squares listed, and a count
+    # past the enumeration cap that exited 3.
+    @pytest.mark.parametrize("argv", [
+        ["density", "intersect:builtin:squares|ap:2,3", "--scale", "4294967296", "--window", "0"],
+        ["density", "union:builtin:squares|ap:1,3", "--scale", "100000000000000", "--window", "0"],
+    ])
+    def test_a_bad_window_is_refused_before_any_prefix_count(self, capsys, monkeypatch, argv):
+        counted = []
+        monkeypatch.setattr(cli.setlang, "prefix_counts", lambda *args: counted.append(args))
+        code, out, err = run(capsys, argv)
+        assert (code, out, counted) == (2, "", [])
+        assert "need 1 <= window <= limit" in err
+
 
 class TestVerdict:
     def test_membership_with_reason(self, capsys):
@@ -1072,6 +1085,106 @@ def test_a_fuzz_slice_exits_documented_and_logs_once(capsys, tmp_path):
         if printed is not None:
             assert parse_matrix(printed).spec_string() == printed, argv
             assert argv[0] == "verify" or parse_matrix(printed) == parse_matrix(argv[2]), argv
+
+
+# Three inputs whose work grew with one flag: the oscillation's value list
+# with --scale, the metric's columns with --resolution, and the tower game's
+# replies (2^r in round r) with --rounds, until JSON refused a 4301-digit reply.
+@pytest.mark.parametrize("argv", [
+    ["oscillate", "--x", "alt", "--scale", "10000000"],
+    ["metric", "--s1", "even", "--s2", "odd", "--resolution", "10000000"],
+    ["game", "--rounds", "15000", "--ideal", "finxfin", "--strategy", "greedy_min"],
+], ids=lambda argv: argv[0])
+def test_growing_work_is_refused_by_a_budget_within_a_second_cold(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    started = time.monotonic()
+    done = subprocess.run([sys.executable, "-m", "subsum.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=30)
+    assert time.monotonic() - started < 1.0
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["game", "--ideal", "finxfin", "--strategy", "greedy_min", "--rounds", "4096"],
+     "replied 4097 bits"),
+    (["game", "--ideal", "z", "--moves", "complement:finite:{1}", "--rounds", "4097"],
+     "4097 rounds are over the budget of 4096"),
+    (["game", "--ideal", "fin", "--moves", "ap:1,1", "--strategy", "prefix_take",
+      "--rounds", "1000"], "bits; a reply prints at most 4096"),
+    (["metric", "--s1", "random:1:0.5:100000000000000000000", "--s2", "id"],
+     "random selector stem limit"),
+])
+def test_games_and_random_selectors_stay_in_their_budgets(capsys, argv, refusal):
+    started = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, out) == (3, "") and refusal in err, err
+
+
+def test_a_metric_prints_exactly_up_to_its_budget(capsys):
+    argv = ["metric", "--s1", "gen:squares", "--s2", "odd", "--resolution"]
+    code, d = run_json(capsys, [*argv, "4095"])
+    assert code == 0
+    assert Fraction(d["upper"]) - Fraction(d["lower"]) == Fraction(1, 2**4095)
+    code, out, err = run(capsys, [*argv, "4096"])
+    assert (code, out) == (3, "") and "is over 4095 columns" in err
+
+
+# A second seeded slice over the constructions, selectors and games: hostile
+# scales, stems, tolerances, schedules, resolutions, selectors, rounds and
+# moves for oscillate, adversary, demo, metric and game.
+_FUZZ_MORE_HOSTILE = {
+    "--scale": _FUZZ_HOSTILE["--scale"],
+    "--stem": _FUZZ_HOSTILE["--stem"],
+    "--tol": _FUZZ_HOSTILE["tolerance"],
+    "--schedule": ["0", "-1", "", "1,x", "30", str(10**20)],
+    "--resolution": ["0", "-1", "4097", str(10**20)],
+    "selector": ["random:1:2", "random:1:0.5:" + str(10**20), "stem:{3,2}+consec", "stem:{1}",
+                 "gen:wat", "stem:{" + str(10**20) + "}+consec", "stem:{1}+gen:odd"],
+    "--rounds": ["0", "-1", "4097", str(10**20)],
+    "--moves": [*_FUZZ_SETS, "wat", ";", "complement:finite:{" + "1" * 5000 + "}",
+                "ap:1" + "0" * 2000 + ",1", "complement:builtin:squares;ap:1,1"],
+}
+_FUZZ_STRATEGIES = ["greedy_min", "prefix_density", "prefix_take", "seeded_random:7", "wat"]
+
+
+def _fuzz_more_argv(rng):
+    """One run's argv: half the runs take one hostile value."""
+    m, x = rng.choice(_FUZZ_MATRICES), rng.choice(_FUZZ_SEQUENCES)
+    command = rng.choice(["oscillate", "adversary", "demo", "metric", "game"])
+    if command == "oscillate":
+        head, flags = [command, "--matrix", m, "--x", x], {"--scale": "512", "--stem": "1,2",
+                                                            "--tol": "1/16"}
+    elif command == "adversary":
+        head = [command, "--matrix", m, "--mode", rng.choice(["blocks", "greedy"])]
+        flags = {"--scale": "512"}
+    elif command == "demo":
+        head = [command, "--matrix", m, "--x", x, "--ideal", rng.choice(["fin", "z"])]
+        flags = {"--schedule": "1,2"}
+    elif command == "metric":
+        head, flags = [command], {"--s1": "even", "--s2": "stem:{1,3}+consec",
+                                  "--resolution": "64"}
+    else:
+        head = [command, "--ideal", rng.choice(_FUZZ_IDEALS[:4]),
+                "--strategy", rng.choice(_FUZZ_STRATEGIES)]
+        flags = {"--moves": rng.choice(["nu2tower", "complement:finite:{1}", "ap:1,1"]),
+                 "--rounds": "6"}
+    if rng.random() < 0.5:
+        flag = rng.choice(list(flags))
+        flags[flag] = rng.choice(_FUZZ_MORE_HOSTILE.get(flag, _FUZZ_MORE_HOSTILE["selector"]))
+    return [*head, *(t for item in flags.items() for t in item)]
+
+
+def test_a_second_fuzz_slice_exits_documented_and_logs_once(capsys, tmp_path):
+    rng = random.Random(2029)
+    log = tmp_path / "runs.jsonl"
+    for i in range(200):
+        argv = _fuzz_more_argv(rng)
+        code, out, err = run(capsys, argv + ["--runlog", str(log)])
+        assert code in (0, 2, 3, 4, 5, 6, 7), (argv, err)  # 1 is an unexpected failure
+        records = log.read_text().splitlines()
+        assert len(records) == i + 1 and json.loads(records[-1])["exit"] == code, argv
+        assert bool(out) != bool(err), (argv, err)  # a result or a refusal, never both
 
 
 # sha256 of the printed JSON of escapes and a demo, recorded before the

@@ -324,13 +324,13 @@ class TestUnboundedEscape:
         with pytest.raises(ValueError):
             escape_unbounded((), parse_row("geometric"), parse_sequence("n"), -1)
 
-    def test_slow_growth_exhausts_the_search_cap(self, monkeypatch):
-        import subsum.constructions as constructions_mod
-
+    def test_slow_growth_exhausts_the_search_cap(self):
+        # The search answers its floor, so the scan after it runs out first.
         crawl = SequenceSpec(
-            name="crawl", fn=lambda n: F(n, 10**6).as_integer_ratio(), unbounded=True
+            name="crawl",
+            fn=lambda n: F(n, 10**6).as_integer_ratio(),
+            abs_search=lambda p, q, floor=1: floor,
         )
-        monkeypatch.setattr(constructions_mod, "SEARCH_CAP", 10)
         with pytest.raises(ConstructionError):
             escape_unbounded((), parse_row("geometric"), crawl, 10)
 

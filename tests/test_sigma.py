@@ -28,6 +28,7 @@ from subsum import (
     sample_selector,
     selector_transform,
 )
+from subsum.sigma import _NAMED_RULES
 
 F = Fraction
 
@@ -131,6 +132,13 @@ class TestSelectorParsing:
         s = parse_selector("gen:even")
         assert parse_selector(s.spec_string()) == s
         assert parse_selector("even") == s
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_RULES))
+    def test_named_rules_are_shared_values(self, name):
+        s = parse_selector(name)
+        assert parse_selector(name) is s
+        assert parse_selector(s.spec_string()) == s
+        assert parse_selector(s.spec_string()).tail is s.tail
 
     @pytest.mark.parametrize(
         "spec",

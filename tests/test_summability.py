@@ -84,6 +84,21 @@ class TestSequences:
         assert n.abs_search(17, 2) == 9
         assert n.ratio_bound(4) == F(5, 4)
 
+    def test_named_sequences_and_rows_are_shared_values(self):
+        for name in summability._NAMED_SEQUENCES:
+            x = parse_sequence(name)
+            assert parse_sequence(name) is x and parse_sequence(x.name) is x
+        for name in summability._NAMED_ROWS:
+            row = parse_row(name)
+            assert parse_row(name) is row and parse_row(row.name) is row
+
+    def test_unbounded_means_a_stated_magnitude_search(self):
+        named = {name for name in summability._NAMED_SEQUENCES if parse_sequence(name).unbounded}
+        assert named == {"n", "nalt", "sqperturb"}
+        for spec in ("const:5", "list:1,-7,3", "rle:1x3,0x2"):
+            assert not parse_sequence(spec).unbounded
+        assert not indicator_sequence(AP(1, 2)).unbounded
+
     def test_signed_naturals_alternate_sign(self):
         assert prefix(parse_sequence("nalt"), 4) == [-1, 2, -3, 4]
 
