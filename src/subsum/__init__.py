@@ -26,8 +26,8 @@ _EXPORTS = {
         density_csv density_report exact_density first_member fraction_decimal is_finite
         iter_members max_window_density member next_member nu2 parse_set render""",
     "ideals": """IdealPresentation IntervalPartition MembershipVerdict RestrictedIdeal
-        RestrictedPartition RestrictionError UnsupportedIdealError nu2_column_audit
-        parse_ideal""",
+        RestrictionError UnsupportedIdealError nu2_column_audit parse_ideal
+        restricted_blocks""",
     "summability": """CesaroMatrix ConditionReport DomainCheck DomainRiskError ExplicitMatrix
         GeneratorMatrix IdentityMatrix MatrixSpecError RegularityVerdict RowDropMatrix RowSeq
         SequenceSpec SequenceSpecError SummabilityMatrix TailToleranceError TransformPoint

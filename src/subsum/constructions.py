@@ -15,14 +15,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, compress, count, cycle, islice
 from operator import itemgetter, mul, sub
 
 from .ideals import (
     IN,
     IdealPresentation,
-    RestrictedPartition,
     UnsupportedIdealError,
+    restricted_blocks,
 )
 from .setlang import Complement, default_checkpoints, render
 from .sigma import Consecutive, Selector
@@ -487,8 +487,9 @@ def escape_rowfinite(
     generator matrix serves the second read from its row cache.
     A block whose ambient span, row count or entry pass would read over
     ``DEFAULT_COLUMN_CAP`` integers, rows or entries is refused
-    (AuditBudgetError) before any entry is read, and the restricted
-    partition traces no block past ``ENUMERATION_CAP`` (EnumerationCapError).
+    (AuditBudgetError) before any entry is read; the row count is read off
+    the scan flags of ``restricted_blocks`` before the block is listed, and
+    that walk traces no block past ``ENUMERATION_CAP`` (EnumerationCapError).
     """
     m0 = Fraction(m0)
     if m0 < 0:
@@ -515,24 +516,24 @@ def escape_rowfinite(
         )
     surviving = Complement(vanishing)
     partition = ideal.talagrand_partition()
-    restricted = RestrictedPartition(partition, surviving)
     # Block 1 holds the least surviving row the partition covers; start past it.
-    q0 = max(p0, 2)
-    # Restricted block q0 traces an ambient block of index at least q0, whose
+    floor = max(p0, 2)
+    # Restricted block q traces an ambient block of index at least q, whose
     # scan fits the budget up to block ``last``: a floor past it is refused
-    # by index, before its boundary is built.
+    # by index, before its boundary is built or any block is traced.
     last = partition.block_index(partition.boundary(1) + DEFAULT_COLUMN_CAP) - 1
-    while True:
-        if q0 > last:
-            raise AuditBudgetError(f"escape block {q0} lies past block {last}: its scan length "
+    blocks = restricted_blocks(partition, surviving)
+    for q0 in count(1):
+        if (q := max(q0, floor)) > last:
+            raise AuditBudgetError(f"escape block {q} lies past block {last}: its scan length "
                                    f"is over the audit budget of {DEFAULT_COLUMN_CAP} integers")
-        block = restricted.block(q0)
-        if block[0] > after_row:
+        span, flags = next(blocks)
+        if q0 >= floor and span[flags.index(1)] > after_row:
             break
-        q0 += 1
     # Every surviving row has support at least w0 >= 1, so a block of more
-    # rows than the budget also holds more entries: refuse it unread.
-    _row_budget(len(block), f"escape block {q0} row count")
+    # rows than the budget also holds more entries: refuse it unlisted.
+    _row_budget(flags.count(1), f"escape block {q0} row count")
+    block = tuple(compress(span, flags))
     supports = {}
     for n in block:
         r = matrix.row_support(n)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, count
 from operator import sub
-from typing import Callable
+from typing import Callable, Iterator
 
 from .setlang import (
     AP,
@@ -239,35 +239,24 @@ class IntervalPartition:
         return n.bit_length() - 1
 
 
-class RestrictedPartition:
-    """An interval partition traced on a subdomain, empties dropped, reindexed.
+def restricted_blocks(ambient: IntervalPartition, domain: SetDescription) -> Iterator[tuple]:
+    """Walk an interval partition traced on a subdomain, empties dropped.
 
     Each trace jumps to the domain's least member past the ambient blocks
-    already traced and reads the ambient block holding it in one range scan,
-    so a run of empty blocks costs one member search.  A trace that would
-    read past ENUMERATION_CAP raises EnumerationCapError.
+    already traced and yields the ambient block holding it with its one
+    range scan, the ``_scan`` flags, so a run of empty blocks costs one
+    member search.  A trace past ENUMERATION_CAP raises EnumerationCapError.
     """
-
-    def __init__(self, ambient: IntervalPartition, domain: SetDescription):
-        self.ambient = ambient
-        self.domain = domain
-        self._blocks: list[tuple[int, ...]] = []
-        self._traced = ambient.boundary(1) - 1  # the last integer the traces read
-
-    def block(self, q: int) -> tuple[int, ...]:
-        if q < 1:
-            raise ValueError("block indices start at 1")
-        while len(self._blocks) < q:
-            n = next_member(self.domain, self._traced)
-            ambient = None if n is None else self.ambient.block(self.ambient.block_index(n))
-            if ambient is None or ambient[-1] > ENUMERATION_CAP:
-                raise EnumerationCapError(
-                    f"restricted block {len(self._blocks) + 1} is not traced within "
-                    f"{ENUMERATION_CAP} integers"
-                )
-            lo, self._traced = ambient[0], ambient[-1]
-            self._blocks.append(tuple(compress(ambient, _scan(self.domain, lo, self._traced))))
-        return self._blocks[q - 1]
+    traced = ambient.boundary(1) - 1  # the last integer the traces read
+    for q in count(1):
+        n = next_member(domain, traced)
+        span = None if n is None else ambient.block(ambient.block_index(n))
+        if span is None or span[-1] > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"restricted block {q} is not traced within {ENUMERATION_CAP} integers"
+            )
+        traced = span[-1]
+        yield span, _scan(domain, span[0], traced)
 
 
 # ---------------------------------------------------------------- presentation
@@ -426,8 +415,8 @@ class RestrictedIdeal:
     def verdict(self, s: SetDescription, scale: int = DEFAULT_SCALE) -> MembershipVerdict:
         return self.base.verdict(s, scale)
 
-    def partition(self) -> RestrictedPartition:
-        return RestrictedPartition(self.base.talagrand_partition(), self.domain)
+    def partition(self) -> Iterator[tuple]:
+        return restricted_blocks(self.base.talagrand_partition(), self.domain)
 
 
 def parse_ideal(spec: str) -> IdealPresentation:

@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -861,17 +862,29 @@ class TestErrorContract:
         assert (f"AuditBudgetError: escape block {floor} lies past block {last}: its scan "
                 f"length is over the audit budget of {DEFAULT_COLUMN_CAP} integers") in err
 
-    def test_sparse_surviving_rows_along_fin_exit_with_code_3(self, capsys, tmp_path):
-        # Rows 1..2^21 are dropped: the singleton partition's restricted
-        # block 1 is row 2^21 + 1, found by one member search, and block 2
-        # holds more entries than the budget.
+    @pytest.mark.parametrize("ideal, refusal", [
+        ("fin", "entry count 2097154"),
+        ("z", "row count 4194304"),
+    ], ids=["fin", "z"])
+    def test_sparse_surviving_rows_exit_with_code_3(self, capsys, tmp_path, ideal, refusal):
+        # Rows 1..2^21 are dropped.  Along fin, the singleton partition's
+        # restricted block 1 is row 2^21 + 1, found by one member search, and
+        # block 2 holds more entries than the budget.  Along z, block 1 holds
+        # 2^21 - 1 rows and block 2 the 2^22 rows [2^22, 2^23): the walk counts
+        # them off the scan flags and lists neither block.
         argv = ["escape", "--mode", "rowfinite", "--matrix",
-                "rowdrop:cesaro:complement:ap:2097153,1", "--x", "n", "--ideal", "fin"]
+                "rowdrop:cesaro:complement:ap:2097153,1", "--x", "n", "--ideal", ideal]
         started = time.perf_counter()
-        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        tracemalloc.start()
+        try:
+            code, err, record = self.run_logged(capsys, tmp_path, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - started < 2
         assert code == 3
-        assert "AuditBudgetError: escape block 2 entry count 2097154" in record["error"]
+        assert f"AuditBudgetError: escape block 2 {refusal}" in record["error"]
+        assert peak < 64 << 20
 
     def test_block_floors_whose_entries_pass_the_budget_exit_with_code_3(self, capsys, tmp_path):
         # Block 10 of cesaro rows holds 1572352 entries, over 2^20; block 9

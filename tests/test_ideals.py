@@ -8,6 +8,7 @@ first ten thousand integers show is wrong, and that is what we detect here.
 
 import time
 from fractions import Fraction
+from itertools import compress, islice
 
 import pytest
 
@@ -20,7 +21,6 @@ from subsum import (
     IntervalPartition,
     Nu2Ge,
     Powers2,
-    RestrictedPartition,
     RestrictionError,
     Shift,
     Squares,
@@ -32,6 +32,7 @@ from subsum import (
     parse_ideal,
     parse_matrix,
     parse_set,
+    restricted_blocks,
     setlang,
     transform_prefix,
 )
@@ -461,44 +462,47 @@ class TestIntervalPartitions:
         assert seen == list(range(2, 256))
 
 
+def listed(walk, q):
+    """The first q blocks of a restricted walk, each listed as a tuple."""
+    return [tuple(compress(span, flags)) for span, flags in islice(walk, q)]
+
+
 class TestRestrictedPartition:
     def test_traced_blocks_drop_excluded_points(self):
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Complement(Squares()))
-        assert rp.block(1) == (2, 3)
-        assert rp.block(2) == (5, 6, 7)
-        assert rp.block(3) == tuple(n for n in range(8, 16) if n != 9)
+        rp = restricted_blocks(IntervalPartition("dyadic"), Complement(Squares()))
+        assert listed(rp, 3) == [(2, 3), (5, 6, 7), tuple(n for n in range(8, 16) if n != 9)]
 
     def test_empty_traces_are_skipped_and_reindexed(self):
         # domain = powers of two: most dyadic blocks trace to one point
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Powers2())
-        assert rp.block(1) == (2,)
-        assert rp.block(2) == (4,)
-        assert rp.block(5) == (32,)
+        blocks = listed(restricted_blocks(IntervalPartition("dyadic"), Powers2()), 5)
+        assert blocks[0] == (2,)
+        assert blocks[1] == (4,)
+        assert blocks[4] == (32,)
 
     def test_singleton_ambient_traces(self):
-        rp = RestrictedPartition(IntervalPartition("singletons"), AP(2, 2))
-        assert rp.block(1) == (2,)
-        assert rp.block(5) == (10,)
+        blocks = listed(restricted_blocks(IntervalPartition("singletons"), AP(2, 2)), 5)
+        assert blocks[0] == (2,)
+        assert blocks[4] == (10,)
 
     def test_scan_cap_is_enforced(self):
-        rp = RestrictedPartition(IntervalPartition("singletons"), Finite((1,)))
-        assert rp.block(1) == (1,)
+        rp = restricted_blocks(IntervalPartition("singletons"), Finite((1,)))
+        assert listed(rp, 1) == [(1,)]
         with pytest.raises(setlang.EnumerationCapError):
-            rp.block(2)  # no further nonempty trace ever appears
+            next(rp)  # no further nonempty trace ever appears
 
     def test_empty_ambient_blocks_cost_one_member_search(self):
         # 21 empty dyadic blocks, then 2**22 alone in its block: one jump to
         # it and one range scan of [2**22, 2**23), no walk over the integers.
         started = time.perf_counter()
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Nu2Ge(22))
-        assert rp.block(1) == (4194304,)
+        rp = restricted_blocks(IntervalPartition("dyadic"), Nu2Ge(22))
+        assert listed(rp, 1) == [(4194304,)]
         assert time.perf_counter() - started < 1
 
     def test_traces_past_the_enumeration_cap_are_refused(self):
         # The dyadic block holding 2**23 ends past ENUMERATION_CAP.
-        rp = RestrictedPartition(IntervalPartition("dyadic"), Nu2Ge(23))
+        rp = restricted_blocks(IntervalPartition("dyadic"), Nu2Ge(23))
         with pytest.raises(setlang.EnumerationCapError):
-            rp.block(1)
+            next(rp)
 
 
 class TestEscapeSets:
@@ -538,8 +542,7 @@ class TestRestriction:
     def test_restrict_to_conull_domain(self):
         restricted = Z.restrict(Complement(Squares()))
         assert restricted.verdict(Powers2()).status == "in"
-        rp = restricted.partition()
-        assert rp.block(2) == (5, 6, 7)
+        assert listed(restricted.partition(), 2)[1] == (5, 6, 7)
 
     def test_restriction_needs_small_complement(self):
         with pytest.raises(RestrictionError):
@@ -548,7 +551,7 @@ class TestRestriction:
     def test_fin_restriction_to_cofinite_domain(self):
         restricted = FIN.restrict(Complement(Finite((1, 2, 3))))
         assert restricted.verdict(Finite((10,))).status == "in"
-        assert restricted.partition().block(1) == (4,)
+        assert listed(restricted.partition(), 1) == [(4,)]
 
     def test_restriction_rejects_undecided_domains(self):
         with pytest.raises(RestrictionError):

@@ -8,7 +8,7 @@ postconditions they advertise, recounted here from the raw data.
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, islice
 from operator import sub
 
 import pytest
@@ -22,6 +22,7 @@ from subsum import (
     ExplicitMatrix,
     GameTranscript,
     IdentityMatrix,
+    IntervalPartition,
     OscillationCertificate,
     RowDropMatrix,
     Selector,
@@ -40,6 +41,7 @@ from subsum import (
     random_rowfinite_matrix,
     render_rle,
     replay_matches,
+    restricted_blocks,
     sample_selector,
     sequence_from_rle,
     sequence_from_values,
@@ -63,6 +65,7 @@ from subsum.setlang import (
     Tri,
     Union,
     is_finite,
+    member,
     nu2,
 )
 from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot_pair, domain_check
@@ -163,6 +166,30 @@ def test_each_dyadic_block_holds_a_whole_partition_block(ideal):
         if partition.boundary(i) < 1 << q:
             i += 1
         assert partition.block(i)[-1] < 2 << q
+
+
+@settings(max_examples=80, deadline=None)
+@given(domain=_set_descriptions(), kind=st.sampled_from(["singletons", "dyadic"]))
+def test_restricted_blocks_match_a_naive_trace(domain, kind):
+    # The walk's blocks that end by ``limit`` are the ambient blocks up to
+    # ``limit`` filtered by ``member``, empty ones dropped.  One more item
+    # is drawn to see that the walk lists no further block by ``limit``.
+    partition, limit = IntervalPartition(kind), 256
+    naive = []
+    for q in range(1, partition.block_index(limit + 1)):
+        kept = tuple(n for n in partition.block(q) if member(domain, n))
+        if kept:
+            naive.append(kept)
+    walked = []
+    try:
+        for span, flags in islice(restricted_blocks(partition, domain), len(naive) + 1):
+            assert len(flags) == len(span) and 1 in flags
+            if span[-1] > limit:
+                break
+            walked.append(tuple(compress(span, flags)))
+    except setlang.EnumerationCapError:
+        pass  # no member past the last block within ENUMERATION_CAP
+    assert walked == naive
 
 
 # ------------------------------------------------------ eventually periodic forms
