@@ -21,7 +21,6 @@ from operator import itemgetter, mul, sub
 from .ideals import (
     IN,
     IdealPresentation,
-    UnsupportedIdealError,
     restricted_blocks,
 )
 from .setlang import Complement, default_checkpoints, render
@@ -205,8 +204,6 @@ def ideal_limit(
     byte per value, in stream order.
     """
     small = ideal.limit_rule
-    if small is None:
-        raise UnsupportedIdealError(f"limit search along {ideal.kind!r} ideals is not implemented")
     n = len(values)
     if n < MIN_LIMIT_SCALE:
         return IdealLimitVerdict("undecided", ideal.name, n, evidence={"reason": "scale too small"})
@@ -415,7 +412,7 @@ def escape_unbounded(
         raise ValueError("m0 must be nonnegative")
     if not x.unbounded:
         raise PreconditionError(
-            "the unbounded-row escape needs a sequence declared unbounded"
+            "the unbounded-row escape needs an unbounded sequence, one stating a magnitude search"
         )
     j = len(stem)
     t_j = stem[-1] if stem else 0
@@ -498,7 +495,7 @@ def escape_rowfinite(
         raise ValueError("block floors start at 1")
     if not x.unbounded:
         raise PreconditionError(
-            "the row-finite escape needs a sequence declared unbounded"
+            "the row-finite escape needs an unbounded sequence, one stating a magnitude search"
         )
     if not matrix.row_finite:
         raise PreconditionError("the row-finite escape needs a row-finite matrix")

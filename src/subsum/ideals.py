@@ -209,6 +209,13 @@ def _bd_small(flags: bytes, n: int) -> bool:
     return 8 * worst <= window
 
 
+def _finxfin_small(flags: bytes, n: int) -> bool:
+    # No late flag in a nu2 fiber k with 4**k > n (under sqrt(n) late integers each).
+    start, late = n // 2 + 1, flags[n // 2:n]
+    return not any(1 in late[((1 << k) - start) % (2 << k)::2 << k]
+                   for k in range((n.bit_length() + 1) // 2, n.bit_length()))
+
+
 # ---------------------------------------------------------------- partitions
 
 
@@ -274,9 +281,9 @@ class IdealPresentation:
     ``shift_reason`` prefixes a shift's inner verdict when membership is
     shift invariant.  ``partition`` is the Talagrand interval partition: a
     set holding infinitely many of its whole blocks is not in the ideal.
-    ``limit_rule`` is the finite-scale smallness rule of limit search: it
-    reads an exception set at scale n as a 0/1 byte string, byte i - 1 the
-    flag of index i.
+    ``limit_rule``, the finite-scale smallness rule of limit search, backs
+    regularity's evidence too; it reads an exception set at scale n as a 0/1
+    byte string, byte i - 1 the flag of index i, and certifies nothing.
     """
 
     kind: str
@@ -286,8 +293,8 @@ class IdealPresentation:
     evidence: Callable[[SetDescription, int], dict]
     reasons: tuple[str, str, str]
     partition: IntervalPartition
+    limit_rule: Callable[[bytes, int], bool]
     shift_reason: str | None = None
-    limit_rule: Callable[[bytes, int], bool] | None = None
 
     def __repr__(self) -> str:
         return f"IdealPresentation({self.name})"
@@ -339,25 +346,25 @@ IDEALS = {
         "fin", "fin", _fin_closed_form, "finiteness not structurally decidable",
         _density_evidence,
         ("union of two finite sets", "contains an infinite subset", "subset of a finite set"),
-        IntervalPartition("singletons"), "finiteness is shift invariant; ", _fin_small,
+        IntervalPartition("singletons"), _fin_small, "finiteness is shift invariant; ",
     ),
     "z": IdealPresentation(
         "z", "z", _z_closed_form, "no closed-form density argument", _density_evidence,
         ("union of two certified density-0 sets", "contains a certified positive-density subset",
          "subset of a certified density-0 set"),
-        IntervalPartition("dyadic"), "density is shift invariant; ", _z_small,
+        IntervalPartition("dyadic"), _z_small, "density is shift invariant; ",
     ),
     "bd": IdealPresentation(
         "bd", "bd", _bd_closed_form, "no closed-form Banach argument", _bd_window_evidence,
         ("union of two certified Banach-null sets",
          "contains a certified positive-Banach-density subset",
          "subset of a certified Banach-null set"),
-        IntervalPartition("dyadic"), "Banach density is shift invariant; ", _bd_small,
+        IntervalPartition("dyadic"), _bd_small, "Banach density is shift invariant; ",
     ),
     "finxfin": IdealPresentation(
         "finxfin", "finxfin", _finxfin_closed_form, "no closed-form nu2 fiber argument",
         lambda s, scale: nu2_column_audit(s, min(scale, 10**5)), MEMBER_REASONS,
-        IntervalPartition("dyadic"),
+        IntervalPartition("dyadic"), _finxfin_small,
     ),
 }
 

@@ -459,16 +459,16 @@ class SummabilityMatrix:
             "at_scale", f"sampled rows up to {samples[-1]}", {"bound": str(best)}
         )
 
-    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
-        """Columns vanish; a finite-scale estimate via the shared limit
-        estimator, so never a certificate."""
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
+        """Columns vanish along ``ideal``: evidence from limit search under the
+        ideal's limit rule, so never a certificate."""
         from .constructions import ideal_limit
 
         scale = min(n_rows, 2048)
         details = {}
         for k in range(1, k_cols + 1):
             column = [self._row(n, k)[-1] for n in range(1, scale + 1)]
-            verdict = ideal_limit(column, IDEALS["z"])
+            verdict = ideal_limit(column, ideal)
             details[k] = verdict.status
             if verdict.status != "limit" or verdict.eta != 0:
                 return ConditionReport(
@@ -554,7 +554,7 @@ class CesaroMatrix(_StochasticTriangle):
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["z"]
 
-    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
         return ConditionReport("yes", "column entries are 0 or 1/n, dominated by 1/n", {})
 
     def spec_string(self) -> str:
@@ -594,7 +594,7 @@ class IdentityMatrix(_StochasticTriangle):
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["fin"]
 
-    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
         return ConditionReport("yes", "column k vanishes for rows past k", {})
 
     def spec_string(self) -> str:
@@ -670,8 +670,8 @@ class RowDropMatrix(SummabilityMatrix):
             return ConditionReport("yes", "zero rows only lower the base bound", base.data)
         return base
 
-    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
-        base = self.base.r2_columns(n_rows, k_cols)
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
+        base = self.base.r2_columns(ideal, n_rows, k_cols)
         if base.holds == "yes":
             return ConditionReport("yes", "entrywise dominated by the base matrix", {})
         return base
@@ -728,7 +728,7 @@ class ExplicitMatrix(SummabilityMatrix):
             "yes", "max over stored rows; later rows are zero", {"bound": str(bound)}
         )
 
-    def r2_columns(self, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
         return ConditionReport("yes", "columns vanish beyond the stored rows", {})
 
     def spec_string(self) -> str:
@@ -1139,7 +1139,7 @@ def _r3_rowsums(
     # samples anyway.
     rows = min(n_rows, HEAD_ROWS)
     sums = [matrix.row_sum(n) for n in range(1, rows + 1)]
-    verdict = ideal_limit(sums, ideal if ideal.limit_rule is not None else IDEALS["z"])
+    verdict = ideal_limit(sums, ideal)
     if verdict.status == "limit" and verdict.eta == 1:
         return ConditionReport(
             "at_scale", f"row sums near 1 at scale {rows}",
@@ -1162,7 +1162,7 @@ def regularity_verdict(
     certified; sampled evidence alone yields ``undecided``.
     """
     r1 = matrix.r1_bound(n_rows)
-    r2 = matrix.r2_columns(n_rows, k_cols)
+    r2 = matrix.r2_columns(ideal, n_rows, k_cols)
     r3 = _r3_rowsums(matrix, ideal, n_rows)
     witness: dict = {}
     if "no" in (r1.holds, r2.holds, r3.holds):
@@ -1205,8 +1205,8 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> IdealPresentation:
 def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
     """The ideal {S : transform of 1_S tends to 0} of a validated matrix.
     The matrix kind decides that ideal (its null ideal), so the null
-    ideal's decision is the closed form and its partition is the Talagrand
-    partition; the transform probe is the evidence.
+    ideal's decision, partition and limit rule serve as the closed form,
+    Talagrand partition and limit rule; the transform probe is the evidence.
 
     The closed form is complete, so its undecided answer ends the ladder:
     the null ideal's own ladder has applied the rules every ideal obeys.
@@ -1233,5 +1233,5 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
 
     return IdealPresentation(
         "matrix", f"matrix:{matrix.spec_string()}", closed_form, undecided_reason, evidence,
-        MEMBER_REASONS, reduced.partition,
+        MEMBER_REASONS, reduced.partition, reduced.limit_rule,
     )

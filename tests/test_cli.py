@@ -333,14 +333,15 @@ class TestEscape:
         assert d["block"] == [4, 5, 6, 7]
         assert all(abs(eval_frac(v)) >= 1 for _, v in d["row_values"])
 
-    def test_bounded_sequences_exit_with_code_7(self, capsys):
-        code, out, err = run(
-            capsys,
-            ["escape", "--mode", "unbounded", "--row", "geometric", "--x", "alt"],
-        )
+    @pytest.mark.parametrize("mode, flags", [
+        ("unbounded", ["--row", "geometric"]), ("rowfinite", ["--matrix", "cesaro"]),
+    ])
+    def test_bounded_sequences_exit_with_code_7(self, capsys, mode, flags):
+        code, out, err = run(capsys, ["escape", "--mode", mode, *flags, "--x", "alt"])
         assert code == 7
         assert out == ""
         assert "PreconditionError" in err
+        assert "needs an unbounded sequence, one stating a magnitude search" in err
 
 
 def eval_frac(text):

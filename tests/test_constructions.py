@@ -26,7 +26,6 @@ from subsum import (
     RowDropMatrix,
     Selector,
     SequenceSpec,
-    UnsupportedIdealError,
     escape_rowfinite,
     escape_unbounded,
     ideal_limit,
@@ -156,9 +155,26 @@ class TestIdealLimit:
         assert v.status == "undecided"
         assert v.evidence["reason"] == "scale too small"
 
-    def test_unsupported_ideal_kind(self):
-        with pytest.raises(UnsupportedIdealError):
-            ideal_limit([F(0)] * 64, FXF)
+    @pytest.mark.parametrize("name", [*IDEALS, "matrix:cesaro", "matrix:identity"])
+    def test_every_ideal_kind_searches_limits(self, name):
+        v = ideal_limit([F(0)] * 64, parse_ideal(name))
+        assert (v.status, v.eta, v.eps) == ("limit", 0, F(1, 64))
+
+    def test_limits_depend_on_the_ideal(self):
+        # The odd indices are one nu2 fiber, a finxfin member and no other
+        # ideal's; the non-multiples of 8 are the three fibers 0-2.
+        alt10 = _prefix("alt10", 512)
+        v = ideal_limit(alt10, FXF)
+        assert (v.status, v.eta, v.eps) == ("limit", 0, F(1, 64))
+        for ideal in (FIN, Z, BD):
+            v = ideal_limit(alt10, ideal)
+            assert (v.status, v.lower, v.upper) == ("no_limit", 0, 1)
+        eighths = [F(n % 8 == 0) for n in range(1, 513)]
+        v = ideal_limit(eighths, FXF)
+        assert (v.status, v.eta, v.eps) == ("limit", 1, F(1, 64))
+        for ideal in (Z, BD):
+            v = ideal_limit(eighths, ideal)
+            assert (v.status, v.eta) == ("limit", 0)
 
     def test_attempts_are_recorded(self):
         values = _prefix("alt", 256)

@@ -705,10 +705,11 @@ def test_decide_leaves_undecided_sets_without_evidence(monkeypatch):
         assert verdict.scale is None and verdict.evidence == {}
 
 
-def test_kinds_without_limit_search_say_so():
-    assert FXF.limit_rule is None
-    assert parse_ideal("matrix:cesaro").limit_rule is None
-    assert all(ideal.limit_rule is not None for ideal in (FIN, Z, BD))
+def test_every_ideal_row_states_its_limit_rule():
+    assert all(callable(ideal.limit_rule) for ideal in IDEALS.values())
+    # A matrix ideal reads its null ideal's rule, as it takes its partition.
+    assert parse_ideal("matrix:cesaro").limit_rule is Z.limit_rule
+    assert parse_ideal("matrix:identity").limit_rule is FIN.limit_rule
 
 
 def test_deep_union_chains_decide_in_linear_passes():

@@ -50,7 +50,7 @@ from subsum import (
 from subsum import setlang
 from subsum.constructions import PAIR_PICKS, _threshold_counts
 from subsum.games import nu2_tower_move
-from subsum.ideals import IDEALS, _bd_small
+from subsum.ideals import IDEALS, _bd_small, _finxfin_small
 from subsum.sigma import RuleTail
 from subsum.setlang import (
     AP,
@@ -423,7 +423,7 @@ _oracle_stream = st.one_of(
 @example(values=[F(0)] * 16 + [F(1)] * 16)
 @example(values=[F(1)] * 40)
 def test_ideal_limit_matches_the_level_by_level_search(values):
-    for ideal in (FIN, Z, BD):
+    for ideal in (FIN, Z, BD, FXF):
         verdict = ideal_limit(values, ideal)
         assert (
             verdict.status, verdict.eta, verdict.eps, verdict.lower, verdict.upper,
@@ -462,6 +462,25 @@ def test_bd_smallness_reads_window_counts_off_the_flags(n, percent, spikes, seed
         flags[i] = 1
     flags = bytes(flags)
     assert _bd_small(flags, n) == _bd_small_oracle(flags, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4096),
+    permille=st.integers(0, 1000),
+    fiber=st.integers(0, 12),
+    seed=st.integers(0, 2**32),
+)
+@example(n=1, permille=1000, fiber=0, seed=0)
+@example(n=4096, permille=0, fiber=6, seed=0)  # 4**6 == n: fiber 6 may hold late flags
+@example(n=4095, permille=0, fiber=6, seed=0)  # 4**6 > n: it may not
+def test_finxfin_smallness_reads_late_flags_by_nu2_fiber(n, permille, fiber, seed):
+    # Flags at a random density, or, at permille 0, on every index of one fiber.
+    rng = random.Random(seed)
+    flags = bytes(rng.randrange(1000) < permille if permille else nu2(i) == fiber
+                  for i in range(1, n + 1))
+    oracle = not any(f and i > n // 2 and 4 ** nu2(i) > n for i, f in enumerate(flags, 1))
+    assert _finxfin_small(flags, n) == _finxfin_small(list(flags), n) == oracle
 
 
 @settings(max_examples=80, deadline=None)
