@@ -1,6 +1,6 @@
 """Desk-scale toolkit for matrix summability over exact rationals.
 
-Five layers, bottom up: a small language of structured subsets of N with
+Six layers, bottom up: a small language of structured subsets of N with
 exact counting and densities (``setlang``); certified three-valued
 membership verdicts for ideals on N (``ideals``); summability matrices,
 transforms, and regularity (``summability``); strictly increasing index

@@ -3,7 +3,7 @@
 Four families: limit estimation along an ideal with an explicit decision
 procedure, two-sided oscillation certificates (JSON-portable, re-auditable),
 escape selectors that push a matrix transform past any requested bound, and
-adversarial 0/1 sequences that defeat averaging matrices.
+adversarial 0/1 sequences that defeat every matrix with a run form.
 
 Every result returned here has been re-checked by exact rational arithmetic
 before it leaves the function; anything not re-checkable raises instead of
@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, compress, count, cycle, islice
+from itertools import accumulate, compress, count
 from operator import itemgetter, mul, sub
 
 from .ideals import (
@@ -29,7 +29,6 @@ from .summability import (
     DEFAULT_COLUMN_CAP,
     AuditBudgetError,
     CesaroMatrix,
-    IdentityMatrix,
     RowSeq,
     SequenceSpec,
     SummabilityMatrix,
@@ -681,7 +680,7 @@ class AdversaryReport:
     x_spec: str
     scale: int
     status: str  # "certified" | "diagnostic"
-    certificate: OscillationCertificate | None
+    certificate: OscillationCertificate
     boundary_means: tuple[BoundaryMean, ...] = ()
     evidence: dict = field(default_factory=dict, compare=False)
 
@@ -714,33 +713,23 @@ def steinhaus_adversary(
 ) -> AdversaryReport:
     """A 0/1 sequence whose transform visits both threshold levels densely.
 
-    ``blocks`` plays the fixed dyadic-block pattern against averaging
-    matrices (the alternating pattern against the identity); ``greedy``
-    builds the pattern adaptively, pushing the running average past 3/4 and
-    back below 1/4.  The bits are played as (bit, length) runs, and the
-    certificate's exact hit counts come from ``matrix._threshold_runs``, per
-    run.  If either density lands under 1/10 the report is downgraded to
+    ``blocks`` plays the fixed dyadic-block pattern; ``greedy`` builds the
+    pattern adaptively, pushing the running average past 3/4 and back below
+    1/4.  Both play every matrix with a run form (Cesàro, the identity and
+    row drops over either): the bits are played as (bit, length) runs, and
+    the certificate's exact hit counts come from ``matrix._threshold_runs``,
+    per run.  If either density lands under 1/10 the report is downgraded to
     diagnostic.
     """
     if scale < 64:
         raise ValueError("adversary scales start at 64")
     if mode == "blocks":
-        if isinstance(matrix, IdentityMatrix):
-            runs = islice(cycle(((1, 1), (0, 1))), scale)
-            x_spec = "alt10"
-        elif matrix.averaging_core:
-            # Block j is [2^j, 2^(j+1)), all ones for even j.
-            ends = [min(2 << j, scale + 1) for j in range(scale.bit_length())]
-            runs = [(1 - j % 2, end - (1 << j)) for j, end in enumerate(ends)]
-            x_spec = "blocks01"
-        else:
-            raise PreconditionError(
-                "the blocks adversary plays against averaging matrices or the identity"
-            )
+        # Block j is [2^j, 2^(j+1)), all ones for even j.
+        ends = [min(2 << j, scale + 1) for j in range(scale.bit_length())]
+        runs = [(1 - j % 2, end - (1 << j)) for j, end in enumerate(ends)]
+        x_spec = "blocks01"
         evidence = {}
     elif mode == "greedy":
-        if not matrix.averaging_core:
-            raise PreconditionError("the greedy adversary needs an averaging matrix")
         runs, phases = [], []
         n = ones = 0
         push_up = True
@@ -768,6 +757,11 @@ def steinhaus_adversary(
         raise ValueError(f"unknown adversary mode {mode!r}")
     scales = (scale // 2, scale)
     counts = matrix._threshold_runs(runs, LOWER_THRESHOLD, UPPER_THRESHOLD, scales)
+    if counts is None:
+        raise PreconditionError(
+            "the adversary plays matrices with a run form only: cesaro, identity, "
+            "and row drops over either"
+        )
     cert = OscillationCertificate(
         x_spec, matrix.spec_string(), LOWER_THRESHOLD, UPPER_THRESHOLD, scales, *counts
     )
@@ -805,7 +799,6 @@ class MeagernessDemo:
 
     results: tuple[EscapeResult, ...]
     all_hold: bool
-    final_selector: Selector
 
 
 def meagerness_demo(
@@ -826,5 +819,4 @@ def meagerness_demo(
     return MeagernessDemo(
         results=tuple(results),
         all_hold=all(r.holds for r in results),
-        final_selector=results[-1].selector if results else Selector((), Consecutive(1)),
     )

@@ -15,9 +15,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, groupby, islice, repeat, starmap
+from itertools import accumulate, chain, groupby, islice, repeat
 from math import gcd, isqrt
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from . import setlang
@@ -99,7 +99,7 @@ def _threshold_counts(
     return tuple(tallies[s][0] for s in scales), tuple(tallies[s][1] for s in scales)
 
 
-def _span_counts(spans, scales, drop=Finite(()), zero_hits=(False, False)):
+def _span_counts(spans, scales, drop, zero_hits):
     """Per side of ``spans`` (lists of row intervals (lo, hi)) and per scale s,
     the rows of the side's intervals up to s that are not in the set ``drop``,
     plus the rows of ``drop`` up to s on a side whose ``zero_hits`` is set."""
@@ -356,7 +356,6 @@ class SummabilityMatrix:
     """
 
     nonneg: bool = False  # every entry is structurally >= 0
-    averaging_core: bool = False  # the transform of 1_S tracks prefix density
     row_finite: bool = False  # every row is structurally finitely supported
 
     def entry(self, n: int, k: int) -> Fraction:
@@ -424,6 +423,27 @@ class SummabilityMatrix:
         for n, width, tail in widths:
             pairs += map(x.fn, range(len(pairs) + 1, width + 1))
             yield _dot_pair(self._row(n, width), pairs), tail
+
+    def _hit_spans(self, runs, lower: Fraction, upper: Fraction) -> tuple[list, list] | None:
+        """Row intervals (lo, hi) where the transform of the 0/1 sequence
+        given as (bit, length) runs is <= lower, and where it is >= upper;
+        None when the kind has no such run form."""
+        return None
+
+    def _innermost(self) -> tuple[SummabilityMatrix, SetDescription]:
+        """The matrix as one drop of rows from a base that drops none."""
+        return self, Finite(())
+
+    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
+        """Per scale, the rows up to it whose transform of the 0/1 runs is
+        <= lower, and those where it is >= upper, counted off the base's
+        spans; None when the base has no run form.  A dropped row leaves the
+        base's spans and counts where the value 0 does."""
+        base, drop = self._innermost()
+        spans = base._hit_spans(runs, lower, upper)
+        if spans is None:
+            return None
+        return _span_counts(spans, scales, drop, (lower >= 0, upper <= 0))
 
     # -- structural facts
 
@@ -498,8 +518,6 @@ class _StochasticTriangle(SummabilityMatrix):
 class CesaroMatrix(_StochasticTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
-    averaging_core = True
-
     def _row(self, n: int, width: int) -> tuple:
         if width < 1:
             return ()
@@ -524,7 +542,6 @@ class CesaroMatrix(_StochasticTriangle):
                 row = next(wanted, 0)
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
-        """Row intervals (lo, hi) of values <= lower, and of values >= upper."""
         # On a run of bit b from row a, with S ones before it, row n holds
         # (c + b n) / n, c = S - b (a - 1); against a level p/q, q (c + b n)
         # <= p n is linear in n, so each level holds on an interval of the run.
@@ -546,10 +563,6 @@ class CesaroMatrix(_StochasticTriangle):
                     side.append((lo, hi))
             a, ones = a + length, ones + bit * length
         return spans
-
-    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        # The adversary's hit counts of the 0/1 runs, read off the spans.
-        return _span_counts(self._hit_spans(runs, lower, upper), scales)
 
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["z"]
@@ -577,19 +590,16 @@ class IdentityMatrix(_StochasticTriangle):
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         return ((x.fn(n), ZERO) for n in rows)
 
-    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        # Row n of the transform is the bit x_n: each count follows from the
-        # ones up to the scale, summed per run, and no bit is built.
-        _row_budget(max(scales), "a streamed sequence of length")
-        runs = list(runs)
-        ends = list(accumulate(map(itemgetter(1), runs), initial=0))
-        lows, highs = [], []
-        for s in (min(s, ends[-1]) for s in scales):
-            i = bisect_left(ends, s)  # run i - 1 holds row s
-            ones = sum(starmap(mul, runs[:i - 1])) + runs[i - 1][0] * (s - ends[i - 1]) if i else 0
-            lows.append((s - ones) * (0 <= lower) + ones * (1 <= lower))
-            highs.append((s - ones) * (0 >= upper) + ones * (1 >= upper))
-        return tuple(lows), tuple(highs)
+    def _hit_spans(self, runs, lower: Fraction, upper: Fraction):
+        # Row n of the transform is the bit x_n, so a run is a hit whole or not at all.
+        spans = ([], [])
+        a = 1
+        for bit, length in runs:
+            for side, hit in zip(spans, (bit <= lower, bit >= upper)):
+                if hit:
+                    side.append((a, a + length - 1))
+            a += length
+        return spans
 
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["fin"]
@@ -608,8 +618,7 @@ class RowDropMatrix(SummabilityMatrix):
     def __init__(self, base: SummabilityMatrix, drop: SetDescription):
         self.base = base
         self.drop = drop
-        self.nonneg, self.averaging_core = base.nonneg, base.averaging_core
-        self.row_finite = base.row_finite
+        self.nonneg, self.row_finite = base.nonneg, base.row_finite
 
     def entry(self, n: int, k: int) -> Fraction:
         # Not read off a row prefix, for the generator matrix's reason.
@@ -645,12 +654,6 @@ class RowDropMatrix(SummabilityMatrix):
         points = self.base._transform(x, [n for n in rows if not dropped[n - lo]], tail_tol)
         for n in rows:
             yield ((0, 1), ZERO) if dropped[n - lo] else next(points)
-
-    def _threshold_runs(self, runs, lower: Fraction, upper: Fraction, scales: tuple[int, ...]):
-        base, drop = self._innermost()
-        # A dropped row leaves the base's spans and counts where the value 0 does.
-        spans = base._hit_spans(runs, lower, upper)
-        return _span_counts(spans, scales, drop, (lower >= 0, upper <= 0))
 
     def vanish_rows(self, w: int) -> SetDescription | None:
         base = self.base.vanish_rows(w)

@@ -388,10 +388,21 @@ class TestAdversaryAndVerify:
         assert len(d["boundary_means"]) == 10
         assert all(b["within"] for b in d["boundary_means"])
 
-    def test_non_averaging_matrices_exit_with_code_7(self, capsys):
+    def test_matrices_without_a_run_form_exit_with_code_7(self, capsys):
         code, out, err = run(capsys, ["adversary", "--matrix", "gen:geometric"])
         assert code == 7
         assert "PreconditionError" in err
+
+    def test_row_drops_over_the_identity_write_a_certificate_that_verifies(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "c.json"
+        argv = ["adversary", "--matrix", "rowdrop:identity:finite:{2}",
+                "--certificate-out", str(path)]
+        code, d = run_json(capsys, argv)
+        assert code == 0 and d["status"] == "certified"
+        code, d = run_json(capsys, ["verify", str(path)])
+        assert code == 0 and d["verified"] is True
 
     def test_written_certificate_verifies(self, capsys, cert_path):
         capsys.readouterr()
@@ -822,16 +833,13 @@ class TestErrorContract:
         assert code == 3
         assert "AuditBudgetError" in record["error"]
 
-    def test_streamed_adversaries_over_the_row_budget_exit_with_code_3(self, capsys, tmp_path):
-        # The identity counts one run per row, so 10^9 rows are refused
-        # before any run is read.
+    def test_identity_adversaries_past_the_row_budget_are_certified(self, capsys):
+        # The identity counts each run whole, so 10^9 rows are 30 runs.
         argv = ["adversary", "--matrix", "identity", "--scale", str(10**9)]
         started = time.perf_counter()
-        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        code, out, _ = run(capsys, argv)
         assert time.perf_counter() - started < 1
-        assert code == 3
-        assert "AuditBudgetError" in record["error"]
-        assert str(DEFAULT_COLUMN_CAP) in record["error"]
+        assert code == 0 and json.loads(out)["status"] == "certified"
 
     def test_block_floors_past_the_escape_budget_exit_with_code_3(self, tmp_path):
         # Dyadic block 30 starts at 2^30: the escape refuses before the
@@ -1263,7 +1271,7 @@ PRINTED_DIGESTS = {
     " --certificate-out c.json && verify c.json":
         "14cd1f9f517d8019979d1a6300723025ec5e2169345641b94ad7df19447abaa2",
     "adversary --matrix identity --scale 2048 --certificate-out c.json && verify c.json":
-        "1242e3bc1a92d032ca966ee1ebd21f69792ef746f872c46f7e5180f37a005536",
+        "3b56fe006e86fe6ce495c99fe608e189f594b435e1f477019fc055037c0bcfae",
     "adversary --matrix rowdrop:rowdrop:cesaro:ap:1,2:ap:1,3 --mode greedy --scale 1000000000":
         "f4bc33d8c24595f222bac91128315b7d46c82463a03e1e5f76ef000aff0ab87d",
     "oscillate --x alt":

@@ -705,7 +705,7 @@ class TestMeagernessDemo:
         for prev, cur in zip(demo.results, demo.results[1:]):
             stem_prev = prev.selector.stem
             assert cur.selector.stem[: len(stem_prev)] == stem_prev
-        assert demo.final_selector.total
+        assert demo.results[-1].selector.total
 
     def test_the_default_schedule_finishes_on_rows_by_powers_of_four(self):
         started = time.perf_counter()
@@ -785,12 +785,17 @@ class TestBlocksAdversary:
         values = [F(p, q) for p, q in pairs]
         assert blocks_report.certificate.audit_values(values)
 
-    def test_identity_gets_the_alternating_pattern(self):
+    def test_identity_plays_the_dyadic_blocks(self):
+        # Row n of the identity is x_n, so the counts are the zeros and the
+        # ones of blocks01 up to each scale.
         report = steinhaus_adversary(parse_matrix("identity"), mode="blocks", scale=4096)
-        assert report.x_spec == "alt10"
+        assert report.x_spec == "blocks01"
         assert report.status == "certified"
-        assert report.certificate.delta_lower == F(1, 2)
-        assert report.certificate.delta_upper == F(1, 2)
+        bits = [parse_sequence("blocks01").fn(n)[0] for n in range(1, 4097)]
+        cert = report.certificate
+        assert cert.scales == (2048, 4096)
+        assert cert.lower_counts == tuple(s - sum(bits[:s]) for s in cert.scales)
+        assert cert.upper_counts == tuple(sum(bits[:s]) for s in cert.scales)
         assert report.boundary_means == ()
 
     def test_dropped_rows_are_recomputed_honestly(self):
@@ -829,19 +834,26 @@ class TestGreedyAdversary:
         values = [F(*pair) for pair, _ in points]
         assert report.certificate.audit_values(values)
 
-    def test_greedy_needs_an_averaging_matrix(self):
-        with pytest.raises(PreconditionError):
-            steinhaus_adversary(parse_matrix("identity"), mode="greedy", scale=256)
+    def test_greedy_plays_the_identity_and_refuses_kinds_without_a_run_form(self):
+        report = steinhaus_adversary(parse_matrix("identity"), mode="greedy", scale=256)
+        assert report.status == "certified"
+        replay = parse_sequence(report.x_spec)
+        values = [F(*replay.fn(n)) for n in range(1, report.scale + 1)]
+        assert report.certificate.audit_values(values)
+        for mode in ("blocks", "greedy"):
+            with pytest.raises(PreconditionError):
+                steinhaus_adversary(parse_matrix("gen:geometric"), mode=mode, scale=256)
 
 
+@pytest.mark.parametrize("spec", ["cesaro", "identity", "rowdrop:identity:finite:{2}"])
 @pytest.mark.parametrize("mode", ["blocks", "greedy"])
-def test_run_form_certifies_at_scale_2_to_the_40(mode):
-    # Cesaro hit counts come per run, so no row is streamed.
+def test_run_form_certifies_at_scale_2_to_the_40(mode, spec):
+    # Hit counts come per run, so no row is streamed.
     started = time.perf_counter()
-    report = steinhaus_adversary(CesaroMatrix(), mode=mode, scale=1 << 40)
+    report = steinhaus_adversary(parse_matrix(spec), mode=mode, scale=1 << 40)
     assert time.perf_counter() - started < 0.5
     assert report.status == "certified" and report.scale >= 1 << 40
     assert parse_sequence(report.x_spec).name == report.x_spec
-    if mode == "blocks":
+    if mode == "blocks" and spec == "cesaro":
         assert len(report.boundary_means) == 38  # levels 1..19
         _assert_boundary_closed_forms(report.boundary_means)

@@ -41,9 +41,24 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
+def _definitions(tree: ast.AST):
+    """(name, line) of every function, class and method, and of every
+    attribute or dataclass field that a class body assigns."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        for stmt in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+            yield from ((t.id, stmt.lineno) for t in targets if isinstance(t, ast.Name))
+
+
 def unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
-    """Function, class and method names (dunders excepted) defined in the
-    ``defining`` sources, by file name, that no ``reading`` source reads."""
+    """Function, class and method names, and class attribute and field names
+    (dunders excepted), defined in the ``defining`` sources, by file name,
+    that no ``reading`` source reads; a keyword argument is no read."""
     read = set()
     for source in reading:
         for node in ast.walk(ast.parse(source)):
@@ -53,11 +68,9 @@ def unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str
                 read.add(node.attr)
     unread = []
     for name, source in defining.items():
-        for node in ast.walk(ast.parse(source)):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in read):
-                unread.append(f"{node.name} ({name} line {node.lineno})")
+        for defined, line in _definitions(ast.parse(source)):
+            if not (defined.startswith("__") and defined.endswith("__")) and defined not in read:
+                unread.append(f"{defined} ({name} line {line})")
     return unread
 
 
@@ -96,4 +109,20 @@ def test_the_scan_flags_a_definition_that_is_never_read():
     reading = ["from m import Kept, used\nused()\nKept().method()\n"]
     assert unread_definitions(defining, reading) == [
         "unused (m.py line 2)", "orphan (m.py line 6)"
+    ]
+
+
+def test_the_scan_flags_a_field_that_is_never_read():
+    defining = {"m.py": (
+        "@dataclass\n"
+        "class Report:\n"
+        "    kept: int\n"
+        "    passed_only: int = 0\n"
+        "    flag = rate = 1\n"
+        "    __slots__ = ()\n"
+        "Report(kept=1, passed_only=2)\n"
+    )}
+    reading = ["from m import Report\nprint(Report(1).kept, Report.rate)\n"]
+    assert unread_definitions(defining, reading) == [
+        "passed_only (m.py line 4)", "flag (m.py line 5)"
     ]

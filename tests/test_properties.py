@@ -570,13 +570,16 @@ def test_transform_kernels_match_direct_summation(matrix, n, data):
 
 
 # Cesaro and row drops over it: finite, periodic and sparse drop sets, and
-# one (squares or powers of 2) whose count has no closed form.
+# one (squares or powers of 2) whose count has no closed form; the identity
+# and row drops over it, one plain and one nested.
 _RUN_FORM_MATRICES = [CesaroMatrix()] + [
     RowDropMatrix(CesaroMatrix(), parse_set(text))
     for text in ("finite:{1,2,5,9,10,40}", "ap:1,3", "builtin:squares",
                  "union:builtin:squares|builtin:powers2")
 ] + [
     RowDropMatrix(RowDropMatrix(CesaroMatrix(), parse_set("ap:1,2")), parse_set("builtin:squares")),
+    RowDropMatrix(IdentityMatrix(), parse_set("finite:{1,2,5,9,10,40}")),
+    RowDropMatrix(RowDropMatrix(IdentityMatrix(), parse_set("ap:1,3")), parse_set("builtin:squares")),
     IdentityMatrix(),
 ]
 
@@ -602,11 +605,8 @@ def test_run_form_counts_match_the_streamed_rows(matrix, runs, lower, gap, data)
     scale = st.one_of(st.sampled_from(edges), st.integers(1, n))
     scales = tuple(data.draw(st.lists(scale, min_size=1, max_size=4)))
     upper = lower + gap
-    # The identity counts its runs in _threshold_runs itself.
-    base = matrix
-    while isinstance(base, RowDropMatrix):
-        base = base.base
-    assert isinstance(base, IdentityMatrix) or base._hit_spans(runs, lower, upper) is not None
+    base, _ = matrix._innermost()
+    assert base._hit_spans(runs, lower, upper) is not None
     pairs = (pair for pair, _ in matrix._transform(sequence_from_rle(runs), range(1, n + 1)))
     want = _threshold_counts(pairs, lower, upper, scales)
     assert matrix._threshold_runs(runs, lower, upper, scales) == want
