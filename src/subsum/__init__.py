@@ -29,11 +29,12 @@ _EXPORTS = {
         RestrictionError UnsupportedIdealError nu2_column_audit parse_ideal
         restricted_blocks""",
     "summability": """CesaroMatrix ConditionReport DomainCheck DomainRiskError ExplicitMatrix
-        GeneratorMatrix IdentityMatrix MatrixSpecError RegularityVerdict RowDropMatrix RowSeq
-        SequenceSpec SequenceSpecError SummabilityMatrix TailToleranceError TransformPoint
-        domain_check indicator_sequence parse_matrix parse_rle parse_row parse_sequence
-        random_rowfinite_matrix regularity_verdict render_rle sequence_from_rle
-        sequence_from_values transform_prefix validate_matrix_ideal""",
+        GeneratorMatrix GeometricMatrix IdentityMatrix MatrixSpecError RegularityVerdict
+        RowDropMatrix RowSeq SequenceSpec SequenceSpecError SummabilityMatrix
+        TailToleranceError TransformPoint domain_check indicator_sequence parse_matrix
+        parse_rle parse_row parse_sequence random_rowfinite_matrix regularity_verdict
+        render_rle sequence_from_rle sequence_from_values transform_prefix
+        validate_matrix_ideal""",
     "sigma": """IDENTITY_SELECTOR Consecutive FunctionalValue ImageUndecidableError
         MetricInterval RuleTail Selector SelectorSpecError metric modulus_of_continuity
         parse_selector sample_selector selector_transform""",

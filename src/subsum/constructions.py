@@ -380,17 +380,17 @@ class EscapeResult:
 
 
 def _least_index_with_magnitude(x: SequenceSpec, floor: int, p: int, q: int) -> tuple:
-    """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0, compared as
-    |a| q >= p b on the pair a/b of x_h; returns h and that pair, so x_h is
-    read once (jumps to the sequence's magnitude-search hint, then scans)."""
-    start = x.abs_search(p, q, floor)
-    cap = start + 10**4
-    for h in range(start, cap + 1):
+    """Least h >= floor with |x_h| >= p/q, for p >= 0 and q > 0: the index
+    the sequence's magnitude search names, checked as |a| q >= p b on the
+    pair a/b of x_h; returns h and that pair, so x_h is read once."""
+    h = x.abs_search(p, q, floor)
+    if h >= floor:
         a, b = x.pair(h)
         if abs(a) * q >= p * b:
             return h, (a, b)
     raise ConstructionError(
-        f"no index with |x| >= {Fraction(p, q)} found in [{floor}, {cap}]"
+        f"the magnitude search of {x.name} for |x| >= {Fraction(p, q)} from {floor}"
+        f" named {h}, which does not qualify"
     )
 
 

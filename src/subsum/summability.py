@@ -1,10 +1,11 @@
 """Infinite summability matrices and their transforms, exactly.
 
 Matrices are given structurally (running-average, identity, row-dropped,
-explicit finite tables extended by zero rows, or generator functions with
-declared support or tail bounds).  All transform values on verdict paths are
-exact rationals; a transform of a non-row-finite row is only reported
-together with a certified tail bound, never silently truncated.
+explicit finite tables extended by zero rows, the geometric row repeated,
+or row-finite generator functions with declared support bounds).  All
+transform values on verdict paths are exact rationals; a transform of a
+non-row-finite row is only reported together with a certified tail bound,
+never silently truncated.
 """
 
 from __future__ import annotations
@@ -348,8 +349,8 @@ class SummabilityMatrix:
     """Common interface: exact rows, structural row support, spec string.
 
     Each kind states its rows once, in ``_row``, and ``entry`` reads the
-    row's prefix (generator matrices and row drops override it, see
-    ``GeneratorMatrix.entry``).  Each kind states its other facts by
+    row's prefix (the geometric kind and row drops override it, see
+    ``GeometricMatrix.entry``).  Each kind states its other facts by
     overriding the defaults here.  A default either answers "unknown" (None /
     False) or, for the regularity conditions and the transform kernel, does
     the generic sampled or direct computation.
@@ -621,7 +622,8 @@ class RowDropMatrix(SummabilityMatrix):
         self.nonneg, self.row_finite = base.nonneg, base.row_finite
 
     def entry(self, n: int, k: int) -> Fraction:
-        # Not read off a row prefix, for the generator matrix's reason.
+        # Not read off a row prefix, for the geometric kind's reason: tail
+        # bounds probe single far columns.
         return ZERO if k >= 1 and member(self.drop, n) else self.base.entry(n, k)
 
     def _row(self, n: int, width: int) -> tuple:
@@ -740,91 +742,100 @@ class ExplicitMatrix(SummabilityMatrix):
 
 
 
-class GeneratorMatrix(SummabilityMatrix):
-    """Entries from a function, with declared support or tail structure.
+class GeometricMatrix(SummabilityMatrix):
+    """Every row is (1/2, 1/4, 1/8, ...): not row-finite, with closed-form
+    tails.  The rows share one prefix, kept up to ``DOMAIN_SCAN_COLUMNS``
+    columns (the widest row a domain scan reads, about 1 MB); a wider row is
+    built and returned, not kept."""
 
-    A generator must declare either a row support bound (row-finite case)
-    or an l1 tail bound / term-ratio bound; otherwise transforms refuse to
-    produce values, since no certified tail is available.  ``support_exact``
-    asserts the support bound is attained (the last column is nonzero).
-    Rows read are kept up to ``DEFAULT_COLUMN_CAP`` entries in all, an entry
-    counting once per 64 bits; later rows are computed afresh.
+    nonneg = True
+
+    def __init__(self):
+        self._prefix: tuple = ()
+
+    def entry(self, n: int, k: int) -> Fraction:
+        # Not read off a row prefix: ``_certified_tail`` probes single
+        # columns up to 2^20, and a prefix that wide would hold gigabytes.
+        if n < 1 or k < 1:
+            raise ValueError("indices start at 1")
+        return Fraction(1, 1 << k)
+
+    def _row(self, n: int, width: int) -> tuple:
+        if width < 1:
+            return ()
+        if n < 1:
+            raise ValueError("indices start at 1")
+        row = self._prefix
+        if len(row) < width:
+            row += tuple(Fraction(1, 1 << k) for k in range(len(row) + 1, width + 1))
+            if width <= DOMAIN_SCAN_COLUMNS:
+                self._prefix = row
+        return row[:width]
+
+    def row_support(self, n: int) -> None:
+        return None
+
+    def l1_tail(self, n: int, after: int) -> Fraction:
+        return Fraction(1, 1 << after)
+
+    def term_ratio(self, n: int) -> tuple[Fraction, int]:
+        return Fraction(1, 2), 1
+
+    def spec_string(self) -> str:
+        return "gen:geometric"
+
+
+
+class GeneratorMatrix(SummabilityMatrix):
+    """Row-finite entries from a function: row n is ``entry_fn(n, k)`` up to
+    column ``support_bound(n)`` and zero past it.  ``support_exact`` asserts
+    the support bound is attained (the last column is nonzero).  Rows read
+    are kept up to ``DEFAULT_COLUMN_CAP`` entries in all; later rows are
+    computed afresh.
     """
+
+    row_finite = True
 
     def __init__(
         self,
         name: str,
         entry_fn: Callable[[int, int], Fraction],
-        support_bound: Callable[[int], int] | None = None,
+        support_bound: Callable[[int], int],
         support_exact: bool = False,
-        l1_tail_fn: Callable[[int, int], Fraction] | None = None,
-        ratio: tuple[Fraction, int] | None = None,
         nonneg: bool = False,
         vanish_fn: Callable[[int], SetDescription] | None = None,
     ):
-        if support_bound is None and l1_tail_fn is None and ratio is None:
-            raise MatrixSpecError(
-                "generator matrices must declare a support bound or a tail bound"
-            )
         self.name = name
         self.entry_fn = entry_fn
         self.support_bound = support_bound
-        self.row_finite = support_bound is not None
         self.support_exact = support_exact
-        self.l1_tail_fn = l1_tail_fn
-        self.ratio = ratio
         self.nonneg = nonneg
         self.vanish_fn = vanish_fn
-        self._rows, self._stored = {}, 0  # row prefixes read, and their size
-
-    def entry(self, n: int, k: int) -> Fraction:
-        # Not read off a row prefix: ``_certified_tail`` probes far columns,
-        # up to 2^20, whose prefixes in ``gen:geometric`` would take tens of GB.
-        row = self._rows.get(n, ())
-        return row[k - 1] if 0 < k <= len(row) else self._fresh(n, k)
-
-    def _fresh(self, n: int, k: int) -> Fraction:
-        if n < 1 or k < 1:
-            raise ValueError("indices start at 1")
-        if self.support_bound is not None and k > self.support_bound(n):
-            return ZERO
-        value = self.entry_fn(n, k)
-        return value if isinstance(value, Fraction) else Fraction(value)
+        self._rows, self._stored = {}, 0  # row prefixes read, and their entry count
 
     def _row(self, n: int, width: int) -> tuple:
+        if width < 1:
+            return ()
+        if n < 1:
+            raise ValueError("indices start at 1")
         row = self._rows.get(n, ())
-        if len(row) < width:
-            new = tuple(map(self._fresh, repeat(n), range(len(row) + 1, width + 1)))
-            # An entry counts once per 64 bits of its numerator and denominator.
-            size = self._stored + sum(
-                1 + (v.numerator.bit_length() + v.denominator.bit_length()) // 64 for v in new
-            )
-            row += new
+        have = len(row)
+        if have < width:
+            top = max(have, min(width, self.support_bound(n)))
+            new = map(self.entry_fn, repeat(n), range(have + 1, top + 1))
+            row += tuple(v if isinstance(v, Fraction) else Fraction(v) for v in new)
+            row += (ZERO,) * (width - top)
+            size = self._stored + width - have
             if size <= DEFAULT_COLUMN_CAP:
                 self._rows[n], self._stored = row, size
         return row[:width]
 
-    def row_support(self, n: int) -> int | None:
-        if self.support_bound is None:
-            return None
+    def row_support(self, n: int) -> int:
         bound = self.support_bound(n)
         if self.support_exact:
             return bound
-        for k in range(bound, 0, -1):
-            if self.entry(n, k) != 0:
-                return k
-        return 0
-
-    def l1_tail(self, n: int, after: int) -> Fraction | None:
-        got = super().l1_tail(n, after)
-        if got is not None:
-            return got
-        if self.l1_tail_fn is not None:
-            return self.l1_tail_fn(n, after)
-        return None
-
-    def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
-        return self.ratio
+        row = self._row(n, bound)
+        return next((k for k in range(bound, 0, -1) if row[k - 1] != 0), 0)
 
     def vanish_rows(self, w: int) -> SetDescription | None:
         return None if self.vanish_fn is None else self.vanish_fn(w)
@@ -836,19 +847,8 @@ class GeneratorMatrix(SummabilityMatrix):
 
 @lru_cache(maxsize=1 << 12)
 def _reciprocal(n: int) -> Fraction:
-    # Rows share their entries, so the rows a matrix keeps hold no copies.
+    # Repeated reads of a Cesaro row share its one entry object.
     return Fraction(1, n)
-
-
-def _gen_geometric() -> GeneratorMatrix:
-    # Every row is (1/2, 1/4, 1/8, ...); not row-finite, fully declared tails.
-    return GeneratorMatrix(
-        name="geometric",
-        entry_fn=lambda n, k: _reciprocal(1 << k),
-        l1_tail_fn=lambda n, after: Fraction(1, 1 << after),
-        ratio=(Fraction(1, 2), 1),
-        nonneg=True,
-    )
 
 
 # Every value a random row-finite entry can take: p/q, p in -9..9, q in 1..9.
@@ -886,14 +886,9 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     )
 
 
-_NAMED_GENERATORS: dict[str, Callable[[], GeneratorMatrix]] = {
-    "geometric": _gen_geometric,
-}
-
-
 def parse_matrix(spec: str) -> SummabilityMatrix:
     """cesaro | identity | rowdrop:<base>:<set-DSL> | explicit:@file.csv |
-    explicit:<rows ;-separated> | gen:<name> | gen:rand_rowfinite_<seed>"""
+    explicit:<rows ;-separated> | gen:geometric | gen:rand_rowfinite_<seed>"""
     spec = spec.strip()
     if spec == "cesaro":
         return CesaroMatrix()
@@ -932,9 +927,8 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
         return ExplicitMatrix(rows)
     if spec.startswith("gen:"):
         name = spec[len("gen:"):]
-        maker = _NAMED_GENERATORS.get(name)
-        if maker is not None:
-            return maker()
+        if name == "geometric":
+            return GeometricMatrix()
         if name.startswith("rand_rowfinite_"):
             return random_rowfinite_matrix(int(name[len("rand_rowfinite_"):]))
         raise MatrixSpecError(f"unknown generator matrix {name!r}")

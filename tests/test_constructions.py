@@ -341,7 +341,8 @@ class TestUnboundedEscape:
             escape_unbounded((), parse_row("geometric"), parse_sequence("n"), -1)
 
     def test_slow_growth_exhausts_the_search_cap(self):
-        # The search answers its floor, so the scan after it runs out first.
+        # The search answers its floor, where |x| is short of the target, so
+        # the one check of that index refuses it.
         crawl = SequenceSpec(
             name="crawl",
             fn=lambda n: F(n, 10**6).as_integer_ratio(),

@@ -25,6 +25,7 @@ from subsum import (
     ExplicitMatrix,
     Finite,
     GeneratorMatrix,
+    GeometricMatrix,
     IdentityMatrix,
     MatrixSpecError,
     RowDropMatrix,
@@ -275,7 +276,8 @@ class TestMatrixEntries:
         assert m.row_support(3) == 0
 
     def test_generator_requires_a_declaration(self):
-        with pytest.raises(MatrixSpecError):
+        # Generators are row-finite, so the support bound is a required argument.
+        with pytest.raises(TypeError):
             GeneratorMatrix(name="bare", entry_fn=lambda n, k: F(1))
 
     def test_generator_zeroes_past_declared_support(self):
@@ -332,7 +334,7 @@ class TestMatrixEntries:
         width=st.integers(0, 40),
     )
     def test_overridden_entries_read_like_the_rows(self, spec, drop, n, width):
-        # Generator matrices and row drops keep their own ``entry``; it
+        # The geometric kind and row drops keep their own ``entry``; it
         # answers like the row, cached or not.
         m = parse_matrix(spec if drop is None else f"rowdrop:{spec}:{drop}")
         fresh = [m.entry(n, k) for k in range(1, width + 1)]
@@ -347,7 +349,32 @@ class TestMatrixEntries:
         assert m.entry(1, 1 << 20) == F(1, 1 << (1 << 20))
         assert m.entry(2, 1 << 20) == 0
         assert time.perf_counter() - started < 0.5
-        assert 1 not in m.base._rows and m.base._stored == 0
+        assert len(m.base._prefix) <= DOMAIN_SCAN_COLUMNS
+
+
+class TestGeometricMatrix:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 10**30), width=st.integers(0, 80))
+    def test_every_row_is_the_geometric_row(self, n, width):
+        m = parse_matrix("gen:geometric")
+        want = tuple(F(1, 1 << k) for k in range(1, width + 1))
+        assert m._row(n, width) == want
+        assert [m.entry(n, k) for k in range(1, width + 1)] == list(want)
+
+    def test_tails_and_ratio_are_closed_forms(self):
+        m = GeometricMatrix()
+        for n, after in product((1, 7, 10**20), (0, 1, 5, 64)):
+            assert m.l1_tail(n, after) == F(1, 1 << after)
+            assert m.term_ratio(n) == (F(1, 2), 1)
+        assert (m.nonneg, m.row_finite, m.row_support(3)) == (True, False, None)
+
+    def test_rows_share_one_prefix_of_at_most_the_scan_width(self):
+        m = parse_matrix("gen:geometric")
+        transform_prefix(m, parse_sequence("alt"), 256, F(1, 10**6))
+        assert m._prefix == m._row(1, 32)  # one 32-entry prefix for 256 rows
+        wide = m._row(9, DOMAIN_SCAN_COLUMNS + 5)
+        assert wide[-1] == F(1, 1 << (DOMAIN_SCAN_COLUMNS + 5))
+        assert len(m._prefix) <= DOMAIN_SCAN_COLUMNS
 
 
 class TestMatrixParsing:
@@ -467,17 +494,13 @@ def stored_entries(m):
 
 
 class TestGeneratorRowCache:
-    @pytest.mark.parametrize("spec, x, tol", [
-        ("gen:rand_rowfinite_52", "const:-1/6", F(0)),
-        ("gen:geometric", "alt", F(1, 10**6)),
-    ])
-    def test_repeated_calls_read_no_entry_again(self, spec, x, tol):
-        m, x = parse_matrix(spec), parse_sequence(x)
+    def test_repeated_calls_read_no_entry_again(self):
+        m, x = parse_matrix("gen:rand_rowfinite_52"), parse_sequence("const:-1/6")
         calls = counted(m)
-        first = transform_prefix(m, x, 128, tail_tol=tol)
+        first = transform_prefix(m, x, 128)
         verdict = regularity_verdict(m, FIN, n_rows=256)
         read = sum(calls.values())
-        assert transform_prefix(m, x, 128, tail_tol=tol) == first
+        assert transform_prefix(m, x, 128) == first
         assert regularity_verdict(m, FIN, n_rows=256) == verdict
         assert sum(calls.values()) == read
 
@@ -497,11 +520,6 @@ class TestGeneratorRowCache:
             assert m.row_sum(7) == m.row_sum(7)  # 7 more would pass 10
         assert m._stored == stored_entries(m) == 4  # small entries count once
         assert calls[4, 1] == 1 and calls[7, 1] == 2
-
-    def test_long_entries_count_once_per_64_bits(self):
-        m = GeneratorMatrix("long", lambda n, k: F(1, 1 << 200), support_bound=lambda n: n)
-        m.row_sum(3)
-        assert stored_entries(m) == 3 and m._stored == 3 * (1 + 202 // 64)
 
 
 # Cheap entries keep the property fast; rand_rowfinite's repeated calls are
@@ -555,7 +573,10 @@ def test_a_warmed_matrix_answers_like_a_fresh_one(kind, x, rows, warm, cap):
         assert answers(warmed) == want  # now warmed by its own answers too
         for m in (fresh, warmed):
             m = getattr(m, "base", m)  # the generator under a row drop
-            assert stored_entries(m) <= m._stored <= cap
+            if isinstance(m, GeometricMatrix):
+                assert len(m._prefix) <= DOMAIN_SCAN_COLUMNS
+            else:
+                assert stored_entries(m) == m._stored <= cap
 
 
 # ---------------------------------------------------------------- transforms
@@ -636,25 +657,40 @@ class TestTransforms:
 # ---------------------------------------------------------------- domain
 
 
-def spiked_tail_matrix():
+class SpikedTailMatrix(GeometricMatrix):
     """Row entries 2**-k with a single unit spike at column 40.
 
     The declared l1 tail bound is honest: for K < 40 the tail really does
     contain the spike, so the bound includes it.
     """
-    return GeneratorMatrix(
-        name="spiked",
-        entry_fn=lambda n, k: F(1) if k == 40 else F(1, 1 << k),
-        l1_tail_fn=lambda n, after: F(1, 1 << after) + (1 if after < 40 else 0),
-        nonneg=True,
-    )
+
+    def entry(self, n, k):
+        return F(1) if k == 40 else F(1, 1 << k)
+
+    def _row(self, n, width):
+        return tuple(self.entry(n, k) for k in range(1, width + 1))
+
+    def l1_tail(self, n, after):
+        return F(1, 1 << after) + (1 if after < 40 else 0)
+
+    def term_ratio(self, n):
+        return None
 
 
-def all_ones_matrix():
-    # honest ratio declaration: successive entries never grow
-    return GeneratorMatrix(
-        name="allones", entry_fn=lambda n, k: F(1), ratio=(F(1), 1), nonneg=True
-    )
+class AllOnesMatrix(GeometricMatrix):
+    """Every entry is 1; honest ratio declaration: successive entries never grow."""
+
+    def entry(self, n, k):
+        return F(1)
+
+    def _row(self, n, width):
+        return (F(1),) * width
+
+    def l1_tail(self, n, after):
+        return None
+
+    def term_ratio(self, n):
+        return F(1), 1
 
 
 class TestDomainCheck:
@@ -674,7 +710,7 @@ class TestDomainCheck:
         assert report.evidence["columns_used"] == 32
 
     def test_growing_partials_are_flagged(self):
-        report = domain_check(all_ones_matrix(), parse_sequence("n"), 1, tol=F(1, 100))
+        report = domain_check(AllOnesMatrix(), parse_sequence("n"), 1, tol=F(1, 100))
         assert report.status == "diverging"
         assert report.evidence["kind"] == "growth"
         # 1 + 2 + ... + k first exceeds the growth bound 10^6 at k = 1414
@@ -683,7 +719,7 @@ class TestDomainCheck:
     def test_late_spike_after_stability_is_flagged(self):
         # n declares no sup bound, so no width is certified and the scan runs.
         report = domain_check(
-            spiked_tail_matrix(), parse_sequence("n"), 1, tol=F(1, 256)
+            SpikedTailMatrix(), parse_sequence("n"), 1, tol=F(1, 256)
         )
         assert report.status == "diverging"
         assert report.evidence["kind"] == "late_term"
@@ -693,7 +729,7 @@ class TestDomainCheck:
         # The declared tail bound covers the spike, so width 64 is certified
         # and the spike is summed, not read as evidence.
         report = domain_check(
-            spiked_tail_matrix(), parse_sequence("alt"), 1, tol=F(1, 256)
+            SpikedTailMatrix(), parse_sequence("alt"), 1, tol=F(1, 256)
         )
         assert report.status == "converged"
         assert report.evidence == {"columns_used": 64}
@@ -743,7 +779,7 @@ class TestDomainCheck:
         assert (ratio.value, ratio.tail_bound) == (F(4294967279, 2147483648), F(33, 4160749568))
         scan = domain_check(parse_matrix("gen:geometric"), parse_sequence("sqperturb"), 3, F(0))
         assert (scan.status, scan.evidence["columns_used"]) == ("inconclusive", DOMAIN_SCAN_COLUMNS)
-        late = domain_check(spiked_tail_matrix(), n, 1, F(1, 256))
+        late = domain_check(SpikedTailMatrix(), n, 1, F(1, 256))
         assert (late.status, late.evidence["column"]) == ("diverging", 40)
 
     @pytest.mark.parametrize("n", [0, -3])
@@ -799,7 +835,10 @@ class TestRowProfiles:
             entry_fn=lambda n, k: F(1) if k <= n else F(0),
             support_bound=lambda n: n + 2,
         )
-        assert m.row_support(5) == 5
+        calls = counted(m)
+        assert m.row_support(5) == m.row_support(5) == 5
+        # one row read, kept: each column up to the bound is computed once
+        assert sorted(calls) == [(5, k) for k in range(1, 8)] and set(calls.values()) == {1}
 
     def test_enumerated_vanish_sets_are_flagged_non_structural(self):
         m = GeneratorMatrix(
