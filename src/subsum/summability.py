@@ -10,6 +10,7 @@ never silently truncated.
 
 from __future__ import annotations
 
+import _random
 import random
 from bisect import bisect_left
 from collections import deque
@@ -19,6 +20,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, groupby, islice, repeat
 from math import gcd, isqrt
 from operator import itemgetter
+from random import _sha512
 from typing import Callable, Iterator
 
 from . import setlang
@@ -385,7 +387,9 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             return None
-        return Fraction(*_dot_pair(map(abs, self._row(n, support)[after:]), repeat((1, 1))))
+        row = self._row(n, support)[after:]
+        # |a| is a times the sign of its numerator: no Fraction per entry.
+        return Fraction(*_dot_pair(row, [(-1, 1) if a.numerator < 0 else (1, 1) for a in row]))
 
     def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
         return None
@@ -778,6 +782,21 @@ class GeometricMatrix(SummabilityMatrix):
     def l1_tail(self, n: int, after: int) -> Fraction:
         return Fraction(1, 1 << after)
 
+    def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
+        # Every row is one row with tails and ratio free of n: one width and
+        # one sum serve every row.  The budget counts width entries per row,
+        # as the default kernel does, and names the row that first passes it.
+        if not rows:
+            return
+        width, tail = _summed_width(None, lambda w: _certified_tail(self, x, rows[0], w),
+                                    tail_tol, 32)
+        over = DEFAULT_COLUMN_CAP // width + 1  # the row count whose entries pass the budget
+        if len(rows) >= over:
+            _row_budget(width * over, f"transform rows 1..{rows[over - 1]} entry count", "entries")
+        point = _dot_pair(self._row(rows[0], width), map(x.fn, range(1, width + 1))), tail
+        for _ in rows:
+            yield point
+
     def term_ratio(self, n: int) -> tuple[Fraction, int]:
         return Fraction(1, 2), 1
 
@@ -858,24 +877,29 @@ _SMALL_RATIONALS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range
 def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     """Deterministic row-finite matrix with support exactly n per row.
 
-    Entries are small rationals keyed by (seed, n, k): one mt19937 stream
-    seeded with ``f"rowfinite:{seed}:{n}:{k}"`` per entry; the diagonal entry
-    is forced nonzero so the declared support is attained.  The matrix keeps
-    one ``Random`` and reseeds it for every entry it computes, and it keeps
-    the rows it has read, up to 2^20 entries (``DEFAULT_COLUMN_CAP``), so
-    that no entry is computed twice; it is not meant to be read from two
-    threads at once.
+    Entry (n, k) is read from ``random.Random(f"rowfinite:{seed}:{n}:{k}")``:
+    the numerator ``randrange(-9, 10)``, redrawn on the diagonal while zero
+    by ``choice([-3, -2, -1, 1, 2, 3])`` so the support is attained, over
+    ``randrange(1, 10)``.  The draws are inlined and bit for bit that stream:
+    the key is hashed as ``Random.seed`` hashes a string, the integer seeds
+    the C generator directly, and each draw is the stdlib's ``_randbelow``.
+    One mt19937 is reseeded per entry computed, and the rows read are kept,
+    up to 2^20 entries (``DEFAULT_COLUMN_CAP``), so that no entry is
+    computed twice; it is not meant to be read from two threads at once.
     """
     rng = random.Random()
+    seed_int = _random.Random.seed  # Random.seed without its string branch
+    below = rng._randbelow  # what randrange and choice draw with
 
     def entry_fn(n: int, k: int) -> Fraction:
         if k > n:
             return ZERO
-        rng.seed(f"rowfinite:{seed}:{n}:{k}")
-        num = rng.randrange(-9, 10)
+        key = f"rowfinite:{seed}:{n}:{k}".encode()
+        seed_int(rng, int.from_bytes(key + _sha512(key).digest(), "big"))
+        num = below(19) - 9
         if k == n and num == 0:
-            num = rng.choice([-3, -2, -1, 1, 2, 3])
-        return _SMALL_RATIONALS[num, rng.randrange(1, 10)]
+            num = (-3, -2, -1, 1, 2, 3)[below(6)]
+        return _SMALL_RATIONALS[num, below(9) + 1]
 
     return GeneratorMatrix(
         name=f"rand_rowfinite_{seed}",

@@ -6,12 +6,16 @@ oracle; tail certificates are checked against hand-derived closed forms
 structural facts that make them true or false.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -66,6 +70,25 @@ def prefix(x, n):
 def oracle_transform(matrix, x, n, width):
     """Independent direct summation over the first ``width`` columns."""
     return sum((matrix.entry(n, k) * x.value(k) for k in range(1, width + 1)), F(0))
+
+
+def drained(points):
+    """The streamed transform points as a list, or the type and message of
+    the error that refused them."""
+    try:
+        return list(points)
+    except (AuditBudgetError, DomainRiskError, TailToleranceError) as error:
+        return type(error), str(error)
+
+
+def recipe_entry(seed, n, k):
+    """Entry (n, k <= n) of ``gen:rand_rowfinite_<seed>`` from its own
+    ``random.Random`` stream, as the docstring states the recipe."""
+    rng = random.Random(f"rowfinite:{seed}:{n}:{k}")
+    num = rng.randrange(-9, 10)
+    if k == n and num == 0:
+        num = rng.choice([-3, -2, -1, 1, 2, 3])
+    return F(num, rng.randrange(1, 10))
 
 
 # ---------------------------------------------------------------- sequences
@@ -376,6 +399,49 @@ class TestGeometricMatrix:
         assert wide[-1] == F(1, 1 << (DOMAIN_SCAN_COLUMNS + 5))
         assert len(m._prefix) <= DOMAIN_SCAN_COLUMNS
 
+    @settings(max_examples=40, deadline=None)
+    @example(x="n", tol=F(1, 10**30), rows=range(1, 65))
+    @example(x="alt", tol=F(0), rows=(7,))
+    @given(
+        x=st.sampled_from(["alt", "alt10", "n", "nalt", "const:3/7", "const:-5", "sqperturb"]),
+        tol=st.sampled_from([F(1, 10**6), F(1, 10**30), F(0)]),
+        rows=st.one_of(
+            st.builds(lambda lo, size: range(lo, lo + size), st.integers(1, 10**6),
+                      st.integers(0, 64)),
+            st.integers(1, 10**30).map(lambda n: (n,)),
+            # the kept rows of a drop, as a row drop asks its base for them
+            st.builds(lambda lo, step: [n for n in range(lo, lo + 64) if n % step],
+                      st.integers(1, 10**6), st.integers(2, 5)),
+        ),
+    )
+    def test_the_kernel_answers_like_the_default_one(self, x, tol, rows):
+        x = parse_sequence(x)
+        default = summability.SummabilityMatrix._transform(GeometricMatrix(), x, rows, tol)
+        assert drained(GeometricMatrix()._transform(x, rows, tol)) == drained(default)
+
+    @pytest.mark.parametrize("x, rows, tol, error", [
+        ("alt", range(1, 40001), F(1, 10**6), AuditBudgetError),
+        ("const:1", range(1, 9), F(0), TailToleranceError),
+        ("sqperturb", (3,), F(1, 10**6), DomainRiskError),
+    ])
+    def test_the_kernel_refuses_like_the_default_one(self, x, rows, tol, error):
+        x = parse_sequence(x)
+        default = drained(summability.SummabilityMatrix._transform(GeometricMatrix(), x, rows, tol))
+        assert default[0] is error
+        assert drained(GeometricMatrix()._transform(x, rows, tol)) == default
+        if error is AuditBudgetError:
+            assert default[1] == ("transform rows 1..32769 entry count 1048608 is over the"
+                                  " audit budget of 1048576 entries")
+
+    def test_a_transform_sums_its_one_row_once(self):
+        m, x, tol = GeometricMatrix(), parse_sequence("alt"), F(1, 10**6)
+        read, row = [], m._row
+        m._row = lambda n, width: read.append(n) or row(n, width)
+        assert len(transform_prefix(m, x, 256, tol)) == 256
+        assert read == [1]
+        drained(summability.SummabilityMatrix._transform(m, x, range(1, 257), tol))
+        assert len(read) == 1 + 256  # the default kernel reads every row
+
 
 class TestMatrixParsing:
     @pytest.mark.parametrize(
@@ -463,6 +529,45 @@ class TestRandomRowFinite:
                 got = m.entry(n, k)
                 assert type(got) is F and got == want, (n, k)
         assert forced > 0
+
+    def test_whole_rows_follow_the_documented_recipe(self):
+        m, n = random_rowfinite_matrix(3), 1024
+        assert m._row(n, n) == tuple(recipe_entry(3, n, k) for k in range(1, n + 1))
+
+    def test_reading_an_entry_loads_no_hashlib(self):
+        # The seed hash comes from the digest that random loads, so a cold
+        # start that reads this family pays for no hashlib import.
+        code = ("import sys; from subsum.summability import parse_matrix; "
+                "parse_matrix('gen:rand_rowfinite_3').entry(5, 5); "
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": str(Path(summability.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+class TestRowL1Norms:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.lists(st.lists(st.one_of(st.integers(-4, 4), st.fractions(max_denominator=12)),
+                               max_size=9), min_size=1, max_size=5),
+        after=st.integers(0, 10),
+    )
+    def test_explicit_rows_sum_by_sign(self, rows, after):
+        m = ExplicitMatrix(rows)
+        for n, row in enumerate([*rows, []], 1):  # and the zero row past them
+            assert m.l1_tail(n, after) == sum((abs(F(v)) for v in row[after:]), F(0))
+
+    @pytest.mark.parametrize("spec", ["gen:rand_rowfinite_3", "gen:rand_rowfinite_17",
+                                      "rowdrop:gen:rand_rowfinite_3:ap:2,3"])
+    def test_generator_rows_sum_by_sign(self, spec):
+        m = parse_matrix(spec)
+        for n in (1, 2, 3, 10, 64, 129):
+            entries = [m.entry(n, k) for k in range(1, n + 1)]
+            for after in (0, 1, n // 2, n - 1, n):
+                tail = m.l1_tail(n, after)
+                assert type(tail) is F and tail == sum(map(abs, entries[after:]), F(0))
 
 
 def counted(m):
@@ -910,6 +1015,7 @@ class TestRegularity:
         assert v.overall == "undecided"
         head = max(sum(abs(m.entry(n, k)) for k in range(1, n + 1)) for n in range(1, 65))
         assert v.r1.holds == "at_scale" and F(v.r1.data["bound"]) >= head
+        assert v.r1.data["bound"] == "4370789/360"  # what `regularity` prints at this scale
         # r3 can only be evidence here, so it reads the 64 head rows r1 samples.
         assert v.r3.holds == "undecided" and not v.r3.certified
         assert v.r3.data["rows"] == 64
