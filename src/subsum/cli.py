@@ -51,7 +51,8 @@ def _bounded_rational(text: str, what: str) -> Fraction:
     A far exponent is refused before its power of 10 is built."""
     _, _, exponent = text.lower().partition("e")
     bits = setlang.RENDER_BITS
-    value = None if exponent and abs(int(exponent)) > 2 * bits else Fraction(text)
+    far = exponent and abs(int(exponent)) > 2 * bits
+    value = None if far else summability.parse_rational(text)
     if value is None or max(abs(value.numerator), value.denominator).bit_length() > bits:
         raise ValueError(f"{what} are limited to {bits}-bit numerators and denominators")
     return value
@@ -300,10 +301,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
         data = json.load(handle)
     try:
         cert = constructions.OscillationCertificate.from_json_dict(data)
-    except (KeyError, TypeError, constructions.ConstructionError) as exc:
+        matrix = summability.parse_matrix(cert.matrix_spec)
+        x = summability.parse_sequence(cert.x_spec)
+    except (AttributeError, KeyError, TypeError, ValueError,
+            constructions.ConstructionError) as exc:
         raise ValueError(f"malformed certificate: {exc}") from exc
-    matrix = summability.parse_matrix(cert.matrix_spec)
-    x = summability.parse_sequence(cert.x_spec)
     if not matrix.row_finite:
         # Certificates are only ever written for row-finite matrices; any
         # other row would need an unbounded certified-tail summation.

@@ -36,6 +36,7 @@ from .summability import (
     _dot_pair,
     _row_budget,
     _threshold_counts,
+    parse_rational,
     render_rle,
 )
 
@@ -142,8 +143,8 @@ class OscillationCertificate:
         return cls(
             x_spec=data["x"],
             matrix_spec=data["matrix"],
-            lower=Fraction(data["lower"]),
-            upper=Fraction(data["upper"]),
+            lower=parse_rational(data["lower"]),
+            upper=parse_rational(data["upper"]),
             scales=tuple(int(v) for v in data["scales"]),
             lower_counts=tuple(int(v) for v in data["lower_counts"]),
             upper_counts=tuple(int(v) for v in data["upper_counts"]),
@@ -501,10 +502,6 @@ def escape_rowfinite(
     j0 = len(stem)
     w0 = j0 + 1
     vanishing = matrix.vanish_rows(w0)
-    if vanishing is None:
-        raise PreconditionError(
-            "no structural description of the rows vanishing below the stem"
-        )
     verdict = ideal.decide(vanishing)
     if verdict.status != IN:
         raise PreconditionError(

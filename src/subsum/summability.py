@@ -2,10 +2,9 @@
 
 Matrices are given structurally (running-average, identity, row-dropped,
 explicit finite tables extended by zero rows, the geometric row repeated,
-or row-finite generator functions with declared support bounds).  All
-transform values on verdict paths are exact rationals; a transform of a
-non-row-finite row is only reported together with a certified tail bound,
-never silently truncated.
+or lower-triangular generator functions).  All transform values on verdict
+paths are exact rationals; a transform of a non-row-finite row is only
+reported together with a certified tail bound, never silently truncated.
 """
 
 from __future__ import annotations
@@ -142,6 +141,18 @@ class MatrixSpecError(ValueError):
     pass
 
 
+class RationalSyntaxError(ValueError):
+    """A rational in an input has a zero denominator or is infinite."""
+
+
+def parse_rational(text: str | float) -> Fraction:
+    """The rational an input writes as ``text``; every input rational is read here."""
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError):  # 1/0, or JSON's Infinity
+        raise RationalSyntaxError(f"not a finite rational: {text!r}") from None
+
+
 class SequenceSpecError(ValueError):
     pass
 
@@ -239,13 +250,13 @@ def parse_sequence(spec: str) -> SequenceSpec:
     if named is not None:
         return named
     if spec.startswith("const:"):
-        v = Fraction(spec[len("const:"):])
+        v = parse_rational(spec[len("const:"):])
         pair = v.as_integer_ratio()
         return SequenceSpec(
             name=spec, fn=lambda n: pair, sup_bound=abs(v), ratio_bound=lambda k: ONE
         )
     if spec.startswith("list:"):
-        vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
+        vals = tuple(map(parse_rational, spec[len("list:"):].split(",")))
         return sequence_from_values(vals, name=spec)
     if spec.startswith("rle:"):
         return sequence_from_rle(parse_rle(spec[len("rle:"):]))
@@ -335,7 +346,7 @@ def parse_row(spec: str) -> RowSeq:
     if named is not None:
         return named
     if spec.startswith("list:"):
-        vals = tuple(Fraction(t) for t in spec[len("list:"):].split(","))
+        vals = tuple(map(parse_rational, spec[len("list:"):].split(",")))
         return RowSeq(
             name=spec,
             fn=lambda k: vals[k - 1] if k <= len(vals) else ZERO,
@@ -353,9 +364,12 @@ class SummabilityMatrix:
     Each kind states its rows once, in ``_row``, and ``entry`` reads the
     row's prefix (the geometric kind and row drops override it, see
     ``GeometricMatrix.entry``).  Each kind states its other facts by
-    overriding the defaults here.  A default either answers "unknown" (None /
-    False) or, for the regularity conditions and the transform kernel, does
-    the generic sampled or direct computation.
+    overriding the defaults here, once: a row-finite kind its row supports
+    and the rows vanishing below a column, any other kind its tail bound
+    ``_tail``.  A default either answers "unknown" (None / False), raises
+    NotImplementedError for a fact every kind it applies to must state, or,
+    for the regularity conditions and the transform kernel, does the generic
+    sampled or direct computation.
     """
 
     nonneg: bool = False  # every entry is structurally >= 0
@@ -381,17 +395,16 @@ class SummabilityMatrix:
             raise DomainRiskError("row sum needs a row-finite matrix")
         return Fraction(*_dot_pair(self._row(n, support), repeat((1, 1))))
 
-    def l1_tail(self, n: int, after: int) -> Fraction | None:
-        """Certified bound on sum_{k>after} |a_{n,k}|, when available; the
-        row's l1 norm at after = 0."""
-        support = self.row_support(n)
-        if support is None:
-            return None
-        row = self._row(n, support)[after:]
+    def l1_tail(self, n: int, after: int) -> Fraction:
+        """Certified bound on sum_{k>after} |a_{n,k}|, exact for a row-finite
+        row; the row's l1 norm at after = 0."""
+        row = self._row(n, self.row_support(n))[after:]
         # |a| is a times the sign of its numerator: no Fraction per entry.
         return Fraction(*_dot_pair(row, [(-1, 1) if a.numerator < 0 else (1, 1) for a in row]))
 
-    def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
+    def _tail(self, n: int, x: SequenceSpec, after: int) -> Fraction | None:
+        """Certified bound on |sum_{k>after} a_{n,k} x_k| for a row that is
+        not finitely supported, or None: a default kind states none."""
         return None
 
     def spec_string(self) -> str:
@@ -418,7 +431,7 @@ class SummabilityMatrix:
         entries = 0
         for n in rows:
             width, tail = _summed_width(
-                self.row_support(n), lambda w: _certified_tail(self, x, n, w), tail_tol, 32
+                self.row_support(n), lambda w: self._tail(n, x, w), tail_tol, 32
             )
             entries += width
             _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
@@ -452,9 +465,9 @@ class SummabilityMatrix:
 
     # -- structural facts
 
-    def vanish_rows(self, w: int) -> SetDescription | None:
-        """Rows whose support lies below column w, when the kind says so."""
-        return None
+    def vanish_rows(self, w: int) -> SetDescription:
+        """Rows whose support lies below column w; every row-finite kind states them."""
+        raise NotImplementedError
 
     def row_sum_exception(self) -> SetDescription | None:
         """Rows whose sum is not 1, when the kind says so."""
@@ -474,12 +487,7 @@ class SummabilityMatrix:
         )
         entries = sum(self.row_support(n) or 0 for n in samples)
         _row_budget(entries, f"r1 sample rows up to {samples[-1]} entry count", "entries")
-        best = ZERO
-        for n in samples:
-            tail = self.l1_tail(n, 0)
-            if tail is None:
-                return ConditionReport("undecided", "no l1 information", {})
-            best = max(best, tail)
+        best = max(self.l1_tail(n, 0) for n in samples)
         return ConditionReport(
             "at_scale", f"sampled rows up to {samples[-1]}", {"bound": str(best)}
         )
@@ -502,16 +510,22 @@ class SummabilityMatrix:
         return ConditionReport("at_scale", f"columns vanish at scale {scale}", details)
 
 
-class _StochasticTriangle(SummabilityMatrix):
-    """Nonnegative lower-triangular rows that sum to 1 and end on the diagonal."""
+class _LowerTriangle(SummabilityMatrix):
+    """Lower-triangular rows that end on a nonzero diagonal entry."""
 
-    nonneg = row_finite = True
+    row_finite = True
 
     def row_support(self, n: int) -> int:
         return n
 
     def vanish_rows(self, w: int) -> SetDescription:
         return Finite(tuple(range(1, w)))
+
+
+class _StochasticTriangle(_LowerTriangle):
+    """Nonnegative lower-triangular rows that sum to 1 and end on the diagonal."""
+
+    nonneg = True
 
     def row_sum_exception(self) -> SetDescription:
         return Finite(())
@@ -626,8 +640,8 @@ class RowDropMatrix(SummabilityMatrix):
         self.nonneg, self.row_finite = base.nonneg, base.row_finite
 
     def entry(self, n: int, k: int) -> Fraction:
-        # Not read off a row prefix, for the geometric kind's reason: tail
-        # bounds probe single far columns.
+        # Not read off a row prefix, for the geometric kind's reason: a
+        # public read of a far column stays O(1).
         return ZERO if k >= 1 and member(self.drop, n) else self.base.entry(n, k)
 
     def _row(self, n: int, width: int) -> tuple:
@@ -638,11 +652,11 @@ class RowDropMatrix(SummabilityMatrix):
     def row_support(self, n: int) -> int | None:
         return 0 if member(self.drop, n) else self.base.row_support(n)
 
-    def l1_tail(self, n: int, after: int) -> Fraction | None:
+    def l1_tail(self, n: int, after: int) -> Fraction:
         return ZERO if member(self.drop, n) else self.base.l1_tail(n, after)
 
-    def term_ratio(self, n: int) -> tuple[Fraction, int] | None:
-        return None if member(self.drop, n) else self.base.term_ratio(n)
+    def _tail(self, n: int, x: SequenceSpec, after: int) -> Fraction | None:
+        return self.base._tail(n, x, after)
 
     def _innermost(self) -> tuple[SummabilityMatrix, SetDescription]:
         """Nested drops are one drop of their union from the innermost base."""
@@ -661,9 +675,8 @@ class RowDropMatrix(SummabilityMatrix):
         for n in rows:
             yield ((0, 1), ZERO) if dropped[n - lo] else next(points)
 
-    def vanish_rows(self, w: int) -> SetDescription | None:
-        base = self.base.vanish_rows(w)
-        return None if base is None else Union(base, self.drop)
+    def vanish_rows(self, w: int) -> SetDescription:
+        return Union(self.base.vanish_rows(w), self.drop)
 
     def row_sum_exception(self) -> SetDescription | None:
         base = self.base.row_sum_exception()
@@ -758,8 +771,9 @@ class GeometricMatrix(SummabilityMatrix):
         self._prefix: tuple = ()
 
     def entry(self, n: int, k: int) -> Fraction:
-        # Not read off a row prefix: ``_certified_tail`` probes single
-        # columns up to 2^20, and a prefix that wide would hold gigabytes.
+        # Not read off a row prefix, so that a public read of a far column
+        # stays O(1); no package path reads single columns, and a prefix
+        # 2^20 columns wide would hold gigabytes.
         if n < 1 or k < 1:
             raise ValueError("indices start at 1")
         return Fraction(1, 1 << k)
@@ -782,14 +796,25 @@ class GeometricMatrix(SummabilityMatrix):
     def l1_tail(self, n: int, after: int) -> Fraction:
         return Fraction(1, 1 << after)
 
+    def _tail(self, n: int, x: SequenceSpec, after: int) -> Fraction | None:
+        # The smaller of sup|x| / 2^after and, past column 0 when x bounds
+        # its ratio by r = ratio_bound(after) / 2 < 1 per term, the geometric
+        # series |x_after| / 2^after * r / (1 - r).
+        bounds = [] if x.sup_bound is None else [x.sup_bound / (1 << after)]
+        if after >= 1 and x.ratio_bound is not None:
+            r = x.ratio_bound(after) / 2
+            if r < 1:
+                p, q = x.pair(after)
+                bounds.append(Fraction(abs(p), q << after) * r / (1 - r))
+        return min(bounds, default=None)
+
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         # Every row is one row with tails and ratio free of n: one width and
         # one sum serve every row.  The budget counts width entries per row,
         # as the default kernel does, and names the row that first passes it.
         if not rows:
             return
-        width, tail = _summed_width(None, lambda w: _certified_tail(self, x, rows[0], w),
-                                    tail_tol, 32)
+        width, tail = _summed_width(None, lambda w: self._tail(rows[0], x, w), tail_tol, 32)
         over = DEFAULT_COLUMN_CAP // width + 1  # the row count whose entries pass the budget
         if len(rows) >= over:
             _row_budget(width * over, f"transform rows 1..{rows[over - 1]} entry count", "entries")
@@ -797,39 +822,22 @@ class GeometricMatrix(SummabilityMatrix):
         for _ in rows:
             yield point
 
-    def term_ratio(self, n: int) -> tuple[Fraction, int]:
-        return Fraction(1, 2), 1
-
     def spec_string(self) -> str:
         return "gen:geometric"
 
 
 
-class GeneratorMatrix(SummabilityMatrix):
-    """Row-finite entries from a function: row n is ``entry_fn(n, k)`` up to
-    column ``support_bound(n)`` and zero past it.  ``support_exact`` asserts
-    the support bound is attained (the last column is nonzero).  Rows read
-    are kept up to ``DEFAULT_COLUMN_CAP`` entries in all; later rows are
-    computed afresh.
+class GeneratorMatrix(_LowerTriangle):
+    """Lower-triangular entries from a function: row n is ``entry_fn(n, k)``
+    for k <= n, zero past the diagonal, and ``entry_fn(n, n)`` is declared
+    nonzero, so row n ends on column n; ``entry_fn`` is never asked past the
+    diagonal.  Rows read are kept up to ``DEFAULT_COLUMN_CAP`` entries in
+    all; later rows are computed afresh.
     """
 
-    row_finite = True
-
-    def __init__(
-        self,
-        name: str,
-        entry_fn: Callable[[int, int], Fraction],
-        support_bound: Callable[[int], int],
-        support_exact: bool = False,
-        nonneg: bool = False,
-        vanish_fn: Callable[[int], SetDescription] | None = None,
-    ):
+    def __init__(self, name: str, entry_fn: Callable[[int, int], Fraction]):
         self.name = name
         self.entry_fn = entry_fn
-        self.support_bound = support_bound
-        self.support_exact = support_exact
-        self.nonneg = nonneg
-        self.vanish_fn = vanish_fn
         self._rows, self._stored = {}, 0  # row prefixes read, and their entry count
 
     def _row(self, n: int, width: int) -> tuple:
@@ -840,7 +848,7 @@ class GeneratorMatrix(SummabilityMatrix):
         row = self._rows.get(n, ())
         have = len(row)
         if have < width:
-            top = max(have, min(width, self.support_bound(n)))
+            top = max(have, min(width, n))
             new = map(self.entry_fn, repeat(n), range(have + 1, top + 1))
             row += tuple(v if isinstance(v, Fraction) else Fraction(v) for v in new)
             row += (ZERO,) * (width - top)
@@ -848,16 +856,6 @@ class GeneratorMatrix(SummabilityMatrix):
             if size <= DEFAULT_COLUMN_CAP:
                 self._rows[n], self._stored = row, size
         return row[:width]
-
-    def row_support(self, n: int) -> int:
-        bound = self.support_bound(n)
-        if self.support_exact:
-            return bound
-        row = self._row(n, bound)
-        return next((k for k in range(bound, 0, -1) if row[k - 1] != 0), 0)
-
-    def vanish_rows(self, w: int) -> SetDescription | None:
-        return None if self.vanish_fn is None else self.vanish_fn(w)
 
     def spec_string(self) -> str:
         return f"gen:{self.name}"
@@ -875,7 +873,7 @@ _SMALL_RATIONALS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range
 
 
 def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
-    """Deterministic row-finite matrix with support exactly n per row.
+    """Deterministic lower-triangular matrix whose diagonal is nonzero.
 
     Entry (n, k) is read from ``random.Random(f"rowfinite:{seed}:{n}:{k}")``:
     the numerator ``randrange(-9, 10)``, redrawn on the diagonal while zero
@@ -892,8 +890,6 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     below = rng._randbelow  # what randrange and choice draw with
 
     def entry_fn(n: int, k: int) -> Fraction:
-        if k > n:
-            return ZERO
         key = f"rowfinite:{seed}:{n}:{k}".encode()
         seed_int(rng, int.from_bytes(key + _sha512(key).digest(), "big"))
         num = below(19) - 9
@@ -901,13 +897,7 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
             num = (-3, -2, -1, 1, 2, 3)[below(6)]
         return _SMALL_RATIONALS[num, below(9) + 1]
 
-    return GeneratorMatrix(
-        name=f"rand_rowfinite_{seed}",
-        entry_fn=entry_fn,
-        support_bound=lambda n: n,
-        support_exact=True,
-        vanish_fn=lambda w: Finite(tuple(range(1, w))),
-    )
+    return GeneratorMatrix(f"rand_rowfinite_{seed}", entry_fn)
 
 
 def parse_matrix(spec: str) -> SummabilityMatrix:
@@ -936,7 +926,7 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
         with open(path, "r", encoding="ascii") as handle:
             text = handle.read()
         rows = [
-            [Fraction(cell) for cell in line.split(",") if cell.strip()]
+            [parse_rational(cell) for cell in line.split(",") if cell.strip()]
             for line in text.splitlines()
             if line.strip()
         ]
@@ -945,7 +935,7 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
         body = spec[len("explicit:"):]
         # An empty row text is a zero row.
         rows = [
-            [Fraction(cell) for cell in row_text.split(",")] if row_text else []
+            list(map(parse_rational, row_text.split(","))) if row_text else []
             for row_text in body.split(";")
         ]
         return ExplicitMatrix(rows)
@@ -971,24 +961,6 @@ class TransformPoint:
     @property
     def exact(self) -> bool:
         return self.tail_bound == 0
-
-
-def _certified_tail(
-    matrix: SummabilityMatrix, x: SequenceSpec, n: int, after: int
-) -> Fraction | None:
-    """Certified bound on |sum_{k>after} a_{n,k} x_k|, or None."""
-    bounds = []
-    tail = matrix.l1_tail(n, after)
-    if tail is not None and x.sup_bound is not None:
-        bounds.append(tail * x.sup_bound)
-    ratio = matrix.term_ratio(n)
-    if ratio is not None and x.ratio_bound is not None and after >= max(ratio[1], 1):
-        r = ratio[0] * x.ratio_bound(after)
-        if r < 1:
-            a, (p, q) = matrix.entry(n, after), x.pair(after)
-            lead = Fraction(abs(a.numerator * p), a.denominator * q)
-            bounds.append(lead * r / (1 - r))
-    return min(bounds, default=None)
 
 
 def _summed_width(
@@ -1068,7 +1040,7 @@ def domain_check(
         raise ValueError("transform rows start at 1")
     support = matrix.row_support(n)
     try:
-        width, _ = _summed_width(support, lambda w: _certified_tail(matrix, x, n, w), tol, 32)
+        width, _ = _summed_width(support, lambda w: matrix._tail(n, x, w), tol, 32)
     except (TailToleranceError, DomainRiskError):
         pass
     else:

@@ -705,6 +705,7 @@ class TestLazyLayers:
 # the exit codes became one table keyed by class name.
 PACKAGE_EXIT_CODES = {
     "SetSyntaxError": 2, "MatrixSpecError": 2, "SequenceSpecError": 2, "SelectorSpecError": 2,
+    "RationalSyntaxError": 2,
     "EnumerationCapError": 3, "TailToleranceError": 3, "StrategySearchError": 3,
     "AuditBudgetError": 3,
     "ConstructionError": 5,
@@ -770,6 +771,42 @@ class TestErrorContract:
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(data))
         return str(path)
+
+    # One run per place where an input writes a rational.
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--matrix", "cesaro", "--x", "const:1/0"],
+        ["transform", "--matrix", "cesaro", "--x", "list:1,2/0"],
+        ["transform", "--matrix", "explicit:1/0", "--x", "n"],
+        ["transform", "--matrix", "explicit:@rows.csv", "--x", "n"],
+        ["escape", "--mode", "unbounded", "--row", "list:1/0", "--x", "n"],
+        ["domain", "--matrix", "cesaro", "--x", "n", "--tol", "1/0"],
+        ["transform", "--matrix", "cesaro", "--x", "n", "--tail-tol", "3/0"],
+        ["escape", "--mode", "rowfinite", "--matrix", "cesaro", "--x", "n", "--m0", "1/0"],
+    ], ids=lambda argv: " ".join(argv[1:]))
+    def test_a_zero_denominator_exits_with_code_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rows.csv").write_text("1\n1/2,1/0\n")
+        code, err, record = self.run_logged(capsys, tmp_path, argv)
+        assert code == 2
+        assert record["error"] == err.strip()
+        assert err.startswith("RationalSyntaxError: not a finite rational: '") and "/0'" in err
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("lower", "1/0", "not a finite rational: '1/0'"),
+        ("upper", float("inf"), "not a finite rational: inf"),
+        ("matrix", "explicit:1/0", "not a finite rational: '1/0'"),
+        ("x", "const:1/0", "not a finite rational: '1/0'"),
+        ("matrix", 5, "'int' object has no attribute 'strip'"),
+    ])
+    def test_a_certificate_with_an_unreadable_field_is_malformed(self, capsys, tmp_path,
+                                                                 key, value, reason):
+        path = self.write_cert(tmp_path, {
+            "kind": "oscillation", "x": "alt", "matrix": "cesaro", "lower": "1/4",
+            "upper": "3/4", "scales": [8], "lower_counts": [4], "upper_counts": [4], key: value,
+        })
+        code, err, _ = self.run_logged(capsys, tmp_path, ["verify", path])
+        assert code == 2
+        assert err.strip() == f"ValueError: malformed certificate: {reason}"
 
     def test_a_certificate_that_is_a_list_exits_with_code_2(self, capsys, tmp_path):
         path = self.write_cert(tmp_path, [1, 2, 3])
@@ -1029,14 +1066,15 @@ _FUZZ_DROPS = {
     "gen:rand_rowfinite_3": "ap:2,3",
 }
 _FUZZ_MATRICES = [*_FUZZ_DROPS, *(f"rowdrop:{m}:{drop}" for m, drop in _FUZZ_DROPS.items())]
-_FUZZ_SEQUENCES = ["n", "nalt", "alt", "sqperturb", "const:-5/3", "list:1,-2,3/4", "rle:1x3,0x2"]
-_FUZZ_ROWS = ["geometric", "harmonic", "ones", "list:0,0,1", "list:0"]
+_FUZZ_SEQUENCES = ["n", "nalt", "alt", "sqperturb", "const:-5/3", "list:1,-2,3/4", "rle:1x3,0x2",
+                   "const:1/0"]
+_FUZZ_ROWS = ["geometric", "harmonic", "ones", "list:0,0,1", "list:0", "list:1/0"]
 _FUZZ_HOSTILE = {
     "--rows": ["0", "-1", str(10**20)],
     "--row": ["0", str(10**20)],
-    "tolerance": ["0", "1e-100000", "1/1" + "0" * 5000],
+    "tolerance": ["0", "1e-100000", "1/1" + "0" * 5000, "1/0"],
     "--stem": ["3,1", "2,2", "0", "-4", "1,x", str(10**20)],
-    "--m0": ["0", "-1", "abc", "1e-100000", "1/1" + "0" * 5000, "1" + "0" * 30],
+    "--m0": ["0", "-1", "abc", "1e-100000", "1/1" + "0" * 5000, "1" + "0" * 30, "1/0"],
     "--block-floor": ["0", "-1", "20", str(10**20)],
     "--scale": ["0", "-1", str(2**32), str(10**20)],
     "--window": ["0", "-1", "4097", str(10**20)],
@@ -1052,7 +1090,9 @@ _FUZZ_SETS = [
 ]
 _FUZZ_IDEALS = ["fin", "z", "bd", "finxfin", "matrix:cesaro"]
 _FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
-                      '{"kind": "oscillation", "matrix": "wat", "x": "n"}']
+                      '{"kind": "oscillation", "matrix": "wat", "x": "n"}',
+                      '{"kind": "oscillation", "matrix": "cesaro", "x": "n", "lower": "1/0", '
+                      '"upper": "3/4", "scales": [8], "lower_counts": [4], "upper_counts": [4]}']
 
 
 def _fuzz_argv(rng, path):

@@ -19,7 +19,6 @@ from subsum import (
     CesaroMatrix,
     Consecutive,
     ConstructionError,
-    Finite,
     GeneratorMatrix,
     OscillationCertificate,
     PreconditionError,
@@ -419,17 +418,6 @@ class TestRowFiniteEscape:
         with pytest.raises(PreconditionError):
             escape_rowfinite((), parse_matrix("gen:geometric"), parse_sequence("n"), Z, 1)
 
-    def test_unstructured_vanishing_is_refused(self):
-        from subsum import GeneratorMatrix
-
-        bare = GeneratorMatrix(
-            name="bare_support",
-            entry_fn=lambda n, k: F(1) if k <= n else F(0),
-            support_bound=lambda n: n,
-        )
-        with pytest.raises(PreconditionError):
-            escape_rowfinite((), bare, parse_sequence("n"), Z, 1)
-
     def test_uncertified_vanishing_set_is_refused(self):
         matrix = parse_matrix("rowdrop:cesaro:ap:2,2")
         with pytest.raises(PreconditionError):
@@ -664,13 +652,7 @@ def test_a_cesaro_escape_reads_no_entry_one_at_a_time(monkeypatch):
 
 def test_only_rows_that_are_not_constant_are_summed_term_by_term(dot_rows):
     # Odd rows average, even rows weigh column k by k / n^2.
-    matrix = GeneratorMatrix(
-        "mixed",
-        entry_fn=lambda n, k: F(1, n) if n % 2 else F(k, n * n),
-        support_bound=lambda n: n,
-        support_exact=True,
-        vanish_fn=lambda w: Finite(tuple(range(1, w))),
-    )
+    matrix = GeneratorMatrix("mixed", lambda n, k: F(1, n) if n % 2 else F(k, n * n))
     result = escape_rowfinite((), matrix, parse_sequence("nalt"), Z, 3)
     assert result.block == (4, 5, 6, 7) and result.holds
     assert [len(row) for row in dot_rows] == [4, 6]

@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in its module, and every name the
-package defines is read by the package or the benchmark.
+"""Every imported name is read somewhere in its module, every name the
+package defines is read by the package or the benchmark, and every
+parameter default the package defines is passed by one of their calls.
 
 AST scans of each module in the package and the test suite; package
 ``__init__.py`` files are exempt, since their imports are re-exports.
@@ -24,6 +25,16 @@ UNREAD_KEPT = {
     "audit_values": "traced by name in bench/tracing.py",
     "restrict": "traced by name in bench/tracing.py",
     "from_jsonl": "reads back the transcript that `subsum game --transcript` writes",
+}
+
+# Parameters with a default that no package or benchmark call passes, and why they stay.
+UNPASSED_KEPT = {
+    "_sqperturb_search(floor=)": "called as SequenceSpec.abs_search(p, q, floor), whose "
+                                 "other searches are lambdas with the same default",
+    "first_member(cap=)": "public setlang function re-exported by subsum; callers outside "
+                          "the package pass the cap, as tests/test_setlang.py does",
+    "next_member(cap=)": "public setlang function re-exported by subsum; callers outside "
+                         "the package pass the cap, as tests/test_setlang.py does",
 }
 
 
@@ -72,6 +83,57 @@ def unread_definitions(defining: dict[str, str], reading: list[str]) -> list[str
             if not (defined.startswith("__") and defined.endswith("__")) and defined not in read:
                 unread.append(f"{defined} ({name} line {line})")
     return unread
+
+
+def _passed(sources: list[str]) -> dict[str, tuple[float, set[str]]]:
+    """Per callee name (a method or function name, a class for its
+    ``__init__``), the most positional arguments and every keyword that a
+    call in ``sources`` passes; a starred argument passes every position, a
+    ``**`` argument every keyword (read as the keyword "**")."""
+    passed: dict[str, tuple[float, set[str]]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                most, keywords = passed.get(name, (0, set()))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                most = max(most, float("inf") if starred else len(node.args))
+                passed[name] = most, keywords | {k.arg or "**" for k in node.keywords}
+    return passed
+
+
+def unpassed_defaults(defining: dict[str, str], calling: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods defined in the
+    ``defining`` sources, by file name, that no call in the ``calling``
+    sources passes, by keyword or by position.  A class's ``__init__`` goes
+    by the class name, and a method's positions start after ``self``."""
+    passed = _passed(calling)
+    unpassed = []
+    for file, source in defining.items():
+        tree = ast.parse(source)
+        methods = {}  # method node -> (its class name, leading parameters a call never passes)
+        for cls in ast.walk(tree):
+            for stmt in cls.body if isinstance(cls, ast.ClassDef) else ():
+                if isinstance(stmt, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in stmt.decorator_list)
+                    methods[stmt] = cls.name, 0 if static else 1
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls, bound = methods.get(node, (None, 0))
+            name = cls if node.name == "__init__" else node.name
+            most, keywords = passed.get(name, (0, set()))
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][bound:]
+            first = len(positional) - len(args.defaults)  # the first position with a default
+            defaulted = [(arg, i) for i, arg in enumerate(positional) if i >= first]
+            defaulted += [(arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for arg, i in defaulted:
+                if not ({arg.arg, "**"} & keywords or (i is not None and most > i)):
+                    unpassed.append(f"{name}({arg.arg}=) ({file} line {node.lineno})")
+    return unpassed
 
 
 def test_the_scan_sees_every_module():
@@ -125,4 +187,29 @@ def test_the_scan_flags_a_field_that_is_never_read():
     reading = ["from m import Report\nprint(Report(1).kept, Report.rate)\n"]
     assert unread_definitions(defining, reading) == [
         "passed_only (m.py line 4)", "flag (m.py line 5)"
+    ]
+
+
+def test_every_default_is_passed_by_the_package_or_the_benchmark():
+    defining = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    calling = [path.read_text(encoding="utf-8") for path in READERS]
+    unpassed = unpassed_defaults(defining, calling)
+    assert sorted(entry.partition(" ")[0] for entry in unpassed) == sorted(UNPASSED_KEPT), unpassed
+
+
+def test_the_scan_flags_a_default_that_is_never_passed():
+    defining = {"m.py": (
+        "def f(a, b=1, c=2, *, d=3, e=None): pass\n"
+        "def g(a=1, b=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0): pass\n"
+        "    def m(self, z=0, w=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(v=0): pass\n"
+        "def h(u=0): pass\n"
+    )}
+    calling = ["f(1, 2, e=5)\ng(*args)\nK(y=1)\nK().m(1)\nK.s(0)\nh(**options)\n"]
+    assert unpassed_defaults(defining, calling) == [
+        "f(c=) (m.py line 1)", "f(d=) (m.py line 1)", "K(x=) (m.py line 4)",
+        "m(w=) (m.py line 5)",
     ]

@@ -275,7 +275,7 @@ class TestMatrixEntries:
                 read.add(n)
                 return F(k, n)
 
-            return read, GeneratorMatrix(name="counted", entry_fn=entry, support_bound=lambda n: n)
+            return read, GeneratorMatrix("counted", entry)
 
         x = parse_sequence("n")
         plain = [p.value for p in transform_prefix(counted()[1], x, 40)]
@@ -298,15 +298,18 @@ class TestMatrixEntries:
         assert m.row_support(2) == 2
         assert m.row_support(3) == 0
 
-    def test_generator_requires_a_declaration(self):
-        # Generators are row-finite, so the support bound is a required argument.
-        with pytest.raises(TypeError):
-            GeneratorMatrix(name="bare", entry_fn=lambda n, k: F(1))
+    def test_generator_rows_end_on_the_diagonal(self):
+        # Row n ends on its declared nonzero diagonal entry, and entry_fn is
+        # never asked past it.
+        asked = []
+        m = GeneratorMatrix("tri", lambda n, k: asked.append((n, k)) or F(1))
+        assert m._row(3, 5) == (1, 1, 1, 0, 0)
+        assert (m.row_support(3), m.vanish_rows(3), m.row_finite) == (3, Finite((1, 2)), True)
+        assert m.entry(4, 6) == 0
+        assert asked == [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
 
     def test_generator_zeroes_past_declared_support(self):
-        m = GeneratorMatrix(
-            name="tri", entry_fn=lambda n, k: F(1), support_bound=lambda n: n
-        )
+        m = GeneratorMatrix("tri", lambda n, k: F(1))
         assert m.entry(3, 3) == 1
         assert m.entry(3, 4) == 0
 
@@ -385,11 +388,33 @@ class TestGeometricMatrix:
         assert [m.entry(n, k) for k in range(1, width + 1)] == list(want)
 
     def test_tails_and_ratio_are_closed_forms(self):
-        m = GeometricMatrix()
+        m, const, nat = GeometricMatrix(), parse_sequence("const:3"), parse_sequence("n")
         for n, after in product((1, 7, 10**20), (0, 1, 5, 64)):
             assert m.l1_tail(n, after) == F(1, 1 << after)
-            assert m.term_ratio(n) == (F(1, 2), 1)
+            assert m._tail(n, const, after) == F(3, 1 << after)
+            want = None
+            if after >= 2:  # n bounds its ratio by (after + 1) / after: r < 1 from here on
+                r = F(after + 1, 2 * after)
+                want = F(after, 1 << after) * r / (1 - r)
+            assert m._tail(n, nat, after) == want
         assert (m.nonneg, m.row_finite, m.row_support(3)) == (True, False, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.sampled_from(["n", "nalt", "alt", "alt10", "blocks01"]),
+            st.builds("const:{}/{}".format, st.integers(-50, 50), st.integers(1, 50)),
+        ),
+        after=st.integers(1, 80),
+    )
+    def test_the_tail_rule_bounds_the_summed_tail(self, spec, after):
+        x = parse_sequence(spec)
+        bound = GeometricMatrix()._tail(1, x, after)
+        pairs = ((k, *x.pair(k)) for k in range(after + 1, after + 257))
+        summed = sum((F(abs(p), q << k) for k, p, q in pairs), F(0))
+        assert bound is None or bound >= summed
+        # A ratio bound certifies every tail of an unbounded x past column 1.
+        assert bound is not None or x.ratio_bound is None or after == 1
 
     def test_rows_share_one_prefix_of_at_most_the_scan_width(self):
         m = parse_matrix("gen:geometric")
@@ -585,12 +610,10 @@ def counted(m):
 
 
 def sparse_generator():
-    """A cheap row-finite generator with zero entries, so its support bound
-    is loose for some rows."""
+    """A cheap generator with zero entries below its nonzero diagonal."""
     return GeneratorMatrix(
-        name="sparse",
-        entry_fn=lambda n, k: F((3 * n + 5 * k) % 7 - 3, 1 + (n + k) % 4),
-        support_bound=lambda n: n + 1,
+        "sparse",
+        lambda n, k: F((3 * n + 5 * k) % 7 - 3 if k < n else n % 5 + 1, 1 + (n + k) % 4),
     )
 
 
@@ -765,8 +788,8 @@ class TestTransforms:
 class SpikedTailMatrix(GeometricMatrix):
     """Row entries 2**-k with a single unit spike at column 40.
 
-    The declared l1 tail bound is honest: for K < 40 the tail really does
-    contain the spike, so the bound includes it.
+    The declared tail bound is honest: for K < 40 the tail really does
+    contain the spike, so the bound includes it; it needs a bounded x.
     """
 
     def entry(self, n, k):
@@ -775,15 +798,14 @@ class SpikedTailMatrix(GeometricMatrix):
     def _row(self, n, width):
         return tuple(self.entry(n, k) for k in range(1, width + 1))
 
-    def l1_tail(self, n, after):
-        return F(1, 1 << after) + (1 if after < 40 else 0)
-
-    def term_ratio(self, n):
+    def _tail(self, n, x, after):
+        if x.sup_bound is not None:
+            return (F(1, 1 << after) + (1 if after < 40 else 0)) * x.sup_bound
         return None
 
 
 class AllOnesMatrix(GeometricMatrix):
-    """Every entry is 1; honest ratio declaration: successive entries never grow."""
+    """Every entry is 1, and no tail bound is stated."""
 
     def entry(self, n, k):
         return F(1)
@@ -791,11 +813,8 @@ class AllOnesMatrix(GeometricMatrix):
     def _row(self, n, width):
         return (F(1),) * width
 
-    def l1_tail(self, n, after):
+    def _tail(self, n, x, after):
         return None
-
-    def term_ratio(self, n):
-        return F(1), 1
 
 
 class TestDomainCheck:
@@ -933,25 +952,6 @@ class TestRowProfiles:
         assert m.row_support(2) == 2
         assert m.row_support(3) == 0
         assert m.vanish_rows(2) == Union(Finite((1,)), AP(3, 1))
-
-    def test_loose_support_bounds_are_tightened(self):
-        m = GeneratorMatrix(
-            name="loose",
-            entry_fn=lambda n, k: F(1) if k <= n else F(0),
-            support_bound=lambda n: n + 2,
-        )
-        calls = counted(m)
-        assert m.row_support(5) == m.row_support(5) == 5
-        # one row read, kept: each column up to the bound is computed once
-        assert sorted(calls) == [(5, k) for k in range(1, 8)] and set(calls.values()) == {1}
-
-    def test_enumerated_vanish_sets_are_flagged_non_structural(self):
-        m = GeneratorMatrix(
-            name="nodesc",
-            entry_fn=lambda n, k: F(1) if k <= n else F(0),
-            support_bound=lambda n: n,
-        )
-        assert m.vanish_rows(4) is None
 
     def test_vanish_sets_grow_with_the_threshold(self):
         m = RowDropMatrix(CesaroMatrix(), Squares())
