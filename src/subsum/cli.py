@@ -47,13 +47,9 @@ def _frac(value: Fraction | None) -> str | None:
 def _bounded_rational(text: str, what: str) -> Fraction:
     """A tolerance or bound with numerator and denominator of at most
     RENDER_BITS bits: exact tail sums to finer tolerances run for minutes,
-    and escapes past larger bounds pick indices that no spec string prints.
-    A far exponent is refused before its power of 10 is built."""
-    _, _, exponent = text.lower().partition("e")
-    bits = setlang.RENDER_BITS
-    far = exponent and abs(int(exponent)) > 2 * bits
-    value = None if far else summability.parse_rational(text)
-    if value is None or max(abs(value.numerator), value.denominator).bit_length() > bits:
+    and escapes past larger bounds pick indices that no spec string prints."""
+    value, bits = summability.parse_rational(text), setlang.RENDER_BITS
+    if max(abs(value.numerator), value.denominator).bit_length() > bits:
         raise ValueError(f"{what} are limited to {bits}-bit numerators and denominators")
     return value
 

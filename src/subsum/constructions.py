@@ -12,6 +12,7 @@ guessing.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -140,7 +141,7 @@ class OscillationCertificate:
     def from_json_dict(cls, data: dict) -> "OscillationCertificate":
         if not isinstance(data, dict) or data.get("kind") != "oscillation":
             raise ConstructionError("not an oscillation certificate")
-        return cls(
+        cert = cls(
             x_spec=data["x"],
             matrix_spec=data["matrix"],
             lower=parse_rational(data["lower"]),
@@ -149,6 +150,10 @@ class OscillationCertificate:
             lower_counts=tuple(int(v) for v in data["lower_counts"]),
             upper_counts=tuple(int(v) for v in data["upper_counts"]),
         )
+        # Audit only the document the certificate writes back, type for type.
+        if json.dumps(cert.to_json_dict(), sort_keys=True) != json.dumps(data, sort_keys=True):
+            raise ConstructionError("the document is not the certificate it reads as")
+        return cert
 
     def audit_values(self, values: list[Fraction]) -> bool:
         """Recount the hits against a value stream; True iff all match."""

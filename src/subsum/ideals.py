@@ -375,7 +375,7 @@ def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
     rules, shifts for shift-invariant ideals, the dyadic-block test of the
     ideal's Talagrand partition, and complements and other shifts pushed
     one level toward the atoms, each applied to the parts by the same
-    ladder.  The facts it reads are kept on each node."""
+    ladder.  The facts it reads were built with each node."""
     if isinstance(s, Complement) and isinstance(s.inner, Complement):
         return _decide(ideal, s.inner.inner)
     verdict = ideal.closed_form(s)
@@ -389,7 +389,7 @@ def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
         if left == right == IN:
             return _in(ideal.reasons[0])
     elif isinstance(s, Intersection):
-        if any(_decide(ideal, side).status == IN for side in (s.left, s.right)):
+        if _decide(ideal, s.left).status == IN or _decide(ideal, s.right).status == IN:
             return _in(ideal.reasons[2])
     elif isinstance(s, Shift) and ideal.shift_reason is not None:
         inner = _decide(ideal, s.inner)

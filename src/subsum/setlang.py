@@ -25,8 +25,11 @@ ENUMERATION_CAP = 10**7
 # Rationals larger than this many bits print in a bounded form.
 RENDER_BITS = 4096
 
-# Deepest DSL nesting the parser accepts.  The structural analyses recurse
-# once per level, so this stays well under Python's recursion limit.
+# Deepest DSL nesting the parser accepts.  Nodes build their facts when they
+# are built, so no fact query walks the tree.  The walks that remain take one
+# frame a level (parse, member, count, scan, render), two for a shift's count
+# or scan: at this depth a chain of shifts needs a recursion limit of about
+# 525 and every other chain about 270, of Python's default 1000.
 MAX_NESTING = 256
 
 ZERO = Fraction(0)
@@ -81,12 +84,14 @@ class SetDescription:
 
     Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
     flags of ``_scan`` for 1 <= lo <= hi), ``form()`` (its eventually
-    periodic form, see ``_form``) and ``render()``.  Kinds that can lack a
-    form also define ``finiteness()`` (is S finite, is its complement
-    finite), and the defaults below mean "no structural shortcut": no
-    closed-form count, no certified density, and member searches scan.  The
-    module helpers ``_form``, ``_finiteness``, ``_density`` and ``_banach``
-    ask each rule once per node (see ``_facts``).
+    periodic form, see below) and ``render()``.  Kinds that can lack a form
+    also define ``finiteness()`` (is S finite, is its complement finite),
+    and the defaults below mean "no structural shortcut": no closed-form
+    count, no certified density, and member searches scan.  A node runs
+    these rules once, in ``__post_init__``, on its children's facts and
+    keeps its own: ``_form``, ``_finiteness``, ``_density``, ``_banach``,
+    ``_nodes`` (the most nodes one ``member`` call visits), ``jumps`` and
+    ``_scans`` (a walk of S scans a range), so no fact query walks the tree.
 
     ``next_member(after, cap)`` is the one member search a node states: an
     answer is always the least member past ``after``, and None means there
@@ -96,11 +101,31 @@ class SetDescription:
     a node that scans never does.
     """
 
-    jumps = False
+    jumps = False  # None on unions and shifts, see __post_init__
     listed = None  # finite sets, squares, powers of 2: ``listed(limit)``, the members up to it
-    # Nodes in the tree: the most that one ``member`` call visits.
-    _nodes = cached_property(lambda self: 1 + sum(
-        v._nodes for v in vars(self).values() if isinstance(v, SetDescription)))
+
+    def __post_init__(self):
+        children = [v for v in vars(self).values() if isinstance(v, SetDescription)]
+        form = self.form()
+        if form is None:
+            fin, d, b = self.finiteness(), self.density(), self.banach()
+            if d is None or b is None:
+                # A finite or cofinite set needs no density rule of its own.
+                known = ZERO if fin[0] is Tri.YES else ONE if fin[1] is Tri.YES else None
+                d, b = known if d is None else d, known if b is None else b
+        elif form[0] > 1:
+            fin, d = _NEITHER, Fraction(form[1].bit_count(), form[0])
+            b = d
+        else:
+            known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
+            fin = (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
+            d = b = ONE if form[1] else ZERO
+        jumps, scans = self.jumps, not self.jumps
+        if jumps is None:  # a union or a shift jumps, and scans, when a child does
+            jumps, scans = any(c.jumps for c in children), any(c._scans for c in children)
+        # Nodes are frozen: each fact is written once, past __setattr__.
+        vars(self).update(_form=form, _finiteness=fin, _density=d, _banach=b, jumps=jumps,
+                          _scans=scans, _nodes=1 + sum(c._nodes for c in children))
 
     def count(self, limit: int) -> int | None:
         """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
@@ -141,6 +166,7 @@ class Finite(SetDescription):
         if normalized and normalized[0] < 1:
             raise ValueError("finite set members must be >= 1")
         object.__setattr__(self, "members", normalized)
+        super().__post_init__()
 
     def member(self, n):
         i = bisect_left(self.members, n)
@@ -216,6 +242,7 @@ class AP(_Progression):
             raise ValueError("AP first term must be >= 1")
         if self.step < 1:
             raise ValueError("AP step must be >= 1")
+        super().__post_init__()
 
     def render(self):
         return f"ap:{self.first},{self.step}"
@@ -228,8 +255,10 @@ class Nu2Ge(_Progression):
     threshold: int
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("nu2_ge threshold must be >= 0")
+        # The node builds 2**threshold; the nu2 tower's last round is RENDER_BITS.
+        if not 0 <= self.threshold <= RENDER_BITS:
+            raise ValueError(f"nu2_ge threshold must be between 0 and {RENDER_BITS}")
+        super().__post_init__()
 
     @property
     def step(self):
@@ -322,7 +351,7 @@ class DyadicBlocks(SetDescription):
         return None if q is None or q >= cap.bit_length() else 1 << q
 
     def form(self):
-        fin, cofin = self.finiteness()
+        fin, cofin = _finiteness(self.selector)
         return _FINITE if fin is Tri.YES else _COFINITE if cofin is Tri.YES else None
 
     def finiteness(self):
@@ -439,7 +468,7 @@ class Union(SetDescription):
         b = None if a is None else self.right.count(limit)
         return None if b is None else a + b - both
 
-    jumps = cached_property(lambda self: self.left.jumps or self.right.jumps)
+    jumps = None
 
     def next_member(self, after, cap):
         if not self.jumps:
@@ -574,7 +603,7 @@ class Shift(SetDescription):
         # the node, counted once, so nested shifts stay linear in depth.
         return _count_closed(self.inner, -self.offset)
 
-    jumps = cached_property(lambda self: self.inner.jumps)
+    jumps = None
 
     def next_member(self, after, cap):
         # The inner search, cap included, in the inner set's coordinates;
@@ -609,10 +638,6 @@ class Shift(SetDescription):
         return f"shift:{self.inner.render()},{self.offset}"
 
 
-NATURALS = AP(1, 1)
-EMPTY = Finite(())
-
-
 # ---------------------------------------------------------------- periodic forms
 # Every ideal here is closed under finite changes, so its verdicts depend on
 # S only modulo finite sets.  The form of S is a tuple (p, mask, atoms, rest):
@@ -629,56 +654,27 @@ _FINITE = (1, 0, _NO_ATOMS, False)
 _COFINITE = (1, 1, _NO_ATOMS, False)
 _SPARSE_FORMS = {kind: (1, 0, frozenset({(kind, 0)}), True) for kind in (Squares, Powers2)}
 _NEITHER = (Tri.NO, Tri.NO)
-_UNSET = object()
+NATURALS = AP(1, 1)
+EMPTY = Finite(())
 
 
-def _facts(s: SetDescription) -> list:
-    """[form, (finite?, cofinite?), density, Banach density] of s, kept on
-    the node: nodes are frozen, so their facts never change.  A node with a
-    form reads all four off the form at once; one without asks its own
-    rules, for the last two on first use."""
-    facts = s.__dict__.get("_facts")
-    if facts is None:
-        form = s.form()
-        if form is None:
-            facts = [None, s.finiteness(), _UNSET, _UNSET]
-        elif form[0] > 1:
-            d = Fraction(form[1].bit_count(), form[0])
-            facts = [form, _NEITHER, d, d]
-        else:
-            known = Tri.YES if not form[2] else Tri.NO if form[3] else Tri.UNKNOWN
-            fin = (known, Tri.NO) if form[1] == 0 else (Tri.NO, known)
-            facts = [form, fin] + [ONE if form[1] else ZERO] * 2
-        s.__dict__["_facts"] = facts
-    return facts
-
-
+# The facts a node holds, read as functions: its eventually periodic form or
+# None; (is S finite?, is its complement finite?), three-valued; its exact
+# density, and its exact Banach density, or None.
 def _form(s: SetDescription) -> tuple | None:
-    """The eventually periodic form of s, or None."""
-    return _facts(s)[0]
+    return s._form
 
 
 def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
-    """(is S finite?, is its complement finite?), three-valued."""
-    return _facts(s)[1]
+    return s._finiteness
 
 
-def _density(s: SetDescription, banach: bool = False) -> Fraction | None:
-    """Exact density (or Banach density), or None."""
-    facts = _facts(s)
-    i = 3 if banach else 2
-    if facts[i] is _UNSET:
-        d = s.banach() if banach else s.density()
-        if d is None:
-            # A finite or cofinite set needs no rule of its own.
-            fin, cofin = facts[1]
-            d = ZERO if fin is Tri.YES else ONE if cofin is Tri.YES else None
-        facts[i] = d
-    return facts[i]
+def _density(s: SetDescription) -> Fraction | None:
+    return s._density
 
 
 def _banach(s: SetDescription) -> Fraction | None:
-    return _density(s, True)
+    return s._banach
 
 
 def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
@@ -820,18 +816,11 @@ def _walk(s: SetDescription, cap: int):
             yield from compress(range(start, start + len(flags)), flags)
 
 
-def _scans(s: SetDescription) -> bool:
-    """Does a walk of S scan a range: S does not jump, or has a side that scans?"""
-    if isinstance(s, Union):
-        return _scans(s.left) or _scans(s.right)
-    return _scans(s.inner) if isinstance(s, Shift) else not s.jumps
-
-
 def iter_members(s: SetDescription, limit: int):
     """Yield the members of S up to ``limit`` in increasing order; a jump past
     it ends the walk.  Past ENUMERATION_CAP a set whose walk scans, or that has
     no closed count, refuses."""
-    if limit > ENUMERATION_CAP and (_scans(s) or _count_closed(s, limit) is None):
+    if limit > ENUMERATION_CAP and (s._scans or _count_closed(s, limit) is None):
         raise EnumerationCapError("member scan past cap")
     yield from takewhile(limit.__ge__, _walk(s, limit))
 
@@ -1022,6 +1011,14 @@ class _Cursor:
         return self.pos >= len(self.text)
 
 
+def _leaf(cur: _Cursor, kind, *args) -> SetDescription:
+    """``kind(*args)``, its refusal raised as a SetSyntaxError at the cursor."""
+    try:
+        return kind(*args)
+    except ValueError as exc:
+        raise SetSyntaxError(str(exc), cur.pos) from exc
+
+
 def _parse(cur: _Cursor) -> SetDescription:
     # One frame per nesting level, so MAX_NESTING bounds the recursion.
     if cur.depth == MAX_NESTING:
@@ -1034,25 +1031,18 @@ def _parse(cur: _Cursor) -> SetDescription:
             while cur.take(","):
                 members.append(cur.read_int())
             cur.expect("}")
-        try:
-            node = Finite(tuple(members))
-        except ValueError as exc:
-            raise SetSyntaxError(str(exc), cur.pos) from exc
+        node = _leaf(cur, Finite, tuple(members))
     elif cur.take("ap:"):
         first = cur.read_int()
         cur.expect(",")
-        step = cur.read_int()
-        try:
-            node = AP(first, step)
-        except ValueError as exc:
-            raise SetSyntaxError(str(exc), cur.pos) from exc
+        node = _leaf(cur, AP, first, cur.read_int())
     elif cur.take("builtin:"):
         if cur.take("squares"):
             node = Squares()
         elif cur.take("powers2"):
             node = Powers2()
         elif cur.take("nu2_ge("):
-            node = Nu2Ge(cur.read_int())
+            node = _leaf(cur, Nu2Ge, cur.read_int())
             cur.expect(")")
         elif cur.take("dyadic_blocks("):
             node = DyadicBlocks(_parse(cur))

@@ -142,11 +142,18 @@ class MatrixSpecError(ValueError):
 
 
 class RationalSyntaxError(ValueError):
-    """A rational in an input has a zero denominator or is infinite."""
+    """A rational in an input has a zero denominator, is infinite, or writes
+    an exponent past 2 * RENDER_BITS."""
 
 
 def parse_rational(text: str | float) -> Fraction:
-    """The rational an input writes as ``text``; every input rational is read here."""
+    """The rational an input writes as ``text``; every input rational is read
+    here.  A far exponent is refused before its power of 10 is built."""
+    bound = 2 * setlang.RENDER_BITS
+    digits = str(text).strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
+        raise RationalSyntaxError(
+            f"exponent past {bound}, twice the {setlang.RENDER_BITS}-bit render bound: {text!r}")
     try:
         return Fraction(text)
     except (ZeroDivisionError, OverflowError):  # 1/0, or JSON's Infinity

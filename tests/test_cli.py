@@ -66,6 +66,13 @@ class TestDensity:
         assert d["window"] == 32
         assert "window_max_density" in d
 
+    def test_a_set_without_an_exact_density_prints_its_estimates(self, capsys):
+        argv = ["density", "builtin:dyadic_blocks(ap:1,2)", "--scale", "4096"]
+        code, d = run_json(capsys, argv)
+        assert code == 0
+        assert d["exact"] is None
+        assert (d["lower_estimate"], d["upper_estimate"]) == ("683/2048", "1365/2048")
+
     # Both took their prefix counts first: 65536 squares listed, and a count
     # past the enumeration cap that exited 3.
     @pytest.mark.parametrize("argv", [
@@ -419,6 +426,26 @@ class TestAdversaryAndVerify:
         code, d = run_json(capsys, ["verify", str(bad)])
         assert code == 6
         assert d["verified"] is False
+
+    # Each document reads as the written certificate (int() of a float or a
+    # string, a bool as 1, an unknown key dropped, 4/10 as 2/5), and each
+    # verified at the change that made verify compare it with the
+    # certificate written back.
+    @pytest.mark.parametrize("key, value", [
+        ("scales", [32.5, 64]), ("scales", ["32", 64]), ("scales", [True, 64]),
+        ("lower_counts", [5.9, 17]), ("note", "audited"), ("lower", "4/10"),
+    ])
+    def test_verify_accepts_only_the_document_it_audits(self, capsys, tmp_path, key, value):
+        path = tmp_path / "c.json"
+        argv = ["adversary", "--matrix", "cesaro", "--scale", "64", "--certificate-out", str(path)]
+        assert run(capsys, argv)[0] == 0
+        data = json.loads(path.read_text())
+        assert (data["scales"], data["lower_counts"], data["lower"]) == ([32, 64], [5, 17], "2/5")
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["verify", str(path)])
+        assert (code, out) == (2, "")
+        assert "malformed certificate" in err
 
     def test_malformed_certificate_exits_with_code_2(self, capsys, tmp_path):
         bad = tmp_path / "malformed.json"
@@ -852,6 +879,66 @@ class TestErrorContract:
         assert record["error"] == err.strip() and err.count("\n") == 1
         assert record["error"].startswith("FileNotFoundError")
 
+    # The deepest tree of each shape that the parser accepts, in a stack
+    # that leaves the walks 700 frames: nodes build their facts when they
+    # are built, so no query of a fact walks the tree.
+    @pytest.mark.parametrize("text", [
+        "builtin:dyadic_blocks(" * (MAX_NESTING - 1) + "builtin:squares" + ")" * (MAX_NESTING - 1),
+        "complement:" * (MAX_NESTING - 1) + "builtin:squares",
+        "union:" * (MAX_NESTING - 1) + "builtin:squares" + "|builtin:powers2" * (MAX_NESTING - 1),
+        "intersect:" * (MAX_NESTING - 1) + "builtin:squares"
+        + "|builtin:powers2" * (MAX_NESTING - 1),
+        "shift:" * (MAX_NESTING - 1) + "builtin:squares" + ",-1" * (MAX_NESTING - 1),
+        "union:builtin:squares|" * (MAX_NESTING - 1) + "ap:1,2",
+        "intersect:builtin:squares|" * (MAX_NESTING - 1) + "ap:1,2",
+    ], ids=["dyadic_blocks", "complement", "union", "intersect", "shift", "union_squares",
+            "intersect_squares"])
+    def test_the_deepest_trees_end_in_a_documented_exit(self, capsys, tmp_path, text):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(700)
+        try:
+            for argv in (["density", text, "--scale", "4096", "--window", "64"],
+                         *(["verdict", text, "--ideal", ideal]
+                           for ideal in ("fin", "z", "bd", "finxfin"))):
+                code, err, _ = self.run_logged(capsys, tmp_path, argv)
+                (tmp_path / "runs.jsonl").unlink()
+                assert code == 0, (argv[:1] + argv[2:], err)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    # Each built 2**t with t = 10**11 and exited 1 with MemoryError.
+    @pytest.mark.parametrize("argv", [
+        ["density", "builtin:nu2_ge(100000000000)", "--scale", "10"],
+        ["verdict", "builtin:nu2_ge(100000000000)", "--ideal", "z"],
+        ["verdict", "builtin:nu2_ge(4097)", "--ideal", "z"],
+    ])
+    def test_nu2_ge_past_the_render_bound_exits_with_code_2(self, capsys, tmp_path, argv):
+        code, err, _ = self.run_logged(capsys, tmp_path, argv)
+        assert code == 2
+        assert err.startswith("SetSyntaxError: nu2_ge threshold must be between 0 and 4096")
+
+    # Fraction builds 10**e for an exponent e: 1e-10000000 took 8 s, and a
+    # farther one minutes.  One run per kind of place a spec writes a value.
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--matrix", "cesaro", "--x", "const:1e-10000000", "--rows", "1"],
+        ["transform", "--matrix", "cesaro", "--x", "list:1,1e-10000000", "--rows", "1"],
+        ["transform", "--matrix", "explicit:1;1e-10000000,1", "--x", "n", "--rows", "1"],
+        ["transform", "--matrix", "explicit:@rows.csv", "--x", "n", "--rows", "1"],
+        ["verify", "cert.json"],
+    ], ids=["const", "list", "explicit", "explicit_file", "certificate"])
+    def test_a_far_exponent_exits_with_code_2_at_once(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rows.csv").write_text("1\n1/2,1e10000000\n")
+        self.write_cert(tmp_path, {
+            "kind": "oscillation", "x": "alt", "matrix": "cesaro", "lower": "1e-10000000",
+            "upper": "3/4", "scales": [8], "lower_counts": [4], "upper_counts": [4],
+        })
+        started = time.perf_counter()
+        code, err, _ = self.run_logged(capsys, tmp_path, argv)
+        assert time.perf_counter() - started < 0.5
+        assert code == 2
+        assert "exponent past 8192, twice the 4096-bit render bound: '1e" in err
+
     def test_nesting_at_the_parser_limit_is_answered(self, capsys, tmp_path):
         text = "complement:" * (MAX_NESTING - 1) + "builtin:squares"
         argv = ["verdict", text, "--ideal", "bd", "--scale", "64"]
@@ -1067,7 +1154,7 @@ _FUZZ_DROPS = {
 }
 _FUZZ_MATRICES = [*_FUZZ_DROPS, *(f"rowdrop:{m}:{drop}" for m, drop in _FUZZ_DROPS.items())]
 _FUZZ_SEQUENCES = ["n", "nalt", "alt", "sqperturb", "const:-5/3", "list:1,-2,3/4", "rle:1x3,0x2",
-                   "const:1/0"]
+                   "const:1/0", "const:1e-10000000"]
 _FUZZ_ROWS = ["geometric", "harmonic", "ones", "list:0,0,1", "list:0", "list:1/0"]
 _FUZZ_HOSTILE = {
     "--rows": ["0", "-1", str(10**20)],
@@ -1086,13 +1173,16 @@ _FUZZ_SETS = [
     "builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)",
     "complement:" * 255 + "builtin:squares", "union:builtin:squares|" * 255 + "ap:1,2",
     "complement:" * 256 + "ap:1,2", "shift:ap:1,2,-1" + "0" * 20,
+    "builtin:dyadic_blocks(" * 255 + "builtin:squares" + ")" * 255,
     "shift:builtin:squares,1" + "0" * 20, "finite:{3,1" + "0" * 30 + "}", "ap:1,1" + "0" * 20,
 ]
 _FUZZ_IDEALS = ["fin", "z", "bd", "finxfin", "matrix:cesaro"]
 _FUZZ_CERTIFICATES = ["{not json", "[1, 2]", '{"kind": "oscillation"}',
                       '{"kind": "oscillation", "matrix": "wat", "x": "n"}',
                       '{"kind": "oscillation", "matrix": "cesaro", "x": "n", "lower": "1/0", '
-                      '"upper": "3/4", "scales": [8], "lower_counts": [4], "upper_counts": [4]}']
+                      '"upper": "3/4", "scales": [8], "lower_counts": [4], "upper_counts": [4]}',
+                      '{"kind": "oscillation", "matrix": "cesaro", "x": "alt", "lower": "1/4", '
+                      '"upper": "3/4", "scales": [8.5], "lower_counts": [4], "upper_counts": [4]}']
 
 
 def _fuzz_argv(rng, path):

@@ -873,10 +873,9 @@ def test_a_complement_passes_through_dyadic_blocks(ideal, complements):
 
 def test_deep_undecided_unions_build_each_form_once(monkeypatch):
     # 200 left-nested unions of a set whose finiteness stays open: every
-    # node's form is built once, however deep the ladder goes and however
-    # many ideals ask.
+    # node's form is built once, when the node is built, however deep the
+    # ladder goes and however many ideals ask.
     part = "|shift:intersect:builtin:squares|builtin:powers2,-12"
-    chain = parse_set("union:" * 200 + part[1:] + part * 200)
     nodes = 200 + 201 * 4
     visits = []
     for cls in (Union, Shift, Intersection, Squares, Powers2):
@@ -884,6 +883,7 @@ def test_deep_undecided_unions_build_each_form_once(monkeypatch):
         monkeypatch.setattr(
             cls, "form", lambda self, real=real: visits.append(id(self)) or real(self)
         )
+    chain = parse_set("union:" * 200 + part[1:] + part * 200)
     for ideal, status in ((FIN, "undecided"), (Z, "in"), (FXF, "in")):
         assert ideal.decide(chain).status == status
         assert len(visits) == len(set(visits)) == nodes

@@ -273,6 +273,33 @@ def test_banach_density():
     assert max_window_density(DyadicBlocks(AP(1, 2)), 2**12, 64) == 1
 
 
+def test_fact_rules_of_nodes_without_a_form():
+    # Progressions past PERIOD_CAP leave these unions without a form, so
+    # each fact comes from a node rule: a full side fills a union's density,
+    # two progressions merge by CRT, and a double complement keeps the inner
+    # Banach density.
+    full = parse_set("union:complement:intersect:builtin:squares|ap:1,131101|ap:2,131101")
+    merged = parse_set("union:ap:1,100003|ap:2,131101")
+    blocks = parse_set(
+        "union:complement:complement:builtin:dyadic_blocks(builtin:squares)|ap:1,131101")
+    assert setlang._form(full) is setlang._form(merged) is setlang._form(blocks) is None
+    assert exact_density(full) == 1
+    assert exact_density(merged) == Fraction(231103, 13110493303)
+    assert setlang._banach(merged) is None
+    assert setlang._banach(blocks) == 1
+
+
+def test_nu2_ge_thresholds_stop_at_the_render_bound():
+    # A node builds its step 2**t with its facts: the nu2 tower's last
+    # round builds, and one past it is refused before any power is built.
+    assert Nu2Ge(setlang.RENDER_BITS).step == 1 << 4096
+    assert parse_set("builtin:nu2_ge(4096)") == Nu2Ge(4096)
+    with pytest.raises(ValueError, match="between 0 and 4096"):
+        Nu2Ge(4097)
+    with pytest.raises(SetSyntaxError, match="between 0 and 4096"):
+        parse_set("builtin:nu2_ge(4097)")
+
+
 def test_density_report_and_csv():
     report = density_report(AP(3, 4), 1000, window=100)
     assert report.exact == Fraction(1, 4)

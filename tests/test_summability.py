@@ -226,6 +226,17 @@ class TestSequences:
 # ---------------------------------------------------------------- rows
 
 
+def test_rationals_refuse_an_exponent_past_twice_the_render_bound():
+    # Checked before Fraction builds 10**e, however the exponent is spelled.
+    assert summability.parse_rational("1e-8192") == F(1, 10**8192)
+    assert summability.parse_rational(" 25E-00002 ") == F(1, 4)
+    started = time.perf_counter()
+    for text in ("1e8193", "1e-8193", " 1E+99_999_999 ", "3.5e-000010000000"):
+        with pytest.raises(summability.RationalSyntaxError, match="exponent past 8192"):
+            summability.parse_rational(text)
+    assert time.perf_counter() - started < 0.1
+
+
 class TestRows:
     def test_geometric_row_declarations(self):
         row = parse_row("geometric")
