@@ -4,9 +4,11 @@ Runs tier-1 in this process under a ``sys.settrace`` line tracer, then every
 ``subsum ...`` line of README.md's Commands block through ``cli.main`` in
 one temporary directory, and prints, per module of ``src/subsum``, the
 executable function-body lines that neither reached.  Arguments, if any,
-replace ``tests`` as pytest's (a test file or a ``-k`` filter, say).  Not a
-CI gate: tier-1 runs about three times slower under the tracer.  Run it
-from the repository root:
+replace ``tests`` as pytest's (a test file or a ``-k`` filter, say).  It
+exits with tier-1's status when tier-1 fails, else 1 when CPython switched
+the tracer off (the counts are then partial), else 0.  Not a CI gate:
+tier-1 runs about three times slower under the tracer.  Run it from the
+repository root:
 
     python .github/scripts/coverage.py
 """
@@ -65,7 +67,8 @@ def main(pytest_args: list[str]) -> int:
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider",
                               *(pytest_args or [str(ROOT / "tests")])])
-        if sys.gettrace() is not tracer:  # CPython drops a tracer that raised
+        dropped = sys.gettrace() is not tracer  # CPython drops a tracer that raised
+        if dropped:
             print("the tracer was switched off during tier-1: the counts below are partial")
         from subsum import cli
 
@@ -87,7 +90,7 @@ def main(pytest_args: list[str]) -> int:
         print(f"{name}: {len(missed)} of {len(lines)} unreached", *missed)
     print(f"reached {total - unreached} of {total} executable function-body lines;"
           f" tier-1 exit status {int(status)}")
-    return 0
+    return int(status) or int(dropped)
 
 
 if __name__ == "__main__":

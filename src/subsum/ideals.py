@@ -31,13 +31,7 @@ from .setlang import (
     Squares,
     Tri,
     Union,
-    _banach,
     _chunks,
-    _density,
-    _finiteness,
-    _form,
-    _merged,
-    _pushed,
     _scan,
     _window_maxima,
     default_checkpoints,
@@ -97,7 +91,7 @@ def _density_evidence(s: SetDescription, scale: int) -> dict:
 
 
 def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    fin = _finiteness(s)[0]
+    fin = s._finiteness[0]
     if fin is Tri.YES:
         return _in("structurally finite")
     if fin is Tri.NO:
@@ -106,9 +100,9 @@ def _fin_closed_form(s: SetDescription) -> MembershipVerdict | None:
 
 
 def _z_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    if _finiteness(s)[0] is Tri.YES:
+    if s._finiteness[0] is Tri.YES:
         return _in("finite sets have density 0")
-    d = _density(s)
+    d = s._density
     if d == 0:
         return _in("exact density 0")
     if d is not None:
@@ -127,7 +121,7 @@ def _bd_window_evidence(s: SetDescription, scale: int) -> dict:
 
 
 def _bd_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    b = _banach(s)
+    b = s._banach
     if b == 0:
         return _in("exact Banach density 0")
     if b is not None:
@@ -146,9 +140,9 @@ def nu2_column_audit(s: SetDescription, scale: int) -> dict:
 
 
 def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
-    if isinstance(s, Intersection) and (merged := _merged(s.left, s.right)) is not None:
-        s = merged
-    fin, cofin = _finiteness(s)
+    if isinstance(s, Intersection):
+        s = s._meet or s
+    fin, cofin = s._finiteness
     if fin is Tri.YES:
         return _in("finite set")
     if cofin is Tri.YES:
@@ -164,7 +158,7 @@ def _finxfin_closed_form(s: SetDescription) -> MembershipVerdict | None:
         return _not_in(f"every nu2 fiber from {s.threshold} on is full")
     if isinstance(s, Complement) and isinstance(s.inner, Nu2Ge):
         return _in(f"nu2 fibers from {s.inner.threshold} on are empty")
-    form = _form(s)
+    form = s._form
     if form is None:
         return None
     # With p = 2**a * m, m odd, a residue r = 0 mod 2**a meets every fiber
@@ -375,7 +369,7 @@ def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
     rules, shifts for shift-invariant ideals, the dyadic-block test of the
     ideal's Talagrand partition, and complements and other shifts pushed
     one level toward the atoms, each applied to the parts by the same
-    ladder.  The facts it reads were built with each node."""
+    ladder.  The facts and pushed nodes it reads are kept on each node."""
     if isinstance(s, Complement) and isinstance(s.inner, Complement):
         return _decide(ideal, s.inner.inner)
     verdict = ideal.closed_form(s)
@@ -399,11 +393,11 @@ def _decide(ideal: IdealPresentation, s: SetDescription) -> MembershipVerdict:
         # Talagrand's test: block [2**q, 2**(q+1)) holds a whole block of
         # every row's partition.  Shifted, it is a run of 2**q integers,
         # which meets every nu2 fiber j < q (only finxfin gets here).
-        if _finiteness(blocks.selector)[0] is Tri.NO:
+        if blocks.selector._finiteness[0] is Tri.NO:
             return _not_in("contains infinitely many full dyadic blocks"
                            + (f" shifted by {s.offset}" if isinstance(s, Shift) else ""))
-    elif (pushed := _pushed(s)) is not None:
-        return _decide(ideal, pushed)
+    elif s._pushed is not None:
+        return _decide(ideal, s._pushed)
     return MembershipVerdict(UNDECIDED, ideal.undecided_reason)
 
 

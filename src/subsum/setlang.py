@@ -5,7 +5,7 @@ e.g. ``ap:2,2``, ``complement:builtin:squares``, ``union:finite:{1,5}|ap:3,4``.
 Every description has decidable membership.  Prefix counts use closed forms
 where the shape allows them and fall back to bounded enumeration otherwise.
 Finiteness, density and Banach density are read off one eventually periodic
-form per node (see ``_form``) wherever the structure gives one.
+form per node (its ``_form``) wherever the structure gives one.
 All quantities on verdict paths are exact ``fractions.Fraction`` values;
 floats appear only in rendered reports.
 """
@@ -27,9 +27,8 @@ RENDER_BITS = 4096
 
 # Deepest DSL nesting the parser accepts.  Nodes build their facts when they
 # are built, so no fact query walks the tree.  The walks that remain take one
-# frame a level (parse, member, count, scan, render), two for a shift's count
-# or scan: at this depth a chain of shifts needs a recursion limit of about
-# 525 and every other chain about 270, of Python's default 1000.
+# frame a level (parse, member, count, scan, render): at this depth every
+# chain needs a recursion limit of about 270, of Python's default 1000.
 MAX_NESTING = 256
 
 ZERO = Fraction(0)
@@ -75,7 +74,7 @@ _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 # Largest period of an eventually periodic form; above it a node has no form.
 PERIOD_CAP = 1 << 16
 # Most member steps a count spends on listed members; a scan to a limit
-# costs about as much as 16 + limit / 2**7 of them (see ``_count_both``).
+# costs about as much as 16 + limit / 2**7 of them (see ``_Pair._count_both``).
 _LISTED = 1 << 16
 
 
@@ -84,14 +83,20 @@ class SetDescription:
 
     Every node kind defines ``member(n)`` for n >= 1, ``scan(lo, hi)`` (the
     flags of ``_scan`` for 1 <= lo <= hi), ``form()`` (its eventually
-    periodic form, see below) and ``render()``.  Kinds that can lack a form
-    also define ``finiteness()`` (is S finite, is its complement finite),
-    and the defaults below mean "no structural shortcut": no closed-form
-    count, no certified density, and member searches scan.  A node runs
-    these rules once, in ``__post_init__``, on its children's facts and
-    keeps its own: ``_form``, ``_finiteness``, ``_density``, ``_banach``,
-    ``_nodes`` (the most nodes one ``member`` call visits), ``jumps`` and
-    ``_scans`` (a walk of S scans a range), so no fact query walks the tree.
+    periodic form, see below), ``count(limit)`` (exact |S ∩ [1, limit]| for
+    limit >= 1, or None without a closed form) and ``render()``.  Kinds that
+    can lack a form also define ``finiteness()`` (is S finite, is its
+    complement finite) and ``banach()``; the defaults below mean "no
+    structural shortcut": no certified density, and member searches scan.
+    A node runs these rules once, in ``__post_init__``, on its children's
+    facts and keeps its own: ``_form`` (or None), ``_finiteness`` (two Tri),
+    ``_density`` and ``_banach`` (exact, or None), ``_nodes`` (the most
+    nodes one ``member`` call visits), ``jumps`` and ``_scans`` (a walk of S
+    scans a range), so no fact query walks the tree.  What a node derives
+    from its children is cached on it when first asked for: a union's or
+    intersection's ``_meet`` (the CRT meet of two progressions), a
+    complement's or shift's ``_pushed`` (itself moved one level toward the
+    atoms) and a negative shift's ``_dropped``.
 
     ``next_member(after, cap)`` is the one member search a node states: an
     answer is always the least member past ``after``, and None means there
@@ -103,6 +108,7 @@ class SetDescription:
 
     jumps = False  # None on unions and shifts, see __post_init__
     listed = None  # finite sets, squares, powers of 2: ``listed(limit)``, the members up to it
+    _pushed = None  # see Complement and Shift
 
     def __post_init__(self):
         children = [v for v in vars(self).values() if isinstance(v, SetDescription)]
@@ -127,16 +133,8 @@ class SetDescription:
         vars(self).update(_form=form, _finiteness=fin, _density=d, _banach=b, jumps=jumps,
                           _scans=scans, _nodes=1 + sum(c._nodes for c in children))
 
-    def count(self, limit: int) -> int | None:
-        """Exact |S ∩ [1, limit]| for limit >= 1, or None without a closed form."""
-        return None
-
     def density(self) -> Fraction | None:
         """Certified asymptotic density of a node without a form, or None."""
-        return None
-
-    def banach(self) -> Fraction | None:
-        """Certified Banach (uniform upper) density of a node without a form, or None."""
         return None
 
     def next_member(self, after: int, cap: int) -> int | None:
@@ -351,17 +349,17 @@ class DyadicBlocks(SetDescription):
         return None if q is None or q >= cap.bit_length() else 1 << q
 
     def form(self):
-        fin, cofin = _finiteness(self.selector)
+        fin, cofin = self.selector._finiteness
         return _FINITE if fin is Tri.YES else _COFINITE if cofin is Tri.YES else None
 
     def finiteness(self):
         # Every block with index q >= 1 is nonempty, and the complement is
         # {1} plus the unselected blocks.
-        return _finiteness(self.selector)
+        return self.selector._finiteness
 
     def banach(self):
         # An infinite selector gives arbitrarily long intervals.
-        return ONE if _finiteness(self.selector)[0] is Tri.NO else None
+        return ONE if self.selector._finiteness[0] is Tri.NO else None
 
     def render(self):
         return f"builtin:dyadic_blocks({self.selector.render()})"
@@ -382,23 +380,35 @@ class Complement(SetDescription):
         return None if inner is None else limit - inner
 
     def form(self):
-        f = _form(self.inner)
+        f = self.inner._form
         return f and (f[0], f[1] ^ (1 << f[0]) - 1, f[2], f[3])
 
     def finiteness(self):
-        fin, cofin = _finiteness(self.inner)
+        fin, cofin = self.inner._finiteness
         return cofin, fin
 
     def density(self):
-        d = _density(self.inner)
+        d = self.inner._density
         return None if d is None else ONE - d
 
     def banach(self):
         # A Banach-null inner set leaves every long enough window of the
         # complement nearly full.
         if isinstance(self.inner, Complement):
-            return _banach(self.inner.inner)
-        return ONE if _banach(self.inner) == ZERO else None
+            return self.inner.inner._banach
+        return ONE if self.inner._banach == ZERO else None
+
+    @cached_property
+    def _pushed(self):
+        # Equal to S up to a finite set: De Morgan, and the complement of the
+        # dyadic blocks over x is {1} and the blocks over the complement of x.
+        inner = self.inner
+        if isinstance(inner, _Pair):
+            dual = Intersection if isinstance(inner, Union) else Union
+            return dual(Complement(inner.left), Complement(inner.right))
+        if isinstance(inner, DyadicBlocks):
+            return DyadicBlocks(Complement(inner.selector))
+        return None
 
     def render(self):
         return "complement:" + self.inner.render()
@@ -417,45 +427,51 @@ def _combine(op, a: bytearray, b: bytearray) -> bytearray:
     return bytearray(both.to_bytes(len(a), "little"))
 
 
-def _merged(a: SetDescription, b: SetDescription) -> SetDescription | None:
-    """a ∩ b when both are progressions: another progression (by CRT) or
-    EMPTY.  None for any other pair."""
-    if not (isinstance(a, _Progression) and isinstance(b, _Progression)):
-        return None
-    g = gcd(a.step, b.step)
-    if (b.first - a.first) % g != 0:
-        return EMPTY
-    lcm = a.step // g * b.step
-    # Solve n == a.first (mod a.step), n == b.first (mod b.step).
-    m = b.step // g
-    t = ((b.first - a.first) // g) * pow(a.step // g, -1, m) % m
-    n0 = a.first + t * a.step
-    lo = max(a.first, b.first)
-    if n0 < lo:
-        n0 += ((lo - n0 + lcm - 1) // lcm) * lcm
-    return AP(n0, lcm)
-
-
-def _count_both(a: SetDescription, b: SetDescription, limit: int) -> int | None:
-    """|a ∩ b ∩ [1, limit]| when both are progressions, or from the other side's
-    ``member`` on the members one side lists (a finite side always; see _LISTED)."""
-    merged = _merged(a, b)
-    if merged is not None:
-        return merged.count(limit)
-    budget, cheapest = min(_LISTED, 16 + (limit >> 7)), None
-    for side, other in ((a, b), (b, a)):
-        if side.listed is not None:
-            cost = 0 if isinstance(side, Finite) else side.count(limit) * other._nodes
-            if cost <= budget:
-                budget, cheapest = cost, (side, other)
-    return None if cheapest is None else sum(map(cheapest[1].member, cheapest[0].listed(limit)))
-
-
 @dataclass(frozen=True)
-class Union(SetDescription):
+class _Pair(SetDescription):
+    """A union or an intersection of two sets."""
+
     left: SetDescription
     right: SetDescription
 
+    @cached_property
+    def _meet(self) -> SetDescription | None:
+        """left ∩ right when both are progressions: another progression (by
+        CRT) or EMPTY.  None for any other pair."""
+        a, b = self.left, self.right
+        if not (isinstance(a, _Progression) and isinstance(b, _Progression)):
+            return None
+        g = gcd(a.step, b.step)
+        if (b.first - a.first) % g != 0:
+            return EMPTY
+        lcm = a.step // g * b.step
+        # Solve n == a.first (mod a.step), n == b.first (mod b.step).
+        m = b.step // g
+        t = ((b.first - a.first) // g) * pow(a.step // g, -1, m) % m
+        n0 = a.first + t * a.step
+        lo = max(a.first, b.first)
+        if n0 < lo:
+            n0 += ((lo - n0 + lcm - 1) // lcm) * lcm
+        return AP(n0, lcm)
+
+    def _count_both(self, limit: int) -> int | None:
+        """|left ∩ right ∩ [1, limit]| when both are progressions, or from the
+        other side's ``member`` on the members one side lists (a finite side
+        always; see _LISTED)."""
+        if self._meet is not None:
+            return self._meet.count(limit)
+        a, b = self.left, self.right
+        budget, cheapest = min(_LISTED, 16 + (limit >> 7)), None
+        for side, other in ((a, b), (b, a)):
+            if side.listed is not None:
+                cost = 0 if isinstance(side, Finite) else side.count(limit) * other._nodes
+                if cost <= budget:
+                    budget, cheapest = cost, (side, other)
+        return None if cheapest is None else sum(map(cheapest[1].member, cheapest[0].listed(limit)))
+
+
+@dataclass(frozen=True)
+class Union(_Pair):
     def member(self, n):
         return self.left.member(n) or self.right.member(n)
 
@@ -463,7 +479,7 @@ class Union(SetDescription):
         return _combine(or_, self.left.scan(lo, hi), self.right.scan(lo, hi))
 
     def count(self, limit):
-        both = _count_both(self.left, self.right, limit)
+        both = self._count_both(limit)
         a = None if both is None else self.left.count(limit)
         b = None if a is None else self.right.count(limit)
         return None if b is None else a + b - both
@@ -486,17 +502,17 @@ class Union(SetDescription):
         return min(a, b)
 
     def form(self):
-        return _join(_form(self.left), _form(self.right), True)
+        return _join(self.left._form, self.right._form, True)
 
     def finiteness(self):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left), _finiteness(self.right)
+        (fin_a, cofin_a), (fin_b, cofin_b) = self.left._finiteness, self.right._finiteness
         fin = _both(fin_a, fin_b)
         if Tri.YES in (cofin_a, cofin_b):
             return fin, Tri.YES
         return fin, Tri.NO if fin is Tri.YES else Tri.UNKNOWN
 
     def density(self):
-        a, b = _density(self.left), _density(self.right)
+        a, b = self.left._density, self.right._density
         if a is None or b is None:
             return None
         if a == ZERO or b == ZERO:
@@ -504,11 +520,10 @@ class Union(SetDescription):
         if ONE in (a, b):
             return ONE
         # Two progressions merge by CRT at any step, also above PERIOD_CAP.
-        merged = _merged(self.left, self.right)
-        return None if merged is None else a + b - _density(merged)
+        return None if self._meet is None else a + b - self._meet._density
 
     def banach(self):
-        a, b = _banach(self.left), _banach(self.right)
+        a, b = self.left._banach, self.right._banach
         if a == ZERO:
             return b
         if b == ZERO:
@@ -520,10 +535,7 @@ class Union(SetDescription):
 
 
 @dataclass(frozen=True)
-class Intersection(SetDescription):
-    left: SetDescription
-    right: SetDescription
-
+class Intersection(_Pair):
     def member(self, n):
         return self.left.member(n) and self.right.member(n)
 
@@ -531,40 +543,37 @@ class Intersection(SetDescription):
         return _combine(and_, self.left.scan(lo, hi), self.right.scan(lo, hi))
 
     def count(self, limit):
-        return _count_both(self.left, self.right, limit)
+        return self._count_both(limit)
 
     def form(self):
-        return _join(_form(self.left), _form(self.right), False)
+        return _join(self.left._form, self.right._form, False)
 
     def finiteness(self):
-        (fin_a, cofin_a), (fin_b, cofin_b) = _finiteness(self.left), _finiteness(self.right)
+        (fin_a, cofin_a), (fin_b, cofin_b) = self.left._finiteness, self.right._finiteness
         cofin = _both(cofin_a, cofin_b)
         if Tri.YES in (fin_a, fin_b):
             return Tri.YES, cofin
-        merged = _merged(self.left, self.right)
-        return Tri.UNKNOWN if merged is None else _finiteness(merged)[0], cofin
+        return Tri.UNKNOWN if self._meet is None else self._meet._finiteness[0], cofin
 
     def density(self):
-        a, b = _density(self.left), _density(self.right)
+        a, b = self.left._density, self.right._density
         if ZERO in (a, b):
             return ZERO
         if a == ONE:
             return b
         if b == ONE:
             return a
-        merged = _merged(self.left, self.right)
-        return None if merged is None else _density(merged)
+        return None if self._meet is None else self._meet._density
 
     def banach(self):
-        merged = _merged(self.left, self.right)
-        if merged is not None:
-            return _banach(merged)
-        a, b = _banach(self.left), _banach(self.right)
+        if self._meet is not None:
+            return self._meet._banach
+        a, b = self.left._banach, self.right._banach
         if ZERO in (a, b):
             return ZERO
-        if _finiteness(self.left)[1] is Tri.YES:
+        if self.left._finiteness[1] is Tri.YES:
             return b
-        if _finiteness(self.right)[1] is Tri.YES:
+        if self.right._finiteness[1] is Tri.YES:
             return a
         return None
 
@@ -583,15 +592,18 @@ class Shift(SetDescription):
         m = n - self.offset
         return m >= 1 and self.inner.member(m)
 
+    # Count and scan call the inner node's own, so a chain of shifts takes
+    # one frame a level.
     def scan(self, lo, hi):
         # m = n - offset; integers whose preimage falls below 1 stay out.
         flags = bytearray(hi - lo + 1)
         pad = max(0, 1 + self.offset - lo)
-        flags[pad:] = _scan(self.inner, lo + pad - self.offset, hi - self.offset)
+        if lo + pad <= hi:
+            flags[pad:] = self.inner.scan(lo + pad - self.offset, hi - self.offset)
         return flags
 
     def count(self, limit):
-        upper = _count_closed(self.inner, limit - self.offset)
+        upper = self.inner.count(limit - self.offset) if limit > self.offset else 0
         if upper is None or self.offset >= 0:
             return upper
         dropped = self._dropped
@@ -601,7 +613,7 @@ class Shift(SetDescription):
     def _dropped(self):
         # The inner members that a negative offset moves below 1: a fact of
         # the node, counted once, so nested shifts stay linear in depth.
-        return _count_closed(self.inner, -self.offset)
+        return self.inner.count(-self.offset)
 
     jumps = None
 
@@ -614,7 +626,7 @@ class Shift(SetDescription):
 
     def form(self):
         # A shift changes S only finitely beyond moving it, for either sign.
-        f = _form(self.inner)
+        f = self.inner._form
         if f is None:
             return None
         p, mask, atoms, rest = f
@@ -626,13 +638,21 @@ class Shift(SetDescription):
 
     # A shift moves every member and drops at most finitely many below 1.
     def finiteness(self):
-        return _finiteness(self.inner)
+        return self.inner._finiteness
 
     def density(self):
-        return _density(self.inner)
+        return self.inner._density
 
     def banach(self):
-        return _banach(self.inner)
+        return self.inner._banach
+
+    @cached_property
+    def _pushed(self):
+        # A shift distributes over unions and intersections.
+        inner, o = self.inner, self.offset
+        if isinstance(inner, _Pair):
+            return type(inner)(Shift(inner.left, o), Shift(inner.right, o))
+        return None
 
     def render(self):
         return f"shift:{self.inner.render()},{self.offset}"
@@ -656,25 +676,6 @@ _SPARSE_FORMS = {kind: (1, 0, frozenset({(kind, 0)}), True) for kind in (Squares
 _NEITHER = (Tri.NO, Tri.NO)
 NATURALS = AP(1, 1)
 EMPTY = Finite(())
-
-
-# The facts a node holds, read as functions: its eventually periodic form or
-# None; (is S finite?, is its complement finite?), three-valued; its exact
-# density, and its exact Banach density, or None.
-def _form(s: SetDescription) -> tuple | None:
-    return s._form
-
-
-def _finiteness(s: SetDescription) -> tuple[Tri, Tri]:
-    return s._finiteness
-
-
-def _density(s: SetDescription) -> Fraction | None:
-    return s._density
-
-
-def _banach(s: SetDescription) -> Fraction | None:
-    return s._banach
 
 
 def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
@@ -710,27 +711,6 @@ def _join(a: tuple | None, b: tuple | None, union: bool) -> tuple | None:
     if mask in (0, ones):
         return 1, int(mask != 0), atoms, rest
     return p, mask, atoms, rest
-
-
-def _pushed(s: SetDescription) -> SetDescription | None:
-    """s with its outer complement or shift moved one level toward the atoms,
-    equal to s up to a finite set (De Morgan; the complement of the dyadic
-    blocks over x is {1} and the blocks over the complement of x; a shift
-    distributes over unions and intersections and commutes with a
-    complement), or None when there is nothing to move."""
-    inner = getattr(s, "inner", None)
-    if isinstance(s, Complement):
-        if isinstance(inner, (Union, Intersection)):
-            dual = Intersection if isinstance(inner, Union) else Union
-            return dual(Complement(inner.left), Complement(inner.right))
-        if isinstance(inner, DyadicBlocks):
-            return DyadicBlocks(Complement(inner.selector))
-    elif isinstance(s, Shift):
-        if isinstance(inner, (Union, Intersection)):
-            return type(inner)(Shift(inner.left, s.offset), Shift(inner.right, s.offset))
-        if isinstance(inner, Complement):
-            return Complement(Shift(inner.inner, s.offset))
-    return None
 
 
 # ---------------------------------------------------------------- queries
@@ -827,7 +807,7 @@ def iter_members(s: SetDescription, limit: int):
 
 def is_finite(s: SetDescription) -> Tri:
     """Is S finite?  Sound three-valued structural analysis."""
-    return _finiteness(s)[0]
+    return s._finiteness[0]
 
 
 def exact_density(s: SetDescription) -> Fraction | None:
@@ -836,7 +816,7 @@ def exact_density(s: SetDescription) -> Fraction | None:
     Every returned value is a certified fact about S, not an estimate: the
     limit of |S ∩ [1, n]| / n exists and equals the returned fraction.
     """
-    return _density(s)
+    return s._density
 
 
 # ---------------------------------------------------------------- densities
@@ -864,7 +844,7 @@ def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fr
         raise ValueError("need 1 <= window <= limit")
     if limit > ENUMERATION_CAP:
         raise EnumerationCapError("window scan past cap")
-    p = (_form(s) or (0,))[0]
+    p = (s._form or (0,))[0]
     reach = max(windows, default=0) + p
     best, kept = dict.fromkeys(windows, 0), bytearray(reach)
     for _, flags in _chunks(s, 1, limit):

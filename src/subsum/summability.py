@@ -1216,7 +1216,7 @@ def matrix_ideal_kind(matrix: SummabilityMatrix) -> IdealPresentation:
     undecided_reason = "no certified argument for this matrix ideal"
 
     def closed_form(s: SetDescription) -> MembershipVerdict:
-        if setlang._finiteness(s)[0] is Tri.YES:
+        if s._finiteness[0] is Tri.YES:
             return MembershipVerdict(IN, "finite union of vanishing columns")
         verdict = _decide(reduced, s)
         if verdict.decided:

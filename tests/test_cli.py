@@ -310,6 +310,11 @@ class TestMetric:
         assert d["resolution"] == 20
         assert d["lower"] == "1/4"
 
+    def test_an_unclosed_stem_exits_with_code_2(self, capsys):
+        code, out, err = run(capsys, ["metric", "--s1", "stem:{1,2", "--s2", "id"])
+        assert (code, out) == (2, "")
+        assert err.startswith("SelectorSpecError: stem selectors need stem:{v1,v2,...}")
+
 
 class TestEscape:
     def test_unbounded_mode_frozen_instance(self, capsys):
@@ -496,6 +501,14 @@ class TestGame:
         assert d["adjudication"]["favored"] == "I"
         assert d["adjudication"]["label"] == "finite-scale evidence"
         assert [r["reply"] for r in d["rounds"]] == [[2], [4], [8], [16], [32]]
+
+    def test_a_matrix_ideal_game_is_left_open(self, capsys):
+        # No finite-scale rule adjudicates a matrix ideal's game.
+        code, d = run_json(capsys, ["game", "--ideal", "matrix:cesaro",
+                                    "--moves", "complement:finite:{1}", "--rounds", "2"])
+        assert code == 0
+        assert d["adjudication"] == {"label": "finite-scale evidence", "favored": "open",
+                                     "evidence": {"union_size": 1}}
 
     def test_transcripts_can_be_saved_and_replayed(self, capsys, tmp_path):
         path = tmp_path / "game.jsonl"
@@ -880,8 +893,9 @@ class TestErrorContract:
         assert record["error"].startswith("FileNotFoundError")
 
     # The deepest tree of each shape that the parser accepts, in a stack
-    # that leaves the walks 700 frames: nodes build their facts when they
-    # are built, so no query of a fact walks the tree.
+    # that leaves the walks 400 frames: nodes build their facts when they
+    # are built, so no query of a fact walks the tree, and every walk,
+    # a shift's count and scan included, takes one frame a level.
     @pytest.mark.parametrize("text", [
         "builtin:dyadic_blocks(" * (MAX_NESTING - 1) + "builtin:squares" + ")" * (MAX_NESTING - 1),
         "complement:" * (MAX_NESTING - 1) + "builtin:squares",
@@ -895,7 +909,7 @@ class TestErrorContract:
             "intersect_squares"])
     def test_the_deepest_trees_end_in_a_documented_exit(self, capsys, tmp_path, text):
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(700)
+        sys.setrecursionlimit(400)
         try:
             for argv in (["density", text, "--scale", "4096", "--window", "64"],
                          *(["verdict", text, "--ideal", ideal]

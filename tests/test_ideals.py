@@ -866,9 +866,32 @@ def test_a_complement_passes_through_dyadic_blocks(ideal, complements):
     text = "complement:" * complements + "builtin:dyadic_blocks(builtin:squares)"
     s = parse_set(text)
     assert ideal.decide(s).status == "not_in"
-    pushed = setlang._pushed(parse_set("complement:builtin:dyadic_blocks(builtin:squares)"))
+    pushed = parse_set("complement:builtin:dyadic_blocks(builtin:squares)")._pushed
     assert pushed == DyadicBlocks(Complement(Squares()))
     assert setlang._scan(pushed, 2, 4096) == setlang._scan(s, 2, 4096)
+
+
+def test_a_second_decide_builds_no_node(monkeypatch):
+    # A complement keeps the node it pushes to, so a second verdict on the
+    # same tree builds none.
+    built = []
+    real = setlang.SetDescription.__post_init__
+    monkeypatch.setattr(setlang.SetDescription, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    s = parse_set("complement:intersect:builtin:dyadic_blocks(builtin:powers2)|ap:3,7")
+    sizes = []
+    for _ in range(2):
+        built.clear()
+        assert [ideal.decide(s).status for ideal in (Z, BD, FXF)] == ["not_in"] * 3
+        sizes.append(len(built))
+    assert sizes[0] > 0 and sizes[1] == 0
+
+
+def test_finxfin_unites_two_certified_members():
+    # Periods 2**17 and 2**18 are past PERIOD_CAP, so no form decides the
+    # union; each side is certified alone.
+    v = FXF.decide(parse_set("union:complement:builtin:nu2_ge(17)|complement:builtin:nu2_ge(18)"))
+    assert (v.status, v.reason) == ("in", "union of two certified members")
 
 
 def test_deep_undecided_unions_build_each_form_once(monkeypatch):

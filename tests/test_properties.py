@@ -229,7 +229,7 @@ def _periodic_from(s) -> int:
 @settings(max_examples=150, deadline=None)
 @given(s=_periodic_sets())
 def test_periodic_form_matches_a_scan_and_decides_every_kind(s):
-    p, mask, atoms, _ = setlang._form(s)
+    p, mask, atoms, _ = s._form
     assert not atoms
     start = _periodic_from(s)
     flags = setlang._scan(s, start, start + 2 * p - 1)

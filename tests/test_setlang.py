@@ -266,9 +266,9 @@ def test_exact_density_tracks_prefix_ratio():
 
 
 def test_banach_density():
-    assert setlang._banach(AP(2, 2)) == Fraction(1, 2)
-    assert setlang._banach(Finite((5, 6))) == 0
-    assert setlang._banach(DyadicBlocks(AP(1, 2))) == 1
+    assert AP(2, 2)._banach == Fraction(1, 2)
+    assert Finite((5, 6))._banach == 0
+    assert DyadicBlocks(AP(1, 2))._banach == 1
     assert max_window_density(AP(2, 2), 1000, 10) == Fraction(1, 2)
     assert max_window_density(DyadicBlocks(AP(1, 2)), 2**12, 64) == 1
 
@@ -282,11 +282,23 @@ def test_fact_rules_of_nodes_without_a_form():
     merged = parse_set("union:ap:1,100003|ap:2,131101")
     blocks = parse_set(
         "union:complement:complement:builtin:dyadic_blocks(builtin:squares)|ap:1,131101")
-    assert setlang._form(full) is setlang._form(merged) is setlang._form(blocks) is None
+    assert full._form is merged._form is blocks._form is None
     assert exact_density(full) == 1
     assert exact_density(merged) == Fraction(231103, 13110493303)
-    assert setlang._banach(merged) is None
-    assert setlang._banach(blocks) == 1
+    assert merged._banach is None
+    assert blocks._banach == 1
+
+
+def test_a_pair_keeps_its_meet_apart_from_its_children():
+    # The CRT meet is built when first asked for (the intersection asks
+    # while it builds its facts, its steps being past PERIOD_CAP), after the
+    # node has counted its children.
+    step = 70001 * 70003
+    for text, meet, d in (("union:ap:1,2|ap:1,3", AP(1, 6), Fraction(2, 3)),
+                          ("intersect:ap:2,70001|ap:3,70003", AP(2450105003, step),
+                           Fraction(1, step))):
+        s = parse_set(text)
+        assert (s._meet, s._nodes, exact_density(s)) == (meet, 3, d)
 
 
 def test_nu2_ge_thresholds_stop_at_the_render_bound():

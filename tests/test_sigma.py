@@ -368,6 +368,11 @@ class TestModulus:
         with pytest.raises(ValueError):
             modulus_of_continuity(parse_sequence("alt"), parse_row("geometric"), F(0))
 
+    def test_a_tail_that_never_falls_is_refused(self):
+        flat = RowSeq("flat", lambda k: 1, l1_tail=lambda k: 1)
+        with pytest.raises(TailToleranceError):
+            modulus_of_continuity(parse_sequence("alt"), flat, F(1, 2))
+
     def test_undeclared_rows_are_refused(self):
         with pytest.raises(DomainRiskError):
             modulus_of_continuity(parse_sequence("alt"), parse_row("harmonic"), F(1, 4))
