@@ -30,6 +30,7 @@ from .summability import (
     DEFAULT_COLUMN_CAP,
     AuditBudgetError,
     CesaroMatrix,
+    DomainRiskError,
     RowSeq,
     SequenceSpec,
     SummabilityMatrix,
@@ -157,13 +158,22 @@ class OscillationCertificate:
 
     def audit_values(self, values: list[Fraction]) -> bool:
         """Recount the hits against a value stream; True iff all match."""
-        return len(values) >= self.scales[-1] and self.audit_pairs(
-            v.as_integer_ratio() for v in values
-        )
+        pairs = (v.as_integer_ratio() for v in values)
+        return len(values) >= self.scales[-1] and _threshold_counts(
+            pairs, self.lower, self.upper, self.scales) == (self.lower_counts, self.upper_counts)
 
-    def audit_pairs(self, pairs) -> bool:
-        """``audit_values`` for a stream of at least ``scales[-1]`` values
-        read as integer (numerator, positive denominator) pairs."""
+    def audit(self, matrix: SummabilityMatrix, x: SequenceSpec) -> bool:
+        """Recount the hits against the transform of x by the matrix kernel's
+        integer pairs; True iff all match.  Certificates are only written for
+        row-finite matrices, so any other is refused (DomainRiskError), as is a
+        last scale over ``DEFAULT_COLUMN_CAP`` rows (AuditBudgetError)."""
+        if not matrix.row_finite:
+            raise DomainRiskError(
+                f"certificates are audited against row-finite matrices, not {self.matrix_spec}"
+            )
+        limit = self.scales[-1]
+        _row_budget(limit, "certificate scale")
+        pairs = (pair for pair, _ in matrix._transform(x, range(1, limit + 1)))
         counts = _threshold_counts(pairs, self.lower, self.upper, self.scales)
         return counts == (self.lower_counts, self.upper_counts)
 
@@ -344,18 +354,10 @@ def oscillation_pair(
     sel_lo = Selector(stem + low_picks, Consecutive(low_picks[-1] + 1))
     sel_hi = Selector(stem + high_picks, Consecutive(high_picks[-1] + 1))
     row = j + want
-    support = matrix.row_support(row)
-    if support is None or support > row:
-        raise PreconditionError("decision row reaches past the chosen picks")
-    entries = matrix._row(row, support)
-
-    def transform_at(sel: Selector) -> Fraction:
-        # The row's columns pick stem and pick indices, all within the scan.
-        cols = range(1, support + 1)
-        return Fraction(*_dot_pair(entries, (xs[sel.value(k) - 1] for k in cols)))
-
-    lo_value = transform_at(sel_lo)
-    hi_value = transform_at(sel_hi)
+    # The decision row of each extension's subsequence, summed by the kind's kernel.
+    [(lo, _)] = matrix._transform(sel_lo.subsequence(x), (row,))
+    [(hi, _)] = matrix._transform(sel_hi.subsequence(x), (row,))
+    lo_value, hi_value = Fraction(*lo), Fraction(*hi)
     if hi_value - lo_value < (high_target - low_target) / 2:
         raise ConstructionError(
             "transforms did not separate at the decision row"
@@ -436,7 +438,7 @@ def escape_unbounded(
     fill = tuple(t_j + s for s in range(1, pivot - j))
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
-    picks = [*(x.pair(selector.value(k)) for k in range(1, pivot)), t0_pair]
+    picks = [*map(selector.subsequence(x).fn, range(1, pivot)), t0_pair]
     partial = Fraction(*_dot_pair(map(row.entry, range(1, pivot + 1)), picks))
     holds = abs(partial) >= m0 + 1
     return EscapeResult(
@@ -616,12 +618,12 @@ def escape_rowfinite(
             done = _larger(done, (abs(partial[0]), partial[1]))
     selector = Selector(tuple(values), Consecutive(prev + 1))
     # Exact re-check, sharing nothing with the column loop: every entry of
-    # every block row is read again through ``matrix._row``, and x again at
-    # the selector's picks.  A re-read row whose entries all equal c sums to
-    # c * P_s, P_s the sum of its s picks; any other row is summed term by
-    # term.  Each sum is compared with the plan's partial by cross products;
-    # only the printed row values are built as Fractions.
-    picks = [x.pair(selector.value(k)) for k in range(1, k_top + 1)]
+    # every block row is read again through ``matrix._row``, and x again
+    # through the selector's subsequence.  A re-read row whose entries all
+    # equal c sums to c * P_s, P_s the sum of its s picks; any other row is
+    # summed term by term.  Each sum is compared with the plan's partial by
+    # cross products; only the printed row values are built as Fractions.
+    picks = list(map(selector.subsequence(x).fn, range(1, k_top + 1)))
     prefix = list(accumulate(picks, lambda a, b: _add_ratio(*a, *b)))
     row_values = []
     holds = True

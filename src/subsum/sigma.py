@@ -102,6 +102,14 @@ class Selector:
     def values(self, limit: int) -> list[int]:
         return [self.value(n) for n in range(1, limit + 1)]
 
+    def subsequence(self, x: SequenceSpec) -> SequenceSpec:
+        """The subsequence y of x with y_k = x_{sigma(k)}: bounded by x's
+        sup bound, and declaring nothing else.  Its name ``<x>[sigma]`` marks
+        it as a subsequence of x without printing sigma, whose stem can take
+        longer to print than the values it picks take to read."""
+        return SequenceSpec(f"{x.name}[sigma]", lambda k: x.fn(self.value(k)),
+                            sup_bound=x.sup_bound)
+
     def image_contains(self, i: int) -> bool:
         if i < 1:
             raise ValueError("image queries start at 1")
@@ -312,7 +320,7 @@ def selector_transform(
         row.support, lambda w: row.l1_tail(w) * x.sup_bound if bounded else None, tail_tol, 16
     )
     cols = range(1, width + 1)
-    value = Fraction(*_dot_pair(map(row.entry, cols), (x.pair(sel.value(k)) for k in cols)))
+    value = Fraction(*_dot_pair(map(row.entry, cols), map(sel.subsequence(x).fn, cols)))
     return FunctionalValue(value, tail)
 
 

@@ -27,6 +27,7 @@ from .ideals import DEFAULT_SCALE, IDEALS, IN, MEMBER_REASONS, NOT_IN, UNDECIDED
 from .ideals import IdealPresentation, MembershipVerdict, UnsupportedIdealError
 from .setlang import (
     AP,
+    Complement,
     Finite,
     SetDescription,
     Tri,
@@ -46,6 +47,8 @@ DOMAIN_SCAN_COLUMNS = 4096
 DOMAIN_GROWTH_BOUND = 10**6
 # Consecutive head rows that the sampled r1 bound and the generic r3 probe read.
 HEAD_ROWS = 64
+# Leading columns that the sampled r2 probe reads.
+SAMPLED_COLUMNS = 10
 
 
 def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
@@ -368,15 +371,15 @@ def parse_row(spec: str) -> RowSeq:
 class SummabilityMatrix:
     """Common interface: exact rows, structural row support, spec string.
 
-    Each kind states its rows once, in ``_row``, and ``entry`` reads the
-    row's prefix (the geometric kind and row drops override it, see
-    ``GeometricMatrix.entry``).  Each kind states its other facts by
-    overriding the defaults here, once: a row-finite kind its row supports
-    and the rows vanishing below a column, any other kind its tail bound
-    ``_tail``.  A default either answers "unknown" (None / False), raises
-    NotImplementedError for a fact every kind it applies to must state, or,
-    for the regularity conditions and the transform kernel, does the generic
-    sampled or direct computation.
+    Each kind states its rows once, in ``_entries``, which every row reader
+    reaches through ``_row``, and ``entry`` reads the row's prefix (the
+    geometric kind and row drops override it, see ``GeometricMatrix.entry``).
+    Each kind states its other facts by overriding the defaults here, once:
+    a row-finite kind its row supports and the rows vanishing below a
+    column, any other kind its tail bound ``_tail``.  A default either
+    answers "unknown" (None / False), raises NotImplementedError for a fact
+    every kind it applies to must state, or, for the regularity conditions
+    and the transform kernel, does the generic sampled or direct computation.
     """
 
     nonneg: bool = False  # every entry is structurally >= 0
@@ -389,8 +392,13 @@ class SummabilityMatrix:
 
     def _row(self, n: int, width: int) -> tuple:
         """The entries a_{n,1..width}: () at width < 1, else ValueError for
-        n < 1.  Each kind states its rows here; every row reader goes through here."""
-        raise NotImplementedError
+        n < 1, else the kind's ``_entries(n, width)``; every row reader goes
+        through here."""
+        if width < 1:
+            return ()
+        if n < 1:
+            raise ValueError("indices start at 1")
+        return self._entries(n, width)
 
     def row_support(self, n: int) -> int | None:
         """Last nonzero column of row n (0 for a zero row), None if unknown."""
@@ -499,14 +507,16 @@ class SummabilityMatrix:
             "at_scale", f"sampled rows up to {samples[-1]}", {"bound": str(best)}
         )
 
-    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
-        """Columns vanish along ``ideal``: evidence from limit search under the
-        ideal's limit rule, so never a certificate."""
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
+        """Columns vanish along ``ideal``: evidence from limit search on the
+        first ``SAMPLED_COLUMNS`` columns under the ideal's limit rule, so
+        never a certificate.  A kind that answers "no" names a column bounded
+        away from 0 on every row."""
         from .constructions import ideal_limit
 
         scale = min(n_rows, 2048)
         details = {}
-        for k in range(1, k_cols + 1):
+        for k in range(1, SAMPLED_COLUMNS + 1):
             column = [self._row(n, k)[-1] for n in range(1, scale + 1)]
             verdict = ideal_limit(column, ideal)
             details[k] = verdict.status
@@ -529,8 +539,8 @@ class _LowerTriangle(SummabilityMatrix):
         return Finite(tuple(range(1, w)))
 
 
-class _StochasticTriangle(_LowerTriangle):
-    """Nonnegative lower-triangular rows that sum to 1 and end on the diagonal."""
+class _Stochastic(SummabilityMatrix):
+    """Nonnegative rows that each sum to 1, so each has l1 norm exactly 1."""
 
     nonneg = True
 
@@ -541,14 +551,10 @@ class _StochasticTriangle(_LowerTriangle):
         return ConditionReport("yes", "every row has l1 norm exactly 1", {"bound": "1"})
 
 
-class CesaroMatrix(_StochasticTriangle):
+class CesaroMatrix(_Stochastic, _LowerTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
-    def _row(self, n: int, width: int) -> tuple:
-        if width < 1:
-            return ()
-        if n < 1:
-            raise ValueError("indices start at 1")
+    def _entries(self, n: int, width: int) -> tuple:
         return (_reciprocal(n),) * min(n, width) + (ZERO,) * (width - n)
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
@@ -593,22 +599,17 @@ class CesaroMatrix(_StochasticTriangle):
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["z"]
 
-    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
         return ConditionReport("yes", "column entries are 0 or 1/n, dominated by 1/n", {})
 
     def spec_string(self) -> str:
         return "cesaro"
 
 
-
-class IdentityMatrix(_StochasticTriangle):
+class IdentityMatrix(_Stochastic, _LowerTriangle):
     """a_{n,k} = 1 for k = n, else 0."""
 
-    def _row(self, n: int, width: int) -> tuple:
-        if width < 1:
-            return ()
-        if n < 1:
-            raise ValueError("indices start at 1")
+    def _entries(self, n: int, width: int) -> tuple:
         if width < n:
             return (ZERO,) * width
         return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
@@ -630,12 +631,11 @@ class IdentityMatrix(_StochasticTriangle):
     def null_ideal(self) -> IdealPresentation:
         return IDEALS["fin"]
 
-    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
         return ConditionReport("yes", "column k vanishes for rows past k", {})
 
     def spec_string(self) -> str:
         return "identity"
-
 
 
 class RowDropMatrix(SummabilityMatrix):
@@ -699,15 +699,24 @@ class RowDropMatrix(SummabilityMatrix):
             return ConditionReport("yes", "zero rows only lower the base bound", base.data)
         return base
 
-    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
-        base = self.base.r2_columns(ideal, n_rows, k_cols)
-        if base.holds == "yes":
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
+        base, drop = self._innermost()
+        report = base.r2_columns(ideal, n_rows)
+        if report.holds == "yes":
             return ConditionReport("yes", "entrywise dominated by the base matrix", {})
-        return base
+        if report.holds != "no":
+            return report
+        # The base's "no" column is bounded away from 0 on every row, so it
+        # still fails to vanish exactly when the kept rows escape the ideal.
+        kept = Complement(drop)
+        verdict = ideal.decide(kept)
+        data = {**report.data, "kept_rows": render(kept), "verdict": verdict.status}
+        if verdict.status == NOT_IN:
+            return ConditionReport("no", f"{report.detail} on the kept rows", data)
+        return ConditionReport("undecided", "kept rows not certified outside the ideal", data)
 
     def spec_string(self) -> str:
         return f"rowdrop:{self.base.spec_string()}:{render(self.drop)}"
-
 
 
 class ExplicitMatrix(SummabilityMatrix):
@@ -724,11 +733,7 @@ class ExplicitMatrix(SummabilityMatrix):
         self.rows = tuple(stored)
         self.nonneg = all(v >= 0 for row in self.rows for v in row)
 
-    def _row(self, n: int, width: int) -> tuple:
-        if width < 1:
-            return ()
-        if n < 1:
-            raise ValueError("indices start at 1")
+    def _entries(self, n: int, width: int) -> tuple:
         row = self.rows[n - 1][:width] if n <= len(self.rows) else ()
         return row + (ZERO,) * (width - len(row))
 
@@ -757,7 +762,7 @@ class ExplicitMatrix(SummabilityMatrix):
             "yes", "max over stored rows; later rows are zero", {"bound": str(bound)}
         )
 
-    def r2_columns(self, ideal: IdealPresentation, n_rows: int, k_cols: int) -> ConditionReport:
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
         return ConditionReport("yes", "columns vanish beyond the stored rows", {})
 
     def spec_string(self) -> str:
@@ -765,14 +770,11 @@ class ExplicitMatrix(SummabilityMatrix):
         return f"explicit:{body}"
 
 
-
-class GeometricMatrix(SummabilityMatrix):
+class GeometricMatrix(_Stochastic):
     """Every row is (1/2, 1/4, 1/8, ...): not row-finite, with closed-form
     tails.  The rows share one prefix, kept up to ``DOMAIN_SCAN_COLUMNS``
     columns (the widest row a domain scan reads, about 1 MB); a wider row is
     built and returned, not kept."""
-
-    nonneg = True
 
     def __init__(self):
         self._prefix: tuple = ()
@@ -785,11 +787,7 @@ class GeometricMatrix(SummabilityMatrix):
             raise ValueError("indices start at 1")
         return Fraction(1, 1 << k)
 
-    def _row(self, n: int, width: int) -> tuple:
-        if width < 1:
-            return ()
-        if n < 1:
-            raise ValueError("indices start at 1")
+    def _entries(self, n: int, width: int) -> tuple:
         row = self._prefix
         if len(row) < width:
             row += tuple(Fraction(1, 1 << k) for k in range(len(row) + 1, width + 1))
@@ -802,6 +800,11 @@ class GeometricMatrix(SummabilityMatrix):
 
     def l1_tail(self, n: int, after: int) -> Fraction:
         return Fraction(1, 1 << after)
+
+    def r2_columns(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
+        # Every row is one row, so column 1 is the constant 1/2, which tends
+        # to 0 along no proper ideal.
+        return ConditionReport("no", "column 1 is the constant 1/2", {"column": 1, "entry": "1/2"})
 
     def _tail(self, n: int, x: SequenceSpec, after: int) -> Fraction | None:
         # The smaller of sup|x| / 2^after and, past column 0 when x bounds
@@ -833,7 +836,6 @@ class GeometricMatrix(SummabilityMatrix):
         return "gen:geometric"
 
 
-
 class GeneratorMatrix(_LowerTriangle):
     """Lower-triangular entries from a function: row n is ``entry_fn(n, k)``
     for k <= n, zero past the diagonal, and ``entry_fn(n, n)`` is declared
@@ -847,11 +849,7 @@ class GeneratorMatrix(_LowerTriangle):
         self.entry_fn = entry_fn
         self._rows, self._stored = {}, 0  # row prefixes read, and their entry count
 
-    def _row(self, n: int, width: int) -> tuple:
-        if width < 1:
-            return ()
-        if n < 1:
-            raise ValueError("indices start at 1")
+    def _entries(self, n: int, width: int) -> tuple:
         row = self._rows.get(n, ())
         have = len(row)
         if have < width:
@@ -866,7 +864,6 @@ class GeneratorMatrix(_LowerTriangle):
 
     def spec_string(self) -> str:
         return f"gen:{self.name}"
-
 
 
 @lru_cache(maxsize=1 << 12)
@@ -1130,8 +1127,6 @@ def _r3_rowsums(
             data["witness_rows"] = witness_rows
             return ConditionReport("no", "row-sum exception set escapes the ideal", data)
         return ConditionReport("undecided", verdict.reason, data)
-    if not matrix.row_finite:
-        return ConditionReport("undecided", "row sums not computable", {})
     from .constructions import ideal_limit
 
     # Evidence only, never a certificate: a consecutive prefix keeps the
@@ -1149,10 +1144,7 @@ def _r3_rowsums(
 
 
 def regularity_verdict(
-    matrix: SummabilityMatrix,
-    ideal: IdealPresentation,
-    n_rows: int = DEFAULT_SCALE,
-    k_cols: int = 10,
+    matrix: SummabilityMatrix, ideal: IdealPresentation, n_rows: int = DEFAULT_SCALE
 ) -> RegularityVerdict:
     """Verdict on the three regularity conditions relative to an ideal.
 
@@ -1162,7 +1154,7 @@ def regularity_verdict(
     certified; sampled evidence alone yields ``undecided``.
     """
     r1 = matrix.r1_bound(n_rows)
-    r2 = matrix.r2_columns(ideal, n_rows, k_cols)
+    r2 = matrix.r2_columns(ideal, n_rows)
     r3 = _r3_rowsums(matrix, ideal, n_rows)
     witness: dict = {}
     if "no" in (r1.holds, r2.holds, r3.holds):
@@ -1189,7 +1181,7 @@ def validate_matrix_ideal(matrix: SummabilityMatrix) -> IdealPresentation:
     anything weaker at construction time.  Returns that null ideal."""
     if not matrix.nonneg:
         raise UnsupportedIdealError("matrix ideals require nonnegative entries")
-    verdict = regularity_verdict(matrix, IDEALS["fin"], n_rows=256, k_cols=4)
+    verdict = regularity_verdict(matrix, IDEALS["fin"])
     if verdict.overall != "regular":
         raise UnsupportedIdealError(
             f"matrix ideals require a certified regular matrix, got {verdict.overall}"

@@ -151,8 +151,30 @@ class TestRegularity:
         assert code == 0
         assert d["overall"] == "regular"
 
+    @pytest.mark.parametrize("ideal", ["fin", "z", "bd", "finxfin", "matrix:cesaro",
+                                       "matrix:identity"])
+    def test_the_geometric_matrix_exits_4_with_every_condition_certified(self, capsys, ideal):
+        code, d = run_json(capsys, ["regularity", "--matrix", "gen:geometric", "--ideal", ideal])
+        assert (code, d["overall"]) == (4, "not_regular")
+        assert all(c["certified"] for c in d["conditions"].values())
+        assert d["witness"] == {"condition": "r2", "column": 1, "entry": "1/2"}
+
+    @pytest.mark.parametrize("ideal", ["fin", "z"])
+    @pytest.mark.parametrize("drop", ["builtin:squares", "finite:{2}", "complement:finite:{1}"])
+    def test_geometric_row_drops_exit_4(self, capsys, drop, ideal):
+        argv = ["regularity", "--matrix", f"rowdrop:gen:geometric:{drop}", "--ideal", ideal]
+        code, d = run_json(capsys, argv)
+        assert (code, d["overall"]) == (4, "not_regular")
+
+    def test_an_undecided_row_sum_exception_exits_5(self, capsys):
+        drop = "builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)"
+        argv = ["regularity", "--matrix", f"rowdrop:cesaro:{drop}", "--ideal", "z"]
+        code, d = run_json(capsys, argv)
+        assert (code, d["overall"]) == (5, "undecided")
+        assert d["conditions"]["row_sums_to_one"]["holds"] == "undecided"
+
     def test_sampled_matrices_stay_undecided_with_exit_code_5(self, capsys):
-        code, d = run_json(capsys, ["regularity", "--matrix", "gen:geometric"])
+        code, d = run_json(capsys, ["regularity", "--matrix", "gen:rand_rowfinite_3"])
         assert code == 5
         assert d["overall"] == "undecided"
 

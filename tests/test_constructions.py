@@ -10,6 +10,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,14 @@ from subsum import (
 from subsum import constructions
 from subsum.constructions import EPS_GRID, _least_index_with_magnitude
 from subsum.ideals import IDEALS
-from subsum.summability import DEFAULT_COLUMN_CAP, AuditBudgetError, _threshold_counts
+from subsum import summability
+from subsum.summability import (
+    DEFAULT_COLUMN_CAP,
+    AuditBudgetError,
+    DomainRiskError,
+    ExplicitMatrix,
+    _threshold_counts,
+)
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -227,6 +235,16 @@ class TestOscillationCertificates:
     def test_audit_requires_enough_values(self):
         assert not self.make().audit_values(alt_values(255))
 
+    def test_audit_recounts_the_kernel_rows(self):
+        cert, alt = self.make(), parse_sequence("alt")
+        assert cert.audit(parse_matrix("identity"), alt)
+        assert not cert.audit(CesaroMatrix(), alt)
+        with pytest.raises(DomainRiskError, match="not identity"):
+            cert.audit(parse_matrix("gen:geometric"), alt)
+        with mock.patch.object(summability, "DEFAULT_COLUMN_CAP", 255):
+            with pytest.raises(AuditBudgetError, match="certificate scale 256"):
+                cert.audit(parse_matrix("identity"), alt)
+
     def test_levels_must_be_ordered(self):
         with pytest.raises(ConstructionError):
             OscillationCertificate("x", "m", F(1), F(0), (8,), (1,), (1,))
@@ -292,6 +310,13 @@ class TestOscillationPairs:
     def test_infinite_rows_are_refused(self):
         with pytest.raises(PreconditionError):
             oscillation_pair((), parse_sequence("alt"), parse_matrix("gen:geometric"))
+
+    def test_a_decision_row_past_the_picks_reads_the_tails(self):
+        # Row 64 weighs column 65, past the 64 picks, where each extension's
+        # consecutive tail answers: x_128 = 1 below, x_129 = 0 above.
+        matrix = ExplicitMatrix([[]] * 63 + [[F(1, 64)] * 64 + [F(1, 2)]])
+        pair = oscillation_pair((), parse_sequence("alt"), matrix)
+        assert (pair.row, pair.lower_value, pair.upper_value) == (64, F(1, 2), F(1))
 
 
 # ---------------------------------------------------------------- escapes
@@ -648,6 +673,16 @@ def test_a_cesaro_escape_reads_no_entry_one_at_a_time(monkeypatch):
     monkeypatch.setattr(CesaroMatrix, "entry", refused)
     result = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 4, p0=7)
     assert result.block == tuple(range(128, 256)) and result.holds
+
+
+def test_picks_short_of_their_targets_leave_the_escape_not_holding(monkeypatch):
+    # Picks taken at the floor, whatever the target, push no row past m0,
+    # and the exact re-check says so.
+    monkeypatch.setattr(constructions, "_least_index_with_magnitude",
+                        lambda x, floor, p, q: (floor, x.pair(floor)))
+    result = escape_rowfinite((), CesaroMatrix(), parse_sequence("n"), Z, 100)
+    assert result.block == (4, 5, 6, 7) and not result.holds
+    assert result.row_values == ((4, F(5, 2)), (5, F(3)), (6, F(7, 2)), (7, F(4)))
 
 
 def test_only_rows_that_are_not_constant_are_summed_term_by_term(dot_rows):

@@ -924,3 +924,20 @@ def test_nested_negative_shifts_count_their_evidence_in_linear_time(depth):
     assert v.status == "undecided"
     flags = setlang._scan(s, 1, 1024)
     assert v.evidence["prefix_counts"] == [(n, sum(flags[:n])) for n in (128, 256, 512, 1024)]
+
+
+def test_a_shift_of_a_union_is_pushed_onto_its_sides():
+    # The shift distributes over the union, whose dyadic-blocks side is no
+    # member of finxfin.
+    s = parse_set("shift:union:builtin:dyadic_blocks(builtin:squares)|finite:{1},1")
+    v = FXF.decide(s)
+    assert (v.status, v.reason) == ("not_in", "contains a certified non-member subset")
+
+
+def test_a_join_past_the_period_cap_leaves_the_density_rule_deciding():
+    # The lcm of the two steps is past PERIOD_CAP, so the union has no
+    # periodic form; the progressions' exact density decides it.
+    s = parse_set("union:ap:1,65521|ap:2,65519")
+    assert s._form is None
+    v = Z.decide(s)
+    assert (v.status, v.reason) == ("not_in", "exact density 131039/4292870399 > 0")

@@ -72,6 +72,15 @@ class TestSelectorBasics:
         with pytest.raises(SelectorSpecError):
             s.value(2)  # rule gives 4, below the stem's last value
 
+    def test_a_subsequence_reads_x_at_the_selector(self):
+        s = parse_selector("stem:{2,5}+consec@9")
+        y = s.subsequence(parse_sequence("n"))
+        assert [y.value(k) for k in range(1, 6)] == [2, 5, 9, 10, 11]
+        assert y.name == "n[sigma]"
+        # It keeps x's sup bound and declares nothing else.
+        assert (y.sup_bound, y.ratio_bound, y.unbounded) == (None, None, False)
+        assert parse_selector("even").subsequence(parse_sequence("alt")).sup_bound == 1
+
     def test_positions_start_at_one(self):
         with pytest.raises(ValueError):
             IDENTITY_SELECTOR.value(0)

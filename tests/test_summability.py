@@ -39,6 +39,7 @@ from subsum import (
     Union,
     indicator_sequence,
     member,
+    parse_ideal,
     parse_matrix,
     parse_rle,
     parse_row,
@@ -1010,9 +1011,54 @@ class TestRegularity:
         assert v.r3.holds == "no"
 
     def test_generator_matrices_stay_undecided(self):
-        v = regularity_verdict(parse_matrix("gen:geometric"), Z, n_rows=256)
+        v = regularity_verdict(parse_matrix("gen:rand_rowfinite_3"), Z, n_rows=256)
         assert v.overall == "undecided"
         assert not v.r2.certified
+
+    @pytest.mark.parametrize("ideal", ["fin", "z", "bd", "finxfin", "matrix:cesaro",
+                                       "matrix:identity"])
+    def test_the_geometric_matrix_is_certified_not_regular(self, ideal):
+        # Every row is (1/2, 1/4, ...): l1 norm and row sum 1, and column 1
+        # is the constant 1/2, which tends to 0 along no proper ideal.
+        v = regularity_verdict(parse_matrix("gen:geometric"), parse_ideal(ideal))
+        assert v.overall == "not_regular"
+        assert [rep.holds for rep in (v.r1, v.r2, v.r3)] == ["yes", "no", "yes"]
+        assert v.witness == {"condition": "r2", "column": 1, "entry": "1/2"}
+
+    @pytest.mark.parametrize("drop, fin_r2, z_r2", [
+        ("builtin:squares", "no", "no"),
+        ("finite:{2}", "no", "no"),
+        ("complement:finite:{1}", "undecided", "undecided"),  # one kept row: r3 fails
+        ("ap:2,2", "no", "no"),
+    ])
+    def test_a_geometric_row_drop_fails_column_1_on_the_kept_rows(self, drop, fin_r2, z_r2):
+        m = parse_matrix(f"rowdrop:gen:geometric:{drop}")
+        for ideal, r2 in ((FIN, fin_r2), (Z, z_r2)):
+            v = regularity_verdict(m, ideal)
+            assert (v.overall, v.r2.holds) == ("not_regular", r2)
+            assert v.r2.data["kept_rows"] == f"complement:{drop}"
+
+    def test_nested_geometric_drops_decide_the_rows_both_keep(self):
+        # Each drop alone keeps infinitely many rows, but the two together
+        # keep none, so column 1 vanishes: r2 is not "no", r3 is.
+        v = regularity_verdict(parse_matrix("rowdrop:rowdrop:gen:geometric:ap:2,2:ap:1,2"), FIN)
+        assert (v.overall, v.r2.holds, v.r3.holds) == ("not_regular", "undecided", "no")
+        assert v.r2.data == {"column": 1, "entry": "1/2", "verdict": "in",
+                             "kept_rows": "complement:union:ap:2,2|ap:1,2"}
+
+    def test_a_sampled_matrix_can_show_both_trends_at_scale(self):
+        # Running averages as a generator: r2 and r3 are evidence only.
+        v = regularity_verdict(GeneratorMatrix("avg", lambda n, k: F(1, n)), FIN, n_rows=256)
+        assert v.overall == "undecided"
+        assert (v.r2.holds, v.r2.detail) == ("at_scale", "columns vanish at scale 256")
+        assert (v.r3.holds, v.r3.detail) == ("at_scale", "row sums near 1 at scale 64")
+
+    def test_an_undecided_row_sum_exception_leaves_r3_undecided(self):
+        m = parse_matrix("rowdrop:cesaro:builtin:dyadic_blocks("
+                         "intersect:builtin:squares|shift:builtin:powers2,1)")
+        v = regularity_verdict(m, Z)
+        assert (v.overall, v.r3.holds, v.r3.data["verdict"]) == ("undecided", "undecided",
+                                                                 "undecided")
 
     def test_random_rowfinite_is_undecided_not_misjudged(self):
         v = regularity_verdict(random_rowfinite_matrix(3), FIN, n_rows=128)
