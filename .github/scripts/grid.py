@@ -15,8 +15,9 @@ lines: two versions of the package decide a half alike exactly when its
 digests agree.  ``--compare A B`` reads two saved runs and lists each
 verdict whose status or reason moved, then every flip between ``in`` and
 ``not_in`` or between ``regular`` and ``not_regular``, by spec; it exits 1
-when anything moved.  Stdlib only; CI runs it as a smoke test, checking its
-exit status alone.  Run it from the repository root:
+when anything moved.  Stdlib only; CI compares the two digests with
+``.github/scripts/grid_digests.txt``, so a change that moves a verdict
+commits its new digest.  Run it from the repository root:
 
     python .github/scripts/grid.py > after.jsonl
     python .github/scripts/grid.py --compare before.jsonl after.jsonl

@@ -178,7 +178,7 @@ class OscillationCertificate:
         return counts == (self.lower_counts, self.upper_counts)
 
 
-@dataclass(frozen=True)
+@dataclass
 class IdealLimitVerdict:
     """Outcome of the finite-scale limit search along an ideal.
 
@@ -282,7 +282,7 @@ def ideal_limit(
 PAIR_PICKS = 64
 
 
-@dataclass(frozen=True)
+@dataclass
 class OscillationPair:
     """Two extensions of one stem whose transforms provably separate."""
 
@@ -370,7 +370,7 @@ def oscillation_pair(
 # ------------------------------------------------------------------- escapes
 
 
-@dataclass(frozen=True)
+@dataclass
 class EscapeResult:
     """A selector together with the exactly verified bound it achieves."""
 
@@ -663,7 +663,7 @@ def escape_rowfinite(
 # ----------------------------------------------------------------- adversary
 
 
-@dataclass(frozen=True)
+@dataclass
 class BoundaryMean:
     level: int
     at: int
@@ -677,7 +677,7 @@ class BoundaryMean:
         return self.error <= self.allowance
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdversaryReport:
     mode: str
     matrix_spec: str
@@ -792,7 +792,7 @@ def steinhaus_adversary(
 # ---------------------------------------------------------------- meagerness
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeagernessDemo:
     """Transcript of repeated escapes: one selector family defeats every
     bound in the schedule on fresh partition blocks.

@@ -32,7 +32,7 @@ class StrategySearchError(RuntimeError):
 # ---------------------------------------------------------------- transcript
 
 
-@dataclass(frozen=True)
+@dataclass
 class GameRound:
     index: int
     move_spec: str
@@ -48,7 +48,7 @@ class GameRound:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class GameTranscript:
     ideal_name: str
     strategy_name: str
@@ -263,7 +263,7 @@ def replay_matches(
 # --------------------------------------------------------------- adjudication
 
 
-@dataclass(frozen=True)
+@dataclass
 class Adjudication:
     """Finite-scale reading of a transcript; never a completed-game claim."""
 

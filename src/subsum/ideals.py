@@ -55,7 +55,7 @@ class RestrictionError(ValueError):
     """The proposed domain's complement is not certified inside the ideal."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class MembershipVerdict:
     status: str
     reason: str

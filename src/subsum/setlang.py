@@ -109,6 +109,40 @@ class SetDescription:
     jumps = False  # None on unions and shifts, see __post_init__
     listed = None  # finite sets, squares, powers of 2: ``listed(limit)``, the members up to it
     _pushed = None  # see Complement and Shift
+    # A kind's fields are its annotated names after its bases': a node is built,
+    # compared, hashed and printed by them, and refuses assignment.
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args), **kwargs)
+            if len(args) + len(kwargs) != len(fields) or given.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+            args = [given[name] for name in fields]
+        vars(self).update(zip(fields, args))
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __post_init__(self):
         children = [v for v in vars(self).values() if isinstance(v, SetDescription)]
@@ -154,16 +188,14 @@ def _marked(lo: int, hi: int, members) -> bytearray:
     return flags
 
 
-@dataclass(frozen=True)
 class Finite(SetDescription):
     members: tuple[int, ...]
     jumps = True
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(self.members)))
-        if normalized and normalized[0] < 1:
+        members = vars(self)["members"] = tuple(sorted(set(self.members)))
+        if members and members[0] < 1:
             raise ValueError("finite set members must be >= 1")
-        object.__setattr__(self, "members", normalized)
         super().__post_init__()
 
     def member(self, n):
@@ -228,7 +260,6 @@ class _Progression(SetDescription):
     banach = density
 
 
-@dataclass(frozen=True)
 class AP(_Progression):
     """Arithmetic progression {first, first+step, first+2*step, ...}."""
 
@@ -246,7 +277,6 @@ class AP(_Progression):
         return f"ap:{self.first},{self.step}"
 
 
-@dataclass(frozen=True)
 class Nu2Ge(_Progression):
     """All n with nu2(n) >= threshold, i.e. multiples of 2**threshold."""
 
@@ -277,7 +307,6 @@ class _Sparse(SetDescription):
         return _SPARSE_FORMS[type(self)]
 
 
-@dataclass(frozen=True)
 class Squares(_Sparse):
     def member(self, n):
         r = isqrt(n)
@@ -295,7 +324,6 @@ class Squares(_Sparse):
         return "builtin:squares"
 
 
-@dataclass(frozen=True)
 class Powers2(_Sparse):
     def member(self, n):
         return n & (n - 1) == 0
@@ -312,7 +340,6 @@ class Powers2(_Sparse):
         return "builtin:powers2"
 
 
-@dataclass(frozen=True)
 class DyadicBlocks(SetDescription):
     """Union of dyadic blocks [2**q, 2**(q+1)) over q in the selector.
 
@@ -365,7 +392,6 @@ class DyadicBlocks(SetDescription):
         return f"builtin:dyadic_blocks({self.selector.render()})"
 
 
-@dataclass(frozen=True)
 class Complement(SetDescription):
     inner: SetDescription
 
@@ -427,7 +453,6 @@ def _combine(op, a: bytearray, b: bytearray) -> bytearray:
     return bytearray(both.to_bytes(len(a), "little"))
 
 
-@dataclass(frozen=True)
 class _Pair(SetDescription):
     """A union or an intersection of two sets."""
 
@@ -470,7 +495,6 @@ class _Pair(SetDescription):
         return None if cheapest is None else sum(map(cheapest[1].member, cheapest[0].listed(limit)))
 
 
-@dataclass(frozen=True)
 class Union(_Pair):
     def member(self, n):
         return self.left.member(n) or self.right.member(n)
@@ -534,7 +558,6 @@ class Union(_Pair):
         return f"union:{self.left.render()}|{self.right.render()}"
 
 
-@dataclass(frozen=True)
 class Intersection(_Pair):
     def member(self, n):
         return self.left.member(n) and self.right.member(n)
@@ -581,7 +604,6 @@ class Intersection(_Pair):
         return f"intersect:{self.left.render()}|{self.right.render()}"
 
 
-@dataclass(frozen=True)
 class Shift(SetDescription):
     """{m + offset : m in inner} intersected with N; offset may be negative."""
 
@@ -880,7 +902,7 @@ def _window_maxima(s: SetDescription, limit: int, windows: list[int]) -> list[Fr
     return [Fraction(best[w], w) for w in windows]
 
 
-@dataclass(frozen=True)
+@dataclass
 class DensityReport:
     """Prefix-density evidence for a set at the default checkpoints.
 

@@ -220,7 +220,7 @@ def parse_selector(spec: str) -> Selector:
 # ---------------------------------------------------------------- the metric
 
 
-@dataclass(frozen=True)
+@dataclass
 class MetricInterval:
     """Certified enclosure of the image-difference distance.
 
@@ -290,7 +290,7 @@ def metric(s1: Selector, s2: Selector, resolution: int = 40) -> MetricInterval:
 # ---------------------------------------------------------------- functionals
 
 
-@dataclass(frozen=True)
+@dataclass
 class FunctionalValue:
     value: Fraction
     tail_bound: Fraction

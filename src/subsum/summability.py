@@ -145,21 +145,23 @@ class MatrixSpecError(ValueError):
 
 
 class RationalSyntaxError(ValueError):
-    """A rational in an input has a zero denominator, is infinite, or writes
-    an exponent past 2 * RENDER_BITS."""
+    """A rational in an input is not a string, has a zero denominator, or
+    writes an exponent past 2 * RENDER_BITS."""
 
 
-def parse_rational(text: str | float) -> Fraction:
-    """The rational an input writes as ``text``; every input rational is read
-    here.  A far exponent is refused before its power of 10 is built."""
+def parse_rational(text: str) -> Fraction:
+    """The rational an input writes as the string ``text``; every input rational
+    is read here.  A far exponent is refused before its power of 10 is built."""
+    if not isinstance(text, str):
+        raise RationalSyntaxError(f"rationals are read from strings, not {text!r}")
     bound = 2 * setlang.RENDER_BITS
-    digits = str(text).strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    digits = text.strip().lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
     if digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
         raise RationalSyntaxError(
             f"exponent past {bound}, twice the {setlang.RENDER_BITS}-bit render bound: {text!r}")
     try:
         return Fraction(text)
-    except (ZeroDivisionError, OverflowError):  # 1/0, or JSON's Infinity
+    except ZeroDivisionError:
         raise RationalSyntaxError(f"not a finite rational: {text!r}") from None
 
 
@@ -526,6 +528,33 @@ class SummabilityMatrix:
                 )
         return ConditionReport("at_scale", f"columns vanish at scale {scale}", details)
 
+    def r3_rowsums(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
+        """Row sums tend to 1 along ``ideal``; certified only off a row-sum exception set."""
+        exception = self.row_sum_exception()
+        if exception is not None:
+            verdict = ideal.decide(exception)
+            data = {"exception_set": render(exception), "verdict": verdict.status}
+            if verdict.status == IN:
+                return ConditionReport("yes", "row-sum exception set is in the ideal", data)
+            if verdict.status == NOT_IN:
+                data["witness_rows"] = list(islice(setlang.iter_members(exception, 10**4), 5))
+                return ConditionReport("no", "row-sum exception set escapes the ideal", data)
+            return ConditionReport("undecided", verdict.reason, data)
+        from .constructions import ideal_limit
+
+        # Evidence only, never a certificate: a consecutive prefix keeps the
+        # ideal's smallness rule meaningful, and the head rows are the ones r1
+        # samples anyway.
+        rows = min(n_rows, HEAD_ROWS)
+        sums = [self.row_sum(n) for n in range(1, rows + 1)]
+        verdict = ideal_limit(sums, ideal)
+        if verdict.status == "limit" and verdict.eta == 1:
+            return ConditionReport(
+                "at_scale", f"row sums near 1 at scale {rows}",
+                {"rows": rows, "eps": str(verdict.eps)},
+            )
+        return ConditionReport("undecided", "row sums show no trend toward 1", {"rows": rows})
+
 
 class _LowerTriangle(SummabilityMatrix):
     """Lower-triangular rows that end on a nonzero diagonal entry."""
@@ -704,16 +733,30 @@ class RowDropMatrix(SummabilityMatrix):
         report = base.r2_columns(ideal, n_rows)
         if report.holds == "yes":
             return ConditionReport("yes", "entrywise dominated by the base matrix", {})
-        if report.holds != "no":
-            return report
-        # The base's "no" column is bounded away from 0 on every row, so it
-        # still fails to vanish exactly when the kept rows escape the ideal.
+        # Every column is 0 off the kept rows, so it vanishes when they are in
+        # the ideal; the base's "no" column, bounded away from 0, fails when not.
         kept = Complement(drop)
         verdict = ideal.decide(kept)
-        data = {**report.data, "kept_rows": render(kept), "verdict": verdict.status}
+        found = {"kept_rows": render(kept), "verdict": verdict.status}
+        if verdict.status == IN:
+            return ConditionReport("yes", "columns are 0 off the kept rows, in the ideal", found)
+        if report.holds != "no":
+            return report
+        data = {**report.data, **found}
         if verdict.status == NOT_IN:
             return ConditionReport("no", f"{report.detail} on the kept rows", data)
         return ConditionReport("undecided", "kept rows not certified outside the ideal", data)
+
+    def r3_rowsums(self, ideal: IdealPresentation, n_rows: int) -> ConditionReport:
+        # Dropped rows sum to 0, so a drop that escapes the ideal keeps the row
+        # sums off 1 along it, whatever the base states.
+        report = super().r3_rowsums(ideal, n_rows)
+        drop = self._innermost()[1]
+        if report.certified or ideal.decide(drop).status != NOT_IN:
+            return report
+        rows = list(islice(setlang.iter_members(drop, 10**4), 5))
+        data = {"dropped_rows": render(drop), "verdict": NOT_IN, "witness_rows": rows}
+        return ConditionReport("no", "dropped rows sum to 0 and escape the ideal", data)
 
     def spec_string(self) -> str:
         return f"rowdrop:{self.base.spec_string()}:{render(self.drop)}"
@@ -956,7 +999,7 @@ def parse_matrix(spec: str) -> SummabilityMatrix:
 # ---------------------------------------------------------------- transforms
 
 
-@dataclass(frozen=True)
+@dataclass
 class TransformPoint:
     n: int
     value: Fraction
@@ -1014,7 +1057,7 @@ def transform_prefix(
 # ---------------------------------------------------------------- domain check
 
 
-@dataclass(frozen=True)
+@dataclass
 class DomainCheck:
     status: str  # "converged" | "diverging" | "inconclusive"
     n: int
@@ -1090,7 +1133,7 @@ def domain_check(
 # ---------------------------------------------------------------- regularity
 
 
-@dataclass(frozen=True)
+@dataclass
 class ConditionReport:
     holds: str  # "yes" | "no" | "at_scale" | "undecided"
     detail: str
@@ -1102,7 +1145,7 @@ class ConditionReport:
         return self.holds in ("yes", "no")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RegularityVerdict:
     matrix_spec: str
     ideal_name: str
@@ -1111,36 +1154,6 @@ class RegularityVerdict:
     r2: ConditionReport
     r3: ConditionReport
     witness: dict = field(default_factory=dict, compare=False)
-
-
-def _r3_rowsums(
-    matrix: SummabilityMatrix, ideal: IdealPresentation, n_rows: int
-) -> ConditionReport:
-    exception = matrix.row_sum_exception()
-    if exception is not None:
-        verdict = ideal.decide(exception)
-        data = {"exception_set": render(exception), "verdict": verdict.status}
-        if verdict.status == IN:
-            return ConditionReport("yes", "row-sum exception set is in the ideal", data)
-        if verdict.status == NOT_IN:
-            witness_rows = list(islice(setlang.iter_members(exception, 10**4), 5))
-            data["witness_rows"] = witness_rows
-            return ConditionReport("no", "row-sum exception set escapes the ideal", data)
-        return ConditionReport("undecided", verdict.reason, data)
-    from .constructions import ideal_limit
-
-    # Evidence only, never a certificate: a consecutive prefix keeps the
-    # ideal's smallness rule meaningful, and the head rows are the ones r1
-    # samples anyway.
-    rows = min(n_rows, HEAD_ROWS)
-    sums = [matrix.row_sum(n) for n in range(1, rows + 1)]
-    verdict = ideal_limit(sums, ideal)
-    if verdict.status == "limit" and verdict.eta == 1:
-        return ConditionReport(
-            "at_scale", f"row sums near 1 at scale {rows}",
-            {"rows": rows, "eps": str(verdict.eps)},
-        )
-    return ConditionReport("undecided", "row sums show no trend toward 1", {"rows": rows})
 
 
 def regularity_verdict(
@@ -1155,7 +1168,7 @@ def regularity_verdict(
     """
     r1 = matrix.r1_bound(n_rows)
     r2 = matrix.r2_columns(ideal, n_rows)
-    r3 = _r3_rowsums(matrix, ideal, n_rows)
+    r3 = matrix.r3_rowsums(ideal, n_rows)
     witness: dict = {}
     if "no" in (r1.holds, r2.holds, r3.holds):
         overall = "not_regular"

@@ -166,6 +166,21 @@ class TestRegularity:
         code, d = run_json(capsys, argv)
         assert (code, d["overall"]) == (4, "not_regular")
 
+    def test_a_geometric_drop_keeping_one_row_certifies_vanishing_columns(self, capsys):
+        argv = ["regularity", "--matrix", "rowdrop:gen:geometric:complement:finite:{1}",
+                "--ideal", "fin"]
+        code, d = run_json(capsys, argv)
+        assert (code, d["overall"]) == (4, "not_regular")
+        assert d["conditions"]["columns_vanish"]["holds"] == "yes"
+
+    def test_a_random_drop_outside_fin_exits_4_on_its_row_sums(self, capsys):
+        argv = ["regularity", "--matrix", "rowdrop:gen:rand_rowfinite_3:complement:finite:{1,2}",
+                "--ideal", "fin"]
+        code, d = run_json(capsys, argv)
+        assert (code, d["overall"]) == (4, "not_regular")
+        assert d["witness"]["condition"] == "r3"
+        assert d["witness"]["witness_rows"] == [3, 4, 5, 6, 7]
+
     def test_an_undecided_row_sum_exception_exits_5(self, capsys):
         drop = "builtin:dyadic_blocks(intersect:builtin:squares|shift:builtin:powers2,1)"
         argv = ["regularity", "--matrix", f"rowdrop:cesaro:{drop}", "--ideal", "z"]
@@ -855,7 +870,10 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("key, value, reason", [
         ("lower", "1/0", "not a finite rational: '1/0'"),
-        ("upper", float("inf"), "not a finite rational: inf"),
+        # A JSON number is refused by the rational reader before Fraction sees it.
+        ("upper", float("inf"), "rationals are read from strings, not inf"),
+        ("lower", 0.25, "rationals are read from strings, not 0.25"),
+        ("lower", 0, "rationals are read from strings, not 0"),
         ("matrix", "explicit:1/0", "not a finite rational: '1/0'"),
         ("x", "const:1/0", "not a finite rational: '1/0'"),
         ("matrix", 5, "'int' object has no attribute 'strip'"),

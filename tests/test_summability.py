@@ -1028,7 +1028,9 @@ class TestRegularity:
     @pytest.mark.parametrize("drop, fin_r2, z_r2", [
         ("builtin:squares", "no", "no"),
         ("finite:{2}", "no", "no"),
-        ("complement:finite:{1}", "undecided", "undecided"),  # one kept row: r3 fails
+        ("complement:finite:{1}", "yes", "yes"),  # one kept row, in both ideals: r3 fails
+        # Kept rows inside the squares: in z, but fin cannot tell whether finitely many.
+        ("complement:intersect:builtin:squares|shift:builtin:powers2,1", "undecided", "yes"),
         ("ap:2,2", "no", "no"),
     ])
     def test_a_geometric_row_drop_fails_column_1_on_the_kept_rows(self, drop, fin_r2, z_r2):
@@ -1040,11 +1042,31 @@ class TestRegularity:
 
     def test_nested_geometric_drops_decide_the_rows_both_keep(self):
         # Each drop alone keeps infinitely many rows, but the two together
-        # keep none, so column 1 vanishes: r2 is not "no", r3 is.
+        # keep none, so every column vanishes: r2 holds, r3 does not.
         v = regularity_verdict(parse_matrix("rowdrop:rowdrop:gen:geometric:ap:2,2:ap:1,2"), FIN)
-        assert (v.overall, v.r2.holds, v.r3.holds) == ("not_regular", "undecided", "no")
-        assert v.r2.data == {"column": 1, "entry": "1/2", "verdict": "in",
-                             "kept_rows": "complement:union:ap:2,2|ap:1,2"}
+        assert (v.overall, v.r2.holds, v.r3.holds) == ("not_regular", "yes", "no")
+        assert v.r2.data == {"verdict": "in", "kept_rows": "complement:union:ap:2,2|ap:1,2"}
+
+    @pytest.mark.parametrize("base", ["gen:rand_rowfinite_3", "gen:geometric"])
+    def test_kept_rows_in_the_ideal_certify_vanishing_columns(self, base):
+        # Every column is 0 off the kept rows: a sampled base or a "no" base alike.
+        v = regularity_verdict(parse_matrix(f"rowdrop:{base}:complement:finite:{{1,2}}"), FIN)
+        assert (v.r2.holds, v.r2.detail) == ("yes", "columns are 0 off the kept rows, in the ideal")
+        assert v.r2.data == {"kept_rows": "complement:complement:finite:{1,2}", "verdict": "in"}
+
+    def test_a_drop_outside_the_ideal_certifies_that_rows_miss_1(self):
+        # The random base states no row-sum exception, but the dropped rows
+        # sum to 0 and escape fin, so r3 fails on them; a drop inside the
+        # ideal leaves the sampled evidence as it was.
+        v = regularity_verdict(parse_matrix("rowdrop:gen:rand_rowfinite_3:complement:finite:{1,2}"),
+                               FIN, n_rows=256)
+        assert (v.overall, v.r3.holds) == ("not_regular", "no")
+        assert v.r3.detail == "dropped rows sum to 0 and escape the ideal"
+        assert v.witness == {"condition": "r3", "dropped_rows": "complement:finite:{1,2}",
+                             "verdict": "not_in", "witness_rows": [3, 4, 5, 6, 7]}
+        kept = regularity_verdict(parse_matrix("rowdrop:gen:rand_rowfinite_3:finite:{1,2}"),
+                                  FIN, n_rows=256)
+        assert (kept.overall, kept.r3.holds) == ("undecided", "undecided")
 
     def test_a_sampled_matrix_can_show_both_trends_at_scale(self):
         # Running averages as a generator: r2 and r3 are evidence only.
