@@ -23,8 +23,8 @@ from ._version import __version__
 _EXPORTS = {
     "setlang": """AP Complement DensityReport DyadicBlocks EnumerationCapError Finite
         Intersection Nu2Ge Powers2 SetDescription SetSyntaxError Shift Squares Tri Union
-        density_csv density_report exact_density first_member fraction_decimal is_finite
-        iter_members max_window_density member next_member nu2 parse_set render""",
+        density_csv density_report exact_density fraction_decimal is_finite least_members
+        max_window_density member next_member nu2 parse_set render""",
     "ideals": """IdealPresentation IntervalPartition MembershipVerdict RestrictedIdeal
         RestrictionError UnsupportedIdealError nu2_column_audit parse_ideal
         restricted_blocks""",

@@ -72,7 +72,6 @@ def _cmd_density(args) -> tuple[dict, int]:
     if args.csv:
         return {"csv": setlang.density_csv(report)}, OK
     payload = {
-        "command": "density",
         "set": setlang.render(report.description),
         "scale": args.scale,
         "prefix_counts": [[n, c] for n, c in report.prefix_counts],
@@ -95,7 +94,6 @@ def _cmd_verdict(args) -> tuple[dict, int]:
     s = setlang.parse_set(args.set)
     verdict = ideal.verdict(s, args.scale)
     payload = {
-        "command": "verdict",
         "ideal": ideal.name,
         "set": setlang.render(s),
         "status": verdict.status,
@@ -111,7 +109,6 @@ def _cmd_regularity(args) -> tuple[dict, int]:
     ideal = ideals.parse_ideal(args.ideal)
     verdict = summability.regularity_verdict(matrix, ideal, n_rows=args.scale)
     payload = {
-        "command": "regularity",
         "matrix": verdict.matrix_spec,
         "ideal": verdict.ideal_name,
         "overall": verdict.overall,
@@ -143,7 +140,6 @@ def _cmd_transform(args) -> tuple[dict, int]:
     tail_tol = _bounded_rational(args.tail_tol, "tolerances")
     points = summability.transform_prefix(matrix, x, args.rows, tail_tol=tail_tol)
     payload = {
-        "command": "transform",
         "matrix": matrix.spec_string(),
         "x": x.name,
         "rows": [
@@ -159,7 +155,6 @@ def _cmd_domain(args) -> tuple[dict, int]:
     x = summability.parse_sequence(args.x)
     check = summability.domain_check(matrix, x, args.row, _bounded_rational(args.tol, "tolerances"))
     payload = {
-        "command": "domain",
         "matrix": matrix.spec_string(),
         "x": x.name,
         "row": check.n,
@@ -177,7 +172,6 @@ def _cmd_metric(args) -> tuple[dict, int]:
     s2 = sigma.parse_selector(args.s2)
     interval = sigma.metric(s1, s2, args.resolution)
     payload = {
-        "command": "metric",
         "s1": s1.spec_string(),
         "s2": s2.spec_string(),
         "resolution": interval.resolution,
@@ -197,18 +191,11 @@ def _cmd_escape(args) -> tuple[dict, int]:
         row = summability.parse_row(args.row)
         result = constructions.escape_unbounded(stem, row, x, _bounded_rational(args.m0, "bounds"))
         payload = {
-            "command": "escape",
             "mode": "unbounded",
             "row": row.name,
-            "x": x.name,
-            "stem": list(stem),
-            "selector": result.selector.spec_string(),
             "pivot_index": result.pivot_index,
             "pivot_position": result.pivot_position,
             "partial_sum": _frac(result.partial_sum),
-            "bound": _frac(result.bound),
-            "holds": result.holds,
-            "detail": result.detail,
         }
     else:
         if args.matrix is None:
@@ -219,20 +206,15 @@ def _cmd_escape(args) -> tuple[dict, int]:
             stem, matrix, x, ideal, _bounded_rational(args.m0, "bounds"), p0=args.block_floor
         )
         payload = {
-            "command": "escape",
             "mode": "row_finite",
             "matrix": matrix.spec_string(),
             "ideal": ideal.name,
-            "x": x.name,
-            "stem": list(stem),
-            "selector": result.selector.spec_string(),
             "block_index": result.block_index,
             "block": list(result.block),
             "row_values": [[n, _frac(v)] for n, v in result.row_values],
-            "bound": _frac(result.bound),
-            "holds": result.holds,
-            "detail": result.detail,
         }
+    payload.update(x=x.name, stem=list(stem), selector=result.selector.spec_string(),
+                   bound=_frac(result.bound), holds=result.holds, detail=result.detail)
     return payload, OK if result.holds else DIAGNOSTIC_ONLY
 
 
@@ -244,7 +226,6 @@ def _cmd_oscillate(args) -> tuple[dict, int]:
         stem, x, matrix, scan=args.scale, tol=_bounded_rational(args.tol, "tolerances")
     )
     payload = {
-        "command": "oscillate",
         "matrix": matrix.spec_string(),
         "x": x.name,
         "stem": list(stem),
@@ -264,7 +245,6 @@ def _cmd_adversary(args) -> tuple[dict, int]:
     report = constructions.steinhaus_adversary(matrix, mode=args.mode, scale=args.scale)
     cert_dict = report.certificate.to_json_dict()
     payload = {
-        "command": "adversary",
         "mode": report.mode,
         "matrix": report.matrix_spec,
         "x": report.x_spec,
@@ -304,7 +284,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
         raise ValueError(f"malformed certificate: {exc}") from exc
     ok = cert.audit(matrix, x)
     payload = {
-        "command": "verify",
         "certificate": args.certificate,
         "matrix": cert.matrix_spec,
         "x": cert.x_spec,
@@ -330,7 +309,6 @@ def _cmd_game(args) -> tuple[dict, int]:
         with open(args.transcript_out, "w", encoding="ascii") as handle:
             handle.write(transcript.to_jsonl())
     payload = {
-        "command": "game",
         "ideal": ideal.name,
         "strategy": strategy.name,
         "rounds": [r.to_json_dict() for r in transcript.rounds],
@@ -350,7 +328,6 @@ def _cmd_demo(args) -> tuple[dict, int]:
     schedule = tuple(int(t) for t in args.schedule.split(","))
     demo = constructions.meagerness_demo(matrix, x, ideal, schedule)
     payload = {
-        "command": "demo",
         "matrix": matrix.spec_string(),
         "x": x.name,
         "ideal": ideal.name,
@@ -492,10 +469,10 @@ def _exit_code(exc_type: type) -> int:
     return next((_EXIT_CODES[name] for name in names if name in _EXIT_CODES), FAIL)
 
 
-def _render_output(payload: dict) -> str:
+def _render_output(payload: dict, command: str) -> str:
     if set(payload.keys()) == {"csv"}:
         return payload["csv"]
-    return json.dumps(payload, sort_keys=True, indent=2)
+    return json.dumps({"command": command, **payload}, sort_keys=True, indent=2)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -506,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     error: str | None = None
     try:
         payload, code = args.handler(args)
-        text = _render_output(payload)
+        text = _render_output(payload, args.cmd)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")

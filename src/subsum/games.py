@@ -12,7 +12,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 
 from . import setlang
 from .ideals import IN, IdealPresentation
@@ -128,16 +127,10 @@ class GreedyMinStrategy(ReplyStrategy):
     name = "greedy_min"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
-        least = setlang.first_member(move)
-        if least is None:
+        least = setlang.least_members(move, 1)
+        if not least:
             raise StrategySearchError("move has no visible element")
-        return (least,), {}
-
-
-def _least_members(move: SetDescription, count: int) -> list[int]:
-    """Up to ``count`` least members: structural jumps may pass
-    ENUMERATION_CAP, scans stop there."""
-    return list(islice(setlang._walk(move, setlang.ENUMERATION_CAP), count))
+        return tuple(least), {}
 
 
 class PrefixTakeStrategy(ReplyStrategy):
@@ -146,7 +139,7 @@ class PrefixTakeStrategy(ReplyStrategy):
     name = "prefix_take"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
-        got = _least_members(move, round_index)
+        got = setlang.least_members(move, round_index)
         if len(got) < round_index:
             raise StrategySearchError("move ran out of visible elements")
         return tuple(got), {"take": round_index}
@@ -161,7 +154,7 @@ class SeededRandomStrategy(ReplyStrategy):
         self.name = f"seeded_random:{seed}"
 
     def reply(self, move: SetDescription, round_index: int) -> tuple[tuple[int, ...], dict]:
-        pool = _least_members(move, 8 + round_index)
+        pool = setlang.least_members(move, 8 + round_index)
         if not pool:
             raise StrategySearchError("move has no visible elements")
         rng = random.Random(f"{self.seed}:{round_index}")

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, takewhile
+from itertools import accumulate, compress
 from math import gcd, isqrt
 from operator import and_, or_, sub
 
@@ -791,11 +791,6 @@ def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
     return list(zip(checkpoints, counts))
 
 
-def first_member(s: SetDescription, cap: int = ENUMERATION_CAP) -> int | None:
-    """Least element of S, or None; see ``next_member`` for the cap."""
-    return s.next_member(0, cap)
-
-
 def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> int | None:
     """Least element of S strictly greater than ``after`` >= 0, or None if
     none exists <= cap.  A set that jumps may answer past the cap, a set
@@ -804,27 +799,20 @@ def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> in
     return s.next_member(after, cap)
 
 
-def _walk(s: SetDescription, cap: int):
-    """Yield the members of S in increasing order: by ``next_member`` jumps,
-    which may pass ``cap``, on a set that jumps, else from one chunked scan
-    of [1, cap]."""
+def least_members(s: SetDescription, count: int) -> list[int]:
+    """The ``count`` least members of S in increasing order, or all there are:
+    a set that jumps follows its ``next_member`` jumps, past ENUMERATION_CAP
+    too; a set that scans stops its scan at that cap."""
+    members, n = [], 0
     if s.jumps:
-        n = s.next_member(0, cap)
-        while n is not None:
-            yield n
-            n = s.next_member(n, cap)
-    else:
-        for start, flags in _chunks(s, 1, cap, 16):
-            yield from compress(range(start, start + len(flags)), flags)
-
-
-def iter_members(s: SetDescription, limit: int):
-    """Yield the members of S up to ``limit`` in increasing order; a jump past
-    it ends the walk.  Past ENUMERATION_CAP a set whose walk scans, or that has
-    no closed count, refuses."""
-    if limit > ENUMERATION_CAP and (s._scans or _count_closed(s, limit) is None):
-        raise EnumerationCapError("member scan past cap")
-    yield from takewhile(limit.__ge__, _walk(s, limit))
+        while len(members) < count and (n := s.next_member(n, ENUMERATION_CAP)) is not None:
+            members.append(n)
+        return members
+    for start, flags in _chunks(s, 1, ENUMERATION_CAP, 16):
+        members += compress(range(start, start + len(flags)), flags)
+        if len(members) >= count:
+            break
+    return members[:count]
 
 
 def is_finite(s: SetDescription) -> Tri:

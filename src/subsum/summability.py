@@ -537,7 +537,7 @@ class SummabilityMatrix:
             if verdict.status == IN:
                 return ConditionReport("yes", "row-sum exception set is in the ideal", data)
             if verdict.status == NOT_IN:
-                data["witness_rows"] = list(islice(setlang.iter_members(exception, 10**4), 5))
+                data["witness_rows"] = setlang.least_members(exception, 5)
                 return ConditionReport("no", "row-sum exception set escapes the ideal", data)
             return ConditionReport("undecided", verdict.reason, data)
         from .constructions import ideal_limit
@@ -754,7 +754,7 @@ class RowDropMatrix(SummabilityMatrix):
         drop = self._innermost()[1]
         if report.certified or ideal.decide(drop).status != NOT_IN:
             return report
-        rows = list(islice(setlang.iter_members(drop, 10**4), 5))
+        rows = setlang.least_members(drop, 5)
         data = {"dropped_rows": render(drop), "verdict": NOT_IN, "witness_rows": rows}
         return ConditionReport("no", "dropped rows sum to 0 and escape the ideal", data)
 

@@ -143,6 +143,16 @@ class TestRegularity:
         rows = d["conditions"]["row_sums_to_one"]["data"]["witness_rows"]
         assert rows == [200, 403, 608, 815, 1024]
 
+    @pytest.mark.parametrize("matrix, ideal, rows", [
+        ("rowdrop:cesaro:ap:20000,3", "z", [20000, 20003, 20006, 20009, 20012]),
+        ("rowdrop:gen:rand_rowfinite_3:ap:20000,3", "z", [20000, 20003, 20006, 20009, 20012]),
+        ("rowdrop:cesaro:shift:builtin:squares,20000", "fin", [20001, 20004, 20009, 20016, 20025]),
+    ])
+    def test_witness_rows_of_a_far_drop_are_its_least_members(self, capsys, matrix, ideal, rows):
+        code, d = run_json(capsys, ["regularity", "--matrix", matrix, "--ideal", ideal])
+        assert (code, d["overall"]) == (4, "not_regular")
+        assert d["conditions"]["row_sums_to_one"]["data"]["witness_rows"] == rows
+
     def test_same_matrix_recovers_along_the_density_ideal(self, capsys):
         code, d = run_json(
             capsys,

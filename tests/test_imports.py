@@ -31,8 +31,6 @@ UNREAD_KEPT = {
 UNPASSED_KEPT = {
     "_sqperturb_search(floor=)": "called as SequenceSpec.abs_search(p, q, floor), whose "
                                  "other searches are lambdas with the same default",
-    "first_member(cap=)": "public setlang function re-exported by subsum; callers outside "
-                          "the package pass the cap, as tests/test_setlang.py does",
     "next_member(cap=)": "public setlang function re-exported by subsum; callers outside "
                          "the package pass the cap, as tests/test_setlang.py does",
 }

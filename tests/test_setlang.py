@@ -193,34 +193,34 @@ def test_enumeration_cap_raises():
 
 
 def test_first_and_next_member():
-    assert setlang.first_member(Complement(Finite((1, 2, 3)))) == 4
-    assert setlang.first_member(DyadicBlocks(AP(2, 1))) == 4
+    assert setlang.next_member(Complement(Finite((1, 2, 3))), 0) == 4
+    assert setlang.next_member(DyadicBlocks(AP(2, 1)), 0) == 4
     # a negative shift starts at the inner set's first member past the offset,
     # without walking the members it shifts out of N
-    assert setlang.first_member(Shift(AP(1, 1), -(10**12))) == 1
-    assert setlang.first_member(Shift(AP(3, 7), -(10**12))) == 2
-    assert setlang.first_member(Shift(Finite((2, 9)), -5)) == 4
-    assert setlang.first_member(Shift(Finite((2, 5)), -5)) is None
+    assert setlang.next_member(Shift(AP(1, 1), -(10**12)), 0) == 1
+    assert setlang.next_member(Shift(AP(3, 7), -(10**12)), 0) == 2
+    assert setlang.next_member(Shift(Finite((2, 9)), -5), 0) == 4
+    assert setlang.next_member(Shift(Finite((2, 5)), -5), 0) is None
     # a shift searches its inner set up to the cap moved by the offset
-    assert setlang.first_member(Shift(Squares(), -4), 5) == 5
+    assert setlang.next_member(Shift(Squares(), -4), 0, 5) == 5
     assert setlang.next_member(Shift(Squares(), -4), 5, 12) == 12
-    assert setlang.first_member(Shift(Complement(Squares()), -10**7)) == 1
-    assert setlang.first_member(Shift(Squares(), 3), 3) is None
-    assert setlang.first_member(Shift(Squares(), 3), 4) == 4
+    assert setlang.next_member(Shift(Complement(Squares()), -10**7), 0) == 1
+    assert setlang.next_member(Shift(Squares(), 3), 0, 3) is None
+    assert setlang.next_member(Shift(Squares(), 3), 0, 4) == 4
     assert setlang.next_member(Squares(), 10) == 16
     assert setlang.next_member(AP(3, 4), 3) == 7
 
 
 def test_first_member_never_builds_a_block_past_the_cap():
     s = parse_set("union:ap:1,1|builtin:dyadic_blocks(builtin:dyadic_blocks(finite:{60}))")
-    assert setlang.first_member(s) == 1
-    assert setlang.first_member(DyadicBlocks(Finite((60,)))) is None
-    assert setlang.first_member(DyadicBlocks(Finite((60,))), 1 << 60) == 1 << 60
+    assert setlang.next_member(s, 0) == 1
+    assert setlang.next_member(DyadicBlocks(Finite((60,))), 0) is None
+    assert setlang.next_member(DyadicBlocks(Finite((60,))), 0, 1 << 60) == 1 << 60
     # past the cap a union answers only when both sides name their least
     late = parse_set("union:ap:2000000000,1|builtin:dyadic_blocks(finite:{30})")
-    assert setlang.first_member(late) is None
-    assert setlang.first_member(late, 1 << 31) == 1 << 30
-    assert setlang.first_member(Union(AP(1 << 40, 1), AP(1 << 41, 1))) == 1 << 40
+    assert setlang.next_member(late, 0) is None
+    assert setlang.next_member(late, 0, 1 << 31) == 1 << 30
+    assert setlang.next_member(Union(AP(1 << 40, 1), AP(1 << 41, 1)), 0) == 1 << 40
     # the same searches started past a member
     assert setlang.next_member(DyadicBlocks(Finite((60,))), 1) is None
     assert setlang.next_member(DyadicBlocks(Finite((60,))), 1, 1 << 60) == 1 << 60
@@ -532,18 +532,38 @@ def test_sparse_sides_count_by_listing_their_members():
     assert setlang._count_closed(parse_set("intersect:builtin:squares|ap:1,3"), 10**6) == 667
 
 
-@pytest.mark.parametrize("text", [
+def test_a_progression_meet_starts_at_the_later_first_term():
+    # The CRT solution 1 lies below 100, so the meet catches up to 103.
+    s = parse_set("intersect:ap:1,2|ap:100,3")
+    assert s._meet == AP(103, 6)
+    assert prefix_counts(s, [1000]) == [(1000, 150)]
+
+
+def test_a_union_searches_the_side_that_jumps_first(monkeypatch):
+    # Only the right side jumps: its answer bounds the left side's scan.
+    s = parse_set("union:builtin:squares|ap:100,7")
+    assert [setlang.next_member(s, a) for a in (0, 99, 100, 1000)] == [1, 100, 107, 1003]
+    ends, scan = [], Squares.scan
+    monkeypatch.setattr(Squares, "scan", lambda self, lo, hi: ends.append(hi) or scan(self, lo, hi))
+    assert setlang.next_member(s, 1000) == 1003
+    assert max(ends) == 1002
+
+
+LEAST_BELOW_THE_CAP = {
     # No square is 2 mod 3: a walk would scan all 4 * 10^9 integers.
-    "intersect:builtin:squares|ap:2,3",
-    # The progression jumps, but the powers of 2 between its members scan.
-    "union:ap:1,1000000000|builtin:powers2",
-])
+    "intersect:builtin:squares|ap:2,3": [],
+    # The progression jumps, but the powers of 2 between its members scan:
+    # past the last one below the cap the union names no least member.
+    "union:ap:1,1000000000|builtin:powers2": [1 << k for k in range(24)],
+}
+
+
+@pytest.mark.parametrize("text", LEAST_BELOW_THE_CAP)
 def test_a_closed_count_opens_no_scan_past_the_cap(text):
     s = parse_set(text)
     assert setlang._count_closed(s, 4 * 10**9) is not None
     started = time.perf_counter()
-    with pytest.raises(EnumerationCapError):
-        next(setlang.iter_members(s, 4 * 10**9))
+    assert setlang.least_members(s, 100) == LEAST_BELOW_THE_CAP[text]
     assert time.perf_counter() - started < 1
 
 
@@ -578,11 +598,11 @@ def test_member_searches_match_member_loops(s, limit, after, chunk):
             assert _within(setlang.next_member(searched, after, limit), limit) == next(
                 (n for n in members if n > after), None
             )
-            assert _within(setlang.first_member(searched, limit), limit) == next(
+            assert _within(setlang.next_member(searched, 0, limit), limit) == next(
                 iter(members), None
             )
-        assert list(setlang.iter_members(s, limit)) == members
-        assert setlang.first_member(Complement(s), limit) == next(
+        assert setlang.least_members(s, len(members)) == members
+        assert setlang.next_member(Complement(s), 0, limit) == next(
             (n for n, f in enumerate(flags, 1) if not f), None
         )
 
@@ -598,5 +618,5 @@ def test_counts_without_closed_forms_stay_fast():
 def test_member_search_to_the_cap_stays_fast():
     # No square is 3 mod 4, so the search runs to ENUMERATION_CAP.
     started = time.perf_counter()
-    assert setlang.first_member(Intersection(Squares(), AP(3, 4))) is None
+    assert setlang.next_member(Intersection(Squares(), AP(3, 4)), 0) is None
     assert time.perf_counter() - started < 1.0
