@@ -4,8 +4,11 @@ Runs tier-1 in this process under a ``sys.settrace`` line tracer, then every
 ``subsum ...`` line of README.md's Commands block through ``cli.main`` in
 one temporary directory, and prints, per module of ``src/subsum``, the
 executable function-body lines that neither reached.  Arguments, if any,
-replace ``tests`` as pytest's (a test file or a ``-k`` filter, say).  It
-exits with tier-1's status when tier-1 fails, else 1 when CPython switched
+replace ``tests`` as pytest's (a test file or a ``-k`` filter, say).
+Hypothesis runs under a profile with ``derandomize=True`` and no example
+database, so each property draws the same examples on every run and two
+runs at one commit print the same lines; tier-1 as CI runs it keeps its
+random draws.  It exits with tier-1's status when tier-1 fails, else 1 when CPython switched
 the tracer off (the counts are then partial), else 0.  Not a CI gate:
 tier-1 runs about three times slower under the tracer.  Run it from the
 repository root:
@@ -47,6 +50,15 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("subsum ")]
 
 
+def pytest_configure(config):
+    """Load the derandomized hypothesis profile before any test module is
+    imported (this module is passed to pytest as a plugin)."""
+    from hypothesis import settings
+
+    settings.register_profile("coverage", derandomize=True, database=None)
+    settings.load_profile("coverage")
+
+
 def main(pytest_args: list[str]) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     import pytest
@@ -66,7 +78,8 @@ def main(pytest_args: list[str]) -> int:
     sys.settrace(tracer)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              *(pytest_args or [str(ROOT / "tests")])])
+                              *(pytest_args or [str(ROOT / "tests")])],
+                             plugins=[sys.modules[__name__]])
         dropped = sys.gettrace() is not tracer  # CPython drops a tracer that raised
         if dropped:
             print("the tracer was switched off during tier-1: the counts below are partial")

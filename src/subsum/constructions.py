@@ -35,7 +35,8 @@ from .summability import (
     SequenceSpec,
     SummabilityMatrix,
     _add_ratio,
-    _dot_pair,
+    _common,
+    _dot,
     _row_budget,
     _threshold_counts,
     parse_rational,
@@ -431,7 +432,7 @@ def escape_unbounded(
             break
     if pivot is None:
         raise PreconditionError("row has no nonzero coefficient past the stem")
-    committed = Fraction(*_dot_pair(map(row.entry, range(1, j + 1)), map(x.pair, stem)))
+    committed = Fraction(*_dot(row.prefix(j), _common(map(x.pair, stem))))
     target = (m0 + 1 + abs(committed)) / abs(row.entry(pivot))
     floor = t_j + pivot
     t0, t0_pair = _least_index_with_magnitude(x, floor, *target.as_integer_ratio())
@@ -439,7 +440,7 @@ def escape_unbounded(
     full_stem = stem + fill + (t0,)
     selector = Selector(full_stem, Consecutive(t0 + 1))
     picks = [*map(selector.subsequence(x).fn, range(1, pivot)), t0_pair]
-    partial = Fraction(*_dot_pair(map(row.entry, range(1, pivot + 1)), picks))
+    partial = Fraction(*_dot(row.prefix(pivot), _common(picks)))
     holds = abs(partial) >= m0 + 1
     return EscapeResult(
         mode="unbounded",
@@ -543,30 +544,27 @@ def escape_rowfinite(
             )
         supports[n] = r
     _row_budget(sum(supports.values()), f"escape block {q0} entry count", "entries")
-    # Entry pass: each block row read once through ``matrix._row``.  It finds
-    # alpha, the least nonzero |entry|, and splits the rows into those
-    # constant on their support (every Cesaro row is 1/n on 1..n) and the
-    # rest, whose nonzero entries it keeps by column.  Entries are kept as
-    # integer (numerator, denominator) pairs.
+    # Entry pass: each block row read once through ``matrix._row``, as
+    # integer numerators over the row's denominator.  It finds alpha, the
+    # least nonzero |entry|, and splits the rows into those constant on their
+    # support (every Cesaro row is 1/n on 1..n) and the rest, whose nonzero
+    # entries it keeps by column, as (numerator, denominator) pairs.
     alpha = None  # (|numerator|, denominator)
     flat = {}  # row -> its one entry
     terms: dict[int, list[tuple[int, int, int]]] = {}  # column -> [(row, p, q)]
     for n in block:
-        row = matrix._row(n, supports[n])
-        first = row[0]
-        if row.count(first) == len(row):
-            flat[n] = (first.numerator, first.denominator)
-            nonzero = [first] if first else []
+        nums, den = matrix._row(n, supports[n])
+        if nums.count(nums[0]) == len(nums):
+            flat[n] = (nums[0], den)
+            nonzero = nums[:1]
         else:
-            nonzero = []
-            for k, e in enumerate(row, 1):
-                if e:
-                    terms.setdefault(k, []).append((n, e.numerator, e.denominator))
-                    nonzero.append(e)
-        for e in nonzero:
-            p, q = abs(e.numerator), e.denominator
-            if alpha is None or p * alpha[1] < alpha[0] * q:
-                alpha = (p, q)
+            for k, p in enumerate(nums, 1):
+                if p:
+                    terms.setdefault(k, []).append((n, p, den))
+            nonzero = nums
+        least = min(map(abs, filter(None, nonzero)), default=0)
+        if least and (alpha is None or least * alpha[1] < alpha[0] * den):
+            alpha = (least, den)
     # Column loop, on integer pairs compared by cross products.  With S the
     # sum of x over the picks so far, a constant row n has partial c_n * S
     # until its support ends, so one shared sum serves them all and the
@@ -619,23 +617,22 @@ def escape_rowfinite(
     selector = Selector(tuple(values), Consecutive(prev + 1))
     # Exact re-check, sharing nothing with the column loop: every entry of
     # every block row is read again through ``matrix._row``, and x again
-    # through the selector's subsequence.  A re-read row whose entries all
-    # equal c sums to c * P_s, P_s the sum of its s picks; any other row is
-    # summed term by term.  Each sum is compared with the plan's partial by
-    # cross products; only the printed row values are built as Fractions.
-    picks = list(map(selector.subsequence(x).fn, range(1, k_top + 1)))
-    prefix = list(accumulate(picks, lambda a, b: _add_ratio(*a, *b)))
+    # through the selector's subsequence, as integers over one denominator
+    # L.  A re-read row whose numerators all equal c sums to c * P_s, P_s the
+    # sum of its s picks; any other row is summed by ``_dot``.  Each sum is
+    # compared with the plan's partial by cross products; only the printed
+    # row values are built as Fractions.
+    picks = _common(map(selector.subsequence(x).fn, range(1, k_top + 1)))
+    prefix = list(accumulate(picks[0]))
     row_values = []
     holds = True
     for n in block:
         s = supports[n]
-        row = matrix._row(n, s)
-        c = row[0]
-        if row.count(c) == len(row):
-            p, q = prefix[s - 1]
-            p, q = c.numerator * p, c.denominator * q
+        nums, den = row = matrix._row(n, s)
+        if nums.count(nums[0]) == len(nums):
+            p, q = nums[0] * prefix[s - 1], den * picks[1]
         else:
-            p, q = _dot_pair(row, picks)
+            p, q = _dot(row, picks)
         planned_p, planned_q = partials[n]
         if p * planned_q != planned_p * q:
             raise ConstructionError("incremental and direct row sums disagree")

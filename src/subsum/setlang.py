@@ -100,13 +100,15 @@ class SetDescription:
 
     ``next_member(after, cap)`` is the one member search a node states: an
     answer is always the least member past ``after``, and None means there
-    is none up to ``cap``.  A node that ``jumps`` (finite sets,
-    progressions, dyadic blocks, and shifts and unions with a side that
-    jumps) reads its answer off its structure and may answer past the cap;
-    a node that scans never does.
+    is none up to ``cap``, or none at all on a node that ``ends`` (finite
+    sets, progressions, and shifts and unions whose every child ends).  A
+    node that ``jumps`` (finite sets, progressions, dyadic blocks, and shifts
+    and unions with a side that jumps) reads its answer off its structure
+    and may answer past the cap; a node that scans never does.
     """
 
     jumps = False  # None on unions and shifts, see __post_init__
+    ends = False  # next_member's None means "none at all"; a property on unions and shifts
     listed = None  # finite sets, squares, powers of 2: ``listed(limit)``, the members up to it
     _pushed = None  # see Complement and Shift
     # A kind's fields are its annotated names after its bases': a node is built,
@@ -190,7 +192,7 @@ def _marked(lo: int, hi: int, members) -> bytearray:
 
 class Finite(SetDescription):
     members: tuple[int, ...]
-    jumps = True
+    jumps = ends = True
 
     def __post_init__(self):
         members = vars(self)["members"] = tuple(sorted(set(self.members)))
@@ -225,7 +227,7 @@ class Finite(SetDescription):
 class _Progression(SetDescription):
     """{first, first + step, first + 2*step, ...}; subclasses supply both."""
 
-    jumps = True
+    jumps = ends = True
 
     def member(self, n):
         return n >= self.first and (n - self.first) % self.step == 0
@@ -509,6 +511,7 @@ class Union(_Pair):
         return None if b is None else a + b - both
 
     jumps = None
+    ends = property(lambda self: self.left.ends and self.right.ends)
 
     def next_member(self, after, cap):
         if not self.jumps:
@@ -520,9 +523,9 @@ class Union(_Pair):
         b = second.next_member(after, cap if a is None else min(cap, a - 1))
         if a is None or b is None:
             # The side with no member up to cap may still have one between
-            # cap and the other side's least.
-            least = b if a is None else a
-            return None if least is None or least > cap else least
+            # cap and the other side's least, unless it ends.
+            least, silent = (b, first) if a is None else (a, second)
+            return least if least is None or least <= cap or silent.ends else None
         return min(a, b)
 
     def form(self):
@@ -638,6 +641,7 @@ class Shift(SetDescription):
         return self.inner.count(-self.offset)
 
     jumps = None
+    ends = property(lambda self: self.inner.ends)
 
     def next_member(self, after, cap):
         # The inner search, cap included, in the inner set's coordinates;
@@ -793,9 +797,10 @@ def prefix_counts(s: SetDescription, checkpoints) -> list[tuple[int, int]]:
 
 def next_member(s: SetDescription, after: int, cap: int = ENUMERATION_CAP) -> int | None:
     """Least element of S strictly greater than ``after`` >= 0, or None if
-    none exists <= cap.  A set that jumps may answer past the cap, a set
-    that scans never does, and a union answers past it only when both of
-    its sides name their least member (see ``SetDescription``)."""
+    none exists <= cap (none at all, for a set that ``ends``).  A set that
+    jumps may answer past the cap, a set that scans never does, and a union
+    answers past it only when each of its sides names its least member or
+    ends (see ``SetDescription``)."""
     return s.next_member(after, cap)
 
 

@@ -26,7 +26,8 @@ from .summability import (
     TailToleranceError,
     ZERO,
     ONE,
-    _dot_pair,
+    _common,
+    _dot,
     _row_budget,
     _summed_width,
 )
@@ -320,7 +321,7 @@ def selector_transform(
         row.support, lambda w: row.l1_tail(w) * x.sup_bound if bounded else None, tail_tol, 16
     )
     cols = range(1, width + 1)
-    value = Fraction(*_dot_pair(map(row.entry, cols), map(sel.subsequence(x).fn, cols)))
+    value = Fraction(*_dot(row.prefix(width), _common(map(sel.subsequence(x).fn, cols))))
     return FunctionalValue(value, tail)
 
 

@@ -15,10 +15,9 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, groupby, islice, repeat
-from math import gcd, isqrt
-from operator import itemgetter
+from math import gcd, isqrt, lcm
+from operator import itemgetter, mul
 from random import _sha512
 from typing import Callable, Iterator
 
@@ -51,6 +50,10 @@ HEAD_ROWS = 64
 SAMPLED_COLUMNS = 10
 
 
+# A matrix row, or values read off a sequence: ints nums over one positive int den.
+IntRow = tuple[tuple[int, ...], int]
+
+
 def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
     """num/den + p/q with the denominator kept a running common multiple."""
     if den % q:
@@ -59,24 +62,20 @@ def _add_ratio(num: int, den: int, p: int, q: int) -> tuple[int, int]:
     return num + p * (den // q), den
 
 
-def _dot_pair(coeffs, pairs) -> tuple[int, int]:
-    """Exact sum of a_k * v_k, for coefficients a_k (ints or Fractions) and
-    values v_k read as integer (numerator, positive denominator) pairs, as an
-    integer numerator over a positive denominator (not reduced).
+def _common(pairs) -> IntRow:
+    """Values given as integer (numerator, positive denominator) pairs, as
+    integer numerators over one positive denominator, the lcm of theirs."""
+    pairs = tuple(pairs)
+    den = lcm(*{q for _, q in pairs})
+    return tuple(p * (den // q) for p, q in pairs), den
 
-    Exact finite row sums go through here: one integer numerator over a
-    running common denominator, zero terms skipped, and no Fraction built.
-    """
-    num, den = 0, 1
-    for a, (vp, vq) in zip(coeffs, pairs):
-        p = a.numerator * vp
-        if p:
-            q = a.denominator * vq
-            if den % q:
-                num, den = _add_ratio(num, den, p, q)
-            else:  # the common case, inlined: q already divides den
-                num += p * (den // q)
-    return num, den
+
+def _dot(row: IntRow, values: IntRow) -> tuple[int, int]:
+    """Exact sum of a_k * v_k over the shorter of a row and values (say
+    ``_common`` of value pairs), as one C-level sum of integer products over
+    the product of their denominators (not reduced)."""
+    (nums, den), (xs, scale) = row, values
+    return sum(map(mul, nums, xs)), den * scale
 
 
 def _threshold_counts(
@@ -339,6 +338,12 @@ class RowSeq:
             return ZERO
         return Fraction(self.fn(k))
 
+    def prefix(self, width: int) -> IntRow:
+        """Entries 1..width as integers over one denominator, a matrix row's form."""
+        top = width if self.support is None else min(width, self.support)
+        values = (v.as_integer_ratio() for v in map(self.fn, range(1, top + 1)))
+        return _common(chain(values, repeat((0, 1), width - top)))
+
 
 _NAMED_ROWS = {
     "geometric": RowSeq(
@@ -374,8 +379,11 @@ class SummabilityMatrix:
     """Common interface: exact rows, structural row support, spec string.
 
     Each kind states its rows once, in ``_entries``, which every row reader
-    reaches through ``_row``, and ``entry`` reads the row's prefix (the
-    geometric kind and row drops override it, see ``GeometricMatrix.entry``).
+    reaches through ``_row``, as integers over one denominator: ``(nums,
+    den)``, entry k being ``nums[k - 1] / den`` (not necessarily reduced), so
+    rows are summed and dotted with sequences by integer arithmetic (``_dot``).
+    ``entry`` reads the row's prefix as a Fraction (the geometric kind and
+    row drops override it, see ``GeometricMatrix.entry``).
     Each kind states its other facts by overriding the defaults here, once:
     a row-finite kind its row supports and the rows vanishing below a
     column, any other kind its tail bound ``_tail``.  A default either
@@ -390,14 +398,16 @@ class SummabilityMatrix:
     def entry(self, n: int, k: int) -> Fraction:
         if k < 1:
             raise ValueError("indices start at 1")
-        return self._row(n, k)[-1]
+        nums, den = self._row(n, k)
+        return Fraction(nums[-1], den)
 
-    def _row(self, n: int, width: int) -> tuple:
-        """The entries a_{n,1..width}: () at width < 1, else ValueError for
-        n < 1, else the kind's ``_entries(n, width)``; every row reader goes
-        through here."""
+    def _row(self, n: int, width: int) -> IntRow:
+        """The entries a_{n,1..width} as ``(nums, den)``: ``width`` integer
+        numerators over one positive denominator.  ``((), 1)`` at width < 1,
+        else ValueError for n < 1, else the kind's ``_entries(n, width)``;
+        every row reader goes through here."""
         if width < 1:
-            return ()
+            return (), 1
         if n < 1:
             raise ValueError("indices start at 1")
         return self._entries(n, width)
@@ -410,14 +420,14 @@ class SummabilityMatrix:
         support = self.row_support(n)
         if support is None:
             raise DomainRiskError("row sum needs a row-finite matrix")
-        return Fraction(*_dot_pair(self._row(n, support), repeat((1, 1))))
+        nums, den = self._row(n, support)
+        return Fraction(sum(nums), den)
 
     def l1_tail(self, n: int, after: int) -> Fraction:
         """Certified bound on sum_{k>after} |a_{n,k}|, exact for a row-finite
         row; the row's l1 norm at after = 0."""
-        row = self._row(n, self.row_support(n))[after:]
-        # |a| is a times the sign of its numerator: no Fraction per entry.
-        return Fraction(*_dot_pair(row, [(-1, 1) if a.numerator < 0 else (1, 1) for a in row]))
+        nums, den = self._row(n, self.row_support(n))
+        return Fraction(sum(map(abs, nums[after:])), den)
 
     def _tail(self, n: int, x: SequenceSpec, after: int) -> Fraction | None:
         """Certified bound on |sum_{k>after} a_{n,k} x_k| for a row that is
@@ -453,11 +463,11 @@ class SummabilityMatrix:
             entries += width
             _row_budget(entries, f"transform rows 1..{n} entry count", "entries")
             widths.append((n, width, tail))
-        # x is read once, as integer pairs up to the widest width summed so far.
-        pairs: list[tuple[int, int]] = []
+        # x is read once, up to the widest width, as integers over one denominator.
+        top = max((width for _, width, _ in widths), default=0)
+        values = _common(map(x.fn, range(1, top + 1)))
         for n, width, tail in widths:
-            pairs += map(x.fn, range(len(pairs) + 1, width + 1))
-            yield _dot_pair(self._row(n, width), pairs), tail
+            yield _dot(self._row(n, width), values), tail
 
     def _hit_spans(self, runs, lower: Fraction, upper: Fraction) -> tuple[list, list] | None:
         """Row intervals (lo, hi) where the transform of the 0/1 sequence
@@ -519,7 +529,7 @@ class SummabilityMatrix:
         scale = min(n_rows, 2048)
         details = {}
         for k in range(1, SAMPLED_COLUMNS + 1):
-            column = [self._row(n, k)[-1] for n in range(1, scale + 1)]
+            column = [self.entry(n, k) for n in range(1, scale + 1)]
             verdict = ideal_limit(column, ideal)
             details[k] = verdict.status
             if verdict.status != "limit" or verdict.eta != 0:
@@ -583,8 +593,8 @@ class _Stochastic(SummabilityMatrix):
 class CesaroMatrix(_Stochastic, _LowerTriangle):
     """Running averages: a_{n,k} = 1/n for k <= n, else 0."""
 
-    def _entries(self, n: int, width: int) -> tuple:
-        return (_reciprocal(n),) * min(n, width) + (ZERO,) * (width - n)
+    def _entries(self, n: int, width: int) -> IntRow:
+        return (1,) * min(n, width) + (0,) * (width - n), n
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         # The running sum is an integer numerator over a running common
@@ -638,10 +648,10 @@ class CesaroMatrix(_Stochastic, _LowerTriangle):
 class IdentityMatrix(_Stochastic, _LowerTriangle):
     """a_{n,k} = 1 for k = n, else 0."""
 
-    def _entries(self, n: int, width: int) -> tuple:
+    def _entries(self, n: int, width: int) -> IntRow:
         if width < n:
-            return (ZERO,) * width
-        return (ZERO,) * (n - 1) + (ONE,) + (ZERO,) * (width - n)
+            return (0,) * width, 1
+        return (0,) * (n - 1) + (1,) + (0,) * (width - n), 1
 
     def _transform(self, x: SequenceSpec, rows, tail_tol: Fraction = ZERO):
         return ((x.fn(n), ZERO) for n in rows)
@@ -680,9 +690,9 @@ class RowDropMatrix(SummabilityMatrix):
         # public read of a far column stays O(1).
         return ZERO if k >= 1 and member(self.drop, n) else self.base.entry(n, k)
 
-    def _row(self, n: int, width: int) -> tuple:
+    def _row(self, n: int, width: int) -> IntRow:
         if width < 1 or member(self.drop, n):
-            return (ZERO,) * width  # () at width < 1, even for n < 1
+            return (0,) * width, 1  # ((), 1) at width < 1, even for n < 1
         return self.base._row(n, width)
 
     def row_support(self, n: int) -> int | None:
@@ -763,29 +773,30 @@ class RowDropMatrix(SummabilityMatrix):
 
 
 class ExplicitMatrix(SummabilityMatrix):
-    """Finitely many stored rows; all later rows are zero rows."""
+    """Finitely many stored rows; all later rows are zero rows.  Each stored
+    row is kept as integers over the lcm of its entries' denominators."""
 
     row_finite = True
 
     def __init__(self, rows: list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]):
-        stored = [tuple(Fraction(v) for v in row) for row in rows]
+        stored = [_common(Fraction(v).as_integer_ratio() for v in row) for row in rows]
         # Trailing zero rows equal the implicit zero rows after them; dropping
         # them gives each matrix one form, so its spec string parses back.
-        while stored and not any(stored[-1]):
+        while stored and not any(stored[-1][0]):
             stored.pop()
         self.rows = tuple(stored)
-        self.nonneg = all(v >= 0 for row in self.rows for v in row)
+        self.nonneg = all(p >= 0 for nums, _ in self.rows for p in nums)
 
-    def _entries(self, n: int, width: int) -> tuple:
-        row = self.rows[n - 1][:width] if n <= len(self.rows) else ()
-        return row + (ZERO,) * (width - len(row))
+    def _entries(self, n: int, width: int) -> IntRow:
+        nums, den = self.rows[n - 1] if n <= len(self.rows) else ((), 1)
+        return nums[:width] + (0,) * (width - len(nums)), den
 
     def row_support(self, n: int) -> int:
         if n > len(self.rows):
             return 0
-        row = self.rows[n - 1]
-        for k in range(len(row), 0, -1):
-            if row[k - 1] != 0:
+        nums = self.rows[n - 1][0]
+        for k in range(len(nums), 0, -1):
+            if nums[k - 1]:
                 return k
         return 0
 
@@ -809,18 +820,13 @@ class ExplicitMatrix(SummabilityMatrix):
         return ConditionReport("yes", "columns vanish beyond the stored rows", {})
 
     def spec_string(self) -> str:
-        body = ";".join(",".join(str(v) for v in row) for row in self.rows)
+        body = ";".join(",".join(str(Fraction(p, den)) for p in nums) for nums, den in self.rows)
         return f"explicit:{body}"
 
 
 class GeometricMatrix(_Stochastic):
     """Every row is (1/2, 1/4, 1/8, ...): not row-finite, with closed-form
-    tails.  The rows share one prefix, kept up to ``DOMAIN_SCAN_COLUMNS``
-    columns (the widest row a domain scan reads, about 1 MB); a wider row is
-    built and returned, not kept."""
-
-    def __init__(self):
-        self._prefix: tuple = ()
+    tails.  Its first w columns are (2^(w-1), ..., 2, 1) over 2^w."""
 
     def entry(self, n: int, k: int) -> Fraction:
         # Not read off a row prefix, so that a public read of a far column
@@ -830,13 +836,8 @@ class GeometricMatrix(_Stochastic):
             raise ValueError("indices start at 1")
         return Fraction(1, 1 << k)
 
-    def _entries(self, n: int, width: int) -> tuple:
-        row = self._prefix
-        if len(row) < width:
-            row += tuple(Fraction(1, 1 << k) for k in range(len(row) + 1, width + 1))
-            if width <= DOMAIN_SCAN_COLUMNS:
-                self._prefix = row
-        return row[:width]
+    def _entries(self, n: int, width: int) -> IntRow:
+        return tuple(1 << j for j in range(width - 1, -1, -1)), 1 << width
 
     def row_support(self, n: int) -> None:
         return None
@@ -871,7 +872,7 @@ class GeometricMatrix(_Stochastic):
         over = DEFAULT_COLUMN_CAP // width + 1  # the row count whose entries pass the budget
         if len(rows) >= over:
             _row_budget(width * over, f"transform rows 1..{rows[over - 1]} entry count", "entries")
-        point = _dot_pair(self._row(rows[0], width), map(x.fn, range(1, width + 1))), tail
+        point = _dot(self._row(rows[0], width), _common(map(x.fn, range(1, width + 1)))), tail
         for _ in rows:
             yield point
 
@@ -880,43 +881,39 @@ class GeometricMatrix(_Stochastic):
 
 
 class GeneratorMatrix(_LowerTriangle):
-    """Lower-triangular entries from a function: row n is ``entry_fn(n, k)``
-    for k <= n, zero past the diagonal, and ``entry_fn(n, n)`` is declared
-    nonzero, so row n ends on column n; ``entry_fn`` is never asked past the
-    diagonal.  Rows read are kept up to ``DEFAULT_COLUMN_CAP`` entries in
-    all; later rows are computed afresh.
+    """Lower-triangular integer rows from two functions: row n is over the
+    positive denominator ``den(n)``, ``entry_fn(n, k)`` is the integer
+    numerator of a_{n,k} over it for k <= n, zero past the diagonal, and
+    ``entry_fn(n, n)`` is declared nonzero, so row n ends on column n;
+    ``entry_fn`` is never asked past the diagonal.  Rows read are kept up to
+    ``DEFAULT_COLUMN_CAP`` entries in all; later rows are computed afresh.
     """
 
-    def __init__(self, name: str, entry_fn: Callable[[int, int], Fraction]):
+    def __init__(self, name: str, entry_fn: Callable[[int, int], int], den: Callable[[int], int]):
         self.name = name
-        self.entry_fn = entry_fn
-        self._rows, self._stored = {}, 0  # row prefixes read, and their entry count
+        self.entry_fn, self.den = entry_fn, den
+        self._rows, self._stored = {}, 0  # numerators of the row prefixes read, and their count
 
-    def _entries(self, n: int, width: int) -> tuple:
-        row = self._rows.get(n, ())
-        have = len(row)
+    def _entries(self, n: int, width: int) -> IntRow:
+        nums = self._rows.get(n, ())
+        have = len(nums)
         if have < width:
             top = max(have, min(width, n))
-            new = map(self.entry_fn, repeat(n), range(have + 1, top + 1))
-            row += tuple(v if isinstance(v, Fraction) else Fraction(v) for v in new)
-            row += (ZERO,) * (width - top)
+            nums += tuple(map(self.entry_fn, repeat(n), range(have + 1, top + 1)))
+            nums += (0,) * (width - top)
             size = self._stored + width - have
             if size <= DEFAULT_COLUMN_CAP:
-                self._rows[n], self._stored = row, size
-        return row[:width]
+                self._rows[n], self._stored = nums, size
+        return nums[:width], self.den(n)
 
     def spec_string(self) -> str:
         return f"gen:{self.name}"
 
 
-@lru_cache(maxsize=1 << 12)
-def _reciprocal(n: int) -> Fraction:
-    # Repeated reads of a Cesaro row share its one entry object.
-    return Fraction(1, n)
-
-
-# Every value a random row-finite entry can take: p/q, p in -9..9, q in 1..9.
-_SMALL_RATIONALS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+# Every value a random row-finite entry takes, p/q for p in -9..9 and q in
+# 1..9, as its numerator over 2520, the lcm of 1..9 and the denominator of
+# every row of the family; rows share the numerators of this table.
+_OVER_2520 = {(p, q): p * (2520 // q) for p in range(-9, 10) for q in range(1, 10)}
 
 
 def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
@@ -928,6 +925,7 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     ``randrange(1, 10)``.  The draws are inlined and bit for bit that stream:
     the key is hashed as ``Random.seed`` hashes a string, the integer seeds
     the C generator directly, and each draw is the stdlib's ``_randbelow``.
+    Every row is integers over 2520, the lcm of the denominators 1..9.
     One mt19937 is reseeded per entry computed, and the rows read are kept,
     up to 2^20 entries (``DEFAULT_COLUMN_CAP``), so that no entry is
     computed twice; it is not meant to be read from two threads at once.
@@ -936,15 +934,15 @@ def random_rowfinite_matrix(seed: int) -> GeneratorMatrix:
     seed_int = _random.Random.seed  # Random.seed without its string branch
     below = rng._randbelow  # what randrange and choice draw with
 
-    def entry_fn(n: int, k: int) -> Fraction:
+    def entry_fn(n: int, k: int) -> int:
         key = f"rowfinite:{seed}:{n}:{k}".encode()
         seed_int(rng, int.from_bytes(key + _sha512(key).digest(), "big"))
         num = below(19) - 9
         if k == n and num == 0:
             num = (-3, -2, -1, 1, 2, 3)[below(6)]
-        return _SMALL_RATIONALS[num, below(9) + 1]
+        return _OVER_2520[num, below(9) + 1]
 
-    return GeneratorMatrix(f"rand_rowfinite_{seed}", entry_fn)
+    return GeneratorMatrix(f"rand_rowfinite_{seed}", entry_fn, lambda n: 2520)
 
 
 def parse_matrix(spec: str) -> SummabilityMatrix:
@@ -1095,35 +1093,30 @@ def domain_check(
         [(pair, tail)] = matrix._transform(x, (n,), tol)
         evidence = {"row_finite": True} if support is not None else {"columns_used": width}
         return DomainCheck("converged", n, Fraction(*pair), tail, evidence)
-    # The partial sum is num/den over a running common denominator; the
-    # window holds the last partials' numerators over that same den.
+    # The row and x are integers over den and L, so every term, partial sum
+    # and window entry is an integer numerator over the one denominator den * L.
     window: deque[int] = deque(maxlen=16)
     tp, tq = tol.numerator, tol.denominator
     stable_seen = False
-    num, den = 0, 1
-    for k, a in enumerate(matrix._row(n, DOMAIN_SCAN_COLUMNS), 1):
-        vp, vq = x.fn(k)
-        p, q = a.numerator * vp, a.denominator * vq
-        if p:
-            if den % q:
-                num, grown = _add_ratio(num, den, p, q)
-                factor, den = grown // den, grown
-                for i in range(len(window)):
-                    window[i] *= factor
-            else:
-                num += p * (den // q)
-        if abs(num) > DOMAIN_GROWTH_BOUND * den:
+    nums, den = matrix._row(n, DOMAIN_SCAN_COLUMNS)
+    xs, scale = _common(map(x.fn, range(1, DOMAIN_SCAN_COLUMNS + 1)))
+    den *= scale
+    grown, late, settled = DOMAIN_GROWTH_BOUND * den, 2 * tp * den, tp * den
+    num = 0
+    for k, term in enumerate(map(mul, nums, xs), 1):
+        num += term
+        if abs(num) > grown:
             partial = setlang._bounded_str(Fraction(num, den))
             return DomainCheck(
                 "diverging", n, None, None, {"kind": "growth", "column": k, "partial": partial}
             )
-        if stable_seen and tol > 0 and abs(p) * tq > 2 * tp * q:
+        if stable_seen and tol > 0 and abs(term) * tq > late:
             return DomainCheck(
                 "diverging", n, None, None,
-                {"kind": "late_term", "column": k, "term": str(Fraction(p, q))},
+                {"kind": "late_term", "column": k, "term": str(Fraction(term, den))},
             )
         window.append(num)
-        if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= tp * den:
+        if k > 16 and tol > 0 and (max(window) - min(window)) * tq <= settled:
             stable_seen = True
     evidence = {"budget": "DOMAIN_SCAN_COLUMNS", "columns_used": DOMAIN_SCAN_COLUMNS,
                 "last_partial": setlang._bounded_str(Fraction(num, den))}

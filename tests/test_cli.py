@@ -147,6 +147,8 @@ class TestRegularity:
         ("rowdrop:cesaro:ap:20000,3", "z", [20000, 20003, 20006, 20009, 20012]),
         ("rowdrop:gen:rand_rowfinite_3:ap:20000,3", "z", [20000, 20003, 20006, 20009, 20012]),
         ("rowdrop:cesaro:shift:builtin:squares,20000", "fin", [20001, 20004, 20009, 20016, 20025]),
+        # Past ENUMERATION_CAP, beside the empty finite exception set of the base.
+        ("rowdrop:cesaro:ap:20000000,3", "z", [20000000, 20000003, 20000006, 20000009, 20000012]),
     ])
     def test_witness_rows_of_a_far_drop_are_its_least_members(self, capsys, matrix, ideal, rows):
         code, d = run_json(capsys, ["regularity", "--matrix", matrix, "--ideal", ideal])

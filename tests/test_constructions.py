@@ -42,6 +42,7 @@ from subsum import (
 from subsum import constructions
 from subsum.constructions import EPS_GRID, _least_index_with_magnitude
 from subsum.ideals import IDEALS
+from subsum.setlang import Finite
 from subsum import summability
 from subsum.summability import (
     DEFAULT_COLUMN_CAP,
@@ -575,6 +576,22 @@ def test_dropped_squares_are_refused_under_finxfin():
     assert escape_rowfinite((), matrix, parse_sequence("n"), Z, 1).holds
 
 
+class _NoVanishingCesaro(CesaroMatrix):
+    """The running average, except that its vanishing description names no
+    row: it claims that rows supported below the stem's next column do not
+    vanish there."""
+
+    def vanish_rows(self, w):
+        return Finite(())
+
+
+def test_a_vanishing_description_that_disagrees_with_the_supports_is_refused():
+    # Past a stem of 8 columns the block rows (4, 5, 6, 7) vanish, yet survive.
+    with pytest.raises(ConstructionError, match="disagrees with the row supports"):
+        escape_rowfinite(tuple(range(1, 9)), _NoVanishingCesaro(), parse_sequence("n"), Z, 1)
+    assert escape_rowfinite(tuple(range(1, 9)), CesaroMatrix(), parse_sequence("n"), Z, 1).holds
+
+
 class _LateTamperCesaro(CesaroMatrix):
     """The running average, except that one entry changes once it has been
     read: the entry pass sees 1/n there, every later read 2/n."""
@@ -584,13 +601,13 @@ class _LateTamperCesaro(CesaroMatrix):
         self.reads = 0
 
     def _row(self, n, width):
-        row = super()._row(n, width)
+        nums, den = super()._row(n, width)
         spot_row, k = self.spot
         if n == spot_row and k <= width:
             self.reads += 1
             if self.reads > 1:
-                return row[:k - 1] + (F(2, n),) + row[k:]
-        return row
+                return nums[:k - 1] + (2,) + nums[k:], den
+        return nums, den
 
 
 def test_the_escape_recheck_reads_every_entry_again():
@@ -611,11 +628,11 @@ class _LateTamperCesaroRow(CesaroMatrix):
         self.reads = 0  # entries of row ``row`` read
 
     def _row(self, n, width):
-        row = super()._row(n, width)
+        nums, den = super()._row(n, width)
         if n != self.row:
-            return row
+            return nums, den
         start, self.reads = self.reads, self.reads + width
-        return tuple(e if start + k <= n else F(2, n) for k, e in enumerate(row, 1))
+        return tuple(p if start + k <= n else 2 for k, p in enumerate(nums, 1)), den
 
 
 class _CountedCesaro(CesaroMatrix):
@@ -628,15 +645,15 @@ class _CountedCesaro(CesaroMatrix):
 
 @pytest.fixture
 def dot_rows(monkeypatch):
-    """The rows that escapes sum term by term through ``_dot_pair``."""
+    """The numerators of the rows that escapes sum term by term through ``_dot``."""
     rows = []
-    real = constructions._dot_pair
+    real = constructions._dot
 
-    def counted(coeffs, pairs):
-        rows.append(coeffs)
-        return real(coeffs, pairs)
+    def counted(row, values):
+        rows.append(row[0])
+        return real(row, values)
 
-    monkeypatch.setattr(constructions, "_dot_pair", counted)
+    monkeypatch.setattr(constructions, "_dot", counted)
     return rows
 
 
@@ -687,7 +704,7 @@ def test_picks_short_of_their_targets_leave_the_escape_not_holding(monkeypatch):
 
 def test_only_rows_that_are_not_constant_are_summed_term_by_term(dot_rows):
     # Odd rows average, even rows weigh column k by k / n^2.
-    matrix = GeneratorMatrix("mixed", lambda n, k: F(1, n) if n % 2 else F(k, n * n))
+    matrix = GeneratorMatrix("mixed", lambda n, k: n if n % 2 else k, lambda n: n * n)
     result = escape_rowfinite((), matrix, parse_sequence("nalt"), Z, 3)
     assert result.block == (4, 5, 6, 7) and result.holds
     assert [len(row) for row in dot_rows] == [4, 6]

@@ -68,7 +68,14 @@ from subsum.setlang import (
     member,
     nu2,
 )
-from subsum.summability import _NAMED_SEQUENCES, DomainRiskError, _dot_pair, domain_check
+from subsum.summability import (
+    _NAMED_SEQUENCES,
+    DomainRiskError,
+    GeneratorMatrix,
+    _common,
+    _dot,
+    domain_check,
+)
 
 F = Fraction
 FIN = IDEALS["fin"]
@@ -515,9 +522,46 @@ _exact = st.one_of(
 @given(pairs=st.lists(st.tuples(_exact, _exact), max_size=12))
 @example(pairs=[])
 def test_exact_dot_matches_fraction_sums(pairs):
-    num, den = _dot_pair((a for a, _ in pairs), (F(v).as_integer_ratio() for _, v in pairs))
+    row = _common(F(a).as_integer_ratio() for a, _ in pairs)
+    num, den = _dot(row, _common(F(v).as_integer_ratio() for _, v in pairs))
     assert type(num) is int and type(den) is int and den > 0
     assert F(num, den) == sum((F(a) * v for a, v in pairs), F(0))
+
+
+# One matrix of every kind, and a generator whose rows have their own denominators.
+_MATRIX_KINDS = {
+    spec: lambda spec=spec: parse_matrix(spec)
+    for spec in ("cesaro", "identity", "explicit:1;0,1/2;-3,0,2/7;;5/6,-1/4,0,1/9",
+                 "gen:geometric", "gen:rand_rowfinite_3", "rowdrop:cesaro:ap:1,3",
+                 "rowdrop:rowdrop:gen:rand_rowfinite_5:finite:{2,3}:builtin:squares")
+}
+_MATRIX_KINDS["gen:signed"] = lambda: GeneratorMatrix(
+    "signed", lambda n, k: (3 * n + 5 * k) % 7 - 3 or n, lambda n: n % 4 + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_MATRIX_KINDS)),
+    n=st.integers(1, 40),
+    width=st.integers(0, 48),
+    warm=st.integers(0, 48),
+    x=st.sampled_from(sorted(_NAMED_SEQUENCES) + ["const:-5/6", "list:1/2,-3,2/9"]),
+)
+def test_integer_rows_read_like_their_entries(kind, n, width, warm, x):
+    # Every kind's row is ints over one positive int, entry k being
+    # nums[k - 1] / den, and its dot with x is the plain Fraction sum.  The
+    # row is read after a read to another width; the entries are read on a
+    # fresh matrix, last column first, so they share nothing with that read.
+    m, fresh = _MATRIX_KINDS[kind](), _MATRIX_KINDS[kind]()
+    m._row(n, warm)
+    nums, den = m._row(n, width)
+    assert len(nums) == width and {type(p) for p in nums} <= {int}
+    assert type(den) is int and den > 0
+    entries = [fresh.entry(n, k) for k in range(width, 0, -1)][::-1]
+    assert [F(p, den) for p in nums] == entries
+    x = parse_sequence(x)
+    num, q = _dot((nums, den), _common(map(x.fn, range(1, width + 1))))
+    assert F(num, q) == sum((a * x.value(k) for k, a in enumerate(entries, 1)), F(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,13 +710,19 @@ def test_matrix_specs_round_trip(matrix):
 )
 def test_transforms_at_chosen_rows_read_like_the_full_prefix(matrix, x, rows, extra):
     # Empty and single-row requests too; every kind yields the rows asked for.
+    # A pair's denominator may carry the common denominator of the x values
+    # read, so the rows compare as values.
     x, tol, n = parse_sequence(x), F(1, 10**6), max(rows, default=0) + extra
     assume(n >= 1)
+
+    def values(rows):
+        return [(F(*pair), tail) for pair, tail in matrix._transform(x, rows, tol)]
+
     try:
-        full = list(matrix._transform(x, range(1, n + 1), tol))
+        full = values(range(1, n + 1))
     except DomainRiskError:  # no tail machinery for this pair
         assume(False)
-    assert list(matrix._transform(x, rows, tol)) == [full[r - 1] for r in rows]
+    assert values(rows) == [full[r - 1] for r in rows]
 
 
 @settings(max_examples=60, deadline=None)

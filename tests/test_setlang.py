@@ -549,6 +549,20 @@ def test_a_union_searches_the_side_that_jumps_first(monkeypatch):
     assert max(ends) == 1002
 
 
+@pytest.mark.parametrize("text, after, want, ends", [
+    ("union:finite:{}|ap:20000000,3", 0, 20000000, True),  # an empty side has no member at all
+    ("union:ap:20000000,3|finite:{5}", 5, 20000000, True),
+    ("shift:union:finite:{}|ap:20000000,3,4", 0, 20000004, True),
+    ("union:finite:{}|finite:{}", 0, None, True),
+    # The selected block starts past the cap: a member may lie below the progression's.
+    ("union:builtin:dyadic_blocks(finite:{30})|ap:20000000,3", 0, None, False),
+])
+def test_a_union_answers_past_the_cap_beside_a_side_that_ends(text, after, want, ends):
+    s = parse_set(text)
+    assert setlang.next_member(s, after, 10**7) == want
+    assert s.ends is ends
+
+
 LEAST_BELOW_THE_CAP = {
     # No square is 2 mod 3: a walk would scan all 4 * 10^9 integers.
     "intersect:builtin:squares|ap:2,3": [],

@@ -73,6 +73,12 @@ def oracle_transform(matrix, x, n, width):
     return sum((matrix.entry(n, k) * x.value(k) for k in range(1, width + 1)), F(0))
 
 
+def fractions(row):
+    """A row's ``(nums, den)`` as its entries, Fractions."""
+    nums, den = row
+    return tuple(F(p, den) for p in nums)
+
+
 def drained(points):
     """The streamed transform points as a list, or the type and message of
     the error that refused them."""
@@ -285,9 +291,9 @@ class TestMatrixEntries:
 
             def entry(n, k):
                 read.add(n)
-                return F(k, n)
+                return k
 
-            return read, GeneratorMatrix("counted", entry)
+            return read, GeneratorMatrix("counted", entry, lambda n: n)
 
         x = parse_sequence("n")
         plain = [p.value for p in transform_prefix(counted()[1], x, 40)]
@@ -314,14 +320,14 @@ class TestMatrixEntries:
         # Row n ends on its declared nonzero diagonal entry, and entry_fn is
         # never asked past it.
         asked = []
-        m = GeneratorMatrix("tri", lambda n, k: asked.append((n, k)) or F(1))
-        assert m._row(3, 5) == (1, 1, 1, 0, 0)
+        m = GeneratorMatrix("tri", lambda n, k: asked.append((n, k)) or 1, lambda n: 1)
+        assert m._row(3, 5) == ((1, 1, 1, 0, 0), 1)
         assert (m.row_support(3), m.vanish_rows(3), m.row_finite) == (3, Finite((1, 2)), True)
         assert m.entry(4, 6) == 0
         assert asked == [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)]
 
     def test_generator_zeroes_past_declared_support(self):
-        m = GeneratorMatrix("tri", lambda n, k: F(1))
+        m = GeneratorMatrix("tri", lambda n, k: 1, lambda n: 1)
         assert m.entry(3, 3) == 1
         assert m.entry(3, 4) == 0
 
@@ -354,9 +360,9 @@ class TestMatrixEntries:
         for n in range(1, 71):
             for w in range(81):
                 want = tuple(defined(n, k) for k in range(1, w + 1))
-                assert m._row(n, w) == want, (n, w)
+                assert fractions(m._row(n, w)) == want, (n, w)
                 assert w == 0 or m.entry(n, w) == want[-1], (n, w)
-        assert m._row(0, 0) == ()
+        assert m._row(0, 0) == ((), 1)
         for w in (1, 5):
             with pytest.raises(ValueError):
                 m._row(0, w)
@@ -376,7 +382,7 @@ class TestMatrixEntries:
         # answers like the row, cached or not.
         m = parse_matrix(spec if drop is None else f"rowdrop:{spec}:{drop}")
         fresh = [m.entry(n, k) for k in range(1, width + 1)]
-        row = m._row(n, width)
+        row = fractions(m._row(n, width))
         assert fresh == list(row) == [m.entry(n, k) for k in range(1, width + 1)]
 
     def test_a_far_column_is_read_without_its_row_prefix(self):
@@ -387,7 +393,6 @@ class TestMatrixEntries:
         assert m.entry(1, 1 << 20) == F(1, 1 << (1 << 20))
         assert m.entry(2, 1 << 20) == 0
         assert time.perf_counter() - started < 0.5
-        assert len(m.base._prefix) <= DOMAIN_SCAN_COLUMNS
 
 
 class TestGeometricMatrix:
@@ -396,7 +401,8 @@ class TestGeometricMatrix:
     def test_every_row_is_the_geometric_row(self, n, width):
         m = parse_matrix("gen:geometric")
         want = tuple(F(1, 1 << k) for k in range(1, width + 1))
-        assert m._row(n, width) == want
+        assert m._row(n, width) == (tuple(1 << width - k for k in range(1, width + 1)), 1 << width)
+        assert fractions(m._row(n, width)) == want
         assert [m.entry(n, k) for k in range(1, width + 1)] == list(want)
 
     def test_tails_and_ratio_are_closed_forms(self):
@@ -428,13 +434,12 @@ class TestGeometricMatrix:
         # A ratio bound certifies every tail of an unbounded x past column 1.
         assert bound is not None or x.ratio_bound is None or after == 1
 
-    def test_rows_share_one_prefix_of_at_most_the_scan_width(self):
+    def test_rows_are_built_not_kept(self):
         m = parse_matrix("gen:geometric")
         transform_prefix(m, parse_sequence("alt"), 256, F(1, 10**6))
-        assert m._prefix == m._row(1, 32)  # one 32-entry prefix for 256 rows
-        wide = m._row(9, DOMAIN_SCAN_COLUMNS + 5)
+        wide = fractions(m._row(9, DOMAIN_SCAN_COLUMNS + 5))
         assert wide[-1] == F(1, 1 << (DOMAIN_SCAN_COLUMNS + 5))
-        assert len(m._prefix) <= DOMAIN_SCAN_COLUMNS
+        assert vars(m) == {}
 
     @settings(max_examples=40, deadline=None)
     @example(x="n", tol=F(1, 10**30), rows=range(1, 65))
@@ -569,7 +574,9 @@ class TestRandomRowFinite:
 
     def test_whole_rows_follow_the_documented_recipe(self):
         m, n = random_rowfinite_matrix(3), 1024
-        assert m._row(n, n) == tuple(recipe_entry(3, n, k) for k in range(1, n + 1))
+        nums, den = m._row(n, n)
+        assert den == 2520 and all(type(p) is int for p in nums)
+        assert fractions((nums, den)) == tuple(recipe_entry(3, n, k) for k in range(1, n + 1))
 
     def test_reading_an_entry_loads_no_hashlib(self):
         # The seed hash comes from the digest that random loads, so a cold
@@ -625,7 +632,8 @@ def sparse_generator():
     """A cheap generator with zero entries below its nonzero diagonal."""
     return GeneratorMatrix(
         "sparse",
-        lambda n, k: F((3 * n + 5 * k) % 7 - 3 if k < n else n % 5 + 1, 1 + (n + k) % 4),
+        lambda n, k: ((3 * n + 5 * k) % 7 - 3 if k < n else n % 5 + 1) * (12 // (1 + (n + k) % 4)),
+        lambda n: 12,
     )
 
 
@@ -714,7 +722,7 @@ def test_a_warmed_matrix_answers_like_a_fresh_one(kind, x, rows, warm, cap):
         for m in (fresh, warmed):
             m = getattr(m, "base", m)  # the generator under a row drop
             if isinstance(m, GeometricMatrix):
-                assert len(m._prefix) <= DOMAIN_SCAN_COLUMNS
+                assert vars(m) == {}
             else:
                 assert stored_entries(m) == m._stored <= cap
 
@@ -808,7 +816,8 @@ class SpikedTailMatrix(GeometricMatrix):
         return F(1) if k == 40 else F(1, 1 << k)
 
     def _row(self, n, width):
-        return tuple(self.entry(n, k) for k in range(1, width + 1))
+        nums = (1 << width if k == 40 else 1 << width - k for k in range(1, width + 1))
+        return tuple(nums), 1 << width
 
     def _tail(self, n, x, after):
         if x.sup_bound is not None:
@@ -823,7 +832,7 @@ class AllOnesMatrix(GeometricMatrix):
         return F(1)
 
     def _row(self, n, width):
-        return (F(1),) * width
+        return (1,) * width, 1
 
     def _tail(self, n, x, after):
         return None
@@ -1070,7 +1079,7 @@ class TestRegularity:
 
     def test_a_sampled_matrix_can_show_both_trends_at_scale(self):
         # Running averages as a generator: r2 and r3 are evidence only.
-        v = regularity_verdict(GeneratorMatrix("avg", lambda n, k: F(1, n)), FIN, n_rows=256)
+        v = regularity_verdict(GeneratorMatrix("avg", lambda n, k: 1, lambda n: n), FIN, n_rows=256)
         assert v.overall == "undecided"
         assert (v.r2.holds, v.r2.detail) == ("at_scale", "columns vanish at scale 256")
         assert (v.r3.holds, v.r3.detail) == ("at_scale", "row sums near 1 at scale 64")
